@@ -1,6 +1,8 @@
 package stemroot
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
@@ -105,6 +107,71 @@ func FuzzSampleParallel(f *testing.F) {
 		}
 		if !reflect.DeepEqual(serial, par) {
 			t.Fatalf("plan differs between 1 and %d workers (n=%d kinds=%d)", workers, n, kinds)
+		}
+	})
+}
+
+// FuzzPlanJSON pins the plan codec: for arbitrary kernel strings, index
+// lists and finite floats WriteJSON emits exactly the bytes of the
+// reflective encoding/json encoder it replaced and the plan reads back
+// equal; and arbitrary bytes never panic ReadPlanJSON.
+func FuzzPlanJSON(f *testing.F) {
+	f.Add("gemm", "relu", []byte{0, 1, 2, 200, 3}, 0.05, 1e-9, 1e22, []byte(`{"version":1,"clusters":null}`))
+	f.Add("<a>&\u2028", "\xff\"\\", []byte{}, -0.0, 5e-324, 1e21, []byte(`{"version":1,"clusters":[{"kernel":"k","members":[-1]}]}`))
+	f.Add("", "", []byte{255, 255, 255, 255, 255, 255, 255, 255, 9}, 1e-7, 123456.789, 1e20, []byte("{"))
+	f.Fuzz(func(t *testing.T, k1, k2 string, idx []byte, a, b, c float64, doc []byte) {
+		if _, err := ReadPlanJSON(bytes.NewReader(doc)); err != nil {
+			_ = err // any error is fine; a panic is not
+		}
+
+		for _, v := range []float64{a, b, c} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Skip()
+			}
+		}
+		// Index lists from the bytes: 8-byte chunks give the full int range,
+		// the tail gives small values; split three ways, nil and empty
+		// included.
+		var ints []int
+		for len(idx) >= 8 {
+			ints = append(ints, int(binary.LittleEndian.Uint64(idx)))
+			idx = idx[8:]
+		}
+		for _, x := range idx {
+			ints = append(ints, int(x))
+		}
+		cut := (len(ints) + 1) / 2
+		plan := &Plan{Epsilon: a, Confidence: b, PredictedError: c}
+		if len(k1)+len(k2)+len(ints) > 0 {
+			plan.Clusters = []Cluster{
+				{Kernel: k1, Members: ints[:cut], Samples: ints[cut:], Weight: math.Abs(a), Mean: b, StdDev: c},
+				{Kernel: k1, Members: nil, Samples: []int{}, Weight: math.Abs(c), Mean: a, StdDev: b},
+				{Kernel: k2, Members: ints, Samples: nil, Weight: math.Abs(b), Mean: c, StdDev: a},
+			}
+		}
+		js := checkPlanJSONMatchesReference(t, plan)
+
+		back, err := ReadPlanJSON(bytes.NewReader(js))
+		negative := false
+		for _, x := range ints {
+			negative = negative || x < 0
+		}
+		if negative {
+			if err == nil {
+				t.Fatalf("plan with a negative index read back without error: %s", js)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("ReadPlanJSON(WriteJSON(p)): %v\n%s", err, js)
+		}
+		// JSON has one spelling for a string that is not valid UTF-8; the
+		// plan must survive the trip once its names are in that spelling.
+		for i := range plan.Clusters {
+			plan.Clusters[i].Kernel = string([]rune(plan.Clusters[i].Kernel)) // U+FFFD per invalid byte
+		}
+		if !reflect.DeepEqual(back, plan) {
+			t.Fatalf("round trip changed the plan\n got %+v\nwant %+v\n%s", back, plan, js)
 		}
 	})
 }

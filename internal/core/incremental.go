@@ -154,6 +154,7 @@ type IncrementalPlanner struct {
 	count  int     // invocations ingested
 	total  float64 // Kahan-summed total time
 	totalC float64 // Kahan compensation
+	bad    error   // first rejected time; sticks, and fails every later plan
 
 	plan        *Plan // cached plan; re-derived on the amortized schedule
 	planAt      int   // invocation count at the last re-plan
@@ -219,6 +220,9 @@ func (ip *IncrementalPlanner) newState() *incNameState {
 }
 
 func (ip *IncrementalPlanner) ingest(st *incNameState, t float64) {
+	if !validTime(t) && ip.bad == nil {
+		ip.bad = invalidTimeError(t, ip.count)
+	}
 	st.res.add(t, ip.count)
 	st.exact.Add(t)
 	ip.count++
@@ -284,7 +288,7 @@ func (ip *IncrementalPlanner) replanDue() bool {
 // amortized schedule says it is stale. The returned plan is shared — treat
 // it as read-only.
 func (ip *IncrementalPlanner) CurrentPlan() (*Plan, error) {
-	if ip.replanDue() {
+	if ip.bad != nil || ip.replanDue() {
 		return ip.Plan()
 	}
 	return ip.plan, nil
@@ -295,6 +299,9 @@ func (ip *IncrementalPlanner) CurrentPlan() (*Plan, error) {
 // the same ingest sequence at the same seed yields a bit-identical plan,
 // regardless of how many times Plan or CurrentPlan ran before.
 func (ip *IncrementalPlanner) Plan() (*Plan, error) {
+	if ip.bad != nil {
+		return nil, ip.bad
+	}
 	if ip.count == 0 {
 		return nil, errors.New("core: empty profile stream")
 	}

@@ -192,32 +192,43 @@ func rootSplit(name string, vals []float64, idxs []int, cs ClusterStats, p Param
 // allocations are one int and one float64, regardless of clustering depth.
 func BuildClusters(names []string, times []float64, p Params) []Cluster {
 	n := len(names)
-	counts := make(map[string]int, 64)
-	var order []string
-	for _, nm := range names {
-		if counts[nm] == 0 {
+
+	// One hash per row: each row gets the first-appearance id of its name.
+	idOf := make(map[string]int32, 64)
+	var order []string // distinct names
+	var counts []int   // id -> rows
+	ids := make([]int32, n)
+	for i, nm := range names {
+		id, ok := idOf[nm]
+		if !ok {
+			id = int32(len(order))
+			idOf[nm] = id
 			order = append(order, nm)
+			counts = append(counts, 0)
 		}
-		counts[nm]++
+		ids[i] = id
+		counts[id]++
 	}
-	sort.Strings(order) // deterministic independent of input order
+
+	// Groups are laid out in sorted name order, deterministic independent
+	// of input order.
+	sort.Strings(order)
+	start := make([]int, len(order)+1)
+	cursor := make([]int, len(order)) // by id
+	for g, nm := range order {
+		id := idOf[nm]
+		cursor[id] = start[g]
+		start[g+1] = start[g] + counts[id]
+	}
 
 	// Chronological index and value lists, one contiguous range per name.
-	groupOf := make(map[string]int, len(order))
-	start := make([]int, len(order)+1)
-	for i, nm := range order {
-		groupOf[nm] = i
-		start[i+1] = start[i] + counts[nm]
-	}
-	cursor := make([]int, len(order))
-	copy(cursor, start[:len(order)])
 	backing := make([]int, n)
 	valsB := make([]float64, n)
-	for i, nm := range names {
-		g := groupOf[nm]
-		backing[cursor[g]] = i
-		valsB[cursor[g]] = times[i]
-		cursor[g]++
+	for i, id := range ids {
+		c := cursor[id]
+		backing[c] = i
+		valsB[c] = times[i]
+		cursor[id] = c + 1
 	}
 
 	perName, _ := parallel.Map(len(order), parallel.Workers(p.Workers),

@@ -38,6 +38,15 @@ func (s SliceScanner) Scan(yield func(string, float64) bool) error {
 	return nil
 }
 
+// validTime reports whether t can enter a plan: a NaN makes the predicted
+// error NaN and a +Inf makes it 0, neither of which is a bound, and the
+// error model has no meaning for negative durations.
+func validTime(t float64) bool { return t >= 0 && !math.IsInf(t, 1) }
+
+func invalidTimeError(t float64, invocation int) error {
+	return fmt.Errorf("core: time %v at invocation %d is not a finite non-negative number", t, invocation)
+}
+
 // reservoir keeps a uniform sample of a stream (Vitter's algorithm R).
 type reservoir struct {
 	cap  int
@@ -145,7 +154,14 @@ func BuildPlanStream(src ProfileScanner, p Params, opts StreamOptions) (*Plan, e
 	states := make(map[string]*nameState)
 	var order []string
 	seedGen := rng.New(rng.Derive(p.Seed, seedLabelReservoir))
+	var bad error
+	seen := 0
 	if err := src.Scan(func(name string, t float64) bool {
+		if !validTime(t) {
+			bad = invalidTimeError(t, seen)
+			return false
+		}
+		seen++
 		st := states[name]
 		if st == nil {
 			st = &nameState{res: newReservoir(rcap, seedGen.Split())}
@@ -156,6 +172,9 @@ func BuildPlanStream(src ProfileScanner, p Params, opts StreamOptions) (*Plan, e
 		return true
 	}); err != nil {
 		return nil, err
+	}
+	if bad != nil {
+		return nil, bad
 	}
 	if len(order) == 0 {
 		return nil, errors.New("core: empty profile stream")

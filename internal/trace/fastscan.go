@@ -12,30 +12,53 @@ import (
 	"unsafe"
 )
 
-// fastscan.go is the zero-allocation profile-CSV decoder: a []byte-level
-// record parser plus streaming readers built on it. The hot path — a plain
-// "seq,name,time_us" row with no quoting — touches no strings.Split, no
-// intermediate string conversions, and no per-row heap allocation; rows
-// containing a '"' fall back to encoding/csv for identical quote
-// semantics. Multi-line quoted records (a newline inside a quoted field)
-// are not supported by the line-oriented fast readers and surface as a
-// parse error.
+// fastscan.go is the profile-CSV decoder — the only one in the package.
+// The hot path, a plain "seq,name,time_us" row with no quoting, is parsed
+// at the []byte level: no strings.Split, no intermediate string
+// conversions, no per-row heap allocation. Quoting is encoding/csv's job:
+// the first line that contains a '"' is handed to encoding/csv together
+// with the rest of the stream (a quoted field may span lines), so the set
+// of accepted inputs and the decoded rows equal encoding/csv's on every
+// input, and a stream without quotes never leaves the fast path.
 
 // ErrFieldCount reports a data row whose comma count is not exactly three
 // fields.
 var ErrFieldCount = errors.New("trace: profile row must have 3 fields")
 
+// maxInternedNames caps the per-reader name table of the string-yielding
+// Scan: past it every new name costs one allocation per row, so a stream
+// of all-distinct names cannot grow the table without bound.
+const maxInternedNames = 4096
+
+// maxWindow is the bufio window of a reader of unknown length — wide
+// enough that steady state never spills.
+const maxWindow = 1 << 20
+
+var profileHeader = []byte("seq,name,time_us")
+
 // ParseProfileRecord decodes one "seq,name,time_us" CSV row in place. The
 // returned name aliases line — copy it if it must outlive the buffer. A
 // trailing "\n" or "\r\n" is tolerated. Rows containing a quote character
 // are delegated to encoding/csv (allocating, but rare); everything else is
-// parsed allocation-free. The seq field is not interpreted, matching the
-// string-based readers.
+// parsed allocation-free. The seq field is not interpreted.
 func ParseProfileRecord(line []byte) (name []byte, timeUS float64, err error) {
-	line = trimLineEnd(line)
 	if bytes.IndexByte(line, '"') >= 0 {
-		return parseQuotedRecord(line)
+		rec, err := quotedReader(bytes.NewReader(trimLineEnd(line))).Read()
+		if err != nil {
+			return nil, 0, fmt.Errorf("trace: read csv row: %w", err)
+		}
+		t, err := parseTime(rec[2])
+		if err != nil {
+			return nil, 0, err
+		}
+		return []byte(rec[1]), t, nil
 	}
+	return parsePlainRecord(trimLineEnd(line))
+}
+
+// parsePlainRecord is ParseProfileRecord for a line known to hold no quote
+// and no line terminator.
+func parsePlainRecord(line []byte) (name []byte, timeUS float64, err error) {
 	c1 := bytes.IndexByte(line, ',')
 	if c1 < 0 {
 		return nil, 0, ErrFieldCount
@@ -45,35 +68,38 @@ func ParseProfileRecord(line []byte) (name []byte, timeUS float64, err error) {
 	if c2 < 0 {
 		return nil, 0, ErrFieldCount
 	}
-	name = rest[:c2]
 	field := rest[c2+1:]
-	if bytes.IndexByte(field, ',') >= 0 {
-		return nil, 0, ErrFieldCount
-	}
-	t, err := strconv.ParseFloat(bytesToString(field), 64)
+	// ParseFloat does not retain its argument, so a no-copy view is safe.
+	t, err := parseTime(unsafe.String(unsafe.SliceData(field), len(field)))
 	if err != nil {
-		return nil, 0, fmt.Errorf("trace: parse time %q: %w", field, err)
+		// No number holds a comma, so a fourth field always lands here.
+		if bytes.IndexByte(field, ',') >= 0 {
+			return nil, 0, ErrFieldCount
+		}
+		return nil, 0, err
 	}
-	return name, t, nil
+	return rest[:c2], t, nil
 }
 
-// parseQuotedRecord handles the rare quoted row with encoding/csv so the
-// fast path reproduces its escaping rules exactly.
-func parseQuotedRecord(line []byte) ([]byte, float64, error) {
-	cr := csv.NewReader(bytes.NewReader(line))
+func parseTime(field string) (float64, error) {
+	t, err := strconv.ParseFloat(field, 64)
+	if err != nil {
+		return 0, fmt.Errorf("trace: parse time %q: %w", field, err)
+	}
+	return t, nil
+}
+
+// quotedReader is the encoding/csv side of the decoder, configured for the
+// three-field profile shape.
+func quotedReader(r io.Reader) *csv.Reader {
+	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 3
-	rec, err := cr.Read()
-	if err != nil {
-		return nil, 0, fmt.Errorf("trace: read csv row: %w", err)
-	}
-	t, err := strconv.ParseFloat(rec[2], 64)
-	if err != nil {
-		return nil, 0, fmt.Errorf("trace: parse time %q: %w", rec[2], err)
-	}
-	return []byte(rec[1]), t, nil
+	cr.ReuseRecord = true
+	return cr
 }
 
-// trimLineEnd strips one trailing "\n" or "\r\n".
+// trimLineEnd strips one trailing "\n" or "\r\n" (and the bare "\r" that
+// encoding/csv drops before EOF).
 func trimLineEnd(line []byte) []byte {
 	if n := len(line); n > 0 && line[n-1] == '\n' {
 		line = line[:n-1]
@@ -84,24 +110,32 @@ func trimLineEnd(line []byte) []byte {
 	return line
 }
 
-// bytesToString views b as a string without copying, for read-only use
-// inside a single call (strconv.ParseFloat does not retain its argument).
-func bytesToString(b []byte) string {
-	return unsafe.String(unsafe.SliceData(b), len(b))
-}
-
-// FastCSVReader streams profile rows from an io.Reader through
-// ParseProfileRecord. It is single-shot (the reader is consumed); use
-// FastCSVScanner for the re-scannable file-based variant.
+// FastCSVReader streams profile rows from an io.Reader. It is single-shot
+// (the reader is consumed); use FastCSVScanner for the re-scannable
+// file-based variant.
 type FastCSVReader struct {
 	br      *bufio.Reader
-	scratch []byte // spill buffer for lines longer than the bufio window
+	scratch []byte            // spill buffer for lines longer than the bufio window
+	names   map[string]string // Scan's interning table, at most maxInternedNames
 }
 
-// NewFastCSVReader wraps r. The buffer is sized for wide rows so steady
-// state never spills.
+// NewFastCSVReader wraps r. A reader that reports its length (bytes.Reader,
+// bytes.Buffer, strings.Reader) gets a window no larger than its content.
 func NewFastCSVReader(r io.Reader) *FastCSVReader {
-	return &FastCSVReader{br: bufio.NewReaderSize(r, 1<<20)}
+	size := maxWindow
+	if n, ok := readerLen(r); ok && n < size {
+		size = n
+	}
+	return &FastCSVReader{br: bufio.NewReaderSize(r, size)}
+}
+
+// readerLen reports the unread byte count of an in-memory reader.
+func readerLen(r io.Reader) (int, bool) {
+	l, ok := r.(interface{ Len() int })
+	if !ok {
+		return 0, false
+	}
+	return l.Len(), true
 }
 
 // readLine returns the next line including its terminator, valid until the
@@ -131,9 +165,6 @@ func (fr *FastCSVReader) readLine() ([]byte, error) {
 		case bufio.ErrBufferFull:
 			continue
 		case io.EOF:
-			if len(fr.scratch) == 0 {
-				return nil, io.EOF
-			}
 			return fr.scratch, nil
 		default:
 			return nil, err
@@ -141,51 +172,32 @@ func (fr *FastCSVReader) readLine() ([]byte, error) {
 	}
 }
 
-// header validates the "seq,name,time_us" header line.
-func validateHeader(line []byte) error {
-	line = trimLineEnd(line)
-	if bytes.IndexByte(line, '"') >= 0 {
-		cr := csv.NewReader(bytes.NewReader(line))
-		cr.FieldsPerRecord = 3
-		rec, err := cr.Read()
-		if err != nil {
-			return fmt.Errorf("trace: read csv header: %w", err)
-		}
-		if rec[0] != "seq" || rec[1] != "name" || rec[2] != "time_us" {
-			return fmt.Errorf("trace: unexpected csv header %v", rec)
-		}
-		return nil
-	}
-	if !bytes.Equal(line, []byte("seq,name,time_us")) {
-		return fmt.Errorf("trace: unexpected csv header %q", line)
-	}
-	return nil
-}
-
 // ScanBytes yields every (name, time) row in order. The name slice is only
 // valid during the yield call — the zero-alloc contract: callers that need
 // to retain it must copy (e.g. via an interning symbol table). Blank lines
 // are skipped, matching encoding/csv.
 func (fr *FastCSVReader) ScanBytes(yield func(name []byte, timeUS float64) bool) error {
-	line, err := fr.readLine()
-	if err != nil {
-		return fmt.Errorf("trace: read csv header: %w", err)
-	}
-	if err := validateHeader(line); err != nil {
-		return err
-	}
+	inHeader := true
 	for {
 		line, err := fr.readLine()
-		if err == io.EOF {
-			return nil
-		}
 		if err != nil {
-			return fmt.Errorf("trace: read csv row: %w", err)
+			return scanEnd(err, inHeader)
 		}
-		if len(trimLineEnd(line)) == 0 {
+		if bytes.IndexByte(line, '"') >= 0 {
+			return scanQuoted(io.MultiReader(bytes.NewReader(line), fr.br), inHeader, yield)
+		}
+		line = trimLineEnd(line)
+		if len(line) == 0 {
 			continue
 		}
-		name, t, err := ParseProfileRecord(line)
+		if inHeader {
+			if !bytes.Equal(line, profileHeader) {
+				return fmt.Errorf("trace: unexpected csv header %q", line)
+			}
+			inHeader = false
+			continue
+		}
+		name, t, err := parsePlainRecord(line)
 		if err != nil {
 			return err
 		}
@@ -195,18 +207,67 @@ func (fr *FastCSVReader) ScanBytes(yield func(name []byte, timeUS float64) bool)
 	}
 }
 
-// Scan adapts ScanBytes to string names (allocating one string conversion
-// per row — use ScanBytes with an interning consumer for the zero-alloc
-// path).
+// scanEnd is a scan's result once reading fails: running out of rows after
+// the header is how every good scan ends.
+func scanEnd(err error, inHeader bool) error {
+	switch {
+	case inHeader:
+		return fmt.Errorf("trace: read csv header: %w", err)
+	case err == io.EOF:
+		return nil
+	default:
+		return fmt.Errorf("trace: read csv row: %w", err)
+	}
+}
+
+// scanQuoted decodes the rest of a stream, from its first quoted line on,
+// with encoding/csv.
+func scanQuoted(r io.Reader, inHeader bool, yield func(name []byte, timeUS float64) bool) error {
+	cr := quotedReader(r)
+	for {
+		rec, err := cr.Read()
+		if err != nil {
+			return scanEnd(err, inHeader)
+		}
+		if inHeader {
+			if rec[0] != "seq" || rec[1] != "name" || rec[2] != "time_us" {
+				return fmt.Errorf("trace: unexpected csv header %v", rec)
+			}
+			inHeader = false
+			continue
+		}
+		t, err := parseTime(rec[2])
+		if err != nil {
+			return err
+		}
+		if !yield([]byte(rec[1]), t) {
+			return nil
+		}
+	}
+}
+
+// Scan is ScanBytes with string names, interned per reader: a profile
+// repeats a few dozen kernel names over all its rows, so the steady state
+// allocates one string per distinct name, not one per row.
 func (fr *FastCSVReader) Scan(yield func(name string, timeUS float64) bool) error {
-	return fr.ScanBytes(func(name []byte, t float64) bool {
-		return yield(string(name), t)
+	if fr.names == nil {
+		fr.names = make(map[string]string)
+	}
+	return fr.ScanBytes(func(b []byte, t float64) bool {
+		name, ok := fr.names[string(b)] // non-allocating lookup
+		if !ok {
+			name = string(b)
+			if len(fr.names) < maxInternedNames {
+				fr.names[name] = name
+			}
+		}
+		return yield(name, t)
 	})
 }
 
-// FastCSVScanner is the re-scannable, file-backed profile source built on
-// the byte-level decoder — a drop-in replacement for CSVScanner that
-// parses roughly twice as fast and allocates nothing per row on ScanBytes.
+// FastCSVScanner is the re-scannable, file-backed profile source: every
+// Scan re-reads the file, the access pattern the two-pass streaming
+// planner needs for out-of-core profiles.
 type FastCSVScanner struct {
 	Path string
 }
@@ -214,17 +275,20 @@ type FastCSVScanner struct {
 // ScanBytes streams the file through the zero-alloc decoder. Name slices
 // are only valid during the yield.
 func (s FastCSVScanner) ScanBytes(yield func(name []byte, timeUS float64) bool) error {
+	return s.read(func(fr *FastCSVReader) error { return fr.ScanBytes(yield) })
+}
+
+// Scan implements the streaming-profile interface with interned string
+// names.
+func (s FastCSVScanner) Scan(yield func(name string, timeUS float64) bool) error {
+	return s.read(func(fr *FastCSVReader) error { return fr.Scan(yield) })
+}
+
+func (s FastCSVScanner) read(scan func(*FastCSVReader) error) error {
 	f, err := os.Open(s.Path)
 	if err != nil {
 		return fmt.Errorf("trace: open profile: %w", err)
 	}
 	defer f.Close()
-	return NewFastCSVReader(f).ScanBytes(yield)
-}
-
-// Scan implements the streaming-profile interface with string names.
-func (s FastCSVScanner) Scan(yield func(name string, timeUS float64) bool) error {
-	return s.ScanBytes(func(name []byte, t float64) bool {
-		return yield(string(name), t)
-	})
+	return scan(NewFastCSVReader(f))
 }

@@ -1,10 +1,13 @@
 package trace
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func writeTempCSV(t *testing.T, body string) string {
@@ -32,27 +35,103 @@ func collect(t *testing.T, s interface {
 	return names, times
 }
 
+// TestFastCSVScannerMatchesCSVScanner pins the decoder to encoding/csv's
+// reading of line ends, blank lines and quoting, multi-line quoted names
+// and rows after the hand-off included. (The differential fuzz against an
+// encoding/csv reference is workloads.FuzzFromProfile.)
 func TestFastCSVScannerMatchesCSVScanner(t *testing.T) {
-	body := "seq,name,time_us\r\n" +
+	body := "\n" + // blank line before the header: skipped
+		"seq,name,time_us\r\n" +
 		"0,gemm,1.5\n" +
 		"1,softmax,2.25e-1\r\n" +
-		"\n" + // blank line: skipped by both
-		"2,\"quoted,name\",3\n" +
-		"3,layer norm,4.125" // no trailing newline
-	p := writeTempCSV(t, body)
+		"\n" + // blank line: skipped
+		"2,\"quoted,name\",3\n" + // first quote: encoding/csv takes over here
+		"3,plain after quote,3.5\r\n" +
+		"4,\"two\nlines \"\"q\"\"\",4\n" +
+		"\n" +
+		"5,layer norm,4.125" // no trailing newline
+	wantN := []string{"gemm", "softmax", "quoted,name", "plain after quote", "two\nlines \"q\"", "layer norm"}
+	wantT := []float64{1.5, 0.225, 3, 3.5, 4, 4.125}
 
-	wantN, wantT := collect(t, CSVScanner{Path: p})
-	gotN, gotT := collect(t, FastCSVScanner{Path: p})
-	if len(wantN) != len(gotN) {
-		t.Fatalf("row count: fast %d vs csv %d", len(gotN), len(wantN))
+	gotN, gotT := collect(t, FastCSVScanner{Path: writeTempCSV(t, body)})
+	if !reflect.DeepEqual(gotN, wantN) || !reflect.DeepEqual(gotT, wantT) {
+		t.Fatalf("scanned (%q, %v), want (%q, %v)", gotN, gotT, wantN, wantT)
 	}
-	for i := range wantN {
-		if wantN[i] != gotN[i] || wantT[i] != gotT[i] {
-			t.Fatalf("row %d: fast (%q,%v) vs csv (%q,%v)", i, gotN[i], gotT[i], wantN[i], wantT[i])
+	memN, memT, err := ReadProfileCSV(strings.NewReader(body))
+	if err != nil || !reflect.DeepEqual(memN, wantN) || !reflect.DeepEqual(memT, wantT) {
+		t.Fatalf("ReadProfileCSV = (%q, %v, %v), want (%q, %v)", memN, memT, err, wantN, wantT)
+	}
+}
+
+func TestFastCSVReaderQuoteErrors(t *testing.T) {
+	for _, body := range []string{
+		"seq,name,time_us\n0,a\"b,1\n",            // bare quote
+		"seq,name,time_us\n0,\"open,1\n1,b,2\n",   // never closed
+		"seq,name,time_us\n0,\"a\",1,extra\n",     // four fields
+		"seq,name,time_us\n0,\"a\",x\n",           // bad time after hand-off
+		"\"seq\",name,time\n0,a,1\n",              // quoted header, wrong column
+		"seq,name,time_us\n0,\"a\",1\n1,b\n",      // short row after hand-off
+		"seq,name,time_us\n0,\"a\",1\n1,b\"c,2\n", // bare quote after hand-off
+	} {
+		if _, _, err := ReadProfileCSV(strings.NewReader(body)); err == nil {
+			t.Errorf("ReadProfileCSV(%q) = nil error", body)
 		}
 	}
-	if wantN[2] != "quoted,name" {
-		t.Fatalf("quoted field parsed as %q", wantN[2])
+	names, times, err := ReadProfileCSV(strings.NewReader("\"seq\",\"name\",time_us\n0,a,1\n"))
+	if err != nil || len(names) != 1 || names[0] != "a" || times[0] != 1 {
+		t.Fatalf("quoted header: (%q, %v, %v)", names, times, err)
+	}
+}
+
+// TestScanInternsNames pins the interning contract of the string path:
+// equal names share one string up to the cap, and past the cap rows are
+// still decoded correctly.
+func TestScanInternsNames(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("seq,name,time_us\n")
+	const distinct = maxInternedNames + 50
+	for rep := 0; rep < 2; rep++ {
+		for i := 0; i < distinct; i++ {
+			fmt.Fprintf(&b, "%d,kernel_%d,%d\n", i, i, i)
+		}
+	}
+	names, times, err := ReadProfileCSV(strings.NewReader(b.String()))
+	if err != nil || len(names) != 2*distinct {
+		t.Fatalf("decoded %d rows, err %v", len(names), err)
+	}
+	for i := 0; i < distinct; i++ {
+		want := fmt.Sprintf("kernel_%d", i)
+		if names[i] != want || names[distinct+i] != want || times[distinct+i] != float64(i) {
+			t.Fatalf("row %d: %q / %q (%v)", i, names[i], names[distinct+i], times[distinct+i])
+		}
+		shared := unsafe.StringData(names[i]) == unsafe.StringData(names[distinct+i])
+		if shared != (i < maxInternedNames) {
+			t.Fatalf("name %d: shared=%v, cap %d", i, shared, maxInternedNames)
+		}
+	}
+}
+
+// TestReadProfileCSVAllocs pins the batch decoder's allocation count: for
+// a fixed name set it does not depend on the row count.
+func TestReadProfileCSVAllocs(t *testing.T) {
+	profile := func(rows int) string {
+		var b strings.Builder
+		b.WriteString("seq,name,time_us\n")
+		for i := 0; i < rows; i++ {
+			fmt.Fprintf(&b, "%d,kernel_%d,%d.5\n", i, i%24, i)
+		}
+		return b.String()
+	}
+	allocs := func(body string) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, _, err := ReadProfileCSV(strings.NewReader(body)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(profile(2000)), allocs(profile(100000))
+	if large > small+2 || large > 64 {
+		t.Fatalf("ReadProfileCSV allocations grow with rows: %v at 2000 rows, %v at 100000", small, large)
 	}
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -54,31 +55,31 @@ func (p *Profile) WriteCSV(w *Workload, out io.Writer) error {
 }
 
 // ReadProfileCSV parses a CSV written by WriteCSV. Kernel names are returned
-// alongside times so a profile can be used without its workload.
+// alongside times so a profile can be used without its workload; equal
+// names share one string.
 func ReadProfileCSV(in io.Reader) (names []string, times []float64, err error) {
-	cr := csv.NewReader(in)
-	cr.FieldsPerRecord = 3
-	header, err := cr.Read()
-	if err != nil {
-		return nil, nil, fmt.Errorf("trace: read csv header: %w", err)
+	total, _ := readerLen(in)
+	fr := NewFastCSVReader(in)
+	if total > 0 {
+		// Pre-size from the line density of the first window, so an
+		// in-memory profile is decoded without regrowing the slices. No
+		// row is shorter than ",,0\n", which bounds what blank lines can
+		// make the estimate claim.
+		window, _ := fr.br.Peek(min(total, fr.br.Size())) // a short window only lowers the estimate
+		if len(window) > 0 {
+			lines := int64(bytes.Count(window, []byte{'\n'}) + 1)
+			rows := min(int(lines*int64(total)/int64(len(window))), total/4)
+			names = make([]string, 0, rows)
+			times = make([]float64, 0, rows)
+		}
 	}
-	if header[0] != "seq" || header[1] != "name" || header[2] != "time_us" {
-		return nil, nil, fmt.Errorf("trace: unexpected csv header %v", header)
-	}
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("trace: read csv row: %w", err)
-		}
-		t, err := strconv.ParseFloat(rec[2], 64)
-		if err != nil {
-			return nil, nil, fmt.Errorf("trace: parse time %q: %w", rec[2], err)
-		}
-		names = append(names, rec[1])
+	err = fr.Scan(func(name string, t float64) bool {
+		names = append(names, name)
 		times = append(times, t)
+		return true
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return names, times, nil
 }

@@ -226,7 +226,7 @@ func TestCSVScannerStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sc := CSVScanner{Path: path}
+	sc := FastCSVScanner{Path: path}
 	var names []string
 	var times []float64
 	if err := sc.Scan(func(n string, tt float64) bool {
@@ -261,7 +261,7 @@ func TestCSVScannerStreams(t *testing.T) {
 }
 
 func TestCSVScannerErrors(t *testing.T) {
-	if err := (CSVScanner{Path: "/nonexistent.csv"}).Scan(func(string, float64) bool { return true }); err == nil {
+	if err := (FastCSVScanner{Path: "/nonexistent.csv"}).Scan(func(string, float64) bool { return true }); err == nil {
 		t.Fatal("expected open error")
 	}
 	dir := t.TempDir()
@@ -269,14 +269,14 @@ func TestCSVScannerErrors(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("wrong,header,here\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := (CSVScanner{Path: bad}).Scan(func(string, float64) bool { return true }); err == nil {
+	if err := (FastCSVScanner{Path: bad}).Scan(func(string, float64) bool { return true }); err == nil {
 		t.Fatal("expected header error")
 	}
 	bad2 := filepath.Join(dir, "bad2.csv")
 	if err := os.WriteFile(bad2, []byte("seq,name,time_us\n0,k,notanumber\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := (CSVScanner{Path: bad2}).Scan(func(string, float64) bool { return true }); err == nil {
+	if err := (FastCSVScanner{Path: bad2}).Scan(func(string, float64) bool { return true }); err == nil {
 		t.Fatal("expected parse error")
 	}
 }

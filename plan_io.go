@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"reflect"
+	"strconv"
 )
 
 // planJSON is the stable on-disk schema of a sampling plan — the "sampling
@@ -28,29 +31,144 @@ type clusterJSON struct {
 
 const planSchemaVersion = 1
 
+// planChunk is the size at which WriteJSON flushes its buffer to the
+// writer, so a plan with millions of members never sits in memory twice.
+const planChunk = 64 << 10
+
 // WriteJSON serializes the plan so a simulator-side consumer (possibly in
 // another process or language) can replay exactly the sampled kernels and
 // reproduce the weighted-sum estimate.
+//
+// The bytes are exactly what encoding/json's Encoder with
+// SetIndent("", "  ") emits for planJSON (FuzzPlanJSON pins it), appended
+// directly instead of through reflection and a second indenting pass.
+// Like the Encoder, it writes nothing when a float is not finite and
+// returns a *json.UnsupportedValueError.
 func (p *Plan) WriteJSON(w io.Writer) error {
-	out := planJSON{
-		Version:        planSchemaVersion,
-		Epsilon:        p.Epsilon,
-		Confidence:     p.Confidence,
-		PredictedError: p.PredictedError,
+	for _, f := range [...]float64{p.Epsilon, p.Confidence, p.PredictedError} {
+		if err := finiteJSON(f); err != nil {
+			return err
+		}
 	}
-	for _, c := range p.Clusters {
-		out.Clusters = append(out.Clusters, clusterJSON{
-			Kernel:  c.Kernel,
-			Members: c.Members,
-			Samples: c.Samples,
-			Weight:  c.Weight,
-			Mean:    c.Mean,
-			StdDev:  c.StdDev,
-		})
+	for i := range p.Clusters {
+		c := &p.Clusters[i]
+		for _, f := range [...]float64{c.Weight, c.Mean, c.StdDev} {
+			if err := finiteJSON(f); err != nil {
+				return err
+			}
+		}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+
+	e := planEncoder{w: w, buf: make([]byte, 0, planChunk+256)}
+	e.buf = append(e.buf, "{\n  \"version\": "...)
+	e.buf = strconv.AppendInt(e.buf, planSchemaVersion, 10)
+	e.float(",\n  \"epsilon\": ", p.Epsilon)
+	e.float(",\n  \"confidence\": ", p.Confidence)
+	e.float(",\n  \"predicted_error\": ", p.PredictedError)
+	e.buf = append(e.buf, ",\n  \"clusters\": "...)
+	if len(p.Clusters) == 0 {
+		e.buf = append(e.buf, "null"...)
+	} else {
+		// Clusters of one kernel are adjacent, so its escaped name is
+		// computed once per run of clusters.
+		var kernel string
+		var quoted []byte
+		open := "[\n    {\n      \"kernel\": "
+		for i := range p.Clusters {
+			c := &p.Clusters[i]
+			if i == 0 || c.Kernel != kernel {
+				var err error
+				if quoted, err = json.Marshal(c.Kernel); err != nil {
+					return err
+				}
+				kernel = c.Kernel
+			}
+			e.buf = append(e.buf, open...)
+			open = ",\n    {\n      \"kernel\": "
+			e.buf = append(e.buf, quoted...)
+			e.ints(",\n      \"members\": ", c.Members)
+			e.ints(",\n      \"samples\": ", c.Samples)
+			e.float(",\n      \"weight\": ", c.Weight)
+			e.float(",\n      \"mean_us\": ", c.Mean)
+			e.float(",\n      \"stddev_us\": ", c.StdDev)
+			e.buf = append(e.buf, "\n    }"...)
+			if e.err != nil {
+				return e.err
+			}
+		}
+		e.buf = append(e.buf, "\n  ]"...)
+	}
+	e.buf = append(e.buf, "\n}\n"...)
+	e.flush()
+	return e.err
+}
+
+// finiteJSON returns encoding/json's error for a float JSON cannot hold.
+func finiteJSON(f float64) error {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	return nil
+}
+
+// planEncoder appends plan JSON to a bounded buffer; the first write error
+// sticks and turns the rest into no-ops.
+type planEncoder struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+func (e *planEncoder) flush() {
+	if e.err == nil {
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
+}
+
+// float appends key and f the way encoding/json formats a float64: ES6
+// number-to-string, i.e. %e only for exponents below -6 or above 20, with
+// a two-digit negative exponent trimmed to one.
+func (e *planEncoder) float(key string, f float64) {
+	if len(e.buf) >= planChunk {
+		e.flush()
+	}
+	e.buf = append(e.buf, key...)
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	e.buf = strconv.AppendFloat(e.buf, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(e.buf); n >= 4 && e.buf[n-4] == 'e' && e.buf[n-3] == '-' && e.buf[n-2] == '0' {
+			e.buf[n-2] = e.buf[n-1]
+			e.buf = e.buf[:n-1]
+		}
+	}
+}
+
+// ints appends key and the index list, one element per line; a nil list is
+// null and an empty one [], as encoding/json has them.
+func (e *planEncoder) ints(key string, xs []int) {
+	e.buf = append(e.buf, key...)
+	switch {
+	case xs == nil:
+		e.buf = append(e.buf, "null"...)
+		return
+	case len(xs) == 0:
+		e.buf = append(e.buf, "[]"...)
+		return
+	}
+	sep := "[\n        "
+	for _, x := range xs {
+		if len(e.buf) >= planChunk {
+			e.flush()
+		}
+		e.buf = append(e.buf, sep...)
+		e.buf = strconv.AppendInt(e.buf, int64(x), 10)
+		sep = ",\n        "
+	}
+	e.buf = append(e.buf, "\n      ]"...)
 }
 
 // ReadPlanJSON deserializes a plan written by WriteJSON.
@@ -67,9 +185,30 @@ func ReadPlanJSON(r io.Reader) (*Plan, error) {
 		Confidence:     in.Confidence,
 		PredictedError: in.PredictedError,
 	}
-	for _, c := range in.Clusters {
+	// A batch plan lists every cluster's members; a streaming plan lists
+	// none (the weights carry the populations, the samples are stream
+	// positions). A plan that does both is corrupt: its member-less
+	// clusters would send a consumer's timeOf(s) outside the profile.
+	hasMembers := false
+	for i := range in.Clusters {
+		hasMembers = hasMembers || len(in.Clusters[i].Members) > 0
+	}
+	for i, c := range in.Clusters {
 		if c.Weight < 0 {
 			return nil, fmt.Errorf("stemroot: cluster %q has negative weight", c.Kernel)
+		}
+		if hasMembers && len(c.Members) == 0 && len(c.Samples) > 0 {
+			return nil, fmt.Errorf("stemroot: cluster %d (%q) has samples but no members", i, c.Kernel)
+		}
+		for _, ix := range c.Members {
+			if ix < 0 {
+				return nil, fmt.Errorf("stemroot: cluster %d (%q) has negative member index %d", i, c.Kernel, ix)
+			}
+		}
+		for _, ix := range c.Samples {
+			if ix < 0 {
+				return nil, fmt.Errorf("stemroot: cluster %d (%q) has negative sample index %d", i, c.Kernel, ix)
+			}
 		}
 		p.Clusters = append(p.Clusters, Cluster{
 			Kernel:  c.Kernel,

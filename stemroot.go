@@ -27,6 +27,7 @@ package stemroot
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"stemroot/internal/core"
 	"stemroot/internal/stats"
@@ -103,8 +104,8 @@ type Plan struct {
 
 // Sample builds a STEM+ROOT sampling plan from a kernel-level profile:
 // names[i] and timesUS[i] describe invocation i of the workload in
-// chronological order. Times must be non-negative; the two slices must have
-// equal nonzero length.
+// chronological order. Times must be finite and non-negative; the two slices
+// must have equal nonzero length.
 func Sample(names []string, timesUS []float64, opts Options) (*Plan, error) {
 	if len(names) == 0 {
 		return nil, errors.New("stemroot: empty profile")
@@ -115,6 +116,11 @@ func Sample(names []string, timesUS []float64, opts Options) (*Plan, error) {
 	for i, t := range timesUS {
 		if t < 0 {
 			return nil, fmt.Errorf("stemroot: negative time at invocation %d", i)
+		}
+		// A NaN makes the predicted error NaN, a +Inf makes it 0: neither
+		// is a bound.
+		if math.IsNaN(t) || math.IsInf(t, 0) {
+			return nil, fmt.Errorf("stemroot: non-finite time %v at invocation %d", t, i)
 		}
 	}
 	p := opts.params()

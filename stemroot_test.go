@@ -1,7 +1,10 @@
 package stemroot
 
 import (
+	"bytes"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"stemroot/internal/rng"
@@ -46,6 +49,102 @@ func TestSampleValidation(t *testing.T) {
 	}
 	if _, err := Sample([]string{"a"}, []float64{1}, Options{Epsilon: 2}); err == nil {
 		t.Fatal("expected error for bad epsilon")
+	}
+}
+
+// TestSampleTimeValidation pins which times a profile may hold: a NaN
+// would make the predicted error NaN and a +Inf would make it 0 — a zero
+// claimed bound — so both are rejected up front, by every planner, with
+// the invocation named.
+func TestSampleTimeValidation(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	cases := []struct {
+		name string
+		bad  float64 // planted at invocation 2 of a 4-invocation profile
+		ok   bool
+	}{
+		{"NaN", math.NaN(), false},
+		{"+Inf", math.Inf(1), false},
+		{"-Inf", math.Inf(-1), false},
+		{"negative", -1e-300, false},
+		{"-0", negZero, true},
+		{"0", 0, true},
+	}
+	for _, c := range cases {
+		names := []string{"a", "b", "a", "b"}
+		times := []float64{1, 2, c.bad, 4}
+
+		plan, err := Sample(names, times, Options{})
+		checkTimeVerdict(t, "Sample/"+c.name, plan, err, c.ok)
+
+		plan, err = SampleStream(sliceScanner{names, times}, Options{}, StreamOptions{})
+		checkTimeVerdict(t, "SampleStream/"+c.name, plan, err, c.ok)
+
+		sp, err := NewStreamPlanner(Options{}, StreamOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range names {
+			if i%2 == 0 {
+				sp.Add(names[i], times[i])
+			} else {
+				sp.AddBytes([]byte(names[i]), times[i])
+			}
+		}
+		plan, err = sp.Plan()
+		checkTimeVerdict(t, "StreamPlanner.Plan/"+c.name, plan, err, c.ok)
+		plan, err = sp.CurrentPlan()
+		checkTimeVerdict(t, "StreamPlanner.CurrentPlan/"+c.name, plan, err, c.ok)
+		if _, err := sp.Snapshot(); (err == nil) != c.ok {
+			t.Errorf("StreamPlanner.Snapshot/%s: err = %v", c.name, err)
+		}
+	}
+
+	// The error sticks: valid rows after the bad one do not clear it.
+	sp, _ := NewStreamPlanner(Options{}, StreamOptions{})
+	sp.Add("a", 1)
+	if _, err := sp.Plan(); err != nil {
+		t.Fatal(err)
+	}
+	sp.Add("a", math.NaN())
+	sp.Add("a", 1)
+	if _, err := sp.CurrentPlan(); err == nil || !strings.Contains(err.Error(), "invocation 1") {
+		t.Fatalf("CurrentPlan after a NaN at invocation 1: err = %v", err)
+	}
+}
+
+func checkTimeVerdict(t *testing.T, what string, plan *Plan, err error, ok bool) {
+	t.Helper()
+	switch {
+	case ok && err != nil:
+		t.Errorf("%s: rejected: %v", what, err)
+	case ok && (math.IsNaN(plan.PredictedError) || math.IsInf(plan.PredictedError, 0)):
+		t.Errorf("%s: predicted error %v", what, plan.PredictedError)
+	case !ok && err == nil:
+		t.Errorf("%s: accepted, predicted error %v", what, plan.PredictedError)
+	case !ok && !strings.Contains(err.Error(), "invocation 2"):
+		t.Errorf("%s: error does not name invocation 2: %v", what, err)
+	}
+}
+
+func TestSampleSingleInvocation(t *testing.T) {
+	for _, v := range []float64{0, 3.5} {
+		plan, err := Sample([]string{"only"}, []float64{v}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plan.Clusters) != 1 || !reflect.DeepEqual(plan.Clusters[0].Members, []int{0}) ||
+			!reflect.DeepEqual(plan.Clusters[0].Samples, []int{0}) {
+			t.Fatalf("time %v: plan %+v", v, plan)
+		}
+		if plan.PredictedError != 0 || plan.Estimate(func(int) float64 { return v }) != v {
+			t.Fatalf("time %v: predicted error %v, estimate %v", v, plan.PredictedError,
+				plan.Estimate(func(int) float64 { return v }))
+		}
+		var buf bytes.Buffer
+		if err := plan.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -99,7 +99,9 @@ func NewStreamPlanner(opts Options, sopts StreamOptions) (*StreamPlanner, error)
 	return &StreamPlanner{ip: ip, p: p}, nil
 }
 
-// Add ingests one invocation.
+// Add ingests one invocation. A time that is negative, NaN or infinite is
+// remembered, and every later CurrentPlan, Plan and Snapshot fails with an
+// error naming that invocation.
 func (sp *StreamPlanner) Add(name string, timeUS float64) { sp.ip.Add(name, timeUS) }
 
 // AddBytes ingests one invocation with a []byte kernel name, allocating
