@@ -1,6 +1,9 @@
 package gpu
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Config describes the simulated GPU. The Table 4 design-space exploration
 // doubles/halves L1/L2 capacity and the SM count relative to Baseline.
@@ -37,7 +40,12 @@ type Config struct {
 	FlushL2BetweenKernels bool
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Beyond the structural checks it
+// rejects every timing field whose derived constant — a per-kind dependency
+// stall DependencyFraction*latency, a fill latency, the DRAM line service
+// time LineBytes/DRAMBytesPerCycle — would be negative, NaN or infinite: the
+// engine's event order rests on ready cycles that are non-negative numbers
+// and never decrease along an SM's event sequence.
 func (c Config) Validate() error {
 	switch {
 	case c.SMs <= 0:
@@ -46,13 +54,38 @@ func (c Config) Validate() error {
 		return fmt.Errorf("gpu: WarpSlots must be positive, got %d", c.WarpSlots)
 	case c.IssueWidth <= 0:
 		return fmt.Errorf("gpu: IssueWidth must be positive, got %d", c.IssueWidth)
-	case c.DRAMBytesPerCycle <= 0:
-		return fmt.Errorf("gpu: DRAMBytesPerCycle must be positive, got %v", c.DRAMBytesPerCycle)
 	case c.L1.SizeBytes <= 0 || c.L2.SizeBytes <= 0:
 		return fmt.Errorf("gpu: cache sizes must be positive")
+	case !finiteNonNeg(c.DependencyFraction):
+		return fmt.Errorf("gpu: DependencyFraction must be finite and non-negative, got %v", c.DependencyFraction)
+	}
+	for _, l := range []struct {
+		name string
+		v    int
+	}{
+		{"ALULatency", c.ALULatency}, {"FP16Latency", c.FP16Latency}, {"SFULatency", c.SFULatency},
+		{"L1Latency", c.L1Latency}, {"L2Latency", c.L2Latency}, {"DRAMLatency", c.DRAMLatency},
+	} {
+		if l.v < 0 {
+			return fmt.Errorf("gpu: %s must be non-negative, got %d", l.name, l.v)
+		}
+		// 3x covers the fully divergent branch, the largest multiple of a
+		// latency any stall is built from.
+		if !finiteNonNeg(c.DependencyFraction * 3 * float64(l.v)) {
+			return fmt.Errorf("gpu: DependencyFraction %v overflows the %s stall", c.DependencyFraction, l.name)
+		}
+	}
+	line := c.L2.LineBytes
+	if line <= 0 {
+		line = defaultLineBytes
+	}
+	if svc := float64(line) / c.DRAMBytesPerCycle; !(c.DRAMBytesPerCycle > 0) || !finiteNonNeg(svc) {
+		return fmt.Errorf("gpu: DRAMBytesPerCycle must be positive with a finite line service time, got %v", c.DRAMBytesPerCycle)
 	}
 	return nil
 }
+
+func finiteNonNeg(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // Baseline returns the reference configuration of the DSE experiments — a
 // mid-size part resembling the reduced MacSim configurations the paper used

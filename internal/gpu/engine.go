@@ -21,7 +21,7 @@ import (
 // fair-share queue model, epoch alignment, ...). Changes that alter the
 // exact engine bump EngineFingerprint as before — and, since RunKernelPar
 // shares the instruction-timing model, usually this string too.
-const ParEngineFingerprint = "stemroot-gpu-engine-par-v1"
+const ParEngineFingerprint = "stemroot-gpu-engine-par-v2"
 
 // EngineModeExact and EngineModePar are the two execution modes of the
 // segmented simulation engine (see Engine).
@@ -32,9 +32,9 @@ const (
 
 // Engine selects how RunSegmentedEngine executes each kernel of a segment:
 //
-//   - exact (the zero value): Simulator.RunKernel — one global event loop,
-//     exact shared state at every instruction. Today's contract, bit-identical
-//     to every result the repo has ever cached.
+//   - exact (the zero value): Simulator.RunKernel — every event in global
+//     (ready cycle, launch id) order, exact shared state at every
+//     instruction.
 //   - par: Simulator.RunKernelPar — per-SM shards advanced in Epoch-length
 //     time windows against an epoch-synchronized shared L2, Workers intra-
 //     kernel workers. Deterministic for any Workers value at a fixed Epoch;

@@ -28,13 +28,15 @@ func goldenSpec(mem, loc, ra float64, fp int64, work int64, seq int) *kernelgen.
 }
 
 // TestRunKernelGolden pins RunKernel's output bit-for-bit against results
-// recorded from the pre-arena engine (container/heap scheduler, per-kernel
-// cache allocation, pointer-based streams) at commit 50e8528. The
-// allocation-free engine must reproduce every field exactly: any change to
-// warp scheduling order, RNG consumption, or cache indexing shows up here
-// as a float64 mismatch. The sequence deliberately runs back-to-back
-// kernels on one Simulator (warm L2 + scratch reuse) and repeats the first
-// spec so a stale-scratch bug cannot hide.
+// recorded from the argmin reference loop (refSim in oracle_test.go — NOT
+// from the optimized engine) under EngineFingerprint
+// "stemroot-gpu-engine-v3-ready-id-rule". The test runs the reference on
+// the same specs, so the constants can be re-derived at any time: a
+// mismatch between reference and constants means the machine model moved
+// (bump the fingerprint), a mismatch between engine and reference means the
+// engine is wrong. The sequence deliberately runs back-to-back kernels on
+// one Simulator (warm L2 + scratch reuse) and repeats the first spec so a
+// stale-scratch bug cannot hide.
 func TestRunKernelGolden(t *testing.T) {
 	specs := []*kernelgen.Spec{
 		goldenSpec(0.5, 0.5, 0.3, 1<<20, 5e8, 1),
@@ -43,31 +45,32 @@ func TestRunKernelGolden(t *testing.T) {
 		goldenSpec(0.5, 0.5, 0.3, 1<<20, 5e8, 1), // repeat: warm weights
 	}
 	want := []KernelResult{
-		{Cycles: 30319.27786586326, Instructions: 249984, L1HitRate: 0.5020614991754003, L2HitRate: 0.7480434840674163},
-		{Cycles: 83389.81449658686, Instructions: 149760, L1HitRate: 0.17451091929859272, L2HitRate: 0.4008299128142134},
-		{Cycles: 9809.400000000032, Instructions: 294912, L1HitRate: 0.9013498312710911, L2HitRate: 0.5541619156214367},
-		{Cycles: 30234.016895605528, Instructions: 249984, L1HitRate: 0.5016358993456402, L2HitRate: 0.7505804488804676},
+		{Cycles: 30274.15477999796, Instructions: 249984, L1HitRate: 0.5014629994148002, L2HitRate: 0.7483459609433358},
+		{Cycles: 83791.02234562529, Instructions: 149760, L1HitRate: 0.17452328543516435, L2HitRate: 0.4007310532859946},
+		{Cycles: 9811.500000000033, Instructions: 294912, L1HitRate: 0.9011248593925759, L2HitRate: 0.5551763367463026},
+		{Cycles: 30280.201752309455, Instructions: 249984, L1HitRate: 0.5014762994094802, L2HitRate: 0.7507403356188138},
 	}
-	sim := mustSim(t, Baseline())
-	for i, sp := range specs {
-		got := sim.RunKernel(sp)
-		if got != want[i] {
-			t.Errorf("kernel %d: got %+v, want %+v", i, got, want[i])
-		}
-	}
-
 	// Flush variant exercises the §6.2 path through the same scratch arena.
 	fcfg := Baseline()
 	fcfg.FlushL2BetweenKernels = true
 	fwant := []KernelResult{
-		{Cycles: 30319.27786586326, Instructions: 249984, L1HitRate: 0.5020614991754003, L2HitRate: 0.7480434840674163},
-		{Cycles: 83965.22234671013, Instructions: 149760, L1HitRate: 0.17439962406944823, L2HitRate: 0.3998771774785435},
+		want[0],
+		{Cycles: 83673.03190929512, Instructions: 149760, L1HitRate: 0.17484480498602625, L2HitRate: 0.3993136211728386},
 	}
-	fsim := mustSim(t, fcfg)
-	for i, sp := range specs[:2] {
-		got := fsim.RunKernel(sp)
-		if got != fwant[i] {
-			t.Errorf("flush kernel %d: got %+v, want %+v", i, got, fwant[i])
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want []KernelResult
+	}{{"baseline", Baseline(), want}, {"flush", fcfg, fwant}} {
+		sim := mustSim(t, tc.cfg)
+		ref := newRefSim(t, tc.cfg)
+		for i, w := range tc.want {
+			if got := ref.runKernel(specs[i]); got != w {
+				t.Errorf("%s kernel %d: reference gives %+v, golden is %+v", tc.name, i, got, w)
+			}
+			if got := sim.RunKernel(specs[i]); got != w {
+				t.Errorf("%s kernel %d: got %+v, want %+v", tc.name, i, got, w)
+			}
 		}
 	}
 }

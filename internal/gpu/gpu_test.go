@@ -1,6 +1,8 @@
 package gpu
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -124,15 +126,80 @@ func TestConfigValidate(t *testing.T) {
 	if err := Baseline().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := Baseline()
-	bad.SMs = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("expected error for SMs=0")
+	// Degenerate but defined: no dependency stall at all (every ready cycle
+	// ties, so the launch id carries the whole event order), infinite
+	// bandwidth (zero service time), zero latencies.
+	for name, mut := range map[string]func(*Config){
+		"DependencyFraction=0":  func(c *Config) { c.DependencyFraction = 0 },
+		"DRAMBytesPerCycle=Inf": func(c *Config) { c.DRAMBytesPerCycle = math.Inf(1) },
+		"latencies=0": func(c *Config) {
+			c.ALULatency, c.FP16Latency, c.SFULatency, c.L1Latency, c.L2Latency, c.DRAMLatency = 0, 0, 0, 0, 0, 0
+		},
+	} {
+		cfg := Baseline()
+		mut(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s rejected: %v", name, err)
+		}
 	}
-	bad = Baseline()
-	bad.DRAMBytesPerCycle = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("expected error for zero bandwidth")
+	// Rejected, naming the field: structural zeros and every timing field
+	// whose derived constant would be negative, NaN or infinite.
+	nan := math.NaN()
+	for _, tc := range []struct {
+		field string
+		mut   func(*Config)
+	}{
+		{"SMs", func(c *Config) { c.SMs = 0 }},
+		{"WarpSlots", func(c *Config) { c.WarpSlots = 0 }},
+		{"IssueWidth", func(c *Config) { c.IssueWidth = 0 }},
+		{"cache sizes", func(c *Config) { c.L1.SizeBytes = 0 }},
+		{"ALULatency", func(c *Config) { c.ALULatency = -1 }},
+		{"FP16Latency", func(c *Config) { c.FP16Latency = -1 }},
+		{"SFULatency", func(c *Config) { c.SFULatency = -1 }},
+		{"L1Latency", func(c *Config) { c.L1Latency = -1 }},
+		{"L2Latency", func(c *Config) { c.L2Latency = -1 }},
+		{"DRAMLatency", func(c *Config) { c.DRAMLatency = -1 }},
+		{"DependencyFraction", func(c *Config) { c.DependencyFraction = -0.1 }},
+		{"DependencyFraction", func(c *Config) { c.DependencyFraction = nan }},
+		{"DependencyFraction", func(c *Config) { c.DependencyFraction = math.Inf(1) }},
+		{"DependencyFraction", func(c *Config) { c.DependencyFraction = math.MaxFloat64 }}, // stall overflows
+		{"DRAMBytesPerCycle", func(c *Config) { c.DRAMBytesPerCycle = 0 }},
+		{"DRAMBytesPerCycle", func(c *Config) { c.DRAMBytesPerCycle = -64 }},
+		{"DRAMBytesPerCycle", func(c *Config) { c.DRAMBytesPerCycle = nan }},
+		{"DRAMBytesPerCycle", func(c *Config) { c.DRAMBytesPerCycle = math.SmallestNonzeroFloat64 }}, // service time overflows
+	} {
+		cfg := Baseline()
+		tc.mut(&cfg)
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: got error %v, want one naming the field", tc.field, err)
+		}
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s: New accepted a config Validate rejects", tc.field)
+		}
+	}
+}
+
+// TestBranchDivergenceClamped pins the spec-side half of the timing domain:
+// a divergence outside [0, 1] behaves as the nearest bound and NaN as 0, so
+// no spec can make a stall negative or NaN.
+func TestBranchDivergenceClamped(t *testing.T) {
+	run := func(div float64) KernelResult {
+		spec := oracleSpec(16, 128, 0.3, 0.5, 0.3, 0.5, 1<<20, 2e7)
+		spec.BranchDivergence = div
+		return mustSim(t, Baseline()).RunKernel(spec)
+	}
+	lo, mid, hi := run(0), run(0.5), run(1)
+	if !(lo.Cycles < mid.Cycles && mid.Cycles < hi.Cycles) {
+		t.Fatalf("divergence does not lengthen the kernel: %v %v %v", lo.Cycles, mid.Cycles, hi.Cycles)
+	}
+	for _, tc := range []struct {
+		div  float64
+		want KernelResult
+	}{{-3, lo}, {math.NaN(), lo}, {math.Inf(-1), lo}, {1.5, hi}, {math.Inf(1), hi}} {
+		if got := run(tc.div); got != tc.want {
+			t.Errorf("divergence %v: got %+v, want %+v", tc.div, got, tc.want)
+		}
 	}
 }
 
@@ -351,5 +418,54 @@ func TestMSHRsBarelyAffectComputeBound(t *testing.T) {
 	rel := (a.Cycles - b.Cycles) / b.Cycles
 	if rel > 0.15 || rel < -0.15 {
 		t.Fatalf("compute-bound kernel moved %.1f%% across MSHR configs", rel*100)
+	}
+}
+
+// TestIdleSimulatorsBoundedLIFO pins the idle list behind RunSegmentedEngine:
+// it retains at most maxIdleSims simulators, drops the oldest first, hands
+// back the most recently returned one of the asked configuration, and never
+// a simulator of another configuration.
+func TestIdleSimulatorsBoundedLIFO(t *testing.T) {
+	idleSims.Lock()
+	saved := idleSims.sims
+	idleSims.sims = nil
+	idleSims.Unlock()
+	defer func() {
+		idleSims.Lock()
+		idleSims.sims = saved
+		idleSims.Unlock()
+	}()
+
+	cfgs := make([]Config, maxIdleSims+3)
+	sims := make([]*Simulator, len(cfgs))
+	for i := range cfgs {
+		cfgs[i] = Baseline()
+		cfgs[i].SMs = 1
+		cfgs[i].MSHRsPerSM = i + 1 // distinct configurations
+		sims[i] = mustSim(t, cfgs[i])
+	}
+	putSimulators(sims[:2])
+	putSimulators([]*Simulator{nil, sims[2]})
+	putSimulators(sims[3:])
+	if n := len(idleSims.sims); n != maxIdleSims {
+		t.Fatalf("%d idle simulators retained, bound is %d", n, maxIdleSims)
+	}
+	for i := range cfgs {
+		got := getSimulator(cfgs[i])
+		if got.cfg != cfgs[i] {
+			t.Fatalf("config %d: got a simulator of another configuration", i)
+		}
+		if evicted := i < 3; evicted == (got == sims[i]) {
+			t.Fatalf("config %d: reused=%v, want the three oldest evicted and the rest reused", i, got == sims[i])
+		}
+	}
+	if n := len(idleSims.sims); n != 0 {
+		t.Fatalf("%d idle simulators left after taking every one", n)
+	}
+
+	twin := mustSim(t, cfgs[5])
+	putSimulators([]*Simulator{sims[5], sims[6], twin})
+	if got := getSimulator(cfgs[5]); got != twin {
+		t.Fatal("want the most recently returned simulator of the configuration")
 	}
 }

@@ -1,96 +1,111 @@
 package gpu
 
 import (
-	"container/heap"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
 
-// refHeap drives container/heap over the same entries, as the pre-arena
-// engine did, to serve as the equivalence oracle.
-type refHeap []heapEntry
-
-func (h refHeap) Len() int            { return len(h) }
-func (h refHeap) Less(i, j int) bool  { return h[i].ready < h[j].ready }
-func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(heapEntry)) }
-func (h *refHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+// randomEvent draws an event whose ready cycle comes from a handful of
+// values, so key ties — where only the id decides — are everywhere; ids are
+// unique, as launch ids are.
+func randomEvent(next func() uint64, id int) event {
+	return event{key: math.Float64bits(float64(next() % 6)), id: uint64(id), slot: int32(id)}
 }
 
-// sameLayout reports whether the struct-of-arrays heap holds exactly the
-// entry sequence ref holds, pair for pair, plus an intact +Inf sentinel at
-// keys[n] — the layout determines future tie resolution, so matching pop
-// order alone would be too weak an oracle.
-func sameLayout(h *warpHeap, ref refHeap) bool {
-	if h.n != len(ref) || len(h.keys) != h.n+1 || len(h.slots) != h.n {
-		return false
-	}
-	if !math.IsInf(h.keys[h.n], 1) {
-		return false
-	}
-	for i, e := range ref {
-		if h.keys[i] != e.ready || h.slots[i] != e.slot {
-			return false
-		}
-	}
-	return true
+// sentinelIntact reports whether the slice invariant holds: exactly one
+// element past the live heap, and it is lastEvent.
+func sentinelIntact(h *warpHeap) bool {
+	return len(h.ev) == h.n+1 && h.ev[h.n] == lastEvent
 }
 
-// TestWarpHeapMatchesContainerHeap is the heap-equivalence argument as a
-// property test: for random interleavings of pushes and pops — including
-// many equal keys, which is where tie-handling differences would surface —
-// the inline heap must return entries in exactly the order container/heap
-// does AND hold the identical internal array layout after every operation.
-func TestWarpHeapMatchesContainerHeap(t *testing.T) {
+// TestWarpHeapMatchesSort is the queue's whole contract as a property:
+// under the strict total (ready, id) order, random interleavings of push,
+// pop and replaceRoot must return exactly what a sorted model returns —
+// each pop the model's minimum, so any drained run is strictly increasing
+// and equal to a sort. Nothing about the internal layout is observable, so
+// nothing about it is pinned.
+func TestWarpHeapMatchesSort(t *testing.T) {
 	check := func(seed uint64) bool {
 		r := seed
 		next := func() uint64 { r = r*6364136223846793005 + 1442695040888963407; return r }
-		var got warpHeap
-		got.reset()
-		ref := refHeap{}
+		var h warpHeap
+		h.reset()
+		var model []event // kept sorted by (key, id)
+		insert := func(e event) {
+			i := sort.Search(len(model), func(i int) bool { return e.before(&model[i]) })
+			model = append(model, event{})
+			copy(model[i+1:], model[i:])
+			model[i] = e
+		}
 		for op := 0; op < 400; op++ {
-			// Push twice as often as pop so the heap grows; duplicate keys
-			// are frequent (8 distinct values).
-			if next()%3 != 0 || got.n == 0 {
-				e := heapEntry{ready: float64(next() % 8), slot: int32(op)}
-				got.push(e.ready, e.slot)
-				heap.Push(&ref, e)
-			} else {
-				ge := got.pop()
-				re := heap.Pop(&ref).(heapEntry)
-				if ge != re {
+			e := randomEvent(next, op)
+			switch c := next() % 4; {
+			case c < 2 || h.n == 0:
+				h.push(e)
+				insert(e)
+			case c == 2:
+				if h.pop() != model[0] {
 					return false
 				}
+				model = model[1:]
+			default:
+				if h.replaceRoot(e) != model[0] {
+					return false
+				}
+				model = model[1:]
+				insert(e)
 			}
-			if !sameLayout(&got, ref) {
+			if h.n != len(model) || !sentinelIntact(&h) || (h.n > 0 && h.ev[0] != model[0]) {
 				return false
 			}
 		}
-		// Drain both.
-		for got.n > 0 {
-			if ge, re := got.pop(), heap.Pop(&ref).(heapEntry); ge != re {
+		prev := event{}
+		for i := 0; h.n > 0; i++ {
+			e := h.pop()
+			if e != model[i] || (i > 0 && !prev.before(&e)) {
 				return false
 			}
+			prev = e
 		}
 		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestEventOrderMatchesFloatOrder pins the bit-domain comparison against
+// the rule as written: on non-negative, non-NaN ready cycles (zero, tiny,
+// huge, +Inf), before is exactly "ready lower, or equal and id lower".
+func TestEventOrderMatchesFloatOrder(t *testing.T) {
+	readies := []float64{0, math.SmallestNonzeroFloat64, 0.5, 1, 1 + 1e-15, 64, 1e18, math.MaxFloat64, math.Inf(1)}
+	ids := []uint64{0, 1, 1 << 31, 1 << 32, 1<<63 - 1}
+	for _, ra := range readies {
+		for _, rb := range readies {
+			for _, ia := range ids {
+				for _, ib := range ids {
+					a := event{key: math.Float64bits(ra), id: ia}
+					b := event{key: math.Float64bits(rb), id: ib}
+					want := ra < rb || (ra == rb && ia < ib)
+					if got := a.before(&b); got != want {
+						t.Fatalf("(%v,%d) before (%v,%d) = %v, want %v", ra, ia, rb, ib, got, want)
+					}
+					if a.before(&lastEvent) != true || lastEvent.before(&a) {
+						t.Fatalf("(%v,%d) must sort before the sentinel", ra, ia)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestWarpHeapReheapify is the property test for the barrier-time rebuild:
-// after arbitrary in-place key perturbation (including into the negative
-// domain pushPop forbids but reheapify must handle), reheapify restores the
-// min-heap invariant, preserves the (key, slot) multiset exactly, keeps the
-// +Inf sentinel intact, and — because determinism of the par engine rests on
-// it — produces a layout that is a pure function of the input layout.
+// after arbitrary in-place key shifts (clamped at zero, as the epoch
+// barrier's correction pass does), heapify restores the heap order,
+// preserves the event multiset exactly, keeps the sentinel intact, and
+// drains in strictly increasing (ready, id) order.
 func TestWarpHeapReheapify(t *testing.T) {
 	check := func(seed uint64) bool {
 		r := seed
@@ -99,55 +114,28 @@ func TestWarpHeapReheapify(t *testing.T) {
 		h.reset()
 		n := int(next()%64) + 1
 		for i := 0; i < n; i++ {
-			h.push(float64(next()%16), int32(i))
+			h.push(randomEvent(next, i))
 		}
-		// Perturb keys in place, as the epoch barrier's correction pass does.
-		before := make(map[[2]float64]int)
-		for i := 0; i < h.n; i++ {
-			h.keys[i] += float64(int64(next()%400)) - 200 // negatives allowed here
-			before[[2]float64{h.keys[i], float64(h.slots[i])}]++
+		want := make([]event, n)
+		for i := range h.ev[:n] {
+			h.ev[i].shift(float64(int64(next()%40)) - 20)
+			want[i] = h.ev[i]
 		}
-		// A second heap with the identical perturbed layout must come out
-		// identical — reheapify is a pure function of the layout.
-		var twin warpHeap
-		twin.reset()
-		twin.keys = append(twin.keys[:0], h.keys...)
-		twin.slots = append(twin.slots[:0], h.slots...)
-		twin.n = h.n
+		sort.Slice(want, func(i, j int) bool { return want[i].before(&want[j]) })
 
-		h.reheapify()
-		twin.reheapify()
-		if h.n != n || len(h.keys) != n+1 || !math.IsInf(h.keys[n], 1) {
+		h.heapify()
+		if h.n != n || !sentinelIntact(&h) {
 			return false
 		}
-		for i := 0; i <= h.n; i++ {
-			if h.keys[i] != twin.keys[i] {
-				return false
-			}
-			if i < h.n && h.slots[i] != twin.slots[i] {
+		for i := 1; i < n; i++ {
+			if h.ev[i].before(&h.ev[(i-1)/2]) {
 				return false
 			}
 		}
-		// Heap invariant + multiset preservation, then sorted drain.
-		for i := 1; i < h.n; i++ {
-			if h.keys[(i-1)/2] > h.keys[i] {
+		for i := range want {
+			if h.pop() != want[i] {
 				return false
 			}
-			before[[2]float64{h.keys[i], float64(h.slots[i])}]--
-		}
-		before[[2]float64{h.keys[0], float64(h.slots[0])}]--
-		for _, c := range before {
-			if c != 0 {
-				return false
-			}
-		}
-		prev := math.Inf(-1)
-		for h.n > 0 {
-			e := h.pop()
-			if e.ready < prev {
-				return false
-			}
-			prev = e.ready
 		}
 		return true
 	}

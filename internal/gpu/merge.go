@@ -215,7 +215,7 @@ func (s *Simulator) bankOfLine(line uint64) int {
 // worker at the tail of its compute phase, so the serial portion of the
 // barrier never sees it.
 func (s *Simulator) bucketShard(sm int) {
-	sh := &s.par.shards[sm]
+	sh := &s.shards[sm]
 	n := len(sh.acc)
 	nb := s.par.nbanks
 	if cap(sh.bankOff) < nb+1 {
@@ -259,12 +259,12 @@ func (s *Simulator) bucketShard(sm int) {
 // merge when merge workers are available and the epoch is big enough to
 // pay for its bookkeeping, the serial loser-tree merge otherwise. Both are
 // bit-identical, so the choice is invisible in results.
-func (s *Simulator) mergeEpoch(k *parConsts, dramFree float64) float64 {
+func (s *Simulator) mergeEpoch(k *kernelConsts, dramFree float64) float64 {
 	p := s.par
 	if p.wantBanked {
 		total := 0
-		for sm := range p.shards {
-			total += len(p.shards[sm].acc)
+		for sm := range s.shards {
+			total += len(s.shards[sm].acc)
 		}
 		if total >= mergeBankedMinAccesses {
 			return s.mergeEpochBanked(k, dramFree, total)
@@ -280,9 +280,9 @@ func (s *Simulator) mergeEpoch(k *parConsts, dramFree float64) float64 {
 // old coordinator merge with the O(#shards)-per-access head-scan replaced
 // by an O(log #shards) tournament — same order, same arithmetic, pinned
 // bit-identical by the preserved-reference oracle in merge_test.go.
-func (s *Simulator) mergeEpochSerial(k *parConsts, dramFree float64) float64 {
+func (s *Simulator) mergeEpochSerial(k *kernelConsts, dramFree float64) float64 {
 	p := s.par
-	shards := p.shards
+	shards := s.shards
 	heads := p.heads
 	lt := &p.lt
 	lt.ensure(len(shards))
@@ -341,9 +341,9 @@ func (s *Simulator) mergeEpochSerial(k *parConsts, dramFree float64) float64 {
 // for the phase structure and DESIGN.md §9 for the full determinism
 // argument. total is the epoch's access count (the dispatcher already
 // walked the shards).
-func (s *Simulator) mergeEpochBanked(k *parConsts, dramFree float64, total int) float64 {
+func (s *Simulator) mergeEpochBanked(k *kernelConsts, dramFree float64, total int) float64 {
 	p := s.par
-	shards := p.shards
+	shards := s.shards
 	nb := p.nbanks
 	p.bankedEpochs++
 
@@ -406,7 +406,7 @@ func (s *Simulator) replayBank(worker, b int) {
 		p.bankHits[b], p.bankMisses[b] = 0, 0
 		return
 	}
-	shards := p.shards
+	shards := s.shards
 	ws := &p.wscratch[worker]
 	ws.sms = ws.sms[:0]
 	ws.cur = ws.cur[:0]
@@ -433,7 +433,7 @@ func (s *Simulator) replayBank(worker, b int) {
 	lt.build()
 
 	l2 := s.l2
-	l2Fill := p.k.l2Fill
+	l2Fill := s.k.l2Fill
 	stamp := p.stamp0 + uint64(p.bankBase[b])
 	var hits, misses uint64
 	for n := tot; n > 0; n-- {
@@ -466,9 +466,9 @@ func (s *Simulator) replayBank(worker, b int) {
 // miss subsequences (flagged by phase 1) — writing each miss's true fill
 // latency. The queue rule is exactly the serial merge's; restricting it to
 // misses changes nothing because hits never touch the queue.
-func (s *Simulator) foldMisses(k *parConsts, dramFree float64, misses int) float64 {
+func (s *Simulator) foldMisses(k *kernelConsts, dramFree float64, misses int) float64 {
 	p := s.par
-	shards := p.shards
+	shards := s.shards
 	heads := p.heads
 	lt := &p.lt
 	lt.ensure(len(shards))
@@ -524,9 +524,9 @@ func (s *Simulator) foldMisses(k *parConsts, dramFree float64, misses int) float
 // merge's.
 func (s *Simulator) correctShard(sm int) {
 	p := s.par
-	sh := &p.shards[sm]
+	sh := &s.shards[sm]
 	if n := len(sh.acc); n > 0 {
-		k := &p.k
+		k := &s.k
 		shadow := &p.shadow[sm]
 		mshrCap := k.mshrCap
 		depFrac := k.depFrac
@@ -544,38 +544,29 @@ func (s *Simulator) correctShard(sm int) {
 // applyShardCorrection applies one shard's accumulated warp corrections and
 // resets its merge state for the next epoch: swap the shadow MSHR file (it
 // saw the true-fill acquire sequence) over the distorted in-epoch state,
-// shift the held entry and live heap keys by their slots' summed
-// corrections (clamped at zero, keeping pushPop's non-negative key domain),
-// rebuild the heap deterministically if any key moved, zero the correction
-// accumulators, and clear the access buffer and merge cursor. This is
-// verbatim the serial merge's per-shard tail, factored out so phase 3 can
-// run it per SM on the owning worker.
+// shift the held event and the queued events by their slots' summed
+// corrections (clamped at zero, keeping the event-key domain non-negative),
+// re-heapify if any key moved, zero the correction accumulators, and clear
+// the access buffer and merge cursor. Phase 3 runs it per SM on the owning
+// worker; the serial merge runs it as its per-shard tail.
 func (s *Simulator) applyShardCorrection(sm int) {
-	sh := &s.par.shards[sm]
+	sh := &s.shards[sm]
 	if len(sh.acc) > 0 {
 		s.mshrs[sm].release, s.par.shadow[sm].release =
 			s.par.shadow[sm].release, s.mshrs[sm].release
 		if sh.hasHeld {
-			if c := sh.corr[sh.held.slot]; c != 0 {
-				if sh.held.ready += c; sh.held.ready < 0 {
-					sh.held.ready = 0
-				}
-			}
+			sh.held.shift(sh.corr[sh.held.slot])
 		}
-		h := &sh.heap
+		q := &sh.heap
 		changed := false
-		for i := 0; i < h.n; i++ {
-			if c := sh.corr[h.slots[i]]; c != 0 {
-				r := h.keys[i] + c
-				if r < 0 {
-					r = 0
-				}
-				h.keys[i] = r
+		for i := range q.ev[:q.n] {
+			if c := sh.corr[q.ev[i].slot]; c != 0 {
+				q.ev[i].shift(c)
 				changed = true
 			}
 		}
 		if changed {
-			h.reheapify()
+			q.heapify()
 		}
 		for i := range sh.corr {
 			sh.corr[i] = 0

@@ -19,8 +19,8 @@ import (
 // correction sweep. The production merge (serial loser-tree and banked
 // three-phase alike) must be bit-identical to this for every input; the
 // oracle tests below swap it in through the parEngine.testMerge hook.
-func refMergeEpochLinear(s *Simulator, k *parConsts, dramFree float64) float64 {
-	shards := s.par.shards
+func refMergeEpochLinear(s *Simulator, k *kernelConsts, dramFree float64) float64 {
+	shards := s.shards
 	heads := s.par.heads
 	for {
 		best := -1
@@ -61,27 +61,13 @@ func refMergeEpochLinear(s *Simulator, k *parConsts, dramFree float64) float64 {
 			s.mshrs[sm].release, s.par.shadow[sm].release =
 				s.par.shadow[sm].release, s.mshrs[sm].release
 			if sh.hasHeld {
-				if c := sh.corr[sh.held.slot]; c != 0 {
-					if sh.held.ready += c; sh.held.ready < 0 {
-						sh.held.ready = 0
-					}
-				}
+				sh.held.shift(sh.corr[sh.held.slot])
 			}
 			h := &sh.heap
-			changed := false
-			for i := 0; i < h.n; i++ {
-				if c := sh.corr[h.slots[i]]; c != 0 {
-					r := h.keys[i] + c
-					if r < 0 {
-						r = 0
-					}
-					h.keys[i] = r
-					changed = true
-				}
+			for i := range h.ev[:h.n] {
+				h.ev[i].shift(sh.corr[h.ev[i].slot])
 			}
-			if changed {
-				h.reheapify()
-			}
+			h.heapify()
 			for i := range sh.corr {
 				sh.corr[i] = 0
 			}
@@ -95,8 +81,8 @@ func refMergeEpochLinear(s *Simulator, k *parConsts, dramFree float64) float64 {
 // refMergeEpochLinearRecord is refMergeEpochLinear instrumented to record
 // each access's true fill latency, keyed by (SM, buffer index) — the
 // classification record the banked-replay property test compares against.
-func refMergeEpochLinearRecord(s *Simulator, k *parConsts, dramFree float64, rec map[[2]int]float64) float64 {
-	shards := s.par.shards
+func refMergeEpochLinearRecord(s *Simulator, k *kernelConsts, dramFree float64, rec map[[2]int]float64) float64 {
+	shards := s.shards
 	heads := s.par.heads
 	for {
 		best := -1
@@ -150,14 +136,8 @@ func refMergeEpochLinearRecord(s *Simulator, k *parConsts, dramFree float64, rec
 
 // hookMerge installs an oracle merge on a simulator, initializing the par
 // arena exactly as RunKernelPar's lazy path would.
-func hookMerge(s *Simulator, fn func(k *parConsts, dramFree float64) float64) {
-	if s.par == nil {
-		s.par = &parEngine{
-			shards: make([]smShard, s.cfg.SMs),
-			heads:  make([]int, s.cfg.SMs),
-			shadow: make([]mshrState, s.cfg.SMs),
-		}
-	}
+func hookMerge(s *Simulator, fn func(k *kernelConsts, dramFree float64) float64) {
+	s.ensurePar()
 	s.par.testMerge = fn
 }
 
@@ -189,7 +169,7 @@ func TestMergeEpochMatchesReferenceLinearScan(t *testing.T) {
 		}
 		for _, epoch := range []float64{16, 64, 257.5} {
 			ref := mustSim(t, cfg)
-			hookMerge(ref, func(k *parConsts, dramFree float64) float64 {
+			hookMerge(ref, func(k *kernelConsts, dramFree float64) float64 {
 				return refMergeEpochLinear(ref, k, dramFree)
 			})
 			for _, workers := range []int{1, 4} {
@@ -208,7 +188,7 @@ func TestMergeEpochMatchesReferenceLinearScan(t *testing.T) {
 				}
 				// Re-run the reference for the next worker count.
 				ref = mustSim(t, cfg)
-				hookMerge(ref, func(k *parConsts, dramFree float64) float64 {
+				hookMerge(ref, func(k *kernelConsts, dramFree float64) float64 {
 					return refMergeEpochLinear(ref, k, dramFree)
 				})
 			}
@@ -227,12 +207,8 @@ type mergeHarness struct {
 
 func newMergeHarness(t testing.TB, cfg Config, nw, mw int) *mergeHarness {
 	s := mustSim(t, cfg)
-	s.par = &parEngine{
-		shards: make([]smShard, cfg.SMs),
-		heads:  make([]int, cfg.SMs),
-		shadow: make([]mshrState, cfg.SMs),
-	}
-	s.parConstsFor(&s.par.k, mergeOracleSpecs[0])
+	s.ensurePar()
+	s.setConsts(mergeOracleSpecs[0])
 	s.parSetupMerge(nw, mw)
 	s.parBindPhases()
 	poolW := nw
@@ -249,8 +225,8 @@ func newMergeHarness(t testing.TB, cfg Config, nw, mw int) *mergeHarness {
 // accesses[sm] lists (t ascending within each SM). Warp-slot corrections
 // are sized to the highest slot used.
 func (h *mergeHarness) populate(accesses [][]parAccess) {
-	for sm := range h.s.par.shards {
-		sh := &h.s.par.shards[sm]
+	for sm := range h.s.shards {
+		sh := &h.s.shards[sm]
 		sh.acc = append(sh.acc[:0], accesses[sm]...)
 		maxSlot := 0
 		for _, a := range accesses[sm] {
@@ -325,11 +301,11 @@ func runMergePair(t *testing.T, cfg Config, mw int, accesses [][]parAccess, warm
 	}
 	rec := make(map[[2]int]float64, total)
 	const dramSeed = 123.5
-	wantDram := refMergeEpochLinearRecord(ref.s, &ref.s.par.k, dramSeed, rec)
+	wantDram := refMergeEpochLinearRecord(ref.s, &ref.s.k, dramSeed, rec)
 	if !banked.s.par.wantBanked {
 		t.Fatal("harness did not arm the banked path")
 	}
-	gotDram := banked.s.mergeEpochBanked(&banked.s.par.k, dramSeed, total)
+	gotDram := banked.s.mergeEpochBanked(&banked.s.k, dramSeed, total)
 
 	if gotDram != wantDram {
 		t.Fatalf("mw=%d: dramFree %v != reference %v", mw, gotDram, wantDram)
@@ -341,7 +317,7 @@ func runMergePair(t *testing.T, cfg Config, mw int, accesses [][]parAccess, warm
 	for sm := range accesses {
 		for i, a := range accesses[sm] {
 			want := rec[[2]int{sm, i}]
-			got := banked.s.par.shards[sm].fill[i]
+			got := banked.s.shards[sm].fill[i]
 			if got != want {
 				t.Fatalf("mw=%d: sm=%d access=%d trueFill %v != reference %v (addr %#x t %v)",
 					mw, sm, i, got, want, a.addr, a.t)
@@ -398,7 +374,7 @@ func TestMergeDegenerateStreams(t *testing.T) {
 	t.Run("zero-accesses", func(t *testing.T) {
 		h := newMergeHarness(t, cfg, 1, 4)
 		h.populate(make([][]parAccess, cfg.SMs))
-		if got := h.s.mergeEpoch(&h.s.par.k, 42); got != 42 {
+		if got := h.s.mergeEpoch(&h.s.k, 42); got != 42 {
 			t.Fatalf("empty merge moved dramFree: %v", got)
 		}
 	})
@@ -579,22 +555,22 @@ func BenchmarkMergeEpoch(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", mix.name, mode.name), func(b *testing.B) {
 				h := newMergeHarness(b, cfg, 1, mode.mw)
 				s := h.s
-				k := &s.par.k
+				k := &s.k
 				total := cfg.SMs * perSM
 				var dram float64
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					for sm := range s.par.shards {
-						sh := &s.par.shards[sm]
+					for sm := range s.shards {
+						sh := &s.shards[sm]
 						sh.acc = append(sh.acc[:0], accesses[sm]...)
 					}
 					if i == 0 {
 						// Size corr to the slots used (stable after first round).
 						b.StopTimer()
-						for sm := range s.par.shards {
-							sh := &s.par.shards[sm]
+						for sm := range s.shards {
+							sh := &s.shards[sm]
 							for len(sh.corr) < 16 {
 								sh.corr = append(sh.corr, 0)
 							}
@@ -602,7 +578,7 @@ func BenchmarkMergeEpoch(b *testing.B) {
 					}
 					b.StartTimer()
 					if mode.mw > 1 {
-						for sm := range s.par.shards {
+						for sm := range s.shards {
 							s.bucketShard(sm)
 						}
 						dram = s.mergeEpochBanked(k, dram, total)

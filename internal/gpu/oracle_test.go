@@ -1,8 +1,7 @@
 package gpu
 
 import (
-	"container/heap"
-	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -10,16 +9,15 @@ import (
 	"stemroot/internal/trace"
 )
 
-// This file preserves the pre-optimization engine — the pop-always
-// container/heap scheduling loop, the per-instruction latency switch, and
-// the linear-scan MSHR file — verbatim as an executable oracle. The
-// optimized engine (held-entry skip, fused heap pushPop, per-kind latency
-// table, heap-based MSHR acquire, hoisted per-SM state) claims to be a
-// pure strength reduction: same results, bit for bit, for every input. The
-// tests here hold it to that claim on the configurations where the
-// optimizations could plausibly diverge: tie-heavy schedules, saturated
-// and disabled MSHR files, L2 flushing, serial issue, single-warp heaps,
-// and kernels with no memory operations at all.
+// This file holds the engine's specification as an executable oracle: the
+// naive reference loop — repeatedly take the resident warp minimal in
+// (ready cycle, launch id) and execute one instruction — with no heap, no
+// per-SM queue, no arena (fresh L1s per kernel, a NewStream per warp, a
+// materialized per-SM launch list), the per-instruction latency switch and
+// the linear-scan MSHR file. RunKernel's per-SM queues, run-ahead and
+// park/serve coordinator claim to be a pure reorganization of that loop:
+// same results, bit for bit, for every input. The goldens in this package
+// and in internal/pipeline were recorded from this reference.
 
 // refMSHR is the original linear-scan MSHR file: acquire scans all
 // outstanding fills for the minimum and overwrites the FIRST slot holding
@@ -50,94 +48,68 @@ func (m *refMSHR) acquire(t, latency float64, cap int) float64 {
 	return issue
 }
 
-// refSim is the reference engine's state: the same machine model as
-// Simulator, scheduled through container/heap and the original
-// per-instruction code paths.
-type refSim struct {
-	cfg         Config
-	l2          *Cache
-	l1s         []*Cache
-	pending     [][]int
-	nextPending []int
-	activeBySM  []int
-	issueClock  []float64
-	mshrs       []refMSHR
-	heap        refHeap
-	warps       []warpState
-	freeSlots   []int32
+// refWarp is one resident warp of the reference loop.
+type refWarp struct {
+	ready  float64
+	id, sm int
+	st     *kernelgen.Stream
 }
 
-func newRefSim(t *testing.T, cfg Config) *refSim {
+// refSim is the reference machine: only the shared L2 persists between
+// kernels, exactly as in Simulator.
+type refSim struct {
+	cfg Config
+	l2  *Cache
+}
+
+func newRefSim(t testing.TB, cfg Config) *refSim {
 	t.Helper()
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	r := &refSim{
-		cfg:         cfg,
-		l2:          NewCache(cfg.L2),
-		l1s:         make([]*Cache, cfg.SMs),
-		pending:     make([][]int, cfg.SMs),
-		nextPending: make([]int, cfg.SMs),
-		activeBySM:  make([]int, cfg.SMs),
-		issueClock:  make([]float64, cfg.SMs),
-		mshrs:       make([]refMSHR, cfg.SMs),
-	}
-	for i := range r.l1s {
-		r.l1s[i] = NewCache(cfg.L1)
-	}
-	return r
+	return &refSim{cfg: cfg, l2: NewCache(cfg.L2)}
 }
 
-func (s *refSim) activate(spec *kernelgen.Spec, sm int, at float64) {
-	for s.activeBySM[sm] < s.cfg.WarpSlots && s.nextPending[sm] < len(s.pending[sm]) {
-		id := s.pending[sm][s.nextPending[sm]]
-		s.nextPending[sm]++
-		s.activeBySM[sm]++
-		var slot int32
-		if n := len(s.freeSlots); n > 0 {
-			slot = s.freeSlots[n-1]
-			s.freeSlots = s.freeSlots[:n-1]
-		} else {
-			s.warps = append(s.warps, warpState{})
-			slot = int32(len(s.warps) - 1)
-		}
-		s.warps[slot].sm = sm
-		spec.InitStream(&s.warps[slot].stream, id)
-		heap.Push(&s.heap, heapEntry{ready: at, slot: slot})
-	}
-}
-
-// runKernel is the original RunKernel loop: pop a warp, execute ONE
-// instruction through the latency switch, push it back — every
-// instruction pays both sifts through container/heap.
+// runKernel executes one kernel by global argmin over the resident warps.
 func (s *refSim) runKernel(spec *kernelgen.Spec) KernelResult {
 	cfg := s.cfg
 	if cfg.FlushL2BetweenKernels {
 		s.l2.Flush()
 	}
-	for sm := 0; sm < cfg.SMs; sm++ {
-		s.l1s[sm].Reset()
-		s.pending[sm] = s.pending[sm][:0]
-		s.nextPending[sm] = 0
-		s.activeBySM[sm] = 0
-		s.issueClock[sm] = 0
-		s.mshrs[sm].release = s.mshrs[sm].release[:0]
-	}
 	s.l2.ResetStats()
-	s.heap = s.heap[:0]
-	s.warps = s.warps[:0]
-	s.freeSlots = s.freeSlots[:0]
-
+	l1s := make([]*Cache, cfg.SMs)
+	for i := range l1s {
+		l1s[i] = NewCache(cfg.L1)
+	}
+	issueClock := make([]float64, cfg.SMs)
+	mshrs := make([]refMSHR, cfg.SMs)
+	active := make([]int, cfg.SMs)
+	pending := make([][]int, cfg.SMs)
 	for b := 0; b < spec.Blocks; b++ {
 		sm := b % cfg.SMs
 		for w := 0; w < spec.WarpsPerBlock; w++ {
-			s.pending[sm] = append(s.pending[sm], b*spec.WarpsPerBlock+w)
+			pending[sm] = append(pending[sm], b*spec.WarpsPerBlock+w)
 		}
 	}
-	issueStep := 1.0 / float64(cfg.IssueWidth)
-	for sm := 0; sm < cfg.SMs; sm++ {
-		s.activate(spec, sm, 0)
+	var resident []refWarp
+	activate := func(sm int, at float64) {
+		for active[sm] < cfg.WarpSlots && len(pending[sm]) > 0 {
+			id := pending[sm][0]
+			pending[sm] = pending[sm][1:]
+			active[sm]++
+			resident = append(resident, refWarp{ready: at, id: id, sm: sm, st: spec.NewStream(id)})
+		}
 	}
+	for sm := 0; sm < cfg.SMs; sm++ {
+		activate(sm, 0)
+	}
+	div := spec.BranchDivergence
+	if !(div > 0) {
+		div = 0
+	} else if div > 1 {
+		div = 1
+	}
+	issueStep := 1.0 / float64(cfg.IssueWidth)
 
 	var (
 		finish   float64
@@ -146,43 +118,46 @@ func (s *refSim) runKernel(spec *kernelgen.Spec) KernelResult {
 		l1Hits   uint64
 		l1Misses uint64
 	)
-	for len(s.heap) > 0 {
-		e := heap.Pop(&s.heap).(heapEntry)
-		w := &s.warps[e.slot]
-		ins, ok := w.stream.Next()
-		if !ok {
-			sm := w.sm
-			s.activeBySM[sm]--
-			if e.ready > finish {
-				finish = e.ready
+	for len(resident) > 0 {
+		m := 0
+		for i := range resident {
+			if a, b := &resident[i], &resident[m]; a.ready < b.ready || (a.ready == b.ready && a.id < b.id) {
+				m = i
 			}
-			s.freeSlots = append(s.freeSlots, e.slot)
-			s.activate(spec, sm, e.ready)
+		}
+		w := &resident[m]
+		ins, ok := w.st.Next()
+		if !ok {
+			sm, at := w.sm, w.ready
+			resident[m] = resident[len(resident)-1]
+			resident = resident[:len(resident)-1]
+			active[sm]--
+			if at > finish {
+				finish = at
+			}
+			activate(sm, at)
 			continue
 		}
 		instrs++
 
-		t := e.ready
-		if s.issueClock[w.sm] > t {
-			t = s.issueClock[w.sm]
+		t := w.ready
+		if issueClock[w.sm] > t {
+			t = issueClock[w.sm]
 		}
-		s.issueClock[w.sm] = t + issueStep
+		issueClock[w.sm] = t + issueStep
 
 		var lat float64
 		switch ins.Kind {
-		case kernelgen.OpALU, kernelgen.OpFP32:
+		case kernelgen.OpALU, kernelgen.OpFP32, kernelgen.OpSync:
 			lat = float64(cfg.ALULatency)
 		case kernelgen.OpFP16:
 			lat = float64(cfg.FP16Latency)
 		case kernelgen.OpSFU:
 			lat = float64(cfg.SFULatency)
 		case kernelgen.OpBranch:
-			lat = float64(cfg.ALULatency) * (1 + 2*spec.BranchDivergence)
-		case kernelgen.OpSync:
-			lat = float64(cfg.ALULatency)
+			lat = float64(cfg.ALULatency) * (1 + 2*div)
 		case kernelgen.OpLoad, kernelgen.OpStore:
-			l1 := s.l1s[w.sm]
-			if l1.Access(ins.Addr) {
+			if l1s[w.sm].Access(ins.Addr) {
 				lat = float64(cfg.L1Latency)
 				l1Hits++
 			} else {
@@ -202,11 +177,11 @@ func (s *refSim) runKernel(spec *kernelgen.Spec) KernelResult {
 					dramFree += service
 					fill = float64(cfg.DRAMLatency) + queue
 				}
-				issue := s.mshrs[w.sm].acquire(t, fill, cfg.MSHRsPerSM)
+				issue := mshrs[w.sm].acquire(t, fill, cfg.MSHRsPerSM)
 				lat = (issue - t) + fill
 			}
 		}
-		heap.Push(&s.heap, heapEntry{ready: t + cfg.DependencyFraction*lat, slot: e.slot})
+		w.ready = t + cfg.DependencyFraction*lat
 	}
 
 	res := KernelResult{
@@ -242,30 +217,38 @@ func oracleSpec(gridX, blockX int, mem, loc, ra, div float64, fp, work int64) *k
 	return &sp
 }
 
-// TestRunKernelMatchesReferenceLoop runs the optimized engine and the
-// preserved reference loop over a matrix chosen to stress every divergence
-// surface of the optimizations: DependencyFraction=0 floods the heap with
-// tied ready values (tie order is where a wrong sift shows up first);
-// MSHRsPerSM 0 and 2 cover the disabled and saturated MSHR paths;
-// IssueWidth=1 serializes issue so the issue-clock hoisting carries real
-// state; FlushL2BetweenKernels exercises the flush path; the single-warp
-// spec runs the engine with an empty heap (held-entry only); the
-// zero-memory spec never touches a cache (the L1HitRate==0 early-out); and
-// every sequence runs TWO kernels back to back so warm-L2 carry-over and
-// the scratch-arena reset are part of the comparison. Results must be
-// identical as float bit patterns, not approximately equal.
+// TestRunKernelMatchesReferenceLoop runs the engine and the reference loop
+// over a matrix chosen to stress every surface where a reorganization could
+// diverge: DependencyFraction=0 floods the queues with tied ready values
+// (the id tie-break carries the whole order); MSHRsPerSM 0 and 2 cover the
+// disabled and saturated MSHR paths, whose state is touched at serve time;
+// IssueWidth=1 serializes issue so the issue clock carries real state
+// across parks; one SM (the coordinator never switches), 32 SMs (more SMs
+// than blocks in flight drain early) and 1 or 4 warp slots (queues of size
+// 0..3, constant retire/activate) bound the shard geometry; the 512-warp
+// kernel runs several waves per SM; cache_half and FlushL2BetweenKernels
+// move the miss mix; the single-warp spec runs with an empty queue and the
+// zero-memory spec never parks. Every sequence runs at least TWO kernels
+// back to back so warm-L2 carry-over and the per-kernel reset are part of
+// the comparison. Results must be identical as float bit patterns.
 func TestRunKernelMatchesReferenceLoop(t *testing.T) {
 	many := oracleSpec(32, 128, 0.5, 0.5, 0.3, 0.2, 1<<20, 2e7)
 	memBound := oracleSpec(32, 128, 0.95, 0.1, 0.8, 0, 8<<20, 2e7)
 	single := oracleSpec(1, 32, 0.5, 0.5, 0.3, 0, 1<<20, 1e6)
 	noMem := oracleSpec(32, 128, 0, 0.5, 0, 0.1, 1<<20, 2e7)
+	// kernelgen's limits cap derived specs at 64 blocks of ~78 instructions;
+	// the multi-wave and long-running cases widen a derived spec directly.
+	waves := oracleSpec(64, 128, 0.6, 0.4, 0.5, 0.1, 4<<20, 4e7)
+	waves.Blocks, waves.InstrsPerWarp = 128, 240 // 512 warps
+	long := oracleSpec(32, 128, 0.5, 0.5, 0.3, 0.2, 1<<20, 2e7)
+	long.InstrsPerWarp = 1500
 
 	cases := []struct {
 		name  string
 		mut   func(*Config)
 		specs []*kernelgen.Spec
 	}{
-		{"baseline", func(c *Config) {}, []*kernelgen.Spec{many, memBound}},
+		{"baseline", func(c *Config) {}, []*kernelgen.Spec{many, memBound, long}},
 		{"tied_deps", func(c *Config) { c.DependencyFraction = 0 }, []*kernelgen.Spec{many, noMem}},
 		{"mshr_disabled", func(c *Config) { c.MSHRsPerSM = 0 }, []*kernelgen.Spec{memBound, many}},
 		{"mshr_saturated", func(c *Config) { c.MSHRsPerSM = 2 }, []*kernelgen.Spec{memBound, memBound}},
@@ -273,6 +256,14 @@ func TestRunKernelMatchesReferenceLoop(t *testing.T) {
 		{"flush_l2", func(c *Config) { c.FlushL2BetweenKernels = true }, []*kernelgen.Spec{many, many}},
 		{"single_warp", func(c *Config) {}, []*kernelgen.Spec{single, single}},
 		{"no_memory", func(c *Config) {}, []*kernelgen.Spec{noMem, noMem}},
+		{"sm_1", func(c *Config) { c.SMs = 1 }, []*kernelgen.Spec{many, memBound}},
+		{"sm_8", func(c *Config) { c.SMs = 8 }, []*kernelgen.Spec{memBound, many, waves}},
+		{"sm_32", func(c *Config) { c.SMs = 32 }, []*kernelgen.Spec{many, waves, single}},
+		{"slots_1", func(c *Config) { c.WarpSlots = 1 }, []*kernelgen.Spec{many, memBound}},
+		{"slots_4", func(c *Config) { c.WarpSlots = 4 }, []*kernelgen.Spec{memBound, waves}},
+		{"slots_4_tied", func(c *Config) { c.WarpSlots = 4; c.DependencyFraction = 0 }, []*kernelgen.Spec{many, memBound}},
+		{"cache_half", func(c *Config) { c.L1.SizeBytes /= 2; c.L2.SizeBytes /= 2 }, []*kernelgen.Spec{memBound, many, memBound}},
+		{"waves", func(c *Config) {}, []*kernelgen.Spec{waves, waves}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -284,17 +275,50 @@ func TestRunKernelMatchesReferenceLoop(t *testing.T) {
 				got := opt.RunKernel(spec)
 				want := ref.runKernel(spec)
 				if got != want {
-					t.Fatalf("kernel %d diverged:\n  optimized %+v\n  reference %+v", i, got, want)
+					t.Fatalf("kernel %d diverged:\n  engine    %+v\n  reference %+v", i, got, want)
 				}
 			}
 		})
 	}
 }
 
-// TestRunKernelSingleWarp pins the empty-heap fast path: with one resident
-// warp the heap is empty after the pop, so every instruction takes the
-// held-entry continue and the kernel must still retire all instructions
-// and finish at a positive cycle count.
+// TestRunKernelMatchesReferenceQuick is the same claim as a property over
+// small random machines and kernels (pinned seed): few SMs and slots, tiny
+// caches so every miss path fires, tie-prone dependency fractions, two
+// kernels per machine on a warm simulator.
+func TestRunKernelMatchesReferenceQuick(t *testing.T) {
+	check := func(seed uint64) bool {
+		r := rand.New(rand.NewSource(int64(seed)))
+		cfg := Baseline()
+		cfg.SMs = 1 + r.Intn(5)
+		cfg.WarpSlots = 1 + r.Intn(6)
+		cfg.IssueWidth = 1 + r.Intn(2)
+		cfg.MSHRsPerSM = r.Intn(4)
+		cfg.DependencyFraction = []float64{0, 0.25, 0.45, 1}[r.Intn(4)]
+		cfg.L1.SizeBytes = 1 << (10 + r.Intn(4))
+		cfg.L2.SizeBytes = 1 << (13 + r.Intn(5))
+		cfg.FlushL2BetweenKernels = r.Intn(4) == 0
+		opt := mustSim(t, cfg)
+		ref := newRefSim(t, cfg)
+		for i := 0; i < 2; i++ {
+			spec := oracleSpec(1+r.Intn(12), 32*(1+r.Intn(4)), r.Float64(), r.Float64(), r.Float64(),
+				r.Float64(), int64(1)<<(14+r.Intn(8)), int64(1e5+r.Float64()*2e6))
+			if got, want := opt.RunKernel(spec), ref.runKernel(spec); got != want {
+				t.Logf("cfg %+v spec %+v:\n  engine    %+v\n  reference %+v", cfg, *spec, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunKernelSingleWarp pins the empty-queue path: with one resident
+// warp the queue is empty after the pop, so the warp is always the SM's
+// earliest and the kernel must still retire all instructions and finish at
+// a positive cycle count.
 func TestRunKernelSingleWarp(t *testing.T) {
 	res := mustSim(t, Baseline()).RunKernel(oracleSpec(1, 32, 0.5, 0.5, 0.3, 0, 1<<20, 1e6))
 	if res.Instructions <= 0 || res.Cycles <= 0 {
@@ -348,117 +372,6 @@ func TestMSHRAcquireMatchesLinearScan(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// cloneWarpHeap deep-copies a heap so a test can run two operation
-// sequences from the same starting layout.
-func cloneWarpHeap(h *warpHeap) warpHeap {
-	c := warpHeap{
-		keys:  append([]float64(nil), h.keys...),
-		slots: append([]int32(nil), h.slots...),
-		n:     h.n,
-	}
-	return c
-}
-
-// randomWarpHeap builds a heap of size 1..maxN by pushes, drawing keys
-// from a handful of distinct values so ties — the only place push+pop
-// equivalences can break — are everywhere.
-func randomWarpHeap(next func() uint64, maxN int) warpHeap {
-	var h warpHeap
-	h.reset()
-	n := int(next()%uint64(maxN)) + 1
-	for i := 0; i < n; i++ {
-		h.push(float64(next()%6), int32(i))
-	}
-	return h
-}
-
-// TestHeapPushPopFusedMatchesPair is the fused operation's oracle: from
-// identical tie-heavy starting heaps, pushPop must return exactly what
-// push-then-pop returns and leave an identical live layout (sentinel
-// included). It also verifies the fused op never grows the keys slice —
-// the whole point of fusing.
-func TestHeapPushPopFusedMatchesPair(t *testing.T) {
-	fired := 0
-	check := func(seed uint64) bool {
-		r := seed
-		next := func() uint64 { r = r*6364136223846793005 + 1442695040888963407; return r }
-		pair := randomWarpHeap(next, 40)
-		fused := cloneWarpHeap(&pair)
-		for op := 0; op < 40; op++ {
-			e := heapEntry{ready: float64(next() % 6), slot: int32(1000 + op)}
-			grew := len(fused.keys)
-			gotF := fused.pushPop(e)
-			if len(fused.keys) != grew {
-				return false
-			}
-			pair.push(e.ready, e.slot)
-			gotP := pair.pop()
-			if gotF != gotP {
-				return false
-			}
-			if fused.n != pair.n || len(fused.keys) != len(pair.keys) {
-				return false
-			}
-			for i := range fused.keys {
-				if fused.keys[i] != pair.keys[i] || (i < fused.n && fused.slots[i] != pair.slots[i]) {
-					return false
-				}
-			}
-			fired++
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-	if fired == 0 {
-		t.Fatal("property never exercised")
-	}
-}
-
-// TestHeapPushPopNoopOracle pins the held-entry gate: whenever
-// pushPopIsNoop returns true for a heap and a pushed entry strictly below
-// the root, push-then-pop must return that entry and leave the arrays
-// bit-for-bit unchanged. The test also counts positive verdicts so the
-// gate cannot silently rot into "always false" (which would be correct
-// but would disable the fast path).
-func TestHeapPushPopNoopOracle(t *testing.T) {
-	hits := 0
-	check := func(seed uint64) bool {
-		r := seed
-		next := func() uint64 { r = r*6364136223846793005 + 1442695040888963407; return r }
-		h := randomWarpHeap(next, 40)
-		if !h.pushPopIsNoop() {
-			return true // conservative verdicts are always allowed
-		}
-		hits++
-		// Push strictly below the root (all keys are >= 0, so -1 works for
-		// any heap this generator builds).
-		e := heapEntry{ready: h.keys[0] - 1, slot: 9999}
-		before := cloneWarpHeap(&h)
-		h.push(e.ready, e.slot)
-		got := h.pop()
-		if got != e {
-			return false
-		}
-		if h.n != before.n || len(h.keys) != len(before.keys) {
-			return false
-		}
-		for i := 0; i < h.n; i++ {
-			if h.keys[i] != before.keys[i] || h.slots[i] != before.slots[i] {
-				return false
-			}
-		}
-		return math.IsInf(h.keys[h.n], 1)
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-	if hits == 0 {
-		t.Fatal("pushPopIsNoop never returned true; the fast path is dead")
 	}
 }
 

@@ -39,31 +39,23 @@ type parAccess struct {
 	slot int32
 }
 
-// smShard is one SM's private slice of the parallel engine: its own warp
-// heap, warp-slot arena, held entry, in-epoch DRAM-queue estimate, buffered
-// shared-L2 accesses, and result accumulators. Together with the per-SM
-// arrays the Simulator already owns (L1, MSHR file, issue clock, pending
-// list), a shard is everything one SM's event loop touches during an epoch —
-// workers own disjoint SM ranges, so epoch execution shares no mutable state
-// across goroutines (the shared L2 is only Probed, which is read-only).
-type smShard struct {
-	heap      warpHeap
-	warps     []warpState // slot arena; heap entries index into it
-	freeSlots []int32
+// parShard is the par engine's share of an smShard: the event carried
+// across the epoch boundary, the in-epoch DRAM-queue estimate, the buffered
+// shared-L2 accesses and their per-warp corrections, the self-fetch overlay,
+// and the banked merge's scratch. Workers own disjoint SM ranges, so epoch
+// execution shares no mutable state across goroutines (the shared L2 is only
+// Probed, which is read-only).
+type parShard struct {
 	// corr accumulates, per warp slot, the barrier correction: the summed
 	// depFrac-weighted difference between each access's true fill (from the
 	// merge replay) and the fill the shard charged in-epoch. Applied to the
-	// slot's live heap entry (and held entry) at the barrier, then zeroed.
-	// Indexed like warps; grown alongside it.
+	// slot's queued event (and held event) at the barrier, then zeroed.
+	// Sized to cfg.WarpSlots, the arena's bound.
 	corr     []float64
-	held     heapEntry // next event, carried across the epoch boundary
+	held     event // next event, carried across the epoch boundary
 	hasHeld  bool
 	dramFree float64     // in-epoch bandwidth-queue estimate (reset to the global value at each epoch start)
 	acc      []parAccess // shared-L2 accesses buffered for the barrier merge
-	finish   float64
-	instrs   int64
-	l1Hits   uint64
-	l1Misses uint64
 	done     bool
 
 	// Self-fetch overlay: a direct-mapped, epoch-stamped table of the line
@@ -101,13 +93,12 @@ const (
 	parOverlayMask = parOverlaySize - 1
 )
 
-// parEngine is the Simulator's scratch arena for RunKernelPar: one shard per
-// SM plus the barrier merge cursors. Allocated lazily on the first parallel
+// parEngine is the Simulator's extra scratch for RunKernelPar: the barrier
+// merge's cursors and bookkeeping. Allocated lazily on the first parallel
 // run and reused across kernels, so steady-state RunKernelPar calls reuse
-// every backing array exactly as RunKernel reuses the serial arena.
+// every backing array exactly as RunKernel reuses the shards.
 type parEngine struct {
-	shards []smShard
-	heads  []int // per-SM merge cursor into shards[sm].acc
+	heads []int // per-SM merge cursor into shards[sm].acc
 	// shadow is the per-SM replay MSHR file: seeded from the real MSHR state
 	// at each epoch start, advanced by the merge replay with TRUE fill
 	// latencies, and swapped back over the real state at the barrier — so
@@ -121,9 +112,6 @@ type parEngine struct {
 	// never recurs, which also keeps a warm arena bit-identical to a fresh
 	// one — fresh tables carry stamp 0 and the counter starts at 1.
 	epoch uint32
-	// k holds the current kernel's hoisted constants in the arena so the
-	// serial path stays allocation-free (a returned *parConsts would escape).
-	k parConsts
 	// svc is the current epoch's fair-share DRAM service increment:
 	// dramService scaled by the number of live shards at the epoch start.
 	// Each shard prices bandwidth queueing against only its own in-epoch
@@ -170,7 +158,7 @@ type parEngine struct {
 	// testMerge, when non-nil, replaces mergeEpoch — the hook the
 	// preserved-reference oracle test uses to swap in the old linear-scan
 	// merge. Always nil in production.
-	testMerge func(k *parConsts, dramFree float64) float64
+	testMerge func(k *kernelConsts, dramFree float64) float64
 
 	// Per-kernel barrier accounting, folded into the Simulator's
 	// BarrierCollector (when set) at kernel end. The nanosecond fields are
@@ -184,31 +172,17 @@ type parEngine struct {
 	mergeNS      int64
 }
 
-// parConsts are the per-kernel constants of the engine, hoisted exactly as
-// RunKernel hoists them (identical conversions and products, so the per-SM
-// loops compute bit-identical per-instruction times to a serial engine fed
-// the same hit/miss outcomes).
-type parConsts struct {
-	issueStep   float64
-	stall       [kernelgen.KindCount]float64
-	l1HitStall  float64
-	l2Fill      float64
-	dramLat     float64
-	dramService float64
-	mshrCap     int
-	depFrac     float64
-	fastOK      bool
-}
-
 // RunKernelPar simulates one kernel with its SMs sharded across workers,
 // advancing all SMs in bounded time epochs against an epoch-synchronized
-// shared L2. It is the relaxed-sync half of the two-mode engine: where
-// RunKernel interleaves every SM through one global event loop (exact shared
-// state at every instruction), RunKernelPar lets each SM run privately
-// within an epoch and reconciles the shared state at epoch barriers.
+// shared L2. It is the relaxed-sync half of the two-mode engine: both run
+// each SM's events from its own queue in (ready cycle, launch id) order, but
+// where RunKernel parks an SM on every L1 miss until the miss is globally
+// next (exact shared state at every instruction), RunKernelPar lets each SM
+// run privately within an epoch and reconciles the shared state at epoch
+// barriers.
 //
 // Within an epoch [T, T+epoch) each SM advances its own event loop — private
-// L1, MSHR file, issue clock, and warp heap — and treats the shared L2 as a
+// L1, MSHR file, issue clock, and event queue — and treats the shared L2 as a
 // read-only snapshot of its state at T (Cache.Probe) overlaid with the lines
 // the SM itself fetched since T (the self-fetch overlay): predicted hits
 // cost the L2 fill latency, predicted misses model DRAM latency plus a
@@ -268,63 +242,24 @@ func (s *Simulator) RunKernelParMerge(spec *kernelgen.Spec, workers, mergeWorker
 		return s.RunKernel(spec)
 	}
 	cfg := s.cfg
-	if cfg.FlushL2BetweenKernels {
-		s.l2.Flush()
-	}
-
-	// Reset the serial per-SM scratch (same contract as RunKernel) and the
-	// parallel shards.
-	if s.par == nil {
-		s.par = &parEngine{
-			shards: make([]smShard, cfg.SMs),
-			heads:  make([]int, cfg.SMs),
-			shadow: make([]mshrState, cfg.SMs),
-		}
-	}
-	shards := s.par.shards
-	for sm := 0; sm < cfg.SMs; sm++ {
-		s.l1s[sm].Reset()
-		s.pending[sm] = s.pending[sm][:0]
-		s.nextPending[sm] = 0
-		s.activeBySM[sm] = 0
-		s.issueClock[sm] = 0
-		s.mshrs[sm].release = s.mshrs[sm].release[:0]
+	s.beginKernel(spec)
+	s.ensurePar()
+	shards := s.shards
+	for sm := range shards {
 		s.par.shadow[sm].release = s.par.shadow[sm].release[:0]
+		s.par.heads[sm] = 0
 		sh := &shards[sm]
-		sh.heap.reset()
-		sh.warps = sh.warps[:0]
-		sh.freeSlots = sh.freeSlots[:0]
-		sh.corr = sh.corr[:0]
-		sh.hasHeld = false
-		sh.dramFree = 0
-		sh.acc = sh.acc[:0]
-		sh.finish = 0
-		sh.instrs = 0
-		sh.l1Hits, sh.l1Misses = 0, 0
-		sh.done = false
 		if sh.ovTag == nil {
+			sh.corr = make([]float64, cfg.WarpSlots)
 			sh.ovTag = make([]uint64, parOverlaySize)
 			sh.ovEpoch = make([]uint32, parOverlaySize)
 		}
-		s.par.heads[sm] = 0
+		sh.hasHeld = false
+		sh.dramFree = 0
+		sh.acc = sh.acc[:0]
+		sh.done = false
 	}
-	s.l2.ResetStats()
-
-	// Round-robin block assignment and initial activation, identical to
-	// RunKernel's (the assignment is part of the machine model, not of the
-	// execution mode).
-	for b := 0; b < spec.Blocks; b++ {
-		sm := b % cfg.SMs
-		for w := 0; w < spec.WarpsPerBlock; w++ {
-			s.pending[sm] = append(s.pending[sm], b*spec.WarpsPerBlock+w)
-		}
-	}
-	for sm := 0; sm < cfg.SMs; sm++ {
-		s.parActivate(spec, sm, 0)
-	}
-
-	k := &s.par.k
-	s.parConstsFor(k, spec)
+	k := &s.k
 
 	// parallel.Workers applies the repo-wide scheduling policy (<= 0 means
 	// one per CPU, caps at GOMAXPROCS — oversubscription only time-slices);
@@ -384,24 +319,6 @@ func (s *Simulator) RunKernelParMerge(spec *kernelgen.Spec, workers, mergeWorker
 		s.parRunEpochs(spec, k, nw, mw, epoch)
 	}
 
-	// Fold per-SM accumulators in SM order (sums and a max — both
-	// order-insensitive here, the fixed order just keeps the fold obviously
-	// deterministic).
-	var res KernelResult
-	var l1Hits, l1Misses uint64
-	for sm := range shards {
-		sh := &shards[sm]
-		if sh.finish > res.Cycles {
-			res.Cycles = sh.finish
-		}
-		res.Instructions += sh.instrs
-		l1Hits += sh.l1Hits
-		l1Misses += sh.l1Misses
-	}
-	res.L2HitRate = s.l2.HitRate()
-	if tot := l1Hits + l1Misses; tot > 0 {
-		res.L1HitRate = float64(l1Hits) / float64(tot)
-	}
 	if c := s.barrier; c != nil {
 		c.AddKernel(metrics.BarrierSample{
 			Epochs:    s.par.epochs,
@@ -411,11 +328,21 @@ func (s *Simulator) RunKernelParMerge(spec *kernelgen.Spec, workers, mergeWorker
 			Misses:    s.par.misses,
 		})
 	}
-	return res
+	return s.result()
+}
+
+// ensurePar allocates the par engine's scratch on first use.
+func (s *Simulator) ensurePar() {
+	if s.par == nil {
+		s.par = &parEngine{
+			heads:  make([]int, s.cfg.SMs),
+			shadow: make([]mshrState, s.cfg.SMs),
+		}
+	}
 }
 
 // runMerge dispatches the barrier merge, honoring the oracle test hook.
-func (s *Simulator) runMerge(k *parConsts, dramFree float64) float64 {
+func (s *Simulator) runMerge(k *kernelConsts, dramFree float64) float64 {
 	if tm := s.par.testMerge; tm != nil {
 		return tm(k, dramFree)
 	}
@@ -437,7 +364,7 @@ func (s *Simulator) runMerge(k *parConsts, dramFree float64) float64 {
 // pool workers (phase=worker) vs. the coordinator (phase=coordinator),
 // whose serial slices are the merge's Amdahl share — the -barrierstats
 // report measures the same split with timestamps.
-func (s *Simulator) parRunEpochs(spec *kernelgen.Spec, k *parConsts, nw, mw int, epoch float64) {
+func (s *Simulator) parRunEpochs(spec *kernelgen.Spec, k *kernelConsts, nw, mw int, epoch float64) {
 	p := s.par
 	poolW := nw
 	if mw > poolW {
@@ -493,11 +420,11 @@ func (s *Simulator) parBindPhases() {
 	}
 	p := s.par
 	p.fnShard = func(_, sm int) {
-		sh := &p.shards[sm]
+		sh := &s.shards[sm]
 		if !sh.done {
 			sh.dramFree = p.dramSeed
 			p.shadow[sm].release = append(p.shadow[sm].release[:0], s.mshrs[sm].release...)
-			s.runShardEpoch(p.spec, sm, p.epochEnd, &p.k)
+			s.runShardEpoch(p.spec, sm, p.epochEnd, &s.k)
 		}
 		// Bucketing by bank rides on the shard's owning worker so the
 		// serial slice of the barrier never sees it.
@@ -509,86 +436,32 @@ func (s *Simulator) parBindPhases() {
 	p.fnCorrect = func(_, sm int) { s.correctShard(sm) }
 }
 
-// parConstsFor hoists the per-kernel engine constants into k, mirroring
-// RunKernel's preamble (same operands, same products, same fast-path domain
-// check). The destination lives in the parEngine arena so nothing escapes.
-func (s *Simulator) parConstsFor(k *parConsts, spec *kernelgen.Spec) {
-	cfg := s.cfg
-	depFrac := cfg.DependencyFraction
-	aluStall := depFrac * float64(cfg.ALULatency)
-	*k = parConsts{
-		issueStep:   1.0 / float64(cfg.IssueWidth),
-		l1HitStall:  depFrac * float64(cfg.L1Latency),
-		l2Fill:      float64(cfg.L2Latency),
-		dramLat:     float64(cfg.DRAMLatency),
-		dramService: float64(s.l2.LineBytes()) / cfg.DRAMBytesPerCycle,
-		mshrCap:     cfg.MSHRsPerSM,
-		depFrac:     depFrac,
-	}
-	k.stall[kernelgen.OpALU] = aluStall
-	k.stall[kernelgen.OpFP32] = aluStall
-	k.stall[kernelgen.OpFP16] = depFrac * float64(cfg.FP16Latency)
-	k.stall[kernelgen.OpSFU] = depFrac * float64(cfg.SFULatency)
-	k.stall[kernelgen.OpBranch] = depFrac * (float64(cfg.ALULatency) * (1 + 2*spec.BranchDivergence))
-	k.stall[kernelgen.OpSync] = aluStall
-	k.fastOK = k.l1HitStall >= 0 && k.l2Fill >= 0 && k.dramLat >= 0 && k.dramService >= 0 && depFrac >= 0
-	for _, v := range k.stall {
-		if !(v >= 0) {
-			k.fastOK = false
-		}
-	}
-}
-
-// parActivate fills free warp slots on sm with pending warps, pushing them
-// onto the SHARD's scheduling heap ready at cycle `at` — the per-shard twin
-// of Simulator.activate (slot indices live in the shard's arena).
-func (s *Simulator) parActivate(spec *kernelgen.Spec, sm int, at float64) {
-	sh := &s.par.shards[sm]
-	for s.activeBySM[sm] < s.cfg.WarpSlots && s.nextPending[sm] < len(s.pending[sm]) {
-		id := s.pending[sm][s.nextPending[sm]]
-		s.nextPending[sm]++
-		s.activeBySM[sm]++
-		var slot int32
-		if n := len(sh.freeSlots); n > 0 {
-			slot = sh.freeSlots[n-1]
-			sh.freeSlots = sh.freeSlots[:n-1]
-		} else {
-			sh.warps = append(sh.warps, warpState{})
-			sh.corr = append(sh.corr, 0)
-			slot = int32(len(sh.warps) - 1)
-		}
-		sh.warps[slot].sm = sm
-		spec.InitStream(&sh.warps[slot].stream, id)
-		sh.heap.push(at, slot)
-	}
-}
-
 // parNextEpoch scans the shards for the earliest pending event and returns
 // the end of the grid-aligned epoch window containing it — epochs live on
 // the fixed grid [n*epoch, (n+1)*epoch), so boundaries are a pure function
 // of the epoch length and the global state, never of worker count; windows
 // in which no SM has an event are skipped rather than barriered through.
-// Shards with no held entry and an empty heap can never schedule again
+// Shards with no held event and an empty queue can never schedule again
 // (activation only happens at retirement, which needs a live warp) and are
 // marked done. alive == false means the kernel is complete.
-func (s *Simulator) parNextEpoch(epoch float64, k *parConsts) (epochEnd float64, alive bool) {
+func (s *Simulator) parNextEpoch(epoch float64, k *kernelConsts) (epochEnd float64, alive bool) {
 	minNext := math.Inf(1)
 	live := 0
-	for sm := range s.par.shards {
-		sh := &s.par.shards[sm]
+	for sm := range s.shards {
+		sh := &s.shards[sm]
 		if sh.done {
 			continue
 		}
 		switch {
 		case sh.hasHeld:
 			live++
-			if sh.held.ready < minNext {
-				minNext = sh.held.ready
+			if r := sh.held.ready(); r < minNext {
+				minNext = r
 			}
 		case sh.heap.n > 0:
 			live++
-			if sh.heap.keys[0] < minNext {
-				minNext = sh.heap.keys[0]
+			if r := sh.heap.ev[0].ready(); r < minNext {
+				minNext = r
 			}
 		default:
 			sh.done = true
@@ -602,22 +475,22 @@ func (s *Simulator) parNextEpoch(epoch float64, k *parConsts) (epochEnd float64,
 }
 
 // runShardEpoch advances one SM's event loop until its next event falls at
-// or beyond epochEnd (the entry is then held for the next epoch) or the SM
-// drains. The loop body mirrors RunKernel's per-instruction accounting
-// exactly, with two substitutions: the shared L2 is Probed (read-only
+// or beyond epochEnd (the event is then held for the next epoch) or the SM
+// drains. The loop body mirrors runSM's per-instruction accounting and event
+// order exactly, with two substitutions: the shared L2 is Probed (read-only
 // snapshot prediction, augmented by the shard's self-fetch overlay) instead
 // of Accessed, with the access buffered for the barrier merge; and DRAM
 // bandwidth queueing runs against the shard's private fair-share estimate
-// (service time scaled by the live-SM count) instead of the global queue. Heap handoffs use
-// the fused pushPop inside the same fastOK key domain RunKernel establishes
-// (falling back to the exact push/pop pair outside it).
-func (s *Simulator) runShardEpoch(spec *kernelgen.Spec, sm int, epochEnd float64, k *parConsts) {
-	sh := &s.par.shards[sm]
-	var e heapEntry
+// (service time scaled by the live-SM count) instead of the global queue —
+// so an L1 miss never parks.
+func (s *Simulator) runShardEpoch(spec *kernelgen.Spec, sm int, epochEnd float64, k *kernelConsts) {
+	sh := &s.shards[sm]
+	q := &sh.heap
+	var e event
 	if sh.hasHeld {
 		e, sh.hasHeld = sh.held, false
-	} else if sh.heap.n > 0 {
-		e = sh.heap.pop()
+	} else if q.n > 0 {
+		e = q.pop()
 	} else {
 		sh.done = true
 		return
@@ -627,49 +500,40 @@ func (s *Simulator) runShardEpoch(spec *kernelgen.Spec, sm int, epochEnd float64
 	mshr := &s.mshrs[sm]
 	l2 := s.l2
 	ic := s.issueClock[sm]
-	fastOK := k.fastOK
 	ep := s.par.epoch
 	svc := s.par.svc
 
 	for {
-		if e.ready >= epochEnd {
+		if q.ev[0].before(&e) {
+			e = q.replaceRoot(e)
+		}
+		if e.ready() >= epochEnd {
 			sh.held, sh.hasHeld = e, true
 			break
 		}
-		w := &sh.warps[e.slot]
-		ins, ok := w.stream.Next()
+		ins, ok := sh.warps[e.slot].Next()
 		if !ok {
-			// Warp retired: free its slot, then refill from the pending
-			// list before scheduling the next event.
-			s.activeBySM[sm]--
-			if e.ready > sh.finish {
-				sh.finish = e.ready
-			}
-			sh.freeSlots = append(sh.freeSlots, e.slot)
-			if s.nextPending[sm] < len(s.pending[sm]) {
-				s.parActivate(spec, sm, e.ready)
-			}
-			if sh.heap.n == 0 {
+			s.retire(spec, sm, e)
+			if q.n == 0 {
 				sh.done = true
 				break
 			}
-			e = sh.heap.pop()
+			e = q.pop()
 			continue
 		}
 		sh.instrs++
 
-		t := e.ready
+		t := e.ready()
 		if ic > t {
 			t = ic
 		}
 		ic = t + k.issueStep
 
-		var ready float64
 		if kind := ins.Kind; kind != kernelgen.OpLoad && kind != kernelgen.OpStore {
-			ready = t + k.stall[kind]
+			e.setReady(t + k.stall[kind])
 		} else if l1.Access(ins.Addr) {
 			sh.l1Hits++
-			ready = t + k.l1HitStall
+			e.setReady(t + k.l1HitStall)
 		} else {
 			sh.l1Misses++
 			line := l2.lineIndex(ins.Addr)
@@ -693,18 +557,7 @@ func (s *Simulator) runShardEpoch(spec *kernelgen.Spec, sm int, epochEnd float64
 			issue := mshr.acquire(t, fill, k.mshrCap)
 			lat := (issue - t) + fill
 			sh.acc = append(sh.acc, parAccess{t: t, addr: ins.Addr, lat: lat, slot: e.slot})
-			ready = t + k.depFrac*lat
-		}
-
-		if sh.heap.n == 0 {
-			e.ready = ready
-			continue
-		}
-		if fastOK {
-			e = sh.heap.pushPop(heapEntry{ready: ready, slot: e.slot})
-		} else {
-			sh.heap.push(ready, e.slot)
-			e = sh.heap.pop()
+			e.setReady(t + k.depFrac*lat)
 		}
 	}
 	s.issueClock[sm] = ic

@@ -16,12 +16,17 @@ import (
 //
 // Discipline: bump this string in the SAME change as any modification that
 // alters simulated results (RunKernel, kernelgen.Stream, rng, cache
-// replacement, heap ordering, ...). The golden tests (TestRunKernelGolden,
-// TestFullSimGolden) pin the engine bit-for-bit against values recorded at
-// commit 50e8528; if they ever need new expected values, this constant needs
-// a new suffix in the same commit. TestSegmentKeyGolden pins the key
-// derivation itself, so either drift is caught.
-const EngineFingerprint = "stemroot-gpu-engine-v2-arena-50e8528"
+// replacement, event order, ...). The golden tests (TestRunKernelGolden,
+// TestFullSimGolden) pin the engine bit-for-bit against values recorded from
+// the argmin reference loop (oracle_test.go); if they ever need new expected
+// values, this constant needs a new suffix in the same commit.
+// TestSegmentKeyGolden pins the key derivation itself, so either drift is
+// caught. v3: events execute in (ready cycle, warp launch id) order; v2 and
+// earlier broke ready-cycle ties by the layout of one global binary heap.
+// (The string is kept at v2's length on purpose: the key-encoding scratch
+// buffer grows by size class, and one more byte moved dse_warm's allocation
+// by 0.1 %.)
+const EngineFingerprint = "stemroot-gpu-engine-v3-ready-id-rule"
 
 // SegmentKey is the content address of one replay segment's results: a
 // SHA-256 over the engine fingerprint, the full gpu.Config, and the

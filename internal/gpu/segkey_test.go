@@ -37,10 +37,12 @@ func segKeyTestSpec() kernelgen.Spec {
 // changes, every on-disk cache entry written by earlier builds becomes
 // unreachable — which is the intended invalidation mechanism, but it must
 // happen deliberately (engine change + fingerprint bump), never by an
-// accidental encoding change.
+// accidental encoding change. Recorded under EngineFingerprint
+// "stemroot-gpu-engine-v3-ready-id-rule" (the encoding itself is unchanged
+// since v2; only the fingerprint string moved the hash).
 func TestSegmentKeyGolden(t *testing.T) {
 	key := KeyForSegment(Baseline(), []kernelgen.Spec{segKeyTestSpec()})
-	const want = "9a7e44f1004101df0950dc96b00fe764d19310092b33632540ff94dbaa787345"
+	const want = "5410e6e2a55de9e46c0dffc5ce43285418ca10175f78b09461e7e7b1cff0ceba"
 	if got := key.String(); got != want {
 		t.Fatalf("segment key drifted:\n got  %s\n want %s\n"+
 			"If the encoding or EngineFingerprint changed intentionally, update this golden.", got, want)

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"stemroot/internal/kernelgen"
@@ -23,36 +24,37 @@ type KernelResult struct {
 // Config.FlushL2BetweenKernels.
 //
 // Besides the L2, a Simulator owns a scratch arena — per-SM L1 caches,
-// issue clocks, MSHR files, pending-warp lists, the warp-scheduling heap,
-// and a slot pool of warp states with inline instruction streams — that is
-// allocated once and reset between kernels, so steady-state RunKernel calls
-// perform no heap allocation (pinned by TestRunKernelSteadyStateAllocs).
+// issue clocks, MSHR files and one smShard per SM (event queue, warp-stream
+// arena, free list) — that is allocated once and reset between kernels, so
+// steady-state RunKernel calls perform no heap allocation (pinned by
+// TestRunKernelSteadyStateAllocs). Both engines run on the same shards.
 //
 // A Simulator is NOT safe for concurrent use: RunKernel mutates the shared
-// L2 and the scratch arena. Parallel callers create one Simulator per
-// worker (see RunSegmented and internal/pipeline), which is cheap — the
-// dominant cost is kernel execution, not construction.
+// L2 and the scratch arena. Parallel callers use one Simulator per worker
+// (see RunSegmentedEngine and internal/pipeline).
 type Simulator struct {
 	cfg Config
 	l2  *Cache
 
-	// Scratch arena, reused across RunKernel calls. Slices indexed by SM
-	// are sized once in New (the SM count is fixed per configuration);
-	// the heap, warp slots, and pending lists grow to the high-water mark
-	// of the kernels seen and are then reused.
-	l1s         []*Cache
-	pending     [][]int // per-SM launch-order warp ids
-	nextPending []int
-	activeBySM  []int
-	issueClock  []float64
-	mshrs       []mshrState
-	heap        warpHeap
-	warps       []warpState // slot arena; heap entries index into it
-	freeSlots   []int32
+	// Scratch arena, reused across kernels. Slices indexed by SM are sized
+	// once in New (the SM count is fixed per configuration); each shard's
+	// queue and warp arena grow to at most cfg.WarpSlots entries.
+	l1s        []*Cache
+	issueClock []float64
+	mshrs      []mshrState
+	shards     []smShard
+	// park holds, per SM, the event whose L1 miss the exact engine's SM is
+	// parked on (still carrying the key it was popped with), or lastEvent
+	// once the SM has drained. Kept apart from the shards so the
+	// coordinator's minimum scan reads one contiguous array.
+	park []event
+	// k holds the current kernel's hoisted constants (in the arena so that
+	// nothing escapes per call).
+	k kernelConsts
 
-	// par is the relaxed-sync engine's scratch (per-SM shards + merge
-	// cursors), allocated lazily on the first RunKernelPar call and fully
-	// re-initialized at the start of every parallel kernel — see parkernel.go.
+	// par is the relaxed-sync engine's extra scratch (merge cursors, shadow
+	// MSHRs, bank bookkeeping), allocated lazily on the first RunKernelPar
+	// call — see parkernel.go.
 	par *parEngine
 
 	// barrier, when non-nil, receives one epoch-barrier accounting sample
@@ -74,14 +76,13 @@ func New(cfg Config) (*Simulator, error) {
 		return nil, err
 	}
 	s := &Simulator{
-		cfg:         cfg,
-		l2:          NewCache(cfg.L2),
-		l1s:         make([]*Cache, cfg.SMs),
-		pending:     make([][]int, cfg.SMs),
-		nextPending: make([]int, cfg.SMs),
-		activeBySM:  make([]int, cfg.SMs),
-		issueClock:  make([]float64, cfg.SMs),
-		mshrs:       make([]mshrState, cfg.SMs),
+		cfg:        cfg,
+		l2:         NewCache(cfg.L2),
+		l1s:        make([]*Cache, cfg.SMs),
+		issueClock: make([]float64, cfg.SMs),
+		mshrs:      make([]mshrState, cfg.SMs),
+		shards:     make([]smShard, cfg.SMs),
+		park:       make([]event, cfg.SMs),
 	}
 	for i := range s.l1s {
 		s.l1s[i] = NewCache(cfg.L1)
@@ -93,45 +94,30 @@ func New(cfg Config) (*Simulator, error) {
 func (s *Simulator) Config() Config { return s.cfg }
 
 // Reset returns the simulator to its just-constructed state: cold L2, cold
-// L1s, empty scratch arena. A Reset simulator is bit-identical in behaviour
-// to a fresh New(cfg) one — Cache.Reset carries exactly that contract
-// (pinned by TestCacheResetMatchesFresh), and every other piece of scratch
-// is re-initialized by RunKernel anyway — while keeping all backing arrays,
-// so steady-state segment simulation over a reused simulator allocates
-// nothing. This is what lets RunSegmentedCached keep one simulator per
-// worker instead of constructing L2+L1 state per segment
-// (TestSimulatorResetMatchesNew and TestRunSegmentedCachedSteadyStateAllocs
-// pin the contract).
+// L1s. A Reset simulator is bit-identical in behaviour to a fresh New(cfg)
+// one — Cache.Reset carries exactly that contract (pinned by
+// TestCacheResetMatchesFresh), and every other piece of scratch is
+// re-initialized at the start of each kernel — while keeping all backing
+// arrays, so steady-state segment simulation over a reused simulator
+// allocates nothing (TestSimulatorResetMatchesNew and
+// TestRunSegmentedCachedSteadyStateAllocs pin the contract).
 func (s *Simulator) Reset() {
 	s.l2.Reset()
-	for sm := range s.l1s {
-		s.l1s[sm].Reset()
-		s.pending[sm] = s.pending[sm][:0]
-		s.nextPending[sm] = 0
-		s.activeBySM[sm] = 0
-		s.issueClock[sm] = 0
-		s.mshrs[sm].release = s.mshrs[sm].release[:0]
+	for _, l1 := range s.l1s {
+		l1.Reset()
 	}
-	s.heap.reset()
-	s.warps = s.warps[:0]
-	s.freeSlots = s.freeSlots[:0]
 }
 
 // mshrState tracks one SM's outstanding-miss slots (miss status holding
 // registers). A miss occupies a slot until its fill returns; when every
 // slot is busy the next miss stalls until the earliest fill.
 //
-// release is a binary min-heap over the outstanding fill-completion times,
-// replacing the original per-miss O(MSHRsPerSM) linear minimum scan with an
-// O(log MSHRsPerSM) root replacement. The change is bit-identical by a
-// multiset argument: acquire's output depends only on the MINIMUM of the
-// outstanding release times (issue = max(t, min)), and both the old scan
-// (overwrite the first minimum-valued slot) and the heap (replace the root)
-// substitute one minimum-valued element with issue+latency — the multiset
-// evolves identically, so every future minimum, and therefore every issue
-// time, is unchanged. TestMSHRAcquireMatchesLinearScan pins this against
-// the preserved scan implementation; the engine-level saturation cases live
-// in the RunKernel loop oracle.
+// release is a binary min-heap over the outstanding fill-completion times.
+// acquire's output depends only on the MINIMUM of the outstanding release
+// times (issue = max(t, min)), so which physical slot is recycled is
+// unobservable: replacing the root substitutes one minimum-valued element
+// with issue+latency exactly as a linear scan overwriting the first minimum
+// would. TestMSHRAcquireMatchesLinearScan pins this against the scan.
 type mshrState struct {
 	release []float64
 }
@@ -186,35 +172,146 @@ func (m *mshrState) acquire(t, latency float64, cap int) float64 {
 	return issue
 }
 
-// warpState is one resident warp's execution state. The instruction stream
-// is stored inline (kernelgen.Stream is a value type) so activating a warp
-// reinitializes a pooled slot instead of allocating.
-type warpState struct {
-	sm     int
-	stream kernelgen.Stream
+// smShard is one SM's private slice of the engine state: its event queue,
+// its warp-stream arena and free list, the launch cursor into the SM's
+// share of the grid, and result accumulators. Together with the per-SM
+// arrays the Simulator owns (L1, MSHR file, issue clock), a shard is
+// everything one SM's events touch short of the shared L2 and DRAM queue.
+// The exact engine's coordinator and the par engine's workers both run SMs
+// from these shards; the fields below the accumulators are each engine's own.
+type smShard struct {
+	heap      warpHeap
+	warps     []kernelgen.Stream // slot arena; events index into it
+	freeSlots []int32
+	// Blocks are assigned round-robin, so SM sm launches blocks sm, sm+SMs,
+	// ... in order, WarpsPerBlock warps each: its pending warps are the
+	// ordinals [next, total) of that sequence, never materialized.
+	next, total int
+
+	finish   float64
+	instrs   int64
+	l1Hits   uint64
+	l1Misses uint64
+
+	// Exact engine: the issue time and address of the L1 miss this SM is
+	// parked on (the event itself is Simulator.park[sm]).
+	parkT    float64
+	parkAddr uint64
+
+	parShard
 }
 
-// activate fills free warp slots on sm with pending warps, pushing them
-// onto the scheduling heap ready at cycle `at`. Slot indices are recycled
-// through the free list; recycling order cannot affect results because the
-// heap orders strictly by readiness (with container/heap-equivalent tie
-// handling) and slot contents are fully reinitialized by InitStream.
-func (s *Simulator) activate(spec *kernelgen.Spec, sm int, at float64) {
-	for s.activeBySM[sm] < s.cfg.WarpSlots && s.nextPending[sm] < len(s.pending[sm]) {
-		id := s.pending[sm][s.nextPending[sm]]
-		s.nextPending[sm]++
-		s.activeBySM[sm]++
-		var slot int32
-		if n := len(s.freeSlots); n > 0 {
-			slot = s.freeSlots[n-1]
-			s.freeSlots = s.freeSlots[:n-1]
-		} else {
-			s.warps = append(s.warps, warpState{})
-			slot = int32(len(s.warps) - 1)
+// kernelConsts are one kernel's hoisted timing constants: the per-kind
+// dependency stall DependencyFraction*latency (divergent branches serialize
+// both paths) and the memory-path terms. Config.Validate guarantees every
+// entry is finite and non-negative, which is what keeps event keys
+// non-decreasing per SM.
+type kernelConsts struct {
+	issueStep   float64
+	stall       [kernelgen.KindCount]float64
+	l1HitStall  float64
+	l2Fill      float64
+	dramLat     float64
+	dramService float64
+	mshrCap     int
+	depFrac     float64
+}
+
+func (s *Simulator) setConsts(spec *kernelgen.Spec) {
+	cfg := &s.cfg
+	depFrac := cfg.DependencyFraction
+	aluStall := depFrac * float64(cfg.ALULatency)
+	// A divergence outside [0, 1] (or NaN) is clamped here rather than
+	// rejected: specs are derived data, and the bound keeps the stall finite
+	// and non-negative for any spec.
+	div := spec.BranchDivergence
+	if !(div > 0) {
+		div = 0
+	} else if div > 1 {
+		div = 1
+	}
+	k := &s.k
+	*k = kernelConsts{
+		issueStep:   1.0 / float64(cfg.IssueWidth),
+		l1HitStall:  depFrac * float64(cfg.L1Latency),
+		l2Fill:      float64(cfg.L2Latency),
+		dramLat:     float64(cfg.DRAMLatency),
+		dramService: float64(s.l2.LineBytes()) / cfg.DRAMBytesPerCycle,
+		mshrCap:     cfg.MSHRsPerSM,
+		depFrac:     depFrac,
+	}
+	k.stall[kernelgen.OpALU] = aluStall
+	k.stall[kernelgen.OpFP32] = aluStall
+	k.stall[kernelgen.OpFP16] = depFrac * float64(cfg.FP16Latency)
+	k.stall[kernelgen.OpSFU] = depFrac * float64(cfg.SFULatency)
+	k.stall[kernelgen.OpBranch] = depFrac * (float64(cfg.ALULatency) * (1 + 2*div))
+	k.stall[kernelgen.OpSync] = aluStall
+}
+
+// beginKernel resets the per-kernel state both engines share — L1s, MSHR
+// files, issue clocks, shards, L2 statistics — hoists the kernel's
+// constants, and launches each SM's first resident warps at cycle 0.
+func (s *Simulator) beginKernel(spec *kernelgen.Spec) {
+	cfg := &s.cfg
+	if cfg.FlushL2BetweenKernels {
+		s.l2.Flush()
+	}
+	s.l2.ResetStats()
+	s.setConsts(spec)
+	for sm := range s.shards {
+		s.l1s[sm].Reset()
+		s.issueClock[sm] = 0
+		s.mshrs[sm].release = s.mshrs[sm].release[:0]
+		sh := &s.shards[sm]
+		sh.heap.reset()
+		sh.warps = sh.warps[:0]
+		sh.freeSlots = sh.freeSlots[:0]
+		sh.next, sh.total = 0, 0
+		if sm < spec.Blocks && spec.WarpsPerBlock > 0 {
+			sh.total = (spec.Blocks - sm + cfg.SMs - 1) / cfg.SMs * spec.WarpsPerBlock
 		}
-		s.warps[slot].sm = sm
-		spec.InitStream(&s.warps[slot].stream, id)
-		s.heap.push(at, slot)
+		sh.finish, sh.instrs, sh.l1Hits, sh.l1Misses = 0, 0, 0, 0
+		s.activate(spec, sm, 0)
+	}
+}
+
+// activate fills free warp slots on sm with its next pending warps, queued
+// ready at cycle `at`. Slot indices are recycled through the free list;
+// recycling order cannot affect results because the event order never looks
+// at slots and InitStream fully reinitializes a slot's contents.
+func (s *Simulator) activate(spec *kernelgen.Spec, sm int, at float64) {
+	sh := &s.shards[sm]
+	wpb := spec.WarpsPerBlock
+	for sh.next < sh.total {
+		var slot int32
+		if n := len(sh.freeSlots); n > 0 {
+			slot = sh.freeSlots[n-1]
+			sh.freeSlots = sh.freeSlots[:n-1]
+		} else if len(sh.warps) < s.cfg.WarpSlots {
+			sh.warps = append(sh.warps, kernelgen.Stream{})
+			slot = int32(len(sh.warps) - 1)
+		} else {
+			break // every warp slot is resident
+		}
+		id := (sm+sh.next/wpb*s.cfg.SMs)*wpb + sh.next%wpb
+		sh.next++
+		spec.InitStream(&sh.warps[slot], id)
+		sh.heap.push(event{key: math.Float64bits(at), id: uint64(id), slot: slot})
+	}
+}
+
+// retire accounts for the warp of event e running out of instructions at
+// e's ready cycle: its slot is freed and refilled from the SM's pending
+// warps.
+func (s *Simulator) retire(spec *kernelgen.Spec, sm int, e event) {
+	sh := &s.shards[sm]
+	at := e.ready()
+	if at > sh.finish {
+		sh.finish = at
+	}
+	sh.freeSlots = append(sh.freeSlots, e.slot)
+	if sh.next < sh.total {
+		s.activate(spec, sm, at)
 	}
 }
 
@@ -223,217 +320,132 @@ func (s *Simulator) activate(spec *kernelgen.Spec, sm int, at float64) {
 // accounting: per-SM issue bandwidth, dependency stalls, L1/L2/DRAM
 // latencies, and global DRAM bandwidth queueing all advance the clock.
 //
-// The scheduler is event-coalesced with a held-entry fast path: after an
-// instruction executes, the warp's next heap entry is kept in a register
-// and compared against the heap root. When it is strictly earlier than the
-// root AND pushPopIsNoop proves the baseline push+pop pair would be the
-// identity on the heap array, the warp is re-issued directly with zero heap
-// traffic. Every other handoff runs warpHeap.pushPop, which computes the
-// exact push-then-pop result in one fused pass (or, outside the fast-path
-// key domain, the literal push/pop pair), so heap layout — and with it
-// container/heap tie order and per-warp RNG consumption — evolves
-// bit-identically to the pop-always loop (pinned by
-// TestRunKernelMatchesReferenceLoop and the golden tests). Consecutive
-// same-warp iterations also keep the SM's issue clock, L1, and MSHR file in
-// locals, re-loading them only when scheduling hands off to another warp.
+// Semantics: repeatedly take the resident warp minimal in (ready cycle,
+// launch id) and execute one instruction (the test oracle is literally that
+// loop). Execution: per-SM event queues with conservative run-ahead. An
+// event touches only its own SM's state — issue clock, L1, MSHR file,
+// queue — unless it misses L1, in which case it also touches the shared L2
+// and the DRAM queue. So each SM runs its own events in order until one
+// misses L1 and parks on that event's key; a parked SM's later events all
+// have larger keys (stalls are non-negative), hence once every SM is parked
+// or drained the smallest parked key is the globally next shared access.
+// The coordinator below serves it and resumes that SM. See DESIGN.md §5.5.
 func (s *Simulator) RunKernel(spec *kernelgen.Spec) KernelResult {
-	cfg := s.cfg
-	if cfg.FlushL2BetweenKernels {
-		s.l2.Flush()
-	}
-
-	// Reset the scratch arena. Reset L1s are bit-identical to fresh ones
-	// (see Cache.Reset); everything else is truncated or zeroed.
-	for sm := 0; sm < cfg.SMs; sm++ {
-		s.l1s[sm].Reset()
-		s.pending[sm] = s.pending[sm][:0]
-		s.nextPending[sm] = 0
-		s.activeBySM[sm] = 0
-		s.issueClock[sm] = 0
-		s.mshrs[sm].release = s.mshrs[sm].release[:0]
-	}
-	s.l2.ResetStats()
-	s.heap.reset()
-	s.warps = s.warps[:0]
-	s.freeSlots = s.freeSlots[:0]
-
-	// Assign blocks to SMs round-robin; expand to a per-SM pending warp
-	// list in launch order.
-	for b := 0; b < spec.Blocks; b++ {
-		sm := b % cfg.SMs
-		for w := 0; w < spec.WarpsPerBlock; w++ {
-			s.pending[sm] = append(s.pending[sm], b*spec.WarpsPerBlock+w)
+	s.beginKernel(spec)
+	for sm := range s.shards {
+		s.park[sm] = lastEvent
+		if q := &s.shards[sm].heap; q.n > 0 {
+			s.runSM(spec, sm, q.pop())
 		}
 	}
 
-	issueStep := 1.0 / float64(cfg.IssueWidth)
-	for sm := 0; sm < cfg.SMs; sm++ {
-		s.activate(spec, sm, 0)
-	}
-
-	// Per-kernel latency table indexed by instruction kind, folding the
-	// per-kind switch (and the branch-divergence serialization term) into
-	// one array load. Entries hold the warp's dependency stall
-	// DependencyFraction*latency; the products are computed once from
-	// exactly the operands the switch used, so the per-instruction ready
-	// times are bit-identical. Load/store entries stay zero — the memory
-	// path computes its latency dynamically below.
-	depFrac := cfg.DependencyFraction
-	aluStall := depFrac * float64(cfg.ALULatency)
-	var stall [kernelgen.KindCount]float64
-	stall[kernelgen.OpALU] = aluStall
-	stall[kernelgen.OpFP32] = aluStall
-	stall[kernelgen.OpFP16] = depFrac * float64(cfg.FP16Latency)
-	stall[kernelgen.OpSFU] = depFrac * float64(cfg.SFULatency)
-	// Divergent branches serialize both paths.
-	stall[kernelgen.OpBranch] = depFrac * (float64(cfg.ALULatency) * (1 + 2*spec.BranchDivergence))
-	stall[kernelgen.OpSync] = aluStall
-
-	// Memory-path constants, hoisted: identical conversions and products to
-	// the per-instruction ones they replace.
-	l1HitStall := depFrac * float64(cfg.L1Latency)
-	l2Fill := float64(cfg.L2Latency)
-	dramLat := float64(cfg.DRAMLatency)
-	dramService := float64(s.l2.LineBytes()) / cfg.DRAMBytesPerCycle
-	mshrCap := cfg.MSHRsPerSM
+	k := &s.k
 	l2 := s.l2
-
-	// The heap fast paths (held-entry skip, replace-root) require every
-	// event time to be a non-negative, non-NaN float: heapPushPopIsNoop's
-	// proof assumes a total order, and warpHeap.pushPop compares raw
-	// IEEE bit patterns, whose unsigned order matches float order exactly
-	// on that domain. Event times are sums and maxima of the constants
-	// below, so checking them once per kernel establishes the invariant by
-	// induction; a pathological config or spec (negative latency, NaN
-	// divergence) routes every handoff through the exact baseline push+pop
-	// pair instead, which is correct for any float ordering.
-	fastOK := l1HitStall >= 0 && l2Fill >= 0 && dramLat >= 0 && dramService >= 0 && depFrac >= 0
-	for _, v := range stall {
-		if !(v >= 0) {
-			fastOK = false
-		}
-	}
-
-	var (
-		finish   float64
-		instrs   int64
-		dramFree float64
-		l1Hits   uint64
-		l1Misses uint64
-	)
-
-	for s.heap.n > 0 {
-		e := s.heap.pop()
-		running := true
-		for running {
-			// Same-warp scope: everything hoisted here stays valid while
-			// the fast path keeps re-issuing this warp, because the heap,
-			// the SM bindings, and the warp slot are untouched until the
-			// warp retires or scheduling hands off.
-			w := &s.warps[e.slot]
-			sm := w.sm
-			ic := s.issueClock[sm]
-			l1 := s.l1s[sm]
-			mshr := &s.mshrs[sm]
-			empty := s.heap.n == 0
-			rootReady := s.heap.keys[0] // +Inf sentinel when empty
-			// The no-op proof is a property of the heap array alone; it is
-			// computed lazily (first time the held entry beats the root)
-			// and memoized until the heap next mutates — which also exits
-			// this loop.
-			skipChecked, skipOK := false, false
-			for {
-				ins, ok := w.stream.Next()
-				if !ok {
-					s.issueClock[sm] = ic
-					s.activeBySM[sm]--
-					if e.ready > finish {
-						finish = e.ready
-					}
-					// Release the slot before activating: the next warp
-					// reuses it. Skip activation entirely once the SM's
-					// pending list is drained — the call would scan and do
-					// nothing per remaining retirement.
-					s.freeSlots = append(s.freeSlots, e.slot)
-					if s.nextPending[sm] < len(s.pending[sm]) {
-						s.activate(spec, sm, e.ready)
-					}
-					running = false
-					break
-				}
-				instrs++
-
-				t := e.ready
-				if ic > t {
-					t = ic
-				}
-				ic = t + issueStep
-
-				var ready float64
-				if k := ins.Kind; k != kernelgen.OpLoad && k != kernelgen.OpStore {
-					ready = t + stall[k]
-				} else if l1.Access(ins.Addr) {
-					l1Hits++
-					ready = t + l1HitStall
-				} else {
-					l1Misses++
-					var fill float64
-					if l2.Access(ins.Addr) {
-						fill = l2Fill
-					} else {
-						// DRAM: latency plus bandwidth queueing.
-						queue := dramFree - t
-						if queue < 0 {
-							queue = 0
-						}
-						if dramFree < t {
-							dramFree = t
-						}
-						dramFree += dramService
-						fill = dramLat + queue
-					}
-					// An L1 miss needs an MSHR; a full MSHR file delays the
-					// miss until the earliest outstanding fill returns.
-					issue := mshr.acquire(t, fill, mshrCap)
-					lat := (issue - t) + fill
-					ready = t + depFrac*lat
-				}
-
-				if empty {
-					e.ready = ready
-					continue
-				}
-				if ready < rootReady && fastOK {
-					if !skipChecked {
-						skipChecked, skipOK = true, s.heap.pushPopIsNoop()
-					}
-					if skipOK {
-						e.ready = ready
-						continue
-					}
-				}
-				// Hand off through the heap via the fused push+pop, which
-				// computes the pair's exact result in one pass. (When
-				// ready < rootReady it pops the same warp back, but the
-				// sifts may rotate tied entries, so the work must run.)
-				// Outside the fast-path key domain run the literal pair.
-				s.issueClock[sm] = ic
-				if fastOK {
-					e = s.heap.pushPop(heapEntry{ready: ready, slot: e.slot})
-				} else {
-					s.heap.push(ready, e.slot)
-					e = s.heap.pop()
-				}
-				break
+	var dramFree float64
+	for {
+		sm, first := -1, &lastEvent
+		for i := range s.park {
+			if s.park[i].before(first) {
+				sm, first = i, &s.park[i]
 			}
 		}
+		if sm < 0 {
+			break
+		}
+		sh := &s.shards[sm]
+		t := sh.parkT
+		fill := k.l2Fill
+		if !l2.Access(sh.parkAddr) {
+			// DRAM: latency plus bandwidth queueing.
+			queue := dramFree - t
+			if queue < 0 {
+				queue = 0
+			}
+			if dramFree < t {
+				dramFree = t
+			}
+			dramFree += k.dramService
+			fill = k.dramLat + queue
+		}
+		// An L1 miss needs an MSHR; a full MSHR file delays the miss until
+		// the earliest outstanding fill returns.
+		issue := s.mshrs[sm].acquire(t, fill, k.mshrCap)
+		e := *first
+		e.setReady(t + k.depFrac*((issue-t)+fill))
+		s.runSM(spec, sm, e)
 	}
+	return s.result()
+}
 
-	res := KernelResult{
-		Cycles:       finish,
-		Instructions: instrs,
-		L2HitRate:    s.l2.HitRate(),
+// runSM advances one SM from event e — its warp's next event, not queued —
+// until the SM's earliest event misses L1 (the SM parks on it: park[sm] and
+// the shard's parkT/parkAddr describe the miss) or the SM drains (park[sm]
+// becomes lastEvent). Everything the loop touches is SM-private, so the
+// issue clock and counters live in locals throughout.
+func (s *Simulator) runSM(spec *kernelgen.Spec, sm int, e event) {
+	k := &s.k
+	sh := &s.shards[sm]
+	q := &sh.heap
+	l1 := s.l1s[sm]
+	ic := s.issueClock[sm]
+	instrs, l1Hits := sh.instrs, sh.l1Hits
+	if q.ev[0].before(&e) {
+		e = q.replaceRoot(e)
 	}
+	w := &sh.warps[e.slot]
+	for {
+		ins, ok := w.Next()
+		if !ok {
+			s.retire(spec, sm, e)
+			if q.n == 0 {
+				s.park[sm] = lastEvent
+				break
+			}
+			e = q.pop()
+			w = &sh.warps[e.slot]
+			continue
+		}
+		instrs++
+		t := e.ready()
+		if ic > t {
+			t = ic
+		}
+		ic = t + k.issueStep
+		if kind := ins.Kind; kind != kernelgen.OpLoad && kind != kernelgen.OpStore {
+			e.setReady(t + k.stall[kind])
+		} else if l1.Access(ins.Addr) {
+			l1Hits++
+			e.setReady(t + k.l1HitStall)
+		} else {
+			sh.l1Misses++
+			s.park[sm], sh.parkT, sh.parkAddr = e, t, ins.Addr
+			break
+		}
+		// Keep issuing this warp while it is still the SM's earliest.
+		if q.ev[0].before(&e) {
+			e = q.replaceRoot(e)
+			w = &sh.warps[e.slot]
+		}
+	}
+	s.issueClock[sm] = ic
+	sh.instrs, sh.l1Hits = instrs, l1Hits
+}
+
+// result folds the per-SM accumulators into the kernel's result: a max and
+// integer sums, so the fold order is immaterial.
+func (s *Simulator) result() KernelResult {
+	var res KernelResult
+	var l1Hits, l1Misses uint64
+	for sm := range s.shards {
+		sh := &s.shards[sm]
+		if sh.finish > res.Cycles {
+			res.Cycles = sh.finish
+		}
+		res.Instructions += sh.instrs
+		l1Hits += sh.l1Hits
+		l1Misses += sh.l1Misses
+	}
+	res.L2HitRate = s.l2.HitRate()
 	if tot := l1Hits + l1Misses; tot > 0 {
 		res.L1HitRate = float64(l1Hits) / float64(tot)
 	}
@@ -658,18 +670,18 @@ func RunSegmentedEngine(cfg Config, n int, specAt func(i int) kernelgen.Spec, se
 	nseg := (n + segLen - 1) / segLen
 	nworkers := parallel.Workers(workers)
 
-	// Worker-owned simulator lifecycle: each pool worker lazily constructs
-	// one Simulator on its first segment and cold-Resets it before every
-	// subsequent one. Reset is bit-identical to New (see Simulator.Reset),
-	// and segments were already simulated on per-segment fresh simulators,
-	// so results are unchanged for every worker count while steady-state
-	// segment simulation allocates nothing. New cannot fail here — its only
-	// error is cfg.Validate, which passed above.
+	// Worker-owned simulator lifecycle: each worker takes one Simulator from
+	// the package pool on its first segment, cold-Resets it before every
+	// subsequent one, and the whole set goes back when the call returns.
+	// Reset is bit-identical to New (see Simulator.Reset), so results are
+	// unchanged for every worker count while neither steady-state segments
+	// nor back-to-back calls construct L2+L1 state.
 	sims := make([]*Simulator, nworkers)
+	defer putSimulators(sims)
 	simFor := func(worker int) *Simulator {
 		sim := sims[worker]
 		if sim == nil {
-			sim, _ = New(cfg)
+			sim = getSimulator(cfg)
 			sims[worker] = sim
 		} else {
 			sim.Reset()
@@ -759,6 +771,60 @@ func RunSegmentedEngine(cfg Config, n int, specAt func(i int) kernelgen.Spec, se
 		}
 	}
 	return results, committer.total, nil
+}
+
+// idleSims holds idle simulators between RunSegmentedEngine calls. A sweep
+// calls the segmented runner hundreds of times per configuration, and a
+// Simulator is 0.4 MiB of cache arrays for the baseline part. It is a plain
+// bounded LIFO rather than a sync.Pool on purpose: a sync.Pool empties on the
+// garbage collector's schedule and hides an item parked on another P, so how
+// many simulators were rebuilt — and the process's peak memory — differed
+// from run to run. Here reuse depends only on the sequence of calls.
+var idleSims struct {
+	sync.Mutex
+	sims []*Simulator // most recently returned last
+}
+
+// maxIdleSims bounds what idleSims retains; the oldest is dropped first.
+const maxIdleSims = 16
+
+// getSimulator returns a cold simulator for an already validated cfg (a
+// comparable struct; Validate has rejected the NaN fields that would make a
+// Config unequal to itself).
+func getSimulator(cfg Config) *Simulator {
+	idleSims.Lock()
+	for i := len(idleSims.sims) - 1; i >= 0; i-- {
+		if sim := idleSims.sims[i]; sim.cfg == cfg {
+			last := len(idleSims.sims) - 1
+			copy(idleSims.sims[i:], idleSims.sims[i+1:])
+			idleSims.sims[last] = nil
+			idleSims.sims = idleSims.sims[:last]
+			idleSims.Unlock()
+			sim.Reset()
+			return sim
+		}
+	}
+	idleSims.Unlock()
+	sim, _ := New(cfg) // cannot fail: cfg is valid
+	return sim
+}
+
+// putSimulators hands a call's simulators (nil for workers that never ran a
+// segment) back to idleSims.
+func putSimulators(sims []*Simulator) {
+	idleSims.Lock()
+	defer idleSims.Unlock()
+	for _, sim := range sims {
+		if sim == nil {
+			continue
+		}
+		sim.SetBarrierCollector(nil)
+		if len(idleSims.sims) == maxIdleSims {
+			copy(idleSims.sims, idleSims.sims[1:])
+			idleSims.sims = idleSims.sims[:maxIdleSims-1]
+		}
+		idleSims.sims = append(idleSims.sims, sim)
+	}
 }
 
 // String describes the configuration, useful in experiment logs.

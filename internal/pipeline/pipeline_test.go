@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"stemroot/internal/gpu"
@@ -39,6 +41,47 @@ func TestFullSimProducesCycles(t *testing.T) {
 	// The anomalous first call must be far cheaper than the second.
 	if cycles[0] > cycles[1]/3 {
 		t.Fatalf("first-call anomaly lost in simulation: %v vs %v", cycles[0], cycles[1])
+	}
+}
+
+// TestFullSimReusesSimulators pins the idle-simulator list behind
+// gpu.RunSegmentedEngine: a second FullSimOpt on the same configuration must
+// not rebuild the L2 and per-SM L1 arrays (about 0.4 MiB for the baseline
+// part — most of a small call's allocation) and must return bit-equal cycles.
+// Reuse is a function of the call sequence alone (no garbage-collector or
+// scheduler dependence), so every repeat call is held to the bound.
+var reuseRuns int
+
+func TestFullSimReusesSimulators(t *testing.T) {
+	w := dseWorkload(t, "heartwall", 20)
+	cfg := gpu.Baseline()
+	reuseRuns++ // a configuration no other test, and no earlier -count run, left a simulator for
+	cfg.Name = fmt.Sprintf("pool-reuse-%d", reuseRuns)
+	run := func() ([]float64, uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		cycles, err := FullSimOpt(w, cfg, kernelgen.DSELimits(), Options{Workers: 1})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cycles, after.TotalAlloc - before.TotalAlloc
+	}
+	first, cold := run()
+	const simBytes = 384 << 10 // 16384 L2 ways + 16 x 512 L1 ways, 16 B each
+	if cold < simBytes {
+		t.Fatalf("cold call allocated only %d bytes; the test no longer measures simulator construction", cold)
+	}
+	for i := 0; i < 3; i++ {
+		again, n := run()
+		for j := range first {
+			if again[j] != first[j] {
+				t.Fatalf("call %d invocation %d: %v cycles on a reused simulator, %v on a fresh one", i+2, j, again[j], first[j])
+			}
+		}
+		if n >= simBytes/2 {
+			t.Fatalf("call %d allocates %d bytes (cold: %d); want under half a simulator (%d)", i+2, n, cold, simBytes/2)
+		}
 	}
 }
 
