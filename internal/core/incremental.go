@@ -400,13 +400,11 @@ func (ip *IncrementalPlanner) Plan() (*Plan, error) {
 		}
 		plan.Clusters = append(plan.Clusters, pc)
 	}
+	if err := plan.setBound(statsVec); err != nil {
+		return nil, err
+	}
 	ip.lastEstimate = estimate
 	ip.lastSampledTime = sampledTime
-	finalSizes := make([]int, len(plan.Clusters))
-	for i := range plan.Clusters {
-		finalSizes[i] = plan.Clusters[i].SampleSize
-	}
-	plan.PredictedError = PredictedError(statsVec, finalSizes, ip.p)
 
 	ip.plan = plan
 	ip.planAt = ip.count

@@ -16,9 +16,11 @@
 // # Concurrency
 //
 // All functions are pure and safe for concurrent use. BuildClusters fans
-// out across kernel-name groups over Params.Workers workers; every split
-// derives its RNG from the kernel name, depth, and group size, so the
-// clustering is bit-identical for every worker count.
+// out across kernel-name groups over up to Params.Workers workers, one per
+// rootGrainRows profile rows (a profile under the grain never leaves the
+// calling goroutine); every split derives its RNG from the kernel name,
+// depth, and group size, so the clustering is bit-identical for every worker
+// count.
 package core
 
 import (
@@ -46,9 +48,11 @@ type Params struct {
 	// whose z-based size falls below the CLT rule-of-thumb (m < 30) are
 	// resized with t quantiles. An extension beyond the paper.
 	SmallSampleT bool
-	// Workers is the worker count for ROOT's per-kernel-name clustering
-	// fan-out: 0 selects one worker per CPU, 1 forces the serial path.
-	// Output is identical for every value.
+	// Workers bounds ROOT's per-kernel-name clustering fan-out: 0 allows one
+	// worker per CPU, 1 forces the serial path. BuildClusters uses one worker
+	// per rootGrainRows (1024) profile rows up to this bound, so a small
+	// profile is clustered on the calling goroutine at any value. Output is
+	// identical for every value.
 	Workers int
 }
 

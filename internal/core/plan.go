@@ -1,6 +1,11 @@
 package core
 
-import "stemroot/internal/rng"
+import (
+	"fmt"
+	"math"
+
+	"stemroot/internal/rng"
+)
 
 // PlanCluster is one cluster of a sampling plan: which invocations it
 // covers, which were sampled, and the weight each sample carries in the
@@ -33,8 +38,7 @@ func BuildPlan(names []string, times []float64, p Params) (*Plan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	leaves := BuildClusters(names, times, p)
-	return planFromClusters(leaves, times, p), nil
+	return planFromClusters(BuildClusters(names, times, p), p)
 }
 
 // BuildPlanFlat is the STEM-only variant (no hierarchical splitting):
@@ -47,11 +51,26 @@ func BuildPlanFlat(names []string, times []float64, p Params) (*Plan, error) {
 	flat := p
 	flat.MaxDepth = 1
 	flat.MinClusterSize = 1 << 30 // never split
-	leaves := BuildClusters(names, times, flat)
-	return planFromClusters(leaves, times, p), nil
+	return planFromClusters(BuildClusters(names, times, flat), p)
 }
 
-func planFromClusters(leaves []Cluster, times []float64, p Params) *Plan {
+// setBound computes the plan's predicted error from its final sample sizes.
+// Execution times near MaxFloat64 overflow the variance term N²σ² (or the
+// total) to +Inf or NaN; such a value is not a bound, so the plan is refused
+// instead of being handed to callers that compare it against ε.
+func (plan *Plan) setBound(statsVec []ClusterStats) error {
+	sizes := make([]int, len(plan.Clusters))
+	for i := range plan.Clusters {
+		sizes[i] = plan.Clusters[i].SampleSize
+	}
+	plan.PredictedError = PredictedError(statsVec, sizes, plan.Params)
+	if math.IsNaN(plan.PredictedError) || math.IsInf(plan.PredictedError, 0) {
+		return fmt.Errorf("core: execution times overflow the error model (predicted error %v is not a bound)", plan.PredictedError)
+	}
+	return nil
+}
+
+func planFromClusters(leaves []Cluster, p Params) (*Plan, error) {
 	statsVec := ClusterStatsOf(leaves)
 	sizes := OptimalSizes(statsVec, p)
 	if p.SmallSampleT {
@@ -84,12 +103,10 @@ func planFromClusters(leaves []Cluster, times []float64, p Params) *Plan {
 		}
 		plan.Clusters = append(plan.Clusters, pc)
 	}
-	finalSizes := make([]int, len(plan.Clusters))
-	for i := range plan.Clusters {
-		finalSizes[i] = plan.Clusters[i].SampleSize
+	if err := plan.setBound(statsVec); err != nil {
+		return nil, err
 	}
-	plan.PredictedError = PredictedError(statsVec, finalSizes, p)
-	return plan
+	return plan, nil
 }
 
 // Estimate extrapolates the total execution time from measured sample times:

@@ -185,16 +185,40 @@ func rootSplit(name string, vals []float64, idxs []int, cs ClusterStats, p Param
 //
 // Kernel-name groups are independent (each split derives its RNG from the
 // name, depth, and group size — never from other groups), so they fan out
-// over p.Workers workers; per-name leaf lists are flattened in sorted name
-// order, making the output identical for every worker count. Every group's
-// index and value lists are disjoint ranges of two shared backing arrays,
-// partitioned in place by the recursion — the planner's per-invocation
-// allocations are one int and one float64, regardless of clustering depth.
+// over up to p.Workers workers, one per rootGrainRows rows: a profile below
+// the grain is clustered on the calling goroutine whatever p.Workers says.
+// Per-name leaf lists are flattened in sorted name order, making the output
+// identical for every worker count. Every group's index and value lists are
+// disjoint ranges of two shared backing arrays, partitioned in place by the
+// recursion — the planner's per-invocation allocations are one int and one
+// float64, regardless of clustering depth.
 func BuildClusters(names []string, times []float64, p Params) []Cluster {
+	return buildClusters(names, times, p, rootWorkers(len(names), p.Workers))
+}
+
+// rootWorkers is the fan-out width for n rows when asked for `asked`
+// workers (0 = one per CPU): one per started grain, at most what was asked.
+func rootWorkers(n, asked int) int {
+	return min(parallel.Workers(asked), 1+n/rootGrainRows)
+}
+
+// rootGrainRows is the number of profile rows that pays for one more
+// fan-out worker. Handing the per-name groups to goroutines costs a fixed
+// wake-up and cache hand-off (tens of microseconds against ~0.1–0.2 µs of
+// clustering per row), so below about a thousand rows two workers are slower
+// than one: BenchmarkBuildClustersFanOut on the 2-vCPU reference box has
+// workers=2 losing at 768 rows (110 vs 92 µs) and winning at 1024 (190 vs
+// 215 µs); DESIGN §5.4 has the table. A DSE sweep plans thousands of
+// 8–16-row profiles, where the fan-out was half the planner's time.
+const rootGrainRows = 1024
+
+// buildClusters is BuildClusters at an explicit worker count.
+func buildClusters(names []string, times []float64, p Params, workers int) []Cluster {
 	n := len(names)
 
 	// One hash per row: each row gets the first-appearance id of its name.
-	idOf := make(map[string]int32, 64)
+	// (A 64-slot table costs more than clustering a 16-row profile, hence min.)
+	idOf := make(map[string]int32, min(n, 64))
 	var order []string // distinct names
 	var counts []int   // id -> rows
 	ids := make([]int32, n)
@@ -231,7 +255,7 @@ func BuildClusters(names []string, times []float64, p Params) []Cluster {
 		cursor[id] = c + 1
 	}
 
-	perName, _ := parallel.Map(len(order), parallel.Workers(p.Workers),
+	perName, _ := parallel.Map(len(order), workers,
 		func(i int) ([]Cluster, error) {
 			a := splitArenas.Get().(*splitArena)
 			defer splitArenas.Put(a)

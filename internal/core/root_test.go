@@ -1,7 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"stemroot/internal/rng"
@@ -162,6 +166,59 @@ func TestBuildClustersDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestBuildClustersGrainBitIdentical pins the row grain of the fan-out:
+// on both sides of the cut BuildClusters returns, at every Workers value,
+// exactly what one worker returns — and the cut is where it says it is.
+func TestBuildClustersGrainBitIdentical(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8)) // or Workers is clamped to the box
+	for _, n := range []int{rootGrainRows - 1, rootGrainRows, rootGrainRows + 1, 10 * rootGrainRows} {
+		names, times := oracleProfile(n, uint64(n))
+		p := defaultP()
+		want := buildClusters(names, times, p, 1)
+		for _, workers := range []int{1, 2, 8} {
+			p.Workers = workers
+			got := BuildClusters(names, times, p)
+			if len(got) != len(want) {
+				t.Fatalf("n=%d Workers=%d: %d leaves, one worker %d", n, workers, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Name != want[i].Name || got[i].Stats != want[i].Stats ||
+					!reflect.DeepEqual(got[i].Indices, want[i].Indices) {
+					t.Fatalf("n=%d Workers=%d: leaf %d differs from one worker", n, workers, i)
+				}
+			}
+		}
+	}
+
+	// The cut is where it says it is: no fan-out one row under the grain,
+	// one more worker per grain above it, never more than asked for.
+	for _, c := range []struct{ n, asked, want int }{
+		{rootGrainRows - 1, 8, 1}, {16, 0, 1},
+		{rootGrainRows, 8, 2}, {rootGrainRows, 1, 1},
+		{10 * rootGrainRows, 8, 8}, {10 * rootGrainRows, 2, 2}, {10 * rootGrainRows, 0, 8},
+	} {
+		if got := rootWorkers(c.n, c.asked); got != c.want {
+			t.Errorf("rootWorkers(%d rows, Workers=%d) = %d, want %d", c.n, c.asked, got, c.want)
+		}
+	}
+}
+
+// BenchmarkBuildClustersFanOut is the measurement rootGrainRows comes from:
+// one worker against two around the crossover (run with -cpu 2 or more).
+func BenchmarkBuildClustersFanOut(b *testing.B) {
+	for _, n := range []int{16, 256, 512, 768, 1024, 2048, 16384} {
+		names, times := oracleProfile(n, 3)
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("rows=%d/workers=%d", n, workers), func(b *testing.B) {
+				p := defaultP()
+				for i := 0; i < b.N; i++ {
+					buildClusters(names, times, p, workers)
+				}
+			})
+		}
+	}
+}
+
 func TestRootKInsensitive(t *testing.T) {
 	// §3.4: "any number above 2 works well" — k=2,3,4 must all isolate the
 	// peaks (leaf CoV small) and give similar simulated time.
@@ -291,6 +348,60 @@ func TestBuildPlanRejectsBadParams(t *testing.T) {
 	}
 	if _, err := BuildPlanFlat(names, times, bad); err == nil {
 		t.Fatal("expected parameter error (flat)")
+	}
+}
+
+// overflowProfile is a valid profile — finite, non-negative times — whose
+// spread overflows the error model: σ² of {1, 1e300} is past MaxFloat64.
+func overflowProfile() ([]string, []float64) {
+	names := make([]string, 40)
+	times := make([]float64, len(names))
+	for i := range names {
+		names[i] = "k"
+		times[i] = 1
+		if i%2 == 1 {
+			times[i] = 1e300
+		}
+	}
+	return names, times
+}
+
+// TestPlanRejectsOverflowingTimes: a plan whose predicted error is +Inf or
+// NaN used to be returned as if that were a bound; every planner entry point
+// now says the times overflow the error model.
+func TestPlanRejectsOverflowingTimes(t *testing.T) {
+	names, times := overflowProfile()
+	p := defaultP()
+	check := func(what string, plan *Plan, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s: accepted with predicted error %v", what, plan.PredictedError)
+		}
+		if !strings.Contains(err.Error(), "overflow the error model") {
+			t.Fatalf("%s: error does not say the times overflow the error model: %v", what, err)
+		}
+	}
+	plan, err := BuildPlan(names, times, p)
+	check("BuildPlan", plan, err)
+	plan, err = BuildPlanFlat(names, times, p)
+	check("BuildPlanFlat", plan, err)
+	plan, err = BuildPlanStream(SliceScanner{Names: names, Times: times}, p, StreamOptions{})
+	check("BuildPlanStream", plan, err)
+
+	ip := feedIncremental(t, names[:2], []float64{1, 1}, p, StreamOptions{})
+	_, err = ip.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 2; i < len(names); i++ {
+		ip.Add(names[i], times[i])
+	}
+	plan, err = ip.Plan()
+	check("IncrementalPlanner.Plan", plan, err)
+	plan, err = ip.CurrentPlan()
+	check("IncrementalPlanner.CurrentPlan", plan, err)
+	if ip.PlanAt() != 2 || ip.Replans() != 1 {
+		t.Fatalf("a refused plan was installed: PlanAt %d, Replans %d", ip.PlanAt(), ip.Replans())
 	}
 }
 

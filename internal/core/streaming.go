@@ -264,11 +264,9 @@ func BuildPlanStream(src ProfileScanner, p Params, opts StreamOptions) (*Plan, e
 		}
 		plan.Clusters = append(plan.Clusters, pc)
 	}
-	finalSizes := make([]int, len(plan.Clusters))
-	for i := range plan.Clusters {
-		finalSizes[i] = plan.Clusters[i].SampleSize
+	if err := plan.setBound(statsVec); err != nil {
+		return nil, err
 	}
-	plan.PredictedError = PredictedError(statsVec, finalSizes, p)
 	return plan, nil
 }
 

@@ -74,13 +74,14 @@ func TestRunSegmentedEngineParDeterministic(t *testing.T) {
 }
 
 // TestRunSegmentedEngineExactIsRunSegmentedCached pins that the zero Engine
-// is today's contract: same results, same cache keys (an exact-engine run
-// against a cache warmed by RunSegmentedCached must hit every segment).
+// is the exact contract at every worker count: same results, same cache keys
+// (an exact-engine run against a cache warmed by an earlier one must hit
+// every segment). The name dates from the RunSegmentedCached rung.
 func TestRunSegmentedEngineExactIsRunSegmentedCached(t *testing.T) {
 	cfg := Baseline()
 	specAt := engineTestSpecs(24)
 	cache := newRecordingCache()
-	want, wantTotal, err := RunSegmentedCached(cfg, 24, specAt, 8, 2, cache)
+	want, wantTotal, err := RunSegmentedEngine(cfg, 24, specAt, 8, 2, cache, Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,5 +151,93 @@ func TestRunSegmentedEngineRejectsBadEngine(t *testing.T) {
 	cfg := Baseline()
 	if _, _, err := RunSegmentedEngine(cfg, 8, engineTestSpecs(8), 4, 1, nil, Engine{Mode: "fast"}); err == nil {
 		t.Fatal("unknown engine mode accepted")
+	}
+}
+
+// TestRunSegmentedEngineWarmAllocs pins the warm path of the executor: a
+// call whose every segment hits allocates its results slice and a constant
+// handful of objects — nothing per segment, nothing per worker scratch —
+// whether it covers one segment or sixty-four. Before the idle scratch list
+// each call re-grew a spec slice and a key-encoding buffer from nil and made
+// one closure per segment.
+func TestRunSegmentedEngineWarmAllocs(t *testing.T) {
+	cfg := Baseline()
+	cache := newRecordingCache()
+	const segLen = 4
+	for _, nseg := range []int{1, 64} {
+		n := nseg * segLen
+		specs := make([]kernelgen.Spec, n) // prebuilt: specAt itself must not allocate
+		for i := range specs {
+			specs[i] = engineTestSpecs(n)(i)
+		}
+		specAt := func(i int) kernelgen.Spec { return specs[i] }
+		run := func() {
+			if _, _, err := RunSegmentedEngine(cfg, n, specAt, segLen, 1, cache, Engine{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // fill the cache, grow the scratch
+		misses := len(cache.entries)
+		// Two today: the results and the scheduler's bound callback.
+		if allocs := testing.AllocsPerRun(10, run); allocs > 4 {
+			t.Errorf("%d all-hit segments: %.0f allocations per call, want the results slice and O(1) more", nseg, allocs)
+		}
+		if len(cache.entries) != misses {
+			t.Fatalf("%d segments: the measured calls were not all hits", nseg)
+		}
+	}
+}
+
+// TestIdleScratchBoundedLIFO pins the idle list behind RunSegmentedEngine's
+// per-call state, as TestIdleSimulatorsBoundedLIFO does for simulators: it
+// retains at most maxIdleScratch runs, drops the oldest first, hands back the
+// most recently returned one, and a returned run refers to nothing of the
+// call that used it.
+func TestIdleScratchBoundedLIFO(t *testing.T) {
+	idleScratch.Lock()
+	saved := idleScratch.runs
+	idleScratch.runs = nil
+	idleScratch.Unlock()
+	defer func() {
+		idleScratch.Lock()
+		idleScratch.runs = saved
+		idleScratch.Unlock()
+	}()
+
+	runs := make([]*segRun, maxIdleScratch+3)
+	for i := range runs {
+		runs[i] = getRun(1 + i%3)
+		if got := len(runs[i].scratch); got != 1+i%3 || len(runs[i].sims) != got {
+			t.Fatalf("run %d: scratch for %d workers, asked for %d", i, got, 1+i%3)
+		}
+	}
+	for _, r := range runs {
+		putRun(r)
+	}
+	if n := len(idleScratch.runs); n != maxIdleScratch {
+		t.Fatalf("%d idle runs retained, bound is %d", n, maxIdleScratch)
+	}
+	for i := len(runs) - 1; i >= 3; i-- {
+		if got := getRun(1); got != runs[i] {
+			t.Fatalf("take %d: want the most recently returned run", len(runs)-1-i)
+		}
+	}
+	if n := len(idleScratch.runs); n != 0 {
+		t.Fatalf("%d idle runs left after taking every one: the three oldest were not dropped", n)
+	}
+
+	// A run comes back from a call clean, and grows to the next call's width.
+	cache := newRecordingCache()
+	if _, _, err := RunSegmentedEngine(Baseline(), 6, engineTestSpecs(6), 2, 1, cache, Engine{}); err != nil {
+		t.Fatal(err)
+	}
+	r := getRun(3)
+	if len(r.scratch) != 3 || r.scratch[0].keyBuf == nil {
+		t.Fatalf("want the call's run back, grown to 3 workers: %d workers, key buffer %v", len(r.scratch), r.scratch[0].keyBuf != nil)
+	}
+	c := &r.committer
+	if r.specAt != nil || r.cache != nil || r.keys != nil || r.sims[0] != nil ||
+		c.results != nil || c.err != nil || c.next != 0 || c.total != 0 || len(c.pending) != 0 {
+		t.Fatalf("an idle run still holds its last call's state: %+v", r)
 	}
 }

@@ -376,7 +376,7 @@ func TestMSHRAcquireMatchesLinearScan(t *testing.T) {
 }
 
 // TestSimulatorResetMatchesNew pins the cold-reset contract that lets
-// RunSegmentedCached reuse one simulator per worker: after arbitrary prior
+// RunSegmentedEngine reuse one simulator per worker: after arbitrary prior
 // work, Reset must leave the simulator producing exactly what a fresh
 // New(cfg) produces, kernel for kernel, including warm-L2 carry-over
 // within the post-reset sequence.
@@ -416,7 +416,7 @@ func TestRunSegmentedCachedSteadyStateAllocs(t *testing.T) {
 	const segLen = 2
 	run := func(nseg int) float64 {
 		return testing.AllocsPerRun(3, func() {
-			if _, _, err := RunSegmentedCached(cfg, nseg*segLen, specAt, segLen, 1, nil); err != nil {
+			if _, _, err := RunSegmentedEngine(cfg, nseg*segLen, specAt, segLen, 1, nil, Engine{}); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -47,7 +47,7 @@ func (p *recordingPrefetcher) GetOrCompute(key gpu.SegmentKey, compute func() ([
 var _ gpu.BatchPrefetcher = (*recordingPrefetcher)(nil)
 
 // TestPrefetchAnnouncesAllSegmentKeys pins the batch hook contract: when
-// the cache wants prefetch, RunSegmentedCached announces exactly the keys
+// the cache wants prefetch, RunSegmentedEngine announces exactly the keys
 // it later requests — every segment, in segment order, before any lookup —
 // and produces output identical to the uncached run.
 func TestPrefetchAnnouncesAllSegmentKeys(t *testing.T) {
@@ -57,13 +57,13 @@ func TestPrefetchAnnouncesAllSegmentKeys(t *testing.T) {
 	specAt := skewedSpecAt(lim)
 	const n, segLen = 64, 4
 
-	want, wantTotal, err := gpu.RunSegmentedFunc(cfg, n, specAt, segLen, 1)
+	want, wantTotal, err := gpu.RunSegmentedEngine(cfg, n, specAt, segLen, 1, nil, gpu.Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	p := &recordingPrefetcher{want: true, store: make(map[gpu.SegmentKey][]gpu.KernelResult)}
-	got, total, err := gpu.RunSegmentedCached(cfg, n, specAt, segLen, 3, p)
+	got, total, err := gpu.RunSegmentedEngine(cfg, n, specAt, segLen, 3, p, gpu.Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestPrefetchSkippedWhenUnwanted(t *testing.T) {
 	cfg := gpu.Baseline()
 	specAt := skewedSpecAt(kernelgen.DefaultLimits())
 	p := &recordingPrefetcher{want: false, store: make(map[gpu.SegmentKey][]gpu.KernelResult)}
-	if _, _, err := gpu.RunSegmentedCached(cfg, 16, specAt, 4, 1, p); err != nil {
+	if _, _, err := gpu.RunSegmentedEngine(cfg, 16, specAt, 4, 1, p, gpu.Engine{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(p.announced) != 0 {

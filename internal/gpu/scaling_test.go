@@ -63,12 +63,12 @@ func TestRunSegmentedStealingDeterministicSkewed(t *testing.T) {
 	specAt := skewedSpecAt(lim)
 	const n, segLen = 96, 4
 
-	want, wantTotal, err := gpu.RunSegmentedFunc(cfg, n, specAt, segLen, 1)
+	want, wantTotal, err := gpu.RunSegmentedEngine(cfg, n, specAt, segLen, 1, nil, gpu.Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 4, 8} {
-		got, total, err := gpu.RunSegmentedFunc(cfg, n, specAt, segLen, workers)
+		got, total, err := gpu.RunSegmentedEngine(cfg, n, specAt, segLen, workers, nil, gpu.Engine{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestRunSegmentedStealingCachedDeterministicSkewed(t *testing.T) {
 	specAt := skewedSpecAt(lim)
 	const n, segLen = 96, 4
 
-	want, wantTotal, err := gpu.RunSegmentedFunc(cfg, n, specAt, segLen, 1)
+	want, wantTotal, err := gpu.RunSegmentedEngine(cfg, n, specAt, segLen, 1, nil, gpu.Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestRunSegmentedStealingCachedDeterministicSkewed(t *testing.T) {
 	}
 	for pass := 0; pass < 2; pass++ {
 		for _, workers := range []int{2, 4, 8} {
-			got, total, err := gpu.RunSegmentedCached(cfg, n, specAt, segLen, workers, cache)
+			got, total, err := gpu.RunSegmentedEngine(cfg, n, specAt, segLen, workers, cache, gpu.Engine{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -31,7 +31,7 @@ const EngineFingerprint = "stemroot-gpu-engine-v3-ready-id-rule"
 // SegmentKey is the content address of one replay segment's results: a
 // SHA-256 over the engine fingerprint, the full gpu.Config, and the
 // segment's kernelgen.Spec sequence. The engine is a pure function of
-// exactly those inputs (see RunSegmentedFunc), so equal keys imply
+// exactly those inputs (see RunSegmentedEngine), so equal keys imply
 // bit-identical simulation output; unequal inputs collide only with
 // cryptographic improbability.
 type SegmentKey [32]byte
@@ -39,7 +39,7 @@ type SegmentKey [32]byte
 // String returns the key in hex, usable as a file name.
 func (k SegmentKey) String() string { return hex.EncodeToString(k[:]) }
 
-// SegmentCache is what RunSegmentedCached consults before simulating a
+// SegmentCache is what RunSegmentedEngine consults before simulating a
 // segment. GetOrCompute returns the results for key, either cached or by
 // invoking compute (at most once per key across concurrent callers —
 // singleflight) and caching its result. The returned slice is shared across
@@ -53,7 +53,7 @@ type SegmentCache interface {
 
 // BatchPrefetcher is an optional SegmentCache extension for caches with a
 // high-latency backing tier (a remote cache server — internal/cachenet).
-// RunSegmentedCached knows every segment key of a workload before any
+// RunSegmentedEngine knows every segment key of a workload before any
 // segment executes, so when the cache wants it (WantPrefetch), the runner
 // derives all keys up front and announces them in one Prefetch call; the
 // cache can then resolve them against its backing tier in one batched round

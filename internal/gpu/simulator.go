@@ -464,7 +464,7 @@ func (s *Simulator) RunSpecs(specs []*kernelgen.Spec) ([]KernelResult, float64) 
 	return results, total
 }
 
-// DefaultSegmentLen is the replay-segment length used by RunSegmented when
+// DefaultSegmentLen is the replay-segment length RunSegmentedEngine uses when
 // none is specified. Within a segment L2 state persists across kernels as
 // in RunSpecs; each segment starts cold. 16 kernels is enough for the
 // (small, §6.2) inter-kernel weight reuse to behave as in an unsegmented
@@ -472,40 +472,7 @@ func (s *Simulator) RunSpecs(specs []*kernelgen.Spec) ([]KernelResult, float64) 
 // one unit of parallelism per 16 invocations.
 const DefaultSegmentLen = 16
 
-// RunSegmented is the parallel variant of RunSpecs used by full-simulation
-// baselines: the spec sequence is cut into fixed-length segments, segments
-// are executed by a work-stealing worker pool in which each worker owns one
-// warm Simulator (so workers never share mutable state), and results are
-// published in segment order. The segmentation depends only on len(specs)
-// and segLen — never on the worker count or scheduling — so the output is
-// bit-identical for every workers value, including the serial workers == 1
-// path. segLen <= 0 selects DefaultSegmentLen; workers <= 0 selects one
-// worker per CPU (and requests beyond the CPU count are clamped — see
-// parallel.Workers).
-//
-// The semantic difference from RunSpecs is that L2 state does not persist
-// across segment boundaries. This is the standard trace-level-parallelism
-// trade (cold caches at chunk starts); the paper's §6.2 ablation bounds the
-// inter-kernel reuse it discards.
-func RunSegmented(cfg Config, specs []*kernelgen.Spec, segLen, workers int) ([]KernelResult, float64, error) {
-	return RunSegmentedFunc(cfg, len(specs), func(i int) kernelgen.Spec {
-		return *specs[i]
-	}, segLen, workers)
-}
-
-// RunSegmentedFunc is RunSegmented over a spec generator instead of a
-// materialized spec slice: workers call specAt(i) for each invocation index
-// inside their own segment, so the full []*kernelgen.Spec is never built up
-// front. For large FullSim workloads this keeps the spec working set to one
-// spec per worker. specAt must be safe for concurrent calls with distinct
-// indices and must return the same value for the same index (a pure
-// function of i, like kernelgen.FromInvocation); results are then
-// bit-identical for every workers value.
-func RunSegmentedFunc(cfg Config, n int, specAt func(i int) kernelgen.Spec, segLen, workers int) ([]KernelResult, float64, error) {
-	return RunSegmentedCached(cfg, n, specAt, segLen, workers, nil)
-}
-
-// segCommitter is the deterministic result-commit layer of RunSegmentedCached:
+// segCommitter is the deterministic result-commit layer of RunSegmentedEngine:
 // workers complete segments in whatever order the work-stealing scheduler
 // produces, hand each finished segment to commit, and the committer publishes
 // them in ascending segment order — copying cache-owned result slices into
@@ -523,9 +490,14 @@ type segCommitter struct {
 	total   float64
 	results []KernelResult
 	segLen  int
+	// err is the error of the lowest-indexed failing segment (errSeg), the
+	// same worker-count-independent choice parallel.Map makes.
+	err    error
+	errSeg int
 	// pending buffers segments that arrived ahead of order, keyed by segment
 	// index. A nil value is a valid entry (uncached path: the worker already
 	// wrote the segment's window of results), so presence is the marker.
+	// Every segment commits, so the map is empty again when a call returns.
 	pending map[int][]KernelResult
 }
 
@@ -535,8 +507,11 @@ type segCommitter struct {
 // no two workers ever touch the same elements); a non-nil seg is a shared
 // cache-owned slice copied into the window at publication time, never
 // mutated in place.
-func (c *segCommitter) commit(sg int, seg []KernelResult) {
+func (c *segCommitter) commit(sg int, seg []KernelResult, err error) {
 	c.mu.Lock()
+	if err != nil && (c.err == nil || sg < c.errSeg) {
+		c.err, c.errSeg = err, sg
+	}
 	if sg != c.next {
 		if c.pending == nil {
 			c.pending = make(map[int][]KernelResult)
@@ -547,10 +522,7 @@ func (c *segCommitter) commit(sg int, seg []KernelResult) {
 	}
 	for {
 		lo := sg * c.segLen
-		hi := lo + c.segLen
-		if hi > len(c.results) {
-			hi = len(c.results)
-		}
+		hi := min(lo+c.segLen, len(c.results))
 		if seg != nil {
 			copy(c.results[lo:hi], seg)
 		}
@@ -568,88 +540,137 @@ func (c *segCommitter) commit(sg int, seg []KernelResult) {
 	c.mu.Unlock()
 }
 
-// segScratch is one worker's reusable buffers for the cached execution
-// path: the materialized specs of the segment in flight and the canonical
-// key encoding (KeyForSegmentAppend). Both reach steady-state capacity
-// after the first segment, so warm-replay segments allocate nothing here.
+// segScratch is one segment worker's reusable state: the materialized specs
+// of the segment in flight and the canonical key encoding
+// (KeyForSegmentEngineAppend). Both reach steady-state capacity after the
+// first segment and live on in idleScratch between calls, so a warm-replay
+// segment allocates nothing here.
 type segScratch struct {
+	run    *segRun
+	worker int
 	specs  []kernelgen.Spec
 	keyBuf []byte
+	// compute is miss bound to this scratch once: handing a fresh closure to
+	// GetOrCompute would allocate on every segment, hit or miss.
+	compute func() ([]KernelResult, error)
 }
 
-// segmentKey materializes segment sg's specs into the scratch and derives
-// its content address under the engine mode. The returned spec slice aliases
-// the scratch and is valid until the next call on the same scratch.
-func (sc *segScratch) segmentKey(cfg Config, n, sg, segLen int, specAt func(i int) kernelgen.Spec, eng Engine) (SegmentKey, []kernelgen.Spec) {
-	lo := sg * segLen
-	hi := lo + segLen
-	if hi > n {
-		hi = n
-	}
+// load materializes segment sg's specs into the scratch (bounded by segLen,
+// so the working set stays one segment per worker) and returns the index of
+// its first invocation. The specs are valid until the next load.
+func (sc *segScratch) load(sg int) int {
+	r := sc.run
+	lo := sg * r.segLen
 	specs := sc.specs[:0]
-	for i := lo; i < hi; i++ {
-		specs = append(specs, specAt(i))
+	for i, hi := lo, min(lo+r.segLen, r.n); i < hi; i++ {
+		specs = append(specs, r.specAt(i))
 	}
 	sc.specs = specs
+	return lo
+}
+
+// simulate runs the loaded segment into out on the worker's cold simulator:
+// taken from idleSims on the worker's first simulated segment of a call,
+// cold-Reset before every later one. Reset is bit-identical to New (see
+// Simulator.Reset), so results are unchanged for every worker count while
+// neither steady-state segments nor back-to-back calls construct L2+L1 state.
+func (sc *segScratch) simulate(out []KernelResult) {
+	r := sc.run
+	sim := r.sims[sc.worker]
+	if sim == nil {
+		sim = getSimulator(r.cfg)
+		r.sims[sc.worker] = sim
+	} else {
+		sim.Reset()
+	}
+	for i := range sc.specs {
+		out[i] = r.eng.runKernel(sim, &sc.specs[i])
+	}
+}
+
+// miss simulates the loaded segment into a fresh slice the cache will own.
+func (sc *segScratch) miss() ([]KernelResult, error) {
+	out := make([]KernelResult, len(sc.specs))
+	sc.simulate(out)
+	return out, nil
+}
+
+// segRun is the state of one RunSegmentedEngine call apart from its results:
+// the inputs, one simulator slot and one scratch per worker, and the
+// committer. Calls take it from idleScratch and hand it back, so a sweep's
+// hundreds of calls per configuration share a few of them.
+type segRun struct {
+	cfg       Config
+	eng       Engine
+	n, segLen int
+	specAt    func(i int) kernelgen.Spec
+	cache     SegmentCache
+	keys      []SegmentKey // from the prefetch pass; nil without one
+	sims      []*Simulator
+	scratch   []*segScratch
+	committer segCommitter
+}
+
+// segment executes segment sg on the given worker and commits it.
+func (r *segRun) segment(worker, sg int) {
+	sc := r.scratch[worker]
+	lo := sc.load(sg)
+	if r.cache == nil {
+		// Uncached: write the results directly into the segment's disjoint
+		// window of the shared results slice — no per-segment slice, no
+		// publication copy (commit only folds the total in order).
+		sc.simulate(r.committer.results[lo:])
+		r.committer.commit(sg, nil, nil)
+		return
+	}
+	// Cached: derive the content address and only simulate on miss — on the
+	// worker's own simulator (GetOrCompute runs compute on the calling
+	// goroutine, so it is never shared). Hits and computed results alike are
+	// shared cache-owned slices the committer copies at publication.
 	var key SegmentKey
-	key, sc.keyBuf = KeyForSegmentEngineAppend(sc.keyBuf, cfg, specs, eng)
-	return key, specs
+	if r.keys != nil {
+		key = r.keys[sg]
+	} else {
+		key, sc.keyBuf = KeyForSegmentEngineAppend(sc.keyBuf, r.cfg, sc.specs, r.eng)
+	}
+	seg, err := r.cache.GetOrCompute(key, sc.compute)
+	r.committer.commit(sg, seg, err)
 }
 
-// segmentKeyCached is segmentKey reusing a precomputed key when the prefetch
-// pass already derived it (keys non-nil); the specs are still materialized —
-// the compute-on-miss closure needs them.
-func (sc *segScratch) segmentKeyCached(cfg Config, n, sg, segLen int, specAt func(i int) kernelgen.Spec, keys []SegmentKey, eng Engine) (SegmentKey, []kernelgen.Spec) {
-	if keys == nil {
-		return sc.segmentKey(cfg, n, sg, segLen, specAt, eng)
-	}
-	lo := sg * segLen
-	hi := lo + segLen
-	if hi > n {
-		hi = n
-	}
-	specs := sc.specs[:0]
-	for i := lo; i < hi; i++ {
-		specs = append(specs, specAt(i))
-	}
-	sc.specs = specs
-	return keys[sg], specs
-}
-
-// RunSegmentedCached is RunSegmentedFunc with a content-addressed segment
-// cache consulted before each segment is simulated. Each segment's result is
-// a pure function of (EngineFingerprint, cfg, the segment's spec sequence) —
-// the basis of the SegmentKey — so a cache hit returns results bit-identical
-// to a fresh simulation, for every workers value. cache == nil disables
-// lookup and is exactly RunSegmentedFunc.
+// RunSegmentedEngine simulates the n kernels specAt(0..n-1) as fixed-length
+// replay segments, in parallel, under an execution mode: each kernel runs
+// under eng — the exact engine (RunKernel, the zero Engine) or the
+// relaxed-sync parallel engine (RunKernelPar with eng.Workers intra-kernel
+// workers at eng.Epoch cycles per epoch). L2 state persists within a segment
+// as in RunSpecs and is cold at segment starts — the standard
+// trace-level-parallelism trade; the paper's §6.2 ablation bounds the
+// inter-kernel reuse it discards. segLen <= 0 selects DefaultSegmentLen;
+// workers <= 0 selects one worker per CPU (see parallel.Workers).
+//
+// specAt must be safe for concurrent calls with distinct indices and a pure
+// function of i (like kernelgen.FromInvocation): workers materialize only
+// their own segment's specs, so the full spec list is never built.
 //
 // Execution: segments are scheduled over parallel.ForEachStealing, so each
 // worker sweeps a contiguous ascending run of segments on its own warm
-// Simulator (constructed once, cold-Reset between segments — bit-identical
-// to a fresh New) and idle workers steal half the richest victim's remaining
-// segments, which rebalances adversarially skewed segment costs instead of
-// serializing them behind one worker. Finished segments flow through a
-// segCommitter that publishes them in segment order, so the returned results
-// and total are bit-identical for every workers value, including the serial
-// workers == 1 path (pinned by TestRunSegmentedStealingDeterministicSkewed
-// and the pipeline determinism tests).
+// Simulator and idle workers steal half the richest victim's remaining
+// segments, which rebalances skewed segment costs instead of serializing
+// them behind one worker. Finished segments flow through a segCommitter that
+// publishes them in segment order. Segmentation and publication depend only
+// on n and segLen, so the returned results and total are bit-identical for
+// every workers value, including the serial workers == 1 path, AND for every
+// eng.Workers value — only eng.Mode and eng.Epoch affect output (pinned by
+// TestRunSegmentedStealingDeterministicSkewed and the pipeline determinism
+// tests).
 //
-// Cached result slices are shared between callers; results are copied into
-// the returned slice, never mutated in place.
-func RunSegmentedCached(cfg Config, n int, specAt func(i int) kernelgen.Spec, segLen, workers int, cache SegmentCache) ([]KernelResult, float64, error) {
-	return RunSegmentedEngine(cfg, n, specAt, segLen, workers, cache, Engine{})
-}
-
-// RunSegmentedEngine is RunSegmentedCached with an explicit execution mode:
-// each kernel of each segment runs under eng — the exact engine (RunKernel,
-// the zero Engine) or the relaxed-sync parallel engine (RunKernelPar with
-// eng.Workers intra-kernel workers at eng.Epoch cycles per epoch). Segment
-// cache keys are engine-aware (KeyForSegmentEngine): exact-mode keys are
-// byte-identical to the legacy KeyForSegment keys, par-mode keys carry
-// ParEngineFingerprint plus the epoch, so the two modes never share cache
-// entries. Determinism is unchanged in both modes: results are bit-identical
-// for every segment-worker count AND every eng.Workers value — only
-// eng.Mode and eng.Epoch affect output.
+// A non-nil cache is consulted before each segment is simulated. A segment's
+// result is a pure function of (engine fingerprint, cfg, its spec sequence) —
+// the SegmentKey (KeyForSegmentEngine) — so a hit is bit-identical to a
+// fresh simulation. Exact-mode keys carry EngineFingerprint, par-mode keys
+// ParEngineFingerprint plus the epoch, so the modes never share entries.
+// Cached result slices are shared between callers; they are copied into the
+// returned slice, never mutated in place. An all-hit call allocates its
+// results and nothing that grows with n (TestRunSegmentedEngineWarmAllocs).
 //
 // In par mode the two worker counts compose: `workers` segment workers each
 // run kernels that internally fan out over eng.Workers SM-shard workers
@@ -663,114 +684,97 @@ func RunSegmentedEngine(cfg Config, n int, specAt func(i int) kernelgen.Spec, se
 	if err := eng.Validate(); err != nil {
 		return nil, 0, err
 	}
-	eng = eng.normalized()
 	if segLen <= 0 {
 		segLen = DefaultSegmentLen
 	}
 	nseg := (n + segLen - 1) / segLen
 	nworkers := parallel.Workers(workers)
 
-	// Worker-owned simulator lifecycle: each worker takes one Simulator from
-	// the package pool on its first segment, cold-Resets it before every
-	// subsequent one, and the whole set goes back when the call returns.
-	// Reset is bit-identical to New (see Simulator.Reset), so results are
-	// unchanged for every worker count while neither steady-state segments
-	// nor back-to-back calls construct L2+L1 state.
-	sims := make([]*Simulator, nworkers)
-	defer putSimulators(sims)
-	simFor := func(worker int) *Simulator {
-		sim := sims[worker]
-		if sim == nil {
-			sim = getSimulator(cfg)
-			sims[worker] = sim
-		} else {
-			sim.Reset()
-		}
-		return sim
-	}
-
 	results := make([]KernelResult, n)
-	committer := &segCommitter{results: results, segLen: segLen}
-	if cache == nil {
-		// Uncached: workers write each segment's results directly into the
-		// disjoint [lo, hi) window of the shared results slice — no
-		// per-segment slices, no publication copy (commit gets a nil seg and
-		// only folds the total in order). One spec scratch per WORKER (not
-		// per segment: a function-local scratch would escape into RunKernel
-		// and heap-allocate every call): RunKernel reads the spec only
-		// during the call (streams are reinitialized per kernel), so
-		// reusing the slot across a worker's segments is safe.
-		scratch := make([]kernelgen.Spec, nworkers)
-		parallel.ForEachStealing(nseg, nworkers, func(worker, sg int) {
-			sim := simFor(worker)
-			lo := sg * segLen
-			hi := lo + segLen
-			if hi > n {
-				hi = n
-			}
-			spec := &scratch[worker]
-			for i := lo; i < hi; i++ {
-				*spec = specAt(i)
-				results[i] = eng.runKernel(sim, spec)
-			}
-			committer.commit(sg, nil)
-		})
-	} else {
-		// Cached: materialize each segment's specs (bounded by segLen, so
-		// the working set stays one segment per worker), derive the content
-		// address, and only simulate on miss — on the worker's own reused
-		// simulator (GetOrCompute runs compute on the calling goroutine, so
-		// the simulator is never shared). Hits and computed results alike
-		// are shared cache-owned slices: the committer copies them into
-		// results at publication, in segment order. Spec and key-encoding
-		// scratch is per WORKER and reused across all segments the worker
-		// executes: on a warm replay the per-segment work is only key
-		// derivation plus a copy, so per-segment allocations — not
-		// simulation — would dominate (the PR 6 warm-replay drift).
-		scratch := make([]segScratch, nworkers)
+	r := getRun(nworkers)
+	r.cfg, r.eng, r.n, r.segLen, r.specAt, r.cache = cfg, eng.normalized(), n, segLen, specAt, cache
+	r.committer.results, r.committer.segLen = results, segLen
 
-		// Batched key prefetch: when the cache has a batched backing tier
-		// (BatchPrefetcher, e.g. simcache with a cachenet remote), derive
-		// every segment key up front — the pipeline knows the whole spec
-		// sequence — and announce them in one call, so the remote tier is
-		// consulted in one round trip for the entire workload instead of
-		// once per segment. The precomputed keys are then reused by the
-		// workers below; key derivation is a pure function of the input,
-		// so results are unchanged.
-		var keys []SegmentKey
-		if bp, ok := cache.(BatchPrefetcher); ok && bp.WantPrefetch() {
-			keys = make([]SegmentKey, nseg)
-			sc := &scratch[0]
-			for sg := 0; sg < nseg; sg++ {
-				keys[sg], _ = sc.segmentKey(cfg, n, sg, segLen, specAt, eng)
-			}
-			bp.Prefetch(keys)
+	// Batched key prefetch: when the cache has a batched backing tier
+	// (BatchPrefetcher, e.g. simcache with a cachenet remote), derive every
+	// segment key up front and announce them in one call, so the remote tier
+	// is consulted in one round trip for the whole workload instead of once
+	// per segment. The workers reuse the keys (a pure function of the input).
+	if bp, ok := cache.(BatchPrefetcher); ok && bp.WantPrefetch() {
+		r.keys = make([]SegmentKey, nseg)
+		sc := r.scratch[0]
+		for sg := range r.keys {
+			sc.load(sg)
+			r.keys[sg], sc.keyBuf = KeyForSegmentEngineAppend(sc.keyBuf, cfg, sc.specs, r.eng)
 		}
-
-		errs := make([]error, nseg)
-		parallel.ForEachStealing(nseg, nworkers, func(worker, sg int) {
-			sc := &scratch[worker]
-			key, specs := sc.segmentKeyCached(cfg, n, sg, segLen, specAt, keys, eng)
-			seg, err := cache.GetOrCompute(key, func() ([]KernelResult, error) {
-				sim := simFor(worker)
-				out := make([]KernelResult, len(specs))
-				for i := range specs {
-					out[i] = eng.runKernel(sim, &specs[i])
-				}
-				return out, nil
-			})
-			errs[sg] = err
-			committer.commit(sg, seg)
-		})
-		// Report the error of the lowest-indexed failing segment, matching
-		// parallel.Map's worker-count-independent error contract.
-		for _, err := range errs {
-			if err != nil {
-				return nil, 0, err
-			}
-		}
+		bp.Prefetch(r.keys)
 	}
-	return results, committer.total, nil
+
+	parallel.ForEachStealing(nseg, nworkers, r.segment)
+	total, err := r.committer.total, r.committer.err
+	putRun(r) // not deferred: a run abandoned by a panic is not reused
+	if err != nil {
+		return nil, 0, err
+	}
+	return results, total, nil
+}
+
+// idleScratch holds idle segRuns between RunSegmentedEngine calls: a warm
+// sweep makes thousands of all-hit calls, and growing the spec and key
+// buffers from nil on each was over half of what one allocated. Like idleSims
+// below, and for the reason given there, it is a bounded LIFO, not a sync.Pool.
+var idleScratch struct {
+	sync.Mutex
+	runs []*segRun // most recently returned last
+}
+
+// maxIdleScratch bounds what idleScratch retains (oldest dropped first): per
+// run and worker, one segment of specs and one key encoding — a few KiB.
+const maxIdleScratch = 16
+
+// getRun returns a segRun with scratch for nworkers workers, the most
+// recently returned idle one if there is any.
+func getRun(nworkers int) *segRun {
+	var r *segRun
+	idleScratch.Lock()
+	if last := len(idleScratch.runs) - 1; last >= 0 {
+		r = idleScratch.runs[last]
+		idleScratch.runs[last] = nil
+		idleScratch.runs = idleScratch.runs[:last]
+	}
+	idleScratch.Unlock()
+	if r == nil {
+		r = new(segRun)
+	}
+	for w := len(r.scratch); w < nworkers; w++ {
+		sc := &segScratch{run: r, worker: w}
+		sc.compute = sc.miss
+		r.scratch = append(r.scratch, sc)
+		r.sims = append(r.sims, nil)
+	}
+	return r
+}
+
+// putRun ends a call: its simulators go back to idleSims, everything that
+// refers to the caller's data is dropped, and the run goes to idleScratch.
+func putRun(r *segRun) {
+	putSimulators(r.sims)
+	clear(r.sims)
+	r.specAt, r.cache, r.keys = nil, nil, nil
+	c := &r.committer
+	c.results, c.err, c.next, c.total = nil, nil, 0, 0
+	idleScratch.Lock()
+	idleScratch.runs = pushIdle(idleScratch.runs, r, maxIdleScratch)
+	idleScratch.Unlock()
+}
+
+// pushIdle appends x to a list of at most max items, dropping the oldest.
+func pushIdle[T any](list []T, x T, max int) []T {
+	if len(list) == max {
+		copy(list, list[1:])
+		list = list[:max-1]
+	}
+	return append(list, x)
 }
 
 // idleSims holds idle simulators between RunSegmentedEngine calls. A sweep
@@ -819,11 +823,7 @@ func putSimulators(sims []*Simulator) {
 			continue
 		}
 		sim.SetBarrierCollector(nil)
-		if len(idleSims.sims) == maxIdleSims {
-			copy(idleSims.sims, idleSims.sims[1:])
-			idleSims.sims = idleSims.sims[:maxIdleSims-1]
-		}
-		idleSims.sims = append(idleSims.sims, sim)
+		idleSims.sims = pushIdle(idleSims.sims, sim, maxIdleSims)
 	}
 }
 

@@ -8,16 +8,20 @@ import (
 )
 
 // Model evaluates execution times of a workload's invocations on a device.
+// Construct it with New.
 type Model struct {
 	Device Device
 	// Seed anchors the jitter streams; use the workload seed so ground
 	// truth is reproducible.
 	Seed uint64
+	// nameHash is rng.HashString(Device.Name), a label of every jitter
+	// stream, hashed once here instead of once per invocation.
+	nameHash uint64
 }
 
 // New returns a timing model for the device, seeded by the workload seed.
 func New(dev Device, seed uint64) *Model {
-	return &Model{Device: dev, Seed: seed}
+	return &Model{Device: dev, Seed: seed, nameHash: rng.HashString(dev.Name)}
 }
 
 // baseTime returns the noise-free execution time (µs) of an invocation:
@@ -71,7 +75,7 @@ func (m *Model) jitterSigma(inv *trace.Invocation) float64 {
 func (m *Model) Time(inv *trace.Invocation) float64 {
 	base := m.baseTime(inv)
 	sigma := m.jitterSigma(inv)
-	r := rng.New(rng.Derive(m.Seed, uint64(inv.Seq), rng.HashString(m.Device.Name)))
+	r := rng.Seeded(rng.Derive(m.Seed, uint64(inv.Seq), m.nameHash))
 	// mu = -sigma^2/2 keeps E[multiplier] = 1 so jitter is unbiased.
 	return base * r.LogNormal(-sigma*sigma/2, sigma)
 }
@@ -104,7 +108,7 @@ var MicroNames = [13]string{
 func (m *Model) Micro(inv *trace.Invocation) [13]float64 {
 	lat := inv.Latent
 	d := m.Device
-	r := rng.New(rng.Derive(m.Seed, uint64(inv.Seq), rng.HashString(d.Name), 0x71c))
+	r := rng.Seeded(rng.Derive(m.Seed, uint64(inv.Seq), m.nameHash, 0x71c))
 	noise := func() float64 { return 1 + 0.01*(r.Float64()-0.5) }
 
 	memInstrs := float64(inv.InstrsPerWarp) * lat.MemIntensity

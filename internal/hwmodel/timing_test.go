@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"stemroot/internal/rng"
 	"stemroot/internal/stats"
 	"stemroot/internal/trace"
 )
@@ -171,6 +172,37 @@ func TestProfileShape(t *testing.T) {
 	}
 	if p.TotalTime() <= 0 {
 		t.Fatal("non-positive total")
+	}
+}
+
+// TestProfileAllocsConstant pins that profiling costs the profile and nothing
+// per invocation (Time used to build a heap generator and re-hash the device
+// name for each), and that the jitter stream is still the one
+// rng.New(Derive(seed, seq, HashString(name))) draws.
+func TestProfileAllocsConstant(t *testing.T) {
+	workload := func(n int) *trace.Workload {
+		w := &trace.Workload{Name: "t", Seed: 3}
+		for i := 0; i < n; i++ {
+			inv := memoryBound()
+			inv.Seq = i
+			w.Invs = append(w.Invs, inv)
+		}
+		return w
+	}
+	m := New(RTX2080, 3)
+	small, large := workload(4), workload(400)
+	a := testing.AllocsPerRun(10, func() { m.Profile(small) })
+	b := testing.AllocsPerRun(10, func() { m.Profile(large) })
+	if a != b || a > 2 {
+		t.Fatalf("Profile allocates %.0f objects at 4 invocations and %.0f at 400, want the same two", a, b)
+	}
+	for i, got := range m.Profile(small).TimeUS {
+		inv := &small.Invs[i]
+		sigma := m.jitterSigma(inv)
+		r := rng.New(rng.Derive(m.Seed, uint64(inv.Seq), rng.HashString(RTX2080.Name)))
+		if want := m.baseTime(inv) * r.LogNormal(-sigma*sigma/2, sigma); got != want {
+			t.Fatalf("invocation %d: time %v, reference stream gives %v", i, got, want)
+		}
 	}
 }
 

@@ -24,7 +24,7 @@
 //     contiguous shard per worker; each worker drains its own shard in
 //     ascending order and steals the upper half of the richest victim's
 //     remainder when it runs dry. Owners therefore sweep long ascending
-//     index runs (warm per-worker state stays hot, see gpu.RunSegmentedCached)
+//     index runs (warm per-worker state stays hot, see gpu.RunSegmentedEngine)
 //     while skew and stragglers are still rebalanced.
 //
 // Errors do not cancel outstanding units: all n units always run, and

@@ -9,7 +9,7 @@
 // The simulation passes (FullSim, SampledSim and their Opt variants) run
 // kernel invocations in parallel using deterministic fixed-length replay
 // segments: the invocation sequence is cut into segments of
-// Options.SegmentLen, segments are executed by gpu.RunSegmentedCached's
+// Options.SegmentLen, segments are executed by gpu.RunSegmentedEngine's
 // work-stealing worker pool — each worker owns one long-lived Simulator
 // that gpu.Simulator.Reset cold-resets between segments, bit-identical to
 // a fresh gpu.New and allocation-free in steady state; idle workers steal
@@ -40,10 +40,13 @@ import (
 // The zero value uses one worker per CPU and gpu.DefaultSegmentLen.
 type Options struct {
 	// Workers is the number of simulation workers: 0 selects one per CPU,
-	// 1 forces the serial path (identical output, no goroutines), and
-	// values above the CPU count are clamped to it (parallel.Workers —
-	// oversubscribing a CPU-bound pool only adds interleave overhead, and
-	// by the determinism contract cannot change output).
+	// 1 runs the simulation passes serially on the calling goroutine
+	// (identical output), and values above the CPU count are clamped to it
+	// (parallel.Workers — oversubscribing a CPU-bound pool only adds
+	// interleave overhead, and by the determinism contract cannot change
+	// output). It does not reach the planner: RunOpt's method.Plan fans out
+	// by the method's own core.Params.Workers, and only for profiles of at
+	// least core's row grain (1024 rows) — see core.BuildClusters.
 	Workers int
 	// SegmentLen is the replay-segment length; 0 selects
 	// gpu.DefaultSegmentLen. L2 state persists within a segment and is cold
@@ -96,11 +99,11 @@ func (o Options) engine() gpu.Engine {
 }
 
 // specsOf returns a spec generator for a workload subset: position i maps
-// to invocation indices[i]. The generator is handed to gpu.RunSegmentedFunc
-// so each worker builds only its own segment's specs on demand instead of
-// materializing the full []*kernelgen.Spec up front — for FullSim on large
-// workloads the spec working set drops from O(invocations) to one spec per
-// worker. FromInvocation is a pure function of the invocation and limits,
+// to invocation indices[i]. The generator is handed to
+// gpu.RunSegmentedEngine so each worker builds only its own segment's specs
+// on demand instead of materializing the full []*kernelgen.Spec up front —
+// for FullSim on large workloads the spec working set drops from
+// O(invocations) to one segment per worker. FromInvocation is a pure function of the invocation and limits,
 // so concurrent calls are safe and results stay bit-identical for every
 // worker count.
 func specsOf(w *trace.Workload, lim kernelgen.Limits, indices []int) func(i int) kernelgen.Spec {

@@ -143,13 +143,70 @@ func DecodeEntry(key gpu.SegmentKey, buf []byte) (results []gpu.KernelResult, ok
 	return results, true
 }
 
+// diskReadBuf is the size of readDisk's stack buffer: an entry of up to 125
+// results — eight times DefaultSegmentLen — is read without touching the heap.
+const diskReadBuf = 4096
+
+// claimedSize returns the total length the entry header in buf claims for
+// itself, or 0 when the header is incomplete or its count is past what
+// verifyEntry accepts. It decides only how far to read; DecodeEntry judges
+// the bytes.
+func claimedSize(buf []byte) int {
+	if len(buf) < diskHeaderSize {
+		return 0
+	}
+	count := binary.LittleEndian.Uint64(buf[40:48])
+	if count > MaxEntryBytes/resultWireSize {
+		return 0
+	}
+	return diskHeaderSize + int(count)*resultWireSize + sha256.Size
+}
+
+// readEntryFile reads the entry file at path into buf: one open, one read,
+// one close for an entry that fits, with no fstat to size it first. A file
+// that fills buf is read on into heap buffers that double up to the size its
+// own header claims plus one byte: the spare byte makes a file longer than
+// its claim come back longer, for DecodeEntry to reject, and a huge or lying
+// file costs at most twice its length and never more than a legal entry. ok
+// is false when the file cannot be opened or read.
+func readEntryFile(path string, buf []byte) (data []byte, ok bool) {
+	fd, err := openFile(path)
+	if err != nil {
+		return nil, false
+	}
+	defer closeFile(fd)
+	n := 0
+	for {
+		m, err := readFile(fd, buf[n:])
+		if err != nil {
+			return nil, false
+		}
+		n += m
+		want := claimedSize(buf[:n])
+		switch {
+		case m == 0 || (n >= want && n < len(buf)):
+			// End of file; or everything claimed has arrived and the read
+			// came back short, which on a regular file is end of file too.
+			return buf[:n], true
+		case n < len(buf):
+			// Short of the claim: read again (end of file if truncated).
+		case want < len(buf):
+			return buf[:n], true // longer than its claim, or no legal claim
+		default:
+			size := min(2*len(buf), want+1)
+			buf = append(make([]byte, 0, size), buf...)[:size]
+		}
+	}
+}
+
 // readDisk loads a verified entry; any failure (missing file, short read,
 // corruption) reports a miss. Corrupt files are removed best-effort so they
 // are rewritten with good content on the next compute.
 func (c *Cache) readDisk(key gpu.SegmentKey) ([]gpu.KernelResult, bool) {
 	path := c.diskPath(key)
-	buf, err := os.ReadFile(path)
-	if err != nil {
+	var stack [diskReadBuf]byte
+	buf, ok := readEntryFile(path, stack[:])
+	if !ok {
 		return nil, false
 	}
 	results, ok := DecodeEntry(key, buf)

@@ -73,7 +73,7 @@ type Remote interface {
 	Put(key gpu.SegmentKey, results []gpu.KernelResult, costNs int64)
 	// WantBatch reports whether BatchGet amortizes round trips (false for
 	// degraded or deliberately unbatched clients); it gates the up-front
-	// key derivation of gpu.RunSegmentedCached's prefetch pass.
+	// key derivation of gpu.RunSegmentedEngine's prefetch pass.
 	WantBatch() bool
 	// Stats snapshots the client's wire-level counters.
 	Stats() RemoteStats
@@ -157,7 +157,7 @@ type Cache struct {
 
 	// prefetchMissed remembers keys the last Prefetch batches could not
 	// resolve remotely, so the per-segment miss path skips a pointless
-	// second round trip for them (gpu.RunSegmentedCached prefetches exactly
+	// second round trip for them (gpu.RunSegmentedEngine prefetches exactly
 	// the keys it is about to request). Entries are consumed — removed — by
 	// the first load that sees them, so the set stays bounded by the
 	// in-flight workloads' segment counts.

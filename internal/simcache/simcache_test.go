@@ -1,9 +1,11 @@
 package simcache
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -280,6 +282,150 @@ func TestDiskCorruption(t *testing.T) {
 				t.Fatal("rewritten entry is not valid")
 			}
 		})
+	}
+}
+
+// plantEntry writes raw bytes where key's disk entry lives.
+func plantEntry(t *testing.T, c *Cache, key gpu.SegmentKey, raw []byte) string {
+	t.Helper()
+	path := c.diskPath(key)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestDiskReadLargeEntry: an entry one result past the stack read buffer,
+// and one several buffers long, round-trip through the grown buffer. (Entry
+// lengths are 16 mod 32, buffer lengths 0 mod 32: none ends on a boundary.)
+func TestDiskReadLargeEntry(t *testing.T) {
+	for i, n := range []int{(diskReadBuf-diskHeaderSize-32)/resultWireSize + 1, 5 * diskReadBuf / resultWireSize} {
+		dir := t.TempDir()
+		key := testKey(6, byte(i))
+		want := testResults(n, 0.5)
+		a, err := New(Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.GetOrCompute(key, func() ([]gpu.KernelResult, error) { return want, nil }); err != nil {
+			t.Fatal(err)
+		}
+		b, err := New(Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := b.GetOrCompute(key, func() ([]gpu.KernelResult, error) {
+			t.Fatalf("%d results: compute ran despite a valid disk entry", n)
+			return nil, nil
+		})
+		if err != nil || !sameResults(got, want) {
+			t.Fatalf("%d results: disk round-trip changed the results (%v)", n, err)
+		}
+		if s := b.Stats(); s.DiskHits != 1 || s.DiskErrors != 0 {
+			t.Fatalf("%d results: stats: %s", n, s)
+		}
+	}
+}
+
+// TestDiskReadBadLength covers what only the file's length gives away: a
+// truncated entry and one with bytes after its checksum, below and above the
+// read buffer. Each is a miss, counted in DiskErrors, and removed.
+func TestDiskReadBadLength(t *testing.T) {
+	key := testKey(7, 7)
+	small := EncodeEntry(key, testResults(4, 1))
+	large := EncodeEntry(key, testResults(3*diskReadBuf/resultWireSize, 1))
+	cases := map[string][]byte{
+		"truncated":             small[:len(small)-1],
+		"truncated-header":      small[:diskHeaderSize-3],
+		"empty":                 {},
+		"trailing":              append(append([]byte(nil), small...), 0),
+		"trailing-to-buffer":    append(append([]byte(nil), small...), make([]byte, diskReadBuf-len(small))...),
+		"trailing-past-buffer":  append(append([]byte(nil), small...), make([]byte, 2*diskReadBuf)...),
+		"large-truncated":       large[:len(large)-1],
+		"large-cut-at-buffer":   large[:diskReadBuf],
+		"large-trailing":        append(append([]byte(nil), large...), 0),
+		"large-trailing-a-page": append(append([]byte(nil), large...), make([]byte, 4096)...),
+	}
+	for name, raw := range cases {
+		t.Run(name, func(t *testing.T) {
+			c, err := New(Options{Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := plantEntry(t, c, key, raw)
+			if _, ok := c.readDisk(key); ok {
+				t.Fatal("served from a file of the wrong length")
+			}
+			if s := c.Stats(); s.DiskErrors != 1 {
+				t.Fatalf("stats: %s", s)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("the bad file was not removed (stat: %v)", err)
+			}
+		})
+	}
+}
+
+// TestDiskReadOversizedFile: a file past MaxEntryBytes is a miss that costs
+// a bounded allocation, whatever its header says — an illegal count is never
+// read past the stack buffer, and a legal count that the file outgrows stops
+// one byte after the claim.
+func TestDiskReadOversizedFile(t *testing.T) {
+	key := testKey(8, 8)
+	entry := EncodeEntry(key, testResults(4*diskReadBuf/resultWireSize, 2))
+	lying := append([]byte(nil), entry...)
+	binary.LittleEndian.PutUint64(lying[40:48], 1<<40) // claims 32 TiB of results
+	for name, head := range map[string][]byte{"legal-claim": entry, "illegal-claim": lying, "no-header": nil} {
+		t.Run(name, func(t *testing.T) {
+			c, err := New(Options{Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := plantEntry(t, c, key, head)
+			if err := os.Truncate(path, MaxEntryBytes+4096); err != nil { // sparse: zeros past head
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, ok := c.readDisk(key)
+			runtime.ReadMemStats(&after)
+			if ok {
+				t.Fatal("served from an oversized file")
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(4*len(entry)) {
+				t.Fatalf("reading a %d-byte file allocated %d bytes; the entry it could be is %d", MaxEntryBytes+4096, grew, len(entry))
+			}
+			if s := c.Stats(); s.DiskErrors != 1 {
+				t.Fatalf("stats: %s", s)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("the oversized file was not removed (stat: %v)", err)
+			}
+		})
+	}
+}
+
+// TestDiskHitAllocs pins the read side of a disk hit: the decoded results and
+// the path strings, no buffer sized to the file.
+func TestDiskHitAllocs(t *testing.T) {
+	c, err := New(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testKey(9, 9)
+	c.writeDisk(key, testResults(16, 3))
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, ok := c.readDisk(key); !ok {
+			t.Fatal("miss on a valid entry")
+		}
+	})
+	// Five: the results, and four strings on the way to the path (one more
+	// under the race detector). os.ReadFile added a File, its buffer and more.
+	if allocs > 6 {
+		t.Fatalf("a disk hit allocates %.0f objects, want the results and the path strings", allocs)
 	}
 }
 

@@ -113,6 +113,48 @@ func TestSampleTimeValidation(t *testing.T) {
 	}
 }
 
+// TestSampleRejectsOverflowingTimes: finite times whose variance overflows
+// (σ² of {1, 1e300}) used to come back as a plan with PredictedError = +Inf.
+func TestSampleRejectsOverflowingTimes(t *testing.T) {
+	names := make([]string, 40)
+	times := make([]float64, len(names))
+	for i := range names {
+		names[i], times[i] = "k", 1
+		if i%2 == 1 {
+			times[i] = 1e300
+		}
+	}
+	check := func(what string, plan *Plan, err error) {
+		t.Helper()
+		if err == nil {
+			t.Errorf("%s: accepted with predicted error %v", what, plan.PredictedError)
+		} else if !strings.Contains(err.Error(), "overflow the error model") {
+			t.Errorf("%s: error does not say the times overflow the error model: %v", what, err)
+		}
+	}
+	plan, err := Sample(names, times, Options{})
+	check("Sample", plan, err)
+	plan, err = Sample(names, times, Options{Flat: true})
+	check("Sample/flat", plan, err)
+	plan, err = SampleStream(sliceScanner{names, times}, Options{}, StreamOptions{})
+	check("SampleStream", plan, err)
+
+	sp, err := NewStreamPlanner(Options{}, StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range names {
+		sp.Add(names[i], times[i])
+	}
+	plan, err = sp.Plan()
+	check("StreamPlanner.Plan", plan, err)
+	plan, err = sp.CurrentPlan()
+	check("StreamPlanner.CurrentPlan", plan, err)
+	if _, err := sp.Snapshot(); err == nil {
+		t.Error("StreamPlanner.Snapshot: accepted")
+	}
+}
+
 func checkTimeVerdict(t *testing.T, what string, plan *Plan, err error, ok bool) {
 	t.Helper()
 	switch {
