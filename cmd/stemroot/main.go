@@ -82,7 +82,7 @@ func main() {
 	flag.Float64Var(&cfg.confidence, "confidence", 0.95, "confidence level")
 	flag.Uint64Var(&cfg.seed, "seed", 1, "sampling seed")
 	flag.BoolVar(&cfg.flat, "flat", false, "disable ROOT's hierarchical splitting")
-	flag.BoolVar(&cfg.stream, "stream", false, "single-pass streaming service mode (bounded memory; -profile - reads stdin)")
+	flag.BoolVar(&cfg.stream, "stream", false, "single-pass streaming service mode (bounded memory; -profile - reads stdin; a malformed row is an error naming its line, and so is a stream cut mid-line unless the rest of its time field still parses as a number, which is then the last row)")
 	flag.IntVar(&cfg.snapshot, "snapshot", 0, "with -stream, print a rolling plan snapshot every N invocations (0 = final only)")
 	flag.BoolVar(&cfg.tdist, "tdist", false, "Student-t small-sample correction")
 	flag.IntVar(&cfg.jobs, "j", 0, "worker count (0 = one per CPU, 1 = serial; output is identical)")
@@ -315,8 +315,7 @@ func runStream(cfg cliConfig, opts stemroot.Options, out io.Writer) error {
 	fmt.Fprintf(out, "distinct samples: %d\n", len(plan.SampledIndices()))
 	fmt.Fprintf(out, "predicted error:  %.4f (bound %.2f)\n", plan.PredictedError, plan.Epsilon)
 	fmt.Fprintf(out, "total time:       %.6e us\n", snap.TotalTimeUS)
-	fmt.Fprintf(out, "extrapolated:     %.6e us (gap %+.3f%%)\n",
-		snap.ExtrapolatedUS, 100*(snap.ExtrapolatedUS-snap.TotalTimeUS)/snap.TotalTimeUS)
+	fmt.Fprintf(out, "extrapolated:     %.6e us (gap %+.3f%%)\n", snap.ExtrapolatedUS, gapPct(snap))
 	if snap.DistinctTimeUS > 0 {
 		fmt.Fprintf(out, "expected speedup: %.1fx\n", snap.TotalTimeUS/snap.DistinctTimeUS)
 	}
@@ -339,14 +338,19 @@ func runStream(cfg cliConfig, opts stemroot.Options, out io.Writer) error {
 // (no timestamps), so repeated runs over the same stream are
 // byte-identical.
 func printSnapshot(out io.Writer, s stemroot.Snapshot) {
-	gap := 0.0
-	if s.TotalTimeUS > 0 {
-		gap = 100 * (s.ExtrapolatedUS - s.TotalTimeUS) / s.TotalTimeUS
-	}
 	fmt.Fprintf(out,
 		"snapshot @%d: kernels=%d clusters=%d samples=%d predicted_error=%.4f total_us=%.6e extrapolated_us=%.6e gap=%+.3f%% replans=%d\n",
 		s.Invocations, s.Kernels, s.Clusters, s.TotalSamples, s.PredictedError,
-		s.TotalTimeUS, s.ExtrapolatedUS, gap, s.Replans)
+		s.TotalTimeUS, s.ExtrapolatedUS, gapPct(s), s.Replans)
+}
+
+// gapPct is the extrapolated total's signed gap to the profiled total, in
+// percent; a stream whose times are all zero has no gap.
+func gapPct(s stemroot.Snapshot) float64 {
+	if s.TotalTimeUS <= 0 {
+		return 0
+	}
+	return 100 * (s.ExtrapolatedUS - s.TotalTimeUS) / s.TotalTimeUS
 }
 
 // simulateProfile validates the sampling approach on the cycle-level

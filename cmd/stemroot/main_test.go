@@ -133,6 +133,68 @@ func TestRunStreamStdinDeterministic(t *testing.T) {
 	}
 }
 
+// TestRunStreamAllZeroTimes pins the whole stdout of a stream whose times
+// are all 0: the final summary's gap follows the same rule as the rolling
+// snapshots' (no total, no gap), not 0/0.
+func TestRunStreamAllZeroTimes(t *testing.T) {
+	cfg := baseCfg("-")
+	cfg.stream = true
+	cfg.snapshot = 2
+	cfg.stdin = strings.NewReader("seq,name,time_us\n0,a,0\n1,a,0\n2,b,0\n3,a,0\n")
+	var buf strings.Builder
+	if err := run(cfg, &buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = `snapshot @2: kernels=1 clusters=1 samples=1 predicted_error=0.0000 total_us=0.000000e+00 extrapolated_us=0.000000e+00 gap=+0.000% replans=1
+snapshot @4: kernels=2 clusters=2 samples=2 predicted_error=0.0000 total_us=0.000000e+00 extrapolated_us=0.000000e+00 gap=+0.000% replans=2
+invocations:      4
+kernels:          2
+clusters:         2
+samples (w/repl): 2
+distinct samples: 2
+predicted error:  0.0000 (bound 0.05)
+total time:       0.000000e+00 us
+extrapolated:     0.000000e+00 us (gap +0.000%)
+replans:          3
+`
+	if got := buf.String(); got != want {
+		t.Fatalf("all-zero stream printed:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestRunStreamTruncated is the service-mode contract for a stream that
+// ends mid-line: an error naming the line when the cut leaves no parsable
+// time, the shorter number as the last row when it does.
+func TestRunStreamTruncated(t *testing.T) {
+	const head = "seq,name,time_us\n0,gemm,12.5\n"
+	for _, tc := range []struct {
+		tail    string
+		wantErr string // "" = accepted
+		rows    int
+	}{
+		{"1", "3 fields (line 3)", 0},
+		{"1,re", "3 fields (line 3)", 0},
+		{"1,relu,", `parse time "": `, 0},
+		{"1,relu,7.2e", `parse time "7.2e": `, 0},
+		{"1,relu,7.", "", 2},
+		{"1,relu,7.25\r", "", 2},
+	} {
+		cfg := baseCfg("-")
+		cfg.stream = true
+		cfg.stdin = strings.NewReader(head + tc.tail)
+		var buf strings.Builder
+		err := run(cfg, &buf)
+		switch {
+		case tc.wantErr == "":
+			if err != nil || !strings.Contains(buf.String(), fmt.Sprintf("invocations:      %d\n", tc.rows)) {
+				t.Errorf("stream ending %q: err %v, output:\n%s", tc.tail, err, buf.String())
+			}
+		case err == nil || !strings.Contains(err.Error(), tc.wantErr) || !strings.Contains(err.Error(), "(line 3)"):
+			t.Errorf("stream ending %q: err %v, want one holding %q and the line", tc.tail, err, tc.wantErr)
+		}
+	}
+}
+
 func TestRunStreamMatchesTwoPassPlanJSON(t *testing.T) {
 	// The single-pass service mode and the two-pass SampleStream agree on
 	// the plan for an in-reservoir trace (the equivalence pin, end to

@@ -15,11 +15,13 @@ import (
 // fastscan.go is the profile-CSV decoder — the only one in the package.
 // The hot path, a plain "seq,name,time_us" row with no quoting, is parsed
 // at the []byte level: no strings.Split, no intermediate string
-// conversions, no per-row heap allocation. Quoting is encoding/csv's job:
-// the first line that contains a '"' is handed to encoding/csv together
-// with the rest of the stream (a quoted field may span lines), so the set
-// of accepted inputs and the decoded rows equal encoding/csv's on every
-// input, and a stream without quotes never leaves the fast path.
+// conversions, no per-row heap allocation; rows are split out of the
+// buffered window a window at a time (scanWindow) and their time field is
+// converted by the exact number path of atof.go. Quoting is encoding/csv's
+// job: the first line that contains a '"' is handed to encoding/csv
+// together with the rest of the stream (a quoted field may span lines), so
+// the set of accepted inputs and the decoded rows equal encoding/csv's on
+// every input, and a stream without quotes never leaves the fast path.
 
 // ErrFieldCount reports a data row whose comma count is not exactly three
 // fields.
@@ -81,7 +83,12 @@ func parsePlainRecord(line []byte) (name []byte, timeUS float64, err error) {
 	return rest[:c2], t, nil
 }
 
+// parseTime is strconv's ParseFloat with the exact fast path of atof.go in
+// front: what parseDecimal does not handle, strconv decides.
 func parseTime(field string) (float64, error) {
+	if t, ok := parseDecimal(field); ok {
+		return t, nil
+	}
 	t, err := strconv.ParseFloat(field, 64)
 	if err != nil {
 		return 0, fmt.Errorf("trace: parse time %q: %w", field, err)
@@ -115,6 +122,7 @@ func trimLineEnd(line []byte) []byte {
 // file-based variant.
 type FastCSVReader struct {
 	br      *bufio.Reader
+	line    int               // physical lines consumed on the plain path
 	scratch []byte            // spill buffer for lines longer than the bufio window
 	names   map[string]string // Scan's interning table, at most maxInternedNames
 }
@@ -175,14 +183,21 @@ func (fr *FastCSVReader) readLine() ([]byte, error) {
 // ScanBytes yields every (name, time) row in order. The name slice is only
 // valid during the yield call — the zero-alloc contract: callers that need
 // to retain it must copy (e.g. via an interning symbol table). Blank lines
-// are skipped, matching encoding/csv.
+// are skipped, matching encoding/csv. A row error on the plain path names
+// its 1-based physical line.
 func (fr *FastCSVReader) ScanBytes(yield func(name []byte, timeUS float64) bool) error {
 	inHeader := true
 	for {
+		if !inHeader {
+			if done, err := fr.scanWindow(yield); done {
+				return err
+			}
+		}
 		line, err := fr.readLine()
 		if err != nil {
 			return scanEnd(err, inHeader)
 		}
+		fr.line++
 		if bytes.IndexByte(line, '"') >= 0 {
 			return scanQuoted(io.MultiReader(bytes.NewReader(line), fr.br), inHeader, yield)
 		}
@@ -199,12 +214,55 @@ func (fr *FastCSVReader) ScanBytes(yield func(name []byte, timeUS float64) bool)
 		}
 		name, t, err := parsePlainRecord(line)
 		if err != nil {
-			return err
+			return fr.lineError(err)
 		}
 		if !yield(name, t) {
 			return nil
 		}
 	}
+}
+
+// scanWindow decodes the complete lines already buffered, up to the first
+// quote, straight out of the bufio window: one quote check per window and
+// one newline search per row instead of a ReadSlice per row. It never
+// reads, so on a pipe a row is yielded as soon as its newline is buffered.
+// What it leaves — the line holding a quote, a partial last line, a line
+// longer than the window — is readLine's. done reports that the scan is
+// over (a row error or a yield that returned false).
+func (fr *FastCSVReader) scanWindow(yield func(name []byte, timeUS float64) bool) (done bool, err error) {
+	win, _ := fr.br.Peek(fr.br.Buffered()) // what is buffered cannot fail to peek
+	if q := bytes.IndexByte(win, '"'); q >= 0 {
+		win = win[:q]
+	}
+	used := 0
+	for !done {
+		nl := bytes.IndexByte(win[used:], '\n')
+		if nl < 0 {
+			break
+		}
+		line := win[used : used+nl]
+		used += nl + 1
+		fr.line++
+		if n := len(line); n > 0 && line[n-1] == '\r' {
+			line = line[:n-1]
+		}
+		if len(line) == 0 {
+			continue
+		}
+		name, t, perr := parsePlainRecord(line)
+		if perr != nil {
+			done, err = true, fr.lineError(perr)
+		} else {
+			done = !yield(name, t)
+		}
+	}
+	fr.br.Discard(used) // used ≤ Buffered: cannot fail
+	return done, err
+}
+
+// lineError places a plain-path row error at the line just read.
+func (fr *FastCSVReader) lineError(err error) error {
+	return fmt.Errorf("%w (line %d)", err, fr.line)
 }
 
 // scanEnd is a scan's result once reading fails: running out of rows after

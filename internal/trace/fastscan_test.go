@@ -1,13 +1,21 @@
 package trace
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/csv"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
+
+	"stemroot/internal/servetrace"
 )
 
 func writeTempCSV(t *testing.T, body string) string {
@@ -230,5 +238,186 @@ func TestScanBytesAllocFree(t *testing.T) {
 	// allocations; the 20000 row decodes must contribute zero.
 	if allocs > 10 {
 		t.Fatalf("ScanBytes allocates %v per full scan (want setup-only)", allocs)
+	}
+}
+
+// BenchmarkScanBytes is the decoder alone: serving-trace rows (17-digit
+// times) through ScanBytes with a no-op yield, read through a 1 MiB window
+// the way a file or pipe is.
+func BenchmarkScanBytes(b *testing.B) {
+	const rows = 200_000
+	var data bytes.Buffer
+	if err := servetrace.New(servetrace.Config{Seed: 1, Invocations: rows}).WriteCSV(&data); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(data.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		src := struct{ io.Reader }{bytes.NewReader(data.Bytes())} // hide Len: unknown length, full window
+		if err := NewFastCSVReader(src).ScanBytes(func([]byte, float64) bool { n++; return true }); err != nil || n != rows {
+			b.Fatalf("scanned %d rows of %d: %v", n, rows, err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+}
+
+// refScan is the decoder as encoding/csv and strconv alone would write it:
+// the rows before the first error, and that error.
+func refScan(data []byte) (names []string, times []float64, err error) {
+	cr := csv.NewReader(bytes.NewReader(data))
+	cr.FieldsPerRecord = 3
+	header, err := cr.Read()
+	if err != nil {
+		return nil, nil, err
+	}
+	if header[0] != "seq" || header[1] != "name" || header[2] != "time_us" {
+		return nil, nil, fmt.Errorf("unexpected csv header %v", header)
+	}
+	for {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			return names, times, nil
+		}
+		if err != nil {
+			return names, times, err
+		}
+		t, err := strconv.ParseFloat(rec[2], 64)
+		if err != nil {
+			return names, times, err
+		}
+		names = append(names, rec[1])
+		times = append(times, t)
+	}
+}
+
+// scanAll drains fr, keeping the rows yielded before any error.
+func scanAll(fr *FastCSVReader) (names []string, times []float64, err error) {
+	err = fr.ScanBytes(func(name []byte, v float64) bool {
+		names = append(names, string(name))
+		times = append(times, v)
+		return true
+	})
+	return names, times, err
+}
+
+// chunkReader hands out at most n bytes per Read and hides the length.
+type chunkReader struct {
+	data []byte
+	n    int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if len(c.data) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), c.n)], c.data)
+	c.data = c.data[n:]
+	return n, nil
+}
+
+// TestScanBytesWindowSplitting drives the window splitter through windows
+// far smaller than the input, fed in pieces that do not line up with rows:
+// every combination must yield the rows, and fail where, encoding/csv does.
+func TestScanBytesWindowSplitting(t *testing.T) {
+	long := strings.Repeat("k", 100) // longer than every window below
+	bodies := map[string]string{
+		"straddle, CRLF, blanks, unterminated": "seq,name,time_us\n0,gemm,1.5\r\n\n1,softmax,2.25e-1\n\r\n\n" +
+			strings.Repeat("2,layer_norm,1.9181453074128947\n3,a,4\r\n", 20) + "4,last,7.",
+		"line longer than the window": "seq,name,time_us\n0,a,1\n1," + long + ",2\n2,b,3\n3," + long + ",4",
+		"first quote in a later window": "seq,name,time_us\n" + strings.Repeat("0,plain,1\n", 12) +
+			"1,\"two\nlines, \"\"q\"\"\",2\r\n2,after,3\n\n3,\"x\",4",
+		"bare quote in a later window": "seq,name,time_us\n" + strings.Repeat("0,plain,1\n", 12) + "1,a\"b,2\n2,c,3\n",
+		"short row":                    "seq,name,time_us\n" + strings.Repeat("0,plain,1\n", 9) + "\n1,short\n2,c,3\n",
+		"four fields":                  "seq,name,time_us\n" + strings.Repeat("0,plain,1\n", 9) + "1,a,2,extra\n2,c,3\n",
+		"bad time":                     "seq,name,time_us\n" + strings.Repeat("0,plain,1\n", 9) + "1,a,1e\n2,c,3\n",
+		"cut after the second comma":   "seq,name,time_us\n0,a,1\n1,b,",
+		"header only":                  "seq,name,time_us",
+		"blank lines only after":       "seq,name,time_us\n\n\r\n\n",
+	}
+	for what, body := range bodies {
+		data := []byte(body)
+		wantN, wantT, wantErr := refScan(data)
+		// The whole input as one window is the baseline the pieces must match.
+		oneN, oneT, oneErr := scanAll(NewFastCSVReader(bytes.NewReader(data)))
+		if !reflect.DeepEqual(oneN, wantN) || !reflect.DeepEqual(oneT, wantT) || (oneErr == nil) != (wantErr == nil) {
+			t.Errorf("%s, one window: rows %q %v err %v; encoding/csv: %q %v err %v", what, oneN, oneT, oneErr, wantN, wantT, wantErr)
+		}
+		for _, window := range []int{16, 24, 64} {
+			for _, piece := range []int{1, 7, 16, 1000} {
+				fr := &FastCSVReader{br: bufio.NewReaderSize(&chunkReader{data, piece}, window)}
+				gotN, gotT, err := scanAll(fr)
+				if !reflect.DeepEqual(gotN, oneN) || !reflect.DeepEqual(gotT, oneT) || fmt.Sprint(err) != fmt.Sprint(oneErr) {
+					t.Errorf("%s, window %d, %d-byte reads: rows %q %v err %v; one window: %q %v err %v",
+						what, window, piece, gotN, gotT, err, oneN, oneT, oneErr)
+				}
+			}
+		}
+	}
+}
+
+// TestScanBytesErrorsNameTheLine pins the position a plain-path row error
+// carries — the 1-based physical line, blank lines counted — whichever of
+// the window and line-at-a-time paths meets the row, and that the wrapped
+// error still matches.
+func TestScanBytesErrorsNameTheLine(t *testing.T) {
+	for _, tc := range []struct {
+		body, want string
+		fieldCount bool
+	}{
+		{"seq,name,time_us\n0,a,1\n\n1,short\n", "trace: profile row must have 3 fields (line 4)", true},
+		{"\r\nseq,name,time_us\n0,a,1,extra\n", "trace: profile row must have 3 fields (line 3)", true},
+		{"seq,name,time_us\n0,a,1\n1,b", "trace: profile row must have 3 fields (line 3)", true},
+		{"seq,name,time_us\n0,a,1\n1,b,", `trace: parse time "": strconv.ParseFloat: parsing "": invalid syntax (line 3)`, false},
+		{"seq,name,time_us\n0,a,x\n", `trace: parse time "x": strconv.ParseFloat: parsing "x": invalid syntax (line 2)`, false},
+		{"seq,name,time_us\n0,a,1e999\n", `trace: parse time "1e999": strconv.ParseFloat: parsing "1e999": value out of range (line 2)`, false},
+	} {
+		for _, window := range []int{16, maxWindow} {
+			fr := &FastCSVReader{br: bufio.NewReaderSize(&chunkReader{[]byte(tc.body), 5}, window)}
+			_, _, err := scanAll(fr)
+			if err == nil || err.Error() != tc.want || errors.Is(err, ErrFieldCount) != tc.fieldCount {
+				t.Errorf("window %d, %q: error %v, want %q (ErrFieldCount: %v)", window, tc.body, err, tc.want, tc.fieldCount)
+			}
+		}
+	}
+}
+
+// pipeReader delivers one prepared chunk per Read, like a pipe whose
+// writer flushes now and then, and checks at every Read that the decoder
+// has already yielded each row whose newline it was given: a row must
+// never wait for the window to fill.
+type pipeReader struct {
+	t        *testing.T
+	chunks   []string
+	newlines int // delivered so far, the header's included
+	yielded  int
+}
+
+func (p *pipeReader) Read(b []byte) (int, error) {
+	if p.yielded < p.newlines-1 {
+		p.t.Errorf("Read issued with %d rows yielded of %d delivered", p.yielded, p.newlines-1)
+	}
+	if len(p.chunks) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(b, p.chunks[0])
+	p.newlines += strings.Count(p.chunks[0][:n], "\n")
+	p.chunks = p.chunks[1:]
+	return n, nil
+}
+
+func TestScanBytesYieldsBeforeNextRead(t *testing.T) {
+	p := &pipeReader{t: t, chunks: []string{
+		"seq,name,time_us\n",
+		"0,a,1\n",
+		"1,b,2\n",
+		"2,c,3\n3,d,4\n4,e", // two rows and the start of a third
+		",5\n",
+		"5,f,6\n6,g,7\n",
+		"7,h,8", // unterminated: yielded at end of stream
+	}}
+	err := NewFastCSVReader(p).ScanBytes(func([]byte, float64) bool { p.yielded++; return true })
+	if err != nil || p.yielded != 8 {
+		t.Fatalf("scanned %d rows, err %v", p.yielded, err)
 	}
 }

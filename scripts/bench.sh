@@ -65,7 +65,10 @@
 # (358608457 ns) with the usual 1.25x noise allowance.
 # BenchmarkIncrementalPlan tracks the amortized cost of one re-plan from
 # warm reservoirs (the per-re-plan, not per-invocation, price a serving
-# deployment pays).
+# deployment pays). PR 15 adds the decoder on its own, ungated:
+# BenchmarkScanBytes (serving-trace rows through ScanBytes with a no-op
+# yield; ns/row and MB/s) and BenchmarkParseTime/{fast,strconv} (the exact
+# decimal fast path against strconv.ParseFloat on 17-digit fields).
 #
 # Barrier-merge section (PR 10): BenchmarkMergeEpoch/{uniform,skewed}/
 # {serial,banked-j4} isolates the epoch-barrier merge — the serial loser-tree
@@ -95,6 +98,7 @@ run_bench() {
   run_bench 'BenchmarkRunKernel|BenchmarkMergeEpoch' ./internal/gpu/
   run_bench 'BenchmarkBuildClusters|BenchmarkStreamingPlan|BenchmarkPlanPhoton|BenchmarkPlanPKA' .
   run_bench 'BenchmarkStreamIngest|BenchmarkIncrementalPlan' .
+  run_bench 'BenchmarkScanBytes|BenchmarkParseTime' ./internal/trace/
   run_bench 'BenchmarkRemoteWarm|BenchmarkDSECached' ./internal/cachenet/
 } | tee "$RAW"
 
