@@ -3,8 +3,7 @@
 // paper's premise is that planning must stay lightweight relative to
 // simulation even at HuggingFace trace scale (10^5-10^6 invocations), so
 // these benches exercise ROOT clustering, the streaming planner, and the
-// Photon/PKA baseline planners over suite-shaped profiles. scripts/bench.sh
-// records them into BENCH_PR4.{txt,json}.
+// Photon/PKA baseline planners over suite-shaped profiles.
 package stemroot_test
 
 import (

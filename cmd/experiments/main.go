@@ -29,55 +29,39 @@ import (
 	"io"
 	"log"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
-	"stemroot/internal/cachenet"
+	"stemroot/internal/cliopts"
 	"stemroot/internal/experiments"
-	"stemroot/internal/gpu"
-	"stemroot/internal/metrics"
-	"stemroot/internal/simcache"
 	"stemroot/internal/workloads"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
+	if err := mainErr(); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// mainErr is main's body. It returns its error instead of exiting where the
+// error happens, so the deferred cleanup — the cachenet drain that delivers
+// this run's segments, the stats reports, the profile stop — runs before
+// main exits non-zero.
+func mainErr() error {
 	run := flag.String("run", "table3", "experiment id (or comma list, or 'all')")
 	scale := flag.String("scale", "quick", "quick or paper")
 	seed := flag.Uint64("seed", 1, "seed")
 	reps := flag.Int("reps", 0, "override repetitions (0 = scale default)")
-	jobs := flag.Int("j", 0, "worker count (0 = one per CPU, 1 = serial; results are identical)")
-	engine := flag.String("engine", "exact", "kernel engine: exact (bit-exact event loop) or par (relaxed-sync intra-kernel parallel)")
-	jkernel := flag.Int("jkernel", 0, "intra-kernel workers for -engine par (0 = one per CPU; never changes results)")
-	jmerge := flag.Int("jmerge", 0, "epoch-barrier merge workers for -engine par (0 = follow -jkernel; never changes results)")
-	epoch := flag.Float64("epoch", 0, "epoch length in cycles for -engine par (0 = default; trades accuracy for sync cost)")
-	barrierStats := flag.Bool("barrierstats", true, "print epoch-barrier accounting to stderr after -engine par runs")
-	cacheDir := flag.String("cachedir", "", "persist segment results on disk in this directory (reused across runs)")
-	cacheAddr := flag.String("cacheaddr", "", "share segment results through the cacheserver at this address (host:port)")
-	cacheMB := flag.Int("cachemb", 0, "in-memory segment cache bound in MiB (0 = default 256)")
-	noCache := flag.Bool("nocache", false, "disable the segment-result cache entirely")
-	cacheStats := flag.Bool("cachestats", true, "print per-tier cache counters to stderr on exit")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this path")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this path on exit")
+	var sim cliopts.Flags
+	sim.Register(flag.CommandLine, false)
 	flag.Parse()
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		defer pprof.StopCPUProfile()
+	stop, err := sim.StartProfiles()
+	if err != nil {
+		return err
 	}
-	if *memProfile != "" {
-		defer writeHeapProfile(*memProfile)
-	}
+	defer stop()
 
 	var cfg experiments.Config
 	switch *scale {
@@ -86,75 +70,24 @@ func main() {
 	case "paper":
 		cfg = experiments.PaperScale()
 	default:
-		log.Fatalf("unknown scale %q", *scale)
+		return fmt.Errorf("unknown scale %q", *scale)
 	}
 	cfg.Seed = *seed
-	cfg.Parallelism = *jobs
-	cfg.Engine = *engine
-	cfg.KernelWorkers = *jkernel
-	cfg.MergeWorkers = *jmerge
-	cfg.Epoch = *epoch
 	if *reps > 0 {
 		cfg.Reps = *reps
 	}
-	// Barrier accounting, like cache stats, is stderr-only observability:
-	// stdout stays byte-identical whether or not it is collected.
-	if *barrierStats && cfg.Engine == gpu.EngineModePar {
-		collector := new(metrics.BarrierCollector)
-		cfg.BarrierStats = collector
-		defer func() { log.Print(collector.Snapshot().String()) }()
-	}
-	// The segment cache is on by default: results are bit-identical with and
-	// without it (pinned by the determinism tests), so there is no accuracy
-	// trade-off, only avoided re-simulation. Stats go to stderr so stdout
-	// stays byte-comparable across cached and uncached runs.
-	if !*noCache {
-		var client *cachenet.Client
-		var remote simcache.Remote
-		if *cacheAddr != "" {
-			client = cachenet.New(cachenet.ClientOptions{Addr: *cacheAddr})
-			remote = client
-		}
-		cache, err := simcache.New(simcache.Options{
-			MaxBytes: int64(*cacheMB) << 20,
-			Dir:      *cacheDir,
-			Remote:   remote,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Cache = cache
-		defer func() {
-			// Close drains the pipelined write window, so segments this run
-			// computed are on the server before the process exits — the
-			// handoff that lets the next run start warm — and before the
-			// final counters are printed.
-			if client != nil {
-				client.Close()
-			}
-			if *cacheStats {
-				log.Printf("segment cache: %s", cache.Stats())
-			}
-		}()
-	}
-	if err := runExperiments(cfg, *run, os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// writeHeapProfile records an up-to-date heap profile, the evidence base
-// for allocation-focused perf work (go tool pprof <binary> <path>).
-func writeHeapProfile(path string) {
-	f, err := os.Create(path)
+	opts, finish, err := sim.Options()
 	if err != nil {
-		log.Print(err)
-		return
+		return err
 	}
-	defer f.Close()
-	runtime.GC() // materialize up-to-date allocation statistics
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		log.Print(err)
-	}
+	defer finish()
+	cfg.Parallelism = opts.Workers
+	cfg.Cache = opts.Cache
+	cfg.Engine = opts.Engine
+	cfg.KernelWorkers = opts.KernelWorkers
+	cfg.Epoch = opts.Epoch
+	cfg.BarrierStats = opts.BarrierStats
+	return runExperiments(cfg, *run, os.Stdout)
 }
 
 // runExperiments dispatches the requested experiment ids to their runners,

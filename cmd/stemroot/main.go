@@ -25,49 +25,34 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 
 	"stemroot"
-	"stemroot/internal/cachenet"
-	"stemroot/internal/core"
+	"stemroot/internal/cliopts"
 	"stemroot/internal/gpu"
 	"stemroot/internal/hwmodel"
 	"stemroot/internal/kernelgen"
-	"stemroot/internal/metrics"
 	"stemroot/internal/pipeline"
 	"stemroot/internal/sampling"
-	"stemroot/internal/simcache"
 	"stemroot/internal/trace"
 	"stemroot/internal/workloads"
 )
 
 // cliConfig carries the parsed flags.
 type cliConfig struct {
-	profilePath  string
-	epsilon      float64
-	confidence   float64
-	seed         uint64
-	flat         bool
-	stream       bool
-	snapshot     int
-	tdist        bool
-	jobs         int
-	planOut      string
-	verbose      bool
-	simulate     bool
-	simCalls     int
-	cacheDir     string
-	cacheAddr    string
-	cacheMB      int
-	noCache      bool
-	cacheStats   bool
-	engine       string
-	jkernel      int
-	jmerge       int
-	epoch        float64
-	barrierStats bool
+	profilePath string
+	epsilon     float64
+	confidence  float64
+	seed        uint64
+	flat        bool
+	stream      bool
+	snapshot    int
+	tdist       bool
+	planOut     string
+	verbose     bool
+	simulate    bool
+	simCalls    int
+	sim         cliopts.Flags // -j and the engine, cache and profile flags
 
 	stdin io.Reader // -profile - source; os.Stdin outside tests
 }
@@ -75,7 +60,15 @@ type cliConfig struct {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("stemroot: ")
+	if err := mainErr(); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// mainErr is main's body. It returns its error instead of exiting where the
+// error happens, so the deferred profile stop runs before main exits
+// non-zero.
+func mainErr() error {
 	var cfg cliConfig
 	flag.StringVar(&cfg.profilePath, "profile", "", "profile CSV (seq,name,time_us)")
 	flag.Float64Var(&cfg.epsilon, "epsilon", 0.05, "target relative error bound")
@@ -85,59 +78,21 @@ func main() {
 	flag.BoolVar(&cfg.stream, "stream", false, "single-pass streaming service mode (bounded memory; -profile - reads stdin; a malformed row is an error naming its line, and so is a stream cut mid-line unless the rest of its time field still parses as a number, which is then the last row)")
 	flag.IntVar(&cfg.snapshot, "snapshot", 0, "with -stream, print a rolling plan snapshot every N invocations (0 = final only)")
 	flag.BoolVar(&cfg.tdist, "tdist", false, "Student-t small-sample correction")
-	flag.IntVar(&cfg.jobs, "j", 0, "worker count (0 = one per CPU, 1 = serial; output is identical)")
 	flag.StringVar(&cfg.planOut, "o", "", "write the sampling plan as JSON to this path")
 	flag.BoolVar(&cfg.verbose, "v", false, "print every cluster")
 	flag.BoolVar(&cfg.simulate, "simulate", false, "validate the plan on the cycle-level simulator (synthetic workload reconstructed from the profile)")
 	flag.IntVar(&cfg.simCalls, "simcalls", 256, "cap on simulated invocations in -simulate mode")
-	flag.StringVar(&cfg.cacheDir, "cachedir", "", "persist -simulate segment results on disk in this directory (reused across runs)")
-	flag.StringVar(&cfg.cacheAddr, "cacheaddr", "", "share -simulate segment results through the cacheserver at this address (host:port)")
-	flag.IntVar(&cfg.cacheMB, "cachemb", 0, "in-memory segment cache bound in MiB (0 = default 256)")
-	flag.BoolVar(&cfg.noCache, "nocache", false, "disable the segment-result cache in -simulate mode")
-	flag.BoolVar(&cfg.cacheStats, "cachestats", true, "print per-tier cache counters to stderr after -simulate")
-	flag.StringVar(&cfg.engine, "engine", "exact", "-simulate kernel engine: exact (bit-exact event loop) or par (relaxed-sync intra-kernel parallel)")
-	flag.IntVar(&cfg.jkernel, "jkernel", 0, "intra-kernel workers for -engine par (0 = one per CPU; never changes results)")
-	flag.IntVar(&cfg.jmerge, "jmerge", 0, "epoch-barrier merge workers for -engine par (0 = follow -jkernel; never changes results)")
-	flag.Float64Var(&cfg.epoch, "epoch", 0, "epoch length in cycles for -engine par (0 = default; trades accuracy for sync cost)")
-	flag.BoolVar(&cfg.barrierStats, "barrierstats", true, "print epoch-barrier accounting to stderr after -engine par -simulate runs")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this path")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this path on exit")
+	cfg.sim.Register(flag.CommandLine, true)
 	flag.Parse()
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		defer pprof.StopCPUProfile()
+	stop, err := cfg.sim.StartProfiles()
+	if err != nil {
+		return err
 	}
-	if *memProfile != "" {
-		defer writeHeapProfile(*memProfile)
-	}
+	defer stop()
 
 	cfg.stdin = os.Stdin
-	if err := run(cfg, os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// writeHeapProfile records an up-to-date heap profile, the evidence base
-// for allocation-focused perf work (go tool pprof <binary> <path>).
-func writeHeapProfile(path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Print(err)
-		return
-	}
-	defer f.Close()
-	runtime.GC() // materialize up-to-date allocation statistics
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		log.Print(err)
-	}
+	return run(cfg, os.Stdout)
 }
 
 func run(cfg cliConfig, out io.Writer) error {
@@ -150,7 +105,7 @@ func run(cfg cliConfig, out io.Writer) error {
 		Seed:         cfg.seed,
 		Flat:         cfg.flat,
 		SmallSampleT: cfg.tdist,
-		Parallelism:  cfg.jobs,
+		Parallelism:  cfg.sim.Jobs,
 	}
 
 	if cfg.stream {
@@ -216,7 +171,7 @@ func run(cfg cliConfig, out io.Writer) error {
 	}
 
 	if cfg.simulate {
-		if err := simulateProfile(cfg, names, times, out); err != nil {
+		if err := simulateProfile(cfg, opts, names, times, out); err != nil {
 			return err
 		}
 	}
@@ -356,50 +311,21 @@ func gapPct(s stemroot.Snapshot) float64 {
 // simulateProfile validates the sampling approach on the cycle-level
 // simulator: it reconstructs a simulatable workload from the profile
 // (workloads.FromProfile — deterministic in the profile and seed), computes
-// ground truth with a full simulation, replans with STEM+ROOT, and scores
-// the plan's estimate against the truth. The segment cache makes repeat
-// validations cheap: with -cachedir, a second run of the same profile serves
-// its full simulation from disk instead of re-simulating.
-func simulateProfile(cfg cliConfig, names []string, times []float64, out io.Writer) error {
+// ground truth with a full simulation, replans with STEM+ROOT under the same
+// options the printed plan was built from, and scores the plan's estimate
+// against the truth. The segment cache makes repeat validations cheap: with
+// -cachedir, a second run of the same profile serves its full simulation
+// from disk instead of re-simulating.
+func simulateProfile(cfg cliConfig, planOpts stemroot.Options, names []string, times []float64, out io.Writer) error {
 	w := workloads.ReduceForSim(
 		workloads.FromProfile(filepath.Base(cfg.profilePath), names, times, cfg.seed),
 		cfg.simCalls, 64)
 
-	opts := pipeline.Options{
-		Workers: cfg.jobs,
-		Engine:  cfg.engine, KernelWorkers: cfg.jkernel,
-		MergeWorkers: cfg.jmerge, Epoch: cfg.epoch,
+	opts, finish, err := cfg.sim.Options()
+	if err != nil {
+		return err
 	}
-	if cfg.barrierStats && cfg.engine == gpu.EngineModePar {
-		// Stderr-only observability, like cache stats: stdout stays
-		// byte-comparable whether or not accounting is collected.
-		collector := new(metrics.BarrierCollector)
-		opts.BarrierStats = collector
-		defer func() { log.Print(collector.Snapshot().String()) }()
-	}
-	var sc *simcache.Cache
-	var client *cachenet.Client
-	if !cfg.noCache {
-		var remote simcache.Remote
-		if cfg.cacheAddr != "" {
-			client = cachenet.New(cachenet.ClientOptions{Addr: cfg.cacheAddr})
-			// Close drains the pipelined write window so this run's computed
-			// segments reach the server before the process exits. Idempotent:
-			// the stats path below closes earlier to finalize the counters.
-			defer client.Close()
-			remote = client
-		}
-		var err error
-		sc, err = simcache.New(simcache.Options{
-			MaxBytes: int64(cfg.cacheMB) << 20,
-			Dir:      cfg.cacheDir,
-			Remote:   remote,
-		})
-		if err != nil {
-			return err
-		}
-		opts.Cache = sc
-	}
+	defer finish()
 
 	gcfg := gpu.Baseline()
 	lim := kernelgen.DSELimits()
@@ -407,32 +333,18 @@ func simulateProfile(cfg cliConfig, names []string, times []float64, out io.Writ
 	if err != nil {
 		return err
 	}
-	p := core.DefaultParams()
-	p.Epsilon = cfg.epsilon
-	p.Confidence = cfg.confidence
-	p.Seed = cfg.seed
-	p.SmallSampleT = cfg.tdist
-	p.Workers = cfg.jobs
-	stem := &sampling.STEMRoot{Params: p}
+	stem := &sampling.STEMRoot{Params: planOpts.Params()}
 	r, err := pipeline.RunOpt(w, hwmodel.RTX2080, stem, gcfg, lim, full, opts)
 	if err != nil {
 		return err
 	}
 
 	fmt.Fprintf(out, "\nsimulator validation (reconstructed workload, %d invocations):\n", w.Len())
+	fmt.Fprintf(out, "  samples:          %d\n", r.Outcome.Samples)
 	fmt.Fprintf(out, "  full cycles:      %.4e\n", r.FullCycles)
 	fmt.Fprintf(out, "  estimated cycles: %.4e\n", r.EstimateCycles)
 	fmt.Fprintf(out, "  measured error:   %.3f%% (bound %.2f)\n", r.Outcome.ErrorPct, cfg.epsilon)
 	fmt.Fprintf(out, "  sim speedup:      %.1fx\n", r.Outcome.Speedup)
-	if sc != nil && cfg.cacheStats {
-		// Drain the write window first so the counters are final; stats go
-		// to stderr so stdout stays byte-comparable across cached and
-		// uncached runs.
-		if client != nil {
-			client.Close()
-		}
-		log.Printf("segment cache: %s", sc.Stats())
-	}
 	return nil
 }
 

@@ -8,8 +8,12 @@ import (
 	"testing"
 
 	"stemroot"
+	"stemroot/internal/core"
+	"stemroot/internal/hwmodel"
 	"stemroot/internal/rng"
+	"stemroot/internal/sampling"
 	"stemroot/internal/trace"
+	"stemroot/internal/workloads"
 )
 
 // writeProfile emits a synthetic profile CSV with two well-separated gemm
@@ -74,6 +78,44 @@ func TestRunStreamingMatches(t *testing.T) {
 	}
 	if !strings.Contains(str.String(), "invocations:      3000") {
 		t.Fatalf("streaming output wrong:\n%s", str.String())
+	}
+}
+
+// clusterCount extracts the summary's cluster count.
+func clusterCount(t *testing.T, out string) int {
+	t.Helper()
+	const label = "clusters:         "
+	i := strings.Index(out, label)
+	if i < 0 {
+		t.Fatalf("no cluster count in:\n%s", out)
+	}
+	var n int
+	if _, err := fmt.Sscanf(out[i+len(label):], "%d", &n); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestRunStreamFlat: -flat means the same plan shape on the streaming path
+// as on the batch path — one cluster per kernel name on a profile that fits
+// its reservoirs — instead of being silently dropped.
+func TestRunStreamFlat(t *testing.T) {
+	profile := writeProfile(t, 3000)
+	count := func(stream, flat bool) int {
+		cfg := baseCfg(profile)
+		cfg.stream, cfg.flat = stream, flat
+		var buf strings.Builder
+		if err := run(cfg, &buf); err != nil {
+			t.Fatal(err)
+		}
+		return clusterCount(t, buf.String())
+	}
+	batchFlat, streamRoot := count(false, true), count(true, false)
+	if batchFlat != 2 || streamRoot <= batchFlat {
+		t.Fatalf("profile should split under ROOT: batch -flat %d clusters, -stream %d", batchFlat, streamRoot)
+	}
+	if got := count(true, true); got != batchFlat {
+		t.Fatalf("-stream -flat: %d clusters, batch -flat: %d", got, batchFlat)
 	}
 }
 
@@ -328,15 +370,15 @@ func TestRunSimulate(t *testing.T) {
 	cfg := baseCfg(profile)
 	cfg.simulate = true
 	cfg.simCalls = 48
-	cfg.cacheDir = cacheDir
-	cfg.jobs = 1
+	cfg.sim.CacheDir = cacheDir
+	cfg.sim.Jobs = 1
 
 	var first, second strings.Builder
 	if err := run(cfg, &first); err != nil {
 		t.Fatal(err)
 	}
 	out := first.String()
-	for _, want := range []string{"simulator validation", "full cycles", "measured error", "sim speedup"} {
+	for _, want := range []string{"simulator validation", "samples:", "full cycles", "measured error", "sim speedup"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
@@ -352,6 +394,53 @@ func TestRunSimulate(t *testing.T) {
 	entries, err := filepath.Glob(filepath.Join(cacheDir, "*", "*"))
 	if err != nil || len(entries) == 0 {
 		t.Fatalf("no disk cache entries written (%v)", err)
+	}
+}
+
+// TestRunSimulateFlat: -simulate -flat validates the flat plan it printed,
+// not a hierarchical one — the validation block's sample count is what a
+// flat STEM plan samples on the reconstructed workload.
+func TestRunSimulateFlat(t *testing.T) {
+	// Two gemm contexts far enough apart, and long enough, to survive the
+	// reconstruction's work floor as two modes on the simulator.
+	profile := filepath.Join(t.TempDir(), "bimodal.csv")
+	var csv strings.Builder
+	csv.WriteString("seq,name,time_us\n")
+	for i := 0; i < 96; i++ {
+		fmt.Fprintf(&csv, "%d,gemm,%d\n", i, 40000+80000*(i%2))
+	}
+	if err := os.WriteFile(profile, []byte(csv.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := baseCfg(profile)
+	cfg.simulate = true
+	cfg.simCalls = 96
+	cfg.flat = true
+	cfg.sim.NoCache = true
+	var buf strings.Builder
+	if err := run(cfg, &buf); err != nil {
+		t.Fatal(err)
+	}
+
+	names, times, err := readProfileFile(profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := workloads.ReduceForSim(workloads.FromProfile(filepath.Base(profile), names, times, cfg.seed), cfg.simCalls, 64)
+	prof := hwmodel.New(hwmodel.RTX2080, w.Seed).Profile(w)
+	samples := func(flat bool) int {
+		plan, err := (&sampling.STEMRoot{Params: core.DefaultParams(), Flat: flat}).Plan(w, prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(plan.SampledIndices())
+	}
+	flat, root := samples(true), samples(false)
+	if flat == root {
+		t.Fatalf("profile does not tell flat from hierarchical: both sample %d", flat)
+	}
+	if want := fmt.Sprintf("  samples:          %d\n", flat); !strings.Contains(buf.String(), want) {
+		t.Fatalf("validation block does not report the flat plan's %d samples (hierarchical: %d):\n%s", flat, root, buf.String())
 	}
 }
 

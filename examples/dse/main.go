@@ -48,11 +48,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		full, err := pipeline.FullSim(w, cfg, lim)
+		full, err := pipeline.FullSimOpt(w, cfg, lim, pipeline.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := pipeline.Run(w, hwmodel.RTX2080, stem, cfg, lim, full)
+		res, err := pipeline.RunOpt(w, hwmodel.RTX2080, stem, cfg, lim, full, pipeline.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

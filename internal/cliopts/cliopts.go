@@ -1,0 +1,158 @@
+// Package cliopts is the one flag-to-pipeline.Options binder shared by
+// cmd/stemroot and cmd/experiments: the worker, engine, segment-cache and
+// pprof flags, the cache tiers and barrier collector they configure, and
+// the exit-time ordering (drain the remote write window, then report).
+package cliopts
+
+import (
+	"flag"
+	"log"
+	"os"
+	"runtime"
+	"runtime/pprof"
+
+	"stemroot/internal/cachenet"
+	"stemroot/internal/gpu"
+	"stemroot/internal/metrics"
+	"stemroot/internal/pipeline"
+	"stemroot/internal/simcache"
+)
+
+// Flags holds the parsed values of the shared flags. The zero value (what
+// tests build) is an exact-engine run at one worker per CPU with the
+// in-memory cache on and every stderr report off.
+type Flags struct {
+	Jobs          int
+	Engine        string
+	KernelWorkers int
+	Epoch         float64
+	BarrierStats  bool
+	CacheDir      string
+	CacheAddr     string
+	CacheMB       int
+	NoCache       bool
+	CacheStats    bool
+	CPUProfile    string
+	MemProfile    string
+}
+
+// Register declares the shared flags on fs. simulateOnly selects the help
+// wording of a CLI that reaches the simulator only under its -simulate flag
+// (cmd/stemroot) over one whose every run simulates (cmd/experiments);
+// names and defaults are the same for both.
+func (f *Flags) Register(fs *flag.FlagSet, simulateOnly bool) {
+	scope, identical, noCache, statsWhen := "", "results are", "entirely", "on exit"
+	if simulateOnly {
+		scope, identical, noCache, statsWhen = "-simulate ", "output is", "in -simulate mode", "after -simulate"
+	}
+	fs.IntVar(&f.Jobs, "j", 0, "worker count (0 = one per CPU, 1 = serial; "+identical+" identical)")
+	fs.StringVar(&f.Engine, "engine", "exact", scope+"kernel engine: exact (bit-exact event loop) or par (relaxed-sync intra-kernel parallel)")
+	fs.IntVar(&f.KernelWorkers, "jkernel", 0, "intra-kernel workers for -engine par (0 = one per CPU; never changes results)")
+	fs.Float64Var(&f.Epoch, "epoch", 0, "epoch length in cycles for -engine par (0 = default; trades accuracy for sync cost)")
+	fs.BoolVar(&f.BarrierStats, "barrierstats", true, "print epoch-barrier accounting to stderr after -engine par "+scope+"runs")
+	fs.StringVar(&f.CacheDir, "cachedir", "", "persist "+scope+"segment results on disk in this directory (reused across runs)")
+	fs.StringVar(&f.CacheAddr, "cacheaddr", "", "share "+scope+"segment results through the cacheserver at this address (host:port)")
+	fs.IntVar(&f.CacheMB, "cachemb", 0, "in-memory segment cache bound in MiB (0 = default 256)")
+	fs.BoolVar(&f.NoCache, "nocache", false, "disable the segment-result cache "+noCache)
+	fs.BoolVar(&f.CacheStats, "cachestats", true, "print per-tier cache counters to stderr "+statsWhen)
+	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this path")
+	fs.StringVar(&f.MemProfile, "memprofile", "", "write a pprof heap profile to this path on exit")
+}
+
+// StartProfiles starts the -cpuprofile capture. The returned stop writes
+// the -memprofile heap profile and then ends the CPU profile; defer it so
+// both files are complete on every exit path, error returns included.
+func (f *Flags) StartProfiles() (stop func(), err error) {
+	var cpu *os.File
+	if f.CPUProfile != "" {
+		cpu, err = os.Create(f.CPUProfile)
+		if err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() {
+		if f.MemProfile != "" {
+			writeHeapProfile(f.MemProfile)
+		}
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				log.Print(err)
+			}
+		}
+	}, nil
+}
+
+// writeHeapProfile records an up-to-date heap profile, the evidence base
+// for allocation-focused perf work (go tool pprof <binary> <path>).
+func writeHeapProfile(path string) {
+	f, err := os.Create(path)
+	if err != nil {
+		log.Print(err)
+		return
+	}
+	defer f.Close()
+	runtime.GC() // materialize up-to-date allocation statistics
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		log.Print(err)
+	}
+}
+
+// Options builds the pipeline options the flags describe: the engine, the
+// barrier collector (-engine par with -barrierstats), and the segment cache
+// with its disk and remote tiers unless -nocache. The cache is on by
+// default because results are bit-identical with and without it (pinned by
+// the determinism tests): there is no accuracy trade-off, only avoided
+// re-simulation.
+//
+// finish must run once, after the last simulation and on error paths too.
+// It closes the cachenet client — draining the pipelined write window, so
+// the segments this run computed are on the server before the process exits
+// and before the counters are read — then prints the cache and barrier
+// reports. Both go to stderr so stdout stays byte-comparable across cached,
+// uncached and accounted runs.
+func (f *Flags) Options() (opts pipeline.Options, finish func(), err error) {
+	opts = pipeline.Options{
+		Workers: f.Jobs,
+		Engine:  f.Engine, KernelWorkers: f.KernelWorkers, Epoch: f.Epoch,
+	}
+	if f.BarrierStats && f.Engine == gpu.EngineModePar {
+		opts.BarrierStats = new(metrics.BarrierCollector)
+	}
+	var client *cachenet.Client
+	var cache *simcache.Cache
+	if !f.NoCache {
+		var remote simcache.Remote
+		if f.CacheAddr != "" {
+			client = cachenet.New(cachenet.ClientOptions{Addr: f.CacheAddr})
+			remote = client
+		}
+		cache, err = simcache.New(simcache.Options{
+			MaxBytes: int64(f.CacheMB) << 20,
+			Dir:      f.CacheDir,
+			Remote:   remote,
+		})
+		if err != nil {
+			if client != nil {
+				client.Close()
+			}
+			return pipeline.Options{}, nil, err
+		}
+		opts.Cache = cache
+	}
+	return opts, func() {
+		if client != nil {
+			client.Close()
+		}
+		if cache != nil && f.CacheStats {
+			log.Printf("segment cache: %s", cache.Stats())
+		}
+		if c := opts.BarrierStats; c != nil {
+			log.Print(c.Snapshot().String())
+		}
+	}, nil
+}

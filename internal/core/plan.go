@@ -41,19 +41,6 @@ func BuildPlan(names []string, times []float64, p Params) (*Plan, error) {
 	return planFromClusters(BuildClusters(names, times, p), p)
 }
 
-// BuildPlanFlat is the STEM-only variant (no hierarchical splitting):
-// one cluster per kernel name, jointly sized. Exported for the ablation
-// comparing ROOT's fine-grained clustering against name-level clustering.
-func BuildPlanFlat(names []string, times []float64, p Params) (*Plan, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	flat := p
-	flat.MaxDepth = 1
-	flat.MinClusterSize = 1 << 30 // never split
-	return planFromClusters(BuildClusters(names, times, flat), p)
-}
-
 // setBound computes the plan's predicted error from its final sample sizes.
 // Execution times near MaxFloat64 overflow the variance term N²σ² (or the
 // total) to +Inf or NaN; such a value is not a bound, so the plan is refused

@@ -255,7 +255,7 @@ func buildClusters(names []string, times []float64, p Params, workers int) []Clu
 		cursor[id] = c + 1
 	}
 
-	perName, _ := parallel.Map(len(order), workers,
+	perName, _ := parallel.MapStealing(len(order), workers,
 		func(i int) ([]Cluster, error) {
 			a := splitArenas.Get().(*splitArena)
 			defer splitArenas.Put(a)

@@ -176,8 +176,8 @@ func TestBuildClustersAllocs(t *testing.T) {
 		BuildClusters(names, times, p)
 	})
 	// ~20 fixed allocations (maps, order slice, backing array, result) plus a
-	// handful from parallel.Map; anything near the old per-level behavior
-	// (~1 alloc per 10 invocations) trips this immediately.
+	// handful from parallel.MapStealing; anything near the old per-level
+	// behavior (~1 alloc per 10 invocations) trips this immediately.
 	if avg > 100 {
 		t.Fatalf("BuildClusters allocates %.0f objects per run, want <= 100", avg)
 	}

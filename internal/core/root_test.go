@@ -78,7 +78,7 @@ func TestRootSplittingReducesSimTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := BuildPlanFlat(names, times, p)
+	flat, err := BuildPlan(names, times, p.Flat())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestBuildPlanRejectsBadParams(t *testing.T) {
 	if _, err := BuildPlan(names, times, bad); err == nil {
 		t.Fatal("expected parameter error")
 	}
-	if _, err := BuildPlanFlat(names, times, bad); err == nil {
+	if _, err := BuildPlan(names, times, bad.Flat()); err == nil {
 		t.Fatal("expected parameter error (flat)")
 	}
 }
@@ -383,8 +383,8 @@ func TestPlanRejectsOverflowingTimes(t *testing.T) {
 	}
 	plan, err := BuildPlan(names, times, p)
 	check("BuildPlan", plan, err)
-	plan, err = BuildPlanFlat(names, times, p)
-	check("BuildPlanFlat", plan, err)
+	plan, err = BuildPlan(names, times, p.Flat())
+	check("BuildPlan flat", plan, err)
 	plan, err = BuildPlanStream(SliceScanner{Names: names, Times: times}, p, StreamOptions{})
 	check("BuildPlanStream", plan, err)
 

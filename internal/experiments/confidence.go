@@ -43,7 +43,7 @@ func Confidence(cfg Config, runs int) (*ConfidenceResult, error) {
 		Confidence: cfg.Confidence,
 		Runs:       runs,
 	}
-	errPcts, err := parallel.Map(runs, parallel.Workers(cfg.Parallelism),
+	errPcts, err := parallel.MapStealing(runs, parallel.Workers(cfg.Parallelism),
 		func(r int) (float64, error) {
 			stem := &sampling.STEMRoot{Params: cfg.stemParams(cfg.Seed + uint64(r)*2654435761)}
 			plan, err := stem.Plan(w, prof)

@@ -15,8 +15,8 @@
 // within each variant) use parallel.MapStealing, because workload costs are
 // heavily skewed — one HuggingFace workload outweighs many Rodinia ones —
 // and work stealing rebalances stragglers that static assignment would
-// serialize behind; Confidence fans out across uniform-cost runs on plain
-// parallel.Map. The simulator-bound runners additionally inherit the
+// serialize behind; Confidence fans out across uniform-cost runs the same
+// way. The simulator-bound runners additionally inherit the
 // pipeline's per-segment work-stealing kernel parallelism. Every work unit
 // derives its own seeds and constructs its own method/profiler instances,
 // and partial results are folded in fixed unit order, so runner output is
@@ -70,10 +70,6 @@ type Config struct {
 	// KernelWorkers is the intra-kernel worker count for the par engine
 	// (<= 0: one per CPU). Ignored in exact mode; never affects results.
 	KernelWorkers int
-	// MergeWorkers is the par engine's epoch-barrier merge worker count
-	// (<= 0: follows KernelWorkers). Ignored in exact mode; never affects
-	// results.
-	MergeWorkers int
 	// Epoch is the par engine's epoch length in simulated cycles (<= 0:
 	// gpu.DefaultEpoch). Ignored in exact mode.
 	Epoch float64
@@ -87,8 +83,7 @@ func (c Config) pipelineOpts() pipeline.Options {
 	return pipeline.Options{
 		Workers: c.Parallelism, Cache: c.Cache,
 		Engine: c.Engine, KernelWorkers: c.KernelWorkers,
-		MergeWorkers: c.MergeWorkers, Epoch: c.Epoch,
-		BarrierStats: c.BarrierStats,
+		Epoch: c.Epoch, BarrierStats: c.BarrierStats,
 	}
 }
 
@@ -100,8 +95,7 @@ func (c Config) serialSimOpts() pipeline.Options {
 	return pipeline.Options{
 		Workers: 1, Cache: c.Cache,
 		Engine: c.Engine, KernelWorkers: c.KernelWorkers,
-		MergeWorkers: c.MergeWorkers, Epoch: c.Epoch,
-		BarrierStats: c.BarrierStats,
+		Epoch: c.Epoch, BarrierStats: c.BarrierStats,
 	}
 }
 

@@ -58,8 +58,8 @@ type EpochSweepResult struct {
 }
 
 // DefaultPoint returns the sweep point at gpu.DefaultEpoch — the accuracy
-// contract the default par configuration ships with (bench.sh gates on its
-// MaxErrorPct).
+// contract the default par configuration ships with (TestEpochSweep holds
+// its MaxErrorPct under 2 %).
 func (r *EpochSweepResult) DefaultPoint() EpochSweepPoint {
 	for _, p := range r.Points {
 		if p.Default {
@@ -82,7 +82,7 @@ func (r *EpochSweepResult) DefaultPoint() EpochSweepPoint {
 // — only the Speedup column is a wall-clock measurement. cfg.Engine and
 // cfg.Epoch are ignored: the sweep sets the engine itself. The shared
 // segment cache applies; exact and par passes never share entries
-// (gpu.KeyForSegmentEngine), so caching cannot mix the two engines'
+// (gpu.KeyForSegmentEngineAppend), so caching cannot mix the two engines'
 // results — but a cache pre-warmed by an earlier run does make the Speedup
 // column meaningless.
 func EpochSweep(cfg Config) (*EpochSweepResult, error) {
@@ -117,8 +117,7 @@ func EpochSweep(cfg Config) (*EpochSweepResult, error) {
 		par, parSec, err := totals(pipeline.Options{
 			Workers: 1, Cache: cfg.Cache,
 			Engine: gpu.EngineModePar, KernelWorkers: cfg.KernelWorkers,
-			MergeWorkers: cfg.MergeWorkers, Epoch: epoch,
-			BarrierStats: &barrier,
+			Epoch: epoch, BarrierStats: &barrier,
 		})
 		if err != nil {
 			return nil, err
@@ -158,7 +157,7 @@ func EpochSweep(cfg Config) (*EpochSweepResult, error) {
 // repo's byte-identical-stdout contract holds for epochsweep at any
 // Parallelism/KernelWorkers — so the wall-clock speedups live in
 // RenderTiming (stderr material, like cache stats). The default-epoch row
-// is starred; its max-error cell is the number bench.sh gates on.
+// is starred; its max-error cell is the number TestEpochSweep bounds.
 func (r *EpochSweepResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Epoch sweep: par-engine error vs exact engine (%d workloads, full sim totals)\n\n", r.Workloads)
@@ -179,7 +178,6 @@ func (r *EpochSweepResult) Render() string {
 	}
 	writeTable(&b, []string{"epoch", "mean err(%)", "max err(%)", "worst workload", "replayed", "misses"}, rows)
 	d := r.DefaultPoint()
-	// New fields append at the end: bench.sh parses this line by position.
 	fmt.Fprintf(&b, "\ndefault epoch %.0f: max error %.3f%% mean %.3f%% across %d workloads replayed %d misses %d\n",
 		d.Epoch, d.MaxErrorPct, d.MeanErrorPct, r.Workloads, d.Replayed, d.Misses)
 	return b.String()

@@ -41,22 +41,20 @@ const (
 //     approximate relative to exact mode, with the error measured by
 //     `experiments -run epochsweep`.
 //
-// Workers, MergeWorkers, and Epoch are ignored in exact mode. In par mode
-// Epoch <= 0 selects DefaultEpoch; Workers <= 0 selects one per CPU;
-// MergeWorkers <= 0 follows Workers (one pool serves shard execution and the
-// barrier merge). Workers and MergeWorkers are deliberately NOT part of the
-// segment cache key (they cannot change results); Epoch is.
+// Workers and Epoch are ignored in exact mode. In par mode Epoch <= 0
+// selects DefaultEpoch and Workers <= 0 selects one per CPU. Workers is
+// deliberately NOT part of the segment cache key (it cannot change
+// results); Epoch is.
 //
 // Barrier, when non-nil, receives per-kernel epoch-barrier accounting from
 // par-mode runs (see metrics.BarrierCollector). It is observability only —
 // no effect on results, keys, or engine equality semantics (normalized
 // clears it in exact mode alongside the other par-only fields).
 type Engine struct {
-	Mode         string
-	Workers      int
-	MergeWorkers int
-	Epoch        float64
-	Barrier      *metrics.BarrierCollector
+	Mode    string
+	Workers int
+	Epoch   float64
+	Barrier *metrics.BarrierCollector
 }
 
 // Validate rejects unknown modes and non-finite epochs. An empty Mode is
@@ -82,7 +80,7 @@ func (e Engine) normalized() Engine {
 		e.Mode = EngineModeExact
 	}
 	if e.Mode == EngineModeExact {
-		e.Workers, e.MergeWorkers, e.Epoch, e.Barrier = 0, 0, 0, nil
+		e.Workers, e.Epoch, e.Barrier = 0, 0, nil
 		return e
 	}
 	if e.Epoch <= 0 {
@@ -102,36 +100,5 @@ func (e Engine) runKernel(sim *Simulator, spec *kernelgen.Spec) KernelResult {
 	if sim.barrier != e.Barrier {
 		sim.SetBarrierCollector(e.Barrier)
 	}
-	return sim.RunKernelParMerge(spec, e.Workers, e.MergeWorkers, e.Epoch)
-}
-
-// KeyForSegmentEngine derives the content address of a replay segment under
-// an engine mode. For the exact engine the encoding — and therefore the key —
-// is byte-identical to KeyForSegment's, so every cache entry ever written by
-// exact-mode runs stays addressable (pinned by TestSegmentKeyGolden and
-// TestSegmentKeyEngineExactMatchesLegacy). Par-mode keys hash
-// ParEngineFingerprint plus the epoch length in front of the same
-// config+spec encoding: a different mode or a different epoch is a different
-// key, while the worker count — which cannot change results — is excluded.
-func KeyForSegmentEngine(cfg Config, specs []kernelgen.Spec, eng Engine) SegmentKey {
-	k, _ := KeyForSegmentEngineAppend(nil, cfg, specs, eng)
-	return k
-}
-
-// KeyForSegmentEngineAppend is KeyForSegmentEngine with a caller-owned
-// scratch buffer, mirroring KeyForSegmentAppend.
-func KeyForSegmentEngineAppend(buf []byte, cfg Config, specs []kernelgen.Spec, eng Engine) (SegmentKey, []byte) {
-	eng = eng.normalized()
-	if eng.exact() {
-		return KeyForSegmentAppend(buf, cfg, specs)
-	}
-	kh := keyHasher{buf: buf[:0]}
-	kh.str(ParEngineFingerprint)
-	kh.f64(eng.Epoch)
-	kh.writeConfig(&cfg)
-	kh.u64(uint64(len(specs)))
-	for i := range specs {
-		kh.writeSpec(&specs[i])
-	}
-	return kh.sum(), kh.buf
+	return sim.RunKernelPar(spec, e.Workers, e.Epoch)
 }

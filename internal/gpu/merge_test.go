@@ -1,14 +1,12 @@
 package gpu
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"testing"
 
 	"stemroot/internal/kernelgen"
-	"stemroot/internal/parallel"
 )
 
 // refMergeEpochLinear is the preserved-reference barrier merge: the
@@ -16,9 +14,9 @@ import (
 // per access (strict `<`, so ties go to the lower SM id), replay against
 // the shared L2 and global DRAM queue in (timestamp, SM-id) order, inline
 // shadow-MSHR acquires and correction accumulation, then the per-shard
-// correction sweep. The production merge (serial loser-tree and banked
-// three-phase alike) must be bit-identical to this for every input; the
-// oracle tests below swap it in through the parEngine.testMerge hook.
+// correction sweep. The production loser-tree merge must be bit-identical
+// to this for every input; the oracle tests below swap it in through the
+// parEngine.testMerge hook.
 func refMergeEpochLinear(s *Simulator, k *kernelConsts, dramFree float64) float64 {
 	shards := s.shards
 	heads := s.par.heads
@@ -78,62 +76,6 @@ func refMergeEpochLinear(s *Simulator, k *kernelConsts, dramFree float64) float6
 	return dramFree
 }
 
-// refMergeEpochLinearRecord is refMergeEpochLinear instrumented to record
-// each access's true fill latency, keyed by (SM, buffer index) — the
-// classification record the banked-replay property test compares against.
-func refMergeEpochLinearRecord(s *Simulator, k *kernelConsts, dramFree float64, rec map[[2]int]float64) float64 {
-	shards := s.shards
-	heads := s.par.heads
-	for {
-		best := -1
-		var bt float64
-		for sm := range shards {
-			i := heads[sm]
-			if i >= len(shards[sm].acc) {
-				continue
-			}
-			if t := shards[sm].acc[i].t; best < 0 || t < bt {
-				best, bt = sm, t
-			}
-		}
-		if best < 0 {
-			break
-		}
-		idx := heads[best]
-		a := shards[best].acc[idx]
-		heads[best]++
-		trueFill := k.l2Fill
-		if !s.l2.Access(a.addr) {
-			queue := dramFree - a.t
-			if queue < 0 {
-				queue = 0
-			}
-			if dramFree < a.t {
-				dramFree = a.t
-			}
-			dramFree += k.dramService
-			trueFill = k.dramLat + queue
-		}
-		rec[[2]int{best, idx}] = trueFill
-		trueIssue := s.par.shadow[best].acquire(a.t, trueFill, k.mshrCap)
-		trueLat := (trueIssue - a.t) + trueFill
-		shards[best].corr[a.slot] += k.depFrac * (trueLat - a.lat)
-	}
-	for sm := range shards {
-		sh := &shards[sm]
-		if len(sh.acc) > 0 {
-			s.mshrs[sm].release, s.par.shadow[sm].release =
-				s.par.shadow[sm].release, s.mshrs[sm].release
-			for i := range sh.corr {
-				sh.corr[i] = 0
-			}
-		}
-		sh.acc = sh.acc[:0]
-		heads[sm] = 0
-	}
-	return dramFree
-}
-
 // hookMerge installs an oracle merge on a simulator, initializing the par
 // arena exactly as RunKernelPar's lazy path would.
 func hookMerge(s *Simulator, fn func(k *kernelConsts, dramFree float64) float64) {
@@ -157,9 +99,8 @@ var mergeOracleSpecs = []*kernelgen.Spec{
 
 // TestMergeEpochMatchesReferenceLinearScan is the tentpole oracle: across
 // configurations, kernel sequences (warm L2 and warm arenas), epochs, and
-// worker counts, the production merge — serial loser-tree at j1, banked
-// three-phase under merge workers — must produce bit-identical kernel
-// results to the preserved-reference linear-scan merge.
+// worker counts, the production loser-tree merge must produce bit-identical
+// kernel results to the preserved-reference linear-scan merge.
 func TestMergeEpochMatchesReferenceLinearScan(t *testing.T) {
 	unclampProcsMerge(t, 8)
 	for _, variant := range []string{"baseline", "cache_half", "sm_half"} {
@@ -176,7 +117,7 @@ func TestMergeEpochMatchesReferenceLinearScan(t *testing.T) {
 				got := mustSim(t, cfg)
 				for ki, spec := range mergeOracleSpecs {
 					want := ref.RunKernelPar(spec, 1, epoch)
-					have := got.RunKernelParMerge(spec, workers, workers, epoch)
+					have := got.RunKernelPar(spec, workers, epoch)
 					if have != want {
 						t.Fatalf("%s epoch=%v workers=%d kernel=%d: %+v != reference %+v",
 							variant, epoch, workers, ki, have, want)
@@ -196,37 +137,22 @@ func TestMergeEpochMatchesReferenceLinearScan(t *testing.T) {
 	}
 }
 
-// mergeHarness builds a Simulator whose par arena is primed for direct
-// merge-level calls: constants hoisted, bank geometry fixed for mw merge
-// workers, phase closures bound, and a live pool. populate fills the shard
+// newMergeSim returns a Simulator whose par arena is primed for direct
+// merge-level calls (constants hoisted). populateMerge fills the shard
 // buffers; the caller then invokes a merge and inspects state.
-type mergeHarness struct {
-	s    *Simulator
-	pool *parallel.Pool
-}
-
-func newMergeHarness(t testing.TB, cfg Config, nw, mw int) *mergeHarness {
+func newMergeSim(t testing.TB, cfg Config) *Simulator {
 	s := mustSim(t, cfg)
 	s.ensurePar()
 	s.setConsts(mergeOracleSpecs[0])
-	s.parSetupMerge(nw, mw)
-	s.parBindPhases()
-	poolW := nw
-	if mw > poolW {
-		poolW = mw
-	}
-	pool := parallel.NewPool(poolW, nil)
-	s.par.pool = pool
-	t.Cleanup(pool.Close)
-	return &mergeHarness{s: s, pool: pool}
+	return s
 }
 
-// populate loads identical synthetic access buffers into the harness:
+// populateMerge loads synthetic access buffers into the simulator:
 // accesses[sm] lists (t ascending within each SM). Warp-slot corrections
 // are sized to the highest slot used.
-func (h *mergeHarness) populate(accesses [][]parAccess) {
-	for sm := range h.s.shards {
-		sh := &h.s.shards[sm]
+func populateMerge(s *Simulator, accesses [][]parAccess) {
+	for sm := range s.shards {
+		sh := &s.shards[sm]
 		sh.acc = append(sh.acc[:0], accesses[sm]...)
 		maxSlot := 0
 		for _, a := range accesses[sm] {
@@ -237,19 +163,15 @@ func (h *mergeHarness) populate(accesses [][]parAccess) {
 		for len(sh.corr) <= maxSlot {
 			sh.corr = append(sh.corr, 0)
 		}
-		h.s.par.shadow[sm].release = h.s.par.shadow[sm].release[:0]
-		h.s.mshrs[sm].release = h.s.mshrs[sm].release[:0]
-		if h.s.par.wantBanked && len(sh.acc) > 0 {
-			h.s.bucketShard(sm)
-		}
+		s.par.shadow[sm].release = s.par.shadow[sm].release[:0]
+		s.mshrs[sm].release = s.mshrs[sm].release[:0]
 	}
 }
 
 // synthAccesses generates per-SM time-ordered access streams. singleBank
-// confines every address to L2 set 0 — the degenerate stream that must
-// serialize through one bank without deadlock or reorder. Includes
-// cross-SM timestamp ties (quantized times) to exercise the SM-id
-// tie-break.
+// confines every address to L2 set 0 — the degenerate stream where every
+// access contends for one set's ways. Includes cross-SM timestamp ties
+// (quantized times) to exercise the SM-id tie-break.
 func synthAccesses(cfg Config, perSM int, seed int64, singleBank bool) [][]parAccess {
 	rng := rand.New(rand.NewSource(seed))
 	setStride := uint64(cfg.L2.LineBytes) // consecutive lines, consecutive sets
@@ -279,110 +201,70 @@ func synthAccesses(cfg Config, perSM int, seed int64, singleBank bool) [][]parAc
 	return out
 }
 
-// runMergePair runs the banked merge and the reference linear-scan merge on
-// identically populated harnesses and compares everything observable:
-// returned DRAM queue, L2 hit/miss counters, post-merge L2 residency, the
-// swapped-in MSHR release heaps, and — the per-access classification
-// property — every access's true fill latency.
-func runMergePair(t *testing.T, cfg Config, mw int, accesses [][]parAccess, warm []uint64) {
+// runMergePair runs the production merge and the reference linear-scan
+// merge on identically populated harnesses and compares everything
+// observable: returned DRAM queue, L2 hit/miss counters, post-merge L2
+// residency, and the swapped-in MSHR release heaps (which carry every
+// access's true fill latency through the shadow file's acquire outcomes).
+func runMergePair(t *testing.T, cfg Config, accesses [][]parAccess, warm []uint64) {
 	t.Helper()
-	banked := newMergeHarness(t, cfg, 1, mw)
-	ref := newMergeHarness(t, cfg, 1, 1)
+	got := newMergeSim(t, cfg)
+	ref := newMergeSim(t, cfg)
 	for _, addr := range warm {
-		banked.s.l2.Access(addr)
-		ref.s.l2.Access(addr)
+		got.l2.Access(addr)
+		ref.l2.Access(addr)
 	}
-	banked.populate(accesses)
-	ref.populate(accesses)
+	populateMerge(got, accesses)
+	populateMerge(ref, accesses)
 
-	total := 0
-	for _, a := range accesses {
-		total += len(a)
-	}
-	rec := make(map[[2]int]float64, total)
 	const dramSeed = 123.5
-	wantDram := refMergeEpochLinearRecord(ref.s, &ref.s.k, dramSeed, rec)
-	if !banked.s.par.wantBanked {
-		t.Fatal("harness did not arm the banked path")
-	}
-	gotDram := banked.s.mergeEpochBanked(&banked.s.k, dramSeed, total)
+	wantDram := refMergeEpochLinear(ref, &ref.k, dramSeed)
+	gotDram := got.mergeEpochSerial(&got.k, dramSeed)
 
 	if gotDram != wantDram {
-		t.Fatalf("mw=%d: dramFree %v != reference %v", mw, gotDram, wantDram)
+		t.Fatalf("dramFree %v != reference %v", gotDram, wantDram)
 	}
-	if banked.s.l2.Hits != ref.s.l2.Hits || banked.s.l2.Misses != ref.s.l2.Misses {
-		t.Fatalf("mw=%d: L2 stats (%d,%d) != reference (%d,%d)",
-			mw, banked.s.l2.Hits, banked.s.l2.Misses, ref.s.l2.Hits, ref.s.l2.Misses)
+	if got.l2.Hits != ref.l2.Hits || got.l2.Misses != ref.l2.Misses {
+		t.Fatalf("L2 stats (%d,%d) != reference (%d,%d)",
+			got.l2.Hits, got.l2.Misses, ref.l2.Hits, ref.l2.Misses)
 	}
 	for sm := range accesses {
-		for i, a := range accesses[sm] {
-			want := rec[[2]int{sm, i}]
-			got := banked.s.shards[sm].fill[i]
-			if got != want {
-				t.Fatalf("mw=%d: sm=%d access=%d trueFill %v != reference %v (addr %#x t %v)",
-					mw, sm, i, got, want, a.addr, a.t)
-			}
-		}
 		// Residency after the merge must agree for every touched line.
 		for _, a := range accesses[sm] {
-			if g, w := banked.s.l2.Probe(a.addr), ref.s.l2.Probe(a.addr); g != w {
-				t.Fatalf("mw=%d: sm=%d addr=%#x residency %v != reference %v", mw, sm, a.addr, g, w)
+			if g, w := got.l2.Probe(a.addr), ref.l2.Probe(a.addr); g != w {
+				t.Fatalf("sm=%d addr=%#x residency %v != reference %v", sm, a.addr, g, w)
 			}
 		}
 		// The swapped-in MSHR state (the shadow file's acquire outcomes).
-		g, w := banked.s.mshrs[sm].release, ref.s.mshrs[sm].release
+		g, w := got.mshrs[sm].release, ref.mshrs[sm].release
 		if len(g) != len(w) {
-			t.Fatalf("mw=%d: sm=%d mshr heap size %d != reference %d", mw, sm, len(g), len(w))
+			t.Fatalf("sm=%d mshr heap size %d != reference %d", sm, len(g), len(w))
 		}
 		for i := range g {
 			if g[i] != w[i] {
-				t.Fatalf("mw=%d: sm=%d mshr heap[%d] %v != reference %v", mw, sm, i, g[i], w[i])
+				t.Fatalf("sm=%d mshr heap[%d] %v != reference %v", sm, i, g[i], w[i])
 			}
-		}
-	}
-}
-
-// TestMergeBankedMatchesSerial is the banked replay's classification
-// property test: on synthetic shard buffers (uniform and single-set mixes,
-// warm and cold L2, timestamp ties across SMs) the three-phase banked merge
-// must classify every access — hit vs miss, and the exact fill latency —
-// identically to the reference serial replay, for merge-worker counts on
-// both sides of the bank count.
-func TestMergeBankedMatchesSerial(t *testing.T) {
-	unclampProcsMerge(t, 8)
-	cfg := Baseline()
-	warm := make([]uint64, 0, 512)
-	for i := 0; i < 512; i++ {
-		warm = append(warm, uint64(i*3)*uint64(cfg.L2.LineBytes))
-	}
-	for _, mw := range []int{2, 3, 8, 512} {
-		for seed := int64(1); seed <= 3; seed++ {
-			runMergePair(t, cfg, mw, synthAccesses(cfg, 200, seed, false), warm)
 		}
 	}
 }
 
 // TestMergeDegenerateStreams covers the merge's degenerate inputs at the
-// state level: a zero-access epoch (phase fan-outs over nothing), an
-// all-one-set address stream (every access serializes through one bank —
-// must neither deadlock nor reorder), and an all-miss storm against a
+// state level: a zero-access epoch, an all-one-set address stream (every
+// access contends for the same ways), and an all-miss storm against a
 // one-entry MSHR file (shadow MSHRs saturated from the first access).
 func TestMergeDegenerateStreams(t *testing.T) {
-	unclampProcsMerge(t, 8)
 	cfg := Baseline()
 
 	t.Run("zero-accesses", func(t *testing.T) {
-		h := newMergeHarness(t, cfg, 1, 4)
-		h.populate(make([][]parAccess, cfg.SMs))
-		if got := h.s.mergeEpoch(&h.s.k, 42); got != 42 {
+		s := newMergeSim(t, cfg)
+		populateMerge(s, make([][]parAccess, cfg.SMs))
+		if got := s.mergeEpochSerial(&s.k, 42); got != 42 {
 			t.Fatalf("empty merge moved dramFree: %v", got)
 		}
 	})
 
 	t.Run("single-bank", func(t *testing.T) {
-		for _, mw := range []int{2, 8} {
-			runMergePair(t, cfg, mw, synthAccesses(cfg, 150, 7, true), nil)
-		}
+		runMergePair(t, cfg, synthAccesses(cfg, 150, 7, true), nil)
 	})
 
 	t.Run("all-miss-mshr-saturated", func(t *testing.T) {
@@ -403,59 +285,8 @@ func TestMergeDegenerateStreams(t *testing.T) {
 				})
 			}
 		}
-		runMergePair(t, tiny, 4, accesses, nil)
+		runMergePair(t, tiny, accesses, nil)
 	})
-}
-
-// TestRunKernelParMergeWorkerInvariant extends the determinism matrix
-// across merge-worker counts: at a fixed epoch, every (kernel-workers x
-// merge-workers) combination — including defaults, merge workers exceeding
-// the bank count, and warm back-to-back kernels — must be bit-identical to
-// the j1/j1 serial run.
-func TestRunKernelParMergeWorkerInvariant(t *testing.T) {
-	unclampProcsMerge(t, 8)
-	cfg := Baseline()
-	const epoch = DefaultEpoch
-
-	base := mustSim(t, cfg)
-	var want []KernelResult
-	for _, spec := range mergeOracleSpecs {
-		want = append(want, base.RunKernelParMerge(spec, 1, 1, epoch))
-	}
-
-	for _, jk := range []int{1, 2, 5, 8} {
-		for _, jm := range []int{0, 1, 2, 3, 8, 512} {
-			sim := mustSim(t, cfg)
-			for ki, spec := range mergeOracleSpecs {
-				if got := sim.RunKernelParMerge(spec, jk, jm, epoch); got != want[ki] {
-					t.Fatalf("jkernel=%d jmerge=%d kernel=%d: %+v != serial %+v", jk, jm, ki, got, want[ki])
-				}
-			}
-		}
-	}
-
-	// RunKernelPar must be exactly the jmerge-default spelling.
-	sim := mustSim(t, cfg)
-	for ki, spec := range mergeOracleSpecs {
-		if got := sim.RunKernelPar(spec, 4, epoch); got != want[ki] {
-			t.Fatalf("RunKernelPar default merge workers: kernel=%d %+v != %+v", ki, got, want[ki])
-		}
-	}
-}
-
-// TestMergeBankedPathExercised guards the dispatcher: a memory-bound kernel
-// under merge workers must actually take the banked path (otherwise the
-// oracle tests above would vacuously pass through the serial merge).
-func TestMergeBankedPathExercised(t *testing.T) {
-	unclampProcsMerge(t, 8)
-	sim := mustSim(t, Baseline())
-	sim.RunKernelParMerge(mergeOracleSpecs[0], 4, 4, DefaultEpoch)
-	if sim.par.bankedEpochs == 0 {
-		t.Fatal("no epoch took the banked merge path under jmerge=4")
-	}
-	if sim.par.replayed == 0 {
-		t.Fatal("no accesses replayed")
-	}
 }
 
 // TestLoserTreeMatchesLinearScan cross-checks the tournament tree against a
@@ -511,12 +342,8 @@ func TestLoserTreeMatchesLinearScan(t *testing.T) {
 }
 
 // BenchmarkMergeEpoch measures the barrier merge in isolation on synthetic
-// epoch buffers: the serial loser-tree merge vs the banked three-phase
-// merge on 4 merge workers, over a uniform address mix and a skewed one
-// (90% of accesses in one quarter of the sets). bench.sh gates banked-j4 ≥
-// 2x serial on ≥4-core machines. Bucketing runs inside the timed region
-// for the banked case — in production it rides the parallel compute phase,
-// so this is the conservative accounting.
+// epoch buffers over a uniform address mix and a skewed one (90% of
+// accesses in one quarter of the sets).
 func BenchmarkMergeEpoch(b *testing.B) {
 	cfg := Baseline()
 	const perSM = 2048
@@ -548,46 +375,27 @@ func BenchmarkMergeEpoch(b *testing.B) {
 		skewed bool
 	}{{"uniform", false}, {"skewed", true}} {
 		accesses := gen(mix.skewed)
-		for _, mode := range []struct {
-			name string
-			mw   int
-		}{{"serial", 1}, {"banked-j4", 4}} {
-			b.Run(fmt.Sprintf("%s/%s", mix.name, mode.name), func(b *testing.B) {
-				h := newMergeHarness(b, cfg, 1, mode.mw)
-				s := h.s
-				k := &s.k
-				total := cfg.SMs * perSM
-				var dram float64
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					for sm := range s.shards {
-						sh := &s.shards[sm]
-						sh.acc = append(sh.acc[:0], accesses[sm]...)
-					}
-					if i == 0 {
-						// Size corr to the slots used (stable after first round).
-						b.StopTimer()
-						for sm := range s.shards {
-							sh := &s.shards[sm]
-							for len(sh.corr) < 16 {
-								sh.corr = append(sh.corr, 0)
-							}
-						}
-					}
-					b.StartTimer()
-					if mode.mw > 1 {
-						for sm := range s.shards {
-							s.bucketShard(sm)
-						}
-						dram = s.mergeEpochBanked(k, dram, total)
-					} else {
-						dram = s.mergeEpochSerial(k, dram)
+		b.Run(mix.name+"/serial", func(b *testing.B) {
+			s := newMergeSim(b, cfg)
+			k := &s.k
+			total := cfg.SMs * perSM
+			var dram float64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for sm := range s.shards {
+					sh := &s.shards[sm]
+					sh.acc = append(sh.acc[:0], accesses[sm]...)
+					// Size corr to the slots used (stable after first round).
+					for len(sh.corr) < 16 {
+						sh.corr = append(sh.corr, 0)
 					}
 				}
-				b.ReportMetric(float64(total), "accesses/op")
-			})
-		}
+				b.StartTimer()
+				dram = s.mergeEpochSerial(k, dram)
+			}
+			b.ReportMetric(float64(total), "accesses/op")
+		})
 	}
 }

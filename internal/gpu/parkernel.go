@@ -41,10 +41,10 @@ type parAccess struct {
 
 // parShard is the par engine's share of an smShard: the event carried
 // across the epoch boundary, the in-epoch DRAM-queue estimate, the buffered
-// shared-L2 accesses and their per-warp corrections, the self-fetch overlay,
-// and the banked merge's scratch. Workers own disjoint SM ranges, so epoch
-// execution shares no mutable state across goroutines (the shared L2 is only
-// Probed, which is read-only).
+// shared-L2 accesses and their per-warp corrections, and the self-fetch
+// overlay. Workers own disjoint SM ranges, so epoch execution shares no
+// mutable state across goroutines (the shared L2 is only Probed, which is
+// read-only).
 type parShard struct {
 	// corr accumulates, per warp slot, the barrier correction: the summed
 	// depFrac-weighted difference between each access's true fill (from the
@@ -71,17 +71,6 @@ type parShard struct {
 	// across worker counts is untouched.
 	ovTag   []uint64
 	ovEpoch []uint32
-
-	// Banked-merge scratch (active only when merge workers are available;
-	// the serial path never touches these, keeping it allocation-free).
-	// bucketShard fills bankIdx (per-access bank, later reused as phase 1's
-	// miss flag), bankOrd/bankOff (the stable by-bank index partition), and
-	// the phases fill `fill` with each access's true fill latency.
-	fill    []float64
-	bankIdx []int32
-	bankOrd []int32
-	bankOff []int32
-	bankCur []int32
 }
 
 // parOverlayBits sizes the self-fetch overlay: 2^12 = 4096 entries (48 KiB)
@@ -125,51 +114,31 @@ type parEngine struct {
 	// barrier — deterministic for any worker count.
 	svc float64
 
-	// Merge configuration for the current kernel (parSetupMerge): worker
-	// counts, bank geometry, and whether the banked path is armed.
-	nw, mw     int
-	nbanks     int
-	bankShift  uint
-	bankPow2   bool
-	wantBanked bool
-
-	// Banked-merge coordinator state: per-bank access-count prefix (the
-	// stamp bases), per-bank hit/miss counters from phase 1, the L2 stamp
-	// at the epoch's merge start, and per-pool-worker replay scratch.
-	bankBase   []int
-	bankHits   []uint64
-	bankMisses []uint64
-	stamp0     uint64
-	wscratch   []mergeScratch
-	// lt is the coordinator's tournament tree (serial merge + miss fold).
+	// lt is the barrier merge's tournament tree.
 	lt loserTree
 
-	// Pool-epoch state: the persistent worker pool and the phase closures
-	// (bound once, reading their per-epoch parameters from the fields
-	// below so no allocation happens per epoch).
-	pool      *parallel.Pool
-	spec      *kernelgen.Spec
-	epochEnd  float64
-	dramSeed  float64
-	fnShard   func(worker, sm int)
-	fnBank    func(worker, b int)
-	fnCorrect func(worker, sm int)
+	// Pool-epoch state: the shard-phase closure, bound once and reading its
+	// per-epoch parameters from the fields beside it, so no allocation
+	// happens per epoch.
+	spec     *kernelgen.Spec
+	epochEnd float64
+	dramSeed float64
+	fnShard  func(worker, sm int)
 
-	// testMerge, when non-nil, replaces mergeEpoch — the hook the
-	// preserved-reference oracle test uses to swap in the old linear-scan
-	// merge. Always nil in production.
+	// testMerge, when non-nil, replaces mergeEpochSerial — the hook the
+	// oracle test uses to swap in the linear-scan reference merge. Always
+	// nil in production.
 	testMerge func(k *kernelConsts, dramFree float64) float64
 
 	// Per-kernel barrier accounting, folded into the Simulator's
 	// BarrierCollector (when set) at kernel end. The nanosecond fields are
 	// only advanced when collect is true — no time.Now on untimed runs.
-	collect      bool
-	epochs       int64
-	replayed     int64
-	misses       int64
-	bankedEpochs int64
-	computeNS    int64
-	mergeNS      int64
+	collect   bool
+	epochs    int64
+	replayed  int64
+	misses    int64
+	computeNS int64
+	mergeNS   int64
 }
 
 // RunKernelPar simulates one kernel with its SMs sharded across workers,
@@ -226,18 +195,6 @@ type parEngine struct {
 // (phase=worker vs phase=coordinator) so CPU profiles attribute time to
 // pool execution vs. the coordinator's serial barrier slices.
 func (s *Simulator) RunKernelPar(spec *kernelgen.Spec, workers int, epoch float64) KernelResult {
-	return s.RunKernelParMerge(spec, workers, 0, epoch)
-}
-
-// RunKernelParMerge is RunKernelPar with the barrier merge's worker count
-// controlled separately: mergeWorkers <= 0 defaults to the shard worker
-// count (one pool serves both), and any other value is normalized by the
-// same parallel.Workers policy. The merge worker count — like the shard
-// worker count — is pure scheduling: results are bit-identical for every
-// (workers x mergeWorkers) pair at a fixed epoch (the merge phases are
-// data-partitioned by L2 bank and by SM; see merge.go), which is why
-// neither count participates in engine cache keys.
-func (s *Simulator) RunKernelParMerge(spec *kernelgen.Spec, workers, mergeWorkers int, epoch float64) KernelResult {
 	if !(epoch > 0) || math.IsInf(epoch, 1) {
 		return s.RunKernel(spec)
 	}
@@ -271,16 +228,13 @@ func (s *Simulator) RunKernelParMerge(spec *kernelgen.Spec, workers, mergeWorker
 	if nw > cfg.SMs {
 		nw = cfg.SMs
 	}
-	mw := mergeWorkers
-	if mw <= 0 {
-		mw = nw
-	} else {
-		mw = parallel.Workers(mw)
-	}
-	s.parSetupMerge(nw, mw)
-	collect := s.par.collect
+	p := s.par
+	p.epochs, p.replayed, p.misses = 0, 0, 0
+	p.computeNS, p.mergeNS = 0, 0
+	p.collect = s.barrier != nil
+	collect := p.collect
 
-	if nw <= 1 && mw <= 1 {
+	if nw <= 1 {
 		// Serial path: same algorithm, no goroutines (and no allocations —
 		// steady-state j1 calls run entirely in the arena, pinned by
 		// TestRunKernelParSerialSteadyStateAllocs). Bit-identical to the
@@ -316,7 +270,7 @@ func (s *Simulator) RunKernelParMerge(spec *kernelgen.Spec, workers, mergeWorker
 			}
 		}
 	} else {
-		s.parRunEpochs(spec, k, nw, mw, epoch)
+		s.parRunEpochs(spec, k, nw, epoch)
 	}
 
 	if c := s.barrier; c != nil {
@@ -341,42 +295,36 @@ func (s *Simulator) ensurePar() {
 	}
 }
 
-// runMerge dispatches the barrier merge, honoring the oracle test hook.
+// runMerge runs the barrier merge, honoring the oracle test hook.
 func (s *Simulator) runMerge(k *kernelConsts, dramFree float64) float64 {
 	if tm := s.par.testMerge; tm != nil {
 		return tm(k, dramFree)
 	}
-	return s.mergeEpoch(k, dramFree)
+	return s.mergeEpochSerial(k, dramFree)
 }
 
-// parRunEpochs is the multi-worker epoch loop, rebuilt on a persistent
-// barrier-synchronized pool (parallel.Pool) that serves both the shard
-// phase and the merge phases: the coordinator publishes the epoch's
-// parameters in the arena, dispatches the shard phase over -jkernel
-// workers, then runs the barrier merge — whose banked phases dispatch over
-// -jmerge workers of the same pool (merge.go). The pool's calling-goroutine-
-// as-worker-0 design means the coordinator is never idle during a phase,
-// and its channel-barrier rounds replace the per-worker goroutine spawns a
-// ForEachStealing-per-epoch design would pay thousands of times per kernel.
-// The phase closures are bound once per arena and read their per-epoch
-// parameters (epoch end, DRAM-queue seed, spec) from parEngine fields, so
-// the loop allocates nothing per epoch. pprof labels attribute samples to
-// pool workers (phase=worker) vs. the coordinator (phase=coordinator),
-// whose serial slices are the merge's Amdahl share — the -barrierstats
-// report measures the same split with timestamps.
-func (s *Simulator) parRunEpochs(spec *kernelgen.Spec, k *kernelConsts, nw, mw int, epoch float64) {
+// parRunEpochs is the multi-worker epoch loop on a persistent
+// barrier-synchronized pool (parallel.Pool): the coordinator publishes the
+// epoch's parameters in the arena, dispatches the shard phase over the
+// -jkernel workers, then runs the barrier merge itself (merge.go). The
+// pool's calling-goroutine-as-worker-0 design means the coordinator is
+// never idle during the shard phase, and its channel-barrier rounds replace
+// the per-worker goroutine spawns a ForEachStealing-per-epoch design would
+// pay thousands of times per kernel. The shard closure is bound once per
+// arena and reads its per-epoch parameters (epoch end, DRAM-queue seed,
+// spec) from parEngine fields, so the loop allocates nothing per epoch.
+// pprof labels attribute samples to pool workers (phase=worker) vs. the
+// coordinator (phase=coordinator), whose serial slices are the merge's
+// Amdahl share — the -barrierstats report measures the same split with
+// timestamps.
+func (s *Simulator) parRunEpochs(spec *kernelgen.Spec, k *kernelConsts, nw int, epoch float64) {
 	p := s.par
-	poolW := nw
-	if mw > poolW {
-		poolW = mw
-	}
-	pool := parallel.NewPool(poolW, func(_ int, loop func()) {
+	pool := parallel.NewPool(nw, func(_ int, loop func()) {
 		pprof.Do(context.Background(), pprof.Labels("gpu-engine", "par", "phase", "worker"), func(context.Context) { loop() })
 	})
 	defer pool.Close()
-	p.pool = pool
 	p.spec = spec
-	s.parBindPhases()
+	s.parBindShardPhase()
 	collect := p.collect
 	sms := s.cfg.SMs
 	pprof.Do(context.Background(), pprof.Labels("gpu-engine", "par", "phase", "coordinator"), func(context.Context) {
@@ -394,7 +342,7 @@ func (s *Simulator) parRunEpochs(spec *kernelgen.Spec, k *kernelConsts, nw, mw i
 			if collect {
 				tPhase = time.Now()
 			}
-			pool.RunLimited(sms, nw, p.fnShard)
+			pool.Run(sms, p.fnShard)
 			if collect {
 				now := time.Now()
 				p.computeNS += int64(now.Sub(tPhase))
@@ -406,15 +354,14 @@ func (s *Simulator) parRunEpochs(spec *kernelgen.Spec, k *kernelConsts, nw, mw i
 			}
 		}
 	})
-	p.pool = nil
 	p.spec = nil
 }
 
-// parBindPhases binds the pool-phase closures into the arena (once per
-// arena lifetime — they capture only the Simulator and read everything
+// parBindShardPhase binds the shard-phase closure into the arena (once per
+// arena lifetime — it captures only the Simulator and reads everything
 // per-epoch from parEngine fields, which the pool's channel barriers order
 // against worker reads).
-func (s *Simulator) parBindPhases() {
+func (s *Simulator) parBindShardPhase() {
 	if s.par.fnShard != nil {
 		return
 	}
@@ -426,14 +373,7 @@ func (s *Simulator) parBindPhases() {
 			p.shadow[sm].release = append(p.shadow[sm].release[:0], s.mshrs[sm].release...)
 			s.runShardEpoch(p.spec, sm, p.epochEnd, &s.k)
 		}
-		// Bucketing by bank rides on the shard's owning worker so the
-		// serial slice of the barrier never sees it.
-		if p.wantBanked && len(sh.acc) > 0 {
-			s.bucketShard(sm)
-		}
 	}
-	p.fnBank = func(worker, b int) { s.replayBank(worker, b) }
-	p.fnCorrect = func(_, sm int) { s.correctShard(sm) }
 }
 
 // parNextEpoch scans the shards for the earliest pending event and returns

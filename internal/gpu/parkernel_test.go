@@ -123,9 +123,8 @@ func TestRunKernelParSerialSteadyStateAllocs(t *testing.T) {
 
 // BenchmarkRunKernelPar is the scaling ladder for the relaxed-sync engine on
 // the same kernel BenchmarkRunKernel runs serially — j4 vs BenchmarkRunKernel
-// is the intra-kernel speedup bench.sh gates (≤ 0.6× serial on a ≥4-core
-// runner). On fewer cores parallel.Workers clamps the rungs together and the
-// gate is skipped.
+// is the intra-kernel speedup. On fewer than four cores parallel.Workers
+// clamps the rungs together.
 func BenchmarkRunKernelPar(b *testing.B) {
 	spec := specFor(0.5, 0.5, 1<<20, 5e8)
 	for _, j := range []int{1, 2, 4, 8} {

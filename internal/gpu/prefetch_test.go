@@ -115,7 +115,7 @@ func TestPrefetchAnnouncesAllSegmentKeys(t *testing.T) {
 		for i := lo; i < hi; i++ {
 			specs = append(specs, specAt(i))
 		}
-		if want := gpu.KeyForSegment(cfg, specs); keys[sg] != want {
+		if want := gpu.KeyFor(cfg, specs, gpu.Engine{}); keys[sg] != want {
 			t.Fatalf("announced key %d = %s, want %s", sg, keys[sg], want)
 		}
 	}

@@ -161,24 +161,32 @@ func (kh *keyHasher) writeSpec(s *kernelgen.Spec) {
 	kh.u64(s.Seed)
 }
 
-// KeyForSegment derives the content address of a replay segment: the
-// engine fingerprint, the GPU configuration, and the ordered spec sequence
-// the segment simulates. Segment boundaries are part of the content by
-// construction — a different SegmentLen produces different spec sequences
-// per segment and therefore different keys.
-func KeyForSegment(cfg Config, specs []kernelgen.Spec) SegmentKey {
-	k, _ := KeyForSegmentAppend(nil, cfg, specs)
-	return k
-}
-
-// KeyForSegmentAppend is KeyForSegment with a caller-owned scratch buffer:
-// the canonical encoding is appended to buf[:0] and the (possibly grown)
+// KeyForSegmentEngineAppend derives the content address of a replay segment
+// under an engine mode: the engine fingerprint, the GPU configuration, and
+// the ordered spec sequence the segment simulates. Segment boundaries are
+// part of the content by construction — a different SegmentLen produces
+// different spec sequences per segment and therefore different keys.
+//
+// Every spelling of exact mode hashes EngineFingerprint in front of the
+// config+spec encoding (pinned by TestSegmentKeyGolden and
+// TestSegmentKeyEngineExactMatchesLegacy, so every cache entry ever written
+// by exact-mode runs stays addressable). Par-mode keys hash
+// ParEngineFingerprint plus the epoch length instead: a different mode or a
+// different epoch is a different key, while the worker count — which cannot
+// change results — is excluded.
+//
+// The canonical encoding is appended to buf[:0] and the (possibly grown)
 // buffer is returned for reuse, so a worker deriving keys for segment after
 // segment allocates only until its buffer reaches steady-state capacity.
-// The derived key is identical to KeyForSegment's.
-func KeyForSegmentAppend(buf []byte, cfg Config, specs []kernelgen.Spec) (SegmentKey, []byte) {
+func KeyForSegmentEngineAppend(buf []byte, cfg Config, specs []kernelgen.Spec, eng Engine) (SegmentKey, []byte) {
+	eng = eng.normalized()
 	kh := keyHasher{buf: buf[:0]}
-	kh.str(EngineFingerprint)
+	if eng.exact() {
+		kh.str(EngineFingerprint)
+	} else {
+		kh.str(ParEngineFingerprint)
+		kh.f64(eng.Epoch)
+	}
 	kh.writeConfig(&cfg)
 	kh.u64(uint64(len(specs)))
 	for i := range specs {

@@ -33,6 +33,13 @@ func segKeyTestSpec() kernelgen.Spec {
 	}
 }
 
+// KeyFor is the tests' one-shot spelling of KeyForSegmentEngineAppend (no
+// scratch buffer); exported so the external gpu_test package shares it.
+func KeyFor(cfg Config, specs []kernelgen.Spec, eng Engine) SegmentKey {
+	k, _ := KeyForSegmentEngineAppend(nil, cfg, specs, eng)
+	return k
+}
+
 // TestSegmentKeyGolden pins the key derivation bit-for-bit. If this value
 // changes, every on-disk cache entry written by earlier builds becomes
 // unreachable — which is the intended invalidation mechanism, but it must
@@ -41,7 +48,7 @@ func segKeyTestSpec() kernelgen.Spec {
 // "stemroot-gpu-engine-v3-ready-id-rule" (the encoding itself is unchanged
 // since v2; only the fingerprint string moved the hash).
 func TestSegmentKeyGolden(t *testing.T) {
-	key := KeyForSegment(Baseline(), []kernelgen.Spec{segKeyTestSpec()})
+	key := KeyFor(Baseline(), []kernelgen.Spec{segKeyTestSpec()}, Engine{})
 	const want = "5410e6e2a55de9e46c0dffc5ce43285418ca10175f78b09461e7e7b1cff0ceba"
 	if got := key.String(); got != want {
 		t.Fatalf("segment key drifted:\n got  %s\n want %s\n"+
@@ -54,17 +61,17 @@ func TestSegmentKeyGolden(t *testing.T) {
 func TestSegmentKeyDistinct(t *testing.T) {
 	cfg := Baseline()
 	s := segKeyTestSpec()
-	base := KeyForSegment(cfg, []kernelgen.Spec{s})
+	base := KeyFor(cfg, []kernelgen.Spec{s}, Engine{})
 
-	if k := KeyForSegment(cfg, []kernelgen.Spec{s, s}); k == base {
+	if k := KeyFor(cfg, []kernelgen.Spec{s, s}, Engine{}); k == base {
 		t.Fatal("key ignores spec count")
 	}
-	if k := KeyForSegment(cfg, nil); k == base {
+	if k := KeyFor(cfg, nil, Engine{}); k == base {
 		t.Fatal("key ignores specs entirely")
 	}
 	cfg2 := cfg
 	cfg2.Name = cfg.Name + "x"
-	if k := KeyForSegment(cfg2, []kernelgen.Spec{s}); k == base {
+	if k := KeyFor(cfg2, []kernelgen.Spec{s}, Engine{}); k == base {
 		t.Fatal("key ignores config identity")
 	}
 }
@@ -116,10 +123,10 @@ func fieldMutants(v reflect.Value) []reflect.Value {
 func TestSegmentKeyCoversConfig(t *testing.T) {
 	cfg := Baseline()
 	spec := segKeyTestSpec()
-	base := KeyForSegment(cfg, []kernelgen.Spec{spec})
+	base := KeyFor(cfg, []kernelgen.Spec{spec}, Engine{})
 	for _, m := range fieldMutants(reflect.ValueOf(cfg)) {
 		mc := m.Interface().(Config)
-		if KeyForSegment(mc, []kernelgen.Spec{spec}) == base {
+		if KeyFor(mc, []kernelgen.Spec{spec}, Engine{}) == base {
 			t.Errorf("config mutant not reflected in key: %+v", mc)
 		}
 	}
@@ -129,31 +136,30 @@ func TestSegmentKeyCoversConfig(t *testing.T) {
 func TestSegmentKeyCoversSpec(t *testing.T) {
 	cfg := Baseline()
 	spec := segKeyTestSpec()
-	base := KeyForSegment(cfg, []kernelgen.Spec{spec})
+	base := KeyFor(cfg, []kernelgen.Spec{spec}, Engine{})
 	for _, m := range fieldMutants(reflect.ValueOf(spec)) {
 		ms := m.Interface().(kernelgen.Spec)
-		if KeyForSegment(cfg, []kernelgen.Spec{ms}) == base {
+		if KeyFor(cfg, []kernelgen.Spec{ms}, Engine{}) == base {
 			t.Errorf("spec mutant not reflected in key: %+v", ms)
 		}
 	}
 }
 
-// TestSegmentKeyEngineExactMatchesLegacy pins that exact-mode engine keys
-// are byte-identical to the legacy KeyForSegment keys for every spelling of
-// "exact" — so every cache entry ever written by exact-mode runs (including
+// TestSegmentKeyEngineExactMatchesLegacy pins that every spelling of
+// "exact" hashes to the zero Engine's key — the one TestSegmentKeyGolden
+// records — so every cache entry ever written by exact-mode runs (including
 // all pre-engine builds) stays addressable.
 func TestSegmentKeyEngineExactMatchesLegacy(t *testing.T) {
 	cfg := Baseline()
 	specs := []kernelgen.Spec{segKeyTestSpec()}
-	legacy := KeyForSegment(cfg, specs)
+	legacy := KeyFor(cfg, specs, Engine{})
 	for _, eng := range []Engine{
-		{},
 		{Mode: EngineModeExact},
 		// Workers/Epoch are ignored in exact mode: they cannot change
 		// results, so they must not change keys either.
 		{Mode: EngineModeExact, Workers: 8, Epoch: 256},
 	} {
-		if k := KeyForSegmentEngine(cfg, specs, eng); k != legacy {
+		if k := KeyFor(cfg, specs, eng); k != legacy {
 			t.Fatalf("exact engine %+v key %s != legacy %s", eng, k, legacy)
 		}
 	}
@@ -167,22 +173,22 @@ func TestSegmentKeyEngineExactMatchesLegacy(t *testing.T) {
 func TestSegmentKeyEngineSeparation(t *testing.T) {
 	cfg := Baseline()
 	specs := []kernelgen.Spec{segKeyTestSpec()}
-	exact := KeyForSegment(cfg, specs)
-	par := KeyForSegmentEngine(cfg, specs, Engine{Mode: EngineModePar})
+	exact := KeyFor(cfg, specs, Engine{})
+	par := KeyFor(cfg, specs, Engine{Mode: EngineModePar})
 	if par == exact {
 		t.Fatal("par-mode key equals exact key: caches would mix engine modes")
 	}
 	// Epoch 0 normalizes to DefaultEpoch: same key as the explicit default.
-	if k := KeyForSegmentEngine(cfg, specs, Engine{Mode: EngineModePar, Epoch: DefaultEpoch}); k != par {
+	if k := KeyFor(cfg, specs, Engine{Mode: EngineModePar, Epoch: DefaultEpoch}); k != par {
 		t.Fatalf("par epoch=0 key %s != epoch=DefaultEpoch key %s", par, k)
 	}
 	// A different epoch is a different result — and must be a different key.
-	if k := KeyForSegmentEngine(cfg, specs, Engine{Mode: EngineModePar, Epoch: 2 * DefaultEpoch}); k == par {
+	if k := KeyFor(cfg, specs, Engine{Mode: EngineModePar, Epoch: 2 * DefaultEpoch}); k == par {
 		t.Fatal("par-mode key ignores epoch")
 	}
 	// Worker count is partitioning, not content: keys must not depend on it.
 	for _, w := range []int{1, 4, 16} {
-		if k := KeyForSegmentEngine(cfg, specs, Engine{Mode: EngineModePar, Workers: w}); k != par {
+		if k := KeyFor(cfg, specs, Engine{Mode: EngineModePar, Workers: w}); k != par {
 			t.Fatalf("par-mode key depends on worker count %d", w)
 		}
 	}

@@ -53,8 +53,8 @@ type Simulator struct {
 	k kernelConsts
 
 	// par is the relaxed-sync engine's extra scratch (merge cursors, shadow
-	// MSHRs, bank bookkeeping), allocated lazily on the first RunKernelPar
-	// call — see parkernel.go.
+	// MSHRs), allocated lazily on the first RunKernelPar call — see
+	// parkernel.go.
 	par *parEngine
 
 	// barrier, when non-nil, receives one epoch-barrier accounting sample
@@ -491,7 +491,7 @@ type segCommitter struct {
 	results []KernelResult
 	segLen  int
 	// err is the error of the lowest-indexed failing segment (errSeg), the
-	// same worker-count-independent choice parallel.Map makes.
+	// same worker-count-independent choice parallel.MapStealing makes.
 	err    error
 	errSeg int
 	// pending buffers segments that arrived ahead of order, keyed by segment

@@ -14,21 +14,16 @@
 // determinism regression tests in pipeline, experiments, and the root
 // package.
 //
-// Two schedulers implement the contract, differing only in how unit indices
-// reach workers — never in which units run or what they may observe:
-//
-//   - ForEach / ForEachWorker / Map claim indices one at a time from a
-//     single atomic counter. Ideal load balance, no locality: consecutive
-//     indices land on arbitrary workers.
-//   - ForEachStealing / MapStealing split the index space into one
-//     contiguous shard per worker; each worker drains its own shard in
-//     ascending order and steals the upper half of the richest victim's
-//     remainder when it runs dry. Owners therefore sweep long ascending
-//     index runs (warm per-worker state stays hot, see gpu.RunSegmentedEngine)
-//     while skew and stragglers are still rebalanced.
+// One scheduler implements the contract: ForEachStealing / MapStealing (and
+// Pool, its persistent form) split the index space into one contiguous shard
+// per worker; each worker drains its own shard in ascending order and steals
+// the upper half of the richest victim's remainder when it runs dry. Owners
+// therefore sweep long ascending index runs (warm per-worker state stays
+// hot, see gpu.RunSegmentedEngine) while skew and stragglers are still
+// rebalanced.
 //
 // Errors do not cancel outstanding units: all n units always run, and
-// Map/MapStealing report the error of the lowest-indexed failing unit. This
+// MapStealing reports the error of the lowest-indexed failing unit. This
 // keeps the reported error — not just the data — independent of the worker
 // count. Work units in this codebase are short (one kernel segment, one
 // workload), so the cost of finishing a doomed batch is negligible compared
@@ -38,7 +33,6 @@ package parallel
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // Workers normalizes a requested worker count: values <= 0 select
@@ -52,9 +46,9 @@ import (
 // cannot increase throughput. They can only time-slice the same cores,
 // interleaving working sets that would otherwise stay cache-resident
 // (measured before the cap: FullSim/j4 ran 14% slower than j1 on a 1-core
-// container purely from that interleave — BENCH_PR5.json). Tests that need
-// true goroutine concurrency regardless of the machine bypass Workers and
-// pass explicit counts to ForEach*/MapStealing, which never clamp, or raise
+// container purely from that interleave). Tests that need true goroutine
+// concurrency regardless of the machine bypass Workers and pass explicit
+// counts to ForEachStealing/MapStealing, which never clamp, or raise
 // runtime.GOMAXPROCS first as the determinism tests do.
 func Workers(n int) int {
 	max := runtime.GOMAXPROCS(0)
@@ -62,85 +56,6 @@ func Workers(n int) int {
 		return max
 	}
 	return n
-}
-
-// ForEach invokes fn(i) for every i in [0, n), spread over the given number
-// of workers. Indices are claimed from an atomic counter, so the assignment
-// of index to worker is nondeterministic — fn's output must depend only on
-// i. With workers <= 1 (or n <= 1) the loop runs serially in index order on
-// the calling goroutine; fn must be safe for concurrent invocation on
-// distinct indices whenever workers > 1.
-func ForEach(n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// ForEachWorker is ForEach with the worker's pool index passed alongside
-// the unit index: fn(worker, i), worker in [0, Workers(workers)). Each
-// worker index is owned by exactly one goroutine for the duration of the
-// call, so fn may keep worker-indexed resources (a simulator, a scratch
-// arena) in a slice without synchronization and reuse them across the units
-// that worker happens to claim. The determinism contract is unchanged — and
-// sharpened: because unit-to-worker assignment is nondeterministic, fn's
-// OUTPUT must not depend on which worker ran it, only on i; worker-owned
-// resources must therefore be reset to an equivalent-to-fresh state between
-// units (see gpu.Simulator.Reset for the canonical example). The serial
-// workers <= 1 path runs everything as worker 0 in index order.
-func ForEachWorker(n, workers int, fn func(worker, i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(worker, i)
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 // stealShard is one worker's claimable slice [next, end) of the unit-index
@@ -181,19 +96,20 @@ func (s *stealShard) remaining() int {
 // contiguous shard per worker, each worker drains its own shard in ascending
 // index order, and a worker whose shard is empty steals the upper half
 // (rounded up, so even a single leftover unit is stealable) of the richest
-// victim's remainder. Compared to ForEachWorker's atomic counter this keeps
-// each worker on long ascending runs of consecutive indices — so
-// worker-owned warm state (a reused Simulator, a spec scratch slot) services
-// runs with locality — while still rebalancing adversarially skewed unit
-// costs: a worker stuck on one expensive unit has its whole remaining shard
-// drained by the others (TestForEachStealingStarvation pins this).
+// victim's remainder. This keeps each worker on long ascending runs of
+// consecutive indices — so worker-owned warm state (a reused Simulator, a
+// spec scratch slot) services runs with locality — while still rebalancing
+// adversarially skewed unit costs: a worker stuck on one expensive unit has
+// its whole remaining shard drained by the others
+// (TestForEachStealingStarvation pins this).
 //
-// The ownership and determinism contract is exactly ForEachWorker's: each
-// worker index is owned by one goroutine for the duration of the call, so
-// fn may keep worker-indexed resources in a slice without synchronization;
+// Ownership and determinism: each worker index is owned by one goroutine for
+// the duration of the call, so fn may keep worker-indexed resources (a
+// simulator, a scratch arena) in a slice without synchronization;
 // unit-to-worker assignment is nondeterministic, so fn's OUTPUT must depend
 // only on i, and worker-owned resources must be reset to an
-// equivalent-to-fresh state between units. Every index runs exactly once.
+// equivalent-to-fresh state between units (see gpu.Simulator.Reset for the
+// canonical example). Every index runs exactly once.
 // The serial workers <= 1 path runs everything as worker 0 in index order.
 func ForEachStealing(n, workers int, fn func(worker, i int)) {
 	if n <= 0 {
@@ -272,36 +188,18 @@ func stealInto(shards []stealShard, w int) bool {
 	}
 }
 
-// MapStealing is Map scheduled through ForEachStealing: results indexed by
-// i, every unit always runs, and the error of the lowest-indexed failing
-// unit is reported — the same worker-count-independent error contract as
-// Map. Use it where units are coarse and skewed (workload fan-out: one
-// HuggingFace workload costs many Rodinia ones) so stragglers are
-// rebalanced instead of serializing the tail.
+// MapStealing runs fn(i) for every i in [0, n) through ForEachStealing and
+// returns the results indexed by i. Every unit always runs, and the error of
+// the lowest-indexed failing unit is reported (with a complete results
+// slice, so callers can inspect partial output) — an error contract
+// independent of the worker count. Units may be coarse and skewed (workload
+// fan-out: one HuggingFace workload costs many Rodinia ones); stragglers are
+// rebalanced instead of serializing the tail. fn must be safe for concurrent
+// invocation on distinct indices whenever workers > 1.
 func MapStealing[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	errs := make([]error, n)
 	ForEachStealing(n, workers, func(_, i int) {
-		results[i], errs[i] = fn(i)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return results, err
-		}
-	}
-	return results, nil
-}
-
-// Map runs fn(i) for every i in [0, n) over the given number of workers and
-// returns the results indexed by i. If any calls fail, every unit still
-// runs, and the error of the lowest-indexed failing call is returned
-// (with a complete results slice, so callers can inspect partial output).
-// fn must be safe for concurrent invocation on distinct indices whenever
-// workers > 1.
-func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	results := make([]T, n)
-	errs := make([]error, n)
-	ForEach(n, workers, func(i int) {
 		results[i], errs[i] = fn(i)
 	})
 	for _, err := range errs {

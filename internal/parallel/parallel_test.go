@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -33,126 +32,6 @@ func TestWorkersNormalization(t *testing.T) {
 	}
 }
 
-func TestForEachCoversEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8, 100} {
-		n := 57
-		var counts [57]atomic.Int32
-		ForEach(n, workers, func(i int) { counts[i].Add(1) })
-		for i := range counts {
-			if c := counts[i].Load(); c != 1 {
-				t.Fatalf("workers=%d: index %d visited %d times", workers, i, c)
-			}
-		}
-	}
-}
-
-func TestForEachZeroAndNegative(t *testing.T) {
-	called := false
-	ForEach(0, 4, func(int) { called = true })
-	ForEach(-5, 4, func(int) { called = true })
-	if called {
-		t.Fatal("fn called for empty index space")
-	}
-}
-
-func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
-	n := 101
-	want := make([]int, n)
-	for i := range want {
-		want[i] = i * i
-	}
-	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
-		got, err := Map(n, workers, func(i int) (int, error) { return i * i, nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: got[%d] = %d, want %d", workers, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestMapReportsLowestIndexedError(t *testing.T) {
-	failAt := map[int]bool{3: true, 7: true, 11: true}
-	for _, workers := range []int{1, 2, 8} {
-		ran := make([]atomic.Bool, 16)
-		_, err := Map(16, workers, func(i int) (int, error) {
-			ran[i].Store(true)
-			if failAt[i] {
-				return 0, fmt.Errorf("unit %d failed", i)
-			}
-			return i, nil
-		})
-		if err == nil || err.Error() != "unit 3 failed" {
-			t.Fatalf("workers=%d: err = %v, want lowest-indexed failure", workers, err)
-		}
-		// Errors must not cancel outstanding units.
-		for i := range ran {
-			if !ran[i].Load() {
-				t.Fatalf("workers=%d: unit %d skipped after error", workers, i)
-			}
-		}
-	}
-}
-
-func TestMapNilErrorPassthrough(t *testing.T) {
-	out, err := Map(4, 2, func(i int) (string, error) {
-		if i == 2 {
-			return "", errors.New("boom")
-		}
-		return "ok", nil
-	})
-	if err == nil {
-		t.Fatal("expected error")
-	}
-	if len(out) != 4 {
-		t.Fatalf("partial results length %d", len(out))
-	}
-}
-
-func TestForEachWorkerCoversEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8, 100} {
-		n := 57
-		var counts [57]atomic.Int32
-		ForEachWorker(n, workers, func(worker, i int) {
-			// ForEachWorker clamps only to n, never to GOMAXPROCS — the
-			// worker-index bound is the raw argument (Workers() policy is the
-			// caller's business).
-			if worker < 0 || worker >= workers {
-				t.Errorf("workers=%d: worker index %d out of range", workers, worker)
-			}
-			counts[i].Add(1)
-		})
-		for i := range counts {
-			if c := counts[i].Load(); c != 1 {
-				t.Fatalf("workers=%d: index %d visited %d times", workers, i, c)
-			}
-		}
-	}
-}
-
-// TestForEachWorkerOwnsIndexExclusively pins the worker-resource contract:
-// a worker index is owned by one goroutine at a time, so per-worker state
-// may be mutated without synchronization. The unsynchronized counters here
-// are the proof obligation — the race detector (CI runs this package under
-// -race) flags any violation of the exclusivity guarantee.
-func TestForEachWorkerOwnsIndexExclusively(t *testing.T) {
-	const n, workers = 500, 4
-	perWorker := make([]int, workers)
-	ForEachWorker(n, workers, func(worker, i int) {
-		perWorker[worker]++ // deliberately not atomic
-	})
-	total := 0
-	for _, c := range perWorker {
-		total += c
-	}
-	if total != n {
-		t.Fatalf("worker-owned counters sum to %d, want %d", total, n)
-	}
-}
-
 func TestForEachStealingCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8, 100} {
 		n := 57
@@ -180,10 +59,12 @@ func TestForEachStealingZeroAndNegative(t *testing.T) {
 	}
 }
 
-// TestForEachStealingOwnsIndexExclusively pins the same worker-resource
-// contract as ForEachWorker's: a worker index is owned by one goroutine at
-// a time, so per-worker state may be mutated without synchronization. The
-// unsynchronized counters are the proof obligation under -race.
+// TestForEachStealingOwnsIndexExclusively pins the worker-resource
+// contract: a worker index is owned by one goroutine at a time, so
+// per-worker state may be mutated without synchronization. The
+// unsynchronized counters here are the proof obligation — the race detector
+// (CI runs this package under -race) flags any violation of the exclusivity
+// guarantee.
 func TestForEachStealingOwnsIndexExclusively(t *testing.T) {
 	const n, workers = 500, 4
 	perWorker := make([]int, workers)
@@ -233,7 +114,7 @@ func TestMapStealingReportsLowestIndexedError(t *testing.T) {
 	failAt := map[int]bool{3: true, 7: true, 11: true}
 	for _, workers := range []int{1, 2, 8} {
 		ran := make([]atomic.Bool, 16)
-		_, err := MapStealing(16, workers, func(i int) (int, error) {
+		out, err := MapStealing(16, workers, func(i int) (int, error) {
 			ran[i].Store(true)
 			if failAt[i] {
 				return 0, fmt.Errorf("unit %d failed", i)
@@ -243,9 +124,19 @@ func TestMapStealingReportsLowestIndexedError(t *testing.T) {
 		if err == nil || err.Error() != "unit 3 failed" {
 			t.Fatalf("workers=%d: err = %v, want lowest-indexed failure", workers, err)
 		}
+		// Errors must not cancel outstanding units, and the units that
+		// returned a nil error pass their results through beside the failure.
 		for i := range ran {
 			if !ran[i].Load() {
 				t.Fatalf("workers=%d: unit %d skipped after error", workers, i)
+			}
+		}
+		if len(out) != 16 {
+			t.Fatalf("workers=%d: partial results length %d", workers, len(out))
+		}
+		for i, v := range out {
+			if !failAt[i] && v != i {
+				t.Fatalf("workers=%d: out[%d] = %d beside an error, want %d", workers, i, v, i)
 			}
 		}
 	}
@@ -310,20 +201,5 @@ func TestForEachStealingStarvation(t *testing.T) {
 	}
 	if !stolen {
 		t.Fatalf("no index of the stuck worker's initial shard [0,%d) was stolen", n/workers)
-	}
-}
-
-func TestForEachWorkerSerialPathIsOrdered(t *testing.T) {
-	var order []int
-	ForEachWorker(5, 1, func(worker, i int) {
-		if worker != 0 {
-			t.Fatalf("serial path used worker %d", worker)
-		}
-		order = append(order, i)
-	})
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("serial path order %v", order)
-		}
 	}
 }

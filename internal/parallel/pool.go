@@ -5,19 +5,19 @@ package parallel
 // same goroutines many times in a row, with a full barrier between rounds.
 // ForEachStealing spawns and joins one goroutine per worker per call, which
 // is fine for coarse units (a replay segment, a workload) but far too heavy
-// for the intra-kernel engine's epoch loop, where three fan-outs per epoch
-// over ~16 units would mean hundreds of thousands of goroutine spawns per
-// kernel. A Pool spawns its workers once; each Run round costs two channel
+// for the intra-kernel engine's epoch loop, where one fan-out per epoch
+// over ~16 units would mean a spawn and join per worker thousands of times
+// per kernel. A Pool spawns its workers once; each Run round costs two channel
 // operations per worker plus the per-shard claim locks.
 //
 // Scheduling within a round is exactly ForEachStealing's: one contiguous
 // shard per participating worker, drained in ascending index order, with
 // upper-half stealing from the richest victim. The determinism contract is
 // also ForEachStealing's — fn's output must depend only on the unit index,
-// never on worker identity or scheduling order — and the ownership contract
-// is ForEachWorker's: each worker index is owned by exactly one goroutine
-// for the duration of a round, so fn may keep worker-indexed scratch in a
-// slice without synchronization.
+// never on worker identity or scheduling order — and so is the ownership
+// contract: each worker index is owned by exactly one goroutine for the
+// duration of a round, so fn may keep worker-indexed scratch in a slice
+// without synchronization.
 //
 // The calling goroutine participates as worker 0 in every round, so a Pool
 // of one worker runs everything inline with no channel traffic at all —
@@ -66,47 +66,36 @@ func NewPool(workers int, wrap func(worker int, loop func())) *Pool {
 	return p
 }
 
-// Workers reports the pool's size.
-func (p *Pool) Workers() int { return p.workers }
-
 // Run dispatches fn(worker, i) for every i in [0, n) across the pool and
 // returns after all units have completed (a full barrier). The calling
-// goroutine participates as worker 0.
+// goroutine participates as worker 0; with fewer units than workers only
+// the first n workers take part. One worker (or n <= 1) runs inline on the
+// caller with no synchronization.
 func (p *Pool) Run(n int, fn func(worker, i int)) {
-	p.RunLimited(n, p.workers, fn)
-}
-
-// RunLimited is Run restricted to the first `limit` workers; the rest sit
-// the round out. The engine uses this to run shard phases on -jkernel
-// workers and merge phases on -jmerge workers out of one max-sized pool.
-// limit <= 1 (or n <= 1) runs inline on the caller with no synchronization.
-func (p *Pool) RunLimited(n, limit int, fn func(worker, i int)) {
 	if n <= 0 {
 		return
 	}
-	if limit > p.workers {
-		limit = p.workers
+	active := p.workers
+	if active > n {
+		active = n
 	}
-	if limit > n {
-		limit = n
-	}
-	if limit <= 1 || n == 1 {
+	if active <= 1 {
 		for i := 0; i < n; i++ {
 			fn(0, i)
 		}
 		return
 	}
 	p.fn = fn
-	p.active = limit
-	for w := 0; w < limit; w++ {
-		p.shards[w].next = w * n / limit
-		p.shards[w].end = (w + 1) * n / limit
+	p.active = active
+	for w := 0; w < active; w++ {
+		p.shards[w].next = w * n / active
+		p.shards[w].end = (w + 1) * n / active
 	}
-	for w := 1; w < limit; w++ {
+	for w := 1; w < active; w++ {
 		p.start[w-1] <- struct{}{}
 	}
 	p.drain(0)
-	for w := 1; w < limit; w++ {
+	for w := 1; w < active; w++ {
 		<-p.done
 	}
 	p.fn = nil

@@ -9,7 +9,9 @@ import (
 // TestPoolStealingCoverage pins the Pool's round contract under -race:
 // every index in [0, n) runs exactly once per round, across many
 // back-to-back rounds on one pool (the reuse pattern the epoch loop
-// depends on), for assorted pool sizes and unit counts.
+// depends on), for assorted pool sizes and unit counts — and with fewer
+// units than workers only the first n workers take part, so per-worker
+// scratch sized min(workers, n) is safe.
 func TestPoolStealingCoverage(t *testing.T) {
 	prev := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prev)
@@ -18,9 +20,17 @@ func TestPoolStealingCoverage(t *testing.T) {
 		for _, n := range []int{0, 1, 2, 7, 16, 257} {
 			for round := 0; round < 50; round++ {
 				counts := make([]atomic.Int32, n)
-				p.Run(n, func(_, i int) {
+				var badWorker atomic.Int32
+				badWorker.Store(-1)
+				p.Run(n, func(worker, i int) {
+					if worker >= workers || worker >= n {
+						badWorker.Store(int32(worker))
+					}
 					counts[i].Add(1)
 				})
+				if w := badWorker.Load(); w >= 0 {
+					t.Fatalf("workers=%d n=%d: worker %d took part", workers, n, w)
+				}
 				for i := range counts {
 					if got := counts[i].Load(); got != 1 {
 						t.Fatalf("workers=%d n=%d round=%d: index %d ran %d times", workers, n, round, i, got)
@@ -32,42 +42,7 @@ func TestPoolStealingCoverage(t *testing.T) {
 	}
 }
 
-// TestPoolRunLimited pins RunLimited's two properties: full coverage, and
-// no participation by workers at or beyond the limit — worker indices seen
-// by fn must all be < limit, so per-worker scratch sized by the limit is
-// safe.
-func TestPoolRunLimited(t *testing.T) {
-	prev := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(prev)
-	p := NewPool(8, nil)
-	defer p.Close()
-	for _, limit := range []int{1, 2, 3, 8, 16} {
-		const n = 64
-		counts := make([]atomic.Int32, n)
-		var badWorker atomic.Int32
-		badWorker.Store(-1)
-		p.RunLimited(n, limit, func(worker, i int) {
-			eff := limit
-			if eff > p.Workers() {
-				eff = p.Workers()
-			}
-			if worker >= eff {
-				badWorker.Store(int32(worker))
-			}
-			counts[i].Add(1)
-		})
-		for i := range counts {
-			if got := counts[i].Load(); got != 1 {
-				t.Fatalf("limit=%d: index %d ran %d times", limit, i, got)
-			}
-		}
-		if w := badWorker.Load(); w >= 0 {
-			t.Fatalf("limit=%d: worker %d participated beyond limit", limit, w)
-		}
-	}
-}
-
-// TestPoolWorkerOwnership pins the ForEachWorker-style ownership contract:
+// TestPoolWorkerOwnership pins the ownership contract:
 // within a round, each worker index is used by exactly one goroutine, so
 // worker-indexed scratch needs no synchronization. Detected by racing
 // unsynchronized per-worker counters under -race.

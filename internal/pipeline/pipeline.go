@@ -6,9 +6,9 @@
 //
 // # Concurrency
 //
-// The simulation passes (FullSim, SampledSim and their Opt variants) run
-// kernel invocations in parallel using deterministic fixed-length replay
-// segments: the invocation sequence is cut into segments of
+// The simulation passes (FullSimOpt, SampledSimOpt) run kernel invocations
+// in parallel using deterministic fixed-length replay segments: the
+// invocation sequence is cut into segments of
 // Options.SegmentLen, segments are executed by gpu.RunSegmentedEngine's
 // work-stealing worker pool — each worker owns one long-lived Simulator
 // that gpu.Simulator.Reset cold-resets between segments, bit-identical to
@@ -68,18 +68,12 @@ type Options struct {
 	// KernelWorkers SM-shard workers advancing in Epoch-cycle windows.
 	// Results in par mode are deterministic for every Workers AND
 	// KernelWorkers value; only Engine and Epoch affect output, and the
-	// segment cache keys both (gpu.KeyForSegmentEngine), so exact and par
-	// results never share cache entries.
+	// segment cache keys both (gpu.KeyForSegmentEngineAppend), so exact and
+	// par results never share cache entries.
 	Engine string
 	// KernelWorkers is the intra-kernel worker count for the par engine
 	// (gpu.RunKernelPar); <= 0 selects one per CPU. Ignored in exact mode.
 	KernelWorkers int
-	// MergeWorkers is the par engine's epoch-barrier merge worker count
-	// (banked L2 replay); <= 0 follows KernelWorkers — one pool serves
-	// shard execution and the merge. Ignored in exact mode; like
-	// KernelWorkers, it can never change results and is excluded from
-	// segment cache keys.
-	MergeWorkers int
 	// Epoch is the par engine's epoch length in simulated cycles; <= 0
 	// selects gpu.DefaultEpoch. Ignored in exact mode.
 	Epoch float64
@@ -93,7 +87,7 @@ type Options struct {
 // gpu.RunSegmentedEngine. Validation happens there (unknown modes error).
 func (o Options) engine() gpu.Engine {
 	return gpu.Engine{
-		Mode: o.Engine, Workers: o.KernelWorkers, MergeWorkers: o.MergeWorkers,
+		Mode: o.Engine, Workers: o.KernelWorkers,
 		Epoch: o.Epoch, Barrier: o.BarrierStats,
 	}
 }
@@ -102,7 +96,7 @@ func (o Options) engine() gpu.Engine {
 // to invocation indices[i]. The generator is handed to
 // gpu.RunSegmentedEngine so each worker builds only its own segment's specs
 // on demand instead of materializing the full []*kernelgen.Spec up front —
-// for FullSim on large workloads the spec working set drops from
+// for FullSimOpt on large workloads the spec working set drops from
 // O(invocations) to one segment per worker. FromInvocation is a pure function of the invocation and limits,
 // so concurrent calls are safe and results stay bit-identical for every
 // worker count.
@@ -112,16 +106,10 @@ func specsOf(w *trace.Workload, lim kernelgen.Limits, indices []int) func(i int)
 	}
 }
 
-// FullSim simulates every invocation of the workload, returning
+// FullSimOpt simulates every invocation of the workload, returning
 // per-invocation cycle counts. This is the ground truth sampled simulation
-// is compared against — and the cost it avoids. It is FullSimOpt with
-// default options (parallel across all CPUs).
-func FullSim(w *trace.Workload, cfg gpu.Config, lim kernelgen.Limits) ([]float64, error) {
-	return FullSimOpt(w, cfg, lim, Options{})
-}
-
-// FullSimOpt is FullSim with explicit worker-pool options. Results are
-// bit-identical for every opt.Workers value.
+// is compared against — and the cost it avoids. Results are bit-identical
+// for every opt.Workers value; Options{} runs parallel across all CPUs.
 func FullSimOpt(w *trace.Workload, cfg gpu.Config, lim kernelgen.Limits, opt Options) ([]float64, error) {
 	indices := make([]int, w.Len())
 	for i := range indices {
@@ -138,16 +126,10 @@ func FullSimOpt(w *trace.Workload, cfg gpu.Config, lim kernelgen.Limits, opt Opt
 	return cycles, nil
 }
 
-// SampledSim simulates only the given invocation indices (in the order
+// SampledSimOpt simulates only the given invocation indices (in the order
 // given, as a sampled trace replay would), returning cycles per simulated
 // index. L2 state persists across the sampled kernels within each replay
-// segment. It is SampledSimOpt with default options.
-func SampledSim(w *trace.Workload, cfg gpu.Config, lim kernelgen.Limits, indices []int) (map[int]float64, error) {
-	return SampledSimOpt(w, cfg, lim, indices, Options{})
-}
-
-// SampledSimOpt is SampledSim with explicit worker-pool options. Results
-// are bit-identical for every opt.Workers value.
+// segment. Results are bit-identical for every opt.Workers value.
 func SampledSimOpt(w *trace.Workload, cfg gpu.Config, lim kernelgen.Limits, indices []int, opt Options) (map[int]float64, error) {
 	for _, ix := range indices {
 		if ix < 0 || ix >= w.Len() {
@@ -173,17 +155,10 @@ type Result struct {
 	FullCycles, SampledCycles, EstimateCycles float64
 }
 
-// Run profiles the workload on the profiling device, builds the method's
-// plan, runs the sampled simulation, and scores it against the supplied
-// ground-truth per-invocation cycles (computed once by FullSim so several
-// methods can share it). It is RunOpt with default options.
-func Run(w *trace.Workload, profDev hwmodel.Device, method sampling.Method,
-	cfg gpu.Config, lim kernelgen.Limits, fullCycles []float64) (*Result, error) {
-	return RunOpt(w, profDev, method, cfg, lim, fullCycles, Options{})
-}
-
-// RunOpt is Run with explicit worker-pool options for the sampled
-// simulation pass.
+// RunOpt profiles the workload on the profiling device, builds the method's
+// plan, runs the sampled simulation under opt, and scores it against the
+// supplied ground-truth per-invocation cycles (computed once by FullSimOpt
+// so several methods can share it).
 func RunOpt(w *trace.Workload, profDev hwmodel.Device, method sampling.Method,
 	cfg gpu.Config, lim kernelgen.Limits, fullCycles []float64, opt Options) (*Result, error) {
 

@@ -26,7 +26,7 @@ func dseWorkload(t testing.TB, name string, calls int) *trace.Workload {
 
 func TestFullSimProducesCycles(t *testing.T) {
 	w := dseWorkload(t, "heartwall", 30)
-	cycles, err := FullSim(w, gpu.Baseline(), kernelgen.DSELimits())
+	cycles, err := FullSimOpt(w, gpu.Baseline(), kernelgen.DSELimits(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,14 +87,14 @@ func TestFullSimReusesSimulators(t *testing.T) {
 
 func TestSampledSimSubset(t *testing.T) {
 	w := dseWorkload(t, "lud", 30)
-	got, err := SampledSim(w, gpu.Baseline(), kernelgen.DSELimits(), []int{0, 5, 10})
+	got, err := SampledSimOpt(w, gpu.Baseline(), kernelgen.DSELimits(), []int{0, 5, 10}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 {
 		t.Fatalf("sampled %d kernels", len(got))
 	}
-	if _, err := SampledSim(w, gpu.Baseline(), kernelgen.DSELimits(), []int{999999}); err == nil {
+	if _, err := SampledSimOpt(w, gpu.Baseline(), kernelgen.DSELimits(), []int{999999}, Options{}); err == nil {
 		t.Fatal("expected error for out-of-range index")
 	}
 }
@@ -103,11 +103,11 @@ func TestRunSTEMOnSimulator(t *testing.T) {
 	w := dseWorkload(t, "heartwall", 40)
 	lim := kernelgen.DSELimits()
 	cfg := gpu.Baseline()
-	full, err := FullSim(w, cfg, lim)
+	full, err := FullSimOpt(w, cfg, lim, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(w, hwmodel.RTX2080, sampling.NewSTEMRoot(1), cfg, lim, full)
+	res, err := RunOpt(w, hwmodel.RTX2080, sampling.NewSTEMRoot(1), cfg, lim, full, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +121,8 @@ func TestRunSTEMOnSimulator(t *testing.T) {
 
 func TestRunRejectsBadGroundTruth(t *testing.T) {
 	w := dseWorkload(t, "lud", 20)
-	_, err := Run(w, hwmodel.RTX2080, sampling.NewSTEMRoot(1), gpu.Baseline(),
-		kernelgen.DSELimits(), []float64{1, 2})
+	_, err := RunOpt(w, hwmodel.RTX2080, sampling.NewSTEMRoot(1), gpu.Baseline(),
+		kernelgen.DSELimits(), []float64{1, 2}, Options{})
 	if err == nil {
 		t.Fatal("expected length mismatch error")
 	}
@@ -132,15 +132,15 @@ func TestSTEMBeatsPKAOnSimulatorHeartwall(t *testing.T) {
 	w := dseWorkload(t, "heartwall", 40)
 	lim := kernelgen.DSELimits()
 	cfg := gpu.Baseline()
-	full, err := FullSim(w, cfg, lim)
+	full, err := FullSimOpt(w, cfg, lim, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stem, err := Run(w, hwmodel.RTX2080, sampling.NewSTEMRoot(1), cfg, lim, full)
+	stem, err := RunOpt(w, hwmodel.RTX2080, sampling.NewSTEMRoot(1), cfg, lim, full, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pka, err := Run(w, hwmodel.RTX2080, sampling.NewPKA(1), cfg, lim, full)
+	pka, err := RunOpt(w, hwmodel.RTX2080, sampling.NewPKA(1), cfg, lim, full, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

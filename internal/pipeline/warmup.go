@@ -9,7 +9,7 @@ import (
 	"stemroot/internal/trace"
 )
 
-// SampledSimWarm is SampledSim with the §6.2 "lightweight warmup" strategy:
+// SampledSimWarm is SampledSimOpt with the §6.2 "lightweight warmup" strategy:
 // before each sampled kernel, up to warmup immediately-preceding workload
 // kernels are simulated to reconstruct the L2 state the kernel would have
 // seen in the full run. Warmup kernels cost simulation time but do not

@@ -38,13 +38,13 @@ func TestSampledSimWarmZeroMatchesSampledSim(t *testing.T) {
 	if wc != 0 {
 		t.Fatalf("warmup=0 charged %v cycles", wc)
 	}
-	plain, err := SampledSim(w, gpu.Baseline(), lim, idx)
+	plain, err := SampledSimOpt(w, gpu.Baseline(), lim, idx, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ix := range idx {
 		if warm[ix] != plain[ix] {
-			t.Fatalf("warmup=0 diverges from SampledSim at %d", ix)
+			t.Fatalf("warmup=0 diverges from SampledSimOpt at %d", ix)
 		}
 	}
 }

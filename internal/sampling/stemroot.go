@@ -48,16 +48,10 @@ func (s *STEMRoot) Plan(w *trace.Workload, prof *trace.Profile) (*Plan, error) {
 	}
 	p := s.Params
 	p.Seed = s.Params.Seed ^ w.Seed
-
-	var (
-		cp  *core.Plan
-		err error
-	)
 	if s.Flat {
-		cp, err = core.BuildPlanFlat(names, prof.TimeUS, p)
-	} else {
-		cp, err = core.BuildPlan(names, prof.TimeUS, p)
+		p = p.Flat()
 	}
+	cp, err := core.BuildPlan(names, prof.TimeUS, p)
 	if err != nil {
 		return nil, err
 	}

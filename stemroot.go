@@ -57,7 +57,11 @@ type Options struct {
 	Parallelism int
 }
 
-func (o Options) params() core.Params {
+// Params resolves the options to the planner's parameters: defaults filled
+// in and flatness applied. Every planning entry point (Sample, SampleStream,
+// StreamPlanner) and cmd/stemroot's -simulate validation plan from this one
+// value, so an option is honoured on all of them or none.
+func (o Options) Params() core.Params {
 	p := core.DefaultParams()
 	if o.Epsilon > 0 {
 		p.Epsilon = o.Epsilon
@@ -73,6 +77,9 @@ func (o Options) params() core.Params {
 	}
 	p.SmallSampleT = o.SmallSampleT
 	p.Workers = o.Parallelism
+	if o.Flat {
+		p = p.Flat()
+	}
 	return p
 }
 
@@ -123,16 +130,8 @@ func Sample(names []string, timesUS []float64, opts Options) (*Plan, error) {
 			return nil, fmt.Errorf("stemroot: non-finite time %v at invocation %d", t, i)
 		}
 	}
-	p := opts.params()
-	var (
-		cp  *core.Plan
-		err error
-	)
-	if opts.Flat {
-		cp, err = core.BuildPlanFlat(names, timesUS, p)
-	} else {
-		cp, err = core.BuildPlan(names, timesUS, p)
-	}
+	p := opts.Params()
+	cp, err := core.BuildPlan(names, timesUS, p)
 	if err != nil {
 		return nil, err
 	}

@@ -47,11 +47,11 @@ func (o StreamOptions) core() core.StreamOptions {
 // bounded memory. Cluster statistics are exact (streamed); the clustering
 // itself runs on per-kernel uniform reservoirs.
 func SampleStream(src Scanner, opts Options, sopts StreamOptions) (*Plan, error) {
-	cp, err := core.BuildPlanStream(scannerAdapter{src}, opts.params(), sopts.core())
+	cp, err := core.BuildPlanStream(scannerAdapter{src}, opts.Params(), sopts.core())
 	if err != nil {
 		return nil, err
 	}
-	return convertStreamPlan(cp, opts.params()), nil
+	return convertStreamPlan(cp, opts.Params()), nil
 }
 
 // convertStreamPlan maps an internal streaming plan (no materialized
@@ -91,7 +91,7 @@ type StreamPlanner struct {
 
 // NewStreamPlanner validates the options and returns an empty planner.
 func NewStreamPlanner(opts Options, sopts StreamOptions) (*StreamPlanner, error) {
-	p := opts.params()
+	p := opts.Params()
 	ip, err := core.NewIncrementalPlanner(p, sopts.core())
 	if err != nil {
 		return nil, err

@@ -63,7 +63,7 @@ func servingCSV(b *testing.B) (string, int64, int) {
 // on-disk serving trace: onepass is the StreamPlanner fed by ScanBytes (one
 // scan, no per-row garbage), twopass is SampleStream over the same
 // decoder's interned-string Scan (two scans). bytes/s measures CSV
-// throughput; scripts/bench.sh gates onepass against the frozen PR 9 row.
+// throughput.
 func BenchmarkStreamIngest(b *testing.B) {
 	path, size, rows := servingCSV(b)
 
