@@ -7,12 +7,13 @@ import (
 	"stemroot/internal/rng"
 )
 
-// Result1D is a scalar k-means outcome. Assignment and Centroids alias the
-// Scratch1D's buffers: they are valid until the scratch's next KMeans call
-// and must be copied by callers that need them longer.
+// Result1D is a scalar k-means outcome. Assignment, Counts and Centroids
+// alias the Scratch1D's buffers: they are valid until the scratch's next
+// KMeans call and must be copied by callers that need them longer.
 type Result1D struct {
 	K          int
 	Assignment []int
+	Counts     []int // Counts[j] is the number of points assigned to cluster j
 	Centroids  []float64
 	Inertia    float64
 	Iterations int
@@ -33,6 +34,7 @@ type Scratch1D struct {
 	sums       []float64
 	bestCent   []float64
 	counts     []int
+	bestCounts []int
 }
 
 func growF(buf []float64, n int) []float64 {
@@ -85,7 +87,7 @@ func (s *Scratch1D) KMeans(values []float64, k int, opts Options) (Result1D, err
 		child := rng.Seeded(r.Uint64())
 		inertia, iters := s.once(values, k, opts, &child)
 		if restart == 0 || inertia < best.Inertia {
-			best = Result1D{K: k, Assignment: s.assign, Centroids: s.cent,
+			best = Result1D{K: k, Assignment: s.assign, Counts: s.counts, Centroids: s.cent,
 				Inertia: inertia, Iterations: iters}
 			if opts.Restart > 1 {
 				// Later restarts overwrite the working buffers; park the
@@ -94,7 +96,10 @@ func (s *Scratch1D) KMeans(values []float64, k int, opts Options) (Result1D, err
 				copy(s.bestAssign, s.assign)
 				s.bestCent = growF(s.bestCent, k)
 				copy(s.bestCent, s.cent)
+				s.bestCounts = growI(s.bestCounts, k)
+				copy(s.bestCounts, s.counts)
 				best.Assignment = s.bestAssign
+				best.Counts = s.bestCounts
 				best.Centroids = s.bestCent
 			}
 		}
@@ -103,7 +108,8 @@ func (s *Scratch1D) KMeans(values []float64, k int, opts Options) (Result1D, err
 }
 
 // once mirrors kmState.once for dim = 1. It returns the final inertia and
-// iteration count; the assignment and centroids are left in s.assign/s.cent.
+// iteration count; the assignment, its per-cluster counts and the centroids
+// are left in s.assign/s.counts/s.cent.
 func (s *Scratch1D) once(values []float64, k int, opts Options, r *rng.Rand) (float64, int) {
 	s.plusPlusInit(values, k, r)
 	cent := s.cent
@@ -114,63 +120,7 @@ func (s *Scratch1D) once(values []float64, k int, opts Options, r *rng.Rand) (fl
 
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		iters = iter + 1
-		// Fused assignment + update accumulation: one pass over the values
-		// assigns each point (reading cent) and folds it into the sums
-		// buffer. Sums, counts, and inertia accumulate in point order —
-		// exactly the order the split assignment and update loops used — so
-		// the fusion is invisible in the results.
-		for j := 0; j < k; j++ {
-			s.sums[j] = 0
-			s.counts[j] = 0
-		}
-		inertia = 0
-		if k == 2 {
-			// ROOT's splits are k=2 (§3.4): unroll the centroid loop with
-			// everything in registers. The two comparisons are the generic
-			// j-loop's iterations verbatim, so assignment, inertia, sums,
-			// and counts come out bit-identical.
-			c0, c1 := cent[0], cent[1]
-			var sum0, sum1 float64
-			var n0, n1 int
-			for i, v := range values {
-				diff0 := v - c0
-				d0 := diff0 * diff0
-				diff1 := v - c1
-				d1 := diff1 * diff1
-				bestJ, bestD := 0, math.Inf(1)
-				if d0 < bestD {
-					bestD = d0
-				}
-				if d1 < bestD {
-					bestJ, bestD = 1, d1
-				}
-				s.assign[i] = bestJ
-				inertia += bestD
-				if bestJ == 0 {
-					n0++
-					sum0 += v
-				} else {
-					n1++
-					sum1 += v
-				}
-			}
-			s.sums[0], s.sums[1] = sum0, sum1
-			s.counts[0], s.counts[1] = n0, n1
-		} else {
-			for i, v := range values {
-				bestJ, bestD := 0, math.Inf(1)
-				for j := 0; j < k; j++ {
-					diff := v - cent[j]
-					if d := diff * diff; d < bestD {
-						bestJ, bestD = j, d
-					}
-				}
-				s.assign[i] = bestJ
-				inertia += bestD
-				s.counts[bestJ]++
-				s.sums[bestJ] += v
-			}
-		}
+		inertia = s.assignPass(values, k)
 		copy(s.prev, cent)
 		copy(cent, s.sums[:k])
 		for j := 0; j < k; j++ {
@@ -207,39 +157,83 @@ func (s *Scratch1D) once(values []float64, k int, opts Options, r *rng.Rand) (fl
 	// Final assignment, skipped when the last update moved no centroid (the
 	// in-loop assignment is already exact against these centroids).
 	if moved {
-		inertia = 0
-		if k == 2 {
-			c0, c1 := cent[0], cent[1]
-			for i, v := range values {
-				diff0 := v - c0
-				d0 := diff0 * diff0
-				diff1 := v - c1
-				d1 := diff1 * diff1
-				bestJ, bestD := 0, math.Inf(1)
-				if d0 < bestD {
-					bestD = d0
-				}
-				if d1 < bestD {
-					bestJ, bestD = 1, d1
-				}
-				s.assign[i] = bestJ
-				inertia += bestD
-			}
-		} else {
-			for i, v := range values {
-				bestJ, bestD := 0, math.Inf(1)
-				for j := 0; j < k; j++ {
-					diff := v - cent[j]
-					if d := diff * diff; d < bestD {
-						bestJ, bestD = j, d
-					}
-				}
-				s.assign[i] = bestJ
-				inertia += bestD
-			}
-		}
+		inertia = s.assignPass(values, k)
 	}
 	return inertia, iters
+}
+
+// assignPass is the fused assignment + update accumulation: one pass over
+// the values assigns each point to its nearest centroid in s.cent and folds
+// it into s.sums and s.counts. Sums, counts, and inertia accumulate in point
+// order — exactly the order the generic path's split assignment and update
+// loops use — so the fusion is invisible in the results. It returns the
+// inertia.
+func (s *Scratch1D) assignPass(values []float64, k int) float64 {
+	if k == 2 {
+		return s.assignPass2(values)
+	}
+	cent := s.cent
+	for j := 0; j < k; j++ {
+		s.sums[j] = 0
+		s.counts[j] = 0
+	}
+	inertia := 0.0
+	for i, v := range values {
+		bestJ, bestD := 0, math.Inf(1)
+		for j := 0; j < k; j++ {
+			diff := v - cent[j]
+			if d := diff * diff; d < bestD {
+				bestJ, bestD = j, d
+			}
+		}
+		s.assign[i] = bestJ
+		inertia += bestD
+		s.counts[bestJ]++
+		s.sums[bestJ] += v
+	}
+	return inertia
+}
+
+// assignPass2 is assignPass for k = 2, the shape of every ROOT split (§3.4),
+// with the assignment selected through integer masks instead of branches:
+// which centroid a time is nearer to is close to a coin flip in stream order,
+// so a branch on it mispredicts every other point.
+//
+// It computes what the generic j-loop computes, bit for bit (except which
+// payload a sum of two different NaNs carries: that is the compiler's operand
+// order, in either loop). A squared distance is +0, positive, +Inf or NaN,
+// and on those the unsigned order of the bit patterns is the float order
+// with every NaN above +Inf — so min(bits(d0), bits(+Inf)) is the j = 0 step
+// (d0 if d0 < +Inf, else +Inf) and an unsigned compare against it is the
+// j = 1 step. Each sum receives the same operands in the same order with
+// +0.0 in place of the points of the other cluster, and x + (+0.0) is x for
+// every x but -0.0, which a sum that starts at +0.0 can never be.
+func (s *Scratch1D) assignPass2(values []float64) float64 {
+	c0, c1 := s.cent[0], s.cent[1]
+	infBits := math.Float64bits(math.Inf(1))
+	assign := s.assign[:len(values)]
+	var sum0, sum1, inertia float64
+	n1 := 0
+	for i, v := range values {
+		diff0 := v - c0
+		diff1 := v - c1
+		b0 := min(math.Float64bits(diff0*diff0), infBits)
+		b1 := math.Float64bits(diff1 * diff1)
+		j := 0
+		if b1 < b0 {
+			j = 1
+		}
+		m := -uint64(j) // all ones when the point goes to cluster 1
+		assign[i] = j
+		n1 += j
+		inertia += math.Float64frombits(b0 ^ (b0^b1)&m)
+		vb := math.Float64bits(v)
+		sum0 += math.Float64frombits(vb &^ m)
+		sum1 += math.Float64frombits(vb & m)
+	}
+	s.sums[0], s.sums[1] = sum0, sum1
+	s.counts[0], s.counts[1] = len(values)-n1, n1
+	return inertia
 }
 
 // plusPlusInit is the scalar k-means++ seeding, RNG-step-compatible with

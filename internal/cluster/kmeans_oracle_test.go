@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -286,6 +287,163 @@ func TestKMeans1DMatchesReference(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAssignPass2MatchesGenericLoop pins the mask-selected k = 2 pass to the
+// generic centroid loop it stands in for — assignment, counts, sums and
+// inertia by their bits — on the values where a select through integer
+// masks could part from a float compare: signed zeros, equal centroids,
+// d0 == d1 ties, infinities (whose distance to an infinite centroid is NaN)
+// and NaNs of either sign, at n = 1, 2 and more. One NaN is as good as
+// another: which operand's payload an add of two NaNs keeps is the
+// compiler's choice of operand order, not the algorithm's.
+func TestAssignPass2MatchesGenericLoop(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	negNaN := math.Float64frombits(math.Float64bits(nan) | 1<<63)
+	negZero := math.Copysign(0, -1)
+	special := []float64{0, negZero, 1, -1, 3, 5, 1e-320, -1e-320, math.MaxFloat64, -math.MaxFloat64, inf, -inf, nan, negNaN}
+
+	generic := func(values []float64, c0, c1 float64) (assign []int, counts [2]int, sums [2]float64, inertia float64) {
+		cent := [2]float64{c0, c1}
+		assign = make([]int, len(values))
+		for i, v := range values {
+			bestJ, bestD := 0, math.Inf(1)
+			for j, c := range cent {
+				diff := v - c
+				if d := diff * diff; d < bestD {
+					bestJ, bestD = j, d
+				}
+			}
+			assign[i] = bestJ
+			inertia += bestD
+			counts[bestJ]++
+			sums[bestJ] += v
+		}
+		return
+	}
+	check := func(values []float64, c0, c1 float64) {
+		t.Helper()
+		s := Scratch1D{
+			assign: make([]int, len(values)),
+			cent:   []float64{c0, c1},
+			sums:   make([]float64, 2),
+			counts: make([]int, 2),
+		}
+		inertia := s.assignPass(values, 2)
+		assign, counts, sums, wantInertia := generic(values, c0, c1)
+		sameFloat := func(a, b float64) bool {
+			return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+		}
+		same := sameFloat(inertia, wantInertia)
+		for j := 0; j < 2; j++ {
+			same = same && s.counts[j] == counts[j] && sameFloat(s.sums[j], sums[j])
+		}
+		for i := range assign {
+			same = same && s.assign[i] == assign[i]
+		}
+		if !same {
+			t.Fatalf("values %v, centroids (%v, %v): mask pass assign %v counts %v sums %x inertia %x; generic loop %v %v %x %x",
+				values, c0, c1, s.assign, s.counts, bitsOf(s.sums), math.Float64bits(inertia),
+				assign, counts, bitsOf(sums[:]), math.Float64bits(wantInertia))
+		}
+	}
+
+	for _, c0 := range special {
+		for _, c1 := range special {
+			for _, a := range special {
+				check([]float64{a}, c0, c1) // n = 1
+				for _, b := range special {
+					check([]float64{a, b}, c0, c1) // n = 2
+				}
+			}
+			check(special, c0, c1)
+			check([]float64{2, 4, 4, 2, 3}, c0, c1) // 3 ties between centroids 2 and 4, 1 and 5
+		}
+	}
+	r := rng.New(9)
+	for trial := 0; trial < 2000; trial++ {
+		values := make([]float64, 1+r.Intn(40))
+		for i := range values {
+			if r.Intn(5) == 0 {
+				values[i] = special[r.Intn(len(special))]
+			} else {
+				values[i] = float64(r.Intn(9)) - 4 // small integers: ties and -0 sums
+			}
+		}
+		check(values, values[r.Intn(len(values))], values[r.Intn(len(values))])
+	}
+}
+
+func bitsOf(fs []float64) []uint64 {
+	out := make([]uint64, len(fs))
+	for i, f := range fs {
+		out[i] = math.Float64bits(f)
+	}
+	return out
+}
+
+// TestKMeans1DEdgeShapesMatchReference runs whole clusterings, k-means++ and
+// restarts included, through the reference on the shapes the random oracle
+// above rarely draws: one and two points, signed zeros, and values placed so
+// that points tie between two centroids. It also holds Result1D.Counts to the
+// assignment, on the best-of-restarts shadow copy as well.
+func TestKMeans1DEdgeShapesMatchReference(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	shapes := [][]float64{
+		{7},
+		{negZero},
+		{7, 7},
+		{1, 2},
+		{0, negZero},
+		{negZero, 0, negZero, 0, 1, 1},
+		{negZero, negZero, negZero},
+		{2, 3, 4},             // 3 ties between centroids 2 and 4
+		{1, 2, 3, 4, 5, 3, 3}, // ties once the centroids settle on 1.5 and 4.5
+		{-1, 0, 1, negZero, 0, -1, 1},
+	}
+	for si, vals := range shapes {
+		pts := make([][]float64, len(vals))
+		for i, v := range vals {
+			pts[i] = []float64{v}
+		}
+		for seed := uint64(0); seed < 40; seed++ {
+			opts := Options{Seed: seed, Restart: 1 + int(seed%3)}
+			if seed%2 == 0 {
+				opts.Tol, opts.MaxIter = 1e-300, 500
+			}
+			k := 2 + int(seed/2%2) // 3 takes the generic pass: its Counts are checked too
+			want, err := refKMeans(pts, k, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var s Scratch1D
+			got, err := s.KMeans(vals, k, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := fmt.Sprintf("shape %d %v k %d seed %d", si, vals, k, seed)
+			if got.K != want.K || got.Iterations != want.Iterations ||
+				math.Float64bits(got.Inertia) != math.Float64bits(want.Inertia) {
+				t.Fatalf("%s: K/iterations/inertia (%d,%d,%v), reference (%d,%d,%v)", ctx,
+					got.K, got.Iterations, got.Inertia, want.K, want.Iterations, want.Inertia)
+			}
+			counts := make([]int, got.K)
+			for i, a := range want.Assignment {
+				if got.Assignment[i] != a {
+					t.Fatalf("%s: assignment %v, reference %v", ctx, got.Assignment, want.Assignment)
+				}
+				counts[a]++
+			}
+			for j := range want.Centroids {
+				if math.Float64bits(got.Centroids[j]) != math.Float64bits(want.Centroids[j][0]) {
+					t.Fatalf("%s: centroid %d is %v, reference %v", ctx, j, got.Centroids[j], want.Centroids[j][0])
+				}
+				if got.Counts[j] != counts[j] {
+					t.Fatalf("%s: Counts %v, assignment has %v", ctx, got.Counts, counts)
+				}
+			}
+		}
 	}
 }
 

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"math"
+	"slices"
 	"sort"
 
 	"stemroot/internal/rng"
@@ -61,7 +63,7 @@ func (sc *cutScratch) deriveCuts(dst []float64, name string, vals []float64, p P
 		}
 		sc.spans = append(sc.spans, valueSpan{lo, hi})
 	}
-	sort.Slice(sc.spans, func(i, j int) bool { return sc.spans[i].lo < sc.spans[j].lo })
+	slices.SortFunc(sc.spans, func(a, b valueSpan) int { return cmp.Compare(a.lo, b.lo) })
 	for i, sp := range sc.spans {
 		hi := math.Inf(1)
 		if i+1 < len(sc.spans) {
@@ -70,6 +72,16 @@ func (sc *cutScratch) deriveCuts(dst []float64, name string, vals []float64, p P
 		dst = append(dst, hi)
 	}
 	return dst
+}
+
+// intervalOf returns which of the half-open intervals with the ascending
+// upper bounds cuts holds v.
+func intervalOf(cuts []float64, v float64) int {
+	j := sort.SearchFloat64s(cuts, v)
+	if j >= len(cuts) {
+		j = len(cuts) - 1
+	}
+	return j
 }
 
 // pairReservoir keeps a uniform sample of (value, stream position) pairs
@@ -90,18 +102,9 @@ func (rv *pairReservoir) add(v float64, position int) {
 	rv.seen++
 	if len(rv.vals) < rv.cap {
 		if len(rv.vals) == cap(rv.vals) {
-			grow := 2 * cap(rv.vals)
-			if grow < 64 {
-				grow = 64
-			}
-			if grow > rv.cap {
-				grow = rv.cap
-			}
-			nv := make([]float64, len(rv.vals), grow)
-			np := make([]int, len(rv.pos), grow)
-			copy(nv, rv.vals)
-			copy(np, rv.pos)
-			rv.vals, rv.pos = nv, np
+			grow := min(max(2*cap(rv.vals), 64), rv.cap)
+			rv.vals = append(make([]float64, 0, grow), rv.vals...)
+			rv.pos = append(make([]int, 0, grow), rv.pos...)
 		}
 		rv.vals = append(rv.vals, v)
 		rv.pos = append(rv.pos, position)
@@ -137,9 +140,12 @@ type incNameState struct {
 // exact total time, which keeps the PredictedError delta ε-bounded (pinned
 // by test) without a second scan.
 //
-// Peak memory is O(#names × ReservoirCap) for the reservoirs plus
-// O(#clusters × maxSampleSize) for the derived plan, independent of trace
-// length. The steady-state Add path performs zero heap allocations
+// Peak memory is independent of trace length: O(#names × ReservoirCap) for
+// the reservoirs, O(ReservoirCap + #clusters) of re-plan scratch that the
+// planner owns and reuses, and the derived plan itself (#clusters entries
+// plus their drawn samples). A re-plan allocates the plan it returns and
+// nothing that grows with the reservoirs (TestIncrementalPlanScratchBounded),
+// and the steady-state Add path performs zero heap allocations
 // (AllocsPerRun-pinned).
 //
 // An IncrementalPlanner must be confined to a single goroutine.
@@ -164,10 +170,20 @@ type IncrementalPlanner struct {
 	lastEstimate    float64 // plan-based extrapolation of the total time
 	lastSampledTime float64 // Σ time over the plan's distinct samples
 
-	// Plan-derivation scratch, reused across re-plans.
-	sc     cutScratch
-	sorted []string
-	cuts   []float64
+	// Plan-derivation scratch, reused across re-plans. One entry per
+	// interval (or per name), all names' intervals in sorted-name order:
+	sorted    []string
+	cuts      []float64 // cuts[i] is the upper bound of intervals[i]
+	intervals []incInterval
+	statsVec  []ClusterStats
+	sizes     []int
+	kkt       kktScratch
+	// and, for the one kernel being worked on, at most ReservoirCap entries:
+	arena splitArena
+	sc    cutScratch
+	perm  []int32  // reservoir slots grouped by interval, slot order kept
+	ends  []int    // ends[j] is where interval j's group ends in perm
+	drawn []uint64 // bitset over reservoir slots: already counted as sampled
 }
 
 // NewIncrementalPlanner validates p and returns an empty planner.
@@ -297,7 +313,9 @@ func (ip *IncrementalPlanner) CurrentPlan() (*Plan, error) {
 // Plan re-derives the sampling plan from the current reservoirs and exact
 // statistics, caches it, and resets the re-plan schedule. Deterministic:
 // the same ingest sequence at the same seed yields a bit-identical plan,
-// regardless of how many times Plan or CurrentPlan ran before.
+// regardless of how many times Plan or CurrentPlan ran before. The plan is
+// newly allocated and shares no memory with the planner's scratch, so a
+// plan obtained earlier is never changed by a later re-plan.
 func (ip *IncrementalPlanner) Plan() (*Plan, error) {
 	if ip.bad != nil {
 		return nil, ip.bad
@@ -308,97 +326,98 @@ func (ip *IncrementalPlanner) Plan() (*Plan, error) {
 	ip.sorted = append(ip.sorted[:0], ip.order...)
 	sort.Strings(ip.sorted)
 
-	arena := splitArenas.Get().(*splitArena)
-	defer splitArenas.Put(arena)
-
-	// Derive intervals per name and accumulate reservoir members into
-	// them: per-interval Welford moments (insertion order = stream order,
-	// so in-reservoir kernels reproduce the two-pass exact statistics bit
-	// for bit) and candidate position pools.
-	var intervals []incInterval
+	// Phase 1, per name: derive the intervals and fold the reservoir into
+	// their Welford moments. Insertion order is stream order, so in-reservoir
+	// kernels reproduce the two-pass exact statistics bit for bit. Which slot
+	// fell where is not kept — phase 3 re-derives it for one name at a time.
+	ip.cuts, ip.intervals = ip.cuts[:0], ip.intervals[:0]
 	for _, name := range ip.sorted {
 		st := ip.states[name]
-		ip.cuts = ip.sc.deriveCuts(ip.cuts[:0], name, st.res.vals, ip.p, arena)
-		base := len(intervals)
-		for range ip.cuts {
-			intervals = append(intervals, incInterval{name: name, st: st})
+		base := len(ip.cuts)
+		ip.cuts = ip.sc.deriveCuts(ip.cuts, name, st.res.vals, ip.p, &ip.arena)
+		for range ip.cuts[base:] {
+			ip.intervals = append(ip.intervals, incInterval{name: name, st: st})
 		}
-		for i, v := range st.res.vals {
-			j := sort.SearchFloat64s(ip.cuts, v)
-			if j >= len(ip.cuts) {
-				j = len(ip.cuts) - 1
-			}
-			iv := &intervals[base+j]
-			iv.acc.Add(v)
-			iv.pool = append(iv.pool, st.res.pos[i])
-			iv.vals = append(iv.vals, v)
+		cuts, ivs := ip.cuts[base:], ip.intervals[base:]
+		for _, v := range st.res.vals {
+			ivs[intervalOf(cuts, v)].acc.Add(v)
 		}
 	}
+	intervals := ip.intervals
+	n := len(intervals)
 
-	// Per-cluster statistics: exact when the reservoir holds the kernel's
-	// entire population; otherwise reservoir estimates apportioned to the
-	// exact count and calibrated to the exact total time. calScale carries
-	// the per-name calibration factor into the sample weights so the
-	// extrapolation (Weight × Σ sampled times) stays unbiased too.
-	statsVec := make([]ClusterStats, len(intervals))
-	calScale := make([]float64, len(intervals))
-	for lo := 0; lo < len(intervals); {
-		hi := lo + 1
-		for hi < len(intervals) && intervals[hi].st == intervals[lo].st {
-			hi++
-		}
+	// Phase 2: per-cluster statistics — exact when the reservoir holds the
+	// kernel's entire population; otherwise reservoir estimates apportioned
+	// to the exact count and calibrated to the exact total time, with the
+	// per-name calibration factor carried into the sample weights so the
+	// extrapolation (Weight × Σ sampled times) stays unbiased too — and the
+	// joint sizing over all of them.
+	ip.statsVec = sized(ip.statsVec, n)
+	statsVec := ip.statsVec
+	for lo := 0; lo < n; {
+		hi := nameRun(intervals, lo)
 		s := ip.nameStats(statsVec[lo:hi], intervals[lo].st, intervals[lo:hi])
 		for i := lo; i < hi; i++ {
-			calScale[i] = s
+			intervals[i].scale = s
 		}
 		lo = hi
 	}
-
-	sizes := OptimalSizes(statsVec, ip.p)
+	ip.sizes = sized(ip.sizes, n)
+	sizes := optimalSizesInto(ip.sizes, statsVec, ip.p, &ip.kkt)
 	if ip.p.SmallSampleT {
-		sizes = ApplyTCorrection(statsVec, sizes, ip.p)
+		applyTCorrection(statsVec, sizes, ip.p)
 	}
 
-	plan := &Plan{Params: ip.p}
+	// Phase 3, per name again: group the reservoir slots by interval and
+	// draw. perm[ends[j]-n_j : ends[j]] are interval j's n_j candidate slots
+	// in reservoir order; a slot's stream position and time are read from
+	// the reservoir itself.
+	plan := &Plan{Params: ip.p, Clusters: make([]PlanCluster, n)}
 	drawGen := rng.New(rng.Derive(ip.p.Seed, seedLabelDraw))
 	var estimate, sampledTime float64
-	distinct := make(map[int]struct{})
-	for i := range intervals {
-		iv := &intervals[i]
-		m := sizes[i]
-		cs := statsVec[i]
-		pc := PlanCluster{Name: iv.name, SampleSize: m, Stats: cs}
-		if cs.N > 0 && m > 0 {
-			pool := iv.pool
-			if m >= cs.N {
+	for lo := 0; lo < n; {
+		hi := nameRun(intervals, lo)
+		res := &intervals[lo].st.res
+		ip.groupSlots(res.vals, ip.cuts[lo:hi], intervals[lo:hi])
+		ip.drawn = sized(ip.drawn, (len(res.vals)+63)/64)
+		clear(ip.drawn)
+		for i := lo; i < hi; i++ {
+			iv := &intervals[i]
+			m, cs := sizes[i], statsVec[i]
+			pc := &plan.Clusters[i]
+			*pc = PlanCluster{Name: iv.name, SampleSize: m, Stats: cs}
+			if cs.N <= 0 || m <= 0 {
+				continue
+			}
+			end := ip.ends[i-lo]
+			pool := ip.perm[end-iv.acc.N() : end]
+			all := m >= cs.N
+			if all {
 				// Exact coverage needs an index for every member; cap at
 				// the candidate pool (distinct draws).
 				m = min(cs.N, len(pool))
 				pc.SampleSize = m
-				pc.Samples = append([]int(nil), pool[:m]...)
-				pc.Weight = calScale[i] * float64(cs.N) / float64(m)
-				for j := 0; j < m; j++ {
-					estimate += pc.Weight * iv.vals[j]
-					if _, ok := distinct[pool[j]]; !ok {
-						distinct[pool[j]] = struct{}{}
-						sampledTime += iv.vals[j]
-					}
-				}
-			} else {
-				pc.Weight = calScale[i] * float64(cs.N) / float64(m)
+			}
+			pc.Weight = iv.scale * float64(cs.N) / float64(m)
+			if m > 0 {
 				pc.Samples = make([]int, m)
-				for j := range pc.Samples {
-					k := drawGen.Intn(len(pool))
-					pc.Samples[j] = pool[k]
-					estimate += pc.Weight * iv.vals[k]
-					if _, ok := distinct[pool[k]]; !ok {
-						distinct[pool[k]] = struct{}{}
-						sampledTime += iv.vals[k]
-					}
+			}
+			for j := range pc.Samples {
+				k := j
+				if !all {
+					k = drawGen.Intn(len(pool))
+				}
+				slot := pool[k]
+				pc.Samples[j] = res.pos[slot]
+				t := res.vals[slot]
+				estimate += pc.Weight * t
+				if word, bit := &ip.drawn[slot>>6], uint64(1)<<(slot&63); *word&bit == 0 {
+					*word |= bit
+					sampledTime += t
 				}
 			}
 		}
-		plan.Clusters = append(plan.Clusters, pc)
+		lo = hi
 	}
 	if err := plan.setBound(statsVec); err != nil {
 		return nil, err
@@ -418,13 +437,45 @@ func (ip *IncrementalPlanner) Plan() (*Plan, error) {
 
 // incInterval is one derived cluster interval during Plan: the owning
 // kernel's state, the Welford moments of the reservoir members that fell in
-// the interval, and their stream positions (the candidate sample pool).
+// the interval, and the kernel's calibration scale.
 type incInterval struct {
-	name string
-	st   *incNameState
-	acc  stats.Online
-	pool []int     // candidate stream positions
-	vals []float64 // times at those positions (parallel to pool)
+	name  string
+	st    *incNameState
+	acc   stats.Online
+	scale float64
+}
+
+// sized returns buf at length n with unspecified contents, reallocating only
+// when its capacity is short.
+func sized[T any](buf []T, n int) []T { return slices.Grow(buf[:0], n)[:n] }
+
+// nameRun returns the end of the run of intervals, starting at lo, that
+// belong to one kernel.
+func nameRun(intervals []incInterval, lo int) int {
+	hi := lo + 1
+	for hi < len(intervals) && intervals[hi].st == intervals[lo].st {
+		hi++
+	}
+	return hi
+}
+
+// groupSlots is a stable counting sort of one kernel's reservoir slots by
+// interval into ip.perm, leaving each interval's end offset in ip.ends. The
+// group sizes are already known: they are the counts of the moments phase 1
+// accumulated with the same intervalOf.
+func (ip *IncrementalPlanner) groupSlots(vals, cuts []float64, ivs []incInterval) {
+	ip.ends = sized(ip.ends, len(ivs))
+	at := 0
+	for j := range ivs {
+		ip.ends[j] = at // the group's start, advanced to its end below
+		at += ivs[j].acc.N()
+	}
+	ip.perm = sized(ip.perm, len(vals))
+	for slot, v := range vals {
+		j := intervalOf(cuts, v)
+		ip.perm[ip.ends[j]] = int32(slot)
+		ip.ends[j]++
+	}
 }
 
 // nameStats fills out with the cluster statistics of one kernel's

@@ -26,17 +26,52 @@ type Cluster struct {
 // current node, so one arena serves an entire kernel-name group: a parent
 // is done with every buffer before it recurses (only the group offsets and
 // sub-statistics survive into the recursion, and those live on the stack).
-// Arenas are pure scratch — pooling them across calls cannot affect results.
+// Arenas are pure scratch — reusing them across calls cannot affect results.
 type splitArena struct {
 	valTmp []float64 // stable-partition scratch
 	idxTmp []int     // stable-partition scratch
-	counts []int     // per-subcluster member counts, then scatter cursors
+	cursor []int     // per-subcluster scatter cursors
 	sizes  []int
 	kkt    kktScratch
 	km     cluster.Scratch1D
 }
 
-var splitArenas = sync.Pool{New: func() any { return new(splitArena) }}
+// idleArenas holds buildClusters' arenas between calls. Like gpu's idle
+// lists, and for the reason given there, it is a bounded LIFO and not a pool
+// the runtime empties: which arenas are re-grown — and so what a run
+// allocates — depends only on the sequence of calls, never on the
+// collector's schedule.
+var idleArenas struct {
+	sync.Mutex
+	arenas []*splitArena // most recently returned last
+}
+
+// maxIdleArenas bounds what idleArenas retains; the oldest is dropped first.
+const maxIdleArenas = 16
+
+// takeArenas returns n arenas, the most recently returned idle ones first.
+func takeArenas(n int) []*splitArena {
+	out := make([]*splitArena, n)
+	idleArenas.Lock()
+	idle := idleArenas.arenas
+	got := min(n, len(idle))
+	copy(out, idle[len(idle)-got:])
+	clear(idle[len(idle)-got:])
+	idleArenas.arenas = idle[:len(idle)-got]
+	idleArenas.Unlock()
+	for i := got; i < n; i++ {
+		out[i] = new(splitArena)
+	}
+	return out
+}
+
+func putArenas(arenas []*splitArena) {
+	idleArenas.Lock()
+	for _, a := range arenas {
+		idleArenas.arenas = parallel.PushIdle(idleArenas.arenas, a, maxIdleArenas)
+	}
+	idleArenas.Unlock()
+}
 
 func (a *splitArena) grow(n int) {
 	if cap(a.valTmp) < n {
@@ -74,18 +109,8 @@ func rootSplit(name string, vals []float64, idxs []int, cs ClusterStats, p Param
 	}
 	k := res.K
 
-	if cap(a.counts) < k {
-		a.counts = make([]int, k)
-	}
-	counts := a.counts[:k]
-	for j := range counts {
-		counts[j] = 0
-	}
-	for _, g := range res.Assignment {
-		counts[g]++
-	}
 	nonEmpty := 0
-	for _, c := range counts {
+	for _, c := range res.Counts {
 		if c > 0 {
 			nonEmpty++
 		}
@@ -104,7 +129,7 @@ func rootSplit(name string, vals []float64, idxs []int, cs ClusterStats, p Param
 		offs = make([]int, 0, k+1)
 	}
 	pos := 0
-	for _, c := range counts {
+	for _, c := range res.Counts {
 		offs = append(offs, pos)
 		pos += c
 	}
@@ -129,12 +154,13 @@ func rootSplit(name string, vals []float64, idxs []int, cs ClusterStats, p Param
 		accs = make([]stats.Online, k)
 	}
 	idxTmp, valTmp := a.idxTmp[:n], a.valTmp[:n]
-	copy(counts, offs[:k]) // counts now serve as scatter cursors
+	a.cursor = append(a.cursor[:0], offs[:k]...)
+	cursor := a.cursor
 	for i, g := range res.Assignment {
-		c := counts[g]
+		c := cursor[g]
 		idxTmp[c] = idxs[i]
 		valTmp[c] = vals[i]
-		counts[g] = c + 1
+		cursor[g] = c + 1
 		accs[g].Add(vals[i])
 	}
 
@@ -255,14 +281,16 @@ func buildClusters(names []string, times []float64, p Params, workers int) []Clu
 		cursor[id] = c + 1
 	}
 
-	perName, _ := parallel.MapStealing(len(order), workers,
-		func(i int) ([]Cluster, error) {
-			a := splitArenas.Get().(*splitArena)
-			defer splitArenas.Put(a)
-			vals := valsB[start[i]:start[i+1]]
-			idxs := backing[start[i]:start[i+1]]
-			return rootSplit(order[i], vals, idxs, StatsOf(vals), p, 0, nil, a), nil
-		})
+	// One arena per worker index, which ForEachStealing gives to one
+	// goroutine for the whole call.
+	arenas := takeArenas(max(1, min(workers, len(order))))
+	perName := make([][]Cluster, len(order))
+	parallel.ForEachStealing(len(order), workers, func(w, i int) {
+		vals := valsB[start[i]:start[i+1]]
+		idxs := backing[start[i]:start[i+1]]
+		perName[i] = rootSplit(order[i], vals, idxs, StatsOf(vals), p, 0, nil, arenas[w])
+	})
+	putArenas(arenas)
 	total := 0
 	for _, leaves := range perName {
 		total += len(leaves)

@@ -97,10 +97,11 @@ func (rv *indexReservoir) add(i int) {
 // IncrementalPlanner.
 type StreamOptions struct {
 	// ReservoirCap bounds the per-kernel-name time sample used for
-	// clustering (default 8192). Peak memory has two bounded terms:
-	// O(#names × ReservoirCap) for the clustering reservoirs plus
-	// O(#clusters × maxSampleSize) for the candidate index pools — both
-	// independent of trace length.
+	// clustering (default 8192). Peak memory is independent of trace
+	// length: O(#names × ReservoirCap) for the reservoirs, plus
+	// O(#clusters × maxSampleSize) candidate index reservoirs in
+	// BuildPlanStream or O(ReservoirCap) re-plan scratch in the
+	// IncrementalPlanner, plus the plan.
 	ReservoirCap int
 
 	// ReplanEvery is the IncrementalPlanner's amortization factor: a
@@ -183,14 +184,13 @@ func BuildPlanStream(src ProfileScanner, p Params, opts StreamOptions) (*Plan, e
 
 	// Cluster each reservoir with ROOT; convert leaves to half-open
 	// intervals of the real line (shared with the IncrementalPlanner).
-	arena := splitArenas.Get().(*splitArena)
-	defer splitArenas.Put(arena)
+	var arena splitArena
 	var sc cutScratch
 	cuts := make(map[string][]float64) // upper bounds, ascending
 	base := make(map[string]int)       // first interval index of the name
 	var ivNames []string               // interval index -> kernel name
 	for _, name := range order {
-		cs := sc.deriveCuts(nil, name, states[name].res.vals, p, arena)
+		cs := sc.deriveCuts(nil, name, states[name].res.vals, p, &arena)
 		base[name] = len(ivNames)
 		cuts[name] = cs
 		for range cs {
@@ -198,12 +198,7 @@ func BuildPlanStream(src ProfileScanner, p Params, opts StreamOptions) (*Plan, e
 		}
 	}
 	assign := func(name string, t float64) int {
-		cs := cuts[name]
-		j := sort.SearchFloat64s(cs, t)
-		if j >= len(cs) {
-			j = len(cs) - 1
-		}
-		return base[name] + j
+		return base[name] + intervalOf(cuts[name], t)
 	}
 
 	// ---- Pass 2: exact per-cluster statistics + index reservoirs ----
@@ -284,11 +279,4 @@ func maxCandidateSize(p Params) int {
 		m = 200000
 	}
 	return m
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

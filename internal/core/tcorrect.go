@@ -20,8 +20,14 @@ const smallSampleThreshold = 30
 func ApplyTCorrection(clusters []ClusterStats, sizes []int, p Params) []int {
 	out := make([]int, len(sizes))
 	copy(out, sizes)
+	applyTCorrection(clusters, out, p)
+	return out
+}
+
+// applyTCorrection is ApplyTCorrection in place.
+func applyTCorrection(clusters []ClusterStats, sizes []int, p Params) {
 	for i, c := range clusters {
-		m := out[i]
+		m := sizes[i]
 		if m < 2 || m >= smallSampleThreshold || c.Mean <= 0 || c.StdDev == 0 {
 			continue
 		}
@@ -47,9 +53,8 @@ func ApplyTCorrection(clusters []ClusterStats, sizes []int, p Params) []int {
 		if m > c.N {
 			m = c.N
 		}
-		if m > out[i] {
-			out[i] = m
+		if m > sizes[i] {
+			sizes[i] = m
 		}
 	}
-	return out
 }

@@ -764,17 +764,8 @@ func putRun(r *segRun) {
 	c := &r.committer
 	c.results, c.err, c.next, c.total = nil, nil, 0, 0
 	idleScratch.Lock()
-	idleScratch.runs = pushIdle(idleScratch.runs, r, maxIdleScratch)
+	idleScratch.runs = parallel.PushIdle(idleScratch.runs, r, maxIdleScratch)
 	idleScratch.Unlock()
-}
-
-// pushIdle appends x to a list of at most max items, dropping the oldest.
-func pushIdle[T any](list []T, x T, max int) []T {
-	if len(list) == max {
-		copy(list, list[1:])
-		list = list[:max-1]
-	}
-	return append(list, x)
 }
 
 // idleSims holds idle simulators between RunSegmentedEngine calls. A sweep
@@ -823,7 +814,7 @@ func putSimulators(sims []*Simulator) {
 			continue
 		}
 		sim.SetBarrierCollector(nil)
-		idleSims.sims = pushIdle(idleSims.sims, sim, maxIdleSims)
+		idleSims.sims = parallel.PushIdle(idleSims.sims, sim, maxIdleSims)
 	}
 }
 

@@ -58,6 +58,20 @@ func Workers(n int) int {
 	return n
 }
 
+// PushIdle appends x to an idle list of at most max items, dropping the
+// oldest: the discipline of every list that keeps worker-owned scratch (a
+// simulator, a run's buffers, a clustering arena) between calls. The caller
+// holds the list's lock and pops from the end, so what is reused depends
+// only on the sequence of calls — a sync.Pool empties on the collector's
+// schedule, which made memory metrics differ from run to run.
+func PushIdle[T any](list []T, x T, max int) []T {
+	if len(list) == max {
+		copy(list, list[1:])
+		list = list[:max-1]
+	}
+	return append(list, x)
+}
+
 // stealShard is one worker's claimable slice [next, end) of the unit-index
 // space. The owner claims from the front (ascending i); thieves detach the
 // upper half of the remainder. A mutex per shard — rather than a lock-free

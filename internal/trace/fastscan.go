@@ -32,9 +32,11 @@ var ErrFieldCount = errors.New("trace: profile row must have 3 fields")
 // of all-distinct names cannot grow the table without bound.
 const maxInternedNames = 4096
 
-// maxWindow is the bufio window of a reader of unknown length — wide
-// enough that steady state never spills.
-const maxWindow = 1 << 20
+// maxWindow is the bufio window of a reader of unknown length. Every reader
+// allocates and zeroes one, so it is no larger than decoding needs:
+// BenchmarkScanBytes is as fast through 64 KiB as through 1 MiB (EXPERIMENTS,
+// "Re-plan scratch"), and only a line longer than the window spills.
+const maxWindow = 64 << 10
 
 var profileHeader = []byte("seq,name,time_us")
 

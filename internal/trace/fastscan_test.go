@@ -320,8 +320,12 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 // far smaller than the input, fed in pieces that do not line up with rows:
 // every combination must yield the rows, and fail where, encoding/csv does.
 func TestScanBytesWindowSplitting(t *testing.T) {
-	long := strings.Repeat("k", 100) // longer than every window below
+	long := strings.Repeat("k", 100) // longer than every window below but maxWindow
 	bodies := map[string]string{
+		"several full windows, a spilling line in the second": "seq,name,time_us\n" +
+			strings.Repeat("5,attn_decode_l0,12.375\n6,mlp,9.5\r\n", maxWindow/32) +
+			"7," + strings.Repeat("k", maxWindow+maxWindow/2) + ",8\n" +
+			strings.Repeat("9,layer_norm,1.9181453074128947\n", maxWindow/16) + "10,last,7.",
 		"straddle, CRLF, blanks, unterminated": "seq,name,time_us\n0,gemm,1.5\r\n\n1,softmax,2.25e-1\n\r\n\n" +
 			strings.Repeat("2,layer_norm,1.9181453074128947\n3,a,4\r\n", 20) + "4,last,7.",
 		"line longer than the window": "seq,name,time_us\n0,a,1\n1," + long + ",2\n2,b,3\n3," + long + ",4",
@@ -343,7 +347,7 @@ func TestScanBytesWindowSplitting(t *testing.T) {
 		if !reflect.DeepEqual(oneN, wantN) || !reflect.DeepEqual(oneT, wantT) || (oneErr == nil) != (wantErr == nil) {
 			t.Errorf("%s, one window: rows %q %v err %v; encoding/csv: %q %v err %v", what, oneN, oneT, oneErr, wantN, wantT, wantErr)
 		}
-		for _, window := range []int{16, 24, 64} {
+		for _, window := range []int{16, 24, 64, maxWindow} {
 			for _, piece := range []int{1, 7, 16, 1000} {
 				fr := &FastCSVReader{br: bufio.NewReaderSize(&chunkReader{data, piece}, window)}
 				gotN, gotT, err := scanAll(fr)

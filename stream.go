@@ -16,10 +16,11 @@ type Scanner interface {
 // StreamPlanner.
 type StreamOptions struct {
 	// ReservoirCap bounds the per-kernel time sample used for clustering;
-	// 0 means 8192. Peak memory has two bounded terms — O(#names ×
-	// ReservoirCap) for the clustering reservoirs plus O(#clusters ×
-	// maxSampleSize) for the candidate sample pools — both independent of
-	// trace length.
+	// 0 means 8192. Peak memory is independent of trace length:
+	// O(#names × ReservoirCap) for the reservoirs plus the plan, and on top
+	// of that O(ReservoirCap) of re-plan scratch in StreamPlanner or
+	// O(#clusters × maxSampleSize) candidate index reservoirs in
+	// SampleStream.
 	ReservoirCap int
 
 	// ReplanEvery is StreamPlanner's amortization factor: a cached plan is
@@ -124,6 +125,7 @@ func (sp *StreamPlanner) Replans() int { return sp.ip.Replans() }
 // CurrentPlan returns the plan for everything ingested so far, re-deriving
 // it only when the amortized schedule says the cached one is stale.
 // Cluster sample indices are invocation positions in the stream (0-based).
+// A returned plan is never changed by later ingestion or re-plans.
 func (sp *StreamPlanner) CurrentPlan() (*Plan, error) {
 	cp, err := sp.ip.CurrentPlan()
 	if err != nil {
