@@ -311,7 +311,7 @@ func BenchmarkSuiteComparisonParallel(b *testing.B) {
 	for _, jobs := range []int{1, 4} {
 		b.Run(fmt.Sprintf("j%d", jobs), func(b *testing.B) {
 			cfg := benchConfig()
-			cfg.Parallelism = jobs
+			cfg.Sim.Workers = jobs
 			for i := 0; i < b.N; i++ {
 				if _, err := experiments.SuiteComparison(cfg, workloads.SuiteRodinia); err != nil {
 					b.Fatal(err)

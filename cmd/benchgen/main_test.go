@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,8 +34,8 @@ func TestGenerateRodinia(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tf.Close()
-	w, err := trace.ReadWorkloadJSON(tf)
-	if err != nil {
+	var w trace.Workload
+	if err := json.NewDecoder(tf).Decode(&w); err != nil {
 		t.Fatal(err)
 	}
 	if w.Name != "heartwall" || w.Len() == 0 {

@@ -18,9 +18,10 @@
 // epoch-barrier accounting (compute vs merge time, replayed accesses,
 // misses) to stderr unless -barrierstats=false.
 //
-// Experiment ids: table2, fig1, fig7, fig8, fig9, fig10, fig11, fig12,
-// fig13, fig14, table3, table4 (alias: dse), table5, flush, kkt, rootk,
-// root, warmup, multigpu, confidence, epochsweep, all.
+// Experiment ids: table2, fig1, table3, fig7, fig8, fig9, fig10, fig11,
+// table4 (alias: dse), fig12, fig13, fig14, table5, flush, kkt, rootk,
+// root, warmup, multigpu, confidence — all of which -run all runs, in this
+// order — and epochsweep.
 package main
 
 import (
@@ -81,174 +82,151 @@ func mainErr() error {
 		return err
 	}
 	defer finish()
-	cfg.Parallelism = opts.Workers
-	cfg.Cache = opts.Cache
-	cfg.Engine = opts.Engine
-	cfg.KernelWorkers = opts.KernelWorkers
-	cfg.Epoch = opts.Epoch
-	cfg.BarrierStats = opts.BarrierStats
+	cfg.Sim = opts
 	return runExperiments(cfg, *run, os.Stdout)
 }
 
-// runExperiments dispatches the requested experiment ids to their runners,
-// writing rendered tables to out.
+// state is one invocation: its configuration and the two results that
+// more than one id renders, computed once.
+type state struct {
+	cfg experiments.Config
+	t3  *experiments.Table3Result // feeds fig7, fig8, fig9
+	t4  *experiments.Table4Result // feeds fig12
+}
+
+func (s *state) table3() (_ *experiments.Table3Result, err error) {
+	if s.t3 == nil {
+		s.t3, err = experiments.Table3(s.cfg)
+	}
+	return s.t3, err
+}
+
+func (s *state) table4() (_ *experiments.Table4Result, err error) {
+	if s.t4 == nil {
+		s.t4, err = experiments.Table4(s.cfg)
+	}
+	return s.t4, err
+}
+
+// experiment is one row of the dispatch table.
+type experiment struct {
+	id    string
+	alias string // second accepted spelling, "" for none
+	inAll bool   // part of -run all
+	run   func(*state) (string, error)
+}
+
+// from pairs a result getter with its renderer.
+func from[T any](get func(*state) (T, error), render func(T) string) func(*state) (string, error) {
+	return func(s *state) (string, error) {
+		res, err := get(s)
+		if err != nil {
+			return "", err
+		}
+		return render(res), nil
+	}
+}
+
+// of is from for a runner that needs only the configuration.
+func of[T any](run func(experiments.Config) (T, error), render func(T) string) func(*state) (string, error) {
+	return from(func(s *state) (T, error) { return run(s.cfg) }, render)
+}
+
+// perWorkload renders the Table 3 rows of two suites, concatenated.
+func perWorkload(render func([]experiments.Row) string, a, b string) func(*state) (string, error) {
+	return from((*state).table3, func(res *experiments.Table3Result) string {
+		return render(append(res.PerWorkload[a], res.PerWorkload[b]...))
+	})
+}
+
+// table lists every experiment in -run all order. Dispatch, the all list,
+// validation and the unknown-id message all read it; the package comment
+// repeats its ids (TestPackageCommentListsEveryID).
+var table = []experiment{
+	{"table2", "", true, of(experiments.Table2, experiments.RenderTable2)},
+	{"fig1", "", true, of(experiments.Figure1, experiments.RenderFigure1)},
+	{"table3", "", true, from((*state).table3, (*experiments.Table3Result).Render)},
+	{"fig7", "", true, perWorkload(experiments.RenderFigure7, workloads.SuiteRodinia, workloads.SuiteCASIO)},
+	{"fig8", "", true, perWorkload(experiments.RenderFigure8, workloads.SuiteRodinia, workloads.SuiteCASIO)},
+	{"fig9", "", true, perWorkload(experiments.RenderFigure9, workloads.SuiteCASIO, workloads.SuiteHuggingFace)},
+	{"fig10", "", true, of(experiments.Figure10, experiments.RenderFigure10)},
+	{"fig11", "", true, of(experiments.Figure11, experiments.RenderFigure11)},
+	{"table4", "dse", true, from((*state).table4, (*experiments.Table4Result).Render)},
+	{"fig12", "", true, from((*state).table4, func(res *experiments.Table4Result) string {
+		return experiments.RenderFigure12(res.Figure12)
+	})},
+	{"fig13", "", true, of(experiments.Figure13, (*experiments.Figure13Result).Render)},
+	{"fig14", "", true, of(experiments.Figure14, (*experiments.Figure14Result).Render)},
+	{"table5", "", true, of(experiments.Table5, (*experiments.Table5Result).Render)},
+	{"flush", "", true, of(experiments.FlushAblation, (*experiments.FlushResult).Render)},
+	{"kkt", "", true, of(experiments.KKTAblation, (*experiments.KKTAblationResult).Render)},
+	{"rootk", "", true, of(experiments.RootKAblation, experiments.RenderRootK)},
+	{"root", "", true, of(experiments.RootAblation, (*experiments.RootAblationResult).Render)},
+	{"warmup", "", true, of(experiments.WarmupAblation, experiments.RenderWarmup)},
+	{"multigpu", "", true, of(experiments.MultiGPU, experiments.RenderMultiGPU)},
+	{"confidence", "", true, of(func(cfg experiments.Config) (*experiments.ConfidenceResult, error) {
+		return experiments.Confidence(cfg, 100)
+	}, (*experiments.ConfidenceResult).Render)},
+	{"epochsweep", "", false, of(experiments.EpochSweep, func(res *experiments.EpochSweepResult) string {
+		// Wall clock is the one nondeterministic output; stderr keeps
+		// stdout byte-identical at any -j/-jkernel.
+		fmt.Fprint(os.Stderr, res.RenderTiming())
+		return res.Render()
+	})},
+}
+
+// lookup returns the table row that id names, nil for none.
+func lookup(id string) *experiment {
+	for i := range table {
+		if e := &table[i]; id == e.id || (e.alias != "" && id == e.alias) {
+			return e
+		}
+	}
+	return nil
+}
+
+// runExperiments runs the requested experiment ids in order, writing each
+// rendered table to out under a heading of the id as typed. Every id is
+// resolved before the first runner starts: a typo at the end of a list
+// must not cost the minutes the ids before it take.
 func runExperiments(cfg experiments.Config, run string, out io.Writer) error {
 	ids := strings.Split(run, ",")
-	if run == "all" {
-		ids = []string{"table2", "fig1", "table3", "fig7", "fig8", "fig9",
-			"fig10", "fig11", "table4", "fig12", "fig13", "fig14", "table5",
-			"flush", "kkt", "rootk", "root", "warmup", "multigpu", "confidence"}
-	}
-
-	// Table 3 feeds figures 7-9; compute it lazily once.
-	var t3 *experiments.Table3Result
-	table3 := func() (*experiments.Table3Result, error) {
-		if t3 == nil {
-			res, err := experiments.Table3(cfg)
-			if err != nil {
-				return nil, err
+	if strings.TrimSpace(run) == "all" {
+		ids = ids[:0]
+		for _, e := range table {
+			if e.inAll {
+				ids = append(ids, e.id)
 			}
-			t3 = res
 		}
-		return t3, nil
 	}
-	// Table 4 feeds figure 12.
-	var t4 *experiments.Table4Result
-	table4 := func() (*experiments.Table4Result, error) {
-		if t4 == nil {
-			res, err := experiments.Table4(cfg)
-			if err != nil {
-				return nil, err
-			}
-			t4 = res
+	exps := make([]*experiment, len(ids))
+	for i, id := range ids {
+		ids[i] = strings.TrimSpace(id)
+		if exps[i] = lookup(ids[i]); exps[i] == nil {
+			return fmt.Errorf("unknown experiment %q (valid: %s)", ids[i], validIDs())
 		}
-		return t4, nil
 	}
-
-	for _, id := range ids {
-		fmt.Fprintf(out, "==== %s ====\n", id)
-		var rendered string
-		var err error
-		switch strings.TrimSpace(id) {
-		case "fig1":
-			var entries []experiments.Figure1Entry
-			if entries, err = experiments.Figure1(cfg); err == nil {
-				rendered = experiments.RenderFigure1(entries)
-			}
-		case "table3":
-			var res *experiments.Table3Result
-			if res, err = table3(); err == nil {
-				rendered = res.Render()
-			}
-		case "fig7", "fig8", "fig9":
-			var res *experiments.Table3Result
-			if res, err = table3(); err == nil {
-				switch strings.TrimSpace(id) {
-				case "fig7":
-					rendered = experiments.RenderFigure7(append(
-						res.PerWorkload[workloads.SuiteRodinia],
-						res.PerWorkload[workloads.SuiteCASIO]...))
-				case "fig8":
-					rendered = experiments.RenderFigure8(append(
-						res.PerWorkload[workloads.SuiteRodinia],
-						res.PerWorkload[workloads.SuiteCASIO]...))
-				case "fig9":
-					rendered = experiments.RenderFigure9(append(
-						res.PerWorkload[workloads.SuiteCASIO],
-						res.PerWorkload[workloads.SuiteHuggingFace]...))
-				}
-			}
-		case "fig10":
-			var cs []experiments.Figure10Cluster
-			if cs, err = experiments.Figure10(cfg); err == nil {
-				rendered = experiments.RenderFigure10(cs)
-			}
-		case "fig11":
-			var pts []experiments.Figure11Point
-			if pts, err = experiments.Figure11(cfg); err == nil {
-				rendered = experiments.RenderFigure11(pts)
-			}
-		case "table4", "dse":
-			var res *experiments.Table4Result
-			if res, err = table4(); err == nil {
-				rendered = res.Render()
-			}
-		case "fig12":
-			var res *experiments.Table4Result
-			if res, err = table4(); err == nil {
-				rendered = experiments.RenderFigure12(res.Figure12)
-			}
-		case "fig13":
-			var res *experiments.Figure13Result
-			if res, err = experiments.Figure13(cfg); err == nil {
-				rendered = res.Render()
-			}
-		case "fig14":
-			var res *experiments.Figure14Result
-			if res, err = experiments.Figure14(cfg); err == nil {
-				rendered = res.Render()
-			}
-		case "table5":
-			var res *experiments.Table5Result
-			if res, err = experiments.Table5(cfg); err == nil {
-				rendered = res.Render()
-			}
-		case "flush":
-			var res *experiments.FlushResult
-			if res, err = experiments.FlushAblation(cfg); err == nil {
-				rendered = res.Render()
-			}
-		case "kkt":
-			var res *experiments.KKTAblationResult
-			if res, err = experiments.KKTAblation(cfg); err == nil {
-				rendered = res.Render()
-			}
-		case "rootk":
-			var pts []experiments.RootKPoint
-			if pts, err = experiments.RootKAblation(cfg); err == nil {
-				rendered = experiments.RenderRootK(pts)
-			}
-		case "root":
-			var res *experiments.RootAblationResult
-			if res, err = experiments.RootAblation(cfg); err == nil {
-				rendered = res.Render()
-			}
-		case "warmup":
-			var pts []experiments.WarmupPoint
-			if pts, err = experiments.WarmupAblation(cfg); err == nil {
-				rendered = experiments.RenderWarmup(pts)
-			}
-		case "multigpu":
-			var pts []experiments.MultiGPUPoint
-			if pts, err = experiments.MultiGPU(cfg); err == nil {
-				rendered = experiments.RenderMultiGPU(pts)
-			}
-		case "table2":
-			var rows []experiments.Table2Row
-			if rows, err = experiments.Table2(cfg); err == nil {
-				rendered = experiments.RenderTable2(rows)
-			}
-		case "confidence":
-			var res *experiments.ConfidenceResult
-			if res, err = experiments.Confidence(cfg, 100); err == nil {
-				rendered = res.Render()
-			}
-		case "epochsweep":
-			var res *experiments.EpochSweepResult
-			if res, err = experiments.EpochSweep(cfg); err == nil {
-				rendered = res.Render()
-				// Wall clock is the one nondeterministic output; stderr
-				// keeps stdout byte-identical at any -j/-jkernel.
-				fmt.Fprint(os.Stderr, res.RenderTiming())
-			}
-		default:
-			return fmt.Errorf("unknown experiment %q", id)
-		}
+	s := &state{cfg: cfg}
+	for i, e := range exps {
+		fmt.Fprintf(out, "==== %s ====\n", ids[i])
+		rendered, err := e.run(s)
 		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
+			return fmt.Errorf("%s: %w", ids[i], err)
 		}
 		fmt.Fprint(out, rendered)
 		fmt.Fprintln(out)
 	}
 	return nil
+}
+
+// validIDs lists what -run accepts, in table order.
+func validIDs() string {
+	var ids []string
+	for _, e := range table {
+		ids = append(ids, e.id)
+		if e.alias != "" {
+			ids = append(ids, e.alias)
+		}
+	}
+	return strings.Join(append(ids, "all"), ", ")
 }

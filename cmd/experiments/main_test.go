@@ -1,10 +1,12 @@
 package main
 
 import (
+	"os"
 	"strings"
 	"testing"
 
 	"stemroot/internal/experiments"
+	"stemroot/internal/simcache"
 )
 
 func testCfg() experiments.Config {
@@ -53,5 +55,96 @@ func TestRunExperimentsUnknownID(t *testing.T) {
 	err := runExperiments(testCfg(), "fig99", &buf)
 	if err == nil || !strings.Contains(err.Error(), "fig99") {
 		t.Fatalf("expected unknown-id error, got %v", err)
+	}
+}
+
+// TestRunExperimentsValidatesUpFront pins that an unknown id anywhere in
+// the list fails before the first runner starts: nothing is written, and
+// the error names the trimmed id and the valid ones.
+func TestRunExperimentsValidatesUpFront(t *testing.T) {
+	var buf strings.Builder
+	err := runExperiments(testCfg(), "table2, typo", &buf)
+	if err == nil || !strings.Contains(err.Error(), `"typo"`) || !strings.Contains(err.Error(), "epochsweep") {
+		t.Fatalf("expected an error naming \"typo\" and the valid ids, got %v", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("output written before validation failed:\n%s", buf.String())
+	}
+}
+
+// TestRunExperimentsTrimsID pins that a stray space around an id changes
+// nothing, the heading included.
+func TestRunExperimentsTrimsID(t *testing.T) {
+	var padded, plain strings.Builder
+	if err := runExperiments(testCfg(), "table2, fig7 ", &padded); err != nil {
+		t.Fatal(err)
+	}
+	if err := runExperiments(testCfg(), "table2,fig7", &plain); err != nil {
+		t.Fatal(err)
+	}
+	if padded.String() != plain.String() {
+		t.Fatalf("\" fig7 \" differs from \"fig7\":\n%s\nwant:\n%s", padded.String(), plain.String())
+	}
+}
+
+// TestRunExperimentsEveryID runs the whole table — all, then the one id
+// all leaves out, then the one alias — and checks the headings arrive in
+// table order, so no row can rot unrun, and that dse is table4 under its
+// own heading. Quick() scale with the simulated invocations cut to a
+// quarter: table4 and epochsweep are nine tenths of the run, and under
+// -race the full 40 calls cost minutes.
+func TestRunExperimentsEveryID(t *testing.T) {
+	cfg := testCfg()
+	cfg.DSEMaxCalls = 10
+	cache, err := simcache.New(simcache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Sim.Cache = cache // stdout is bit-identical cached; dse below is all hits
+	render := func(run string) string {
+		var buf strings.Builder
+		if err := runExperiments(cfg, run, &buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	all, rest := render("all"), render("epochsweep")
+	at := 0
+	for _, e := range table {
+		head := "==== " + e.id + " ====\n"
+		if !e.inAll {
+			if strings.Contains(all, head) || !strings.HasPrefix(rest, head) {
+				t.Fatalf("%s must run on request only", e.id)
+			}
+			continue
+		}
+		i := strings.Index(all[at:], head)
+		if i < 0 {
+			t.Fatalf("-run all misses %s, or runs it out of table order", e.id)
+		}
+		at += i + len(head)
+	}
+	_, t4, _ := strings.Cut(all, "==== table4 ====\n")
+	t4, _, _ = strings.Cut(t4, "==== fig12 ====\n")
+	if dse := render("dse"); dse != "==== dse ====\n"+t4 {
+		t.Fatalf("dse is not table4 under its own heading:\n%s\nwant body:\n%s", dse, t4)
+	}
+}
+
+// TestPackageCommentListsEveryID keeps the one hand-written copy of the id
+// list — the command's doc comment — in step with the table.
+func TestPackageCommentListsEveryID(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, _ := strings.Cut(string(src), "\npackage main")
+	_, ids, _ := strings.Cut(doc, "Experiment ids:")
+	for _, e := range table {
+		for _, id := range []string{e.id, e.alias} {
+			if !strings.Contains(ids, id) {
+				t.Errorf("package comment does not list %q", id)
+			}
+		}
 	}
 }

@@ -136,19 +136,8 @@ func run(cfg cliConfig, out io.Writer) error {
 		}
 	}
 
-	if cfg.planOut != "" {
-		f, err := os.Create(cfg.planOut)
-		if err != nil {
-			return err
-		}
-		if err := plan.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "plan written to %s\n", cfg.planOut)
+	if err := writePlan(cfg, plan, out); err != nil {
+		return err
 	}
 
 	var total float64
@@ -177,14 +166,7 @@ func run(cfg cliConfig, out io.Writer) error {
 	}
 
 	if cfg.verbose {
-		sort.Slice(plan.Clusters, func(i, j int) bool {
-			return totalTime(plan.Clusters[i]) > totalTime(plan.Clusters[j])
-		})
-		fmt.Fprintln(out, "\nclusters (by total time):")
-		for _, c := range plan.Clusters {
-			fmt.Fprintf(out, "  %-32s members=%-7d samples=%-5d mean=%10.2fus cov=%.3f\n",
-				c.Kernel, len(c.Members), len(c.Samples), c.Mean, cov(c))
-		}
+		printClusters(out, plan)
 	}
 	return nil
 }
@@ -248,19 +230,8 @@ func runStream(cfg cliConfig, opts stemroot.Options, out io.Writer) error {
 		return err
 	}
 
-	if cfg.planOut != "" {
-		f, err := os.Create(cfg.planOut)
-		if err != nil {
-			return err
-		}
-		if err := plan.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "plan written to %s\n", cfg.planOut)
+	if err := writePlan(cfg, plan, out); err != nil {
+		return err
 	}
 
 	fmt.Fprintf(out, "invocations:      %d\n", snap.Invocations)
@@ -277,14 +248,7 @@ func runStream(cfg cliConfig, opts stemroot.Options, out io.Writer) error {
 	fmt.Fprintf(out, "replans:          %d\n", snap.Replans)
 
 	if cfg.verbose {
-		sort.Slice(plan.Clusters, func(i, j int) bool {
-			return totalTime(plan.Clusters[i]) > totalTime(plan.Clusters[j])
-		})
-		fmt.Fprintln(out, "\nclusters (by total time):")
-		for _, c := range plan.Clusters {
-			fmt.Fprintf(out, "  %-32s members=%-7d samples=%-5d mean=%10.2fus cov=%.3f\n",
-				c.Kernel, len(c.Members), len(c.Samples), c.Mean, cov(c))
-		}
+		printClusters(out, plan)
 	}
 	return nil
 }
@@ -348,12 +312,47 @@ func simulateProfile(cfg cliConfig, planOpts stemroot.Options, names []string, t
 	return nil
 }
 
-func totalTime(c stemroot.Cluster) float64 {
-	n := len(c.Members)
-	if n == 0 { // streaming plans carry the population in the weight
-		n = int(c.Weight*float64(len(c.Samples)) + 0.5)
+// writePlan is -o: the plan as JSON at cfg.planOut, if one was asked for.
+func writePlan(cfg cliConfig, plan *stemroot.Plan, out io.Writer) error {
+	if cfg.planOut == "" {
+		return nil
 	}
-	return c.Mean * float64(n)
+	f, err := os.Create(cfg.planOut)
+	if err != nil {
+		return err
+	}
+	if err := plan.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "plan written to %s\n", cfg.planOut)
+	return nil
+}
+
+// printClusters is -v: every cluster, largest share of the profile first.
+func printClusters(out io.Writer, plan *stemroot.Plan) {
+	totalTime := func(c stemroot.Cluster) float64 { return c.Mean * float64(population(c)) }
+	sort.Slice(plan.Clusters, func(i, j int) bool {
+		return totalTime(plan.Clusters[i]) > totalTime(plan.Clusters[j])
+	})
+	fmt.Fprintln(out, "\nclusters (by total time):")
+	for _, c := range plan.Clusters {
+		fmt.Fprintf(out, "  %-32s members=%-7d samples=%-5d mean=%10.2fus cov=%.3f\n",
+			c.Kernel, population(c), len(c.Samples), c.Mean, cov(c))
+	}
+}
+
+// population is the number of invocations a cluster stands for. A batch
+// plan lists them; a streaming plan does not materialise Members and
+// carries the population in the weight instead.
+func population(c stemroot.Cluster) int {
+	if n := len(c.Members); n > 0 {
+		return n
+	}
+	return int(c.Weight*float64(len(c.Samples)) + 0.5)
 }
 
 func cov(c stemroot.Cluster) float64 {

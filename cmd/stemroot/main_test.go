@@ -12,6 +12,7 @@ import (
 	"stemroot/internal/hwmodel"
 	"stemroot/internal/rng"
 	"stemroot/internal/sampling"
+	"stemroot/internal/servetrace"
 	"stemroot/internal/trace"
 	"stemroot/internal/workloads"
 )
@@ -172,6 +173,52 @@ func TestRunStreamStdinDeterministic(t *testing.T) {
 	var buf strings.Builder
 	if err := run(cfg, &buf); err == nil {
 		t.Fatal("expected stdin-unavailable error")
+	}
+}
+
+// TestRunStreamVerbosePopulations pins -stream -v's members column: a
+// streaming plan does not materialise Members, so the column shows the
+// population the weight carries — never 0, and summing to the invocation
+// count up to the per-kernel calibration scale (some kernels here outgrow
+// their reservoirs).
+func TestRunStreamVerbosePopulations(t *testing.T) {
+	const invocations = 200_000
+	path := filepath.Join(t.TempDir(), "serving.csv")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := servetrace.New(servetrace.Config{Seed: 1, Invocations: invocations}).WriteCSV(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := baseCfg(path)
+	cfg.stream = true
+	cfg.verbose = true
+	var buf strings.Builder
+	if err := run(cfg, &buf); err != nil {
+		t.Fatal(err)
+	}
+	_, rows, ok := strings.Cut(buf.String(), "clusters (by total time):\n")
+	if !ok {
+		t.Fatalf("no cluster listing:\n%s", buf.String())
+	}
+	sum := 0
+	for _, row := range strings.Split(strings.TrimSpace(rows), "\n") {
+		var kernel string
+		var members int
+		if _, err := fmt.Sscanf(row, "%s members=%d", &kernel, &members); err != nil {
+			t.Fatalf("row %q: %v", row, err)
+		}
+		if members == 0 {
+			t.Fatalf("row reads members=0: %q", row)
+		}
+		sum += members
+	}
+	if d := float64(sum-invocations) / invocations; d < -0.01 || d > 0.01 {
+		t.Fatalf("members column sums to %d, want %d within 1%%", sum, invocations)
 	}
 }
 

@@ -89,7 +89,7 @@ func dseBenchCfg() experiments.Config {
 	cfg := experiments.Quick()
 	cfg.Reps = 1
 	cfg.DSEMaxCalls = 12
-	cfg.Parallelism = 1
+	cfg.Sim.Workers = 1
 	return cfg
 }
 
@@ -110,7 +110,7 @@ func BenchmarkDSECached(b *testing.B) {
 				b.Fatal(err)
 			}
 			cfg := dseBenchCfg()
-			cfg.Cache = cache
+			cfg.Sim.Cache = cache
 			b.StartTimer()
 			if _, err := experiments.Table4(cfg); err != nil {
 				b.Fatal(err)
@@ -131,7 +131,7 @@ func BenchmarkDSECached(b *testing.B) {
 			b.Fatal(err)
 		}
 		cfg := dseBenchCfg()
-		cfg.Cache = seedCache
+		cfg.Sim.Cache = seedCache
 		if _, err := experiments.Table4(cfg); err != nil {
 			b.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func BenchmarkDSECached(b *testing.B) {
 				b.Fatal(err)
 			}
 			cfg := dseBenchCfg()
-			cfg.Cache = cache
+			cfg.Sim.Cache = cache
 			b.StartTimer()
 			if _, err := experiments.Table4(cfg); err != nil {
 				b.Fatal(err)

@@ -14,7 +14,7 @@ import (
 func quickCfg() experiments.Config {
 	cfg := experiments.Quick()
 	cfg.Reps = 1
-	cfg.Parallelism = 2
+	cfg.Sim.Workers = 2
 	return cfg
 }
 
@@ -44,7 +44,7 @@ func TestRemoteTierSharesAcrossClients(t *testing.T) {
 	_, addr := startServer(t, cachenet.ServerOptions{})
 
 	seedCache, seedClient := remoteCache(t, addr)
-	cfg.Cache = seedCache
+	cfg.Sim.Cache = seedCache
 	got, err := experiments.Figure11(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestRemoteTierSharesAcrossClients(t *testing.T) {
 
 	warmCache, warmClient := remoteCache(t, addr)
 	defer warmClient.Close()
-	cfg.Cache = warmCache
+	cfg.Sim.Cache = warmCache
 	got, err = experiments.Figure11(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestServerKillMidRunIdentity(t *testing.T) {
 	srv, addr := startServer(t, cachenet.ServerOptions{})
 	cache, client := remoteCache(t, addr)
 	defer client.Close()
-	cfg.Cache = cache
+	cfg.Sim.Cache = cache
 
 	timer := time.AfterFunc(5*time.Millisecond, func() { srv.Close() })
 	defer timer.Stop()
@@ -136,7 +136,7 @@ func TestConcurrentClientsBitIdentity(t *testing.T) {
 				return
 			}
 			cfg := quickCfg()
-			cfg.Cache = cache
+			cfg.Sim.Cache = cache
 			outs[i], errs[i] = experiments.WarmupAblation(cfg)
 		}(i)
 	}

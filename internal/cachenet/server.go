@@ -108,7 +108,7 @@ type srvShard struct {
 }
 
 // Server is the sharded segment-result cache server. Create with NewServer,
-// run with Serve or ListenAndServe, stop with Close (which unblocks Serve
+// run with Serve, stop with Close (which unblocks Serve
 // and terminates open connections).
 type Server struct {
 	maxShard int64 // per-shard byte bound; <0 = unbounded
@@ -145,15 +145,6 @@ func NewServer(opts ServerOptions) *Server {
 
 func (s *Server) shardFor(key gpu.SegmentKey) *srvShard {
 	return &s.shards[int(key[0])&(srvShardCount-1)]
-}
-
-// ListenAndServe listens on addr and serves until Close.
-func (s *Server) ListenAndServe(addr string) error {
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(lis)
 }
 
 // Serve accepts connections on lis until Close (which returns nil here) or

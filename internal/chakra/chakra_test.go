@@ -7,7 +7,7 @@ import (
 )
 
 func TestGenerateTrainingStructure(t *testing.T) {
-	cfg := DefaultTraining()
+	cfg := TrainingConfig{Ranks: 4, Steps: 8, Layers: 12, BucketBytes: 64 << 20, Seed: 1}
 	g, err := GenerateTraining(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -18,11 +18,6 @@ type TrainingConfig struct {
 	Seed        uint64
 }
 
-// DefaultTraining returns a small 4-rank configuration.
-func DefaultTraining() TrainingConfig {
-	return TrainingConfig{Ranks: 4, Steps: 8, Layers: 12, BucketBytes: 64 << 20, Seed: 1}
-}
-
 // GenerateTraining builds a data-parallel training ET: every step runs, per
 // rank, a forward pass (layer kernels in order), a backward pass in reverse
 // layer order, and per-layer gradient all-reduce buckets that depend on

@@ -47,19 +47,21 @@ func invalidTimeError(t float64, invocation int) error {
 	return fmt.Errorf("core: time %v at invocation %d is not a finite non-negative number", t, invocation)
 }
 
-// reservoir keeps a uniform sample of a stream (Vitter's algorithm R).
-type reservoir struct {
+// reservoir keeps a uniform sample of a stream (Vitter's algorithm R): of
+// execution times in pass 1, of invocation indices in pass 2. One Intn per
+// observation once full, whatever T is.
+type reservoir[T any] struct {
 	cap  int
 	seen int
-	vals []float64
+	vals []T
 	r    *rng.Rand
 }
 
-func newReservoir(cap int, r *rng.Rand) *reservoir {
-	return &reservoir{cap: cap, vals: make([]float64, 0, cap), r: r}
+func newReservoir[T any](cap int, r *rng.Rand) *reservoir[T] {
+	return &reservoir[T]{cap: cap, vals: make([]T, 0, cap), r: r}
 }
 
-func (rv *reservoir) add(v float64) {
+func (rv *reservoir[T]) add(v T) {
 	rv.seen++
 	if len(rv.vals) < rv.cap {
 		rv.vals = append(rv.vals, v)
@@ -67,29 +69,6 @@ func (rv *reservoir) add(v float64) {
 	}
 	if j := rv.r.Intn(rv.seen); j < rv.cap {
 		rv.vals[j] = v
-	}
-}
-
-// indexReservoir uniformly samples invocation indices.
-type indexReservoir struct {
-	cap  int
-	seen int
-	idxs []int
-	r    *rng.Rand
-}
-
-func newIndexReservoir(cap int, r *rng.Rand) *indexReservoir {
-	return &indexReservoir{cap: cap, idxs: make([]int, 0, cap), r: r}
-}
-
-func (rv *indexReservoir) add(i int) {
-	rv.seen++
-	if len(rv.idxs) < rv.cap {
-		rv.idxs = append(rv.idxs, i)
-		return
-	}
-	if j := rv.r.Intn(rv.seen); j < rv.cap {
-		rv.idxs[j] = i
 	}
 }
 
@@ -149,10 +128,7 @@ func BuildPlanStream(src ProfileScanner, p Params, opts StreamOptions) (*Plan, e
 	rcap := opts.reservoirCap()
 
 	// ---- Pass 1: reservoirs per kernel name ----
-	type nameState struct {
-		res *reservoir
-	}
-	states := make(map[string]*nameState)
+	states := make(map[string]*reservoir[float64])
 	var order []string
 	seedGen := rng.New(rng.Derive(p.Seed, seedLabelReservoir))
 	var bad error
@@ -163,13 +139,13 @@ func BuildPlanStream(src ProfileScanner, p Params, opts StreamOptions) (*Plan, e
 			return false
 		}
 		seen++
-		st := states[name]
-		if st == nil {
-			st = &nameState{res: newReservoir(rcap, seedGen.Split())}
-			states[name] = st
+		res := states[name]
+		if res == nil {
+			res = newReservoir[float64](rcap, seedGen.Split())
+			states[name] = res
 			order = append(order, name)
 		}
-		st.res.add(t)
+		res.add(t)
 		return true
 	}); err != nil {
 		return nil, err
@@ -190,7 +166,7 @@ func BuildPlanStream(src ProfileScanner, p Params, opts StreamOptions) (*Plan, e
 	base := make(map[string]int)       // first interval index of the name
 	var ivNames []string               // interval index -> kernel name
 	for _, name := range order {
-		cs := sc.deriveCuts(nil, name, states[name].res.vals, p, &arena)
+		cs := sc.deriveCuts(nil, name, states[name].vals, p, &arena)
 		base[name] = len(ivNames)
 		cuts[name] = cs
 		for range cs {
@@ -205,9 +181,9 @@ func BuildPlanStream(src ProfileScanner, p Params, opts StreamOptions) (*Plan, e
 	exact := make([]stats.Online, len(ivNames))
 	// Candidate reservoirs sized generously; trimmed to the final m later.
 	candCap := maxCandidateSize(p)
-	cands := make([]*indexReservoir, len(ivNames))
+	cands := make([]*reservoir[int], len(ivNames))
 	for i := range cands {
-		cands[i] = newIndexReservoir(candCap, seedGen.Split())
+		cands[i] = newReservoir[int](candCap, seedGen.Split())
 	}
 	pos := 0
 	if err := src.Scan(func(name string, t float64) bool {
@@ -238,7 +214,7 @@ func BuildPlanStream(src ProfileScanner, p Params, opts StreamOptions) (*Plan, e
 		cs := statsVec[i]
 		pc := PlanCluster{Name: name, SampleSize: m, Stats: cs}
 		if cs.N > 0 && m > 0 {
-			pool := cands[i].idxs
+			pool := cands[i].vals
 			if len(pool) == 0 {
 				return nil, fmt.Errorf("core: cluster %d has population but no candidates", i)
 			}

@@ -34,7 +34,7 @@ func TestSliceScanner(t *testing.T) {
 func TestReservoirUniformity(t *testing.T) {
 	// Mean of the reservoir approximates the stream mean.
 	r := rng.New(31)
-	rv := newReservoir(500, rng.New(32))
+	rv := newReservoir[float64](500, rng.New(32))
 	var sum float64
 	const n = 50000
 	for i := 0; i < n; i++ {

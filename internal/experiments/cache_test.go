@@ -14,7 +14,7 @@ import (
 func TestWarmupAblationCachedIdentical(t *testing.T) {
 	cfg := Quick()
 	cfg.Reps = 1
-	cfg.Parallelism = 2
+	cfg.Sim.Workers = 2
 
 	want, err := WarmupAblation(cfg)
 	if err != nil {
@@ -25,7 +25,7 @@ func TestWarmupAblationCachedIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Cache = cache
+	cfg.Sim.Cache = cache
 	got, err := WarmupAblation(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestWarmupAblationCachedIdentical(t *testing.T) {
 func TestFigure11CachedIdentical(t *testing.T) {
 	cfg := Quick()
 	cfg.Reps = 1
-	cfg.Parallelism = 2
+	cfg.Sim.Workers = 2
 
 	want, err := Figure11(cfg)
 	if err != nil {
@@ -58,7 +58,7 @@ func TestFigure11CachedIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Cache = cache
+	cfg.Sim.Cache = cache
 	for pass := 0; pass < 2; pass++ {
 		got, err := Figure11(cfg)
 		if err != nil {

@@ -31,7 +31,7 @@ type Row struct {
 // series and the per-suite Table 3 columns.
 //
 // Workloads are independent (per-workload seeds, per-workload method
-// instances), so they fan out over cfg.Parallelism workers on the
+// instances), so they fan out over cfg.Sim.Workers workers on the
 // work-stealing scheduler — workload costs are heavily skewed (one
 // HuggingFace workload simulates orders of magnitude more invocations than
 // a small Rodinia one), and stealing drains the cheap workloads onto idle
@@ -48,7 +48,7 @@ func SuiteComparison(cfg Config, suite string) ([]Row, error) {
 		return nil, err
 	}
 
-	perWorkload, err := parallel.MapStealing(len(ws), parallel.Workers(cfg.Parallelism),
+	perWorkload, err := parallel.MapStealing(len(ws), parallel.Workers(cfg.Sim.Workers),
 		func(i int) ([]Row, error) { return workloadRows(cfg, suite, ws[i]) })
 	if err != nil {
 		return nil, err

@@ -29,7 +29,7 @@ type ConfidenceResult struct {
 // empirical coverage should be at least the nominal confidence.
 //
 // Runs are independent (each derives its own seed), so they fan out over
-// cfg.Parallelism workers; per-run errors are folded in run order, making
+// cfg.Sim.Workers workers; per-run errors are folded in run order, making
 // the result identical for every worker count.
 func Confidence(cfg Config, runs int) (*ConfidenceResult, error) {
 	if runs <= 0 {
@@ -43,7 +43,7 @@ func Confidence(cfg Config, runs int) (*ConfidenceResult, error) {
 		Confidence: cfg.Confidence,
 		Runs:       runs,
 	}
-	errPcts, err := parallel.MapStealing(runs, parallel.Workers(cfg.Parallelism),
+	errPcts, err := parallel.MapStealing(runs, parallel.Workers(cfg.Sim.Workers),
 		func(r int) (float64, error) {
 			stem := &sampling.STEMRoot{Params: cfg.stemParams(cfg.Seed + uint64(r)*2654435761)}
 			plan, err := stem.Plan(w, prof)

@@ -9,7 +9,7 @@
 //
 // # Concurrency
 //
-// The heavy runners fan out over Config.Parallelism workers (0 = one per
+// The heavy runners fan out over Config.Sim.Workers workers (0 = one per
 // CPU, counts above the CPU count clamped — parallel.Workers): the
 // per-workload fan-outs (SuiteComparison, WarmupAblation, Figure11, Table4
 // within each variant) use parallel.MapStealing, because workload costs are
@@ -20,7 +20,7 @@
 // pipeline's per-segment work-stealing kernel parallelism. Every work unit
 // derives its own seeds and constructs its own method/profiler instances,
 // and partial results are folded in fixed unit order, so runner output is
-// bit-identical for every Parallelism value — pinned by the determinism
+// bit-identical for every Sim.Workers value — pinned by the determinism
 // regression tests. DESIGN.md §6 states the full concurrency architecture.
 package experiments
 
@@ -30,8 +30,6 @@ import (
 	"strings"
 
 	"stemroot/internal/core"
-	"stemroot/internal/gpu"
-	"stemroot/internal/metrics"
 	"stemroot/internal/pipeline"
 	"stemroot/internal/sampling"
 )
@@ -52,51 +50,23 @@ type Config struct {
 	RandomFracRodinia, RandomFracML float64
 	// DSEMaxCalls caps per-workload invocations in simulator experiments.
 	DSEMaxCalls int
-	// Parallelism is the worker count for the parallel runners and the
-	// simulation pipeline: 0 means one worker per CPU, 1 forces the serial
-	// path. Results are identical for every value (see package doc).
-	Parallelism int
-	// Cache is an optional shared segment-result cache (internal/simcache)
-	// threaded into every simulator-bound runner, so fig11, table4, flush,
-	// and warmup reuse each other's ground-truth segments across sweep
-	// points, repetitions, and variants instead of re-simulating them.
-	// Results are bit-identical with and without it. nil disables caching.
-	Cache gpu.SegmentCache
-	// Engine selects the kernel execution mode for every simulator-bound
-	// runner: "" or "exact" is gpu.RunKernel, "par" the relaxed-sync
-	// intra-kernel parallel engine (pipeline.Options.Engine). Cache keys
-	// include the mode and epoch, so exact and par runs never share entries.
-	Engine string
-	// KernelWorkers is the intra-kernel worker count for the par engine
-	// (<= 0: one per CPU). Ignored in exact mode; never affects results.
-	KernelWorkers int
-	// Epoch is the par engine's epoch length in simulated cycles (<= 0:
-	// gpu.DefaultEpoch). Ignored in exact mode.
-	Epoch float64
-	// BarrierStats, when non-nil, accumulates epoch-barrier accounting
-	// from every par-mode kernel the runners execute. Observability only.
-	BarrierStats *metrics.BarrierCollector
+	// Sim is what every simulator-bound runner hands to the pipeline, as
+	// the CLI bound it (internal/cliopts): workers, the segment cache that
+	// lets fig11, table4, flush and warmup reuse each other's ground truth,
+	// and the engine mode. Sim.Workers also sizes the runners' own
+	// per-workload fan-outs (0 = one per CPU, 1 = serial); results are
+	// identical for every value and with or without a cache (package doc).
+	Sim pipeline.Options
 }
 
-// pipelineOpts builds the simulation pipeline options from the config.
-func (c Config) pipelineOpts() pipeline.Options {
-	return pipeline.Options{
-		Workers: c.Parallelism, Cache: c.Cache,
-		Engine: c.Engine, KernelWorkers: c.KernelWorkers,
-		Epoch: c.Epoch, BarrierStats: c.BarrierStats,
-	}
-}
-
-// serialSimOpts builds pipeline options for runners that parallelize at the
-// workload level and therefore keep each workload's simulation serial. The
-// shared cache still applies — as does the engine mode: a runner's accuracy
-// story must not silently change with its parallelization strategy.
+// serialSimOpts is Sim for runners that parallelize at the workload level
+// and therefore keep each workload's simulation serial. The shared cache
+// still applies — as does the engine mode: a runner's accuracy story must
+// not silently change with its parallelization strategy.
 func (c Config) serialSimOpts() pipeline.Options {
-	return pipeline.Options{
-		Workers: 1, Cache: c.Cache,
-		Engine: c.Engine, KernelWorkers: c.KernelWorkers,
-		Epoch: c.Epoch, BarrierStats: c.BarrierStats,
-	}
+	o := c.Sim
+	o.Workers = 1
+	return o
 }
 
 // Quick returns a configuration sized for unit tests (seconds, not hours).

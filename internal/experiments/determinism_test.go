@@ -14,13 +14,13 @@ import (
 func TestSuiteComparisonDeterministicAcrossParallelism(t *testing.T) {
 	cfg := Quick()
 	cfg.Reps = 1
-	cfg.Parallelism = 1
+	cfg.Sim.Workers = 1
 	want, err := SuiteComparison(cfg, workloads.SuiteRodinia)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, runtime.NumCPU(), 2 * runtime.NumCPU()} {
-		cfg.Parallelism = workers
+		cfg.Sim.Workers = workers
 		got, err := SuiteComparison(cfg, workloads.SuiteRodinia)
 		if err != nil {
 			t.Fatal(err)
@@ -36,13 +36,13 @@ func TestSuiteComparisonDeterministicAcrossParallelism(t *testing.T) {
 // many workers execute the runs.
 func TestConfidenceDeterministicAcrossParallelism(t *testing.T) {
 	cfg := Quick()
-	cfg.Parallelism = 1
+	cfg.Sim.Workers = 1
 	want, err := Confidence(cfg, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{3, runtime.NumCPU()} {
-		cfg.Parallelism = workers
+		cfg.Sim.Workers = workers
 		got, err := Confidence(cfg, 8)
 		if err != nil {
 			t.Fatal(err)

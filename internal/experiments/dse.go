@@ -59,7 +59,7 @@ func dseWorkloads(cfg Config) []*trace.Workload {
 // reused unchanged across every variant — the paper's test of whether
 // sampling information survives microarchitectural change.
 //
-// Within each variant the workloads fan out over cfg.Parallelism workers on
+// Within each variant the workloads fan out over cfg.Sim.Workers workers on
 // the work-stealing scheduler (each workload's full and sampled simulations
 // are independent, and their costs are skewed enough that static assignment
 // would serialize the tail behind the biggest workload); partial sums and
@@ -89,7 +89,7 @@ func Table4(cfg Config) (*Table4Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		partials, err := parallel.MapStealing(len(ws), parallel.Workers(cfg.Parallelism),
+		partials, err := parallel.MapStealing(len(ws), parallel.Workers(cfg.Sim.Workers),
 			func(wi int) (wsResult, error) {
 				w := ws[wi]
 				part := wsResult{errSums: make(map[string]float64), counts: make(map[string]int)}
@@ -206,12 +206,12 @@ func FlushAblation(cfg Config) (*FlushResult, error) {
 		sums := make(map[string]float64)
 		n := make(map[string]int)
 		for _, w := range ws {
-			full, err := pipeline.FullSimOpt(w, cfgGPU, lim, cfg.pipelineOpts())
+			full, err := pipeline.FullSimOpt(w, cfgGPU, lim, cfg.Sim)
 			if err != nil {
 				return nil, err
 			}
 			for _, m := range cfg.dseMethods(0) {
-				r, err := pipeline.RunOpt(w, hwmodel.RTX2080, m, cfgGPU, lim, full, cfg.pipelineOpts())
+				r, err := pipeline.RunOpt(w, hwmodel.RTX2080, m, cfgGPU, lim, full, cfg.Sim)
 				if err != nil {
 					return nil, err
 				}

@@ -35,7 +35,7 @@ type EpochSweepPoint struct {
 	Speedup float64
 	// Replayed and Misses count the shared-L2 accesses replayed at this
 	// epoch length's barrier merges and how many of them missed, summed
-	// over all workloads. Deterministic for every Parallelism and worker
+	// over all workloads. Deterministic for every Sim.Workers and worker
 	// count (they are properties of the simulated access streams, not the
 	// schedule). They drift only slightly across rows: epoch length shifts
 	// corrected timings, which shifts which accesses each shard issues.
@@ -75,12 +75,12 @@ func (r *EpochSweepResult) DefaultPoint() EpochSweepPoint {
 // cycles per workload. The exact pass runs once and serves as ground truth
 // for every epoch length.
 //
-// Workloads fan out over cfg.Parallelism workers (work stealing — costs are
+// Workloads fan out over cfg.Sim.Workers workers (work stealing — costs are
 // skewed); each workload's simulation stays serial so the intra-kernel
 // engine is the only variable. Per-workload totals are folded in workload
-// order, so every error column is bit-identical for every Parallelism value
-// — only the Speedup column is a wall-clock measurement. cfg.Engine and
-// cfg.Epoch are ignored: the sweep sets the engine itself. The shared
+// order, so every error column is bit-identical for every Sim.Workers value
+// — only the Speedup column is a wall-clock measurement. cfg.Sim.Engine and
+// cfg.Sim.Epoch are ignored: the sweep sets the engine itself. The shared
 // segment cache applies; exact and par passes never share entries
 // (gpu.KeyForSegmentEngineAppend), so caching cannot mix the two engines'
 // results — but a cache pre-warmed by an earlier run does make the Speedup
@@ -88,7 +88,7 @@ func (r *EpochSweepResult) DefaultPoint() EpochSweepPoint {
 func EpochSweep(cfg Config) (*EpochSweepResult, error) {
 	lim := kernelgen.DSELimits()
 	ws := dseWorkloads(cfg)
-	nw := parallel.Workers(cfg.Parallelism)
+	nw := parallel.Workers(cfg.Sim.Workers)
 
 	totals := func(opt pipeline.Options) ([]float64, float64, error) {
 		start := time.Now()
@@ -106,7 +106,7 @@ func EpochSweep(cfg Config) (*EpochSweepResult, error) {
 		return sums, time.Since(start).Seconds(), err
 	}
 
-	exact, exactSec, err := totals(pipeline.Options{Workers: 1, Cache: cfg.Cache})
+	exact, exactSec, err := totals(pipeline.Options{Workers: 1, Cache: cfg.Sim.Cache})
 	if err != nil {
 		return nil, err
 	}
@@ -115,16 +115,16 @@ func EpochSweep(cfg Config) (*EpochSweepResult, error) {
 	for _, epoch := range EpochSweepEpochs {
 		var barrier metrics.BarrierCollector
 		par, parSec, err := totals(pipeline.Options{
-			Workers: 1, Cache: cfg.Cache,
-			Engine: gpu.EngineModePar, KernelWorkers: cfg.KernelWorkers,
+			Workers: 1, Cache: cfg.Sim.Cache,
+			Engine: gpu.EngineModePar, KernelWorkers: cfg.Sim.KernelWorkers,
 			Epoch: epoch, BarrierStats: &barrier,
 		})
 		if err != nil {
 			return nil, err
 		}
 		snap := barrier.Snapshot()
-		if cfg.BarrierStats != nil {
-			cfg.BarrierStats.Add(snap) // session-wide -barrierstats report
+		if cfg.Sim.BarrierStats != nil {
+			cfg.Sim.BarrierStats.Add(snap) // session-wide -barrierstats report
 		}
 		pt := EpochSweepPoint{
 			Epoch: epoch, Default: epoch == gpu.DefaultEpoch,
@@ -155,7 +155,7 @@ func EpochSweep(cfg Config) (*EpochSweepResult, error) {
 
 // Render prints the error/epoch table. Every cell is deterministic — the
 // repo's byte-identical-stdout contract holds for epochsweep at any
-// Parallelism/KernelWorkers — so the wall-clock speedups live in
+// Sim.Workers/Sim.KernelWorkers — so the wall-clock speedups live in
 // RenderTiming (stderr material, like cache stats). The default-epoch row
 // is starred; its max-error cell is the number TestEpochSweep bounds.
 func (r *EpochSweepResult) Render() string {

@@ -51,7 +51,7 @@ func TestEpochSweep(t *testing.T) {
 	}
 
 	// Determinism: the error columns must not depend on the worker count.
-	cfg.Parallelism = 2
+	cfg.Sim.Workers = 2
 	res2, err := EpochSweep(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -174,7 +174,7 @@ func fig11MaxCalls(cfg Config) int { return 3 * cfg.DSEMaxCalls }
 // evaluation. A segment cache (Config.Cache) additionally carries those
 // segments across processes; correctness never depends on it.
 //
-// Workloads fan out over cfg.Parallelism workers on the work-stealing
+// Workloads fan out over cfg.Sim.Workers workers on the work-stealing
 // scheduler (CASIO workload costs are skewed); per-workload outcomes are
 // folded in (ε, workload, rep) order, so the result is identical for every
 // worker count.
@@ -188,7 +188,7 @@ func Figure11(cfg Config) ([]Figure11Point, error) {
 
 	// Hoisted loop-invariant ground truth: one FullSim per workload, reused
 	// at every sweep point and repetition.
-	truths, err := parallel.MapStealing(len(ws), parallel.Workers(cfg.Parallelism),
+	truths, err := parallel.MapStealing(len(ws), parallel.Workers(cfg.Sim.Workers),
 		func(i int) ([]float64, error) {
 			return pipeline.FullSimOpt(ws[i], gcfg, lim, cfg.serialSimOpts())
 		})
@@ -198,7 +198,7 @@ func Figure11(cfg Config) ([]Figure11Point, error) {
 
 	var out []Figure11Point
 	for _, eps := range Figure11Epsilons {
-		perWorkload, err := parallel.MapStealing(len(ws), parallel.Workers(cfg.Parallelism),
+		perWorkload, err := parallel.MapStealing(len(ws), parallel.Workers(cfg.Sim.Workers),
 			func(i int) ([]sampling.Outcome, error) {
 				w := ws[i]
 				var outs []sampling.Outcome

@@ -25,7 +25,7 @@ type WarmupPoint struct {
 // little accuracy change (cache reuse is intra-kernel) at a real simulation
 // cost — quantifying why full warmup machinery is unnecessary.
 //
-// Workloads fan out over cfg.Parallelism workers per warmup setting on the
+// Workloads fan out over cfg.Sim.Workers workers per warmup setting on the
 // work-stealing scheduler (SampledSimWarm itself is inherently serial);
 // per-workload partials are folded in workload order, so the result is
 // identical for every worker count.
@@ -43,7 +43,7 @@ func WarmupAblation(cfg Config) ([]WarmupPoint, error) {
 
 	var out []WarmupPoint
 	for _, warm := range []int{0, 1, 2, 4} {
-		partials, err := parallel.MapStealing(len(ws), parallel.Workers(cfg.Parallelism),
+		partials, err := parallel.MapStealing(len(ws), parallel.Workers(cfg.Sim.Workers),
 			func(wi int) (wsPartial, error) {
 				w := ws[wi]
 				var part wsPartial

@@ -231,7 +231,7 @@ func runMergePair(t *testing.T, cfg Config, accesses [][]parAccess, warm []uint6
 	for sm := range accesses {
 		// Residency after the merge must agree for every touched line.
 		for _, a := range accesses[sm] {
-			if g, w := got.l2.Probe(a.addr), ref.l2.Probe(a.addr); g != w {
+			if g, w := got.l2.probeLine(got.l2.lineIndex(a.addr)), ref.l2.probeLine(ref.l2.lineIndex(a.addr)); g != w {
 				t.Fatalf("sm=%d addr=%#x residency %v != reference %v", sm, a.addr, g, w)
 			}
 		}

@@ -152,7 +152,7 @@ type parEngine struct {
 //
 // Within an epoch [T, T+epoch) each SM advances its own event loop — private
 // L1, MSHR file, issue clock, and event queue — and treats the shared L2 as a
-// read-only snapshot of its state at T (Cache.Probe) overlaid with the lines
+// read-only snapshot of its state at T (Cache.probeLine) overlaid with the lines
 // the SM itself fetched since T (the self-fetch overlay): predicted hits
 // cost the L2 fill latency, predicted misses model DRAM latency plus a
 // per-SM fair-share bandwidth-queue estimate — seeded from the global DRAM

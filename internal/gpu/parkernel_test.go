@@ -149,7 +149,7 @@ func BenchmarkRunKernelPar(b *testing.B) {
 	}
 }
 
-// TestCacheProbeIsPure pins Probe's contract: it returns exactly what Access
+// TestCacheProbeIsPure pins probeLine's contract: it returns exactly what Access
 // would return, without mutating residency, LRU/MRU state, or statistics —
 // interleaved probes must never change the access sequence's outcomes.
 func TestCacheProbeIsPure(t *testing.T) {
@@ -158,15 +158,15 @@ func TestCacheProbeIsPure(t *testing.T) {
 	probed := NewCache(cfg) // same accesses, with probes hammered in between
 	addrs := []uint64{0, 64, 4096, 8192, 0, 12288, 64, 4096, 1 << 20, 0}
 	for i, a := range addrs {
-		// Probe must predict exactly what Access is about to return.
-		pr := probed.Probe(a)
+		// The probe must predict exactly what Access is about to return.
+		pr := probed.probeLine(probed.lineIndex(a))
 		// Extra probes (all addresses, on both caches) must be invisible.
 		for _, b := range addrs {
-			probed.Probe(b)
+			probed.probeLine(probed.lineIndex(b))
 		}
 		got, want := probed.Access(a), ref.Access(a)
 		if pr != want {
-			t.Fatalf("step %d: Probe(%#x)=%v but Access returned %v", i, a, pr, want)
+			t.Fatalf("step %d: probe(%#x)=%v but Access returned %v", i, a, pr, want)
 		}
 		if got != want {
 			t.Fatalf("step %d: probed cache diverged from reference on Access(%#x): %v vs %v", i, a, got, want)

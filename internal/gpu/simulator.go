@@ -90,9 +90,6 @@ func New(cfg Config) (*Simulator, error) {
 	return s, nil
 }
 
-// Config returns the simulator's configuration.
-func (s *Simulator) Config() Config { return s.cfg }
-
 // Reset returns the simulator to its just-constructed state: cold L2, cold
 // L1s. A Reset simulator is bit-identical in behaviour to a fresh New(cfg)
 // one — Cache.Reset carries exactly that contract (pinned by

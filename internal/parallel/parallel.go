@@ -139,28 +139,40 @@ func ForEachStealing(n, workers int, fn func(worker, i int)) {
 		return
 	}
 	shards := make([]stealShard, workers)
-	for w := range shards {
-		shards[w].next = w * n / workers
-		shards[w].end = (w + 1) * n / workers
-	}
+	splitShards(shards, n)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			self := &shards[w]
-			for {
-				if i, ok := self.claim(); ok {
-					fn(w, i)
-					continue
-				}
-				if !stealInto(shards, w) {
-					return
-				}
-			}
+			drain(shards, w, fn)
 		}(w)
 	}
 	wg.Wait()
+}
+
+// splitShards hands each shard its contiguous share of [0, n).
+func splitShards(shards []stealShard, n int) {
+	for w := range shards {
+		shards[w].next = w * n / len(shards)
+		shards[w].end = (w + 1) * n / len(shards)
+	}
+}
+
+// drain is worker w's whole round, for ForEachStealing and Pool alike: run
+// the units of its own shard in ascending order, refill by stealing, and
+// return once no shard has work left.
+func drain(shards []stealShard, w int, fn func(worker, i int)) {
+	self := &shards[w]
+	for {
+		if i, ok := self.claim(); ok {
+			fn(w, i)
+			continue
+		}
+		if !stealInto(shards, w) {
+			return
+		}
+	}
 }
 
 // stealInto moves the upper half of the richest victim's remaining range

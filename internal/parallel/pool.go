@@ -10,18 +10,18 @@ package parallel
 // per kernel. A Pool spawns its workers once; each Run round costs two channel
 // operations per worker plus the per-shard claim locks.
 //
-// Scheduling within a round is exactly ForEachStealing's: one contiguous
-// shard per participating worker, drained in ascending index order, with
-// upper-half stealing from the richest victim. The determinism contract is
-// also ForEachStealing's — fn's output must depend only on the unit index,
-// never on worker identity or scheduling order — and so is the ownership
-// contract: each worker index is owned by exactly one goroutine for the
-// duration of a round, so fn may keep worker-indexed scratch in a slice
-// without synchronization.
+// Scheduling within a round is ForEachStealing's, by the same splitShards
+// and drain: one contiguous shard per participating worker, drained in
+// ascending index order, with upper-half stealing from the richest victim.
+// The determinism contract is also ForEachStealing's — fn's output must
+// depend only on the unit index, never on worker identity or scheduling
+// order — and so is the ownership contract: each worker index is owned by
+// exactly one goroutine for the duration of a round, so fn may keep
+// worker-indexed scratch in a slice without synchronization.
 //
 // The calling goroutine participates as worker 0 in every round, so a Pool
 // of one worker runs everything inline with no channel traffic at all —
-// Run(n, fn) with Workers() == 1 is a plain loop, preserving callers'
+// Run(n, fn) is then a plain loop, preserving callers'
 // allocation-free serial paths. Rounds are issued one at a time from the
 // owning goroutine; Run must not be called concurrently with itself or
 // re-entered from fn.
@@ -87,14 +87,11 @@ func (p *Pool) Run(n int, fn func(worker, i int)) {
 	}
 	p.fn = fn
 	p.active = active
-	for w := 0; w < active; w++ {
-		p.shards[w].next = w * n / active
-		p.shards[w].end = (w + 1) * n / active
-	}
+	splitShards(p.shards[:active], n)
 	for w := 1; w < active; w++ {
 		p.start[w-1] <- struct{}{}
 	}
-	p.drain(0)
+	drain(p.shards[:active], 0, fn)
 	for w := 1; w < active; w++ {
 		<-p.done
 	}
@@ -107,23 +104,8 @@ func (p *Pool) Run(n int, fn func(worker, i int)) {
 func (p *Pool) workerLoop(w int, start chan struct{}) func() {
 	return func() {
 		for range start {
-			p.drain(w)
+			drain(p.shards[:p.active], w, p.fn)
 			p.done <- struct{}{}
-		}
-	}
-}
-
-func (p *Pool) drain(w int) {
-	self := &p.shards[w]
-	fn := p.fn
-	shards := p.shards[:p.active]
-	for {
-		if i, ok := self.claim(); ok {
-			fn(w, i)
-			continue
-		}
-		if !stealInto(shards, w) {
-			return
 		}
 	}
 }

@@ -17,8 +17,6 @@
 package profiler
 
 import (
-	"time"
-
 	"stemroot/internal/hwmodel"
 	"stemroot/internal/trace"
 )
@@ -125,11 +123,4 @@ func (p *Profiler) NVBitBBV(w *trace.Workload, reps, dim int) Overhead {
 	comparisons := float64(w.Len()) * float64(reps) / 2
 	process := comparisons * float64(dim) * bbvCompareNSPer / 1000 // ns -> µs
 	return Overhead{Tool: "bbv", OriginalUS: orig, InstrumentedUS: collect + process}
-}
-
-// Measured wraps a CPU-side processing duration as an Overhead add-on, for
-// experiments that time our own implementations (e.g. Photon's comparison
-// loop) and fold the result into Table 5.
-func Measured(tool string, originalUS float64, d time.Duration) Overhead {
-	return Overhead{Tool: tool, OriginalUS: originalUS, InstrumentedUS: originalUS + float64(d.Microseconds())}
 }

@@ -2,7 +2,6 @@ package profiler
 
 import (
 	"testing"
-	"time"
 
 	"stemroot/internal/hwmodel"
 	"stemroot/internal/workloads"
@@ -73,15 +72,5 @@ func TestOverheadDays(t *testing.T) {
 	}
 	if (Overhead{}).Factor() != 0 {
 		t.Fatal("zero original should give factor 0")
-	}
-}
-
-func TestMeasured(t *testing.T) {
-	o := Measured("photon-proc", 1000, 2*time.Millisecond)
-	if o.InstrumentedUS != 3000 {
-		t.Fatalf("instrumented = %v, want 3000", o.InstrumentedUS)
-	}
-	if o.Tool != "photon-proc" {
-		t.Fatal("tool name lost")
 	}
 }

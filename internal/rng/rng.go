@@ -123,11 +123,6 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63 returns a uniform non-negative int64.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // NormFloat64 returns a standard normal variate (Marsaglia polar method).
 func (r *Rand) NormFloat64() float64 {
 	if r.hasSpare {
@@ -154,15 +149,6 @@ func (r *Rand) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*r.NormFloat64())
 }
 
-// Exp returns an exponential variate with the given mean.
-func (r *Rand) Exp(mean float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -mean * math.Log(u)
-}
-
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *Rand) Perm(n int) []int {
 	p := make([]int, n)
@@ -174,24 +160,4 @@ func (r *Rand) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Choice returns a uniformly chosen index weighted by w (all weights must be
-// non-negative, at least one positive).
-func (r *Rand) Choice(w []float64) int {
-	total := 0.0
-	for _, v := range w {
-		total += v
-	}
-	if total <= 0 {
-		panic("rng: Choice with non-positive total weight")
-	}
-	x := r.Float64() * total
-	for i, v := range w {
-		x -= v
-		if x < 0 {
-			return i
-		}
-	}
-	return len(w) - 1
 }

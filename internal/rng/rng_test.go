@@ -137,18 +137,6 @@ func TestLogNormalPositive(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	r := New(8)
-	const n = 100000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += r.Exp(3.0)
-	}
-	if mean := sum / n; math.Abs(mean-3.0) > 0.1 {
-		t.Fatalf("exponential mean %v too far from 3", mean)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	check := func(seed uint64) bool {
 		r := New(seed)
@@ -169,31 +157,6 @@ func TestPermIsPermutation(t *testing.T) {
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestChoiceRespectsWeights(t *testing.T) {
-	r := New(9)
-	counts := [3]int{}
-	const n = 90000
-	for i := 0; i < n; i++ {
-		counts[r.Choice([]float64{1, 2, 0})]++
-	}
-	if counts[2] != 0 {
-		t.Fatalf("zero-weight index chosen %d times", counts[2])
-	}
-	ratio := float64(counts[1]) / float64(counts[0])
-	if math.Abs(ratio-2) > 0.1 {
-		t.Fatalf("weight ratio %v too far from 2", ratio)
-	}
-}
-
-func TestChoicePanicsOnZeroTotal(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for all-zero weights")
-		}
-	}()
-	New(1).Choice([]float64{0, 0})
 }
 
 func TestSplitIndependence(t *testing.T) {

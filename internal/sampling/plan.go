@@ -26,9 +26,9 @@ type Group struct {
 	// Samples are invocation indices to simulate (possibly with repeats for
 	// with-replacement draws; repeats are simulated once and counted twice).
 	Samples []int
-	// Weight multiplies the mean... no: each sample's time is multiplied by
-	// Weight and summed, so a group representing N invocations with m
-	// samples uses Weight = N/m.
+	// Weight is the number of invocations each sample stands for: every
+	// sample's time is multiplied by it and summed, so a group representing
+	// N invocations with m samples uses Weight = N/m.
 	Weight float64
 }
 
@@ -70,9 +70,6 @@ func (p *Plan) SampledIndices() []int {
 	sort.Ints(out)
 	return out
 }
-
-// SampleCount returns the number of distinct simulated invocations.
-func (p *Plan) SampleCount() int { return len(p.SampledIndices()) }
 
 // Method is a kernel-level sampling technique.
 type Method interface {

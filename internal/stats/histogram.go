@@ -54,53 +54,6 @@ func (h *Histogram) BinCenter(i int) float64 {
 	return h.Lo + (float64(i)+0.5)*h.Width
 }
 
-// Mode returns the index of the most populated bin.
-func (h *Histogram) Mode() int {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// Peaks returns the indices of local maxima whose count is at least
-// minFrac of the total sample, with neighbours strictly lower on at least one
-// side and not higher on either. This is how the Figure 1 harness counts the
-// "performance saturation points" of a kernel.
-func (h *Histogram) Peaks(minFrac float64) []int {
-	minCount := int(math.Ceil(minFrac * float64(h.Total)))
-	if minCount < 1 {
-		minCount = 1
-	}
-	var peaks []int
-	n := len(h.Counts)
-	for i := 0; i < n; i++ {
-		c := h.Counts[i]
-		if c < minCount {
-			continue
-		}
-		left := 0
-		if i > 0 {
-			left = h.Counts[i-1]
-		}
-		right := 0
-		if i < n-1 {
-			right = h.Counts[i+1]
-		}
-		if c >= left && c >= right && (c > left || c > right || (i == 0 && n == 1)) {
-			// Merge plateaus: skip if previous bin was already a peak of the
-			// same height.
-			if len(peaks) > 0 && peaks[len(peaks)-1] == i-1 && h.Counts[i-1] == c {
-				continue
-			}
-			peaks = append(peaks, i)
-		}
-	}
-	return peaks
-}
-
 // Render draws a textual histogram (one row per bin) for CLI output; width
 // is the maximum bar length in characters.
 func (h *Histogram) Render(width int) string {

@@ -60,41 +60,6 @@ func TestHistogramDegenerate(t *testing.T) {
 	}
 }
 
-func TestHistogramMode(t *testing.T) {
-	xs := []float64{1, 1, 1, 1, 5, 9}
-	h := NewHistogram(xs, 3)
-	if h.Mode() != 0 {
-		t.Fatalf("mode bin = %d, want 0", h.Mode())
-	}
-}
-
-func TestHistogramPeaksBimodal(t *testing.T) {
-	var xs []float64
-	r := rng.New(11)
-	for i := 0; i < 500; i++ {
-		xs = append(xs, 10+r.NormFloat64()*0.5)
-		xs = append(xs, 20+r.NormFloat64()*0.5)
-	}
-	h := NewHistogram(xs, 30)
-	peaks := h.Peaks(0.02)
-	if len(peaks) != 2 {
-		t.Fatalf("expected 2 peaks for bimodal data, got %d (%v)", len(peaks), peaks)
-	}
-}
-
-func TestHistogramPeaksUnimodal(t *testing.T) {
-	var xs []float64
-	r := rng.New(12)
-	for i := 0; i < 2000; i++ {
-		xs = append(xs, 10+r.NormFloat64())
-	}
-	h := NewHistogram(xs, 20)
-	peaks := h.Peaks(0.05)
-	if len(peaks) != 1 {
-		t.Fatalf("expected 1 peak for unimodal data, got %d", len(peaks))
-	}
-}
-
 func TestRender(t *testing.T) {
 	h := NewHistogram([]float64{1, 2, 2, 3}, 3)
 	out := h.Render(20)

@@ -5,18 +5,6 @@ import (
 	"math"
 )
 
-// NormalPDF returns the density of N(mu, sigma^2) at x.
-func NormalPDF(x, mu, sigma float64) float64 {
-	if sigma <= 0 {
-		if x == mu {
-			return math.Inf(1)
-		}
-		return 0
-	}
-	z := (x - mu) / sigma
-	return math.Exp(-0.5*z*z) / (sigma * math.Sqrt(2*math.Pi))
-}
-
 // NormalCDF returns P(X <= x) for X ~ N(mu, sigma^2).
 func NormalCDF(x, mu, sigma float64) float64 {
 	if sigma <= 0 {

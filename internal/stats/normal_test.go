@@ -1,26 +1,9 @@
 package stats
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
-
-func TestNormalPDF(t *testing.T) {
-	// Standard normal density at 0 is 1/sqrt(2*pi).
-	want := 1 / math.Sqrt(2*math.Pi)
-	if got := NormalPDF(0, 0, 1); !almostEqual(got, want, 1e-12) {
-		t.Fatalf("pdf(0) = %v, want %v", got, want)
-	}
-	// Symmetry.
-	if NormalPDF(1.3, 0, 1) != NormalPDF(-1.3, 0, 1) {
-		t.Fatal("pdf not symmetric")
-	}
-	// Degenerate sigma.
-	if NormalPDF(1, 0, 0) != 0 {
-		t.Fatal("pdf with sigma=0 off the mean should be 0")
-	}
-}
 
 func TestNormalCDF(t *testing.T) {
 	if got := NormalCDF(0, 0, 1); !almostEqual(got, 0.5, 1e-12) {

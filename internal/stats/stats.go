@@ -16,7 +16,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by functions that require at least one observation.
@@ -58,21 +57,6 @@ func Variance(xs []float64) float64 {
 		ss += d * d
 	}
 	return ss / float64(n-1)
-}
-
-// PopVariance returns the population variance (divisor n) of xs.
-func PopVariance(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	mean := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - mean
-		ss += d * d
-	}
-	return ss / float64(n)
 }
 
 // StdDev returns the sample standard deviation of xs.
@@ -117,72 +101,6 @@ func Max(xs []float64) (float64, error) {
 	return m, nil
 }
 
-// HarmonicMean returns the harmonic mean of xs. The paper follows Eeckhout's
-// recommendation to report speedups with the harmonic mean. All values must
-// be positive.
-func HarmonicMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	var inv float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, errors.New("stats: harmonic mean requires positive values")
-		}
-		inv += 1 / x
-	}
-	return float64(len(xs)) / inv, nil
-}
-
-// GeometricMean returns the geometric mean of xs (all values positive).
-func GeometricMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, errors.New("stats: geometric mean requires positive values")
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs))), nil
-}
-
-// WeightedMean returns sum(w_i x_i)/sum(w_i). Weights must sum to a
-// positive value.
-func WeightedMean(xs, ws []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if len(xs) != len(ws) {
-		return 0, errors.New("stats: mismatched lengths")
-	}
-	var num, den float64
-	for i, x := range xs {
-		num += ws[i] * x
-		den += ws[i]
-	}
-	if den <= 0 {
-		return 0, errors.New("stats: non-positive total weight")
-	}
-	return num / den, nil
-}
-
-// Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics (type-7, the numpy default).
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 || q > 1 {
-		return 0, errors.New("stats: quantile out of [0,1]")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q), nil
-}
-
 func quantileSorted(sorted []float64, q float64) float64 {
 	n := len(sorted)
 	if n == 1 {
@@ -197,9 +115,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// Median returns the 0.5 quantile of xs.
-func Median(xs []float64) (float64, error) { return Quantile(xs, 0.5) }
 
 // Summary bundles the descriptive statistics STEM consumes for a cluster of
 // kernel execution times.
@@ -251,29 +166,6 @@ func (o *Online) Add(x float64) {
 	delta := x - o.mean
 	o.mean += delta / float64(o.n)
 	o.m2 += delta * (x - o.mean)
-}
-
-// Merge combines another accumulator into o (Chan et al. parallel variance).
-func (o *Online) Merge(p Online) {
-	if p.n == 0 {
-		return
-	}
-	if o.n == 0 {
-		*o = p
-		return
-	}
-	delta := p.mean - o.mean
-	total := o.n + p.n
-	o.mean += delta * float64(p.n) / float64(total)
-	o.m2 += p.m2 + delta*delta*float64(o.n)*float64(p.n)/float64(total)
-	if p.min < o.min {
-		o.min = p.min
-	}
-	if p.max > o.max {
-		o.max = p.max
-	}
-	o.sum += p.sum
-	o.n = total
 }
 
 // N returns the number of observations added.

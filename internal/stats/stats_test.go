@@ -32,9 +32,6 @@ func TestMeanAndVariance(t *testing.T) {
 	if got := Mean(xs); got != 5 {
 		t.Fatalf("mean = %v, want 5", got)
 	}
-	if got := PopVariance(xs); got != 4 {
-		t.Fatalf("pop variance = %v, want 4", got)
-	}
 	if got := Variance(xs); !almostEqual(got, 32.0/7.0, 1e-12) {
 		t.Fatalf("sample variance = %v, want %v", got, 32.0/7.0)
 	}
@@ -50,12 +47,6 @@ func TestEmptyInputs(t *testing.T) {
 	if _, err := Max(nil); err != ErrEmpty {
 		t.Fatal("Max(nil) should return ErrEmpty")
 	}
-	if _, err := Quantile(nil, 0.5); err != ErrEmpty {
-		t.Fatal("Quantile(nil) should return ErrEmpty")
-	}
-	if _, err := HarmonicMean(nil); err != ErrEmpty {
-		t.Fatal("HarmonicMean(nil) should return ErrEmpty")
-	}
 }
 
 func TestCoV(t *testing.T) {
@@ -65,110 +56,6 @@ func TestCoV(t *testing.T) {
 	}
 	if CoV([]float64{0, 0}) != 0 {
 		t.Fatal("zero-mean CoV should be 0, not NaN")
-	}
-}
-
-func TestHarmonicMean(t *testing.T) {
-	hm, err := HarmonicMean([]float64{1, 4, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(hm, 2, 1e-12) {
-		t.Fatalf("harmonic mean = %v, want 2", hm)
-	}
-	if _, err := HarmonicMean([]float64{1, -1}); err == nil {
-		t.Fatal("expected error for negative value")
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	gm, err := GeometricMean([]float64{1, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(gm, math.Sqrt(8), 1e-12) {
-		t.Fatalf("geometric mean = %v", gm)
-	}
-}
-
-func TestMeansInequality(t *testing.T) {
-	// Property: for positive data, harmonic <= geometric <= arithmetic.
-	check := func(seed uint64) bool {
-		r := rng.New(seed)
-		n := 2 + r.Intn(50)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = 0.1 + 10*r.Float64()
-		}
-		hm, err1 := HarmonicMean(xs)
-		gm, err2 := GeometricMean(xs)
-		am := Mean(xs)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		const tol = 1e-9
-		return hm <= gm+tol && gm <= am+tol
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWeightedMean(t *testing.T) {
-	got, err := WeightedMean([]float64{1, 3}, []float64{1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(got, 2.5, 1e-12) {
-		t.Fatalf("weighted mean = %v, want 2.5", got)
-	}
-	if _, err := WeightedMean([]float64{1}, []float64{0}); err == nil {
-		t.Fatal("expected error for zero total weight")
-	}
-	if _, err := WeightedMean([]float64{1, 2}, []float64{1}); err == nil {
-		t.Fatal("expected error for mismatched lengths")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	med, err := Median(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(med, 2.5, 1e-12) {
-		t.Fatalf("median = %v, want 2.5", med)
-	}
-	q0, _ := Quantile(xs, 0)
-	q1, _ := Quantile(xs, 1)
-	if q0 != 1 || q1 != 4 {
-		t.Fatalf("extreme quantiles = %v, %v", q0, q1)
-	}
-	if _, err := Quantile(xs, 1.5); err == nil {
-		t.Fatal("expected error for q > 1")
-	}
-}
-
-func TestQuantileMonotone(t *testing.T) {
-	check := func(seed uint64) bool {
-		r := rng.New(seed)
-		n := 1 + r.Intn(100)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = r.NormFloat64()
-		}
-		prev := math.Inf(-1)
-		for q := 0.0; q <= 1.0; q += 0.1 {
-			v, err := Quantile(xs, q)
-			if err != nil || v < prev-1e-12 {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -191,45 +78,6 @@ func TestOnlineMatchesBatch(t *testing.T) {
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestOnlineMerge(t *testing.T) {
-	check := func(seed uint64) bool {
-		r := rng.New(seed)
-		n := 4 + r.Intn(100)
-		cut := 1 + r.Intn(n-2)
-		var all, left, right Online
-		for i := 0; i < n; i++ {
-			x := r.NormFloat64() * 50
-			all.Add(x)
-			if i < cut {
-				left.Add(x)
-			} else {
-				right.Add(x)
-			}
-		}
-		left.Merge(right)
-		return almostEqual(left.Mean(), all.Mean(), 1e-9) &&
-			almostEqual(left.Variance(), all.Variance(), 1e-6) &&
-			left.N() == all.N()
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestOnlineMergeEmpty(t *testing.T) {
-	var a, b Online
-	a.Add(1)
-	a.Add(3)
-	a.Merge(b) // merging empty must be a no-op
-	if a.N() != 2 || a.Mean() != 2 {
-		t.Fatal("merge with empty changed accumulator")
-	}
-	b.Merge(a) // merging into empty must copy
-	if b.N() != 2 || b.Mean() != 2 {
-		t.Fatal("merge into empty failed")
 	}
 }
 

@@ -40,28 +40,9 @@ const maxWindow = 64 << 10
 
 var profileHeader = []byte("seq,name,time_us")
 
-// ParseProfileRecord decodes one "seq,name,time_us" CSV row in place. The
-// returned name aliases line — copy it if it must outlive the buffer. A
-// trailing "\n" or "\r\n" is tolerated. Rows containing a quote character
-// are delegated to encoding/csv (allocating, but rare); everything else is
-// parsed allocation-free. The seq field is not interpreted.
-func ParseProfileRecord(line []byte) (name []byte, timeUS float64, err error) {
-	if bytes.IndexByte(line, '"') >= 0 {
-		rec, err := quotedReader(bytes.NewReader(trimLineEnd(line))).Read()
-		if err != nil {
-			return nil, 0, fmt.Errorf("trace: read csv row: %w", err)
-		}
-		t, err := parseTime(rec[2])
-		if err != nil {
-			return nil, 0, err
-		}
-		return []byte(rec[1]), t, nil
-	}
-	return parsePlainRecord(trimLineEnd(line))
-}
-
-// parsePlainRecord is ParseProfileRecord for a line known to hold no quote
-// and no line terminator.
+// parsePlainRecord decodes one "seq,name,time_us" row known to hold no quote
+// and no line terminator, in place: the returned name aliases line. The seq
+// field is not interpreted.
 func parsePlainRecord(line []byte) (name []byte, timeUS float64, err error) {
 	c1 := bytes.IndexByte(line, ',')
 	if c1 < 0 {

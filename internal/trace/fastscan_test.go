@@ -167,7 +167,12 @@ func TestFastCSVScannerRescannable(t *testing.T) {
 	}
 }
 
-func TestParseProfileRecordErrors(t *testing.T) {
+// TestScanBytesRowErrors feeds each malformed row to the decoder production
+// calls: as the one data row of a stream (plain rows through scanWindow,
+// quoted ones through scanQuoted) and, when it holds no quote, to
+// parsePlainRecord itself — the empty row included, which a stream skips as
+// a blank line.
+func TestScanBytesRowErrors(t *testing.T) {
 	cases := []string{
 		"",                // empty
 		"0",               // one field
@@ -178,13 +183,29 @@ func TestParseProfileRecordErrors(t *testing.T) {
 		"0,\"unclosed,1",  // quote error
 		"0,a,\"1\" trail", // csv extraneous text after quote
 	}
+	scan := func(row string) (name string, v float64, err error) {
+		fr := NewFastCSVReader(strings.NewReader("seq,name,time_us\n" + row))
+		err = fr.ScanBytes(func(b []byte, t float64) bool {
+			name, v = string(b), t
+			return true
+		})
+		return name, v, err
+	}
 	for _, c := range cases {
-		if _, _, err := ParseProfileRecord([]byte(c)); err == nil {
-			t.Fatalf("ParseProfileRecord(%q) = nil error", c)
+		if !strings.Contains(c, `"`) {
+			if _, _, err := parsePlainRecord([]byte(c)); err == nil {
+				t.Fatalf("parsePlainRecord(%q) = nil error", c)
+			}
+		}
+		if c == "" {
+			continue
+		}
+		if _, _, err := scan(c + "\n"); err == nil {
+			t.Fatalf("ScanBytes over row %q = nil error", c)
 		}
 	}
-	name, v, err := ParseProfileRecord([]byte("7,kern,42.5\r\n"))
-	if err != nil || string(name) != "kern" || v != 42.5 {
+	name, v, err := scan("7,kern,42.5\r\n")
+	if err != nil || name != "kern" || v != 42.5 {
 		t.Fatalf("valid row parsed as (%q,%v,%v)", name, v, err)
 	}
 }

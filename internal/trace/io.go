@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
 )
@@ -15,16 +14,6 @@ import (
 func (w *Workload) WriteJSON(out io.Writer) error {
 	enc := json.NewEncoder(out)
 	return enc.Encode(w)
-}
-
-// ReadWorkloadJSON deserializes a workload written by WriteJSON.
-func ReadWorkloadJSON(in io.Reader) (*Workload, error) {
-	var w Workload
-	dec := json.NewDecoder(in)
-	if err := dec.Decode(&w); err != nil {
-		return nil, fmt.Errorf("trace: decode workload: %w", err)
-	}
-	return &w, nil
 }
 
 // WriteCSV writes a profile as "seq,name,time_us" rows, the same shape an

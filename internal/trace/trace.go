@@ -61,19 +61,6 @@ type InstrMetrics struct {
 	Occupancy    float64 // achieved occupancy in [0,1]
 }
 
-// Vector flattens the metrics into the 12-dimensional feature vector PKA
-// clusters on.
-func (m InstrMetrics) Vector() []float64 {
-	return []float64{
-		m.TotalInstrs, m.FP32Ops, m.FP16Ops, m.IntOps,
-		m.GlobalLoads, m.GlobalStores, m.SharedAccess, m.BranchInstrs,
-		m.SyncInstrs, m.AtomicInstrs, m.RegPerThread, m.Occupancy,
-	}
-}
-
-// MetricDim is the dimensionality of InstrMetrics.Vector.
-const MetricDim = 12
-
 // Latent is the hidden ground-truth behaviour of an invocation. The fields
 // drive both the hardware timing model and the instruction streams fed to
 // the cycle-level simulator, so a sampling method that picks representative

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -169,8 +170,8 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := w.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadWorkloadJSON(&buf)
-	if err != nil {
+	var got Workload
+	if err := json.NewDecoder(&buf).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Name != w.Name || got.Len() != w.Len() {

@@ -30,8 +30,6 @@ import (
 // to the kernel's base latent behaviour. Distinct contexts produce the
 // distinct execution-time peaks of paper Figure 1.
 type Context struct {
-	// Weight is the relative frequency of this context.
-	Weight float64
 	// WorkMult scales compute work (1 = unchanged).
 	WorkMult float64
 	// FootprintMult scales the memory footprint.
@@ -41,7 +39,7 @@ type Context struct {
 }
 
 // DefaultContext is the single-context case.
-var DefaultContext = []Context{{Weight: 1, WorkMult: 1, FootprintMult: 1}}
+var DefaultContext = []Context{{WorkMult: 1, FootprintMult: 1}}
 
 // KernelDef is the template from which invocations of one kernel are
 // generated.
@@ -191,19 +189,6 @@ func (b *Builder) metricsFor(def *KernelDef, inv *trace.Invocation) trace.InstrM
 		RegPerThread: def.RegPerThread,
 		Occupancy:    occ * noise(),
 	}
-}
-
-// PickContext samples a context index by weight.
-func (b *Builder) PickContext(def *KernelDef) int {
-	ctxs := def.contexts()
-	if len(ctxs) == 1 {
-		return 0
-	}
-	ws := make([]float64, len(ctxs))
-	for i, c := range ctxs {
-		ws[i] = c.Weight
-	}
-	return b.r.Choice(ws)
 }
 
 // Rand exposes the builder's deterministic RNG for schedule decisions.

@@ -2,13 +2,6 @@ package workloads
 
 import "stemroot/internal/trace"
 
-// CASIONames lists the 11 ML workloads of the synthetic CASIO suite.
-var CASIONames = []string{
-	"bert_infer", "bert_train", "dlrm", "gnmt", "maskrcnn",
-	"resnet50_infer", "resnet50_train", "rnnt", "ssdrn34_infer",
-	"unet_infer", "unet_train",
-}
-
 // CASIO returns the 11 synthetic CASIO workloads. scale multiplies the
 // iteration counts; 1.0 yields ~64k kernel calls per workload, matching the
 // paper's Table 2 average. Tests use small scales.
@@ -61,8 +54,8 @@ func sgemm12864() *KernelDef {
 	// (Figure 1) — execution time separates exactly the invocations whose
 	// microarchitectural behaviour differs.
 	return gemmDef("sgemm_128x64_nn", 3e9, []Context{
-		{Weight: 0.55, WorkMult: 1, FootprintMult: 1},
-		{Weight: 0.45, WorkMult: 1.35, FootprintMult: 6, LocalityDelta: -0.35},
+		{WorkMult: 1, FootprintMult: 1},
+		{WorkMult: 1.35, FootprintMult: 6, LocalityDelta: -0.35},
 	})
 }
 
@@ -76,9 +69,9 @@ func bnFwInf() *KernelDef {
 		MemIntensity: 0.55, Locality: 0.7,
 		Work: 4e8, Footprint: 8 << 20,
 		Contexts: []Context{
-			{Weight: 0.45, WorkMult: 1, FootprintMult: 1},
-			{Weight: 0.35, WorkMult: 1, FootprintMult: 4, LocalityDelta: -0.2},
-			{Weight: 0.20, WorkMult: 1, FootprintMult: 14, LocalityDelta: -0.45},
+			{WorkMult: 1, FootprintMult: 1},
+			{WorkMult: 1, FootprintMult: 4, LocalityDelta: -0.2},
+			{WorkMult: 1, FootprintMult: 14, LocalityDelta: -0.45},
 		},
 		RegPerThread: 32,
 	}
@@ -112,8 +105,8 @@ func layernormDef() *KernelDef {
 		Name: "layernorm_fw", Grid: trace.Dim3{X: 192}, Block: trace.Dim3{X: 256},
 		MemIntensity: 0.65, Locality: 0.6, Work: 2e8, Footprint: 6 << 20,
 		Contexts: []Context{
-			{Weight: 0.5, WorkMult: 1, FootprintMult: 1},
-			{Weight: 0.5, WorkMult: 1, FootprintMult: 3.5, LocalityDelta: -0.25},
+			{WorkMult: 1, FootprintMult: 1},
+			{WorkMult: 1, FootprintMult: 3.5, LocalityDelta: -0.25},
 		},
 		RegPerThread: 24,
 	}
@@ -125,8 +118,8 @@ func winogradDef() *KernelDef {
 		MemIntensity: 0.2, Locality: 0.85, FP16Frac: 0.6,
 		Work: 4e9, Footprint: 16 << 20,
 		Contexts: []Context{
-			{Weight: 0.6, WorkMult: 1, FootprintMult: 1},
-			{Weight: 0.4, WorkMult: 1.3, FootprintMult: 5, LocalityDelta: -0.3},
+			{WorkMult: 1, FootprintMult: 1},
+			{WorkMult: 1.3, FootprintMult: 5, LocalityDelta: -0.3},
 		},
 		RegPerThread: 128,
 	}
@@ -146,8 +139,8 @@ func lstmCell() *KernelDef {
 		MemIntensity: 0.4, Locality: 0.75, FP16Frac: 0.3,
 		Work: 1.2e9, Footprint: 10 << 20,
 		Contexts: []Context{
-			{Weight: 0.5, WorkMult: 1, FootprintMult: 1},
-			{Weight: 0.5, WorkMult: 1.04, FootprintMult: 2.6, LocalityDelta: -0.2},
+			{WorkMult: 1, FootprintMult: 1},
+			{WorkMult: 1.04, FootprintMult: 2.6, LocalityDelta: -0.2},
 		},
 		RegPerThread: 72,
 	}
@@ -155,8 +148,8 @@ func lstmCell() *KernelDef {
 
 func wgradDef(name string) *KernelDef {
 	d := gemmDef(name, 5e9, []Context{
-		{Weight: 0.5, WorkMult: 1, FootprintMult: 1},
-		{Weight: 0.5, WorkMult: 1.3, FootprintMult: 5, LocalityDelta: -0.3},
+		{WorkMult: 1, FootprintMult: 1},
+		{WorkMult: 1.3, FootprintMult: 5, LocalityDelta: -0.3},
 	})
 	d.MemIntensity = 0.3
 	return d

@@ -2,11 +2,6 @@ package workloads
 
 import "stemroot/internal/trace"
 
-// HuggingFaceNames lists the six synthetic LLM/ML serving workloads.
-var HuggingFaceNames = []string{
-	"bert", "bloom", "deit", "gemma", "gpt2", "resnet50",
-}
-
 // HuggingFace returns the six large-scale LLM/ML workloads. scale multiplies
 // the serving-request counts; 1.0 yields on the order of 3-4x10^5 kernel
 // calls per workload. (The paper's suite averages 1.2x10^7 calls; the
@@ -32,8 +27,8 @@ func HuggingFace(seed uint64, scale float64) []*trace.Workload {
 func transformerServe(name string, seed uint64, layers, requests, decodeSteps int, headDim int64) *trace.Workload {
 	b := NewBuilder(name, "huggingface", seed)
 	prefillDecode := []Context{
-		{Weight: 0.1, WorkMult: float64(decodeSteps) / 3, FootprintMult: 4, LocalityDelta: -0.2},
-		{Weight: 0.9, WorkMult: 1, FootprintMult: 1},
+		{WorkMult: float64(decodeSteps) / 3, FootprintMult: 4, LocalityDelta: -0.2},
+		{WorkMult: 1, FootprintMult: 1},
 	}
 	qkv := &KernelDef{
 		Name: "gemm_qkv_f16", Grid: trace.Dim3{X: 256}, Block: trace.Dim3{X: 128},

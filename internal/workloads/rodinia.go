@@ -25,12 +25,6 @@ func Rodinia(seed uint64) []*trace.Workload {
 	return out
 }
 
-// RodiniaNames lists the suite's workload names in generation order.
-var RodiniaNames = []string{
-	"backprop", "bfs", "btree", "cfd", "gaussian", "heartwall", "hotspot",
-	"kmeans", "lavamd", "lud", "nw", "pf_float", "srad",
-}
-
 func rodiniaBackprop(seed uint64) *trace.Workload {
 	b := NewBuilder("backprop", "rodinia", seed)
 	forward := &KernelDef{

@@ -90,25 +90,3 @@ func DSEHuggingFace(seed uint64, maxCalls int) []*trace.Workload {
 	}
 	return out
 }
-
-// Summary reports suite-level statistics (the shape of paper Table 2).
-type Summary struct {
-	Suite          string
-	Workloads      int
-	AvgKernelCalls float64
-	AvgTotalUS     float64 // filled by callers that profile the suite
-}
-
-// Summarize counts invocations across a generated suite.
-func Summarize(suite string, ws []*trace.Workload) Summary {
-	s := Summary{Suite: suite, Workloads: len(ws)}
-	if len(ws) == 0 {
-		return s
-	}
-	total := 0
-	for _, w := range ws {
-		total += w.Len()
-	}
-	s.AvgKernelCalls = float64(total) / float64(len(ws))
-	return s
-}
