@@ -86,26 +86,44 @@ func writeHeapProfile(path string) {
 
 // generateServing streams a serving-trace profile CSV to out ("-" =
 // stdout). The report line goes to errReport so stdout stays a clean CSV
-// pipe.
+// pipe. A bad -invocations is refused before out is created or truncated.
 func generateServing(seed uint64, invocations int, out string, stdout, errReport io.Writer) error {
-	s := servetrace.New(servetrace.Config{Seed: seed, Invocations: invocations})
-	var w io.Writer
-	if out == "-" {
-		w = stdout
-	} else {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	if invocations <= 0 {
+		return fmt.Errorf("-invocations must be positive, got %d", invocations)
 	}
-	if err := s.WriteCSV(w); err != nil {
+	s := servetrace.New(servetrace.Config{Seed: seed, Invocations: invocations})
+	var err error
+	if out == "-" {
+		err = s.WriteCSV(stdout)
+	} else {
+		err = writeFile(out, s.WriteCSV)
+	}
+	if err != nil {
 		return err
 	}
 	fmt.Fprintf(errReport, "serving trace: %d invocations, %d distinct kernels -> %s\n",
 		invocations, s.NumKernels(), out)
 	return nil
+}
+
+// writeFile creates path, fills it through write and closes it. A file that
+// could not be written whole — Close's error included — is removed, unless
+// path names something other than a regular file (a device, a pipe).
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		if st, serr := os.Lstat(path); serr == nil && st.Mode().IsRegular() {
+			os.Remove(path)
+		}
+	}
+	return err
 }
 
 // generate produces the suite's trace and profile files under outDir and
@@ -125,29 +143,12 @@ func generate(suite string, scale float64, seed uint64, device, outDir string, r
 
 	for _, w := range ws {
 		tracePath := filepath.Join(outDir, w.Name+".trace.json")
-		f, err := os.Create(tracePath)
-		if err != nil {
+		if err := writeFile(tracePath, w.WriteJSON); err != nil {
 			return err
 		}
-		if err := w.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-
 		prof := hwmodel.New(dev, w.Seed).Profile(w)
 		profPath := filepath.Join(outDir, w.Name+"."+dev.Name+".csv")
-		pf, err := os.Create(profPath)
-		if err != nil {
-			return err
-		}
-		if err := prof.WriteCSV(w, pf); err != nil {
-			pf.Close()
-			return err
-		}
-		if err := pf.Close(); err != nil {
+		if err := writeFile(profPath, func(out io.Writer) error { return prof.WriteCSV(w, out) }); err != nil {
 			return err
 		}
 		fmt.Fprintf(report, "%-20s %8d kernel calls  total %12.1f us  -> %s, %s\n",

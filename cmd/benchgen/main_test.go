@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -85,6 +87,80 @@ func TestGenerateServing(t *testing.T) {
 	}
 	if !strings.HasPrefix(stdout.String(), "seq,name,time_us\n") {
 		t.Fatal("stdout stream missing CSV header")
+	}
+}
+
+// TestGenerateServingRefusesBeforeTouchingOutput: a bad -invocations must
+// neither create the output nor truncate one that exists.
+func TestGenerateServingRefusesBeforeTouchingOutput(t *testing.T) {
+	dir := t.TempDir()
+	for _, n := range []int{0, -5} {
+		fresh := filepath.Join(dir, "fresh.csv")
+		if err := generateServing(1, n, fresh, nil, io.Discard); err == nil || !strings.Contains(err.Error(), "-invocations") {
+			t.Fatalf("-invocations %d: err = %v", n, err)
+		}
+		if _, err := os.Stat(fresh); !os.IsNotExist(err) {
+			t.Fatalf("-invocations %d left %s behind (%v)", n, fresh, err)
+		}
+		kept := filepath.Join(dir, "kept.csv")
+		if err := os.WriteFile(kept, []byte("yesterday's trace"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := generateServing(1, n, kept, nil, io.Discard); err == nil {
+			t.Fatalf("-invocations %d accepted", n)
+		}
+		if got, _ := os.ReadFile(kept); string(got) != "yesterday's trace" {
+			t.Fatalf("-invocations %d truncated an existing file to %q", n, got)
+		}
+		var stdout strings.Builder
+		if err := generateServing(1, n, "-", &stdout, io.Discard); err == nil || stdout.Len() != 0 {
+			t.Fatalf("-invocations %d to stdout: err = %v, %d bytes written", n, err, stdout.Len())
+		}
+	}
+	if err := generateServing(1, 10, filepath.Join(dir, "no", "such", "dir.csv"), nil, io.Discard); err == nil {
+		t.Fatal("uncreatable output accepted")
+	}
+}
+
+// TestWriteFileRemovesWhatItCouldNotFinish: a failed write and a failed
+// Close both surface and both take the partial file with them.
+func TestWriteFileRemovesWhatItCouldNotFinish(t *testing.T) {
+	dir := t.TempDir()
+	errBoom := errors.New("boom")
+
+	path := filepath.Join(dir, "partial.csv")
+	err := writeFile(path, func(w io.Writer) error {
+		if _, err := io.WriteString(w, "seq,name,time_us\n0,k,"); err != nil {
+			return err
+		}
+		return errBoom
+	})
+	if err != errBoom {
+		t.Fatalf("write error: got %v", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("partial file left behind (%v)", err)
+	}
+
+	// The write succeeds but Close cannot: the file was closed under it.
+	err = writeFile(path, func(w io.Writer) error {
+		if _, err := io.WriteString(w, "whole"); err != nil {
+			return err
+		}
+		return w.(*os.File).Close()
+	})
+	if !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Close error dropped: got %v", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("file with a failed Close left behind (%v)", err)
+	}
+
+	if err := writeFile(path, func(w io.Writer) error { _, err := io.WriteString(w, "whole"); return err }); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "whole" {
+		t.Fatalf("file holds %q", got)
 	}
 }
 

@@ -3,6 +3,7 @@ package stemroot
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -10,16 +11,20 @@ import (
 	"stemroot/internal/rng"
 )
 
-// FuzzSample feeds randomized profiles to the public API and checks the
-// invariants every accepted plan must satisfy: full coverage, weights
-// consistent with cluster populations, and an estimate within the error
-// bound when evaluated against its own profile.
+// FuzzSample feeds randomized profiles and options to the public API and
+// checks the invariants every accepted plan must satisfy: full coverage,
+// weights consistent with cluster populations, and an estimate within the
+// error bound when evaluated against its own profile. Options outside the
+// domain must be refused by name — a zero field is the only "default".
 func FuzzSample(f *testing.F) {
-	f.Add(uint64(1), 500, 3)
-	f.Add(uint64(7), 50, 1)
-	f.Add(uint64(42), 2000, 5)
-	f.Fuzz(func(t *testing.T, seed uint64, n, kinds int) {
-		if n <= 0 || n > 5000 || kinds <= 0 || kinds > 16 {
+	f.Add(uint64(1), 500, 3, 0.0, 0.0, 0)
+	f.Add(uint64(7), 50, 1, 0.02, 0.99, 3)
+	f.Add(uint64(42), 2000, 5, 0.0, 0.0, 0)
+	f.Add(uint64(3), 300, 2, -0.05, math.NaN(), -2)          // degenerate: each was once "unset"
+	f.Add(uint64(3), 300, 2, 0.05, 0.9999999999999999, 2)    // in (0,1), and no z-score
+	f.Add(uint64(5), 400, 4, 5e-324, 0.9999999999999998, 16) // the domain's far corners
+	f.Fuzz(func(t *testing.T, seed uint64, n, kinds int, epsilon, confidence float64, splitK int) {
+		if n <= 0 || n > 5000 || kinds <= 0 || kinds > 16 || splitK > 16 {
 			t.Skip()
 		}
 		r := rng.New(seed)
@@ -36,7 +41,16 @@ func FuzzSample(f *testing.F) {
 			times[i] = base * math.Exp(0.1*r.NormFloat64())
 		}
 
-		plan, err := Sample(names, times, Options{Seed: seed})
+		plan, err := Sample(names, times, Options{Seed: seed, Epsilon: epsilon, Confidence: confidence, SplitK: splitK})
+		inDomain := (epsilon == 0 || epsilon > 0 && epsilon < 1) &&
+			(confidence == 0 || confidence > 0 && confidence < math.Nextafter(1, 0)) &&
+			(splitK == 0 || splitK >= 2)
+		if !inDomain {
+			if !errors.Is(err, ErrEpsilon) && !errors.Is(err, ErrConfidence) && !errors.Is(err, ErrSplitK) {
+				t.Fatalf("ε=%v confidence=%v k=%d: err = %v, want a named option error", epsilon, confidence, splitK, err)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("valid profile rejected: %v", err)
 		}
@@ -66,7 +80,11 @@ func FuzzSample(f *testing.F) {
 			truth += v
 		}
 		est := plan.Estimate(func(i int) float64 { return times[i] })
-		if truth > 0 {
+		// The bound is scored where the CLT has a chance: not at a
+		// confidence whose z is near 0, nor at an ε below what draws with
+		// replacement from small clusters can meet (ROADMAP item 1a).
+		scored := (epsilon == 0 || epsilon >= 0.01) && (confidence == 0 || confidence >= 0.9)
+		if truth > 0 && scored {
 			// Allow 3x the bound: a fuzz case is a single draw at 95%
 			// confidence, and tiny n makes the CLT approximation loose.
 			if rel := math.Abs(est-truth) / truth; rel > 3*plan.Epsilon {

@@ -79,21 +79,38 @@ func (p Params) Flat() Params {
 	return p
 }
 
-// Validate reports parameter errors.
+// What Validate returns for the three parameters callers set, so that every
+// planner — and the public package, which re-exports them — refuses an
+// out-of-domain value by name.
+var (
+	ErrEpsilon = errors.New("core: Epsilon must be in (0,1)")
+	// A confidence within an ulp of 1 has no z-score: 1−α/2 rounds to 1.
+	ErrConfidence = errors.New("core: Confidence must be in (0,1), with 1-(1-Confidence)/2 below 1 in float64")
+	ErrSplitK     = errors.New("core: SplitK must be >= 2")
+)
+
+// Validate reports parameter errors. The comparisons are written so that a
+// NaN fails them, and the confidence check is Z's own computation: Z cannot
+// panic on a Params that Validate accepted.
 func (p Params) Validate() error {
 	switch {
-	case p.Epsilon <= 0 || p.Epsilon >= 1:
-		return errors.New("core: Epsilon must be in (0,1)")
-	case p.Confidence <= 0 || p.Confidence >= 1:
-		return errors.New("core: Confidence must be in (0,1)")
+	case !(p.Epsilon > 0 && p.Epsilon < 1):
+		return ErrEpsilon
+	case !confidenceHasZ(p.Confidence):
+		return ErrConfidence
 	case p.SplitK < 2:
-		return errors.New("core: SplitK must be >= 2")
+		return ErrSplitK
 	case p.MinClusterSize < 2:
 		return errors.New("core: MinClusterSize must be >= 2")
 	case p.MaxDepth < 1:
 		return errors.New("core: MaxDepth must be >= 1")
 	}
 	return nil
+}
+
+func confidenceHasZ(confidence float64) bool {
+	_, err := stats.ZScore(confidence)
+	return err == nil
 }
 
 // Z returns z_{1-alpha/2} for the configured confidence level.

@@ -10,13 +10,15 @@
 package servetrace
 
 import (
-	"bufio"
 	"errors"
 	"io"
 	"math"
+	"runtime"
 	"strconv"
+	"sync"
 
 	"stemroot/internal/rng"
+	"stemroot/internal/trace"
 )
 
 // Config shapes a serving trace. The zero value of every field selects a
@@ -94,19 +96,6 @@ func (s *Stream) kernelNames() [][]byte {
 // NumKernels reports the number of distinct kernel names the stream emits
 // — the #names term of the planner's memory bound.
 func (s *Stream) NumKernels() int { return len(s.kernelNames()) }
-
-// nameIndex layout helpers.
-func (s *Stream) prefillName(layer, k int) []byte {
-	return s.kernelNames()[layer*kernelsPerLayer+k]
-}
-
-func (s *Stream) decodeName(layer, k int) []byte {
-	L := s.Cfg.layers()
-	return s.kernelNames()[(L+layer)*kernelsPerLayer+k]
-}
-
-func (s *Stream) kvAppendName() []byte { return s.kernelNames()[len(s.kernelNames())-2] }
-func (s *Stream) samplerName() []byte  { return s.kernelNames()[len(s.kernelNames())-1] }
 
 // genState is the per-Scan generator state; a fresh one per Scan is what
 // makes the stream re-scannable.
@@ -211,49 +200,61 @@ func (s *Stream) nextRequest(g *genState) request {
 	}
 }
 
+var errInvocations = errors.New("servetrace: Config.Invocations must be positive")
+
 // Duration model (microseconds). Prefill kernels scale with prompt length
 // (attention quadratically, saturated); decode kernels scale with batch
 // size and KV length. Each emission carries small lognormal noise.
-func (s *Stream) prefillDur(g *genState, req request, k int) float64 {
-	p := float64(req.prompt)
-	base := [kernelsPerLayer]float64{
-		0.004 * p,                 // qkv projection: linear in tokens
-		0.0008 * p * math.Sqrt(p), // attention: superlinear, saturated
-		0.006 * p,                 // mlp
-	}[k]
-	return (base + 2) * req.durMul * math.Exp(0.05*g.r.NormFloat64())
-}
-
-func (s *Stream) decodeDur(g *genState, req request, k int, kvLen int) float64 {
-	b := float64(req.batch)
-	base := [kernelsPerLayer]float64{
-		1.5 + 0.12*b,                           // qkv: batch-bound
-		0.8 + 0.10*b + 0.0015*float64(kvLen)*b, // attention: KV-length bound
-		2.0 + 0.18*b,                           // mlp
-	}[k]
-	return base * req.durMul * math.Exp(0.05*g.r.NormFloat64())
-}
-
-// ScanBytes yields exactly Cfg.Invocations (name, duration) pairs, with
-// names as interned []byte slices (valid beyond the call — they are owned
-// by the Stream). Every call replays the identical sequence.
-func (s *Stream) ScanBytes(yield func(name []byte, timeUS float64) bool) error {
+//
+// scan is the generator behind every output of a Stream: it yields exactly
+// Cfg.Invocations (kernel, duration) pairs, kernel indexing kernelNames().
+// It is serial by nature — every duration draws from the one RNG sequence —
+// so what does not depend on the draw is computed once per request (or per
+// token, for decode attention) and a row costs its draw, one Exp and one
+// multiplication. The factors keep the operations and the order of the
+// per-row formulas they were hoisted out of,
+//
+//	prefill: (base_k(prompt) + 2) · durMul · noise
+//	decode:  base_k(batch, kvLen) · durMul · noise
+//
+// so every duration is bit-identical to evaluating those per row; the
+// float64 conversions round each base where the per-row formula stored it,
+// which keeps an FMA-fusing compiler to the same operations.
+func (s *Stream) scan(yield func(kernel int, timeUS float64) bool) error {
 	if s.Cfg.Invocations <= 0 {
-		return errors.New("servetrace: Config.Invocations must be positive")
+		return errInvocations
 	}
 	g := s.newGen()
 	L := s.Cfg.layers()
+	decode0 := L * kernelsPerLayer // first decode kernel
+	kvAppendK, samplerK := 2*L*kernelsPerLayer, 2*L*kernelsPerLayer+1
 	remaining := s.Cfg.Invocations
-	emit := func(name []byte, d float64) bool {
+	emit := func(kernel int, d float64) bool {
 		remaining--
-		return yield(name, d) && remaining > 0
+		return yield(kernel, d) && remaining > 0
 	}
+	noise := func() float64 { return math.Exp(0.05 * g.r.NormFloat64()) }
 	for remaining > 0 {
 		req := s.nextRequest(g)
+		p, b := float64(req.prompt), float64(req.batch)
+		prefill := [kernelsPerLayer]float64{
+			(float64(0.004*p) + 2) * req.durMul,               // qkv projection: linear in tokens
+			(float64(0.0008*p*math.Sqrt(p)) + 2) * req.durMul, // attention: superlinear, saturated
+			(float64(0.006*p) + 2) * req.durMul,               // mlp
+		}
+		decode := [kernelsPerLayer]float64{
+			float64(1.5+0.12*b) * req.durMul, // qkv: batch-bound
+			0,                                // attention: KV-length bound, set per token
+			float64(2.0+0.18*b) * req.durMul, // mlp
+		}
+		attn := 0.8 + 0.10*b
+		kvAppend := (0.4 + 0.02*b) * req.kvScale
+		sampler := 0.6 + 0.03*b
+
 		// Prefill: one pass over the layers.
 		for l := 0; l < L; l++ {
 			for k := 0; k < kernelsPerLayer; k++ {
-				if !emit(s.prefillName(l, k), s.prefillDur(g, req, k)) {
+				if !emit(l*kernelsPerLayer+k, prefill[k]*noise()) {
 					return nil
 				}
 			}
@@ -261,22 +262,31 @@ func (s *Stream) ScanBytes(yield func(name []byte, timeUS float64) bool) error {
 		// Decode: per output token, a layer sweep plus KV append + sampling.
 		for tok := 0; tok < req.decode; tok++ {
 			kvLen := req.prompt + tok
+			decode[1] = float64(attn+0.0015*float64(kvLen)*b) * req.durMul
 			for l := 0; l < L; l++ {
 				for k := 0; k < kernelsPerLayer; k++ {
-					if !emit(s.decodeName(l, k), s.decodeDur(g, req, k, kvLen)) {
+					if !emit(decode0+l*kernelsPerLayer+k, decode[k]*noise()) {
 						return nil
 					}
 				}
 			}
-			if !emit(s.kvAppendName(), (0.4+0.02*float64(req.batch))*req.kvScale*math.Exp(0.05*g.r.NormFloat64())) {
+			if !emit(kvAppendK, kvAppend*noise()) {
 				return nil
 			}
-			if !emit(s.samplerName(), 0.6+0.03*float64(req.batch)) {
+			if !emit(samplerK, sampler) {
 				return nil
 			}
 		}
 	}
 	return nil
+}
+
+// ScanBytes yields exactly Cfg.Invocations (name, duration) pairs, with
+// names as interned []byte slices (valid beyond the call — they are owned
+// by the Stream). Every call replays the identical sequence.
+func (s *Stream) ScanBytes(yield func(name []byte, timeUS float64) bool) error {
+	names := s.kernelNames()
+	return s.scan(func(kernel int, t float64) bool { return yield(names[kernel], t) })
 }
 
 // Scan implements the re-scannable string-name profile-scanner contract
@@ -287,28 +297,141 @@ func (s *Stream) Scan(yield func(name string, timeUS float64) bool) error {
 	})
 }
 
+// chunkRows is the unit of work between WriteCSV's stages: large enough
+// that three channel operations per chunk do not show, small enough that a
+// ring of them stays in cache (EXPERIMENTS, "Serving-trace writer").
+const chunkRows = 4096
+
+// maxFormatters caps WriteCSV's formatter goroutines. Rendering a row costs
+// about three times generating it, and generation is serial, so a fifth
+// formatter would only wait — and every formatter adds two chunks to the
+// ring.
+const maxFormatters = 4
+
+// rowChunk is a run of consecutive rows on its way through WriteCSV: filled
+// by the generator, rendered into out by a formatter, written, reused.
+type rowChunk struct {
+	seq    int // sequence number of the first row
+	n      int // rows filled
+	kernel []int32
+	timeUS []float64
+	out    []byte        // the rows as CSV; the capacity fits any n rows
+	done   chan struct{} // capacity 1: out is rendered
+}
+
+func (c *rowChunk) format(enc *trace.RowEncoder, names []string) {
+	out := c.out[:0]
+	if c.seq == 0 {
+		out = append(out, trace.ProfileHeader...)
+	}
+	for i, k := range c.kernel[:c.n] {
+		out = enc.AppendRow(out, c.seq+i, names[k], c.timeUS[i])
+	}
+	c.out = out
+}
+
 // WriteCSV streams the trace as a profile CSV ("seq,name,time_us") without
-// materializing it; the writer side allocates only its buffers.
+// materializing it, in three stages: the generator runs on the calling
+// goroutine and fills fixed-size chunks of rows; N = min(GOMAXPROCS,
+// maxFormatters) formatter goroutines render chunks through
+// trace.RowEncoder; a writer goroutine writes them in sequence order. The
+// bytes written do not depend on N, and memory is a ring of at most 2N+2
+// chunks whatever the trace length. The first error out returns is the
+// error returned: generation stops within the ring's depth of it, and every
+// goroutine has exited before WriteCSV returns.
 func (s *Stream) WriteCSV(out io.Writer) error {
-	bw := bufio.NewWriterSize(out, 1<<20)
-	if _, err := bw.WriteString("seq,name,time_us\n"); err != nil {
-		return err
+	_, err := s.writeCSV(out)
+	return err
+}
+
+// writeCSV is WriteCSV, reporting how many rows were generated.
+func (s *Stream) writeCSV(out io.Writer) (int, error) {
+	if s.Cfg.Invocations <= 0 {
+		return 0, errInvocations
 	}
-	var row []byte
-	seq := 0
-	err := s.ScanBytes(func(name []byte, t float64) bool {
-		row = strconv.AppendInt(row[:0], int64(seq), 10)
-		row = append(row, ',')
-		row = append(row, name...)
-		row = append(row, ',')
-		row = strconv.AppendFloat(row, t, 'g', -1, 64)
-		row = append(row, '\n')
-		seq++
-		_, werr := bw.Write(row)
-		return werr == nil
+	formatters := min(runtime.GOMAXPROCS(0), maxFormatters)
+	rows := min(chunkRows, s.Cfg.Invocations)
+	ring := min(2*formatters+2, (s.Cfg.Invocations+rows-1)/rows)
+	formatters = min(formatters, ring)
+
+	names := make([]string, s.NumKernels())
+	maxRow := 0
+	for i, n := range s.kernelNames() {
+		names[i] = string(n)
+		maxRow = max(maxRow, trace.MaxRowLen(names[i]))
+	}
+	// Every send below is of one of the ring's chunks to a channel with
+	// room for the whole ring, so only receives can block.
+	free := make(chan *rowChunk, ring)
+	work := make(chan *rowChunk, ring)
+	inOrder := make(chan *rowChunk, ring)
+	for i := 0; i < ring; i++ {
+		free <- &rowChunk{
+			kernel: make([]int32, rows),
+			timeUS: make([]float64, rows),
+			out:    make([]byte, 0, len(trace.ProfileHeader)+rows*maxRow),
+			done:   make(chan struct{}, 1),
+		}
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(formatters + 1)
+	for i := 0; i < formatters; i++ {
+		go func() {
+			defer wg.Done()
+			var enc trace.RowEncoder
+			for c := range work {
+				c.format(&enc, names)
+				c.done <- struct{}{}
+			}
+		}()
+	}
+	// The writer stops recycling chunks at its first error, so after it the
+	// generator finds at most the rest of the ring free.
+	var werr error
+	failed := make(chan struct{})
+	go func() {
+		defer wg.Done()
+		for c := range inOrder {
+			<-c.done
+			if _, werr = out.Write(c.out); werr != nil {
+				close(failed)
+				return
+			}
+			free <- c
+		}
+	}()
+
+	generated := 0
+	var c *rowChunk // the chunk being filled
+	dispatch := func() {
+		work <- c
+		inOrder <- c
+		c = nil
+	}
+	// Invocations was checked above, and scan has no other error.
+	_ = s.scan(func(kernel int, t float64) bool {
+		if c == nil {
+			select {
+			case c = <-free:
+				c.seq, c.n = generated, 0
+			case <-failed:
+				return false
+			}
+		}
+		c.kernel[c.n], c.timeUS[c.n] = int32(kernel), t
+		c.n++
+		generated++
+		if c.n == len(c.kernel) {
+			dispatch()
+		}
+		return true
 	})
-	if err != nil {
-		return err
+	if c != nil {
+		dispatch()
 	}
-	return bw.Flush()
+	close(work)
+	close(inOrder)
+	wg.Wait()
+	return generated, werr
 }

@@ -21,7 +21,7 @@ func NormalCDF(x, mu, sigma float64) float64 {
 // approximation refined with one Halley step against math.Erfc, accurate to
 // ~1e-15 over (0, 1).
 func NormalQuantile(p float64) (float64, error) {
-	if p <= 0 || p >= 1 {
+	if !(p > 0 && p < 1) { // NaN included
 		return 0, errors.New("stats: quantile probability must be in (0,1)")
 	}
 
@@ -75,7 +75,7 @@ func NormalQuantile(p float64) (float64, error) {
 // level 1-alpha. For the paper's 95% confidence level (alpha = 0.05) this is
 // 1.959964. STEM uses it in Eq. (2), (3), and (6).
 func ZScore(confidence float64) (float64, error) {
-	if confidence <= 0 || confidence >= 1 {
+	if !(confidence > 0 && confidence < 1) { // NaN included
 		return 0, errors.New("stats: confidence must be in (0,1)")
 	}
 	alpha := 1 - confidence

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -38,10 +39,20 @@ func TestNormalQuantileKnownValues(t *testing.T) {
 }
 
 func TestNormalQuantileErrors(t *testing.T) {
-	for _, p := range []float64{0, 1, -0.5, 2} {
+	for _, p := range []float64{0, 1, -0.5, 2, math.NaN()} {
 		if _, err := NormalQuantile(p); err == nil {
 			t.Fatalf("expected error for p=%v", p)
 		}
+		if _, err := ZScore(p); err == nil {
+			t.Fatalf("expected error for confidence %v", p)
+		}
+		if _, err := TScore(p, 5); err == nil {
+			t.Fatalf("expected t-score error for confidence %v", p)
+		}
+	}
+	// The last float64 below 1 is a confidence whose 1-α/2 rounds to 1.
+	if _, err := ZScore(math.Nextafter(1, 0)); err == nil {
+		t.Fatal("expected error for the last confidence below 1")
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // Implementation: Hill's inversion via the incomplete-beta relationship,
 // refined with one Newton step against the t CDF.
 func StudentTQuantile(p float64, nu float64) (float64, error) {
-	if p <= 0 || p >= 1 {
+	if !(p > 0 && p < 1) { // NaN included
 		return 0, errors.New("stats: t quantile probability must be in (0,1)")
 	}
 	if nu <= 0 {
@@ -68,7 +68,7 @@ func StudentTCDF(x, nu float64) float64 {
 // TScore returns the two-sided t score for a confidence level and sample
 // size m (degrees of freedom m-1) — the small-sample analogue of ZScore.
 func TScore(confidence float64, m int) (float64, error) {
-	if confidence <= 0 || confidence >= 1 {
+	if !(confidence > 0 && confidence < 1) { // NaN included
 		return 0, errors.New("stats: confidence must be in (0,1)")
 	}
 	if m < 2 {

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"strconv"
+	"strings"
 	"unsafe"
 )
 
@@ -38,7 +39,7 @@ const maxInternedNames = 4096
 // "Re-plan scratch"), and only a line longer than the window spills.
 const maxWindow = 64 << 10
 
-var profileHeader = []byte("seq,name,time_us")
+var profileHeader = []byte(strings.TrimSuffix(ProfileHeader, "\n"))
 
 // parsePlainRecord decodes one "seq,name,time_us" row known to hold no quote
 // and no line terminator, in place: the returned name aliases line. The seq

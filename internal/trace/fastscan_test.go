@@ -14,8 +14,6 @@ import (
 	"strings"
 	"testing"
 	"unsafe"
-
-	"stemroot/internal/servetrace"
 )
 
 func writeTempCSV(t *testing.T, body string) string {
@@ -260,27 +258,6 @@ func TestScanBytesAllocFree(t *testing.T) {
 	if allocs > 10 {
 		t.Fatalf("ScanBytes allocates %v per full scan (want setup-only)", allocs)
 	}
-}
-
-// BenchmarkScanBytes is the decoder alone: serving-trace rows (17-digit
-// times) through ScanBytes with a no-op yield, read through a 1 MiB window
-// the way a file or pipe is.
-func BenchmarkScanBytes(b *testing.B) {
-	const rows = 200_000
-	var data bytes.Buffer
-	if err := servetrace.New(servetrace.Config{Seed: 1, Invocations: rows}).WriteCSV(&data); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(data.Len()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		src := struct{ io.Reader }{bytes.NewReader(data.Bytes())} // hide Len: unknown length, full window
-		if err := NewFastCSVReader(src).ScanBytes(func([]byte, float64) bool { n++; return true }); err != nil || n != rows {
-			b.Fatalf("scanned %d rows of %d: %v", n, rows, err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
 }
 
 // refScan is the decoder as encoding/csv and strconv alone would write it:

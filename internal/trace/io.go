@@ -3,10 +3,8 @@ package trace
 import (
 	"bufio"
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"io"
-	"strconv"
 )
 
 // WriteJSON serializes a workload (including latent ground truth, so that a
@@ -23,22 +21,15 @@ func (p *Profile) WriteCSV(w *Workload, out io.Writer) error {
 		return err
 	}
 	bw := bufio.NewWriter(out)
-	cw := csv.NewWriter(bw)
-	if err := cw.Write([]string{"seq", "name", "time_us"}); err != nil {
+	if _, err := bw.WriteString(ProfileHeader); err != nil {
 		return err
 	}
-	row := make([]string, 3)
+	var enc RowEncoder
 	for i := range w.Invs {
-		row[0] = strconv.Itoa(w.Invs[i].Seq)
-		row[1] = w.Invs[i].Name
-		row[2] = strconv.FormatFloat(p.TimeUS[i], 'g', -1, 64)
-		if err := cw.Write(row); err != nil {
+		row := enc.AppendRow(bw.AvailableBuffer(), w.Invs[i].Seq, w.Invs[i].Name, p.TimeUS[i])
+		if _, err := bw.Write(row); err != nil {
 			return err
 		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return err
 	}
 	return bw.Flush()
 }

@@ -37,10 +37,14 @@ import (
 // (ε = 5% at 95% confidence, k = 2 splits, seed 1).
 type Options struct {
 	// Epsilon is the target relative error bound in (0,1); 0 means 0.05.
+	// Any other value — negative, NaN, 1 or more — is ErrEpsilon.
 	Epsilon float64
-	// Confidence is the confidence level in (0,1); 0 means 0.95.
+	// Confidence is the confidence level in (0,1); 0 means 0.95. Any other
+	// value is ErrConfidence, and so is 1 − 2⁻⁵³, the last float64 below 1:
+	// its z-score is not a float64.
 	Confidence float64
-	// SplitK is ROOT's subclusters per split; 0 means 2.
+	// SplitK is ROOT's subclusters per split, at least 2; 0 means 2. Any
+	// other value is ErrSplitK.
 	SplitK int
 	// Seed drives clustering initialization and sample selection; 0 means 1.
 	Seed uint64
@@ -57,19 +61,30 @@ type Options struct {
 	Parallelism int
 }
 
+// The errors Sample, SampleStream and NewStreamPlanner return (match with
+// errors.Is) for an option outside its domain. Only the zero value selects
+// a default.
+var (
+	ErrEpsilon    = core.ErrEpsilon
+	ErrConfidence = core.ErrConfidence
+	ErrSplitK     = core.ErrSplitK
+)
+
 // Params resolves the options to the planner's parameters: defaults filled
-// in and flatness applied. Every planning entry point (Sample, SampleStream,
-// StreamPlanner) and cmd/stemroot's -simulate validation plan from this one
-// value, so an option is honoured on all of them or none.
+// in for zero fields and flatness applied; every other value is passed on
+// as given, for core.Params.Validate to refuse if it is outside the domain.
+// Every planning entry point (Sample, SampleStream, StreamPlanner) and
+// cmd/stemroot's -simulate validation plan from this one value, so an
+// option is honoured on all of them or none.
 func (o Options) Params() core.Params {
 	p := core.DefaultParams()
-	if o.Epsilon > 0 {
+	if o.Epsilon != 0 {
 		p.Epsilon = o.Epsilon
 	}
-	if o.Confidence > 0 {
+	if o.Confidence != 0 {
 		p.Confidence = o.Confidence
 	}
-	if o.SplitK > 0 {
+	if o.SplitK != 0 {
 		p.SplitK = o.SplitK
 	}
 	if o.Seed != 0 {
@@ -201,15 +216,12 @@ func (p *Plan) Estimate(timeOf func(int) float64) float64 {
 // estimate within epsilon at the given confidence, for a population of n
 // observations with the given mean and standard deviation.
 func SampleSize(n int, mean, stdDev, epsilon, confidence float64) (int, error) {
-	if epsilon <= 0 || epsilon >= 1 {
-		return 0, errors.New("stemroot: epsilon must be in (0,1)")
-	}
-	if confidence <= 0 || confidence >= 1 {
-		return 0, errors.New("stemroot: confidence must be in (0,1)")
-	}
 	p := core.DefaultParams()
 	p.Epsilon = epsilon
 	p.Confidence = confidence
+	if err := p.Validate(); err != nil {
+		return 0, err
+	}
 	return core.SampleSize(core.ClusterStats{N: n, Mean: mean, StdDev: stdDev}, p), nil
 }
 
