@@ -419,7 +419,7 @@ func (ip *IncrementalPlanner) Plan() (*Plan, error) {
 		}
 		lo = hi
 	}
-	if err := plan.setBound(statsVec); err != nil {
+	if err := plan.setBound(statsVec, sizes); err != nil {
 		return nil, err
 	}
 	ip.lastEstimate = estimate

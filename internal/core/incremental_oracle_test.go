@@ -90,7 +90,7 @@ func naivePlan(ip *IncrementalPlanner) (plan *Plan, estimate, sampledTime float6
 		}
 		plan.Clusters = append(plan.Clusters, pc)
 	}
-	if err := plan.setBound(statsVec); err != nil {
+	if err := plan.setBound(statsVec, sizes); err != nil {
 		return nil, 0, 0, err
 	}
 	return plan, estimate, sampledTime, nil

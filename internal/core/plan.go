@@ -35,18 +35,30 @@ type Plan struct {
 // joint KKT pass sizes every leaf cluster, and samples are drawn with
 // replacement (satisfying the CLT's i.i.d. requirement, §3.5).
 func BuildPlan(names []string, times []float64, p Params) (*Plan, error) {
+	return BuildPlanOf(len(names), func(i int) string { return names[i] }, times, p)
+}
+
+// BuildPlanOf is BuildPlan over n rows (nameOf(i), times[i]), for callers
+// whose names sit inside other records: nameOf is called once per row, on the
+// calling goroutine. A call allocates the plan it returns — the Plan, its
+// clusters, one index array and one sample array — and, once an idle arena
+// has grown to the profile's shape, nothing else.
+func BuildPlanOf(n int, nameOf func(i int) string, times []float64, p Params) (*Plan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return planFromClusters(BuildClusters(names, times, p), p)
+	a := takeArena()
+	plan, err := planFromClusters(a.cluster(n, nameOf, times, p, rootWorkers(n, p.Workers)), p, a)
+	putArena(a) // not deferred: an arena abandoned by a panic is not reused
+	return plan, err
 }
 
-// setBound computes the plan's predicted error from its final sample sizes.
+// setBound computes the plan's predicted error from its final sample sizes,
+// which it writes over sizes (one element per cluster, contents ignored).
 // Execution times near MaxFloat64 overflow the variance term N²σ² (or the
 // total) to +Inf or NaN; such a value is not a bound, so the plan is refused
 // instead of being handed to callers that compare it against ε.
-func (plan *Plan) setBound(statsVec []ClusterStats) error {
-	sizes := make([]int, len(plan.Clusters))
+func (plan *Plan) setBound(statsVec []ClusterStats, sizes []int) error {
 	for i := range plan.Clusters {
 		sizes[i] = plan.Clusters[i].SampleSize
 	}
@@ -57,40 +69,57 @@ func (plan *Plan) setBound(statsVec []ClusterStats) error {
 	return nil
 }
 
-func planFromClusters(leaves []Cluster, p Params) (*Plan, error) {
-	statsVec := ClusterStatsOf(leaves)
-	sizes := OptimalSizes(statsVec, p)
+// planFromClusters sizes the leaves jointly and draws their samples; the
+// statistics and size vectors are a's scratch.
+func planFromClusters(leaves []Cluster, p Params, a *splitArena) (*Plan, error) {
+	a.stats, a.sizes = sized(a.stats, len(leaves)), sized(a.sizes, len(leaves))
+	statsVec := a.stats
+	for i := range leaves {
+		statsVec[i] = leaves[i].Stats
+	}
+	sizes := optimalSizesInto(a.sizes, statsVec, p, &a.kkt)
 	if p.SmallSampleT {
-		sizes = ApplyTCorrection(statsVec, sizes, p)
+		applyTCorrection(statsVec, sizes, p)
 	}
 
+	// One array holds every cluster's samples; each cluster takes a capped
+	// window, so appending to one never writes into the next.
+	drawn := 0
+	for i, m := range sizes {
+		drawn += min(m, len(leaves[i].Indices))
+	}
+	samples := make([]int, drawn)
+
 	r := rng.New(rng.Derive(p.Seed, 0x5a3f1e))
-	plan := &Plan{Params: p}
+	plan := &Plan{Params: p, Clusters: make([]PlanCluster, len(leaves))}
 	for i, leaf := range leaves {
 		m := sizes[i]
-		pc := PlanCluster{
+		pc := &plan.Clusters[i]
+		*pc = PlanCluster{
 			Name:       leaf.Name,
 			Indices:    leaf.Indices,
 			SampleSize: m,
 			Stats:      leaf.Stats,
 		}
-		if m > 0 {
-			pc.Weight = float64(len(leaf.Indices)) / float64(m)
-			if m >= len(leaf.Indices) {
-				// Sampling every member: take them all once, exactly.
-				pc.Samples = append([]int(nil), leaf.Indices...)
-				pc.SampleSize = len(leaf.Indices)
-				pc.Weight = 1
-			} else {
-				pc.Samples = make([]int, m)
-				for j := range pc.Samples {
-					pc.Samples[j] = leaf.Indices[r.Intn(len(leaf.Indices))]
-				}
+		if m <= 0 {
+			continue
+		}
+		all := m >= len(leaf.Indices)
+		if all {
+			m = len(leaf.Indices)
+			pc.SampleSize = m
+		}
+		pc.Weight = float64(len(leaf.Indices)) / float64(m)
+		pc.Samples, samples = samples[:m:m], samples[m:]
+		if all {
+			copy(pc.Samples, leaf.Indices) // every member once, exactly
+		} else {
+			for j := range pc.Samples {
+				pc.Samples[j] = leaf.Indices[r.Intn(len(leaf.Indices))]
 			}
 		}
-		plan.Clusters = append(plan.Clusters, pc)
 	}
-	if err := plan.setBound(statsVec); err != nil {
+	if err := plan.setBound(statsVec, sizes); err != nil {
 		return nil, err
 	}
 	return plan, nil
@@ -114,24 +143,6 @@ func (p *Plan) Estimate(sampleTimes func(int) float64) float64 {
 		total += c.Weight * sum
 	}
 	return total
-}
-
-// SampledIndices returns the distinct invocation indices the plan simulates,
-// in ascending order of first occurrence within clusters. Duplicates from
-// with-replacement draws are collapsed: the simulator runs each distinct
-// kernel once and the estimator reuses its time.
-func (p *Plan) SampledIndices() []int {
-	seen := make(map[int]bool)
-	var out []int
-	for i := range p.Clusters {
-		for _, s := range p.Clusters[i].Samples {
-			if !seen[s] {
-				seen[s] = true
-				out = append(out, s)
-			}
-		}
-	}
-	return out
 }
 
 // TotalSamples returns Σ m_i, the number of (with-replacement) samples.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -21,26 +22,45 @@ type Cluster struct {
 	Stats ClusterStats
 }
 
-// splitArena is the scratch memory of one ROOT clustering worker. The
-// recursion uses the tmp buffers only for the stable partition at the
-// current node, so one arena serves an entire kernel-name group: a parent
-// is done with every buffer before it recurses (only the group offsets and
-// sub-statistics survive into the recursion, and those live on the stack).
-// Arenas are pure scratch — reusing them across calls cannot affect results.
+// splitArena is the scratch memory of one ROOT clustering worker, and of the
+// planning call that leads a team of them. The recursion uses the tmp buffers
+// only for the stable partition at the current node, so one arena serves an
+// entire kernel-name group: a parent is done with every buffer before it
+// recurses (only the group offsets and sub-statistics survive into the
+// recursion, and those live on the stack). Arenas are pure scratch — reusing
+// them across calls cannot affect results.
 type splitArena struct {
 	valTmp []float64 // stable-partition scratch
 	idxTmp []int     // stable-partition scratch
-	cursor []int     // per-subcluster scatter cursors
+	cursor []int     // per-subcluster scatter cursors; per-name ones before the fan-out
 	sizes  []int
 	kkt    kktScratch
 	km     cluster.Scratch1D
+	leaves []Cluster // the leaves of every name this worker split, back to back
+
+	// The leader of a call (cluster, planFromClusters) also holds whatever
+	// dies with the call, so that a plan allocates only what it returns.
+	idOf    map[string]int32 // name -> first-appearance id
+	ids     []int32          // row -> id
+	order   []string         // distinct names, sorted
+	start   []int            // sorted name -> first position in backing and vals
+	vals    []float64        // times, one contiguous range per name
+	backing []int            // row indices, likewise: the one array the leaves keep
+	spans   []leafSpan       // sorted name -> its leaves
+	team    []*splitArena    // worker -> arena; team[0] is the leader
+	flat    []Cluster        // the leaves in name order
+	stats   []ClusterStats
+	p       Params
+	split   func(w, i int) // splitName, bound once: a closure per call would allocate
 }
 
-// idleArenas holds buildClusters' arenas between calls. Like gpu's idle
-// lists, and for the reason given there, it is a bounded LIFO and not a pool
-// the runtime empties: which arenas are re-grown — and so what a run
-// allocates — depends only on the sequence of calls, never on the
-// collector's schedule.
+// leafSpan locates one name's leaves: team[worker].leaves[lo:hi].
+type leafSpan struct{ worker, lo, hi int }
+
+// idleArenas holds arenas between planning calls. Like gpu's idle lists, and
+// for the reason given there, it is a bounded LIFO and not a pool the runtime
+// empties: which arenas are re-grown — and so what a run allocates — depends
+// only on the sequence of calls, never on the collector's schedule.
 var idleArenas struct {
 	sync.Mutex
 	arenas []*splitArena // most recently returned last
@@ -49,28 +69,49 @@ var idleArenas struct {
 // maxIdleArenas bounds what idleArenas retains; the oldest is dropped first.
 const maxIdleArenas = 16
 
-// takeArenas returns n arenas, the most recently returned idle ones first.
-func takeArenas(n int) []*splitArena {
-	out := make([]*splitArena, n)
+// arenaKeep bounds, in elements per buffer, what an idle arena retains of a
+// call's own scratch: a 30 000-row profile's row and leaf lists are dropped on
+// return, not pinned on the idle list (the partition buffers stay, as before).
+const arenaKeep = rootGrainRows
+
+// takeArena returns the most recently returned idle arena, or a new one.
+func takeArena() *splitArena {
+	var a *splitArena
 	idleArenas.Lock()
-	idle := idleArenas.arenas
-	got := min(n, len(idle))
-	copy(out, idle[len(idle)-got:])
-	clear(idle[len(idle)-got:])
-	idleArenas.arenas = idle[:len(idle)-got]
+	idleArenas.arenas, a = parallel.PopIdle(idleArenas.arenas)
 	idleArenas.Unlock()
-	for i := got; i < n; i++ {
-		out[i] = new(splitArena)
+	if a == nil {
+		a = new(splitArena)
+		a.split = a.splitName
 	}
-	return out
+	return a
 }
 
-func putArenas(arenas []*splitArena) {
-	idleArenas.Lock()
-	for _, a := range arenas {
-		idleArenas.arenas = parallel.PushIdle(idleArenas.arenas, a, maxIdleArenas)
+// putArena sends a to the idle list: cleared of what refers to the caller's
+// names or the returned index array, less the buffers that outgrew arenaKeep.
+func putArena(a *splitArena) {
+	clear(a.idOf)
+	if len(a.order) > arenaKeep {
+		a.idOf = nil
 	}
+	clear(a.leaves)
+	clear(a.flat)
+	clear(a.order)
+	clear(a.team)
+	a.leaves, a.flat, a.order, a.team = kept(a.leaves), kept(a.flat), kept(a.order), kept(a.team)
+	a.ids, a.vals, a.start, a.cursor = kept(a.ids), kept(a.vals), kept(a.start), kept(a.cursor)
+	a.spans, a.stats, a.sizes, a.backing = kept(a.spans), kept(a.stats), kept(a.sizes), nil
+	idleArenas.Lock()
+	idleArenas.arenas = parallel.PushIdle(idleArenas.arenas, a, maxIdleArenas)
 	idleArenas.Unlock()
+}
+
+// kept returns buf emptied for the next call, or nil past arenaKeep.
+func kept[T any](buf []T) []T {
+	if cap(buf) > arenaKeep {
+		return nil
+	}
+	return buf[:0]
 }
 
 func (a *splitArena) grow(n int) {
@@ -94,7 +135,7 @@ func (a *splitArena) grow(n int) {
 // τ_new < τ_old.
 func rootSplit(name string, vals []float64, idxs []int, cs ClusterStats, p Params, depth int, out []Cluster, a *splitArena) []Cluster {
 	n := len(idxs)
-	leaf := Cluster{Name: name, Indices: idxs, Stats: cs}
+	leaf := Cluster{Name: name, Indices: idxs[:n:n], Stats: cs} // capped: an append must not reach the next leaf
 
 	if depth >= p.MaxDepth || cs.N < p.MinClusterSize || cs.StdDev == 0 {
 		return append(out, leaf)
@@ -214,10 +255,10 @@ func rootSplit(name string, vals []float64, idxs []int, cs ClusterStats, p Param
 // over up to p.Workers workers, one per rootGrainRows rows: a profile below
 // the grain is clustered on the calling goroutine whatever p.Workers says.
 // Per-name leaf lists are flattened in sorted name order, making the output
-// identical for every worker count. Every group's index and value lists are
-// disjoint ranges of two shared backing arrays, partitioned in place by the
-// recursion — the planner's per-invocation allocations are one int and one
-// float64, regardless of clustering depth.
+// identical for every worker count. Every group's index list is a disjoint
+// range of one shared backing array, partitioned in place by the recursion
+// and capped leaf by leaf — the planner's per-invocation allocation is one
+// int, regardless of clustering depth; everything else is arena scratch.
 func BuildClusters(names []string, times []float64, p Params) []Cluster {
 	return buildClusters(names, times, p, rootWorkers(len(names), p.Workers))
 }
@@ -240,66 +281,83 @@ const rootGrainRows = 1024
 
 // buildClusters is BuildClusters at an explicit worker count.
 func buildClusters(names []string, times []float64, p Params, workers int) []Cluster {
-	n := len(names)
+	a := takeArena()
+	out := slices.Clone(a.cluster(len(names), func(i int) string { return names[i] }, times, p, workers))
+	putArena(a)
+	return out
+}
 
-	// One hash per row: each row gets the first-appearance id of its name.
-	// (A 64-slot table costs more than clustering a 16-row profile, hence min.)
-	idOf := make(map[string]int32, min(n, 64))
-	var order []string // distinct names
-	var counts []int   // id -> rows
-	ids := make([]int32, n)
-	for i, nm := range names {
-		id, ok := idOf[nm]
+// cluster is ROOT over the n rows (nameOf(i), times[i]) with a leading the
+// call. The returned leaves are a's scratch, valid until putArena; their
+// index lists are windows of one freshly allocated array the caller may keep.
+func (a *splitArena) cluster(n int, nameOf func(i int) string, times []float64, p Params, workers int) []Cluster {
+	// One hash per row: each row gets the first-appearance id of its name,
+	// and cursor counts the rows of each id.
+	if a.idOf == nil {
+		a.idOf = make(map[string]int32)
+	}
+	a.ids = sized(a.ids, n)
+	order, cursor := a.order[:0], a.cursor[:0]
+	for i := range a.ids {
+		nm := nameOf(i)
+		id, ok := a.idOf[nm]
 		if !ok {
 			id = int32(len(order))
-			idOf[nm] = id
+			a.idOf[nm] = id
 			order = append(order, nm)
-			counts = append(counts, 0)
+			cursor = append(cursor, 0)
 		}
-		ids[i] = id
-		counts[id]++
+		a.ids[i] = id
+		cursor[id]++
 	}
 
 	// Groups are laid out in sorted name order, deterministic independent
-	// of input order.
+	// of input order; each id's count becomes its group's first position.
 	sort.Strings(order)
-	start := make([]int, len(order)+1)
-	cursor := make([]int, len(order)) // by id
+	start := sized(a.start, len(order)+1)
+	start[0] = 0
 	for g, nm := range order {
-		id := idOf[nm]
+		id := a.idOf[nm]
+		start[g+1] = start[g] + cursor[id]
 		cursor[id] = start[g]
-		start[g+1] = start[g] + counts[id]
 	}
 
 	// Chronological index and value lists, one contiguous range per name.
-	backing := make([]int, n)
-	valsB := make([]float64, n)
-	for i, id := range ids {
+	a.backing, a.vals = make([]int, n), sized(a.vals, n)
+	for i, id := range a.ids {
 		c := cursor[id]
-		backing[c] = i
-		valsB[c] = times[i]
+		a.backing[c] = i
+		a.vals[c] = times[i]
 		cursor[id] = c + 1
 	}
 
 	// One arena per worker index, which ForEachStealing gives to one
-	// goroutine for the whole call.
-	arenas := takeArenas(max(1, min(workers, len(order))))
-	perName := make([][]Cluster, len(order))
-	parallel.ForEachStealing(len(order), workers, func(w, i int) {
-		vals := valsB[start[i]:start[i+1]]
-		idxs := backing[start[i]:start[i+1]]
-		perName[i] = rootSplit(order[i], vals, idxs, StatsOf(vals), p, 0, nil, arenas[w])
-	})
-	putArenas(arenas)
-	total := 0
-	for _, leaves := range perName {
-		total += len(leaves)
+	// goroutine for the whole call; the leader is worker 0's.
+	a.team = append(a.team[:0], a)
+	for w := 1; w < min(workers, len(order)); w++ {
+		a.team = append(a.team, takeArena())
 	}
-	out := make([]Cluster, 0, total)
-	for _, leaves := range perName {
-		out = append(out, leaves...)
+	a.order, a.start, a.cursor, a.p, a.spans = order, start, cursor, p, sized(a.spans, len(order))
+	parallel.ForEachStealing(len(order), workers, a.split)
+	flat := a.flat[:0]
+	for _, sp := range a.spans {
+		flat = append(flat, a.team[sp.worker].leaves[sp.lo:sp.hi]...)
 	}
-	return out
+	a.flat = flat
+	for _, wa := range a.team[1:] {
+		putArena(wa)
+	}
+	return flat
+}
+
+// splitName is unit i of cluster's fan-out, on worker w: ROOT over the i-th
+// name in sorted order, its leaves appended to the worker's own list.
+func (a *splitArena) splitName(w, i int) {
+	lo, hi := a.start[i], a.start[i+1]
+	vals, wa := a.vals[lo:hi], a.team[w]
+	from := len(wa.leaves)
+	wa.leaves = rootSplit(a.order[i], vals, a.backing[lo:hi], StatsOf(vals), a.p, 0, wa.leaves, wa)
+	a.spans[i] = leafSpan{w, from, len(wa.leaves)}
 }
 
 // ClusterStatsOf extracts the per-cluster statistics vector, the input to

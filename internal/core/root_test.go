@@ -317,28 +317,6 @@ func TestPlanEstimateUnbiased(t *testing.T) {
 	}
 }
 
-func TestSampledIndicesDistinct(t *testing.T) {
-	names, times := bimodalTimes(2000, 12)
-	plan, err := BuildPlan(names, times, defaultP())
-	if err != nil {
-		t.Fatal(err)
-	}
-	idxs := plan.SampledIndices()
-	seen := make(map[int]bool)
-	for _, ix := range idxs {
-		if seen[ix] {
-			t.Fatal("duplicate in SampledIndices")
-		}
-		seen[ix] = true
-		if ix < 0 || ix >= len(times) {
-			t.Fatalf("index %d out of range", ix)
-		}
-	}
-	if plan.TotalSamples() < len(idxs) {
-		t.Fatal("total samples below distinct count")
-	}
-}
-
 func TestBuildPlanRejectsBadParams(t *testing.T) {
 	names, times := bimodalTimes(100, 13)
 	bad := defaultP()

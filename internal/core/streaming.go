@@ -235,7 +235,7 @@ func BuildPlanStream(src ProfileScanner, p Params, opts StreamOptions) (*Plan, e
 		}
 		plan.Clusters = append(plan.Clusters, pc)
 	}
-	if err := plan.setBound(statsVec); err != nil {
+	if err := plan.setBound(statsVec, sizes); err != nil {
 		return nil, err
 	}
 	return plan, nil

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -155,14 +156,35 @@ func TestRunSegmentedEngineRejectsBadEngine(t *testing.T) {
 }
 
 // TestRunSegmentedEngineWarmAllocs pins the warm path of the executor: a
-// call whose every segment hits allocates its results slice and a constant
-// handful of objects — nothing per segment, nothing per worker scratch —
-// whether it covers one segment or sixty-four. Before the idle scratch list
-// each call re-grew a spec slice and a key-encoding buffer from nil and made
-// one closure per segment.
+// call whose every segment hits allocates the results slice it returns and
+// nothing else — nothing per segment, nothing per worker scratch, no bound
+// callback for the scheduler — whether it covers one segment or sixty-four.
+// Before the idle scratch list each call re-grew a spec slice and a
+// key-encoding buffer from nil and made one closure per segment.
 func TestRunSegmentedEngineWarmAllocs(t *testing.T) {
+	for _, prefetch := range []bool{false, true} {
+		t.Run(fmt.Sprintf("prefetch=%v", prefetch), func(t *testing.T) { testWarmAllocs(t, prefetch) })
+	}
+}
+
+// prefetchingCache is a recordingCache that asks for the key prefetch pass,
+// whose keys must come from the run's scratch.
+type prefetchingCache struct {
+	*recordingCache
+	announced int
+}
+
+func (c *prefetchingCache) WantPrefetch() bool         { return true }
+func (c *prefetchingCache) Prefetch(keys []SegmentKey) { c.announced += len(keys) }
+
+func testWarmAllocs(t *testing.T, prefetch bool) {
 	cfg := Baseline()
 	cache := newRecordingCache()
+	var sc SegmentCache = cache
+	pc := &prefetchingCache{recordingCache: cache}
+	if prefetch {
+		sc = pc
+	}
 	const segLen = 4
 	for _, nseg := range []int{1, 64} {
 		n := nseg * segLen
@@ -172,19 +194,21 @@ func TestRunSegmentedEngineWarmAllocs(t *testing.T) {
 		}
 		specAt := func(i int) kernelgen.Spec { return specs[i] }
 		run := func() {
-			if _, _, err := RunSegmentedEngine(cfg, n, specAt, segLen, 1, cache, Engine{}); err != nil {
+			if _, _, err := RunSegmentedEngine(cfg, n, specAt, segLen, 1, sc, Engine{}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		run() // fill the cache, grow the scratch
 		misses := len(cache.entries)
-		// Two today: the results and the scheduler's bound callback.
-		if allocs := testing.AllocsPerRun(10, run); allocs > 4 {
-			t.Errorf("%d all-hit segments: %.0f allocations per call, want the results slice and O(1) more", nseg, allocs)
+		if allocs := testing.AllocsPerRun(10, run); allocs > 1 {
+			t.Errorf("%d all-hit segments: %.0f allocations per call, want the results slice alone", nseg, allocs)
 		}
 		if len(cache.entries) != misses {
 			t.Fatalf("%d segments: the measured calls were not all hits", nseg)
 		}
+	}
+	if prefetch && pc.announced == 0 {
+		t.Fatal("the prefetch pass never ran")
 	}
 }
 
@@ -236,7 +260,7 @@ func TestIdleScratchBoundedLIFO(t *testing.T) {
 		t.Fatalf("want the call's run back, grown to 3 workers: %d workers, key buffer %v", len(r.scratch), r.scratch[0].keyBuf != nil)
 	}
 	c := &r.committer
-	if r.specAt != nil || r.cache != nil || r.keys != nil || r.sims[0] != nil ||
+	if r.specAt != nil || r.cache != nil || len(r.keys) != 0 || r.sims[0] != nil ||
 		c.results != nil || c.err != nil || c.next != 0 || c.total != 0 || len(c.pending) != 0 {
 		t.Fatalf("an idle run still holds its last call's state: %+v", r)
 	}

@@ -66,7 +66,8 @@ type BatchPrefetcher interface {
 	// derivation (false when no batched backing tier is attached).
 	WantPrefetch() bool
 	// Prefetch announces the segment keys about to be requested, in
-	// segment order. It must be safe for concurrent use.
+	// segment order. The slice is the runner's scratch: read it, do not keep
+	// it. It must be safe for concurrent use.
 	Prefetch(keys []SegmentKey)
 }
 

@@ -3,6 +3,7 @@ package gpu
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"stemroot/internal/kernelgen"
@@ -602,10 +603,11 @@ type segRun struct {
 	n, segLen int
 	specAt    func(i int) kernelgen.Spec
 	cache     SegmentCache
-	keys      []SegmentKey // from the prefetch pass; nil without one
+	keys      []SegmentKey // from the prefetch pass; empty without one
 	sims      []*Simulator
 	scratch   []*segScratch
 	committer segCommitter
+	run       func(worker, sg int) // segment, bound once: a method value per call would allocate
 }
 
 // segment executes segment sg on the given worker and commits it.
@@ -625,7 +627,7 @@ func (r *segRun) segment(worker, sg int) {
 	// goroutine, so it is never shared). Hits and computed results alike are
 	// shared cache-owned slices the committer copies at publication.
 	var key SegmentKey
-	if r.keys != nil {
+	if len(r.keys) != 0 {
 		key = r.keys[sg]
 	} else {
 		key, sc.keyBuf = KeyForSegmentEngineAppend(sc.keyBuf, r.cfg, sc.specs, r.eng)
@@ -662,7 +664,7 @@ func (r *segRun) segment(worker, sg int) {
 //
 // A non-nil cache is consulted before each segment is simulated. A segment's
 // result is a pure function of (engine fingerprint, cfg, its spec sequence) —
-// the SegmentKey (KeyForSegmentEngine) — so a hit is bit-identical to a
+// the SegmentKey (KeyForSegmentEngineAppend) — so a hit is bit-identical to a
 // fresh simulation. Exact-mode keys carry EngineFingerprint, par-mode keys
 // ParEngineFingerprint plus the epoch, so the modes never share entries.
 // Cached result slices are shared between callers; they are copied into the
@@ -698,7 +700,7 @@ func RunSegmentedEngine(cfg Config, n int, specAt func(i int) kernelgen.Spec, se
 	// is consulted in one round trip for the whole workload instead of once
 	// per segment. The workers reuse the keys (a pure function of the input).
 	if bp, ok := cache.(BatchPrefetcher); ok && bp.WantPrefetch() {
-		r.keys = make([]SegmentKey, nseg)
+		r.keys = slices.Grow(r.keys, nseg)[:nseg]
 		sc := r.scratch[0]
 		for sg := range r.keys {
 			sc.load(sg)
@@ -707,7 +709,7 @@ func RunSegmentedEngine(cfg Config, n int, specAt func(i int) kernelgen.Spec, se
 		bp.Prefetch(r.keys)
 	}
 
-	parallel.ForEachStealing(nseg, nworkers, r.segment)
+	parallel.ForEachStealing(nseg, nworkers, r.run)
 	total, err := r.committer.total, r.committer.err
 	putRun(r) // not deferred: a run abandoned by a panic is not reused
 	if err != nil {
@@ -726,22 +728,20 @@ var idleScratch struct {
 }
 
 // maxIdleScratch bounds what idleScratch retains (oldest dropped first): per
-// run and worker, one segment of specs and one key encoding — a few KiB.
-const maxIdleScratch = 16
+// run and worker, one segment of specs and one key encoding — a few KiB —
+// and per run the prefetch pass's keys, up to maxIdleKeys of them (32 KiB).
+const maxIdleScratch, maxIdleKeys = 16, 1024
 
 // getRun returns a segRun with scratch for nworkers workers, the most
 // recently returned idle one if there is any.
 func getRun(nworkers int) *segRun {
 	var r *segRun
 	idleScratch.Lock()
-	if last := len(idleScratch.runs) - 1; last >= 0 {
-		r = idleScratch.runs[last]
-		idleScratch.runs[last] = nil
-		idleScratch.runs = idleScratch.runs[:last]
-	}
+	idleScratch.runs, r = parallel.PopIdle(idleScratch.runs)
 	idleScratch.Unlock()
 	if r == nil {
 		r = new(segRun)
+		r.run = r.segment
 	}
 	for w := len(r.scratch); w < nworkers; w++ {
 		sc := &segScratch{run: r, worker: w}
@@ -757,7 +757,10 @@ func getRun(nworkers int) *segRun {
 func putRun(r *segRun) {
 	putSimulators(r.sims)
 	clear(r.sims)
-	r.specAt, r.cache, r.keys = nil, nil, nil
+	r.specAt, r.cache, r.keys = nil, nil, r.keys[:0]
+	if cap(r.keys) > maxIdleKeys {
+		r.keys = nil
+	}
 	c := &r.committer
 	c.results, c.err, c.next, c.total = nil, nil, 0, 0
 	idleScratch.Lock()

@@ -72,6 +72,18 @@ func PushIdle[T any](list []T, x T, max int) []T {
 	return append(list, x)
 }
 
+// PopIdle removes and returns the most recently pushed item of an idle list,
+// or the zero value when the list is empty. The caller holds the list's lock.
+func PopIdle[T any](list []T) ([]T, T) {
+	var x T
+	last := len(list) - 1
+	if last < 0 {
+		return list, x
+	}
+	x, list[last] = list[last], x
+	return list[:last], x
+}
+
 // stealShard is one worker's claimable slice [next, end) of the unit-index
 // space. The owner claims from the front (ascending i); thieves detach the
 // upper half of the remainder. A mutex per shard — rather than a lock-free

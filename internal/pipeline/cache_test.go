@@ -77,9 +77,9 @@ func TestSampledSimCachedBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ix := range indices {
-			if got[ix] != want[ix] {
-				t.Fatalf("workers=%d: invocation %d = %v, uncached %v", workers, ix, got[ix], want[ix])
+		for i, ix := range indices {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d: invocation %d = %v, uncached %v", workers, ix, got[i], want[i])
 			}
 		}
 	}

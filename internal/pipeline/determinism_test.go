@@ -81,9 +81,9 @@ func TestSampledSimDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ix := range indices {
-			if got[ix] != want[ix] {
-				t.Fatalf("workers=%d: index %d = %v, serial %v", workers, ix, got[ix], want[ix])
+		for i, ix := range indices {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d: index %d = %v, serial %v", workers, ix, got[i], want[i])
 			}
 		}
 	}

@@ -27,11 +27,14 @@ package pipeline
 
 import (
 	"errors"
+	"sort"
+	"sync"
 
 	"stemroot/internal/gpu"
 	"stemroot/internal/hwmodel"
 	"stemroot/internal/kernelgen"
 	"stemroot/internal/metrics"
+	"stemroot/internal/parallel"
 	"stemroot/internal/sampling"
 	"stemroot/internal/trace"
 )
@@ -92,30 +95,52 @@ func (o Options) engine() gpu.Engine {
 	}
 }
 
-// specsOf returns a spec generator for a workload subset: position i maps
-// to invocation indices[i]. The generator is handed to
-// gpu.RunSegmentedEngine so each worker builds only its own segment's specs
-// on demand instead of materializing the full []*kernelgen.Spec up front —
-// for FullSimOpt on large workloads the spec working set drops from
-// O(invocations) to one segment per worker. FromInvocation is a pure function of the invocation and limits,
-// so concurrent calls are safe and results stay bit-identical for every
-// worker count.
-func specsOf(w *trace.Workload, lim kernelgen.Limits, indices []int) func(i int) kernelgen.Spec {
-	return func(i int) kernelgen.Spec {
-		return kernelgen.FromInvocation(&w.Invs[indices[i]], lim)
-	}
+// specSource generates one simulation pass's specs on demand: position i is
+// invocation indices[i], or i itself when indices is nil. Each worker of
+// gpu.RunSegmentedEngine builds only its own segment's specs, so the working
+// set is one segment per worker, never the full spec list; FromInvocation is
+// a pure function of the invocation and limits, so concurrent calls are safe
+// and results bit-identical for every worker count.
+type specSource struct {
+	w       *trace.Workload
+	lim     kernelgen.Limits
+	indices []int
+	at      func(i int) kernelgen.Spec // specAt, bound once: a closure per pass would be a heap object
 }
 
-// FullSimOpt simulates every invocation of the workload, returning
-// per-invocation cycle counts. This is the ground truth sampled simulation
-// is compared against — and the cost it avoids. Results are bit-identical
-// for every opt.Workers value; Options{} runs parallel across all CPUs.
-func FullSimOpt(w *trace.Workload, cfg gpu.Config, lim kernelgen.Limits, opt Options) ([]float64, error) {
-	indices := make([]int, w.Len())
-	for i := range indices {
-		indices[i] = i
+func (s *specSource) specAt(i int) kernelgen.Spec {
+	if s.indices != nil {
+		i = s.indices[i]
 	}
-	results, _, err := gpu.RunSegmentedEngine(cfg, len(indices), specsOf(w, lim, indices), opt.SegmentLen, opt.Workers, opt.Cache, opt.engine())
+	return kernelgen.FromInvocation(&s.w.Invs[i], s.lim)
+}
+
+// idleSources keeps up to maxIdleSources sources between passes: a bounded
+// LIFO like gpu's idle lists, for the reason given there.
+var idleSources struct {
+	sync.Mutex
+	list []*specSource
+}
+
+const maxIdleSources = 16
+
+// simulate runs one pass over n positions (see specSource) and returns the
+// cycles of each.
+func simulate(w *trace.Workload, cfg gpu.Config, lim kernelgen.Limits, indices []int, n int, opt Options) ([]float64, error) {
+	var src *specSource
+	idleSources.Lock()
+	idleSources.list, src = parallel.PopIdle(idleSources.list)
+	idleSources.Unlock()
+	if src == nil {
+		src = new(specSource)
+		src.at = src.specAt
+	}
+	src.w, src.lim, src.indices = w, lim, indices
+	results, _, err := gpu.RunSegmentedEngine(cfg, n, src.at, opt.SegmentLen, opt.Workers, opt.Cache, opt.engine())
+	src.w, src.indices = nil, nil // an idle source refers to nothing
+	idleSources.Lock()
+	idleSources.list = parallel.PushIdle(idleSources.list, src, maxIdleSources)
+	idleSources.Unlock()
 	if err != nil {
 		return nil, err
 	}
@@ -126,25 +151,26 @@ func FullSimOpt(w *trace.Workload, cfg gpu.Config, lim kernelgen.Limits, opt Opt
 	return cycles, nil
 }
 
+// FullSimOpt simulates every invocation of the workload, returning
+// per-invocation cycle counts. This is the ground truth sampled simulation
+// is compared against — and the cost it avoids. Results are bit-identical
+// for every opt.Workers value; Options{} runs parallel across all CPUs.
+func FullSimOpt(w *trace.Workload, cfg gpu.Config, lim kernelgen.Limits, opt Options) ([]float64, error) {
+	return simulate(w, cfg, lim, nil, w.Len(), opt)
+}
+
 // SampledSimOpt simulates only the given invocation indices (in the order
-// given, as a sampled trace replay would), returning cycles per simulated
-// index. L2 state persists across the sampled kernels within each replay
-// segment. Results are bit-identical for every opt.Workers value.
-func SampledSimOpt(w *trace.Workload, cfg gpu.Config, lim kernelgen.Limits, indices []int, opt Options) (map[int]float64, error) {
+// given, as a sampled trace replay would), returning the cycles of
+// indices[i] at position i. L2 state persists across the sampled kernels
+// within each replay segment. Results are bit-identical for every
+// opt.Workers value.
+func SampledSimOpt(w *trace.Workload, cfg gpu.Config, lim kernelgen.Limits, indices []int, opt Options) ([]float64, error) {
 	for _, ix := range indices {
 		if ix < 0 || ix >= w.Len() {
 			return nil, errors.New("pipeline: sample index out of range")
 		}
 	}
-	results, _, err := gpu.RunSegmentedEngine(cfg, len(indices), specsOf(w, lim, indices), opt.SegmentLen, opt.Workers, opt.Cache, opt.engine())
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int]float64, len(indices))
-	for i, ix := range indices {
-		out[ix] = results[i].Cycles
-	}
-	return out, nil
+	return simulate(w, cfg, lim, indices, len(indices), opt)
 }
 
 // Result is one end-to-end sampled-simulation evaluation on the simulator.
@@ -177,15 +203,14 @@ func RunOpt(w *trace.Workload, profDev hwmodel.Device, method sampling.Method,
 		return nil, err
 	}
 
-	est := plan.Estimate(func(i int) float64 { return sampled[i] })
+	// indices is ascending and distinct: a sample's cycles are found by search.
+	est := plan.Estimate(func(s int) float64 { return sampled[sort.SearchInts(indices, s)] })
 	var truth, cost float64
 	for _, c := range fullCycles {
 		truth += c
 	}
-	// Sum in plan order, not map-iteration order: float addition is not
-	// associative, and the determinism tests compare outcomes bit for bit.
-	for _, ix := range indices {
-		cost += sampled[ix]
+	for _, c := range sampled {
+		cost += c
 	}
 
 	res := &Result{

@@ -1,0 +1,152 @@
+package pipeline
+
+import (
+	"runtime"
+	"testing"
+
+	"stemroot/internal/gpu"
+	"stemroot/internal/hwmodel"
+	"stemroot/internal/kernelgen"
+	"stemroot/internal/sampling"
+	"stemroot/internal/simcache"
+	"stemroot/internal/trace"
+	"stemroot/internal/workloads"
+)
+
+// warmCell is one cell of a design-space sweep: a reduced workload on one
+// GPU variant.
+type warmCell struct {
+	cfg gpu.Config
+	w   *trace.Workload
+}
+
+// warmCells is the sweep of the dse_warm benchmark workload: 15 workloads of
+// eight invocations, two draws of the set, two GPU variants — 60 cells.
+func warmCells(tb testing.TB) []warmCell {
+	keep := map[string]bool{
+		"backprop": true, "bfs": true, "btree": true, "gaussian": true, "heartwall": true,
+		"hotspot": true, "kmeans": true, "lud": true, "nw": true,
+		"bert": true, "bloom": true, "deit": true, "gemma": true, "gpt2": true, "resnet50": true,
+	}
+	var ws []*trace.Workload
+	for _, seed := range []uint64{2, 3} {
+		for _, w := range append(workloads.DSERodinia(seed, 8), workloads.DSEHuggingFace(seed, 8)...) {
+			if keep[w.Name] {
+				ws = append(ws, w)
+			}
+		}
+	}
+	var cells []warmCell
+	for _, v := range []string{"baseline", "cache_half"} {
+		cfg, err := gpu.Variant(v)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, w := range ws {
+			cells = append(cells, warmCell{cfg, w})
+		}
+	}
+	return cells
+}
+
+// run is the cell as a sweep evaluates it: ground truth by full simulation,
+// then profile → STEM+ROOT plan → sampled simulation → extrapolation.
+func (c warmCell) run(tb testing.TB, dev hwmodel.Device, cache gpu.SegmentCache) *Result {
+	lim, opt := kernelgen.DSELimits(), Options{Workers: 1, Cache: cache}
+	full, err := FullSimOpt(c.w, c.cfg, lim, opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := RunOpt(c.w, dev, sampling.NewSTEMRoot(1), c.cfg, lim, full, opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+// primedDir runs every cell once against a disk-backed cache and returns the
+// directory: what a second process with -cachedir starts from.
+func primedDir(tb testing.TB, cells []warmCell, dev hwmodel.Device) string {
+	dir := tb.TempDir()
+	cache, err := simcache.New(simcache.Options{Dir: dir})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, c := range cells {
+		c.run(tb, dev, cache)
+	}
+	return dir
+}
+
+func profilingDevice(tb testing.TB) hwmodel.Device {
+	dev, err := hwmodel.ByName("rtx2080")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return dev
+}
+
+// BenchmarkWarmCell is one cell of a warm sweep per iteration — every segment
+// a hit, a fresh cache over the primed directory every 60 cells, as the
+// dse_warm benchmark workload runs them. With -benchmem, B/op and allocs/op
+// are the per-cell figures of EXPERIMENTS "Warm-sweep allocation".
+func BenchmarkWarmCell(b *testing.B) {
+	cells, dev := warmCells(b), profilingDevice(b)
+	dir := primedDir(b, cells, dev)
+	var cache *simcache.Cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(cells) == 0 {
+			var err error
+			if cache, err = simcache.New(simcache.Options{Dir: dir}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		cells[i%len(cells)].run(b, dev, cache)
+	}
+	b.StopTimer()
+	if s := cache.Stats(); s.Misses != 0 || s.DiskErrors != 0 {
+		b.Fatalf("the sweep was not warm: %s", s)
+	}
+}
+
+// TestWarmCellAllocs pins what one warm cell allocates end to end, where the
+// bytes of a warm sweep were: against a fresh cache over a primed directory
+// (both lookups disk hits), FullSimOpt + RunOpt allocate what they return,
+// what the plan and the profile are made of and what the cache keeps — 21
+// objects and 2.3 KB for eight invocations, where there were 58 and 5.1 KB.
+func TestWarmCellAllocs(t *testing.T) {
+	dev := profilingDevice(t)
+	cell := warmCell{gpu.Baseline(), dseWorkload(t, "backprop", 8)}
+	dir := primedDir(t, []warmCell{cell}, dev)
+	var objects, bytes uint64
+	const runs = 10
+	for i := 0; i <= runs; i++ {
+		cache, err := simcache.New(simcache.Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		cell.run(t, dev, cache)
+		runtime.ReadMemStats(&after)
+		if s := cache.Stats(); s.DiskHits != 2 || s.Misses != 0 {
+			t.Fatalf("the cell was not served from the primed directory: %s", s)
+		}
+		if i > 0 { // the first run grows the idle scratch
+			objects += after.Mallocs - before.Mallocs
+			bytes += after.TotalAlloc - before.TotalAlloc
+		}
+	}
+	objects, bytes = objects/runs, bytes/runs
+	maxObjects, maxBytes := uint64(22), uint64(2450)
+	if raceEnabled {
+		// Each disk read's 4 KiB stack buffer escapes through syscall.Read's
+		// race annotation.
+		maxObjects, maxBytes = maxObjects+2, maxBytes+2*4096
+	}
+	if objects > maxObjects || bytes > maxBytes {
+		t.Errorf("a warm cell allocates %d objects and %d bytes, want at most %d and %d", objects, bytes, maxObjects, maxBytes)
+	}
+}

@@ -42,8 +42,8 @@ func TestSampledSimWarmZeroMatchesSampledSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ix := range idx {
-		if warm[ix] != plain[ix] {
+	for i, ix := range idx {
+		if warm[ix] != plain[i] {
 			t.Fatalf("warmup=0 diverges from SampledSimOpt at %d", ix)
 		}
 	}

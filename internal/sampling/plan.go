@@ -14,7 +14,7 @@
 package sampling
 
 import (
-	"sort"
+	"slices"
 
 	"stemroot/internal/trace"
 )
@@ -57,18 +57,16 @@ func (p *Plan) Estimate(timeOf func(int) float64) float64 {
 // SampledIndices returns the distinct invocations the plan requires
 // simulating, in ascending order.
 func (p *Plan) SampledIndices() []int {
-	seen := make(map[int]bool)
+	n := 0
 	for gi := range p.Groups {
-		for _, s := range p.Groups[gi].Samples {
-			seen[s] = true
-		}
+		n += len(p.Groups[gi].Samples)
 	}
-	out := make([]int, 0, len(seen))
-	for ix := range seen {
-		out = append(out, ix)
+	out := make([]int, 0, n)
+	for gi := range p.Groups {
+		out = append(out, p.Groups[gi].Samples...)
 	}
-	sort.Ints(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Method is a kernel-level sampling technique.

@@ -42,21 +42,23 @@ func (s *STEMRoot) Plan(w *trace.Workload, prof *trace.Profile) (*Plan, error) {
 	if err := prof.Validate(w); err != nil {
 		return nil, err
 	}
-	names := make([]string, w.Len())
-	for i := range w.Invs {
-		names[i] = w.Invs[i].Name
-	}
 	p := s.Params
 	p.Seed = s.Params.Seed ^ w.Seed
 	if s.Flat {
 		p = p.Flat()
 	}
-	cp, err := core.BuildPlan(names, prof.TimeUS, p)
+	cp, err := core.BuildPlanOf(w.Len(), func(i int) string { return w.Invs[i].Name }, prof.TimeUS, p)
 	if err != nil {
 		return nil, err
 	}
 
-	plan := &Plan{Method: s.Name()}
+	groups := 0
+	for i := range cp.Clusters {
+		if cp.Clusters[i].SampleSize > 0 {
+			groups++
+		}
+	}
+	plan := &Plan{Method: s.Name(), Groups: make([]Group, 0, groups)}
 	for i := range cp.Clusters {
 		c := &cp.Clusters[i]
 		if c.SampleSize == 0 {

@@ -3,6 +3,7 @@ package simcache
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"os"
 	"path/filepath"
@@ -22,7 +23,7 @@ import (
 //	48      32*n  results: Cycles, Instructions, L1HitRate, L2HitRate
 //	48+32n  32    SHA-256 over bytes [0, 48+32n)
 //
-// The key embeds the engine fingerprint (gpu.KeyForSegment), so entries from
+// The key embeds the engine fingerprint (gpu.KeyForSegmentEngineAppend), so entries from
 // a different engine version are unreachable by name; the embedded key and
 // trailing checksum additionally reject renamed, truncated, or bit-rotted
 // files — and, on the network path, corrupted or mismatched frames. Every
@@ -45,11 +46,27 @@ const MaxEntryBytes = 64 << 20
 
 func ensureDir(dir string) error { return os.MkdirAll(dir, 0o755) }
 
-// diskPath places entries in a two-level fan-out (first key byte) so huge
-// caches do not degrade into one enormous directory.
+// diskPathBuf is the stack space a lookup builds its path in; a cache
+// directory past 190 bytes spills to the heap.
+const diskPathBuf = 256
+
+// appendPath appends the NUL-terminated path of key's entry file to dst:
+// filepath.Join(dir, name[:2], name[2:]) for name = key.String() — a
+// two-level fan-out (first key byte), so huge caches do not degrade into one
+// enormous directory — written digit by digit, ready for the open call.
+func (c *Cache) appendPath(dst []byte, key gpu.SegmentKey) []byte {
+	dst = append(dst, c.prefix...)
+	dst = hex.AppendEncode(dst, key[:1])
+	dst = append(dst, filepath.Separator)
+	dst = hex.AppendEncode(dst, key[1:])
+	return append(dst, 0)
+}
+
+// diskPath is appendPath as a string, for the calls that take one.
 func (c *Cache) diskPath(key gpu.SegmentKey) string {
-	name := key.String()
-	return filepath.Join(c.dir, name[:2], name[2:])
+	var buf [diskPathBuf]byte
+	path := c.appendPath(buf[:0], key)
+	return string(path[:len(path)-1])
 }
 
 // EncodeEntry serializes results for key in the checksummed entry wire
@@ -169,7 +186,7 @@ func claimedSize(buf []byte) int {
 // its claim come back longer, for DecodeEntry to reject, and a huge or lying
 // file costs at most twice its length and never more than a legal entry. ok
 // is false when the file cannot be opened or read.
-func readEntryFile(path string, buf []byte) (data []byte, ok bool) {
+func readEntryFile(path []byte, buf []byte) (data []byte, ok bool) {
 	fd, err := openFile(path)
 	if err != nil {
 		return nil, false
@@ -203,7 +220,8 @@ func readEntryFile(path string, buf []byte) (data []byte, ok bool) {
 // corruption) reports a miss. Corrupt files are removed best-effort so they
 // are rewritten with good content on the next compute.
 func (c *Cache) readDisk(key gpu.SegmentKey) ([]gpu.KernelResult, bool) {
-	path := c.diskPath(key)
+	var pathBuf [diskPathBuf]byte
+	path := c.appendPath(pathBuf[:0], key)
 	var stack [diskReadBuf]byte
 	buf, ok := readEntryFile(path, stack[:])
 	if !ok {
@@ -212,7 +230,7 @@ func (c *Cache) readDisk(key gpu.SegmentKey) ([]gpu.KernelResult, bool) {
 	results, ok := DecodeEntry(key, buf)
 	if !ok {
 		c.diskErrors.Add(1)
-		os.Remove(path) // quarantine-by-deletion; next compute rewrites it
+		os.Remove(string(path[:len(path)-1])) // quarantine-by-deletion; next compute rewrites it
 		return nil, false
 	}
 	return results, true

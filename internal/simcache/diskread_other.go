@@ -1,4 +1,4 @@
-//go:build !unix
+//go:build !linux
 
 package simcache
 
@@ -7,9 +7,10 @@ import (
 	"os"
 )
 
-// Portable stand-ins for diskread_unix.go's direct system calls.
+// Portable stand-ins for diskread_linux.go's direct system calls; path is
+// NUL-terminated (Cache.appendPath).
 
-func openFile(path string) (*os.File, error) { return os.Open(path) }
+func openFile(path []byte) (*os.File, error) { return os.Open(string(path[:len(path)-1])) }
 
 func readFile(f *os.File, p []byte) (int, error) {
 	n, err := f.Read(p)

@@ -2,7 +2,7 @@
 // results — the "pay the full simulation once, reuse it everywhere"
 // mechanism behind the experiment harness. Keys are gpu.SegmentKey content
 // addresses (engine fingerprint + gpu.Config + spec sequence, see
-// gpu.KeyForSegment), so a hit is bit-identical to a fresh simulation by
+// gpu.KeyForSegmentEngineAppend), so a hit is bit-identical to a fresh simulation by
 // construction: the engine is deterministic in exactly the hashed inputs,
 // and the determinism contract from the parallel/arena work is what makes
 // the substitution safe.
@@ -32,7 +32,10 @@
 package simcache
 
 import (
+	"bytes"
 	"fmt"
+	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -148,6 +151,7 @@ type Cache struct {
 	shards   [shardCount]shard
 	maxShard int64 // per-shard byte bound; <0 = unbounded
 	dir      string
+	prefix   string // of every entry path: filepath.Join(dir, "ab", …) less "ab", …
 	remote   Remote
 
 	hits, memHits, diskHits, shared atomic.Uint64
@@ -164,23 +168,22 @@ type Cache struct {
 	prefetchMissed sync.Map // gpu.SegmentKey -> struct{}
 }
 
-// entry is one cached segment result, linked into its shard's LRU ring.
+// entry is one cached segment result, linked into its shard's LRU ring —
+// and, before that, the singleflight record of its load: the leader puts it
+// in the table with loading set, followers wait on done and read results and
+// err, and it then joins the ring or, on an error, leaves the table. So a
+// disk hit allocates the entry and its decoded results and nothing else.
 type entry struct {
 	key        gpu.SegmentKey
 	results    []gpu.KernelResult
-	bytes      int64
 	prev, next *entry
+	err        error
+	done       sync.WaitGroup
+	loading    bool // guarded by the shard lock
 }
 
-// call is one in-flight computation (singleflight).
-type call struct {
-	done    chan struct{}
-	results []gpu.KernelResult
-	err     error
-}
-
-// shard is one lock domain: an LRU over its share of the key space plus the
-// in-flight call table for singleflight.
+// shard is one lock domain: an LRU over its share of the key space, entries
+// still loading included in items but not in the ring.
 type shard struct {
 	mu    sync.Mutex
 	items map[gpu.SegmentKey]*entry
@@ -188,7 +191,6 @@ type shard struct {
 	// list: head/tail are nil when empty.
 	head, tail *entry
 	bytes      int64
-	inflight   map[gpu.SegmentKey]*call
 }
 
 // New builds a cache. The returned error is non-nil only when the disk tier
@@ -208,12 +210,13 @@ func New(opts Options) (*Cache, error) {
 	}
 	for i := range c.shards {
 		c.shards[i].items = make(map[gpu.SegmentKey]*entry)
-		c.shards[i].inflight = make(map[gpu.SegmentKey]*call)
 	}
 	if c.dir != "" {
 		if err := ensureDir(c.dir); err != nil {
 			return nil, err
 		}
+		joined := filepath.Join(c.dir, "x") // cleans dir once, here
+		c.prefix = joined[:len(joined)-1]
 	}
 	return c, nil
 }
@@ -236,39 +239,40 @@ func (c *Cache) GetOrCompute(key gpu.SegmentKey, compute func() ([]gpu.KernelRes
 
 	sh.mu.Lock()
 	if e := sh.items[key]; e != nil {
-		sh.moveToFront(e)
+		if !e.loading {
+			sh.moveToFront(e)
+			sh.mu.Unlock()
+			c.hits.Add(1)
+			c.memHits.Add(1)
+			return e.results, nil
+		}
+		// Another goroutine is loading this key; share its result.
 		sh.mu.Unlock()
-		c.hits.Add(1)
-		c.memHits.Add(1)
-		return e.results, nil
-	}
-	if cl := sh.inflight[key]; cl != nil {
-		// Another goroutine is computing this key; share its result.
-		sh.mu.Unlock()
-		<-cl.done
-		if cl.err == nil {
+		e.done.Wait()
+		if e.err == nil {
 			c.hits.Add(1)
 			c.shared.Add(1)
 		}
-		return cl.results, cl.err
+		return e.results, e.err
 	}
-	cl := &call{done: make(chan struct{})}
-	sh.inflight[key] = cl
+	e := &entry{key: key, loading: true}
+	e.done.Add(1)
+	sh.items[key] = e
 	sh.mu.Unlock()
 
-	// Leader path: disk tier, then remote, then compute. The in-flight
-	// entry is removed on every exit so a failed compute can be retried
-	// later.
+	// Leader path: disk tier, then remote, then compute. A failed load
+	// leaves the table, so it can be retried later.
 	results, src, err := c.load(key, compute)
-	cl.results, cl.err = results, err
 
 	sh.mu.Lock()
-	delete(sh.inflight, key)
+	e.results, e.err, e.loading = results, err, false
 	if err == nil {
-		sh.insert(key, results, c.maxShard, &c.evictions)
+		sh.link(e, c.maxShard, &c.evictions)
+	} else {
+		delete(sh.items, key)
 	}
 	sh.mu.Unlock()
-	close(cl.done)
+	e.done.Done()
 
 	if err != nil {
 		return nil, err
@@ -344,23 +348,19 @@ func (c *Cache) WantPrefetch() bool {
 // Prefetch implements gpu.BatchPrefetcher: it resolves the announced keys
 // against the remote tier in one BatchGet, seeding the in-memory tier with
 // every hit so the per-segment lookups that follow stay local. Keys already
-// resident in memory are filtered out first, and keys the batch could not
+// resident in memory are filtered out first and the rest go out once each, in
+// key order (keys itself is only read, and not kept); keys the batch could not
 // resolve are remembered so the per-segment miss path skips a second round
 // trip for them. Purely a performance hint: results of subsequent
 // GetOrCompute calls are unchanged.
 func (c *Cache) Prefetch(keys []gpu.SegmentKey) {
-	if c.remote == nil || len(keys) == 0 {
+	if c.remote == nil {
 		return
 	}
-	// Filter out keys that are already local (or duplicated in the batch —
-	// identical segments share one content address).
+	// The keys not already local, once each (identical segments share one
+	// content address): sorted, so that duplicates are neighbours.
 	need := make([]gpu.SegmentKey, 0, len(keys))
-	seen := make(map[gpu.SegmentKey]struct{}, len(keys))
 	for _, key := range keys {
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
 		sh := c.shardFor(key)
 		sh.mu.Lock()
 		_, resident := sh.items[key]
@@ -369,6 +369,8 @@ func (c *Cache) Prefetch(keys []gpu.SegmentKey) {
 			need = append(need, key)
 		}
 	}
+	slices.SortFunc(need, func(a, b gpu.SegmentKey) int { return bytes.Compare(a[:], b[:]) })
+	need = slices.Compact(need)
 	if len(need) == 0 {
 		return
 	}
@@ -391,15 +393,21 @@ func (c *Cache) Prefetch(keys []gpu.SegmentKey) {
 	}
 }
 
-// insert adds a computed entry and enforces the byte bound. Caller holds
-// sh.mu.
+// insert adds a fetched entry unless the key is present or being loaded
+// (identical content by construction). Caller holds sh.mu.
 func (sh *shard) insert(key gpu.SegmentKey, results []gpu.KernelResult, maxBytes int64, evictions *atomic.Uint64) {
 	if sh.items[key] != nil {
-		return // raced with a disk-tier insert of the same content; identical by construction
+		return
 	}
-	e := &entry{key: key, results: results, bytes: payloadBytes(results)}
+	e := &entry{key: key, results: results}
 	sh.items[key] = e
-	sh.bytes += e.bytes
+	sh.link(e, maxBytes, evictions)
+}
+
+// link puts a loaded entry of sh.items at the head of the ring and enforces
+// the byte bound. Caller holds sh.mu.
+func (sh *shard) link(e *entry, maxBytes int64, evictions *atomic.Uint64) {
+	sh.bytes += payloadBytes(e.results)
 	sh.pushFront(e)
 	if maxBytes < 0 {
 		return
@@ -408,7 +416,7 @@ func (sh *shard) insert(key gpu.SegmentKey, results []gpu.KernelResult, maxBytes
 		victim := sh.tail
 		sh.unlink(victim)
 		delete(sh.items, victim.key)
-		sh.bytes -= victim.bytes
+		sh.bytes -= payloadBytes(victim.results)
 		evictions.Add(1)
 	}
 }

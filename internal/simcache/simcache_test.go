@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -191,6 +192,47 @@ func TestSingleflight(t *testing.T) {
 	// freshly inserted entry, depending on arrival time; all are hits.
 	if s.Hits != callers-1 {
 		t.Fatalf("hits = %d, want %d: %s", s.Hits, callers-1, s)
+	}
+}
+
+// TestSingleflightFailedLoad: the entry a failing leader published leaves the
+// table — every follower that waited on it gets the leader's error, nothing is
+// cached, and the key can be computed again.
+func TestSingleflightFailedLoad(t *testing.T) {
+	c, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, boom := testKey(5, 1), errors.New("boom")
+	release := make(chan struct{})
+	var started, wg sync.WaitGroup
+	started.Add(1)
+	var computes atomic.Int64
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := c.GetOrCompute(key, func() ([]gpu.KernelResult, error) {
+				if computes.Add(1) == 1 {
+					started.Done()
+					<-release
+				}
+				return nil, boom
+			})
+			if err != boom {
+				t.Errorf("caller got %v, want the load's error", err)
+			}
+		}()
+	}
+	started.Wait()
+	close(release)
+	wg.Wait()
+	if s := c.Stats(); s.Entries != 0 || s.Hits != 0 || s.Misses != 0 {
+		t.Fatalf("a failed load left something behind: %s", s)
+	}
+	got, err := c.GetOrCompute(key, func() ([]gpu.KernelResult, error) { return testResults(2, 1), nil })
+	if err != nil || !sameResults(got, testResults(2, 1)) {
+		t.Fatalf("retry after a failed load: %v, %v", got, err)
 	}
 }
 
@@ -408,24 +450,79 @@ func TestDiskReadOversizedFile(t *testing.T) {
 	}
 }
 
-// TestDiskHitAllocs pins the read side of a disk hit: the decoded results and
-// the path strings, no buffer sized to the file.
+// TestDiskHitAllocs pins a disk hit end to end: GetOrCompute allocates the
+// entry the memory tier keeps and the decoded results, and nothing on the
+// way — no path string, no call record or channel for the singleflight, no
+// buffer sized to the file. (It was 8.5 objects: four of them path strings.)
 func TestDiskHitAllocs(t *testing.T) {
-	c, err := New(Options{Dir: t.TempDir()})
+	// One entry per shard: two keys of one shard evict each other, so every
+	// lookup is a disk hit and the shard's table never grows.
+	c, err := New(Options{Dir: t.TempDir(), MaxBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := testKey(9, 9)
-	c.writeDisk(key, testResults(16, 3))
+	keys := [2]gpu.SegmentKey{testKey(9, 9), testKey(9, 10)}
+	for i, key := range keys {
+		c.writeDisk(key, testResults(16, float64(i)))
+	}
+	i := 0
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, ok := c.readDisk(key); !ok {
-			t.Fatal("miss on a valid entry")
+		if _, err := c.GetOrCompute(keys[i%2], nil); err != nil {
+			t.Fatal(err)
 		}
+		i++
 	})
-	// Five: the results, and four strings on the way to the path (one more
-	// under the race detector). os.ReadFile added a File, its buffer and more.
-	if allocs > 6 {
-		t.Fatalf("a disk hit allocates %.0f objects, want the results and the path strings", allocs)
+	if s := c.Stats(); s.DiskHits != uint64(i) || s.Misses != 0 {
+		t.Fatalf("not every lookup was a disk hit: %s", s)
+	}
+	want := 2.0
+	if raceEnabled {
+		want++ // the stack read buffer escapes through syscall.Read's race annotation
+	}
+	if allocs > want {
+		t.Fatalf("a disk hit allocates %.0f objects, want the entry and its results", allocs)
+	}
+}
+
+// TestDiskPathMatchesJoin pins the path a lookup builds in place against the
+// definition it replaced, filepath.Join(dir, name[:2], name[2:]), for every
+// spelling of the directory — so a cache directory written by any earlier
+// build is found, and one written by this build is found by them.
+func TestDiskPathMatchesJoin(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil { // the relative spellings land here
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	abs := t.TempDir()
+	key := testKey(0xab, 0xcd)
+	key[31] = 0x0f
+	name := key.String()
+	for _, dir := range []string{
+		"rel", "./x", "x/", "a/../b", "a//b", ".", "./", "../" + filepath.Base(abs),
+		abs, abs + "/", abs + "//sub/./", filepath.Join(abs, strings.Repeat("long/", 60)),
+	} {
+		c, err := New(Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := filepath.Join(dir, name[:2], name[2:])
+		if got := c.diskPath(key); got != want {
+			t.Errorf("Dir %q: path %q, want %q", dir, got, want)
+		}
+		path := c.appendPath(nil, key)
+		if last := len(path) - 1; path[last] != 0 || string(path[:last]) != want {
+			t.Errorf("Dir %q: in-place path %q, want %q and a NUL", dir, path, want)
+		}
+		// And the file is where both say: written through the string, read
+		// back through the bytes.
+		c.writeDisk(key, testResults(3, 1))
+		if got, ok := c.readDisk(key); !ok || !sameResults(got, testResults(3, 1)) {
+			t.Errorf("Dir %q: entry written to %q was not read back", dir, want)
+		}
 	}
 }
 
