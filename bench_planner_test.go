@@ -9,6 +9,7 @@ package stemroot_test
 import (
 	"testing"
 
+	"stemroot"
 	"stemroot/internal/core"
 	"stemroot/internal/hwmodel"
 	"stemroot/internal/sampling"
@@ -66,15 +67,29 @@ func BenchmarkBuildClusters(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamingPlan measures the two-pass out-of-core planner on the
-// HuggingFace-scale profile.
+// memScanner streams in-memory profile rows to SampleStream.
+type memScanner struct {
+	names []string
+	times []float64
+}
+
+func (s memScanner) Scan(yield func(string, float64) bool) error {
+	for i, n := range s.names {
+		if !yield(n, s.times[i]) {
+			break
+		}
+	}
+	return nil
+}
+
+// BenchmarkStreamingPlan measures the out-of-core planner, SampleStream,
+// on the HuggingFace-scale profile.
 func BenchmarkStreamingPlan(b *testing.B) {
 	names, times := suiteProfile(b, workloads.SuiteHuggingFace, 0.2)
-	src := core.SliceScanner{Names: names, Times: times}
-	p := core.DefaultParams()
+	src := memScanner{names, times}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan, err := core.BuildPlanStream(src, p, core.StreamOptions{})
+		plan, err := stemroot.SampleStream(src, stemroot.Options{}, stemroot.StreamOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

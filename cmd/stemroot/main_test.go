@@ -284,10 +284,9 @@ func TestRunStreamTruncated(t *testing.T) {
 	}
 }
 
-func TestRunStreamMatchesTwoPassPlanJSON(t *testing.T) {
-	// The single-pass service mode and the two-pass SampleStream agree on
-	// the plan for an in-reservoir trace (the equivalence pin, end to
-	// end through the CLI).
+func TestRunStreamMatchesSampleStreamPlanJSON(t *testing.T) {
+	// The service mode's plan JSON round-trips to the plan SampleStream
+	// builds over the same rows (end to end through the CLI).
 	profile := writeProfile(t, 3000)
 	planPath := filepath.Join(t.TempDir(), "plan.json")
 	cfg := baseCfg(profile)
@@ -317,12 +316,12 @@ func TestRunStreamMatchesTwoPassPlanJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got.Clusters) != len(want.Clusters) {
-		t.Fatalf("clusters: stream CLI %d vs two-pass %d", len(got.Clusters), len(want.Clusters))
+		t.Fatalf("clusters: stream CLI %d vs SampleStream %d", len(got.Clusters), len(want.Clusters))
 	}
 	for i := range got.Clusters {
 		g, w := got.Clusters[i], want.Clusters[i]
 		if g.Kernel != w.Kernel || g.Weight != w.Weight || g.Mean != w.Mean || g.StdDev != w.StdDev {
-			t.Fatalf("cluster %d differs:\n single-pass %+v\n two-pass    %+v", i, g, w)
+			t.Fatalf("cluster %d differs:\n stream CLI   %+v\n SampleStream %+v", i, g, w)
 		}
 		if len(g.Samples) != len(w.Samples) {
 			t.Fatalf("cluster %d sample count %d vs %d", i, len(g.Samples), len(w.Samples))

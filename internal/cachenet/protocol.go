@@ -51,6 +51,7 @@ package cachenet
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -84,8 +85,11 @@ const (
 	// maxFrameBytes bounds any single frame (a batch response carries a
 	// whole workload's segment entries; a few hundred MiB of headroom is
 	// far beyond any legitimate batch while still rejecting a corrupt
-	// length prefix before allocating).
+	// length prefix).
 	maxFrameBytes = 256 << 20
+
+	// frameStep is the largest payload allocated before its bytes arrive.
+	frameStep = 32 << 10
 
 	// maxBatchKeys bounds the key count of one BatchGet request.
 	maxBatchKeys = 1 << 20
@@ -140,19 +144,37 @@ func writeFrame(w *bufio.Writer, op byte, chunks ...[]byte) error {
 }
 
 // readFrame reads one frame, rejecting oversized length prefixes before
-// allocating.
+// reading the payload. A payload longer than frameStep arrives in steps,
+// each allocated only once the one before it has filled, so a peer that
+// claims a large frame and then stalls or hangs up costs what it sent, not
+// what it claimed.
 func readFrame(r *bufio.Reader) (op byte, payload []byte, err error) {
 	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[1:5])
+	n := int(binary.LittleEndian.Uint32(hdr[1:5]))
 	if n > maxFrameBytes {
 		return 0, nil, fmt.Errorf("cachenet: frame length %d exceeds limit", n)
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
+	if n <= frameStep {
+		payload = make([]byte, n)
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return 0, nil, err
+		}
+		return hdr[0], payload, nil
 	}
-	return hdr[0], payload, nil
+	var steps [][]byte
+	for read := 0; read < n; {
+		step := make([]byte, min(n-read, frameStep))
+		if _, err := io.ReadFull(r, step); err != nil {
+			if err == io.EOF && read > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, err
+		}
+		steps = append(steps, step)
+		read += len(step)
+	}
+	return hdr[0], bytes.Join(steps, nil), nil
 }

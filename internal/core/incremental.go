@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -11,15 +12,49 @@ import (
 	"stemroot/internal/stats"
 )
 
-// Seed-derivation labels shared by the streaming planners. Both planners
-// MUST derive their per-name reservoir RNGs from the same label in the same
-// first-seen order: that is what makes the single-pass planner's reservoirs
-// — and therefore its cluster intervals — bit-identical to the two-pass
-// BuildPlanStream's on the same stream.
+// Seed-derivation labels: per-name reservoir RNGs are split, in first-seen
+// order, from the first; sample draws come from the second.
 const (
 	seedLabelReservoir = 0x57e4
 	seedLabelDraw      = 0xd4aa
 )
+
+// StreamOptions tunes the IncrementalPlanner.
+type StreamOptions struct {
+	// ReservoirCap bounds the per-kernel-name time sample used for
+	// clustering (default 8192). Peak memory is independent of trace
+	// length: O(#names × ReservoirCap) for the reservoirs, plus
+	// O(ReservoirCap) re-plan scratch, plus the plan.
+	ReservoirCap int
+
+	// ReplanEvery is the amortization factor: a cached plan is re-derived
+	// once the invocation count grows by this multiple since the last
+	// re-plan (default 2 — the doubling schedule). Values <= 1 re-plan on
+	// every snapshot.
+	ReplanEvery float64
+
+	// DriftTol re-plans early when any kernel's exact running mean moves
+	// by more than this fraction of its value at the last re-plan
+	// (default 0.25; negative disables the drift trigger).
+	DriftTol float64
+}
+
+// reservoirCap resolves the default.
+func (o StreamOptions) reservoirCap() int {
+	if o.ReservoirCap <= 0 {
+		return 8192
+	}
+	return o.ReservoirCap
+}
+
+// validTime reports whether t can enter a plan: a NaN makes the predicted
+// error NaN and a +Inf makes it 0, neither of which is a bound, and the
+// error model has no meaning for negative durations.
+func validTime(t float64) bool { return t >= 0 && !math.IsInf(t, 1) }
+
+func invalidTimeError(t float64, invocation int) error {
+	return fmt.Errorf("core: time %v at invocation %d is not a finite non-negative number", t, invocation)
+}
 
 // cutScratch holds the reusable buffers of deriveCuts so amortized
 // re-clustering allocates nothing once warm.
@@ -85,9 +120,7 @@ func intervalOf(cuts []float64, v float64) int {
 }
 
 // pairReservoir keeps a uniform sample of (value, stream position) pairs
-// (Vitter's algorithm R). It consumes its RNG exactly like the two-pass
-// planner's value reservoir — one Intn per post-warmup observation — so
-// both planners retain identical values on identical streams. Storage grows
+// (Vitter's algorithm R): one Intn per observation once full. Storage grows
 // geometrically to the cap, so a name invoked fewer than cap times holds
 // only what it saw.
 type pairReservoir struct {
@@ -130,15 +163,12 @@ type incNameState struct {
 // schedule (StreamOptions.ReplanEvery), on per-kernel mean drift
 // (StreamOptions.DriftTol), or on demand.
 //
-// Relationship to the two-pass BuildPlanStream: on the same stream at the
-// same seed the reservoirs are bit-identical (same RNG derivation, same
-// add sequence), so the final cluster intervals — and hence the cluster
-// set — are identical. Cluster statistics are exact (bit-identical to the
-// second pass) for every kernel whose full population fits its reservoir;
-// over-capacity kernels get reservoir-estimated statistics apportioned to
-// the exact per-name count and calibrated so Σ N_c·μ_c equals the kernel's
-// exact total time, which keeps the PredictedError delta ε-bounded (pinned
-// by test) without a second scan.
+// Cluster statistics are exact for every kernel whose full population fits
+// its reservoir; over-capacity kernels get reservoir-estimated statistics
+// apportioned to the exact per-name count and calibrated so Σ N_c·μ_c
+// equals the kernel's exact total time, which keeps the PredictedError
+// within ε/4 of the exact statistics' (pinned by test) without a second
+// scan.
 //
 // Peak memory is independent of trace length: O(#names × ReservoirCap) for
 // the reservoirs, O(ReservoirCap + #clusters) of re-plan scratch that the
@@ -328,8 +358,8 @@ func (ip *IncrementalPlanner) Plan() (*Plan, error) {
 
 	// Phase 1, per name: derive the intervals and fold the reservoir into
 	// their Welford moments. Insertion order is stream order, so in-reservoir
-	// kernels reproduce the two-pass exact statistics bit for bit. Which slot
-	// fell where is not kept — phase 3 re-derives it for one name at a time.
+	// kernels get the exact statistics bit for bit. Which slot fell where
+	// is not kept — phase 3 re-derives it for one name at a time.
 	ip.cuts, ip.intervals = ip.cuts[:0], ip.intervals[:0]
 	for _, name := range ip.sorted {
 		st := ip.states[name]
@@ -481,9 +511,9 @@ func (ip *IncrementalPlanner) groupSlots(vals, cuts []float64, ivs []incInterval
 // nameStats fills out with the cluster statistics of one kernel's
 // intervals and returns the name's calibration scale. When the reservoir
 // retained every observation the per-interval Welford moments ARE the exact
-// statistics (identical add order to the two-pass second scan) and the
-// scale is exactly 1. Otherwise the reservoir is a uniform sample: interval
-// populations are apportioned from the exact count by largest remainder
+// statistics (folded in stream order) and the scale is exactly 1.
+// Otherwise the reservoir is a uniform sample: interval populations are
+// apportioned from the exact count by largest remainder
 // (they sum exactly to N), and means/deviations are scaled so the plan's
 // implied total Σ N_c·μ_c equals the kernel's exact total time.
 func (ip *IncrementalPlanner) nameStats(out []ClusterStats, st *incNameState, intervals []incInterval) float64 {

@@ -14,8 +14,8 @@ import (
 // was first written, with nothing reused. Every interval gets its own
 // candidate pool (stream positions and their times, copied out of the
 // reservoir), distinct samples are tracked in a map keyed by stream
-// position, sizes come from the allocating OptimalSizes/ApplyTCorrection,
-// and all clustering scratch is fresh. It reads the planner's reservoirs and
+// position, sizes come from the allocating OptimalSizes, and all
+// clustering scratch is fresh. It reads the planner's reservoirs and
 // exact statistics and changes nothing.
 func naivePlan(ip *IncrementalPlanner) (plan *Plan, estimate, sampledTime float64, err error) {
 	names := append([]string(nil), ip.order...)
@@ -55,7 +55,7 @@ func naivePlan(ip *IncrementalPlanner) (plan *Plan, estimate, sampledTime float6
 
 	sizes := OptimalSizes(statsVec, ip.p)
 	if ip.p.SmallSampleT {
-		sizes = ApplyTCorrection(statsVec, sizes, ip.p)
+		applyTCorrection(statsVec, sizes, ip.p)
 	}
 
 	plan = &Plan{Params: ip.p}

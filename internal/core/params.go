@@ -70,9 +70,9 @@ func DefaultParams() Params {
 
 // Flat returns p with ROOT's hierarchical splitting disabled: one cluster
 // per kernel name, jointly sized by STEM — the ablation comparing ROOT's
-// fine-grained clustering against name-level clustering. Every planner
-// (BuildPlan, BuildPlanStream, IncrementalPlanner) honours it, because all
-// of them split through rootSplit, the only reader of the two fields.
+// fine-grained clustering against name-level clustering. Both planners
+// (BuildPlan, IncrementalPlanner) honour it, because both split through
+// rootSplit, the only reader of the two fields.
 func (p Params) Flat() Params {
 	p.MaxDepth = 1
 	p.MinClusterSize = 1 << 30 // never split

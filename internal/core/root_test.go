@@ -363,8 +363,6 @@ func TestPlanRejectsOverflowingTimes(t *testing.T) {
 	check("BuildPlan", plan, err)
 	plan, err = BuildPlan(names, times, p.Flat())
 	check("BuildPlan flat", plan, err)
-	plan, err = BuildPlanStream(SliceScanner{Names: names, Times: times}, p, StreamOptions{})
-	check("BuildPlanStream", plan, err)
 
 	ip := feedIncremental(t, names[:2], []float64{1, 1}, p, StreamOptions{})
 	_, err = ip.Plan()

@@ -1,5 +1,9 @@
 package core
 
+// The TestBuildPlanStream* tests pin the plan the streaming planner builds
+// from a whole stream: within the error bound, close to the in-memory
+// planner's effort, and with valid sample indices.
+
 import (
 	"math"
 	"testing"
@@ -7,40 +11,24 @@ import (
 	"stemroot/internal/rng"
 )
 
-func TestSliceScanner(t *testing.T) {
-	s := SliceScanner{Names: []string{"a", "b"}, Times: []float64{1, 2}}
-	var got []string
-	if err := s.Scan(func(n string, _ float64) bool {
-		got = append(got, n)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("scanned %d", len(got))
-	}
-	// Early stop.
-	count := 0
-	_ = s.Scan(func(string, float64) bool { count++; return false })
-	if count != 1 {
-		t.Fatalf("early stop scanned %d", count)
-	}
-	bad := SliceScanner{Names: []string{"a"}, Times: nil}
-	if err := bad.Scan(func(string, float64) bool { return true }); err == nil {
-		t.Fatal("expected mismatch error")
-	}
-}
-
 func TestReservoirUniformity(t *testing.T) {
-	// Mean of the reservoir approximates the stream mean.
+	// Mean of the reservoir approximates the stream mean, and every kept
+	// value travels with its own stream position.
 	r := rng.New(31)
-	rv := newReservoir[float64](500, rng.New(32))
+	rv := pairReservoir{cap: 500, r: rng.New(32)}
 	var sum float64
 	const n = 50000
-	for i := 0; i < n; i++ {
+	stream := make([]float64, n)
+	for i := range stream {
 		v := r.Float64() * 100
+		stream[i] = v
 		sum += v
-		rv.add(v)
+		rv.add(v, i)
+	}
+	for j, pos := range rv.pos {
+		if stream[pos] != rv.vals[j] {
+			t.Fatalf("slot %d holds %v but position %d had %v", j, rv.vals[j], pos, stream[pos])
+		}
 	}
 	streamMean := sum / n
 	var rsum float64
@@ -64,7 +52,7 @@ func TestBuildPlanStreamMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := BuildPlanStream(SliceScanner{Names: names, Times: times}, p, StreamOptions{})
+	stream, err := feedIncremental(t, names, times, p, StreamOptions{}).Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +82,7 @@ func TestBuildPlanStreamBoundedMemoryReservoir(t *testing.T) {
 	// A small reservoir still yields a within-bound plan.
 	names, times := bimodalTimes(20000, 42)
 	p := defaultP()
-	plan, err := BuildPlanStream(SliceScanner{Names: names, Times: times}, p,
-		StreamOptions{ReservoirCap: 256})
+	plan, err := feedIncremental(t, names, times, p, StreamOptions{ReservoirCap: 256}).Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +98,7 @@ func TestBuildPlanStreamBoundedMemoryReservoir(t *testing.T) {
 
 func TestBuildPlanStreamSeparatesPeaks(t *testing.T) {
 	names, times := bimodalTimes(20000, 43)
-	plan, err := BuildPlanStream(SliceScanner{Names: names, Times: times}, defaultP(), StreamOptions{})
+	plan, err := feedIncremental(t, names, times, defaultP(), StreamOptions{}).Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,19 +113,19 @@ func TestBuildPlanStreamSeparatesPeaks(t *testing.T) {
 }
 
 func TestBuildPlanStreamErrors(t *testing.T) {
-	if _, err := BuildPlanStream(SliceScanner{}, defaultP(), StreamOptions{}); err == nil {
+	if _, err := feedIncremental(t, nil, nil, defaultP(), StreamOptions{}).Plan(); err == nil {
 		t.Fatal("expected error for empty stream")
 	}
 	bad := defaultP()
 	bad.Epsilon = 0
-	if _, err := BuildPlanStream(SliceScanner{Names: []string{"a"}, Times: []float64{1}}, bad, StreamOptions{}); err == nil {
+	if _, err := NewIncrementalPlanner(bad, StreamOptions{}); err == nil {
 		t.Fatal("expected param error")
 	}
 }
 
 func TestBuildPlanStreamSampleIndicesValid(t *testing.T) {
 	names, times := bimodalTimes(5000, 44)
-	plan, err := BuildPlanStream(SliceScanner{Names: names, Times: times}, defaultP(), StreamOptions{})
+	plan, err := feedIncremental(t, names, times, defaultP(), StreamOptions{}).Plan()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,19 +12,11 @@ import (
 // choice.
 const smallSampleThreshold = 30
 
-// ApplyTCorrection inflates small sample sizes with Student-t quantiles:
-// a cluster sized m < 30 by the z-based model is resized with the fixed
-// point of m = ceil((t_{1-α/2, m-1}/ε · σ/μ)², clamped to [previous m, N].
-// Large clusters are untouched (t → z as m grows). This is an extension
-// beyond the paper, closing its own rule-of-thumb caveat.
-func ApplyTCorrection(clusters []ClusterStats, sizes []int, p Params) []int {
-	out := make([]int, len(sizes))
-	copy(out, sizes)
-	applyTCorrection(clusters, out, p)
-	return out
-}
-
-// applyTCorrection is ApplyTCorrection in place.
+// applyTCorrection inflates small sample sizes, in place, with Student-t
+// quantiles: a cluster sized m < 30 by the z-based model is resized with
+// the fixed point of m = ceil((t_{1-α/2, m-1}/ε · σ/μ)², clamped to
+// [previous m, N]. Large clusters are untouched (t → z as m grows). This is
+// an extension beyond the paper, closing its own rule-of-thumb caveat.
 func applyTCorrection(clusters []ClusterStats, sizes []int, p Params) {
 	for i, c := range clusters {
 		m := sizes[i]

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestTCorrectionInflatesSmallSizes(t *testing.T) {
 	p := defaultP()
@@ -9,7 +12,8 @@ func TestTCorrectionInflatesSmallSizes(t *testing.T) {
 		{N: 10000, Mean: 10, StdDev: 20}, // z-based m large (>30)
 	}
 	sizes := OptimalSizes(clusters, p)
-	corrected := ApplyTCorrection(clusters, sizes, p)
+	corrected := slices.Clone(sizes)
+	applyTCorrection(clusters, corrected, p)
 	if sizes[0] >= smallSampleThreshold {
 		t.Skipf("test premise broken: m0 = %d", sizes[0])
 	}
@@ -25,7 +29,8 @@ func TestTCorrectionRespectsPopulation(t *testing.T) {
 	p := defaultP()
 	clusters := []ClusterStats{{N: 4, Mean: 10, StdDev: 9}}
 	sizes := []int{3}
-	corrected := ApplyTCorrection(clusters, sizes, p)
+	corrected := slices.Clone(sizes)
+	applyTCorrection(clusters, corrected, p)
 	if corrected[0] > 4 {
 		t.Fatalf("corrected size %d exceeds population", corrected[0])
 	}
@@ -38,7 +43,8 @@ func TestTCorrectionSkipsDegenerate(t *testing.T) {
 		{N: 100, Mean: 5, StdDev: 0},
 	}
 	sizes := []int{1, 1}
-	corrected := ApplyTCorrection(clusters, sizes, p)
+	corrected := slices.Clone(sizes)
+	applyTCorrection(clusters, corrected, p)
 	if corrected[0] != 1 || corrected[1] != 1 {
 		t.Fatalf("degenerate clusters changed: %v", corrected)
 	}

@@ -4,9 +4,7 @@
 // durations, and bursty / diurnal / multi-tenant arrival dynamics. Traces
 // are produced on the fly in O(1) memory — a 10⁷-invocation stream is
 // never materialized — and every Scan replays the identical sequence, so a
-// Stream satisfies the re-scannable profile-scanner contract used by the
-// two-pass planner while also feeding the single-pass planner or a CSV
-// pipe.
+// Stream feeds the streaming planner or a CSV pipe, as often as needed.
 package servetrace
 
 import (
@@ -289,8 +287,8 @@ func (s *Stream) ScanBytes(yield func(name []byte, timeUS float64) bool) error {
 	return s.scan(func(kernel int, t float64) bool { return yield(names[kernel], t) })
 }
 
-// Scan implements the re-scannable string-name profile-scanner contract
-// (one string conversion per row; use ScanBytes for the zero-alloc path).
+// Scan implements the string-name profile-scanner contract (one string
+// conversion per row; use ScanBytes for the zero-alloc path).
 func (s *Stream) Scan(yield func(name string, timeUS float64) bool) error {
 	return s.ScanBytes(func(name []byte, t float64) bool {
 		return yield(string(name), t)

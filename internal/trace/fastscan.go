@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 	"unsafe"
@@ -101,9 +100,8 @@ func trimLineEnd(line []byte) []byte {
 	return line
 }
 
-// FastCSVReader streams profile rows from an io.Reader. It is single-shot
-// (the reader is consumed); use FastCSVScanner for the re-scannable
-// file-based variant.
+// FastCSVReader streams profile rows from an io.Reader. It is single-shot:
+// the reader is consumed.
 type FastCSVReader struct {
 	br      *bufio.Reader
 	line    int               // physical lines consumed on the plain path
@@ -305,32 +303,4 @@ func (fr *FastCSVReader) Scan(yield func(name string, timeUS float64) bool) erro
 		}
 		return yield(name, t)
 	})
-}
-
-// FastCSVScanner is the re-scannable, file-backed profile source: every
-// Scan re-reads the file, the access pattern the two-pass streaming
-// planner needs for out-of-core profiles.
-type FastCSVScanner struct {
-	Path string
-}
-
-// ScanBytes streams the file through the zero-alloc decoder. Name slices
-// are only valid during the yield.
-func (s FastCSVScanner) ScanBytes(yield func(name []byte, timeUS float64) bool) error {
-	return s.read(func(fr *FastCSVReader) error { return fr.ScanBytes(yield) })
-}
-
-// Scan implements the streaming-profile interface with interned string
-// names.
-func (s FastCSVScanner) Scan(yield func(name string, timeUS float64) bool) error {
-	return s.read(func(fr *FastCSVReader) error { return fr.Scan(yield) })
-}
-
-func (s FastCSVScanner) read(scan func(*FastCSVReader) error) error {
-	f, err := os.Open(s.Path)
-	if err != nil {
-		return fmt.Errorf("trace: open profile: %w", err)
-	}
-	defer f.Close()
-	return scan(NewFastCSVReader(f))
 }

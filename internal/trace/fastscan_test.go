@@ -25,6 +25,18 @@ func writeTempCSV(t *testing.T, body string) string {
 	return p
 }
 
+// fileReader opens path for one FastCSVReader pass; the file is closed when
+// the test ends.
+func fileReader(t *testing.T, path string) *FastCSVReader {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return NewFastCSVReader(f)
+}
+
 func collect(t *testing.T, s interface {
 	Scan(func(string, float64) bool) error
 }) ([]string, []float64) {
@@ -59,7 +71,7 @@ func TestFastCSVScannerMatchesCSVScanner(t *testing.T) {
 	wantN := []string{"gemm", "softmax", "quoted,name", "plain after quote", "two\nlines \"q\"", "layer norm"}
 	wantT := []float64{1.5, 0.225, 3, 3.5, 4, 4.125}
 
-	gotN, gotT := collect(t, FastCSVScanner{Path: writeTempCSV(t, body)})
+	gotN, gotT := collect(t, fileReader(t, writeTempCSV(t, body)))
 	if !reflect.DeepEqual(gotN, wantN) || !reflect.DeepEqual(gotT, wantT) {
 		t.Fatalf("scanned (%q, %v), want (%q, %v)", gotN, gotT, wantN, wantT)
 	}
@@ -144,7 +156,7 @@ func TestReadProfileCSVAllocs(t *testing.T) {
 func TestFastCSVScannerEarlyStop(t *testing.T) {
 	p := writeTempCSV(t, "seq,name,time_us\n0,a,1\n1,b,2\n2,c,3\n")
 	count := 0
-	if err := (FastCSVScanner{Path: p}).Scan(func(string, float64) bool {
+	if err := fileReader(t, p).Scan(func(string, float64) bool {
 		count++
 		return count < 2
 	}); err != nil {
@@ -157,11 +169,10 @@ func TestFastCSVScannerEarlyStop(t *testing.T) {
 
 func TestFastCSVScannerRescannable(t *testing.T) {
 	p := writeTempCSV(t, "seq,name,time_us\n0,a,1\n1,b,2\n")
-	s := FastCSVScanner{Path: p}
-	n1, t1 := collect(t, s)
-	n2, t2 := collect(t, s)
+	n1, t1 := collect(t, fileReader(t, p))
+	n2, t2 := collect(t, fileReader(t, p))
 	if len(n1) != 2 || len(n2) != 2 || n1[0] != n2[0] || t1[1] != t2[1] {
-		t.Fatal("second Scan differs from first")
+		t.Fatal("second read of the file differs from the first")
 	}
 }
 
@@ -215,7 +226,7 @@ func TestFastCSVScannerHeaderErrors(t *testing.T) {
 		"seq,name\n",
 	} {
 		p := writeTempCSV(t, body)
-		if err := (FastCSVScanner{Path: p}).Scan(func(string, float64) bool { return true }); err == nil {
+		if err := fileReader(t, p).Scan(func(string, float64) bool { return true }); err == nil {
 			t.Fatalf("expected header error for %q", body)
 		}
 	}
@@ -225,7 +236,7 @@ func TestFastCSVScannerHugeLine(t *testing.T) {
 	// A row far longer than the bufio window must spill, not corrupt.
 	long := strings.Repeat("k", 3<<20)
 	p := writeTempCSV(t, "seq,name,time_us\n0,"+long+",9\n1,b,2\n")
-	names, times := collect(t, FastCSVScanner{Path: p})
+	names, times := collect(t, fileReader(t, p))
 	if len(names) != 2 || names[0] != long || times[0] != 9 || names[1] != "b" {
 		t.Fatalf("huge-line scan: %d rows, len(name0)=%d", len(names), len(names[0]))
 	}
@@ -242,8 +253,13 @@ func TestScanBytesAllocFree(t *testing.T) {
 	p := writeTempCSV(t, body)
 
 	allocs := testing.AllocsPerRun(3, func() {
+		f, err := os.Open(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
 		var n int
-		if err := (FastCSVScanner{Path: p}).ScanBytes(func(name []byte, v float64) bool {
+		if err := NewFastCSVReader(f).ScanBytes(func(name []byte, v float64) bool {
 			n++
 			return true
 		}); err != nil {

@@ -227,10 +227,9 @@ func TestCSVScannerStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sc := FastCSVScanner{Path: path}
 	var names []string
 	var times []float64
-	if err := sc.Scan(func(n string, tt float64) bool {
+	if err := fileReader(t, path).Scan(func(n string, tt float64) bool {
 		names = append(names, n)
 		times = append(times, tt)
 		return true
@@ -241,10 +240,9 @@ func TestCSVScannerStreams(t *testing.T) {
 		t.Fatalf("scanned %v %v", names, times)
 	}
 
-	// Repeat scans see the identical sequence (required by the two-pass
-	// planner).
+	// A second read of the file sees the identical sequence.
 	count := 0
-	if err := sc.Scan(func(string, float64) bool { count++; return true }); err != nil {
+	if err := fileReader(t, path).Scan(func(string, float64) bool { count++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 5 {
@@ -253,7 +251,7 @@ func TestCSVScannerStreams(t *testing.T) {
 
 	// Early stop.
 	count = 0
-	if err := sc.Scan(func(string, float64) bool { count++; return false }); err != nil {
+	if err := fileReader(t, path).Scan(func(string, float64) bool { count++; return false }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 1 {
@@ -262,22 +260,19 @@ func TestCSVScannerStreams(t *testing.T) {
 }
 
 func TestCSVScannerErrors(t *testing.T) {
-	if err := (FastCSVScanner{Path: "/nonexistent.csv"}).Scan(func(string, float64) bool { return true }); err == nil {
-		t.Fatal("expected open error")
-	}
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "bad.csv")
 	if err := os.WriteFile(bad, []byte("wrong,header,here\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := (FastCSVScanner{Path: bad}).Scan(func(string, float64) bool { return true }); err == nil {
+	if err := fileReader(t, bad).Scan(func(string, float64) bool { return true }); err == nil {
 		t.Fatal("expected header error")
 	}
 	bad2 := filepath.Join(dir, "bad2.csv")
 	if err := os.WriteFile(bad2, []byte("seq,name,time_us\n0,k,notanumber\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := (FastCSVScanner{Path: bad2}).Scan(func(string, float64) bool { return true }); err == nil {
+	if err := fileReader(t, bad2).Scan(func(string, float64) bool { return true }); err == nil {
 		t.Fatal("expected parse error")
 	}
 }

@@ -102,10 +102,15 @@ func (o Options) Params() core.Params {
 type Cluster struct {
 	// Kernel is the kernel name the cluster belongs to.
 	Kernel string
-	// Members are the invocation indices the cluster represents.
+	// Members are the invocation indices the cluster represents; nil in a
+	// streaming plan (SampleStream, StreamPlanner), where Weight carries
+	// the population.
 	Members []int
-	// Samples are the invocation indices to simulate (drawn with
-	// replacement; simulate distinct ones once and reuse the result).
+	// Samples are the invocation indices to simulate, drawn with
+	// replacement (simulate distinct ones once and reuse the result) —
+	// except in a capped cluster, whose sizing reached its population:
+	// that lists every member once (in a streaming plan, every member its
+	// kernel's reservoir kept).
 	Samples []int
 	// Weight multiplies each sample's measured time in the estimate.
 	Weight float64
@@ -118,7 +123,11 @@ type Plan struct {
 	// Clusters cover every invocation exactly once.
 	Clusters []Cluster
 	// PredictedError is the theoretical relative error bound of the plan
-	// (Eq. 4/5 of the paper), at most Epsilon by construction.
+	// (Eq. 4/5 of the paper), at most Epsilon except where capped clusters
+	// are involved: they are still charged their with-replacement
+	// variance, and when even simulating them in full would exhaust the
+	// bound, every remaining cluster is sized to its whole population and
+	// PredictedError can exceed Epsilon.
 	PredictedError float64
 	// Epsilon and Confidence echo the effective parameters.
 	Epsilon, Confidence float64
@@ -145,28 +154,34 @@ func Sample(names []string, timesUS []float64, opts Options) (*Plan, error) {
 			return nil, fmt.Errorf("stemroot: non-finite time %v at invocation %d", t, i)
 		}
 	}
-	p := opts.Params()
-	cp, err := core.BuildPlan(names, timesUS, p)
+	cp, err := core.BuildPlan(names, timesUS, opts.Params())
 	if err != nil {
 		return nil, err
 	}
+	return fromCore(cp), nil
+}
+
+// fromCore maps a planner's plan to the public shape. Streaming plans
+// carry no member indices, so their Members are nil.
+func fromCore(cp *core.Plan) *Plan {
 	plan := &Plan{
+		Clusters:       make([]Cluster, len(cp.Clusters)),
 		PredictedError: cp.PredictedError,
-		Epsilon:        p.Epsilon,
-		Confidence:     p.Confidence,
+		Epsilon:        cp.Params.Epsilon,
+		Confidence:     cp.Params.Confidence,
 	}
 	for i := range cp.Clusters {
 		c := &cp.Clusters[i]
-		plan.Clusters = append(plan.Clusters, Cluster{
+		plan.Clusters[i] = Cluster{
 			Kernel:  c.Name,
 			Members: c.Indices,
 			Samples: c.Samples,
 			Weight:  c.Weight,
 			Mean:    c.Stats.Mean,
 			StdDev:  c.Stats.StdDev,
-		})
+		}
 	}
-	return plan, nil
+	return plan
 }
 
 // SampledIndices returns the distinct invocation indices to simulate.

@@ -5,9 +5,10 @@ import (
 )
 
 // Scanner streams (kernel name, execution time µs) pairs in invocation
-// order; Scan must reproduce the identical sequence on each call. It lets
-// SampleStream plan over profiles too large to hold in memory (the paper's
-// large-scale traces reach tens of millions of invocations).
+// order. SampleStream calls Scan once, so a one-shot source such as stdin
+// works; it lets SampleStream plan over profiles too large to hold in
+// memory (the paper's large-scale traces reach tens of millions of
+// invocations).
 type Scanner interface {
 	Scan(yield func(name string, timeUS float64) bool) error
 }
@@ -17,65 +18,39 @@ type Scanner interface {
 type StreamOptions struct {
 	// ReservoirCap bounds the per-kernel time sample used for clustering;
 	// 0 means 8192. Peak memory is independent of trace length:
-	// O(#names × ReservoirCap) for the reservoirs plus the plan, and on top
-	// of that O(ReservoirCap) of re-plan scratch in StreamPlanner or
-	// O(#clusters × maxSampleSize) candidate index reservoirs in
-	// SampleStream.
+	// O(#names × ReservoirCap) for the reservoirs, O(ReservoirCap) of
+	// re-plan scratch, and the plan.
 	ReservoirCap int
 
 	// ReplanEvery is StreamPlanner's amortization factor: a cached plan is
 	// re-derived once the invocation count grows by this multiple since
-	// the last re-plan (0 means 2, the doubling schedule). SampleStream
-	// ignores it.
+	// the last re-plan (0 means 2, the doubling schedule).
 	ReplanEvery float64
 
 	// DriftTol re-plans early when any kernel's exact running mean moves
 	// by more than this fraction since the last re-plan (0 means 0.25;
-	// negative disables the drift trigger). SampleStream ignores it.
+	// negative disables the drift trigger).
 	DriftTol float64
 }
 
-func (o StreamOptions) core() core.StreamOptions {
-	return core.StreamOptions{
-		ReservoirCap: o.ReservoirCap,
-		ReplanEvery:  o.ReplanEvery,
-		DriftTol:     o.DriftTol,
-	}
-}
-
-// SampleStream is Sample for out-of-core profiles: two sequential passes
-// over the scanner build the same kind of plan Sample produces, with
-// bounded memory. Cluster statistics are exact (streamed); the clustering
-// itself runs on per-kernel uniform reservoirs.
+// SampleStream is Sample for out-of-core profiles: one scan feeds a
+// StreamPlanner, whose final plan it returns. Memory is bounded by the
+// reservoirs (see StreamOptions). Cluster statistics are exact for every
+// kernel whose invocations fit its reservoir; beyond that they are
+// reservoir estimates calibrated to the kernel's exact count and total
+// time. Members are not materialized; the weight carries the population.
 func SampleStream(src Scanner, opts Options, sopts StreamOptions) (*Plan, error) {
-	cp, err := core.BuildPlanStream(scannerAdapter{src}, opts.Params(), sopts.core())
+	sp, err := NewStreamPlanner(opts, sopts)
 	if err != nil {
 		return nil, err
 	}
-	return convertStreamPlan(cp, opts.Params()), nil
-}
-
-// convertStreamPlan maps an internal streaming plan (no materialized
-// members) to the public shape.
-func convertStreamPlan(cp *core.Plan, p core.Params) *Plan {
-	plan := &Plan{
-		PredictedError: cp.PredictedError,
-		Epsilon:        p.Epsilon,
-		Confidence:     p.Confidence,
+	if err := src.Scan(func(name string, timeUS float64) bool {
+		sp.Add(name, timeUS)
+		return true
+	}); err != nil {
+		return nil, err
 	}
-	for i := range cp.Clusters {
-		c := &cp.Clusters[i]
-		plan.Clusters = append(plan.Clusters, Cluster{
-			Kernel: c.Name,
-			// Members are not materialized in streaming mode; the weight
-			// carries the population.
-			Samples: c.Samples,
-			Weight:  c.Weight,
-			Mean:    c.Stats.Mean,
-			StdDev:  c.Stats.StdDev,
-		})
-	}
-	return plan
+	return sp.Plan()
 }
 
 // StreamPlanner maintains a sampling plan over a live profile stream in a
@@ -87,17 +62,15 @@ func convertStreamPlan(cp *core.Plan, p core.Params) *Plan {
 // goroutine.
 type StreamPlanner struct {
 	ip *core.IncrementalPlanner
-	p  core.Params
 }
 
 // NewStreamPlanner validates the options and returns an empty planner.
 func NewStreamPlanner(opts Options, sopts StreamOptions) (*StreamPlanner, error) {
-	p := opts.Params()
-	ip, err := core.NewIncrementalPlanner(p, sopts.core())
+	ip, err := core.NewIncrementalPlanner(opts.Params(), core.StreamOptions(sopts))
 	if err != nil {
 		return nil, err
 	}
-	return &StreamPlanner{ip: ip, p: p}, nil
+	return &StreamPlanner{ip: ip}, nil
 }
 
 // Add ingests one invocation. A time that is negative, NaN or infinite is
@@ -131,7 +104,7 @@ func (sp *StreamPlanner) CurrentPlan() (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return convertStreamPlan(cp, sp.p), nil
+	return fromCore(cp), nil
 }
 
 // Plan forces a fresh re-derivation regardless of the schedule. The result
@@ -142,7 +115,7 @@ func (sp *StreamPlanner) Plan() (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return convertStreamPlan(cp, sp.p), nil
+	return fromCore(cp), nil
 }
 
 // Snapshot is a rolling summary of the stream and its current plan.
@@ -194,11 +167,4 @@ func (sp *StreamPlanner) Snapshot() (Snapshot, error) {
 		PredictedError: cp.PredictedError,
 		Replans:        sp.ip.Replans(),
 	}, nil
-}
-
-// scannerAdapter bridges the public Scanner to the internal interface.
-type scannerAdapter struct{ s Scanner }
-
-func (a scannerAdapter) Scan(yield func(string, float64) bool) error {
-	return a.s.Scan(yield)
 }

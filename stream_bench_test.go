@@ -61,11 +61,22 @@ func servingCSV(b *testing.B) (string, int64, int) {
 	return benchTrace.path, benchTrace.size, benchTrace.rows
 }
 
-// BenchmarkStreamIngest compares the planning paths end to end on the same
-// on-disk serving trace: onepass is the StreamPlanner fed by ScanBytes (one
-// scan, no per-row garbage), twopass is SampleStream over the same
-// decoder's interned-string Scan (two scans). bytes/s measures CSV
-// throughput.
+// scanServingCSV decodes the on-disk serving trace through the zero-alloc
+// ScanBytes path.
+func scanServingCSV(b *testing.B, path string, yield func(name []byte, t float64) bool) {
+	f, err := os.Open(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	if err := trace.NewFastCSVReader(f).ScanBytes(yield); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkStreamIngest measures planning end to end on the on-disk serving
+// trace: the StreamPlanner fed by ScanBytes (one scan, no per-row garbage).
+// bytes/s measures CSV throughput.
 func BenchmarkStreamIngest(b *testing.B) {
 	path, size, rows := servingCSV(b)
 
@@ -77,31 +88,15 @@ func BenchmarkStreamIngest(b *testing.B) {
 				b.Fatal(err)
 			}
 			n := 0
-			if err := (trace.FastCSVScanner{Path: path}).ScanBytes(func(name []byte, t float64) bool {
+			scanServingCSV(b, path, func(name []byte, t float64) bool {
 				sp.AddBytes(name, t)
 				n++
 				return true
-			}); err != nil {
-				b.Fatal(err)
-			}
+			})
 			if n != rows {
 				b.Fatalf("scanned %d rows", n)
 			}
 			plan, err := sp.Plan()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(plan.Clusters) == 0 {
-				b.Fatal("empty plan")
-			}
-		}
-	})
-
-	b.Run("twopass", func(b *testing.B) {
-		b.SetBytes(size)
-		for i := 0; i < b.N; i++ {
-			plan, err := stemroot.SampleStream(trace.FastCSVScanner{Path: path},
-				stemroot.Options{}, stemroot.StreamOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -121,12 +116,10 @@ func BenchmarkIncrementalPlan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := (trace.FastCSVScanner{Path: path}).ScanBytes(func(name []byte, t float64) bool {
+	scanServingCSV(b, path, func(name []byte, t float64) bool {
 		sp.AddBytes(name, t)
 		return true
-	}); err != nil {
-		b.Fatal(err)
-	}
+	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sp.Plan(); err != nil {

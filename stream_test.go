@@ -1,10 +1,14 @@
 package stemroot
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"math"
 	"reflect"
 	"testing"
+
+	"stemroot/internal/rng"
 )
 
 type sliceScanner struct {
@@ -93,19 +97,22 @@ func TestSampleStreamSingleKernel(t *testing.T) {
 	}
 }
 
-// failingScanner errors after yielding failAfter rows, on pass number
-// failOnPass (1-based) — to exercise error propagation from either
-// streaming pass.
+// failingScanner yields its rows, or fails with errScannerBroke when
+// broken; a second Scan call is an error either way, because a one-shot
+// source such as stdin cannot be re-read.
 type failingScanner struct {
-	names      []string
-	times      []float64
-	failOnPass int
-	pass       int
+	names   []string
+	times   []float64
+	broken  bool
+	scanned bool
 }
 
 func (s *failingScanner) Scan(yield func(string, float64) bool) error {
-	s.pass++
-	if s.pass == s.failOnPass {
+	if s.scanned {
+		return errors.New("one-shot scanner scanned twice")
+	}
+	s.scanned = true
+	if s.broken {
 		return errScannerBroke
 	}
 	for i := range s.names {
@@ -120,11 +127,116 @@ var errScannerBroke = errors.New("scanner broke")
 
 func TestSampleStreamScanErrorPropagation(t *testing.T) {
 	names, times := syntheticProfile(1000, 11)
-	for pass := 1; pass <= 2; pass++ {
-		sc := &failingScanner{names: names, times: times, failOnPass: pass}
-		_, err := SampleStream(sc, Options{}, StreamOptions{})
-		if !errors.Is(err, errScannerBroke) {
-			t.Fatalf("pass-%d scanner error not propagated: %v", pass, err)
+	sc := &failingScanner{names: names, times: times, broken: true}
+	if _, err := SampleStream(sc, Options{}, StreamOptions{}); !errors.Is(err, errScannerBroke) {
+		t.Fatalf("scanner error not propagated: %v", err)
+	}
+}
+
+func TestSampleStreamScansOnce(t *testing.T) {
+	names, times := syntheticProfile(1000, 11)
+	plan, err := SampleStream(&failingScanner{names: names, times: times}, Options{}, StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Clusters) == 0 {
+		t.Fatal("no clusters")
+	}
+}
+
+// TestSampleStreamPinnedPlans pins SampleStream's plan JSON on
+// in-reservoir traces to hashes recorded when it was a two-pass planner:
+// the one-pass planner reproduces that plan bit for bit whenever every
+// kernel fits its reservoir.
+func TestSampleStreamPinnedPlans(t *testing.T) {
+	synth := func() ([]string, []float64) { return syntheticProfile(20000, 12) }
+	small := func() ([]string, []float64) { return syntheticProfile(3000, 13) }
+	lognormal := func() ([]string, []float64) { return lognormalProfile(20000, 21) }
+	for _, c := range []struct {
+		profile func() ([]string, []float64)
+		opts    Options
+		sha256  string
+	}{
+		{small, Options{}, "1e5a31d44ce35bc03a8b127bc66bebd8bf13d56773e04172e67cf9666d0fe58a"},
+		{small, Options{Epsilon: 0.01, Seed: 7}, "3e3ae2ef8829ff385cd20d22c78bf65bbb985a4717255cfac2d6b35c21aa007d"},
+		{small, Options{Flat: true}, "38c0350af20632d69514ce2a699c82c3ec21e47448f0ec6c156be4051afebd43"},
+		{synth, Options{}, "036c858bd262946df66dc4102c00cce8c7ab9a91359327fd484ccd67dffecfe3"},
+		{synth, Options{Epsilon: 0.01, Seed: 7}, "173c8347f8dc1c3b1530e69d6b4197f88421279c1afe9f9d354a71a69779d7f7"},
+		{synth, Options{Flat: true}, "04b991a7f54f4881488f1f0797cee95d121546e857346c862c2aed754f73170a"},
+		{lognormal, Options{}, "2dd39194484b6258e7b73aeba5a4833ed28cc6cb31e302bee7030adf91acd4a7"},
+		{lognormal, Options{Epsilon: 0.01, Seed: 7}, "b3dee8d8c601c560befbf4ba560e2cbae6a06197a9f6f0d3d053275b90b43bd5"},
+		{lognormal, Options{Flat: true}, "cc5406434f096312dd8bc25a107bfa1d23142e27ac647835ba5f27ccd3616eb5"},
+		{lognormal, Options{SmallSampleT: true}, "2dd39194484b6258e7b73aeba5a4833ed28cc6cb31e302bee7030adf91acd4a7"},
+	} {
+		names, times := c.profile()
+		plan, err := SampleStream(sliceScanner{names, times}, c.opts, StreamOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		if err := plan.WriteJSON(h); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.sha256 {
+			t.Errorf("%d rows, %+v: plan JSON sha256 %s, pinned %s", len(names), c.opts, got, c.sha256)
+		}
+	}
+}
+
+// lognormalProfile interleaves four lognormal kernels of growing spread.
+func lognormalProfile(n int, seed uint64) ([]string, []float64) {
+	kernels := [4]string{"attn", "gemm", "norm", "softmax"}
+	r := rng.New(seed)
+	names := make([]string, n)
+	times := make([]float64, n)
+	for i := range names {
+		k := i % len(kernels)
+		names[i] = kernels[k]
+		times[i] = r.LogNormal(float64(k), 0.3+0.2*float64(k))
+	}
+	return names, times
+}
+
+// wilsonUpper is the upper limit of the Wilson score interval for k
+// successes in n trials at normal quantile z.
+func wilsonUpper(k, n int, z float64) float64 {
+	p, nf := float64(k)/float64(n), float64(n)
+	d := 1 + z*z/nf
+	return (p + z*z/(2*nf) + z*math.Sqrt(p*(1-p)/nf+z*z/(4*nf*nf))) / d
+}
+
+// TestSampleStreamCoverageOverCapacity scores the realised profile-time
+// coverage of plans whose kernels overflow their reservoirs, where cluster
+// statistics are reservoir estimates: over 300 plan seeds, the share of
+// plans whose extrapolation lands within ε of the true total must not be
+// credibly below the 95 % confidence (Wilson upper limit >= 0.95).
+func TestSampleStreamCoverageOverCapacity(t *testing.T) {
+	const seeds, confidence = 300, 0.95
+	names, times := lognormalProfile(20000, 21)
+	var truth float64
+	for _, v := range times {
+		truth += v
+	}
+	for _, rcap := range []int{256, 512} {
+		for _, eps := range []float64{0.01, 0.05} {
+			covered := 0
+			for seed := 1; seed <= seeds; seed++ {
+				plan, err := SampleStream(sliceScanner{names, times},
+					Options{Epsilon: eps, Confidence: confidence, Seed: uint64(seed)},
+					StreamOptions{ReservoirCap: rcap})
+				if err != nil {
+					t.Fatal(err)
+				}
+				est := plan.Estimate(func(i int) float64 { return times[i] })
+				if math.Abs(est-truth) <= eps*truth {
+					covered++
+				}
+			}
+			hi := wilsonUpper(covered, seeds, 1.959963984540054)
+			t.Logf("cap %d, ε %.2f: %d/%d covered, Wilson upper %.3f", rcap, eps, covered, seeds, hi)
+			if hi < confidence {
+				t.Errorf("cap %d, ε %.2f: coverage %d/%d, Wilson upper %.3f < %.2f", rcap, eps, covered, seeds, hi, confidence)
+			}
 		}
 	}
 }
@@ -147,8 +259,8 @@ func TestSampleStreamDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestStreamPlannerMatchesSampleStream(t *testing.T) {
-	// The single-pass public planner reproduces the two-pass plan exactly
-	// on an in-reservoir trace.
+	// SampleStream is a driver over the same planner: feeding the rows by
+	// hand gives the identical plan.
 	names, times := syntheticProfile(3000, 13)
 	want, err := SampleStream(sliceScanner{names, times}, Options{}, StreamOptions{})
 	if err != nil {
@@ -166,7 +278,7 @@ func TestStreamPlannerMatchesSampleStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("StreamPlanner plan differs from two-pass SampleStream")
+		t.Fatal("StreamPlanner plan differs from SampleStream")
 	}
 }
 
