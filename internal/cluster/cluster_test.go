@@ -41,6 +41,38 @@ func TestKMeansSeparatesBlobs(t *testing.T) {
 	}
 }
 
+// TestKMeansStopsAfterOneLloydStep pins a known defect: both k-means paths
+// start the previous inertia at +Inf, so the stop test after the first step
+// reads +Inf <= Tol·+Inf and every run is k-means++ seeding, one Lloyd step
+// and the final assignment — whatever MaxIter and Tol say. Fixing it moves
+// every ROOT split and PKA plan, so the fix must change this test on purpose.
+func TestKMeansStopsAfterOneLloydStep(t *testing.T) {
+	r := rng.New(27)
+	var s Scratch1D
+	for call := 0; call < 2000; call++ {
+		n, k := 2+r.Intn(300), 2+r.Intn(4)
+		vals := make([]float64, n)
+		pts := make([][]float64, n)
+		for i := range vals {
+			vals[i] = math.Exp(r.NormFloat64()) * float64(1+r.Intn(3))
+			pts[i] = []float64{vals[i], r.NormFloat64()}
+		}
+		opts := Options{Seed: r.Uint64(), MaxIter: 1 + r.Intn(200), Tol: []float64{0, 1e-12, 0.5}[call%3]}
+		res1, err := s.KMeans(vals, k, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := KMeans(pts, k, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res1.Iterations != 1 || res.Iterations != 1 {
+			t.Fatalf("call %d (n=%d k=%d %+v): %d and %d Lloyd steps, the defect pinned here takes 1",
+				call, n, k, opts, res1.Iterations, res.Iterations)
+		}
+	}
+}
+
 func TestKMeans1DBimodal(t *testing.T) {
 	r := rng.New(2)
 	var vals []float64

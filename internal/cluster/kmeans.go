@@ -39,6 +39,12 @@ type Result struct {
 }
 
 // Options configures KMeans.
+//
+// Known defect, kept because every ROOT split and PKA plan depends on it:
+// both k-means paths start the previous inertia at +Inf, so the stop test
+// after the first Lloyd step reads +Inf <= Tol·+Inf and a run is k-means++
+// seeding, one Lloyd step and the final assignment. MaxIter and Tol never
+// act (TestKMeansStopsAfterOneLloydStep).
 type Options struct {
 	MaxIter int     // maximum Lloyd iterations (default 100)
 	Tol     float64 // relative inertia improvement to keep iterating (default 1e-6)

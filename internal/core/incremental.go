@@ -56,25 +56,30 @@ func invalidTimeError(t float64, invocation int) error {
 	return fmt.Errorf("core: time %v at invocation %d is not a finite non-negative number", t, invocation)
 }
 
-// cutScratch holds the reusable buffers of deriveCuts so amortized
+// cutScratch holds the reusable buffers of leafCuts so amortized
 // re-clustering allocates nothing once warm.
 type cutScratch struct {
 	valBuf []float64
 	idxBuf []int
 	leaves []Cluster
-	spans  []valueSpan
+	cuts   []leafCut
 }
 
-type valueSpan struct{ lo, hi float64 }
+// leafCut is one ROOT leaf of a kernel's reservoir: its largest value, which
+// is the upper bound of its interval, and its statistics.
+type leafCut struct {
+	hi float64
+	cs ClusterStats
+}
 
-// deriveCuts clusters one kernel's reservoir values with ROOT and appends
-// the resulting half-open interval upper bounds to dst in ascending order
-// (the last cut is +Inf, so every real time assigns to some interval).
-// Leaves of 1-D k-means are contiguous, so each leaf becomes a value span;
-// adjacent spans are cut halfway between so unseen values assign to the
-// nearer cluster. vals is read in its original (insertion) order and never
-// mutated — the recursion partitions a scratch copy.
-func (sc *cutScratch) deriveCuts(dst []float64, name string, vals []float64, p Params, a *splitArena) []float64 {
+// leafCuts clusters one kernel's reservoir values with ROOT and returns the
+// leaves in ascending order of value. 1-D k-means assigns by value, so the
+// leaves are disjoint value ranges and intervalOf over their largest values
+// sends every reservoir value to its own leaf. A leaf's statistics are the
+// ones rootSplit folded over its members in reservoir order, which for an
+// in-reservoir kernel is stream order. vals is never mutated — the
+// recursion partitions a scratch copy.
+func (sc *cutScratch) leafCuts(name string, vals []float64, p Params, a *splitArena) []leafCut {
 	sc.valBuf = append(sc.valBuf[:0], vals...)
 	if cap(sc.idxBuf) < len(vals) {
 		sc.idxBuf = make([]int, len(vals))
@@ -84,29 +89,18 @@ func (sc *cutScratch) deriveCuts(dst []float64, name string, vals []float64, p P
 		idxs[i] = i
 	}
 	sc.leaves = rootSplit(name, sc.valBuf, idxs, StatsOf(sc.valBuf), p, 0, sc.leaves[:0], a)
-	sc.spans = sc.spans[:0]
+	sc.cuts = sc.cuts[:0]
 	for _, leaf := range sc.leaves {
-		lo, hi := math.Inf(1), math.Inf(-1)
+		hi := math.Inf(-1)
 		for _, ix := range leaf.Indices {
-			v := vals[ix]
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
+			if vals[ix] > hi {
+				hi = vals[ix]
 			}
 		}
-		sc.spans = append(sc.spans, valueSpan{lo, hi})
+		sc.cuts = append(sc.cuts, leafCut{hi, leaf.Stats})
 	}
-	slices.SortFunc(sc.spans, func(a, b valueSpan) int { return cmp.Compare(a.lo, b.lo) })
-	for i, sp := range sc.spans {
-		hi := math.Inf(1)
-		if i+1 < len(sc.spans) {
-			hi = (sp.hi + sc.spans[i+1].lo) / 2
-		}
-		dst = append(dst, hi)
-	}
-	return dst
+	slices.SortFunc(sc.cuts, func(a, b leafCut) int { return cmp.Compare(a.hi, b.hi) })
+	return sc.cuts
 }
 
 // intervalOf returns which of the half-open intervals with the ascending
@@ -356,21 +350,15 @@ func (ip *IncrementalPlanner) Plan() (*Plan, error) {
 	ip.sorted = append(ip.sorted[:0], ip.order...)
 	sort.Strings(ip.sorted)
 
-	// Phase 1, per name: derive the intervals and fold the reservoir into
-	// their Welford moments. Insertion order is stream order, so in-reservoir
-	// kernels get the exact statistics bit for bit. Which slot fell where
-	// is not kept — phase 3 re-derives it for one name at a time.
+	// Phase 1, per name: the intervals are ROOT's leaves, with their
+	// statistics. Which slot fell where is not kept — phase 3 re-derives it
+	// for one name at a time.
 	ip.cuts, ip.intervals = ip.cuts[:0], ip.intervals[:0]
 	for _, name := range ip.sorted {
 		st := ip.states[name]
-		base := len(ip.cuts)
-		ip.cuts = ip.sc.deriveCuts(ip.cuts, name, st.res.vals, ip.p, &ip.arena)
-		for range ip.cuts[base:] {
-			ip.intervals = append(ip.intervals, incInterval{name: name, st: st})
-		}
-		cuts, ivs := ip.cuts[base:], ip.intervals[base:]
-		for _, v := range st.res.vals {
-			ivs[intervalOf(cuts, v)].acc.Add(v)
+		for _, lc := range ip.sc.leafCuts(name, st.res.vals, ip.p, &ip.arena) {
+			ip.cuts = append(ip.cuts, lc.hi)
+			ip.intervals = append(ip.intervals, incInterval{name: name, st: st, cs: lc.cs})
 		}
 	}
 	intervals := ip.intervals
@@ -420,7 +408,7 @@ func (ip *IncrementalPlanner) Plan() (*Plan, error) {
 				continue
 			}
 			end := ip.ends[i-lo]
-			pool := ip.perm[end-iv.acc.N() : end]
+			pool := ip.perm[end-iv.cs.N : end]
 			all := m >= cs.N
 			if all {
 				// Exact coverage needs an index for every member; cap at
@@ -466,12 +454,12 @@ func (ip *IncrementalPlanner) Plan() (*Plan, error) {
 }
 
 // incInterval is one derived cluster interval during Plan: the owning
-// kernel's state, the Welford moments of the reservoir members that fell in
-// the interval, and the kernel's calibration scale.
+// kernel's state, the statistics of the reservoir members in the interval
+// (its ROOT leaf's), and the kernel's calibration scale.
 type incInterval struct {
 	name  string
 	st    *incNameState
-	acc   stats.Online
+	cs    ClusterStats
 	scale float64
 }
 
@@ -491,14 +479,13 @@ func nameRun(intervals []incInterval, lo int) int {
 
 // groupSlots is a stable counting sort of one kernel's reservoir slots by
 // interval into ip.perm, leaving each interval's end offset in ip.ends. The
-// group sizes are already known: they are the counts of the moments phase 1
-// accumulated with the same intervalOf.
+// group sizes are already known: they are the leaves' populations.
 func (ip *IncrementalPlanner) groupSlots(vals, cuts []float64, ivs []incInterval) {
 	ip.ends = sized(ip.ends, len(ivs))
 	at := 0
 	for j := range ivs {
 		ip.ends[j] = at // the group's start, advanced to its end below
-		at += ivs[j].acc.N()
+		at += ivs[j].cs.N
 	}
 	ip.perm = sized(ip.perm, len(vals))
 	for slot, v := range vals {
@@ -510,8 +497,8 @@ func (ip *IncrementalPlanner) groupSlots(vals, cuts []float64, ivs []incInterval
 
 // nameStats fills out with the cluster statistics of one kernel's
 // intervals and returns the name's calibration scale. When the reservoir
-// retained every observation the per-interval Welford moments ARE the exact
-// statistics (folded in stream order) and the scale is exactly 1.
+// retained every observation the leaves' statistics ARE the exact ones
+// (folded in stream order) and the scale is exactly 1.
 // Otherwise the reservoir is a uniform sample: interval populations are
 // apportioned from the exact count by largest remainder
 // (they sum exactly to N), and means/deviations are scaled so the plan's
@@ -520,8 +507,7 @@ func (ip *IncrementalPlanner) nameStats(out []ClusterStats, st *incNameState, in
 	r := len(st.res.vals)
 	if st.res.seen <= r {
 		for i := range intervals {
-			o := &intervals[i].acc
-			out[i] = ClusterStats{N: o.N(), Mean: o.Mean(), StdDev: o.StdDev()}
+			out[i] = intervals[i].cs
 		}
 		return 1
 	}
@@ -530,7 +516,7 @@ func (ip *IncrementalPlanner) nameStats(out []ClusterStats, st *incNameState, in
 	exactN := st.exact.N()
 	assigned := 0
 	for i := range intervals {
-		q := exactN * intervals[i].acc.N() / r
+		q := exactN * intervals[i].cs.N / r
 		if q < 1 {
 			q = 1 // every interval has >= 1 reservoir member
 		}
@@ -542,7 +528,7 @@ func (ip *IncrementalPlanner) nameStats(out []ClusterStats, st *incNameState, in
 	for assigned < exactN {
 		best, bestRem := 0, -1.0
 		for i := range intervals {
-			rem := float64(exactN*intervals[i].acc.N())/float64(r) - float64(out[i].N)
+			rem := float64(exactN*intervals[i].cs.N)/float64(r) - float64(out[i].N)
 			if rem > bestRem {
 				best, bestRem = i, rem
 			}
@@ -556,7 +542,7 @@ func (ip *IncrementalPlanner) nameStats(out []ClusterStats, st *incNameState, in
 			if out[i].N <= 1 {
 				continue
 			}
-			rem := float64(exactN*intervals[i].acc.N())/float64(r) - float64(out[i].N)
+			rem := float64(exactN*intervals[i].cs.N)/float64(r) - float64(out[i].N)
 			if rem < bestRem {
 				best, bestRem = i, rem
 			}
@@ -572,8 +558,8 @@ func (ip *IncrementalPlanner) nameStats(out []ClusterStats, st *incNameState, in
 	// exact per-name total. Deviations scale with the values.
 	var implied float64
 	for i := range intervals {
-		out[i].Mean = intervals[i].acc.Mean()
-		out[i].StdDev = intervals[i].acc.StdDev()
+		out[i].Mean = intervals[i].cs.Mean
+		out[i].StdDev = intervals[i].cs.StdDev
 		implied += float64(out[i].N) * out[i].Mean
 	}
 	exactSum := st.exact.Summary().Sum

@@ -8,12 +8,14 @@ import (
 	"testing"
 
 	"stemroot/internal/rng"
+	"stemroot/internal/stats"
 )
 
 // naivePlan is the oracle for IncrementalPlanner.Plan: the derivation as it
-// was first written, with nothing reused. Every interval gets its own
-// candidate pool (stream positions and their times, copied out of the
-// reservoir), distinct samples are tracked in a map keyed by stream
+// was first written, with nothing reused. Every interval's moments are
+// folded from the reservoir values intervalOf sends it, every interval gets
+// its own candidate pool (stream positions and their times, copied out of
+// the reservoir), distinct samples are tracked in a map keyed by stream
 // position, sizes come from the allocating OptimalSizes, and all
 // clustering scratch is fresh. It reads the planner's reservoirs and
 // exact statistics and changes nothing.
@@ -31,17 +33,24 @@ func naivePlan(ip *IncrementalPlanner) (plan *Plan, estimate, sampledTime float6
 	var calScale []float64
 	for _, name := range names {
 		st := ip.states[name]
-		cuts := new(cutScratch).deriveCuts(nil, name, st.res.vals, ip.p, new(splitArena))
-		mine := make([]incInterval, len(cuts))
+		var cuts []float64
+		for _, lc := range new(cutScratch).leafCuts(name, st.res.vals, ip.p, new(splitArena)) {
+			cuts = append(cuts, lc.hi)
+		}
+		acc := make([]stats.Online, len(cuts))
 		pools := make([]interval, len(cuts))
 		for i, v := range st.res.vals {
 			j := sort.SearchFloat64s(cuts, v)
 			if j >= len(cuts) {
 				j = len(cuts) - 1
 			}
-			mine[j].acc.Add(v)
+			acc[j].Add(v)
 			pools[j].pool = append(pools[j].pool, st.res.pos[i])
 			pools[j].vals = append(pools[j].vals, v)
+		}
+		mine := make([]incInterval, len(cuts))
+		for j := range acc {
+			mine[j].cs = ClusterStats{N: acc[j].N(), Mean: acc[j].Mean(), StdDev: acc[j].StdDev()}
 		}
 		out := make([]ClusterStats, len(cuts))
 		s := ip.nameStats(out, st, mine)

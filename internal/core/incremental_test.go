@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"stemroot/internal/rng"
@@ -84,6 +85,51 @@ func TestIncrementalPlanMatchesExactStats(t *testing.T) {
 	for i, want := range exact {
 		if got := plan.Clusters[i].Stats; got != want {
 			t.Fatalf("cluster %d statistics %+v, exact %+v", i, got, want)
+		}
+	}
+}
+
+// TestReplanIntervalsAreLeaves: a re-plan's intervals are ROOT's leaves of
+// each reservoir, one for one. Every reservoir slot falls in the interval
+// of its own leaf, and the interval carries that leaf's statistics — within
+// reservoir capacity and above it, where the reservoir is a sample.
+func TestReplanIntervalsAreLeaves(t *testing.T) {
+	for _, tc := range []struct {
+		cap, n, kernels int
+	}{{0, 6000, 6}, {64, 12000, 12}, {512, 40000, 8}} {
+		names, times := oracleStream(uint64(tc.n), tc.n, tc.kernels, true)
+		ip := feedIncremental(t, names, times, defaultP(), StreamOptions{ReservoirCap: tc.cap})
+		if _, err := ip.Plan(); err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < len(ip.intervals); {
+			hi := nameRun(ip.intervals, lo)
+			name, vals := ip.intervals[lo].name, ip.intervals[lo].st.res.vals
+			idxs := make([]int, len(vals))
+			for i := range idxs {
+				idxs[i] = i
+			}
+			leaves := rootSplit(name, slices.Clone(vals), idxs, StatsOf(vals), ip.p, 0, nil, new(splitArena))
+			if len(leaves) != hi-lo {
+				t.Fatalf("cap %d, %s: %d intervals for %d leaves", tc.cap, name, hi-lo, len(leaves))
+			}
+			taken := make([]bool, hi-lo)
+			for li, leaf := range leaves {
+				j := intervalOf(ip.cuts[lo:hi], vals[leaf.Indices[0]])
+				for _, slot := range leaf.Indices {
+					if k := intervalOf(ip.cuts[lo:hi], vals[slot]); k != j {
+						t.Fatalf("cap %d, %s: leaf %d's slots fall in intervals %d and %d", tc.cap, name, li, j, k)
+					}
+				}
+				if taken[j] {
+					t.Fatalf("cap %d, %s: two leaves fall in interval %d", tc.cap, name, j)
+				}
+				taken[j] = true
+				if got := ip.intervals[lo+j].cs; got != leaf.Stats {
+					t.Fatalf("cap %d, %s: interval %d has %+v, its leaf %+v", tc.cap, name, j, got, leaf.Stats)
+				}
+			}
+			lo = hi
 		}
 	}
 }

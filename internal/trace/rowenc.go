@@ -54,7 +54,7 @@ func (e *RowEncoder) AppendRow(dst []byte, seq int, name string, timeUS float64)
 	dst = append(dst, ',')
 	dst = appendField(dst, name)
 	dst = append(dst, ',')
-	dst = strconv.AppendFloat(dst, timeUS, 'g', -1, 64)
+	dst = appendTime(dst, timeUS)
 	return append(dst, '\n')
 }
 
