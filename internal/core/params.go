@@ -25,6 +25,7 @@ package core
 
 import (
 	"errors"
+	"sync/atomic"
 
 	"stemroot/internal/stats"
 )
@@ -113,10 +114,22 @@ func confidenceHasZ(confidence float64) bool {
 	return err == nil
 }
 
-// Z returns z_{1-alpha/2} for the configured confidence level.
+// Z returns z_{1-alpha/2} for the configured confidence level. A run plans
+// at one level and asks for its score at every sizing and error estimate,
+// so the last level's score is kept: the quantile is computed once per
+// level, and what comes back is the float it computes.
 func (p Params) Z() float64 {
-	return stats.MustZScore(p.Confidence)
+	if m := zMemo.Load(); m != nil && m.confidence == p.Confidence {
+		return m.z
+	}
+	z := stats.MustZScore(p.Confidence)
+	zMemo.Store(&zScore{p.Confidence, z})
+	return z
 }
+
+type zScore struct{ confidence, z float64 }
+
+var zMemo atomic.Pointer[zScore]
 
 // ClusterStats summarizes one kernel cluster's execution times: population
 // size N, mean μ, and standard deviation σ. These three numbers are all

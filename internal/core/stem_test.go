@@ -3,10 +3,12 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"stemroot/internal/rng"
+	"stemroot/internal/stats"
 )
 
 func defaultP() Params { return DefaultParams() }
@@ -34,6 +36,30 @@ func TestZ95(t *testing.T) {
 	if z := p.Z(); math.Abs(z-1.96) > 0.001 {
 		t.Fatalf("z = %v, want ~1.96", z)
 	}
+}
+
+// TestZMemoIsTheQuantile: the kept score is the float the quantile computes,
+// whatever order levels are asked for in, from however many goroutines.
+func TestZMemoIsTheQuantile(t *testing.T) {
+	levels := []float64{0.95, 0.9, 0.95, 0.99, 0.5, 0.99, 0.95, 1e-9, 1 - 1e-9}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				for _, c := range levels {
+					p := defaultP()
+					p.Confidence = c
+					if z, want := p.Z(), stats.MustZScore(c); math.Float64bits(z) != math.Float64bits(want) {
+						t.Errorf("Z at %v = %v, want %v", c, z, want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestSampleSizeKnownValue(t *testing.T) {

@@ -57,8 +57,29 @@ func (m *Model) baseTime(inv *trace.Invocation) float64 {
 
 	// Smooth roofline: p-norm with p=4 approximates max while allowing
 	// partial overlap of compute and memory.
-	base := math.Pow(math.Pow(computeUS, 4)+math.Pow(memoryUS, 4), 0.25)
+	base := root4(pow4(computeUS) + pow4(memoryUS))
 	return d.LaunchOverheadUS + base
+}
+
+// pow4 is math.Pow(v, 4), bit for bit: Pow squares the mantissa twice and
+// scales by a power of two, which rounds as (v*v)*(v*v) does wherever
+// neither square leaves the normal range. The conversion keeps the
+// compiler from fusing the product into a caller's addition.
+func pow4(v float64) float64 {
+	if 1e-70 < v && v < 1e70 {
+		sq := v * v
+		return float64(sq * sq)
+	}
+	return math.Pow(v, 4)
+}
+
+// root4 is math.Pow(s, 0.25), bit for bit: for a finite s > 0 with an
+// exponent that has no integer part, Pow is exactly Exp(y*Log(s)).
+func root4(s float64) float64 {
+	if s > 0 && s <= math.MaxFloat64 {
+		return math.Exp(0.25 * math.Log(s))
+	}
+	return math.Pow(s, 0.25)
 }
 
 // jitterSigma returns the log-normal sigma of run-to-run noise for an

@@ -253,3 +253,47 @@ func TestLaunchOverheadFloor(t *testing.T) {
 		t.Fatalf("trivial kernel time %v too far above overhead", got)
 	}
 }
+
+// samePow reports whether got is want bit for bit (any NaN matching any NaN).
+func samePow(got, want float64) bool {
+	return math.Float64bits(got) == math.Float64bits(want) || (math.IsNaN(got) && math.IsNaN(want))
+}
+
+// TestBaseTimeForms pins pow4 and root4 to the math.Pow calls they replace,
+// on each side of every range edge and on random values across the range
+// baseTime feeds them and across all bit patterns.
+func TestBaseTimeForms(t *testing.T) {
+	edges := []float64{
+		0, math.Copysign(0, -1), 5e-324, 1e-300, 1e-70, math.Nextafter(1e-70, 1), 1e-69,
+		0.5, 1, 2, 3.7, 1e69, math.Nextafter(1e70, 0), 1e70, 1e71, math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(), -1, -2.5, -1e-70,
+	}
+	r := rng.New(31)
+	for i := 0; i < 200000; i++ {
+		edges = append(edges, math.Exp(r.Float64()*400-200), math.Float64frombits(r.Uint64()))
+	}
+	for _, v := range edges {
+		if got, want := pow4(v), math.Pow(v, 4); !samePow(got, want) {
+			t.Fatalf("pow4(%v) = %v, math.Pow = %v", v, got, want)
+		}
+		if got, want := root4(v), math.Pow(v, 0.25); !samePow(got, want) {
+			t.Fatalf("root4(%v) = %v, math.Pow = %v", v, got, want)
+		}
+	}
+}
+
+// FuzzBaseTimeForms: the same equivalence on any bit pattern.
+func FuzzBaseTimeForms(f *testing.F) {
+	for _, v := range []float64{0, 1e-70, 1e70, 3.7, math.MaxFloat64, math.Inf(1), math.NaN(), -2} {
+		f.Add(math.Float64bits(v))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		v := math.Float64frombits(bits)
+		if got, want := pow4(v), math.Pow(v, 4); !samePow(got, want) {
+			t.Fatalf("pow4(%v) = %v, math.Pow = %v", v, got, want)
+		}
+		if got, want := root4(v), math.Pow(v, 0.25); !samePow(got, want) {
+			t.Fatalf("root4(%v) = %v, math.Pow = %v", v, got, want)
+		}
+	})
+}

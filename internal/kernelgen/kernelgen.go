@@ -155,6 +155,7 @@ func FromInvocation(inv *trace.Invocation, lim Limits) Spec {
 
 	mem := lat.MemIntensity * 0.6 // memory instruction share
 	fp := (1 - mem) * 0.7
+	nameHash := rng.HashString(inv.Name)
 	return Spec{
 		Name:          inv.Name,
 		Blocks:        blocks,
@@ -177,11 +178,11 @@ func FromInvocation(inv *trace.Invocation, lim Limits) Spec {
 		// observation that "most cache reuse occurs within kernels rather
 		// than across them". Cache capacity still matters through the
 		// multi-pass reuse inside one kernel.
-		BaseAddr: rng.Derive(rng.HashString(inv.Name), uint64(inv.Seq)) & 0x7fffffffffff &^ 0x7f,
+		BaseAddr: rng.Derive(nameHash, uint64(inv.Seq)) & 0x7fffffffffff &^ 0x7f,
 		// A small share of accesses touches weights shared across
 		// invocations; the paper finds inter-kernel reuse minor ("most
 		// cache reuse occurs within kernels"), so the share is small.
-		WeightsAddr:      rng.HashString(inv.Name) & 0x7fffffffffff &^ 0x7f,
+		WeightsAddr:      nameHash & 0x7fffffffffff &^ 0x7f,
 		WeightsFrac:      0.05,
 		BranchDivergence: lat.BranchDivergence,
 

@@ -141,11 +141,6 @@ func TestWarmCellAllocs(t *testing.T) {
 	}
 	objects, bytes = objects/runs, bytes/runs
 	maxObjects, maxBytes := uint64(22), uint64(2450)
-	if raceEnabled {
-		// Each disk read's 4 KiB stack buffer escapes through syscall.Read's
-		// race annotation.
-		maxObjects, maxBytes = maxObjects+2, maxBytes+2*4096
-	}
 	if objects > maxObjects || bytes > maxBytes {
 		t.Errorf("a warm cell allocates %d objects and %d bytes, want at most %d and %d", objects, bytes, maxObjects, maxBytes)
 	}

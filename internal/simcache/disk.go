@@ -1,12 +1,14 @@
 package simcache
 
 import (
+	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
+	"io"
 	"math"
 	"os"
-	"path/filepath"
+	"sync"
 
 	"stemroot/internal/gpu"
 )
@@ -18,18 +20,17 @@ import (
 //	offset  size  field
 //	0       4     magic "SRSC"
 //	4       4     format version (diskFormatVersion)
-//	8       32    segment key (must match the file's name and the request)
+//	8       32    segment key (must match the request)
 //	40      8     result count n
 //	48      32*n  results: Cycles, Instructions, L1HitRate, L2HitRate
 //	48+32n  32    SHA-256 over bytes [0, 48+32n)
 //
-// The key embeds the engine fingerprint (gpu.KeyForSegmentEngineAppend), so entries from
-// a different engine version are unreachable by name; the embedded key and
-// trailing checksum additionally reject renamed, truncated, or bit-rotted
-// files — and, on the network path, corrupted or mismatched frames. Every
-// verification failure is a silent miss — the segment is simulated instead —
-// never an error: the disk and remote tiers are accelerators, not sources of
-// truth.
+// The key embeds the engine fingerprint (gpu.KeyForSegmentEngineAppend), so
+// entries from a different engine version are never asked for; the embedded
+// key and trailing checksum reject torn or bit-rotted records and, on the
+// network path, corrupted or mismatched frames. Every verification failure is
+// a silent miss — the segment is simulated instead — never an error: the disk
+// and remote tiers are accelerators, not sources of truth.
 
 const (
 	diskMagic         = "SRSC"
@@ -46,35 +47,25 @@ const MaxEntryBytes = 64 << 20
 
 func ensureDir(dir string) error { return os.MkdirAll(dir, 0o755) }
 
-// diskPathBuf is the stack space a lookup builds its path in; a cache
-// directory past 190 bytes spills to the heap.
-const diskPathBuf = 256
+// The disk tier is one append-only pack per cache directory: entries in the
+// wire format above, back to back, each self-delimiting by its count and
+// self-checking by its checksum. A write appends one record with a single
+// O_APPEND write, which POSIX makes land whole and contiguous beside any
+// other process's, and syncs it; no lock, no per-writer file. A Cache reads
+// the pack once, at its first lookup (loadPack), and keeps what verifies.
+// Directories from the one-file-per-entry layout hold no pack: they read as
+// empty and the first run refills them.
+const packName = "segments.pack"
 
-// appendPath appends the NUL-terminated path of key's entry file to dst:
-// filepath.Join(dir, name[:2], name[2:]) for name = key.String() — a
-// two-level fan-out (first key byte), so huge caches do not degrade into one
-// enormous directory — written digit by digit, ready for the open call.
-func (c *Cache) appendPath(dst []byte, key gpu.SegmentKey) []byte {
-	dst = append(dst, c.prefix...)
-	dst = hex.AppendEncode(dst, key[:1])
-	dst = append(dst, filepath.Separator)
-	dst = hex.AppendEncode(dst, key[1:])
-	return append(dst, 0)
-}
-
-// diskPath is appendPath as a string, for the calls that take one.
-func (c *Cache) diskPath(key gpu.SegmentKey) string {
-	var buf [diskPathBuf]byte
-	path := c.appendPath(buf[:0], key)
-	return string(path[:len(path)-1])
-}
+// recordSize is the length of an entry holding n results.
+func recordSize(n int) int { return diskHeaderSize + n*resultWireSize + sha256.Size }
 
 // EncodeEntry serializes results for key in the checksummed entry wire
 // format above. It is the single encoder behind both the disk tier and the
 // cachenet protocol.
 func EncodeEntry(key gpu.SegmentKey, results []gpu.KernelResult) []byte {
 	n := len(results)
-	buf := make([]byte, diskHeaderSize+n*resultWireSize+sha256.Size)
+	buf := make([]byte, recordSize(n))
 	copy(buf[0:4], diskMagic)
 	binary.LittleEndian.PutUint32(buf[4:8], diskFormatVersion)
 	copy(buf[8:40], key[:])
@@ -97,32 +88,16 @@ func EncodeEntry(key gpu.SegmentKey, results []gpu.KernelResult) []byte {
 // — magic, version, embedded key, length, checksum — without materializing
 // results. It returns the result count on success.
 func verifyEntry(key gpu.SegmentKey, buf []byte) (n int, ok bool) {
-	if len(buf) < diskHeaderSize+sha256.Size {
-		return 0, false
-	}
-	if string(buf[0:4]) != diskMagic {
-		return 0, false
-	}
-	if binary.LittleEndian.Uint32(buf[4:8]) != diskFormatVersion {
-		return 0, false
-	}
-	var embedded gpu.SegmentKey
-	copy(embedded[:], buf[8:40])
-	if embedded != key {
+	if len(buf) < diskHeaderSize+sha256.Size || string(buf[0:4]) != diskMagic ||
+		binary.LittleEndian.Uint32(buf[4:8]) != diskFormatVersion || gpu.SegmentKey(buf[8:40]) != key {
 		return 0, false
 	}
 	count := binary.LittleEndian.Uint64(buf[40:48])
-	if count > MaxEntryBytes/resultWireSize {
+	if count > MaxEntryBytes/resultWireSize || len(buf) != recordSize(int(count)) {
 		return 0, false
 	}
-	payloadEnd := diskHeaderSize + int(count)*resultWireSize
-	if len(buf) != payloadEnd+sha256.Size {
-		return 0, false
-	}
-	sum := sha256.Sum256(buf[:payloadEnd])
-	var stored [sha256.Size]byte
-	copy(stored[:], buf[payloadEnd:])
-	if stored != sum {
+	payloadEnd := len(buf) - sha256.Size
+	if sha256.Sum256(buf[:payloadEnd]) != [sha256.Size]byte(buf[payloadEnd:]) {
 		return 0, false
 	}
 	return int(count), true
@@ -146,7 +121,12 @@ func DecodeEntry(key gpu.SegmentKey, buf []byte) (results []gpu.KernelResult, ok
 	if !ok {
 		return nil, false
 	}
-	results = make([]gpu.KernelResult, n)
+	return decodeResults(buf, n), true
+}
+
+// decodeResults deserializes the n results of an entry verifyEntry accepted.
+func decodeResults(buf []byte, n int) []gpu.KernelResult {
+	results := make([]gpu.KernelResult, n)
 	off := diskHeaderSize
 	for i := range results {
 		results[i] = gpu.KernelResult{
@@ -157,126 +137,143 @@ func DecodeEntry(key gpu.SegmentKey, buf []byte) (results []gpu.KernelResult, ok
 		}
 		off += resultWireSize
 	}
-	return results, true
+	return results
+}
+
+// scanBuf is the pack scanner's buffer, shared by every Cache: a warm run
+// opens a fresh cache per sweep over one directory, and each should pay for
+// its read, not for a buffer. Not a sync.Pool, which empties at every other
+// GC and, under the race detector, at random: what a warm cell allocates is
+// pinned (TestWarmCellAllocs). One grown past packScanKeep by a huge record
+// is not kept.
+var scanBuf struct {
+	sync.Mutex
+	b []byte
+}
+
+const packScanBuf, packScanKeep = 64 << 10, 1 << 20
+
+// loadPack reads the directory's pack, once per Cache, through the raw read
+// path, and files every record that verifies exactly as DecodeEntry would
+// with the memory tier (shard.adopt); it allocates only the entries kept.
+// Anything else — a torn tail, a damaged or foreign record — is one damaged
+// run, counted once in DiskErrors; the scan resynchronises at the next
+// record that verifies, which can only start with the magic. The buffer
+// doubles only when full of bytes still to judge, so it stays within twice
+// the input (or the largest legal entry) whatever a header claims.
+func (c *Cache) loadPack() {
+	fd, err := openFile(c.packPath)
+	if err != nil {
+		return // no pack yet
+	}
+	defer closeFile(fd)
+	scanBuf.Lock()
+	defer scanBuf.Unlock()
+	buf := scanBuf.b
+	if buf == nil {
+		buf = make([]byte, packScanBuf)
+	}
+	var base int64 // pack offset of buf[0]
+	lo, hi, eof, resync := 0, 0, false, false
+	for lo < hi || !eof {
+		size := diskHeaderSize // what it takes to judge the bytes at lo
+		if hi-lo >= size {
+			if n := binary.LittleEndian.Uint64(buf[lo+40:]); n <= MaxEntryBytes/resultWireSize {
+				size = recordSize(int(n))
+			}
+		}
+		if !eof && hi-lo < size {
+			if lo > 0 {
+				hi, base, lo = copy(buf, buf[lo:hi]), base+int64(lo), 0
+			}
+			if hi == len(buf) {
+				buf = append(buf, make([]byte, len(buf))...)
+			}
+			n, _ := preadFile(fd, buf[hi:], base+int64(hi))
+			hi, eof = hi+max(n, 0), n <= 0
+			continue
+		}
+		if rec := buf[lo:min(lo+size, hi)]; len(rec) == size && size > diskHeaderSize {
+			key := gpu.SegmentKey(rec[8:40])
+			if _, ok := verifyEntry(key, rec); ok {
+				c.shardFor(key).adopt(key, rec, base+int64(lo+size), c.maxShard)
+				lo, resync = lo+size, false
+				continue
+			}
+		}
+		if !resync {
+			c.diskErrors.Add(1)
+			resync = true
+		}
+		if i := bytes.Index(buf[lo+1:hi], []byte(diskMagic)); i >= 0 {
+			lo += 1 + i
+		} else {
+			lo = max(lo+1, hi-len(diskMagic)+1) // a magic may straddle the next read
+		}
+	}
+	if len(buf) <= packScanKeep {
+		scanBuf.b = buf
+	}
 }
 
 // diskReadBuf is the size of readDisk's stack buffer: an entry of up to 125
 // results — eight times DefaultSegmentLen — is read without touching the heap.
 const diskReadBuf = 4096
 
-// claimedSize returns the total length the entry header in buf claims for
-// itself, or 0 when the header is incomplete or its count is past what
-// verifyEntry accepts. It decides only how far to read; DecodeEntry judges
-// the bytes.
-func claimedSize(buf []byte) int {
-	if len(buf) < diskHeaderSize {
-		return 0
+// readDisk serves a record the memory tier let go of — left out at load by
+// Options.MaxBytes, or evicted since — with one positioned read at its
+// recorded offset. It leaves the spill index either way: a record that no
+// longer verifies is counted, and the compute that follows appends a good
+// one.
+func (c *Cache) readDisk(key gpu.SegmentKey) (results []gpu.KernelResult, end int64, ok bool) {
+	sh := c.shardFor(key)
+	sh.mu.Lock()
+	loc, ok := sh.spilled[key]
+	delete(sh.spilled, key)
+	sh.mu.Unlock()
+	if !ok {
+		return nil, 0, false
 	}
-	count := binary.LittleEndian.Uint64(buf[40:48])
-	if count > MaxEntryBytes/resultWireSize {
-		return 0
-	}
-	return diskHeaderSize + int(count)*resultWireSize + sha256.Size
-}
-
-// readEntryFile reads the entry file at path into buf: one open, one read,
-// one close for an entry that fits, with no fstat to size it first. A file
-// that fills buf is read on into heap buffers that double up to the size its
-// own header claims plus one byte: the spare byte makes a file longer than
-// its claim come back longer, for DecodeEntry to reject, and a huge or lying
-// file costs at most twice its length and never more than a legal entry. ok
-// is false when the file cannot be opened or read.
-func readEntryFile(path []byte, buf []byte) (data []byte, ok bool) {
-	fd, err := openFile(path)
+	fd, err := openFile(c.packPath)
 	if err != nil {
-		return nil, false
+		return nil, 0, false
 	}
 	defer closeFile(fd)
-	n := 0
-	for {
-		m, err := readFile(fd, buf[n:])
-		if err != nil {
-			return nil, false
-		}
-		n += m
-		want := claimedSize(buf[:n])
-		switch {
-		case m == 0 || (n >= want && n < len(buf)):
-			// End of file; or everything claimed has arrived and the read
-			// came back short, which on a regular file is end of file too.
-			return buf[:n], true
-		case n < len(buf):
-			// Short of the claim: read again (end of file if truncated).
-		case want < len(buf):
-			return buf[:n], true // longer than its claim, or no legal claim
-		default:
-			size := min(2*len(buf), want+1)
-			buf = append(make([]byte, 0, size), buf...)[:size]
-		}
-	}
-}
-
-// readDisk loads a verified entry; any failure (missing file, short read,
-// corruption) reports a miss. Corrupt files are removed best-effort so they
-// are rewritten with good content on the next compute.
-func (c *Cache) readDisk(key gpu.SegmentKey) ([]gpu.KernelResult, bool) {
-	var pathBuf [diskPathBuf]byte
-	path := c.appendPath(pathBuf[:0], key)
 	var stack [diskReadBuf]byte
-	buf, ok := readEntryFile(path, stack[:])
-	if !ok {
-		return nil, false
+	buf := stack[:]
+	if size := recordSize(loc.n); size > len(buf) {
+		buf = make([]byte, size)
+	} else {
+		buf = buf[:size]
 	}
-	results, ok := DecodeEntry(key, buf)
-	if !ok {
+	n, _ := preadFile(fd, buf, loc.end-int64(len(buf)))
+	if results, ok = DecodeEntry(key, buf[:max(n, 0)]); !ok {
 		c.diskErrors.Add(1)
-		os.Remove(string(path[:len(path)-1])) // quarantine-by-deletion; next compute rewrites it
-		return nil, false
 	}
-	return results, true
+	return results, loc.end, ok
 }
 
-// writeDisk persists an entry atomically and durably: write to a temp file
-// in the same directory, fsync it, rename over the final name, then fsync
-// the parent directory. Without the fsyncs, a crash shortly after the rename
-// could leave the final name pointing at data pages that never reached the
-// platter — a torn entry whose detection would rest solely on checksum
-// rejection; the fsync ordering guarantees any file visible under the final
-// name has its full verified content. The disk tier is best-effort: a
-// failure leaves no temp file behind and is only counted, in
-// Stats.DiskWriteErrors, so a full or read-only cache directory shows in
+// writeDisk appends key's record to the pack and returns the offset just
+// past it, or 0 when it could not be stored. The pack is opened on the
+// first write and kept; the offset is read back under the lock that orders
+// this Cache's own appends. The Sync makes the record durable before the
+// call returns; a crash before it can only leave a torn tail, which readers
+// skip. The tier is best-effort: a failure is only counted, in
+// Stats.DiskWriteErrors, so a full or read-only directory shows in
 // -cachestats instead of turning the tier off unseen.
-func (c *Cache) writeDisk(key gpu.SegmentKey, results []gpu.KernelResult) {
-	path := c.diskPath(key)
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+func (c *Cache) writeDisk(key gpu.SegmentKey, results []gpu.KernelResult) int64 {
+	rec := EncodeEntry(key, results)
+	c.packMu.Lock()
+	if c.pack == nil { // a failed open leaves nil, on which every call fails
+		c.pack, _ = os.OpenFile(string(c.packPath[:len(c.packPath)-1]), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	}
+	f := c.pack
+	_, err := f.Write(rec)
+	end, serr := f.Seek(0, io.SeekCurrent)
+	c.packMu.Unlock()
+	if cmp.Or(err, serr, f.Sync()) != nil {
 		c.diskWriteErrors.Add(1)
-		return
+		return 0
 	}
-	tmp, err := os.CreateTemp(dir, "tmp-*")
-	if err != nil {
-		c.diskWriteErrors.Add(1)
-		return
-	}
-	_, err = tmp.Write(EncodeEntry(key, results))
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		c.diskWriteErrors.Add(1)
-		return
-	}
-	// Durable rename: fsync the directory holding the entry so the name →
-	// inode link itself survives a crash.
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
+	return end
 }

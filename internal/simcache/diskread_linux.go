@@ -7,18 +7,17 @@ import (
 
 // The disk tier's read side talks to the kernel directly: os.Open on a
 // regular file is an openat, four fcntls and a refused epoll_ctl (the os
-// package tries to make every file pollable), and os.ReadFile adds an fstat
-// and a second read to find the end — ten system calls around a 600-byte
-// entry. These are openat, read, close. EINTR is retried as the os package
-// does.
+// package tries to make every file pollable), and allocates the File it
+// returns. These are openat, pread and close, and allocate nothing.
 
 // atFDCWD is AT_FDCWD (-100), which package syscall keeps to itself: paths
 // resolve against the working directory, as open(2) resolves them.
 const atFDCWD = ^uintptr(99)
 
 // openFile is syscall.Open(path, O_RDONLY|O_CLOEXEC, 0) on the caller's own
-// NUL-terminated bytes (Cache.appendPath): syscall.Open takes a string and
-// copies it to the heap to terminate it, once per lookup.
+// NUL-terminated bytes (Cache.packPath): syscall.Open takes a string and
+// copies it to the heap to terminate it, once per call. EINTR is retried
+// here and in preadFile, as the os package does.
 func openFile(path []byte) (int, error) {
 	for {
 		fd, _, errno := syscall.Syscall6(syscall.SYS_OPENAT, atFDCWD, uintptr(unsafe.Pointer(&path[0])),
@@ -31,9 +30,9 @@ func openFile(path []byte) (int, error) {
 	}
 }
 
-func readFile(fd int, p []byte) (n int, err error) {
+func preadFile(fd int, p []byte, off int64) (n int, err error) {
 	for {
-		n, err = syscall.Read(fd, p)
+		n, err = syscall.Pread(fd, p, off)
 		if err != syscall.EINTR {
 			return n, err
 		}

@@ -2,22 +2,13 @@
 
 package simcache
 
-import (
-	"io"
-	"os"
-)
+import "os"
 
 // Portable stand-ins for diskread_linux.go's direct system calls; path is
-// NUL-terminated (Cache.appendPath).
+// NUL-terminated (Cache.packPath).
 
 func openFile(path []byte) (*os.File, error) { return os.Open(string(path[:len(path)-1])) }
 
-func readFile(f *os.File, p []byte) (int, error) {
-	n, err := f.Read(p)
-	if err == io.EOF {
-		err = nil
-	}
-	return n, err
-}
+func preadFile(f *os.File, p []byte, off int64) (int, error) { return f.ReadAt(p, off) }
 
 func closeFile(f *os.File) { f.Close() }

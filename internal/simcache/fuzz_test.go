@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 
 	"stemroot/internal/gpu"
@@ -65,6 +68,86 @@ func FuzzDecodeEntry(f *testing.F) {
 		damaged[pos%uint(len(buf))] ^= flip
 		if _, ok := DecodeEntry(key, damaged); ok {
 			t.Fatalf("entry accepted with byte %d flipped by %#x", pos%uint(len(buf)), flip)
+		}
+	})
+}
+
+// referenceScan is the pack read by definition: at every byte, a record
+// that verifies is taken whole (the first of its key is kept), anything
+// else is skipped one byte at a time, and each maximal run of skipped bytes
+// is one damaged run.
+func referenceScan(pack []byte) (kept map[gpu.SegmentKey][]gpu.KernelResult, damaged uint64) {
+	kept = map[gpu.SegmentKey][]gpu.KernelResult{}
+	skipping := false
+	for p := 0; p < len(pack); {
+		if len(pack)-p >= diskHeaderSize {
+			if n := binary.LittleEndian.Uint64(pack[p+40:]); n <= uint64(len(pack)) {
+				if size := recordSize(int(n)); size <= len(pack)-p {
+					key := gpu.SegmentKey(pack[p+8 : p+40])
+					if results, ok := DecodeEntry(key, pack[p:p+size]); ok {
+						if _, dup := kept[key]; !dup {
+							kept[key] = results
+						}
+						p, skipping = p+size, false
+						continue
+					}
+				}
+			}
+		}
+		if !skipping {
+			damaged, skipping = damaged+1, true
+		}
+		p++
+	}
+	return kept, damaged
+}
+
+// FuzzLoadPack hands a cache arbitrary pack bytes. Whatever they are, the
+// load does not panic, serves exactly the records referenceScan takes, and
+// counts the same damaged runs; and it allocates in proportion to the input
+// (the entries it keeps, the shard tables, at most a scan buffer), whatever
+// a header claims.
+func FuzzLoadPack(f *testing.F) {
+	a := EncodeEntry(testKey(1, 1), testResults(3, 1))
+	b := EncodeEntry(testKey(2, 2), testResults(1, 2))
+	flipped := bytes.Clone(a)
+	flipped[diskHeaderSize+1] ^= 4
+	lying := bytes.Clone(b)
+	binary.LittleEndian.PutUint64(lying[40:48], MaxEntryBytes/resultWireSize)
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for _, seed := range [][]byte{
+		nil, a, cat(a, b), a[:len(a)-1], cat(a, b[:diskHeaderSize]), cat(a, []byte("SRSCSRSC junk"), b),
+		cat(flipped, b), cat(lying, a), cat(a, a), []byte("SRSCSRSCSRSCSRSC"), cat(b, lying, b),
+		cat(EncodeEntry(testKey(3, 3), nil), b),
+		cat(lying, make([]byte, 2*packScanKeep), a), // a legal claim the input cannot back, past any kept buffer
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, pack []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, packName), pack, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := New(Options{Dir: dir, MaxBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c.packOnce.Do(c.loadPack)
+		runtime.ReadMemStats(&after)
+		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(8*len(pack)+2*packScanBuf+16<<10); grew > bound {
+			t.Fatalf("loading %d bytes allocated %d, bound %d", len(pack), grew, bound)
+		}
+		want, damaged := referenceScan(pack)
+		if s := c.Stats(); s.DiskErrors != damaged || s.Entries != len(want) {
+			t.Fatalf("load kept %d entries and counted %d damaged runs; the reference keeps %d and counts %d", s.Entries, s.DiskErrors, len(want), damaged)
+		}
+		for key, results := range want {
+			e := c.shardFor(key).items[key]
+			if e == nil || !e.unread || !sameResults(e.results, results) {
+				t.Fatalf("record %x: loaded %+v, want %v", key[:3], e, results)
+			}
 		}
 	})
 }

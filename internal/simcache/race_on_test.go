@@ -2,6 +2,6 @@
 
 package simcache
 
-// raceEnabled: syscall.Read annotates its buffer for the detector, which moves
-// a disk read's stack buffer to the heap.
+// raceEnabled: syscall.Pread annotates its buffer for the detector, which moves
+// the stack buffer of a spilled record's read to the heap.
 const raceEnabled = true

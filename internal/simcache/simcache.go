@@ -11,9 +11,10 @@
 // in-memory LRU bounded by bytes serves repeated segments within a process
 // (ε-sweep points, repetitions, DSE variants sharing ground truth). An
 // optional on-disk store (Options.Dir) persists entries across processes
-// with versioned, checksummed records that are discarded — never trusted —
-// on any mismatch; a corrupt or truncated entry degrades to a simulation,
-// not an error. An optional remote tier (Options.Remote, implemented by
+// in one append-only pack of versioned, checksummed records, read once per
+// Cache; a record is discarded — never trusted — on any mismatch, so a
+// corrupt or torn record degrades to a simulation, not an error. An
+// optional remote tier (Options.Remote, implemented by
 // internal/cachenet's client) shares one ground-truth pool across machines
 // and concurrent runs: lookups miss through memory and disk to the remote
 // server, fresh computations are written back to every tier, and the same
@@ -34,6 +35,7 @@ package simcache
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -107,8 +109,8 @@ type Options struct {
 	// fixed per-entry overhead). 0 selects DefaultMaxBytes; negative
 	// disables the in-memory bound (unbounded).
 	MaxBytes int64
-	// Dir enables the on-disk tier in this directory (created if missing).
-	// Empty disables it.
+	// Dir enables the on-disk tier in this directory (created if missing):
+	// one pack file, read at the first lookup. Empty disables it.
 	Dir string
 	// Remote attaches a shared remote tier behind memory and disk (see
 	// Remote; internal/cachenet's Client is the canonical implementation).
@@ -133,11 +135,12 @@ type Stats struct {
 	// Bytes and Entries describe the current in-memory tier.
 	Bytes   int64
 	Entries int
-	// DiskErrors counts on-disk entries discarded for checksum, version, or
-	// format mismatches (each degraded to a simulation).
+	// DiskErrors counts damaged runs of the pack — torn, bit-rotted or
+	// foreign bytes, each skipped to the next record that verifies — and
+	// records that failed to verify when read back from their offset.
 	DiskErrors uint64
 	// DiskWriteErrors counts entries the disk tier failed to store (a full
-	// or read-only directory, a file where a shard directory should be).
+	// or read-only directory, a file size limit).
 	DiskWriteErrors uint64
 	// Prefetches / PrefetchKeys count batched remote lookups issued by the
 	// segment runner's prefetch pass and the keys they carried.
@@ -154,8 +157,18 @@ type Cache struct {
 	shards   [shardCount]shard
 	maxShard int64 // per-shard byte bound; <0 = unbounded
 	dir      string
-	prefix   string // of every entry path: filepath.Join(dir, "ab", …) less "ab", …
 	remote   Remote
+
+	// packPath is the NUL-terminated path of dir's pack; packOnce loads it
+	// at the first lookup; pack is the append handle, opened at the first
+	// write and guarded, with the offsets it reports, by packMu. A Cache has
+	// no Close: the handle lives as long as the Cache, and the os.File's
+	// finalizer closes it. Every record is synced before writeDisk returns,
+	// so closing adds nothing a reader needs.
+	packPath []byte
+	packOnce sync.Once
+	packMu   sync.Mutex
+	pack     *os.File
 
 	hits, memHits, diskHits, shared atomic.Uint64
 	misses, evictions, diskErrors   atomic.Uint64
@@ -183,7 +196,16 @@ type entry struct {
 	prev, next *entry
 	err        error
 	done       sync.WaitGroup
-	loading    bool // guarded by the shard lock
+	end        int64 // pack offset just past the entry's record; 0 if none
+	loading    bool  // guarded by the shard lock
+	unread     bool  // loaded from the pack, not yet counted as a disk hit
+}
+
+// packLoc is where a record the memory tier does not hold sits in the
+// pack: it ends at end and carries n results.
+type packLoc struct {
+	end int64
+	n   int
 }
 
 // shard is one lock domain: an LRU over its share of the key space, entries
@@ -195,6 +217,10 @@ type shard struct {
 	// list: head/tail are nil when empty.
 	head, tail *entry
 	bytes      int64
+	// spilled indexes the pack records left out of the ring by the byte
+	// bound, at load or by eviction; readDisk takes them back. nil until
+	// the first one.
+	spilled map[gpu.SegmentKey]packLoc
 }
 
 // New builds a cache. The returned error is non-nil only when the disk tier
@@ -219,8 +245,7 @@ func New(opts Options) (*Cache, error) {
 		if err := ensureDir(c.dir); err != nil {
 			return nil, err
 		}
-		joined := filepath.Join(c.dir, "x") // cleans dir once, here
-		c.prefix = joined[:len(joined)-1]
+		c.packPath = append([]byte(filepath.Join(c.dir, packName)), 0)
 	}
 	return c, nil
 }
@@ -239,15 +264,24 @@ func (c *Cache) shardFor(key gpu.SegmentKey) *shard {
 
 // GetOrCompute implements gpu.SegmentCache.
 func (c *Cache) GetOrCompute(key gpu.SegmentKey, compute func() ([]gpu.KernelResult, error)) ([]gpu.KernelResult, error) {
+	if c.dir != "" {
+		c.packOnce.Do(c.loadPack)
+	}
 	sh := c.shardFor(key)
 
 	sh.mu.Lock()
 	if e := sh.items[key]; e != nil {
 		if !e.loading {
 			sh.moveToFront(e)
+			unread := e.unread
+			e.unread = false
 			sh.mu.Unlock()
 			c.hits.Add(1)
-			c.memHits.Add(1)
+			if unread {
+				c.diskHits.Add(1) // its first use: the pack served it
+			} else {
+				c.memHits.Add(1)
+			}
 			return e.results, nil
 		}
 		// Another goroutine is loading this key; share its result.
@@ -266,7 +300,7 @@ func (c *Cache) GetOrCompute(key gpu.SegmentKey, compute func() ([]gpu.KernelRes
 
 	// Leader path: disk tier, then remote, then compute. A failed load
 	// leaves the table, so it can be retried later.
-	results, src, err := c.load(key, compute)
+	results, src, err := c.load(e, compute)
 
 	sh.mu.Lock()
 	e.results, e.err, e.loading = results, err, false
@@ -303,15 +337,19 @@ const (
 	srcRemote
 )
 
-// load resolves a miss tier by tier: disk (if enabled), then the remote
-// server (if attached), then compute. A fresh computation is written back
-// to every outer tier best-effort, carrying its measured simulation time so
-// the server's cost-aware eviction can weight the entry by what it saves.
-// Remote hits are also replicated to disk: a later run on this machine then
-// survives a dead server with warm local state.
-func (c *Cache) load(key gpu.SegmentKey, compute func() ([]gpu.KernelResult, error)) (results []gpu.KernelResult, src loadSource, err error) {
+// load resolves a miss of e's key tier by tier: the pack records the memory
+// tier let go of (if enabled), then the remote server (if attached), then
+// compute, and records in e.end where the entry sits in the pack. A fresh
+// computation is written back to every outer tier best-effort, carrying its
+// measured simulation time so the server's cost-aware eviction can weight
+// the entry by what it saves. Remote hits are also replicated to disk: a
+// later run on this machine then survives a dead server with warm local
+// state.
+func (c *Cache) load(e *entry, compute func() ([]gpu.KernelResult, error)) (results []gpu.KernelResult, src loadSource, err error) {
+	key := e.key
 	if c.dir != "" {
-		if results, ok := c.readDisk(key); ok {
+		var ok bool
+		if results, e.end, ok = c.readDisk(key); ok {
 			return results, srcDisk, nil
 		}
 	}
@@ -322,7 +360,7 @@ func (c *Cache) load(key gpu.SegmentKey, compute func() ([]gpu.KernelResult, err
 		if _, missed := c.prefetchMissed.LoadAndDelete(key); !missed {
 			if results, ok := c.remote.Get(key); ok {
 				if c.dir != "" {
-					c.writeDisk(key, results)
+					e.end = c.writeDisk(key, results)
 				}
 				return results, srcRemote, nil
 			}
@@ -335,7 +373,7 @@ func (c *Cache) load(key gpu.SegmentKey, compute func() ([]gpu.KernelResult, err
 	}
 	costNs := time.Since(start).Nanoseconds()
 	if c.dir != "" {
-		c.writeDisk(key, results) // best-effort; failures only cost reuse
+		e.end = c.writeDisk(key, results) // best-effort; failures only cost reuse
 	}
 	if c.remote != nil {
 		c.remote.Put(key, results, costNs)
@@ -361,6 +399,9 @@ func (c *Cache) Prefetch(keys []gpu.SegmentKey) {
 	if c.remote == nil {
 		return
 	}
+	if c.dir != "" {
+		c.packOnce.Do(c.loadPack)
+	}
 	// The keys not already local, once each (identical segments share one
 	// content address): sorted, so that duplicates are neighbours.
 	need := make([]gpu.SegmentKey, 0, len(keys))
@@ -368,6 +409,8 @@ func (c *Cache) Prefetch(keys []gpu.SegmentKey) {
 		sh := c.shardFor(key)
 		sh.mu.Lock()
 		_, resident := sh.items[key]
+		_, spilled := sh.spilled[key]
+		resident = resident || spilled
 		sh.mu.Unlock()
 		if !resident {
 			need = append(need, key)
@@ -387,29 +430,60 @@ func (c *Cache) Prefetch(keys []gpu.SegmentKey) {
 			continue
 		}
 		c.remoteHits.Add(1)
+		var end int64
 		if c.dir != "" {
-			c.writeDisk(need[i], results)
+			end = c.writeDisk(need[i], results)
 		}
 		sh := c.shardFor(need[i])
 		sh.mu.Lock()
-		sh.insert(need[i], results, c.maxShard, &c.evictions)
+		sh.insert(need[i], results, end, c.maxShard, &c.evictions)
 		sh.mu.Unlock()
 	}
 }
 
 // insert adds a fetched entry unless the key is present or being loaded
 // (identical content by construction). Caller holds sh.mu.
-func (sh *shard) insert(key gpu.SegmentKey, results []gpu.KernelResult, maxBytes int64, evictions *atomic.Uint64) {
+func (sh *shard) insert(key gpu.SegmentKey, results []gpu.KernelResult, end, maxBytes int64, evictions *atomic.Uint64) {
 	if sh.items[key] != nil {
 		return
 	}
-	e := &entry{key: key, results: results}
+	e := &entry{key: key, results: results, end: end}
 	sh.items[key] = e
 	sh.link(e, maxBytes, evictions)
 }
 
+// adopt files a verified pack record read at load: into the ring as an
+// unread entry while it fits under the byte bound, else into the spill
+// index, undecoded. The first record of a key wins; a later one (two
+// processes that computed it at once) is identical by construction.
+func (sh *shard) adopt(key gpu.SegmentKey, rec []byte, end, maxBytes int64) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if _, spilled := sh.spilled[key]; spilled || sh.items[key] != nil {
+		return
+	}
+	n := (len(rec) - recordSize(0)) / resultWireSize
+	if maxBytes >= 0 && sh.bytes+int64(n)*resultWireSize+entryOverhead > maxBytes {
+		sh.spill(key, packLoc{end, n})
+		return
+	}
+	e := &entry{key: key, results: decodeResults(rec, n), end: end, unread: true}
+	sh.items[key] = e
+	sh.bytes += payloadBytes(e.results)
+	sh.pushFront(e)
+}
+
+// spill indexes a pack record the ring does not hold. Caller holds sh.mu.
+func (sh *shard) spill(key gpu.SegmentKey, loc packLoc) {
+	if sh.spilled == nil {
+		sh.spilled = make(map[gpu.SegmentKey]packLoc)
+	}
+	sh.spilled[key] = loc
+}
+
 // link puts a loaded entry of sh.items at the head of the ring and enforces
-// the byte bound. Caller holds sh.mu.
+// the byte bound; a victim with a pack record is spilled, to be read back
+// rather than recomputed. Caller holds sh.mu.
 func (sh *shard) link(e *entry, maxBytes int64, evictions *atomic.Uint64) {
 	sh.bytes += payloadBytes(e.results)
 	sh.pushFront(e)
@@ -422,6 +496,9 @@ func (sh *shard) link(e *entry, maxBytes int64, evictions *atomic.Uint64) {
 		delete(sh.items, victim.key)
 		sh.bytes -= payloadBytes(victim.results)
 		evictions.Add(1)
+		if victim.end > 0 {
+			sh.spill(victim.key, packLoc{victim.end, len(victim.results)})
+		}
 	}
 }
 
