@@ -14,14 +14,12 @@
 // of re-simulating them. Output is bit-identical with and without any cache
 // tier (a dead or corrupt server degrades to local behavior); -nocache
 // disables caching entirely, and the per-tier hit/miss/byte counters land on
-// stderr unless -cachestats=false. -engine par runs additionally report
-// epoch-barrier accounting (compute vs merge time, replayed accesses,
-// misses) to stderr unless -barrierstats=false.
+// stderr unless -cachestats=false. Every run simulates on the exact engine.
 //
 // Experiment ids: table2, fig1, table3, fig7, fig8, fig9, fig10, fig11,
 // table4 (alias: dse), fig12, fig13, fig14, table5, flush, kkt, rootk,
 // root, warmup, multigpu, confidence — all of which -run all runs, in this
-// order — and epochsweep.
+// order.
 package main
 
 import (
@@ -112,7 +110,6 @@ func (s *state) table4() (_ *experiments.Table4Result, err error) {
 type experiment struct {
 	id    string
 	alias string // second accepted spelling, "" for none
-	inAll bool   // part of -run all
 	run   func(*state) (string, error)
 }
 
@@ -143,36 +140,30 @@ func perWorkload(render func([]experiments.Row) string, a, b string) func(*state
 // validation and the unknown-id message all read it; the package comment
 // repeats its ids (TestPackageCommentListsEveryID).
 var table = []experiment{
-	{"table2", "", true, of(experiments.Table2, experiments.RenderTable2)},
-	{"fig1", "", true, of(experiments.Figure1, experiments.RenderFigure1)},
-	{"table3", "", true, from((*state).table3, (*experiments.Table3Result).Render)},
-	{"fig7", "", true, perWorkload(experiments.RenderFigure7, workloads.SuiteRodinia, workloads.SuiteCASIO)},
-	{"fig8", "", true, perWorkload(experiments.RenderFigure8, workloads.SuiteRodinia, workloads.SuiteCASIO)},
-	{"fig9", "", true, perWorkload(experiments.RenderFigure9, workloads.SuiteCASIO, workloads.SuiteHuggingFace)},
-	{"fig10", "", true, of(experiments.Figure10, experiments.RenderFigure10)},
-	{"fig11", "", true, of(experiments.Figure11, experiments.RenderFigure11)},
-	{"table4", "dse", true, from((*state).table4, (*experiments.Table4Result).Render)},
-	{"fig12", "", true, from((*state).table4, func(res *experiments.Table4Result) string {
+	{"table2", "", of(experiments.Table2, experiments.RenderTable2)},
+	{"fig1", "", of(experiments.Figure1, experiments.RenderFigure1)},
+	{"table3", "", from((*state).table3, (*experiments.Table3Result).Render)},
+	{"fig7", "", perWorkload(experiments.RenderFigure7, workloads.SuiteRodinia, workloads.SuiteCASIO)},
+	{"fig8", "", perWorkload(experiments.RenderFigure8, workloads.SuiteRodinia, workloads.SuiteCASIO)},
+	{"fig9", "", perWorkload(experiments.RenderFigure9, workloads.SuiteCASIO, workloads.SuiteHuggingFace)},
+	{"fig10", "", of(experiments.Figure10, experiments.RenderFigure10)},
+	{"fig11", "", of(experiments.Figure11, experiments.RenderFigure11)},
+	{"table4", "dse", from((*state).table4, (*experiments.Table4Result).Render)},
+	{"fig12", "", from((*state).table4, func(res *experiments.Table4Result) string {
 		return experiments.RenderFigure12(res.Figure12)
 	})},
-	{"fig13", "", true, of(experiments.Figure13, (*experiments.Figure13Result).Render)},
-	{"fig14", "", true, of(experiments.Figure14, (*experiments.Figure14Result).Render)},
-	{"table5", "", true, of(experiments.Table5, (*experiments.Table5Result).Render)},
-	{"flush", "", true, of(experiments.FlushAblation, (*experiments.FlushResult).Render)},
-	{"kkt", "", true, of(experiments.KKTAblation, (*experiments.KKTAblationResult).Render)},
-	{"rootk", "", true, of(experiments.RootKAblation, experiments.RenderRootK)},
-	{"root", "", true, of(experiments.RootAblation, (*experiments.RootAblationResult).Render)},
-	{"warmup", "", true, of(experiments.WarmupAblation, experiments.RenderWarmup)},
-	{"multigpu", "", true, of(experiments.MultiGPU, experiments.RenderMultiGPU)},
-	{"confidence", "", true, of(func(cfg experiments.Config) (*experiments.ConfidenceResult, error) {
+	{"fig13", "", of(experiments.Figure13, (*experiments.Figure13Result).Render)},
+	{"fig14", "", of(experiments.Figure14, (*experiments.Figure14Result).Render)},
+	{"table5", "", of(experiments.Table5, (*experiments.Table5Result).Render)},
+	{"flush", "", of(experiments.FlushAblation, (*experiments.FlushResult).Render)},
+	{"kkt", "", of(experiments.KKTAblation, (*experiments.KKTAblationResult).Render)},
+	{"rootk", "", of(experiments.RootKAblation, experiments.RenderRootK)},
+	{"root", "", of(experiments.RootAblation, (*experiments.RootAblationResult).Render)},
+	{"warmup", "", of(experiments.WarmupAblation, experiments.RenderWarmup)},
+	{"multigpu", "", of(experiments.MultiGPU, experiments.RenderMultiGPU)},
+	{"confidence", "", of(func(cfg experiments.Config) (*experiments.ConfidenceResult, error) {
 		return experiments.Confidence(cfg, 100)
 	}, (*experiments.ConfidenceResult).Render)},
-	{"epochsweep", "", false, of(experiments.EpochSweep, func(res *experiments.EpochSweepResult) string {
-		// Wall clock is the one nondeterministic output; stderr keeps
-		// stdout byte-identical at any -j/-jkernel.
-		fmt.Fprint(os.Stderr, res.RenderTiming())
-		return res.Render()
-	})},
 }
 
 // lookup returns the table row that id names, nil for none.
@@ -194,9 +185,7 @@ func runExperiments(cfg experiments.Config, run string, out io.Writer) error {
 	if strings.TrimSpace(run) == "all" {
 		ids = ids[:0]
 		for _, e := range table {
-			if e.inAll {
-				ids = append(ids, e.id)
-			}
+			ids = append(ids, e.id)
 		}
 	}
 	exps := make([]*experiment, len(ids))

@@ -64,11 +64,28 @@ func TestRunExperimentsUnknownID(t *testing.T) {
 func TestRunExperimentsValidatesUpFront(t *testing.T) {
 	var buf strings.Builder
 	err := runExperiments(testCfg(), "table2, typo", &buf)
-	if err == nil || !strings.Contains(err.Error(), `"typo"`) || !strings.Contains(err.Error(), "epochsweep") {
+	if err == nil || !strings.Contains(err.Error(), `"typo"`) || !strings.Contains(err.Error(), "confidence") {
 		t.Fatalf("expected an error naming \"typo\" and the valid ids, got %v", err)
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("output written before validation failed:\n%s", buf.String())
+	}
+}
+
+// TestRunExperimentsEpochSweepRetired pins that the par engine's epoch
+// sweep is gone from the product: its id is unknown, and is refused before
+// anything runs.
+func TestRunExperimentsEpochSweepRetired(t *testing.T) {
+	var buf strings.Builder
+	err := runExperiments(testCfg(), "table2,epochsweep", &buf)
+	if err == nil || !strings.Contains(err.Error(), `unknown experiment "epochsweep"`) {
+		t.Fatalf("epochsweep: got %v, want an unknown-id error", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("output written before validation failed:\n%s", buf.String())
+	}
+	if lookup("epochsweep") != nil || strings.Contains(validIDs(), "epochsweep") {
+		t.Fatal("epochsweep is still in the dispatch table")
 	}
 }
 
@@ -87,12 +104,11 @@ func TestRunExperimentsTrimsID(t *testing.T) {
 	}
 }
 
-// TestRunExperimentsEveryID runs the whole table — all, then the one id
-// all leaves out, then the one alias — and checks the headings arrive in
-// table order, so no row can rot unrun, and that dse is table4 under its
-// own heading. Quick() scale with the simulated invocations cut to a
-// quarter: table4 and epochsweep are nine tenths of the run, and under
-// -race the full 40 calls cost minutes.
+// TestRunExperimentsEveryID runs the whole table — all, then the one
+// alias — and checks the headings arrive in table order, so no row can rot
+// unrun, and that dse is table4 under its own heading. Quick() scale with
+// the simulated invocations cut to a quarter: table4 is most of the run,
+// and under -race the full 40 calls cost minutes.
 func TestRunExperimentsEveryID(t *testing.T) {
 	cfg := testCfg()
 	cfg.DSEMaxCalls = 10
@@ -108,16 +124,10 @@ func TestRunExperimentsEveryID(t *testing.T) {
 		}
 		return buf.String()
 	}
-	all, rest := render("all"), render("epochsweep")
+	all := render("all")
 	at := 0
 	for _, e := range table {
 		head := "==== " + e.id + " ====\n"
-		if !e.inAll {
-			if strings.Contains(all, head) || !strings.HasPrefix(rest, head) {
-				t.Fatalf("%s must run on request only", e.id)
-			}
-			continue
-		}
 		i := strings.Index(all[at:], head)
 		if i < 0 {
 			t.Fatalf("-run all misses %s, or runs it out of table order", e.id)

@@ -335,25 +335,15 @@ func writePlan(cfg cliConfig, plan *stemroot.Plan, out io.Writer) error {
 
 // printClusters is -v: every cluster, largest share of the profile first.
 func printClusters(out io.Writer, plan *stemroot.Plan) {
-	totalTime := func(c stemroot.Cluster) float64 { return c.Mean * float64(population(c)) }
+	totalTime := func(c stemroot.Cluster) float64 { return c.Mean * float64(c.Population) }
 	sort.Slice(plan.Clusters, func(i, j int) bool {
 		return totalTime(plan.Clusters[i]) > totalTime(plan.Clusters[j])
 	})
 	fmt.Fprintln(out, "\nclusters (by total time):")
 	for _, c := range plan.Clusters {
 		fmt.Fprintf(out, "  %-32s members=%-7d samples=%-5d mean=%10.2fus cov=%.3f\n",
-			c.Kernel, population(c), len(c.Samples), c.Mean, cov(c))
+			c.Kernel, c.Population, len(c.Samples), c.Mean, cov(c))
 	}
-}
-
-// population is the number of invocations a cluster stands for. A batch
-// plan lists them; a streaming plan does not materialise Members and
-// carries the population in the weight instead.
-func population(c stemroot.Cluster) int {
-	if n := len(c.Members); n > 0 {
-		return n
-	}
-	return int(c.Weight*float64(len(c.Samples)) + 0.5)
 }
 
 func cov(c stemroot.Cluster) float64 {

@@ -162,9 +162,9 @@ func FuzzPlanJSON(f *testing.F) {
 		plan := &Plan{Epsilon: a, Confidence: b, PredictedError: c}
 		if len(k1)+len(k2)+len(ints) > 0 {
 			plan.Clusters = []Cluster{
-				{Kernel: k1, Members: ints[:cut], Samples: ints[cut:], Weight: math.Abs(a), Mean: b, StdDev: c},
+				{Kernel: k1, Members: ints[:cut], Population: cut, Samples: ints[cut:], Weight: math.Abs(a), Mean: b, StdDev: c},
 				{Kernel: k1, Members: nil, Samples: []int{}, Weight: math.Abs(c), Mean: a, StdDev: b},
-				{Kernel: k2, Members: ints, Samples: nil, Weight: math.Abs(b), Mean: c, StdDev: a},
+				{Kernel: k2, Members: ints, Population: len(ints), Samples: nil, Weight: math.Abs(b), Mean: c, StdDev: a},
 			}
 		}
 		js := checkPlanJSONMatchesReference(t, plan)

@@ -69,7 +69,7 @@ func BenchmarkRemoteWarm(b *testing.B) {
 		}
 	})
 	b.Run("single", func(b *testing.B) {
-		c := cachenet.New(cachenet.ClientOptions{Addr: addr, DisableBatch: true})
+		c := cachenet.New(cachenet.ClientOptions{Addr: addr})
 		defer c.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

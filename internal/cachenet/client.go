@@ -46,10 +46,6 @@ type ClientOptions struct {
 	// RetryCooldown is how long the client fast-fails (reports misses,
 	// drops puts) after a dial or I/O error before trying the server again.
 	RetryCooldown time.Duration
-	// DisableBatch turns off batched prefetch (WantBatch reports false), so
-	// every lookup is an individual Get round trip. Exists for the
-	// batch-vs-single benchmarks and tests.
-	DisableBatch bool
 }
 
 // Client is the remote tier: it implements simcache.Remote against one
@@ -401,10 +397,6 @@ func (c *Client) putLoop() {
 		}
 	}
 }
-
-// WantBatch reports whether the cache should announce workload keys up
-// front for a single BatchGet round trip.
-func (c *Client) WantBatch() bool { return !c.opts.DisableBatch }
 
 // Stats snapshots the client-side counters.
 func (c *Client) Stats() simcache.RemoteStats {

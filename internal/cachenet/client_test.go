@@ -113,7 +113,7 @@ func TestBatchGetMatchesSingle(t *testing.T) {
 
 	batched := cachenet.New(cachenet.ClientOptions{Addr: addr})
 	defer batched.Close()
-	single := cachenet.New(cachenet.ClientOptions{Addr: addr, DisableBatch: true})
+	single := cachenet.New(cachenet.ClientOptions{Addr: addr})
 	defer single.Close()
 
 	gotBatch := batched.BatchGet(keys)

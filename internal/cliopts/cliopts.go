@@ -1,7 +1,7 @@
 // Package cliopts is the one flag-to-pipeline.Options binder shared by
-// cmd/stemroot and cmd/experiments: the worker, engine, segment-cache and
-// pprof flags, the cache tiers and barrier collector they configure, and
-// the exit-time ordering (drain the remote write window, then report).
+// cmd/stemroot and cmd/experiments: the worker, segment-cache and pprof
+// flags, the cache tiers they configure, and the exit-time ordering (drain
+// the remote write window, then report).
 package cliopts
 
 import (
@@ -12,28 +12,22 @@ import (
 	"runtime/pprof"
 
 	"stemroot/internal/cachenet"
-	"stemroot/internal/gpu"
-	"stemroot/internal/metrics"
 	"stemroot/internal/pipeline"
 	"stemroot/internal/simcache"
 )
 
 // Flags holds the parsed values of the shared flags. The zero value (what
-// tests build) is an exact-engine run at one worker per CPU with the
-// in-memory cache on and every stderr report off.
+// tests build) is a run at one worker per CPU with the in-memory cache on
+// and the cache report off.
 type Flags struct {
-	Jobs          int
-	Engine        string
-	KernelWorkers int
-	Epoch         float64
-	BarrierStats  bool
-	CacheDir      string
-	CacheAddr     string
-	CacheMB       int
-	NoCache       bool
-	CacheStats    bool
-	CPUProfile    string
-	MemProfile    string
+	Jobs       int
+	CacheDir   string
+	CacheAddr  string
+	CacheMB    int
+	NoCache    bool
+	CacheStats bool
+	CPUProfile string
+	MemProfile string
 }
 
 // Register declares the shared flags on fs. simulateOnly selects the help
@@ -46,10 +40,6 @@ func (f *Flags) Register(fs *flag.FlagSet, simulateOnly bool) {
 		scope, identical, noCache, statsWhen = "-simulate ", "output is", "in -simulate mode", "after -simulate"
 	}
 	fs.IntVar(&f.Jobs, "j", 0, "worker count (0 = one per CPU, 1 = serial; "+identical+" identical)")
-	fs.StringVar(&f.Engine, "engine", "exact", scope+"kernel engine: exact (bit-exact event loop) or par (relaxed-sync intra-kernel parallel)")
-	fs.IntVar(&f.KernelWorkers, "jkernel", 0, "intra-kernel workers for -engine par (0 = one per CPU; never changes results)")
-	fs.Float64Var(&f.Epoch, "epoch", 0, "epoch length in cycles for -engine par (0 = default; trades accuracy for sync cost)")
-	fs.BoolVar(&f.BarrierStats, "barrierstats", true, "print epoch-barrier accounting to stderr after -engine par "+scope+"runs")
 	fs.StringVar(&f.CacheDir, "cachedir", "", "persist "+scope+"segment results on disk in this directory (reused across runs)")
 	fs.StringVar(&f.CacheAddr, "cacheaddr", "", "share "+scope+"segment results through the cacheserver at this address (host:port)")
 	fs.IntVar(&f.CacheMB, "cachemb", 0, "in-memory segment cache bound in MiB (0 = default 256)")
@@ -102,9 +92,8 @@ func writeHeapProfile(path string) {
 	}
 }
 
-// Options builds the pipeline options the flags describe: the engine, the
-// barrier collector (-engine par with -barrierstats), and the segment cache
-// with its disk and remote tiers unless -nocache. The cache is on by
+// Options builds the pipeline options the flags describe: the worker count
+// and the segment cache with its disk and remote tiers unless -nocache. The cache is on by
 // default because results are bit-identical with and without it (pinned by
 // the determinism tests): there is no accuracy trade-off, only avoided
 // re-simulation.
@@ -112,17 +101,10 @@ func writeHeapProfile(path string) {
 // finish must run once, after the last simulation and on error paths too.
 // It closes the cachenet client — draining the pipelined write window, so
 // the segments this run computed are on the server before the process exits
-// and before the counters are read — then prints the cache and barrier
-// reports. Both go to stderr so stdout stays byte-comparable across cached,
-// uncached and accounted runs.
+// and before the counters are read — then prints the cache report. It goes
+// to stderr so stdout stays byte-comparable across cached and uncached runs.
 func (f *Flags) Options() (opts pipeline.Options, finish func(), err error) {
-	opts = pipeline.Options{
-		Workers: f.Jobs,
-		Engine:  f.Engine, KernelWorkers: f.KernelWorkers, Epoch: f.Epoch,
-	}
-	if f.BarrierStats && f.Engine == gpu.EngineModePar {
-		opts.BarrierStats = new(metrics.BarrierCollector)
-	}
+	opts = pipeline.Options{Workers: f.Jobs}
 	var client *cachenet.Client
 	var cache *simcache.Cache
 	if !f.NoCache {
@@ -150,9 +132,6 @@ func (f *Flags) Options() (opts pipeline.Options, finish func(), err error) {
 		}
 		if cache != nil && f.CacheStats {
 			log.Printf("segment cache: %s", cache.Stats())
-		}
-		if c := opts.BarrierStats; c != nil {
-			log.Print(c.Snapshot().String())
 		}
 	}, nil
 }

@@ -3,57 +3,78 @@ package cliopts
 import (
 	"bytes"
 	"flag"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"stemroot/internal/gpu"
 )
 
-// TestOptionsFollowTheFlags: the parsed flags reach pipeline.Options, the
-// barrier collector exists only for -engine par with -barrierstats, and
-// -nocache leaves the cache out.
+// TestOptionsFollowTheFlags: the parsed flags reach pipeline.Options,
+// finish reports the cache through log, and -nocache leaves the cache out
+// and reports nothing.
 func TestOptionsFollowTheFlags(t *testing.T) {
 	var f Flags
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	f.Register(fs, false)
 	dir := t.TempDir()
-	if err := fs.Parse([]string{"-j", "3", "-engine", "par", "-jkernel", "2", "-epoch", "128", "-cachedir", dir}); err != nil {
+	if err := fs.Parse([]string{"-j", "3", "-cachedir", dir}); err != nil {
 		t.Fatal(err)
 	}
 	opts, finish, err := f.Options()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Workers != 3 || opts.Engine != gpu.EngineModePar || opts.KernelWorkers != 2 || opts.Epoch != 128 {
+	if opts.Workers != 3 || opts.Engine != "" || opts.KernelWorkers != 0 {
 		t.Fatalf("options %+v do not follow the flags", opts)
 	}
-	if opts.Cache == nil || opts.BarrierStats == nil {
-		t.Fatalf("default-on cache (%v) or par barrier collector (%v) missing", opts.Cache, opts.BarrierStats)
+	if opts.Cache == nil {
+		t.Fatal("default-on cache missing")
 	}
 
-	// finish reports the cache before the barrier, both through log.
 	var stderr bytes.Buffer
 	log.SetOutput(&stderr)
 	defer log.SetOutput(os.Stderr)
 	finish()
-	out := stderr.String()
-	c, b := strings.Index(out, "segment cache: "), strings.Index(out, "barrier")
-	if c < 0 || b < c {
-		t.Fatalf("finish printed:\n%s\nwant the segment-cache line, then the barrier line", out)
+	if out := stderr.String(); !strings.Contains(out, "segment cache: ") || strings.Count(out, "\n") != 1 {
+		t.Fatalf("finish printed:\n%s\nwant the one segment-cache line", out)
 	}
 
-	f = Flags{NoCache: true, BarrierStats: true}
+	f = Flags{NoCache: true, CacheStats: true}
 	opts, finish, err = f.Options()
 	if err != nil {
 		t.Fatal(err)
 	}
 	stderr.Reset()
 	finish()
-	if opts.Cache != nil || opts.BarrierStats != nil || stderr.Len() != 0 {
-		t.Fatalf("-nocache exact run: cache %v, collector %v, stderr %q", opts.Cache, opts.BarrierStats, stderr.String())
+	if opts.Cache != nil || stderr.Len() != 0 {
+		t.Fatalf("-nocache run: cache %v, stderr %q", opts.Cache, stderr.String())
+	}
+}
+
+// TestRegisterRetiresParFlags pins the shared flag set at eight flags: the
+// par engine's -engine, -jkernel, -epoch and -barrierstats are gone, and
+// both CLIs' flag sets refuse them.
+func TestRegisterRetiresParFlags(t *testing.T) {
+	for _, simulateOnly := range []bool{false, true} {
+		var f Flags
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		f.Register(fs, simulateOnly)
+		n := 0
+		fs.VisitAll(func(*flag.Flag) { n++ })
+		if n != 8 {
+			t.Errorf("simulateOnly=%v: %d flags registered, want 8", simulateOnly, n)
+		}
+		for _, name := range []string{"engine", "jkernel", "epoch", "barrierstats"} {
+			if fs.Lookup(name) != nil {
+				t.Errorf("simulateOnly=%v: -%s is still registered", simulateOnly, name)
+			}
+			if err := fs.Parse([]string{"-" + name + "=1"}); err == nil {
+				t.Errorf("simulateOnly=%v: -%s parsed", simulateOnly, name)
+			}
+		}
 	}
 }
 

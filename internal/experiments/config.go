@@ -51,9 +51,9 @@ type Config struct {
 	// DSEMaxCalls caps per-workload invocations in simulator experiments.
 	DSEMaxCalls int
 	// Sim is what every simulator-bound runner hands to the pipeline, as
-	// the CLI bound it (internal/cliopts): workers, the segment cache that
-	// lets fig11, table4, flush and warmup reuse each other's ground truth,
-	// and the engine mode. Sim.Workers also sizes the runners' own
+	// the CLI bound it (internal/cliopts): workers and the segment cache
+	// that lets fig11, table4, flush and warmup reuse each other's ground
+	// truth. Sim.Workers also sizes the runners' own
 	// per-workload fan-outs (0 = one per CPU, 1 = serial); results are
 	// identical for every value and with or without a cache (package doc).
 	Sim pipeline.Options
@@ -61,8 +61,7 @@ type Config struct {
 
 // serialSimOpts is Sim for runners that parallelize at the workload level
 // and therefore keep each workload's simulation serial. The shared cache
-// still applies — as does the engine mode: a runner's accuracy story must
-// not silently change with its parallelization strategy.
+// still applies.
 func (c Config) serialSimOpts() pipeline.Options {
 	o := c.Sim
 	o.Workers = 1

@@ -46,11 +46,11 @@ func engineTestSpecs(n int) func(i int) kernelgen.Spec {
 
 // TestRunSegmentedEngineParDeterministic pins the composed determinism
 // contract: under the par engine, results are bit-identical for every
-// (segment workers, intra-kernel workers) combination at a fixed epoch.
+// (segment workers, intra-kernel workers) combination.
 func TestRunSegmentedEngineParDeterministic(t *testing.T) {
 	cfg := Baseline()
 	specAt := engineTestSpecs(40)
-	eng := Engine{Mode: EngineModePar, Workers: 1, Epoch: 256}
+	eng := Engine{Mode: EngineModePar, Workers: 1}
 	base, baseTotal, err := RunSegmentedEngine(cfg, 40, specAt, 8, 1, nil, eng)
 	if err != nil {
 		t.Fatal(err)

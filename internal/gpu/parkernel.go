@@ -11,15 +11,14 @@ import (
 	"stemroot/internal/parallel"
 )
 
-// DefaultEpoch is the epoch length, in simulated cycles, the relaxed-sync
-// parallel engine uses when callers do not specify one (pipeline.Options and
-// the CLI -epoch flag both map 0 to this). The value trades error for
-// barrier frequency: shorter epochs refresh the shared-L2 snapshot more
-// often (lower error, more barriers), longer ones amortize the barrier. The
-// epochsweep experiment (`experiments -run epochsweep`) measures the curve;
-// 64 is the largest power-of-two epoch that keeps the max total-cycles error
-// across the DSE suites under the 2% bar, while still amortizing each
-// barrier over thousands of simulated instructions on paper-scale kernels.
+// DefaultEpoch is the epoch length, in simulated cycles, at which
+// RunSegmentedEngine runs the relaxed-sync parallel engine. The value trades
+// error for barrier frequency: shorter epochs refresh the shared-L2 snapshot
+// more often (lower error, more barriers), longer ones amortize the barrier.
+// A sweep over 16–512 cycles (EXPERIMENTS.md, "Tried, measured, removed")
+// found 64 the largest power-of-two epoch that keeps the max total-cycles
+// error across the DSE suites under the 2% bar, which
+// TestParEngineAccuracyContract holds.
 const DefaultEpoch = 64
 
 // parAccess is one buffered shared-L2 access: the issue time of the L1 miss
@@ -180,8 +179,8 @@ type parEngine struct {
 // the exact engine: epoch <= 0 (or +Inf, or NaN) runs RunKernel itself, for
 // any worker count, so the single-epoch result is bit-identical to the
 // serial engine (pinned by TestRunKernelParDegenerateEpochMatchesRunKernel).
-// Finite epochs are the approximation; `experiments -run epochsweep`
-// measures their total-cycles error against the exact engine STEM-style.
+// Finite epochs are the approximation; TestParEngineAccuracyContract bounds
+// their total-cycles error against the exact engine at DefaultEpoch.
 //
 // Accuracy note: prediction (snapshot probe) and replay (merged Access) can
 // disagree on individual accesses — that timing slack, bounded by the epoch
@@ -306,7 +305,7 @@ func (s *Simulator) runMerge(k *kernelConsts, dramFree float64) float64 {
 // parRunEpochs is the multi-worker epoch loop on a persistent
 // barrier-synchronized pool (parallel.Pool): the coordinator publishes the
 // epoch's parameters in the arena, dispatches the shard phase over the
-// -jkernel workers, then runs the barrier merge itself (merge.go). The
+// intra-kernel workers, then runs the barrier merge itself (merge.go). The
 // pool's calling-goroutine-as-worker-0 design means the coordinator is
 // never idle during the shard phase, and its channel-barrier rounds replace
 // the per-worker goroutine spawns a ForEachStealing-per-epoch design would
@@ -315,7 +314,7 @@ func (s *Simulator) runMerge(k *kernelConsts, dramFree float64) float64 {
 // spec) from parEngine fields, so the loop allocates nothing per epoch.
 // pprof labels attribute samples to pool workers (phase=worker) vs. the
 // coordinator (phase=coordinator), whose serial slices are the merge's
-// Amdahl share — the -barrierstats report measures the same split with
+// Amdahl share — a BarrierCollector measures the same split with
 // timestamps.
 func (s *Simulator) parRunEpochs(spec *kernelgen.Spec, k *kernelConsts, nw int, epoch float64) {
 	p := s.par

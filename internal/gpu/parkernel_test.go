@@ -38,10 +38,10 @@ func TestRunKernelParDegenerateEpochMatchesRunKernel(t *testing.T) {
 }
 
 // TestRunKernelParFiniteEpochCloseToExact is the engineering sanity bound
-// behind the epochsweep experiment: at the default epoch, relaxed-sync total
-// cycles stay within a few percent of the exact engine on representative
-// mixes. (The acceptance-grade measurement across the DSE suites lives in
-// `experiments -run epochsweep`; this keeps the bound enforced in-tree.)
+// at the kernel level: at the default epoch, relaxed-sync total cycles stay
+// within a few percent of the exact engine on representative mixes. (The
+// acceptance-grade bound across the DSE suites is internal/pipeline's
+// TestParEngineAccuracyContract.)
 func TestRunKernelParFiniteEpochCloseToExact(t *testing.T) {
 	cfg := Baseline()
 	for _, tc := range []struct {

@@ -172,9 +172,9 @@ func (kh *keyHasher) writeSpec(s *kernelgen.Spec) {
 // config+spec encoding (pinned by TestSegmentKeyGolden and
 // TestSegmentKeyEngineExactMatchesLegacy, so every cache entry ever written
 // by exact-mode runs stays addressable). Par-mode keys hash
-// ParEngineFingerprint plus the epoch length instead: a different mode or a
-// different epoch is a different key, while the worker count — which cannot
-// change results — is excluded.
+// ParEngineFingerprint plus the epoch length, DefaultEpoch, instead (pinned
+// by TestSegmentKeyParGolden): a different mode is a different key, while
+// the worker count — which cannot change results — is excluded.
 //
 // The canonical encoding is appended to buf[:0] and the (possibly grown)
 // buffer is returned for reuse, so a worker deriving keys for segment after
@@ -186,7 +186,7 @@ func KeyForSegmentEngineAppend(buf []byte, cfg Config, specs []kernelgen.Spec, e
 		kh.str(EngineFingerprint)
 	} else {
 		kh.str(ParEngineFingerprint)
-		kh.f64(eng.Epoch)
+		kh.f64(DefaultEpoch)
 	}
 	kh.writeConfig(&cfg)
 	kh.u64(uint64(len(specs)))

@@ -1,7 +1,6 @@
 package gpu
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -53,6 +52,23 @@ func TestSegmentKeyGolden(t *testing.T) {
 	if got := key.String(); got != want {
 		t.Fatalf("segment key drifted:\n got  %s\n want %s\n"+
 			"If the encoding or EngineFingerprint changed intentionally, update this golden.", got, want)
+	}
+}
+
+// TestSegmentKeyParGolden pins the par-mode key bit-for-bit, as
+// TestSegmentKeyGolden pins the exact one. Recorded under
+// ParEngineFingerprint "stemroot-gpu-engine-par-v2" while the epoch was
+// still a per-run option, at its default of DefaultEpoch: keys written by
+// par runs at the default epoch stay addressable now that DefaultEpoch is
+// the only epoch.
+func TestSegmentKeyParGolden(t *testing.T) {
+	for _, workers := range []int{0, 1, 4} {
+		key := KeyFor(Baseline(), []kernelgen.Spec{segKeyTestSpec()}, Engine{Mode: EngineModePar, Workers: workers})
+		const want = "31e21e153f7d588acbd28149951d6d828a50d5ebe656763d8d8fc3b380c53d84"
+		if got := key.String(); got != want {
+			t.Fatalf("par segment key (workers %d) drifted:\n got  %s\n want %s\n"+
+				"If the encoding or ParEngineFingerprint changed intentionally, update this golden.", workers, got, want)
+		}
 	}
 }
 
@@ -155,9 +171,9 @@ func TestSegmentKeyEngineExactMatchesLegacy(t *testing.T) {
 	legacy := KeyFor(cfg, specs, Engine{})
 	for _, eng := range []Engine{
 		{Mode: EngineModeExact},
-		// Workers/Epoch are ignored in exact mode: they cannot change
-		// results, so they must not change keys either.
-		{Mode: EngineModeExact, Workers: 8, Epoch: 256},
+		// Workers is ignored in exact mode: it cannot change results, so
+		// it must not change keys either.
+		{Mode: EngineModeExact, Workers: 8},
 	} {
 		if k := KeyFor(cfg, specs, eng); k != legacy {
 			t.Fatalf("exact engine %+v key %s != legacy %s", eng, k, legacy)
@@ -167,9 +183,9 @@ func TestSegmentKeyEngineExactMatchesLegacy(t *testing.T) {
 
 // TestSegmentKeyEngineSeparation pins the cache-honesty contract of the
 // two-mode engine: relaxed-sync results are keyed under a distinct
-// fingerprint and by epoch, so exact and par entries can never collide in
-// any cache tier, while the worker count — which cannot change results —
-// is excluded from the key.
+// fingerprint, so exact and par entries can never collide in any cache
+// tier, while the worker count — which cannot change results — is excluded
+// from the key.
 func TestSegmentKeyEngineSeparation(t *testing.T) {
 	cfg := Baseline()
 	specs := []kernelgen.Spec{segKeyTestSpec()}
@@ -177,14 +193,6 @@ func TestSegmentKeyEngineSeparation(t *testing.T) {
 	par := KeyFor(cfg, specs, Engine{Mode: EngineModePar})
 	if par == exact {
 		t.Fatal("par-mode key equals exact key: caches would mix engine modes")
-	}
-	// Epoch 0 normalizes to DefaultEpoch: same key as the explicit default.
-	if k := KeyFor(cfg, specs, Engine{Mode: EngineModePar, Epoch: DefaultEpoch}); k != par {
-		t.Fatalf("par epoch=0 key %s != epoch=DefaultEpoch key %s", par, k)
-	}
-	// A different epoch is a different result — and must be a different key.
-	if k := KeyFor(cfg, specs, Engine{Mode: EngineModePar, Epoch: 2 * DefaultEpoch}); k == par {
-		t.Fatal("par-mode key ignores epoch")
 	}
 	// Worker count is partitioning, not content: keys must not depend on it.
 	for _, w := range []int{1, 4, 16} {
@@ -194,20 +202,14 @@ func TestSegmentKeyEngineSeparation(t *testing.T) {
 	}
 }
 
-// TestEngineValidate pins mode/epoch validation at the Engine level.
+// TestEngineValidate pins mode validation at the Engine level.
 func TestEngineValidate(t *testing.T) {
-	for _, eng := range []Engine{{}, {Mode: "exact"}, {Mode: "par"}, {Mode: "par", Workers: 4, Epoch: 128}} {
+	for _, eng := range []Engine{{}, {Mode: "exact"}, {Mode: "par"}, {Mode: "par", Workers: 4}} {
 		if err := eng.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v, want nil", eng, err)
 		}
 	}
 	if err := (Engine{Mode: "fast"}).Validate(); err == nil {
 		t.Error("unknown mode accepted")
-	}
-	if err := (Engine{Mode: "par", Epoch: math.Inf(1)}).Validate(); err == nil {
-		t.Error("infinite epoch accepted")
-	}
-	if err := (Engine{Mode: "par", Epoch: math.NaN()}).Validate(); err == nil {
-		t.Error("NaN epoch accepted")
 	}
 }

@@ -640,7 +640,7 @@ func (r *segRun) segment(worker, sg int) {
 // replay segments, in parallel, under an execution mode: each kernel runs
 // under eng — the exact engine (RunKernel, the zero Engine) or the
 // relaxed-sync parallel engine (RunKernelPar with eng.Workers intra-kernel
-// workers at eng.Epoch cycles per epoch). L2 state persists within a segment
+// workers at DefaultEpoch). L2 state persists within a segment
 // as in RunSpecs and is cold at segment starts — the standard
 // trace-level-parallelism trade; the paper's §6.2 ablation bounds the
 // inter-kernel reuse it discards. segLen <= 0 selects DefaultSegmentLen;
@@ -658,7 +658,7 @@ func (r *segRun) segment(worker, sg int) {
 // publishes them in segment order. Segmentation and publication depend only
 // on n and segLen, so the returned results and total are bit-identical for
 // every workers value, including the serial workers == 1 path, AND for every
-// eng.Workers value — only eng.Mode and eng.Epoch affect output (pinned by
+// eng.Workers value — only eng.Mode affects output (pinned by
 // TestRunSegmentedStealingDeterministicSkewed and the pipeline determinism
 // tests).
 //
@@ -666,14 +666,14 @@ func (r *segRun) segment(worker, sg int) {
 // result is a pure function of (engine fingerprint, cfg, its spec sequence) —
 // the SegmentKey (KeyForSegmentEngineAppend) — so a hit is bit-identical to a
 // fresh simulation. Exact-mode keys carry EngineFingerprint, par-mode keys
-// ParEngineFingerprint plus the epoch, so the modes never share entries.
+// ParEngineFingerprint plus DefaultEpoch, so the modes never share entries.
 // Cached result slices are shared between callers; they are copied into the
 // returned slice, never mutated in place. An all-hit call allocates its
 // results and nothing that grows with n (TestRunSegmentedEngineWarmAllocs).
 //
 // In par mode the two worker counts compose: `workers` segment workers each
-// run kernels that internally fan out over eng.Workers SM-shard workers
-// (the -j / -jkernel split on the CLIs). For workloads with many segments,
+// run kernels that internally fan out over eng.Workers SM-shard workers.
+// For workloads with many segments,
 // segment workers alone saturate cores; eng.Workers pays off for single-
 // kernel latency and short workloads.
 func RunSegmentedEngine(cfg Config, n int, specAt func(i int) kernelgen.Spec, segLen, workers int, cache SegmentCache, eng Engine) ([]KernelResult, float64, error) {
@@ -813,7 +813,6 @@ func putSimulators(sims []*Simulator) {
 		if sim == nil {
 			continue
 		}
-		sim.SetBarrierCollector(nil)
 		idleSims.sims = parallel.PushIdle(idleSims.sims, sim, maxIdleSims)
 	}
 }

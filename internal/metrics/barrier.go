@@ -1,10 +1,6 @@
 package metrics
 
-import (
-	"fmt"
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // BarrierSample is one kernel's epoch-barrier accounting from the parallel
 // intra-kernel engine: how many epochs ran, how the wall clock split between
@@ -26,10 +22,10 @@ type BarrierSample struct {
 // bit-identical at any worker count (the nanosecond fields are wall-clock
 // measurements and of course are not).
 //
-// The collector is pure observability: wiring one into an Engine changes no
-// simulation result and no cache key. A nil *BarrierCollector is valid
-// everywhere and disables collection (including the per-phase time.Now
-// calls in the epoch loop).
+// The collector is pure observability: installing one on a Simulator
+// changes no simulation result and no cache key. A nil *BarrierCollector is
+// valid everywhere and disables collection (including the per-phase
+// time.Now calls in the epoch loop).
 type BarrierCollector struct {
 	kernels   atomic.Int64
 	epochs    atomic.Int64
@@ -42,18 +38,6 @@ type BarrierCollector struct {
 // AddKernel folds one kernel's sample into the collector.
 func (c *BarrierCollector) AddKernel(s BarrierSample) {
 	c.kernels.Add(1)
-	c.epochs.Add(s.Epochs)
-	c.computeNS.Add(s.ComputeNS)
-	c.mergeNS.Add(s.MergeNS)
-	c.replayed.Add(s.Replayed)
-	c.misses.Add(s.Misses)
-}
-
-// Add folds a whole snapshot — typically another collector's — into c.
-// Runners that scope a private collector to one sweep point use it to
-// propagate totals to a session-wide collector afterwards.
-func (c *BarrierCollector) Add(s BarrierStats) {
-	c.kernels.Add(s.Kernels)
 	c.epochs.Add(s.Epochs)
 	c.computeNS.Add(s.ComputeNS)
 	c.mergeNS.Add(s.MergeNS)
@@ -92,12 +76,4 @@ func (s BarrierStats) MergeSharePct() float64 {
 		return 0
 	}
 	return 100 * float64(s.MergeNS) / float64(total)
-}
-
-// String renders the one-line stderr report behind -barrierstats.
-func (s BarrierStats) String() string {
-	return fmt.Sprintf(
-		"barrier stats: kernels=%d epochs=%d replayed=%d misses=%d compute=%v merge=%v merge-share=%.1f%%",
-		s.Kernels, s.Epochs, s.Replayed, s.Misses,
-		time.Duration(s.ComputeNS), time.Duration(s.MergeNS), s.MergeSharePct())
 }

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"strings"
 	"sync"
 	"testing"
 )
@@ -27,12 +26,6 @@ func TestBarrierCollectorConcurrentSums(t *testing.T) {
 	}
 	if got := s.MergeSharePct(); got < 33.3 || got > 33.4 {
 		t.Fatalf("MergeSharePct = %g, want ~33.33", got)
-	}
-	str := s.String()
-	for _, want := range []string{"kernels=800", "epochs=2400", "replayed=5600", "misses=1600", "merge-share=33.3%"} {
-		if !strings.Contains(str, want) {
-			t.Fatalf("String() = %q, missing %q", str, want)
-		}
 	}
 }
 

@@ -33,7 +33,6 @@ import (
 	"stemroot/internal/gpu"
 	"stemroot/internal/hwmodel"
 	"stemroot/internal/kernelgen"
-	"stemroot/internal/metrics"
 	"stemroot/internal/parallel"
 	"stemroot/internal/sampling"
 	"stemroot/internal/trace"
@@ -66,33 +65,22 @@ type Options struct {
 	// intended use. nil disables caching.
 	Cache gpu.SegmentCache
 	// Engine selects the kernel execution mode: "" or "exact" runs
-	// gpu.RunKernel (the default, today's bit-exact contract), "par" runs
-	// gpu.RunKernelPar — the relaxed-sync intra-kernel parallel engine, with
-	// KernelWorkers SM-shard workers advancing in Epoch-cycle windows.
-	// Results in par mode are deterministic for every Workers AND
-	// KernelWorkers value; only Engine and Epoch affect output, and the
-	// segment cache keys both (gpu.KeyForSegmentEngineAppend), so exact and
-	// par results never share cache entries.
+	// gpu.RunKernel, the engine every table and figure comes from; "par"
+	// runs gpu.RunKernelPar, the relaxed-sync intra-kernel engine at
+	// gpu.DefaultEpoch, which only the benchmark harness measures. Par
+	// results are deterministic for every Workers and KernelWorkers value,
+	// and the segment cache keys the mode (gpu.KeyForSegmentEngineAppend),
+	// so exact and par results never share cache entries.
 	Engine string
-	// KernelWorkers is the intra-kernel worker count for the par engine
-	// (gpu.RunKernelPar); <= 0 selects one per CPU. Ignored in exact mode.
+	// KernelWorkers is the intra-kernel worker count for the par engine;
+	// <= 0 selects one per CPU. Ignored in exact mode.
 	KernelWorkers int
-	// Epoch is the par engine's epoch length in simulated cycles; <= 0
-	// selects gpu.DefaultEpoch. Ignored in exact mode.
-	Epoch float64
-	// BarrierStats, when non-nil, accumulates per-kernel epoch-barrier
-	// accounting (compute vs merge time, replayed accesses, misses) from
-	// par-mode runs. Observability only — no effect on results or keys.
-	BarrierStats *metrics.BarrierCollector
 }
 
 // engine maps the Options fields to the gpu.Engine value handed to
 // gpu.RunSegmentedEngine. Validation happens there (unknown modes error).
 func (o Options) engine() gpu.Engine {
-	return gpu.Engine{
-		Mode: o.Engine, Workers: o.KernelWorkers,
-		Epoch: o.Epoch, Barrier: o.BarrierStats,
-	}
+	return gpu.Engine{Mode: o.Engine, Workers: o.KernelWorkers}
 }
 
 // specSource generates one simulation pass's specs on demand: position i is

@@ -14,17 +14,15 @@ import (
 type fakeRemote struct {
 	mu      sync.Mutex
 	store   map[gpu.SegmentKey][]gpu.KernelResult
-	batch   bool
 	gets    []gpu.SegmentKey
 	batches [][]gpu.SegmentKey
 	puts    map[gpu.SegmentKey]int64 // key → costNs
 }
 
-func newFakeRemote(batch bool) *fakeRemote {
+func newFakeRemote() *fakeRemote {
 	return &fakeRemote{
 		store: make(map[gpu.SegmentKey][]gpu.KernelResult),
 		puts:  make(map[gpu.SegmentKey]int64),
-		batch: batch,
 	}
 }
 
@@ -54,7 +52,6 @@ func (f *fakeRemote) Put(key gpu.SegmentKey, results []gpu.KernelResult, costNs 
 	f.puts[key] = costNs
 }
 
-func (f *fakeRemote) WantBatch() bool    { return f.batch }
 func (f *fakeRemote) Stats() RemoteStats { return RemoteStats{} }
 
 var _ Remote = (*fakeRemote)(nil)
@@ -75,7 +72,7 @@ var remoteResults = []gpu.KernelResult{{Cycles: 100, Instructions: 200, L1HitRat
 // lands in the memory tier (second access is a mem hit, no second remote
 // Get).
 func TestRemoteTierOrder(t *testing.T) {
-	remote := newFakeRemote(false)
+	remote := newFakeRemote()
 	key := gpu.SegmentKey{7}
 	remote.store[key] = remoteResults
 	c := mustCache(t, Options{Remote: remote})
@@ -109,7 +106,7 @@ func TestRemoteTierOrder(t *testing.T) {
 // TestRemoteWriteBack pins that a computed entry is replicated to the
 // remote tier with a positive measured cost.
 func TestRemoteWriteBack(t *testing.T) {
-	remote := newFakeRemote(false)
+	remote := newFakeRemote()
 	key := gpu.SegmentKey{8}
 	c := mustCache(t, Options{Remote: remote})
 	_, err := c.GetOrCompute(key, func() ([]gpu.KernelResult, error) { return remoteResults, nil })
@@ -127,7 +124,7 @@ func TestRemoteWriteBack(t *testing.T) {
 
 // TestDiskBeforeRemote: a key on local disk never touches the wire.
 func TestDiskBeforeRemote(t *testing.T) {
-	remote := newFakeRemote(false)
+	remote := newFakeRemote()
 	key := gpu.SegmentKey{9}
 	dir := t.TempDir()
 	seed := mustCache(t, Options{Dir: dir})
@@ -154,7 +151,7 @@ func TestDiskBeforeRemote(t *testing.T) {
 // TestRemoteHitReplicatesToDisk: a remote hit is persisted locally so a
 // later run on this machine survives a dead server warm.
 func TestRemoteHitReplicatesToDisk(t *testing.T) {
-	remote := newFakeRemote(false)
+	remote := newFakeRemote()
 	key := gpu.SegmentKey{10}
 	remote.store[key] = remoteResults
 	dir := t.TempDir()
@@ -178,7 +175,7 @@ func TestRemoteHitReplicatesToDisk(t *testing.T) {
 // the batch misses are remembered so the per-segment miss path skips the
 // single-key round trip exactly once.
 func TestPrefetchSeedsMemory(t *testing.T) {
-	remote := newFakeRemote(true)
+	remote := newFakeRemote()
 	hitKey, missKey := gpu.SegmentKey{11}, gpu.SegmentKey{12}
 	remote.store[hitKey] = remoteResults
 	c := mustCache(t, Options{Remote: remote})
@@ -228,7 +225,7 @@ func TestPrefetchSeedsMemory(t *testing.T) {
 // the first load, so a later lookup of the same key (when another client
 // may have stored it) asks the server again.
 func TestPrefetchMissConsumedOnce(t *testing.T) {
-	remote := newFakeRemote(true)
+	remote := newFakeRemote()
 	// Same first byte → same shard; with MaxBytes 1 the shard holds one
 	// entry, so inserting evictor pushes key out of the memory tier.
 	key, evictor := gpu.SegmentKey{13}, gpu.SegmentKey{13, 1}
@@ -258,14 +255,11 @@ func TestPrefetchMissConsumedOnce(t *testing.T) {
 	}
 }
 
-// TestWantPrefetchOff: no remote, or a remote that declines batching, must
-// not trigger the up-front key derivation pass.
+// TestWantPrefetchOff: without a remote there is no round trip to save, so
+// the up-front key derivation pass must not run.
 func TestWantPrefetchOff(t *testing.T) {
 	if c := mustCache(t, Options{}); c.WantPrefetch() {
 		t.Fatal("WantPrefetch true without a remote")
-	}
-	if c := mustCache(t, Options{Remote: newFakeRemote(false)}); c.WantPrefetch() {
-		t.Fatal("WantPrefetch true with a non-batching remote")
 	}
 }
 
@@ -277,7 +271,7 @@ func TestStatsString(t *testing.T) {
 	if s := c.Stats().String(); !strings.HasPrefix(s, "hits=0 (mem") || strings.Contains(s, "remote:") {
 		t.Fatalf("base stats line changed: %q", s)
 	}
-	cr := mustCache(t, Options{Remote: newFakeRemote(true)})
+	cr := mustCache(t, Options{Remote: newFakeRemote()})
 	s := cr.Stats().String()
 	for _, want := range []string{" | remote: ", "prefetches=", "in_flight="} {
 		if !strings.Contains(s, want) {

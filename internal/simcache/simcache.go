@@ -76,10 +76,6 @@ type Remote interface {
 	// (the measured simulation time), the weight cost-aware eviction uses
 	// to keep expensive-to-recompute entries alive. May be asynchronous.
 	Put(key gpu.SegmentKey, results []gpu.KernelResult, costNs int64)
-	// WantBatch reports whether BatchGet amortizes round trips (false for
-	// degraded or deliberately unbatched clients); it gates the up-front
-	// key derivation of gpu.RunSegmentedEngine's prefetch pass.
-	WantBatch() bool
 	// Stats snapshots the client's wire-level counters.
 	Stats() RemoteStats
 }
@@ -382,10 +378,9 @@ func (c *Cache) load(e *entry, compute func() ([]gpu.KernelResult, error)) (resu
 }
 
 // WantPrefetch implements gpu.BatchPrefetcher: up-front key derivation pays
-// off only when a batched remote tier can turn the keys into one round trip.
-func (c *Cache) WantPrefetch() bool {
-	return c.remote != nil && c.remote.WantBatch()
-}
+// off only when a remote tier can turn the keys into one BatchGet round
+// trip.
+func (c *Cache) WantPrefetch() bool { return c.remote != nil }
 
 // Prefetch implements gpu.BatchPrefetcher: it resolves the announced keys
 // against the remote tier in one BatchGet, seeding the in-memory tier with

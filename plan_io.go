@@ -211,12 +211,13 @@ func ReadPlanJSON(r io.Reader) (*Plan, error) {
 			}
 		}
 		p.Clusters = append(p.Clusters, Cluster{
-			Kernel:  c.Kernel,
-			Members: c.Members,
-			Samples: c.Samples,
-			Weight:  c.Weight,
-			Mean:    c.Mean,
-			StdDev:  c.StdDev,
+			Kernel:     c.Kernel,
+			Members:    c.Members,
+			Population: len(c.Members),
+			Samples:    c.Samples,
+			Weight:     c.Weight,
+			Mean:       c.Mean,
+			StdDev:     c.StdDev,
 		})
 	}
 	return p, nil

@@ -103,9 +103,16 @@ type Cluster struct {
 	// Kernel is the kernel name the cluster belongs to.
 	Kernel string
 	// Members are the invocation indices the cluster represents; nil in a
-	// streaming plan (SampleStream, StreamPlanner), where Weight carries
-	// the population.
+	// streaming plan (SampleStream, StreamPlanner), which does not keep
+	// them.
 	Members []int
+	// Population is the number of invocations the cluster stands for:
+	// len(Members) in a batch plan; in a streaming plan, the cluster's
+	// share of its kernel's exact count (the shares sum to that count,
+	// while Weight also carries the calibration to the kernel's exact
+	// total time). Plan JSON does not store it: ReadPlanJSON sets it to
+	// len(Members), so a streaming plan reads back with Population 0.
+	Population int
 	// Samples are the invocation indices to simulate, drawn with
 	// replacement (simulate distinct ones once and reuse the result) —
 	// except in a capped cluster, whose sizing reached its population:
@@ -173,12 +180,13 @@ func fromCore(cp *core.Plan) *Plan {
 	for i := range cp.Clusters {
 		c := &cp.Clusters[i]
 		plan.Clusters[i] = Cluster{
-			Kernel:  c.Name,
-			Members: c.Indices,
-			Samples: c.Samples,
-			Weight:  c.Weight,
-			Mean:    c.Stats.Mean,
-			StdDev:  c.Stats.StdDev,
+			Kernel:     c.Name,
+			Members:    c.Indices,
+			Population: c.Stats.N,
+			Samples:    c.Samples,
+			Weight:     c.Weight,
+			Mean:       c.Stats.Mean,
+			StdDev:     c.Stats.StdDev,
 		}
 	}
 	return plan

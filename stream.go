@@ -38,7 +38,7 @@ type StreamOptions struct {
 // reservoirs (see StreamOptions). Cluster statistics are exact for every
 // kernel whose invocations fit its reservoir; beyond that they are
 // reservoir estimates calibrated to the kernel's exact count and total
-// time. Members are not materialized; the weight carries the population.
+// time. Members are not materialized; each cluster's Population counts them.
 func SampleStream(src Scanner, opts Options, sopts StreamOptions) (*Plan, error) {
 	sp, err := NewStreamPlanner(opts, sopts)
 	if err != nil {

@@ -314,3 +314,36 @@ func TestStreamPlannerSnapshot(t *testing.T) {
 		t.Fatalf("distinct sampled time %v out of range", snap.DistinctTimeUS)
 	}
 }
+
+// TestClusterPopulationsSumToInvocations pins Cluster.Population: in a batch
+// plan it is each cluster's member count, and in a streaming plan whose
+// reservoirs overflow (so weights carry calibration as well as counts) the
+// populations still sum to the exact number of invocations streamed.
+func TestClusterPopulationsSumToInvocations(t *testing.T) {
+	const n = 10000
+	names, times := syntheticProfile(n, 9)
+	batch, err := Sample(names, times, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := SampleStream(sliceScanner{names, times}, Options{}, StreamOptions{ReservoirCap: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		plan *Plan
+	}{{"batch", batch}, {"stream", stream}} {
+		sum, weighted := 0, 0.0
+		for _, c := range tc.plan.Clusters {
+			if tc.plan == batch && c.Population != len(c.Members) {
+				t.Fatalf("batch cluster %q: population %d, %d members", c.Kernel, c.Population, len(c.Members))
+			}
+			sum += c.Population
+			weighted += c.Weight * float64(len(c.Samples))
+		}
+		if sum != n {
+			t.Errorf("%s: populations sum to %d, want %d (weight × samples sums to %.1f)", tc.name, sum, n, weighted)
+		}
+	}
+}
