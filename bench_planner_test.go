@@ -119,7 +119,7 @@ func BenchmarkPlanPhoton(b *testing.B) {
 	w, prof := benchWorkload(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan, err := sampling.NewPhoton(1).Plan(w, prof)
+		plan, err := (&sampling.Photon{}).Plan(w, prof)
 		if err != nil {
 			b.Fatal(err)
 		}

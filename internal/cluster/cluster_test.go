@@ -79,16 +79,13 @@ func TestKMeans1DBimodal(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		vals = append(vals, 5+r.NormFloat64()*0.2, 50+r.NormFloat64()*0.2)
 	}
-	res, err := KMeans1D(vals, 2, Options{Seed: 2})
+	var s Scratch1D
+	res, err := s.KMeans(vals, 2, Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := res.Groups()
-	if len(groups) != 2 {
-		t.Fatalf("expected 2 groups, got %d", len(groups))
-	}
-	if len(groups[0]) != 200 || len(groups[1]) != 200 {
-		t.Fatalf("uneven split: %d / %d", len(groups[0]), len(groups[1]))
+	if res.K != 2 || res.Counts[0] != 200 || res.Counts[1] != 200 {
+		t.Fatalf("split %v into %d clusters, want 200 / 200", res.Counts, res.K)
 	}
 }
 
@@ -251,90 +248,16 @@ func TestSweepKSubsampled(t *testing.T) {
 	}
 }
 
-func TestPCARecoversDominantAxis(t *testing.T) {
-	// Points on a line y = 2x with small orthogonal noise: the first
-	// principal component must align with (1,2)/sqrt(5).
-	r := rng.New(11)
-	pts := make([][]float64, 500)
-	for i := range pts {
-		tt := r.NormFloat64() * 5
-		noise := r.NormFloat64() * 0.01
-		pts[i] = []float64{tt - 2*noise, 2*tt + noise}
-	}
-	p, err := FitPCA(pts, 1, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := p.Components[0]
-	want := []float64{1 / math.Sqrt(5), 2 / math.Sqrt(5)}
-	dot := c[0]*want[0] + c[1]*want[1]
-	if math.Abs(math.Abs(dot)-1) > 1e-3 {
-		t.Fatalf("first PC %v misaligned with %v (|dot|=%v)", c, want, math.Abs(dot))
-	}
-}
-
-func TestPCAVariancesDecreasing(t *testing.T) {
-	r := rng.New(12)
-	pts := make([][]float64, 300)
-	for i := range pts {
-		pts[i] = []float64{r.NormFloat64() * 10, r.NormFloat64() * 3, r.NormFloat64()}
-	}
-	p, err := FitPCA(pts, 3, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(p.Variances); i++ {
-		if p.Variances[i] > p.Variances[i-1]+1e-9 {
-			t.Fatalf("variances not decreasing: %v", p.Variances)
-		}
-	}
-}
-
-func TestPCATransformDimension(t *testing.T) {
-	r := rng.New(13)
-	pts := make([][]float64, 50)
-	for i := range pts {
-		pts[i] = []float64{r.Float64(), r.Float64(), r.Float64(), r.Float64()}
-	}
-	p, err := FitPCA(pts, 2, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := p.TransformAll(pts)
-	if len(out) != 50 || len(out[0]) != len(p.Components) {
-		t.Fatalf("bad transform shape: %d x %d", len(out), len(out[0]))
-	}
-}
-
-func TestPCAZeroVariance(t *testing.T) {
-	pts := [][]float64{{1, 1}, {1, 1}, {1, 1}}
-	p, err := FitPCA(pts, 2, 14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Components) != 1 || p.Variances[0] != 0 {
-		t.Fatalf("zero-variance data should yield one zero-variance axis, got %d comps", len(p.Components))
-	}
-	if got := p.Transform([]float64{1, 1}); got[0] != 0 {
-		t.Fatalf("transform of mean should be 0, got %v", got)
-	}
-}
-
-func TestPCAErrors(t *testing.T) {
-	if _, err := FitPCA(nil, 1, 0); err == nil {
-		t.Fatal("expected error for empty input")
-	}
-}
-
 func BenchmarkKMeans1D(b *testing.B) {
 	r := rng.New(1)
 	vals := make([]float64, 10000)
 	for i := range vals {
 		vals[i] = r.NormFloat64()
 	}
+	var s Scratch1D
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := KMeans1D(vals, 2, Options{Seed: uint64(i)}); err != nil {
+		if _, err := s.KMeans(vals, 2, Options{Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,21 +1,16 @@
 // Package cluster implements the clustering substrate: k-means with
-// k-means++ seeding (in one and many dimensions), silhouette scoring, and
-// principal component analysis.
+// k-means++ seeding (in one and many dimensions) and silhouette scoring.
 //
 // ROOT (paper §3.4) recursively applies 1-D k-means (k=2) to kernel
 // execution times; the PKA baseline applies N-D k-means over 12
-// instruction-level metrics with a k sweep; Photon reduces basic-block
-// vectors with PCA before comparing them.
+// instruction-level metrics with a k sweep.
 //
-// The k-means implementations are performance-layered (DESIGN §5.4): the
-// generic path stores points row-major in one flat []float64 for cache
-// locality, and the scalar path (Scratch1D, used by ROOT's recursive
-// execution-time splits) additionally reuses caller-owned scratch so a
-// split allocates nothing in steady state. Both fold floats and consume
-// the RNG in exactly the same order as the textbook slice-of-points
-// implementation, so clusterings are bit-identical to it — pinned by the
-// oracle tests against the reference implementation in
-// kmeans_oracle_test.go.
+// KMeans is the textbook slice-of-points Lloyd loop. Scratch1D, the scalar
+// path ROOT's recursive execution-time splits use, keeps values in one flat
+// []float64 and reuses caller-owned scratch so a split allocates nothing in
+// steady state. It folds floats and consumes the RNG in exactly KMeans's
+// order, so its clusterings are bit-identical to KMeans over boxed points —
+// pinned by the oracle tests in kmeans_oracle_test.go.
 //
 // All entry points are pure functions of their inputs and an explicit seed
 // (no package-level state), so they are safe to call from many goroutines —
@@ -49,7 +44,6 @@ type Options struct {
 	MaxIter int     // maximum Lloyd iterations (default 100)
 	Tol     float64 // relative inertia improvement to keep iterating (default 1e-6)
 	Seed    uint64  // RNG seed for k-means++ initialization
-	Restart int     // number of random restarts, best inertia wins (default 1)
 }
 
 func (o Options) withDefaults() Options {
@@ -58,9 +52,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Tol <= 0 {
 		o.Tol = 1e-6
-	}
-	if o.Restart <= 0 {
-		o.Restart = 1
 	}
 	return o
 }
@@ -96,32 +87,6 @@ func pickWeighted(dist []float64, x float64) int {
 	return last
 }
 
-// kmState is the flat working state of one generic k-means run: points are
-// stored row-major (point i occupies data[i*dim : (i+1)*dim]) so the
-// assignment and update loops walk contiguous memory instead of chasing a
-// pointer per point. Buffers are reused across restarts.
-type kmState struct {
-	n, dim, k int
-	data      []float64 // n*dim row-major points
-	cent      []float64 // k*dim centroids
-	prev      []float64 // centroids before the update step (no-move check)
-	sums      []float64 // k*dim per-cluster coordinate sums (fused update)
-	dist      []float64 // k-means++ nearest-centroid distances
-	assign    []int
-	counts    []int
-}
-
-func (s *kmState) sqDistPC(i, j int) float64 {
-	var sum float64
-	p := s.data[i*s.dim : (i+1)*s.dim]
-	c := s.cent[j*s.dim : (j+1)*s.dim]
-	for d := range p {
-		diff := p[d] - c[d]
-		sum += diff * diff
-	}
-	return sum
-}
-
 // KMeans clusters points into k groups with Lloyd's algorithm seeded by
 // k-means++. All points must share one dimensionality. When k >= len(points)
 // every point becomes its own cluster.
@@ -144,188 +109,107 @@ func KMeans(points [][]float64, k int, opts Options) (*Result, error) {
 	}
 	opts = opts.withDefaults()
 
-	s := kmState{
-		n: n, dim: dim, k: k,
-		data:   make([]float64, n*dim),
-		cent:   make([]float64, k*dim),
-		prev:   make([]float64, k*dim),
-		sums:   make([]float64, k*dim),
-		dist:   make([]float64, n),
-		assign: make([]int, n),
-		counts: make([]int, k),
-	}
-	for i, p := range points {
-		copy(s.data[i*dim:(i+1)*dim], p)
-	}
-
-	r := rng.New(opts.Seed)
-	var best *Result
-	for restart := 0; restart < opts.Restart; restart++ {
-		res := s.once(opts, r.Split())
-		if best == nil || res.Inertia < best.Inertia {
-			best = res
-		}
-	}
-	return best, nil
-}
-
-// once runs one seeded Lloyd clustering over the flat state and materializes
-// a Result (fresh Assignment/Centroids — the state buffers are reused by the
-// next restart).
-func (s *kmState) once(opts Options, r *rng.Rand) *Result {
-	s.plusPlusInit(r)
-	n, dim, k := s.n, s.dim, s.k
+	centroids := plusPlusInit(points, k, rng.New(opts.Seed).Split())
+	assign := make([]int, n)
+	counts := make([]int, k)
 	prevInertia := math.Inf(1)
 	iters := 0
-	inertia := 0.0
-	moved := true
 
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		iters = iter + 1
-		// Fused assignment + update accumulation: one pass over the points
-		// assigns each (reading cent) and folds it into the sums buffer.
-		// Sums, counts, and inertia accumulate in point order — exactly the
-		// order the split assignment and update loops used — so the fusion
-		// is invisible in the results.
-		for x := range s.sums[:k*dim] {
-			s.sums[x] = 0
-		}
-		for j := range s.counts {
-			s.counts[j] = 0
-		}
-		inertia = 0
-		for i := 0; i < n; i++ {
-			bestJ, bestD := 0, math.Inf(1)
-			for j := 0; j < k; j++ {
-				if d := s.sqDistPC(i, j); d < bestD {
-					bestJ, bestD = j, d
-				}
+		inertia := assignNearest(points, centroids, assign)
+		// Update step.
+		for j := range centroids {
+			for d := range centroids[j] {
+				centroids[j][d] = 0
 			}
-			s.assign[i] = bestJ
-			inertia += bestD
-			s.counts[bestJ]++
-			row := s.sums[bestJ*dim : (bestJ+1)*dim]
-			p := s.data[i*dim : (i+1)*dim]
-			for d := range row {
-				row[d] += p[d]
+			counts[j] = 0
+		}
+		for i, p := range points {
+			j := assign[i]
+			counts[j]++
+			for d := range p {
+				centroids[j][d] += p[d]
 			}
 		}
-		// prev keeps the pre-update centroids so the converged-in-place case
-		// can skip the final assignment pass.
-		copy(s.prev, s.cent)
-		copy(s.cent, s.sums[:k*dim])
-		for j := 0; j < k; j++ {
-			row := s.cent[j*dim : (j+1)*dim]
-			if s.counts[j] == 0 {
+		for j := range centroids {
+			if counts[j] == 0 {
 				// Re-seed an empty cluster at the point farthest from its
-				// centroid to keep k populated clusters. Centroid rows past j
-				// still hold raw sums at this point, exactly as in the
-				// reference implementation.
+				// centroid to keep k populated clusters. Centroids past j
+				// still hold raw sums here.
 				far, farD := 0, -1.0
-				for i := 0; i < n; i++ {
-					if d := s.sqDistPC(i, s.assign[i]); d > farD {
+				for i, p := range points {
+					if d := sqDist(p, centroids[assign[i]]); d > farD {
 						far, farD = i, d
 					}
 				}
-				copy(row, s.data[far*dim:(far+1)*dim])
+				copy(centroids[j], points[far])
 				continue
 			}
-			inv := 1 / float64(s.counts[j])
-			for d := range row {
-				row[d] *= inv
-			}
-		}
-		moved = false
-		for x := range s.cent {
-			if s.cent[x] != s.prev[x] {
-				moved = true
-				break
+			inv := 1 / float64(counts[j])
+			for d := range centroids[j] {
+				centroids[j][d] *= inv
 			}
 		}
 		if prevInertia-inertia <= opts.Tol*math.Max(prevInertia, 1e-300) {
-			prevInertia = inertia
 			break
 		}
 		prevInertia = inertia
 	}
 
-	// Final assignment against the last centroids — skipped when the last
-	// update step moved no centroid bitwise, in which case the in-loop
-	// assignment (computed against those very centroids) and its inertia are
-	// already exact.
-	if moved {
-		inertia = 0
-		for i := 0; i < n; i++ {
-			bestJ, bestD := 0, math.Inf(1)
-			for j := 0; j < k; j++ {
-				if d := s.sqDistPC(i, j); d < bestD {
-					bestJ, bestD = j, d
-				}
-			}
-			s.assign[i] = bestJ
-			inertia += bestD
-		}
-	}
+	// Final assignment against the last centroids.
+	inertia := assignNearest(points, centroids, assign)
+	return &Result{K: k, Assignment: assign, Centroids: centroids, Inertia: inertia, Iterations: iters}, nil
+}
 
-	centroids := make([][]float64, k)
-	for j := range centroids {
-		centroids[j] = append(make([]float64, 0, dim), s.cent[j*dim:(j+1)*dim]...)
+// assignNearest assigns every point to its nearest centroid (the lowest
+// index on a tie) and returns the inertia, summed in point order.
+func assignNearest(points, centroids [][]float64, assign []int) float64 {
+	inertia := 0.0
+	for i, p := range points {
+		bestJ, bestD := 0, math.Inf(1)
+		for j, c := range centroids {
+			if d := sqDist(p, c); d < bestD {
+				bestJ, bestD = j, d
+			}
+		}
+		assign[i] = bestJ
+		inertia += bestD
 	}
-	assign := append(make([]int, 0, n), s.assign...)
-	return &Result{K: k, Assignment: assign, Centroids: centroids, Inertia: inertia, Iterations: iters}
+	return inertia
 }
 
 // plusPlusInit chooses k initial centroids with the k-means++ scheme: the
 // first uniformly, each subsequent one with probability proportional to its
 // squared distance from the nearest chosen centroid.
-func (s *kmState) plusPlusInit(r *rng.Rand) {
-	n, dim := s.n, s.dim
-	first := r.Intn(n)
-	copy(s.cent[0:dim], s.data[first*dim:(first+1)*dim])
-	for i := 0; i < n; i++ {
-		s.dist[i] = s.sqDistPC(i, 0)
+func plusPlusInit(points [][]float64, k int, r *rng.Rand) [][]float64 {
+	n := len(points)
+	centroids := make([][]float64, 0, k)
+	centroids = append(centroids, append([]float64(nil), points[r.Intn(n)]...))
+	dist := make([]float64, n)
+	for i, p := range points {
+		dist[i] = sqDist(p, centroids[0])
 	}
-	for c := 1; c < s.k; c++ {
+	for len(centroids) < k {
 		total := 0.0
-		for _, d := range s.dist {
+		for _, d := range dist {
 			total += d
 		}
 		var idx int
 		if total <= 0 {
 			idx = r.Intn(n) // all points identical to chosen centroids
 		} else {
-			idx = pickWeighted(s.dist, r.Float64()*total)
+			idx = pickWeighted(dist, r.Float64()*total)
 		}
-		copy(s.cent[c*dim:(c+1)*dim], s.data[idx*dim:(idx+1)*dim])
-		for i := 0; i < n; i++ {
-			if d := s.sqDistPC(i, c); d < s.dist[i] {
-				s.dist[i] = d
+		c := append([]float64(nil), points[idx]...)
+		centroids = append(centroids, c)
+		for i, p := range points {
+			if d := sqDist(p, c); d < dist[i] {
+				dist[i] = d
 			}
 		}
 	}
-}
-
-// KMeans1D clusters scalar values; a convenience wrapper used by ROOT's
-// execution-time splits. Hot callers that cluster many value sets should
-// hold a Scratch1D and call its KMeans method instead — same results,
-// no per-call allocation.
-func KMeans1D(values []float64, k int, opts Options) (*Result, error) {
-	var s Scratch1D
-	r1, err := s.KMeans(values, k, opts)
-	if err != nil {
-		return nil, err
-	}
-	centroids := make([][]float64, r1.K)
-	for j := range centroids {
-		centroids[j] = []float64{r1.Centroids[j]}
-	}
-	return &Result{
-		K:          r1.K,
-		Assignment: r1.Assignment,
-		Centroids:  centroids,
-		Inertia:    r1.Inertia,
-		Iterations: r1.Iterations,
-	}, nil
+	return centroids
 }
 
 // Groups converts an assignment into per-cluster index lists; empty clusters

@@ -26,15 +26,12 @@ type Result1D struct {
 //
 // A Scratch1D is NOT safe for concurrent use.
 type Scratch1D struct {
-	assign     []int
-	bestAssign []int
-	dist       []float64
-	cent       []float64
-	prev       []float64
-	sums       []float64
-	bestCent   []float64
-	counts     []int
-	bestCounts []int
+	assign []int
+	dist   []float64
+	cent   []float64
+	prev   []float64
+	sums   []float64
+	counts []int
 }
 
 func growF(buf []float64, n int) []float64 {
@@ -80,34 +77,15 @@ func (s *Scratch1D) KMeans(values []float64, k int, opts Options) (Result1D, err
 	s.counts = growI(s.counts, k)
 
 	// Value-typed generators produce the exact sequence of the generic
-	// path's rng.New(seed) + r.Split() while staying off the heap.
+	// path's rng.New(seed).Split() while staying off the heap.
 	r := rng.Seeded(opts.Seed)
-	var best Result1D
-	for restart := 0; restart < opts.Restart; restart++ {
-		child := rng.Seeded(r.Uint64())
-		inertia, iters := s.once(values, k, opts, &child)
-		if restart == 0 || inertia < best.Inertia {
-			best = Result1D{K: k, Assignment: s.assign, Counts: s.counts, Centroids: s.cent,
-				Inertia: inertia, Iterations: iters}
-			if opts.Restart > 1 {
-				// Later restarts overwrite the working buffers; park the
-				// incumbent in the best-of shadow buffers.
-				s.bestAssign = growI(s.bestAssign, n)
-				copy(s.bestAssign, s.assign)
-				s.bestCent = growF(s.bestCent, k)
-				copy(s.bestCent, s.cent)
-				s.bestCounts = growI(s.bestCounts, k)
-				copy(s.bestCounts, s.counts)
-				best.Assignment = s.bestAssign
-				best.Counts = s.bestCounts
-				best.Centroids = s.bestCent
-			}
-		}
-	}
-	return best, nil
+	child := rng.Seeded(r.Uint64())
+	inertia, iters := s.once(values, k, opts, &child)
+	return Result1D{K: k, Assignment: s.assign, Counts: s.counts, Centroids: s.cent,
+		Inertia: inertia, Iterations: iters}, nil
 }
 
-// once mirrors kmState.once for dim = 1. It returns the final inertia and
+// once is KMeans's Lloyd loop for dim = 1. It returns the final inertia and
 // iteration count; the assignment, its per-cluster counts and the centroids
 // are left in s.assign/s.counts/s.cent.
 func (s *Scratch1D) once(values []float64, k int, opts Options, r *rng.Rand) (float64, int) {
@@ -237,7 +215,7 @@ func (s *Scratch1D) assignPass2(values []float64) float64 {
 }
 
 // plusPlusInit is the scalar k-means++ seeding, RNG-step-compatible with
-// kmState.plusPlusInit. Two passes are saved without changing a single
+// the generic plusPlusInit. Two passes are saved without changing a single
 // float operation: each draw's distance total is accumulated while the
 // distance vector is produced (the generic path re-sums it afterwards —
 // same additions in the same order), and the distance update after the

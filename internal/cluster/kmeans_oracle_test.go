@@ -9,194 +9,34 @@ import (
 	"stemroot/internal/rng"
 )
 
-// ---------------------------------------------------------------------------
-// Reference implementation: the original slice-of-points k-means, kept
-// verbatim as the oracle for the flat-storage generic path and the scalar
-// 1-D fast path (the planner-performance counterpart of the simulator's
-// TestWarpHeapMatchesContainerHeap). The optimized paths must reproduce its
-// Assignment, Centroids, and Inertia bit-for-bit: identical plans are the
-// proof that the optimization is safe.
-// ---------------------------------------------------------------------------
-
-func refKMeans(points [][]float64, k int, opts Options) (*Result, error) {
-	n := len(points)
-	if n == 0 {
-		return nil, errEmpty
+// boxed wraps scalar values as one-dimensional points for KMeans, the
+// reference the scalar fast path must reproduce bit for bit.
+func boxed(vals []float64) [][]float64 {
+	pts := make([][]float64, len(vals))
+	for i, v := range vals {
+		pts[i] = []float64{v}
 	}
-	if k <= 0 {
-		return nil, errEmpty
-	}
-	dim := len(points[0])
-	for _, p := range points {
-		if len(p) != dim {
-			return nil, errEmpty
-		}
-	}
-	if k > n {
-		k = n
-	}
-	opts = opts.withDefaults()
-	r := rng.New(opts.Seed)
-
-	var best *Result
-	for restart := 0; restart < opts.Restart; restart++ {
-		res := refKMeansOnce(points, k, opts, r.Split())
-		if best == nil || res.Inertia < best.Inertia {
-			best = res
-		}
-	}
-	return best, nil
+	return pts
 }
 
-var errEmpty = errTest("ref: invalid input")
-
-type errTest string
-
-func (e errTest) Error() string { return string(e) }
-
-func refKMeansOnce(points [][]float64, k int, opts Options, r *rng.Rand) *Result {
-	n := len(points)
-	dim := len(points[0])
-	centroids := refPlusPlusInit(points, k, r)
-	assign := make([]int, n)
-	counts := make([]int, k)
-	prevInertia := math.Inf(1)
-	iters := 0
-
-	for iter := 0; iter < opts.MaxIter; iter++ {
-		iters = iter + 1
-		// Assignment step.
-		inertia := 0.0
-		for i, p := range points {
-			bestJ, bestD := 0, math.Inf(1)
-			for j, c := range centroids {
-				if d := sqDist(p, c); d < bestD {
-					bestJ, bestD = j, d
-				}
-			}
-			assign[i] = bestJ
-			inertia += bestD
-		}
-		// Update step.
-		for j := range centroids {
-			for d := 0; d < dim; d++ {
-				centroids[j][d] = 0
-			}
-			counts[j] = 0
-		}
-		for i, p := range points {
-			j := assign[i]
-			counts[j]++
-			for d := 0; d < dim; d++ {
-				centroids[j][d] += p[d]
-			}
-		}
-		for j := range centroids {
-			if counts[j] == 0 {
-				far, farD := 0, -1.0
-				for i, p := range points {
-					if d := sqDist(p, centroids[assign[i]]); d > farD {
-						far, farD = i, d
-					}
-				}
-				copy(centroids[j], points[far])
-				continue
-			}
-			inv := 1 / float64(counts[j])
-			for d := 0; d < dim; d++ {
-				centroids[j][d] *= inv
-			}
-		}
-		if prevInertia-inertia <= opts.Tol*math.Max(prevInertia, 1e-300) {
-			prevInertia = inertia
-			break
-		}
-		prevInertia = inertia
-	}
-
-	// Final assignment against the last centroids — unconditionally, which
-	// the optimized paths skip when no centroid moved; the oracle proves the
-	// skip is invisible.
-	inertia := 0.0
-	for i, p := range points {
-		bestJ, bestD := 0, math.Inf(1)
-		for j, c := range centroids {
-			if d := sqDist(p, c); d < bestD {
-				bestJ, bestD = j, d
-			}
-		}
-		assign[i] = bestJ
-		inertia += bestD
-	}
-	return &Result{K: k, Assignment: assign, Centroids: centroids, Inertia: inertia, Iterations: iters}
-}
-
-func refPlusPlusInit(points [][]float64, k int, r *rng.Rand) [][]float64 {
-	n := len(points)
-	dim := len(points[0])
-	centroids := make([][]float64, 0, k)
-	first := append(make([]float64, 0, dim), points[r.Intn(n)]...)
-	centroids = append(centroids, first)
-
-	dist := make([]float64, n)
-	for i, p := range points {
-		dist[i] = sqDist(p, centroids[0])
-	}
-	for len(centroids) < k {
-		total := 0.0
-		for _, d := range dist {
-			total += d
-		}
-		var idx int
-		if total <= 0 {
-			idx = r.Intn(n)
-		} else {
-			x := r.Float64() * total
-			for i, d := range dist {
-				x -= d
-				if x < 0 {
-					idx = i
-					break
-				}
-			}
-		}
-		c := append(make([]float64, 0, dim), points[idx]...)
-		centroids = append(centroids, c)
-		for i, p := range points {
-			if d := sqDist(p, c); d < dist[i] {
-				dist[i] = d
-			}
-		}
-	}
-	return centroids
-}
-
-// ---------------------------------------------------------------------------
-// Oracles
-// ---------------------------------------------------------------------------
-
-func resultsIdentical(t *testing.T, ctx string, got, want *Result) {
-	t.Helper()
-	if got.K != want.K || got.Iterations != want.Iterations {
-		t.Fatalf("%s: K/Iterations (%d,%d) != ref (%d,%d)",
-			ctx, got.K, got.Iterations, want.K, want.Iterations)
-	}
-	if got.Inertia != want.Inertia {
-		t.Fatalf("%s: inertia %v != ref %v (bitwise)", ctx, got.Inertia, want.Inertia)
+// sameResult1D reports whether a scalar clustering equals the generic one:
+// K, iterations, assignment, and inertia and centroids by their bits.
+func sameResult1D(got Result1D, want *Result) bool {
+	if got.K != want.K || got.Iterations != want.Iterations ||
+		math.Float64bits(got.Inertia) != math.Float64bits(want.Inertia) {
+		return false
 	}
 	for i := range want.Assignment {
 		if got.Assignment[i] != want.Assignment[i] {
-			t.Fatalf("%s: assignment[%d] = %d, ref %d", ctx, i, got.Assignment[i], want.Assignment[i])
+			return false
 		}
 	}
 	for j := range want.Centroids {
-		for d := range want.Centroids[j] {
-			if got.Centroids[j][d] != want.Centroids[j][d] {
-				t.Fatalf("%s: centroid[%d][%d] = %v, ref %v (bitwise)",
-					ctx, j, d, got.Centroids[j][d], want.Centroids[j][d])
-			}
+		if math.Float64bits(got.Centroids[j]) != math.Float64bits(want.Centroids[j][0]) {
+			return false
 		}
 	}
+	return true
 }
 
 // oracleValues builds scalar inputs spanning the shapes ROOT feeds k-means:
@@ -230,57 +70,31 @@ func oracleValues(r *rng.Rand) []float64 {
 }
 
 // TestKMeans1DMatchesReference pins the scalar fast path bit-for-bit against
-// the reference implementation over boxed points, across input shapes, k,
+// the generic KMeans over boxed points, across input shapes, k and
 // tolerances (forcing both the converged-in-place skip and the moved final
-// pass), and restart counts.
+// pass), including when one scratch is reused.
 func TestKMeans1DMatchesReference(t *testing.T) {
 	check := func(seed uint64) bool {
 		r := rng.New(seed)
 		vals := oracleValues(r)
 		k := 1 + r.Intn(5)
-		opts := Options{
-			Seed:    r.Uint64(),
-			Restart: 1 + r.Intn(3),
-		}
+		opts := Options{Seed: r.Uint64()}
 		if r.Intn(2) == 0 {
 			// Tiny tolerance + generous iterations drive Lloyd to a true
 			// fixed point, exercising the skipped final-assignment branch.
 			opts.Tol = 1e-300
 			opts.MaxIter = 500
 		}
-		pts := make([][]float64, len(vals))
-		for i, v := range vals {
-			pts[i] = []float64{v}
-		}
-		want, err := refKMeans(pts, k, opts)
+		want, err := KMeans(boxed(vals), k, opts)
 		if err != nil {
 			return false
 		}
-		got, err := KMeans1D(vals, k, opts)
-		if err != nil {
-			return false
-		}
-		resultsIdentical(t, "KMeans1D", got, want)
-
-		// The scratch entry point must agree too, including when reused.
 		var s Scratch1D
 		for rep := 0; rep < 2; rep++ {
-			r1, err := s.KMeans(vals, k, opts)
-			if err != nil {
+			got, err := s.KMeans(vals, k, opts)
+			if err != nil || !sameResult1D(got, want) {
+				t.Errorf("seed %d rep %d: Scratch1D %+v, KMeans %+v", seed, rep, got, want)
 				return false
-			}
-			if r1.K != want.K || r1.Inertia != want.Inertia || r1.Iterations != want.Iterations {
-				return false
-			}
-			for i := range want.Assignment {
-				if r1.Assignment[i] != want.Assignment[i] {
-					return false
-				}
-			}
-			for j := range want.Centroids {
-				if r1.Centroids[j] != want.Centroids[j][0] {
-					return false
-				}
 			}
 		}
 		return true
@@ -383,11 +197,11 @@ func bitsOf(fs []float64) []uint64 {
 	return out
 }
 
-// TestKMeans1DEdgeShapesMatchReference runs whole clusterings, k-means++ and
-// restarts included, through the reference on the shapes the random oracle
-// above rarely draws: one and two points, signed zeros, and values placed so
-// that points tie between two centroids. It also holds Result1D.Counts to the
-// assignment, on the best-of-restarts shadow copy as well.
+// TestKMeans1DEdgeShapesMatchReference runs whole clusterings, k-means++
+// included, through the generic KMeans on the shapes the random oracle above
+// rarely draws: one and two points, signed zeros, and values placed so that
+// points tie between two centroids. It also holds Result1D.Counts to the
+// assignment.
 func TestKMeans1DEdgeShapesMatchReference(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	shapes := [][]float64{
@@ -403,17 +217,13 @@ func TestKMeans1DEdgeShapesMatchReference(t *testing.T) {
 		{-1, 0, 1, negZero, 0, -1, 1},
 	}
 	for si, vals := range shapes {
-		pts := make([][]float64, len(vals))
-		for i, v := range vals {
-			pts[i] = []float64{v}
-		}
 		for seed := uint64(0); seed < 40; seed++ {
-			opts := Options{Seed: seed, Restart: 1 + int(seed%3)}
+			opts := Options{Seed: seed}
 			if seed%2 == 0 {
 				opts.Tol, opts.MaxIter = 1e-300, 500
 			}
 			k := 2 + int(seed/2%2) // 3 takes the generic pass: its Counts are checked too
-			want, err := refKMeans(pts, k, opts)
+			want, err := KMeans(boxed(vals), k, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -423,67 +233,19 @@ func TestKMeans1DEdgeShapesMatchReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			ctx := fmt.Sprintf("shape %d %v k %d seed %d", si, vals, k, seed)
-			if got.K != want.K || got.Iterations != want.Iterations ||
-				math.Float64bits(got.Inertia) != math.Float64bits(want.Inertia) {
-				t.Fatalf("%s: K/iterations/inertia (%d,%d,%v), reference (%d,%d,%v)", ctx,
-					got.K, got.Iterations, got.Inertia, want.K, want.Iterations, want.Inertia)
+			if !sameResult1D(got, want) {
+				t.Fatalf("%s: Scratch1D %+v, KMeans %+v", ctx, got, want)
 			}
 			counts := make([]int, got.K)
-			for i, a := range want.Assignment {
-				if got.Assignment[i] != a {
-					t.Fatalf("%s: assignment %v, reference %v", ctx, got.Assignment, want.Assignment)
-				}
+			for _, a := range want.Assignment {
 				counts[a]++
 			}
-			for j := range want.Centroids {
-				if math.Float64bits(got.Centroids[j]) != math.Float64bits(want.Centroids[j][0]) {
-					t.Fatalf("%s: centroid %d is %v, reference %v", ctx, j, got.Centroids[j], want.Centroids[j][0])
-				}
+			for j := range counts {
 				if got.Counts[j] != counts[j] {
 					t.Fatalf("%s: Counts %v, assignment has %v", ctx, got.Counts, counts)
 				}
 			}
 		}
-	}
-}
-
-// TestKMeansMatchesReference pins the flat-storage generic path (PKA's
-// row-major refactor) bit-for-bit against the reference implementation.
-func TestKMeansMatchesReference(t *testing.T) {
-	check := func(seed uint64) bool {
-		r := rng.New(seed)
-		n := 1 + r.Intn(80)
-		dim := 1 + r.Intn(6)
-		k := 1 + r.Intn(6)
-		pts := make([][]float64, n)
-		for i := range pts {
-			pts[i] = make([]float64, dim)
-			for d := range pts[i] {
-				if r.Intn(4) == 0 {
-					pts[i][d] = float64(r.Intn(3)) // duplicates / ties
-				} else {
-					pts[i][d] = r.NormFloat64() * 10
-				}
-			}
-		}
-		opts := Options{Seed: r.Uint64(), Restart: 1 + r.Intn(2)}
-		if r.Intn(2) == 0 {
-			opts.Tol = 1e-300
-			opts.MaxIter = 500
-		}
-		want, err := refKMeans(pts, k, opts)
-		if err != nil {
-			return false
-		}
-		got, err := KMeans(pts, k, opts)
-		if err != nil {
-			return false
-		}
-		resultsIdentical(t, "KMeans", got, want)
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -27,7 +27,11 @@ func refRootSplit(name string, times []float64, idxs []int, p Params, depth int,
 		return append(out, leaf)
 	}
 
-	res, err := cluster.KMeans1D(vals, p.SplitK, cluster.Options{
+	pts := make([][]float64, len(vals))
+	for i, v := range vals {
+		pts[i] = []float64{v}
+	}
+	res, err := cluster.KMeans(pts, p.SplitK, cluster.Options{
 		Seed: rng.Derive(p.Seed, rng.HashString(name), uint64(depth), uint64(len(idxs))),
 	})
 	if err != nil {

@@ -141,7 +141,7 @@ func (c Config) methods(suite string, rep int) []sampling.Method {
 	pka.TunedWorkloads = pkaTuned
 	sieve := sampling.NewSieve(seed)
 	sieve.TunedWorkloads = sieveTuned
-	photon := sampling.NewPhoton(seed)
+	photon := &sampling.Photon{}
 	return []sampling.Method{random, pka, sieve, photon, stem}
 }
 

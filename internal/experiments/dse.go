@@ -41,7 +41,7 @@ func (c Config) dseMethods(rep int) []sampling.Method {
 	pka.TunedWorkloads = pkaTuned
 	sieve := sampling.NewSieve(seed)
 	sieve.TunedWorkloads = sieveTuned
-	photon := sampling.NewPhoton(seed)
+	photon := &sampling.Photon{}
 	stem := &sampling.STEMRoot{Params: c.stemParams(seed)}
 	return []sampling.Method{pka, sieve, photon, stem}
 }

@@ -60,7 +60,7 @@ func Figure10(cfg Config) ([]Figure10Cluster, error) {
 	prof := hwmodel.New(hwmodel.RTX2080, dlrm.Seed).Profile(dlrm)
 
 	pka := sampling.NewPKA(cfg.Seed)
-	photon := sampling.NewPhoton(cfg.Seed)
+	photon := &sampling.Photon{}
 
 	var out []Figure10Cluster
 	for _, m := range []sampling.Method{pka, photon} {

@@ -91,7 +91,7 @@ func Table5(cfg Config) (*Table5Result, error) {
 // name/context diversity).
 func photonReps(w *trace.Workload, cfg Config) int {
 	if w.Len() <= 50000 {
-		photon := sampling.NewPhoton(cfg.Seed)
+		photon := &sampling.Photon{}
 		if plan, err := photon.Plan(w, nil); err == nil {
 			return len(plan.Groups)
 		}

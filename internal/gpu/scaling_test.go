@@ -8,6 +8,7 @@ import (
 	"stemroot/internal/kernelgen"
 	"stemroot/internal/simcache"
 	"stemroot/internal/trace"
+	"stemroot/internal/workloads"
 )
 
 // unclampProcs raises GOMAXPROCS so parallel.Workers does not collapse every
@@ -79,6 +80,42 @@ func TestRunSegmentedStealingDeterministicSkewed(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: invocation %d = %+v, serial %+v",
 					workers, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestSegmentLenSelfConsistent documents that the segment length (unlike
+// the worker count) IS semantically meaningful: it decides where L2 goes
+// cold, so different values may legally change cycle counts. The test only
+// demands each length be self-consistent across worker counts, on a real
+// DSE workload's specs.
+func TestSegmentLenSelfConsistent(t *testing.T) {
+	unclampProcs(t, 8)
+	var w *trace.Workload
+	for _, cand := range workloads.DSERodinia(1, 40) {
+		if cand.Name == "heartwall" {
+			w = cand
+		}
+	}
+	if w == nil {
+		t.Fatal("heartwall not in the DSE suite")
+	}
+	cfg := gpu.Baseline()
+	lim := kernelgen.DSELimits()
+	specAt := func(i int) kernelgen.Spec { return kernelgen.FromInvocation(&w.Invs[i], lim) }
+	for _, segLen := range []int{1, 4, 16, 64} {
+		want, _, err := gpu.RunSegmentedEngine(cfg, w.Len(), specAt, segLen, 1, nil, gpu.Engine{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := gpu.RunSegmentedEngine(cfg, w.Len(), specAt, segLen, 3, nil, gpu.Engine{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("segLen=%d: invocation %d differs across worker counts", segLen, i)
 			}
 		}
 	}

@@ -165,7 +165,7 @@ func (kh *keyHasher) writeSpec(s *kernelgen.Spec) {
 // KeyForSegmentEngineAppend derives the content address of a replay segment
 // under an engine mode: the engine fingerprint, the GPU configuration, and
 // the ordered spec sequence the segment simulates. Segment boundaries are
-// part of the content by construction — a different SegmentLen produces
+// part of the content by construction — a different segment length produces
 // different spec sequences per segment and therefore different keys.
 //
 // Every spelling of exact mode hashes EngineFingerprint in front of the

@@ -165,29 +165,3 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 }
-
-// TestSegmentLenChangesAreExplicit documents that SegmentLen (unlike
-// Workers) IS semantically meaningful: it decides where L2 goes cold, so
-// different values may legally change cycle counts. The test only demands
-// each SegmentLen be self-consistent across worker counts.
-func TestSegmentLenSelfConsistent(t *testing.T) {
-	unclampProcs(t)
-	w := dseWorkload(t, "heartwall", 40)
-	cfg := gpu.Baseline()
-	lim := kernelgen.DSELimits()
-	for _, segLen := range []int{1, 4, 16, 64} {
-		want, err := FullSimOpt(w, cfg, lim, Options{Workers: 1, SegmentLen: segLen})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := FullSimOpt(w, cfg, lim, Options{Workers: 3, SegmentLen: segLen})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("segLen=%d: invocation %d differs across worker counts", segLen, i)
-			}
-		}
-	}
-}

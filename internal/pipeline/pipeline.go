@@ -9,7 +9,7 @@
 // The simulation passes (FullSimOpt, SampledSimOpt) run kernel invocations
 // in parallel using deterministic fixed-length replay segments: the
 // invocation sequence is cut into segments of
-// Options.SegmentLen, segments are executed by gpu.RunSegmentedEngine's
+// gpu.DefaultSegmentLen, segments are executed by gpu.RunSegmentedEngine's
 // work-stealing worker pool — each worker owns one long-lived Simulator
 // that gpu.Simulator.Reset cold-resets between segments, bit-identical to
 // a fresh gpu.New and allocation-free in steady state; idle workers steal
@@ -39,7 +39,10 @@ import (
 )
 
 // Options control the execution of the pipeline's simulation passes.
-// The zero value uses one worker per CPU and gpu.DefaultSegmentLen.
+// The zero value uses one worker per CPU. Every pass replays in segments of
+// gpu.DefaultSegmentLen invocations: L2 state persists within a segment and
+// is cold at segment starts, so the segmentation — and therefore the
+// simulated cycle counts — never depends on Workers.
 type Options struct {
 	// Workers is the number of simulation workers: 0 selects one per CPU,
 	// 1 runs the simulation passes serially on the calling goroutine
@@ -50,11 +53,6 @@ type Options struct {
 	// by the method's own core.Params.Workers, and only for profiles of at
 	// least core's row grain (1024 rows) — see core.BuildClusters.
 	Workers int
-	// SegmentLen is the replay-segment length; 0 selects
-	// gpu.DefaultSegmentLen. L2 state persists within a segment and is cold
-	// at segment starts. The segmentation — and therefore the simulated
-	// cycle counts — depends only on this value, never on Workers.
-	SegmentLen int
 	// Cache is an optional content-addressed segment-result cache (see
 	// internal/simcache) consulted by the simulation passes: segments
 	// already simulated — by an earlier pass in this process or, with a
@@ -124,7 +122,7 @@ func simulate(w *trace.Workload, cfg gpu.Config, lim kernelgen.Limits, indices [
 		src.at = src.specAt
 	}
 	src.w, src.lim, src.indices = w, lim, indices
-	results, _, err := gpu.RunSegmentedEngine(cfg, n, src.at, opt.SegmentLen, opt.Workers, opt.Cache, opt.engine())
+	results, _, err := gpu.RunSegmentedEngine(cfg, n, src.at, gpu.DefaultSegmentLen, opt.Workers, opt.Cache, opt.engine())
 	src.w, src.indices = nil, nil // an idle source refers to nothing
 	idleSources.Lock()
 	idleSources.list = parallel.PushIdle(idleSources.list, src, maxIdleSources)

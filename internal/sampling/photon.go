@@ -2,39 +2,25 @@ package sampling
 
 import (
 	"errors"
-	"math"
 
-	"stemroot/internal/cluster"
 	"stemroot/internal/trace"
 )
 
+// photonThreshold is the BBV similarity at or above which Photon deems two
+// kernels identical (95 % in the paper's Table 1).
+const photonThreshold = 0.95
+
 // Photon implements the kernel-level portion of Photon (Liu, Sun, Carlson,
 // MICRO'23) as characterized in the paper's Table 1: each kernel's GPU
-// basic-block vector is compared online against previously selected
-// representatives of the same kernel name; a kernel joins an existing
-// cluster when its BBV similarity exceeds the threshold (95% in the paper)
+// basic-block vector (trace.DefaultBBVDim blocks) is compared online against
+// previously selected representatives of the same kernel name; a kernel
+// joins an existing cluster when its BBV similarity reaches the threshold
 // and its warp count matches, otherwise it becomes a new representative
 // that must be simulated.
 //
 // The comparison cost is O(N·R·d) with R representatives — quadratic in N
 // in the worst case, which is exactly the scalability wall §5.6 reports.
-// PCADim optionally reduces the BBV dimensionality first, as Photon does
-// for large BBVs.
-type Photon struct {
-	// Threshold is the similarity above which kernels are deemed identical.
-	Threshold float64
-	// BBVDim is the raw basic-block-vector dimensionality to collect.
-	BBVDim int
-	// PCADim, when positive, projects BBVs to this many principal
-	// components before comparison.
-	PCADim int
-	Seed   uint64
-}
-
-// NewPhoton returns Photon with the paper's 95% threshold.
-func NewPhoton(seed uint64) *Photon {
-	return &Photon{Threshold: 0.95, BBVDim: trace.DefaultBBVDim, Seed: seed}
-}
+type Photon struct{}
 
 // Name implements Method.
 func (p *Photon) Name() string { return "photon" }
@@ -44,31 +30,10 @@ func (p *Photon) Plan(w *trace.Workload, _ *trace.Profile) (*Plan, error) {
 	if w.Len() == 0 {
 		return nil, errors.New("sampling: empty workload")
 	}
-	dim := p.BBVDim
-	if dim <= 0 {
-		dim = trace.DefaultBBVDim
-	}
-
 	// Collect BBVs (the NVBit instrumentation step).
 	bbvs := make([][]float64, w.Len())
 	for i := range w.Invs {
-		bbvs[i] = w.Invs[i].BBV(dim)
-	}
-	if p.PCADim > 0 && p.PCADim < dim {
-		pca, err := cluster.FitPCA(bbvs, p.PCADim, p.Seed)
-		if err != nil {
-			return nil, err
-		}
-		bbvs = pca.TransformAll(bbvs)
-		// In PCA space the vectors are no longer weight histograms, but the
-		// normalized L1 similarity has the same form, so the thresholded
-		// comparison below applies unchanged.
-	}
-	// Per-vector absolute masses, precomputed once so every thresholded
-	// comparison knows its denominator bound up front.
-	masses := make([]float64, len(bbvs))
-	for i, v := range bbvs {
-		masses[i] = absMass(v)
+		bbvs[i] = w.Invs[i].BBV(trace.DefaultBBVDim)
 	}
 
 	type rep struct {
@@ -87,7 +52,7 @@ func (p *Photon) Plan(w *trace.Workload, _ *trace.Profile) (*Plan, error) {
 			if r.warps != inv.Warps() {
 				continue
 			}
-			if similarAtLeast(bbvs[r.idx], bbvs[i], masses[r.idx]+masses[i], p.Threshold) {
+			if trace.BBVSimilarity(bbvs[r.idx], bbvs[i]) >= photonThreshold {
 				home = r
 				break
 			}
@@ -108,103 +73,4 @@ func (p *Photon) Plan(w *trace.Workload, _ *trace.Profile) (*Plan, error) {
 		})
 	}
 	return plan, nil
-}
-
-// absMass returns Σ|v_i|, the one-vector half of the similarity denominator.
-func absMass(v []float64) float64 {
-	var m float64
-	for _, x := range v {
-		if x < 0 {
-			x = -x
-		}
-		m += x
-	}
-	return m
-}
-
-// pruneMargin is the slack in similarAtLeast's early-reject bound. The exact
-// similarity's denominator interleaves the two vectors' |·| terms, while the
-// bound uses the separably precomputed massSum; the two differ only by
-// summation-order rounding (relative error ~n·2⁻⁵³ ≈ 10⁻¹⁴ for BBV-sized
-// vectors), so rejecting only when the best-case similarity is a full 10⁻⁹
-// below the threshold keeps the bound strictly conservative.
-const pruneMargin = 1e-9
-
-// similarAtLeast reports whether the normalized L1 similarity of a and b
-// (trace.BBVSimilarity; pcaSimilarity has the identical form) is at least
-// threshold, without always paying for the full scan. massSum must be
-// absMass(a)+absMass(b).
-//
-// The L1 accumulator only grows as the scan advances (IEEE addition of
-// non-negative terms is weakly monotone), so once the partial L1 alone caps
-// the similarity below threshold−pruneMargin the comparison cannot succeed
-// and the scan stops. If the scan completes, the decision is made by exactly
-// the original expression — same operations, same order — so accept/reject
-// is bit-for-bit identical to computing the similarity in full; pruning only
-// ever skips work on pairs that fail by more than the margin. Pinned by
-// TestSimilarAtLeastMatchesExact and TestPhotonPlanMatchesReference.
-func similarAtLeast(a, b []float64, massSum, threshold float64) bool {
-	if len(a) != len(b) {
-		return 0 >= threshold // BBVSimilarity's mismatched-length similarity
-	}
-	cutoff := math.Inf(1)
-	if threshold > 0 {
-		// l1 > cutoff  ⇔  1 − l1/massSum < threshold − pruneMargin.
-		cutoff = (1 - threshold + pruneMargin) * massSum
-	}
-	var l1, mass float64
-	for i := range a {
-		d := a[i] - b[i]
-		if d < 0 {
-			d = -d
-		}
-		l1 += d
-		if l1 > cutoff {
-			return false
-		}
-		aa, bb := a[i], b[i]
-		if aa < 0 {
-			aa = -aa
-		}
-		if bb < 0 {
-			bb = -bb
-		}
-		mass += aa + bb
-	}
-	if mass == 0 {
-		return 1 >= threshold
-	}
-	s := 1 - l1/mass
-	if s < 0 {
-		s = 0
-	}
-	return s >= threshold
-}
-
-// pcaSimilarity maps an L1 distance in PCA space to a (0,1] similarity.
-func pcaSimilarity(a, b []float64) float64 {
-	var l1, scale float64
-	for i := range a {
-		d := a[i] - b[i]
-		if d < 0 {
-			d = -d
-		}
-		l1 += d
-		aa, bb := a[i], b[i]
-		if aa < 0 {
-			aa = -aa
-		}
-		if bb < 0 {
-			bb = -bb
-		}
-		scale += aa + bb
-	}
-	if scale == 0 {
-		return 1
-	}
-	s := 1 - l1/scale
-	if s < 0 {
-		return 0
-	}
-	return s
 }

@@ -17,19 +17,23 @@ import (
 // cluster's population.
 type PKA struct {
 	Seed uint64
-	// KMax bounds the k sweep (paper: 20).
-	KMax int
-	// SilhouetteCap subsamples the silhouette scoring for large workloads.
-	SilhouetteCap int
 	// TunedWorkloads lists workload names where, as in the paper's §5.1
 	// hand-tuning, the representative is drawn randomly instead of
 	// first-chronologically (e.g. gaussian, heartwall).
 	TunedWorkloads map[string]bool
 }
 
-// NewPKA returns PKA with the paper's configuration.
+const (
+	// pkaKMax bounds the k sweep (paper: 20).
+	pkaKMax = 20
+	// pkaSilhouetteCap subsamples the silhouette scoring for large
+	// workloads.
+	pkaSilhouetteCap = 256
+)
+
+// NewPKA returns PKA with the given seed and no tuned workloads.
 func NewPKA(seed uint64) *PKA {
-	return &PKA{Seed: seed, KMax: 20, SilhouetteCap: 256}
+	return &PKA{Seed: seed}
 }
 
 // Name implements Method.
@@ -47,14 +51,10 @@ func (p *PKA) Plan(w *trace.Workload, _ *trace.Profile) (*Plan, error) {
 	}
 	normalizeColumns(feats)
 
-	kMax := p.KMax
-	if kMax <= 0 {
-		kMax = 20
-	}
-	res, err := cluster.SweepK(feats, 1, kMax, cluster.Options{
+	res, err := cluster.SweepK(feats, 1, pkaKMax, cluster.Options{
 		Seed:    rng.Derive(p.Seed, w.Seed, rng.HashString("pka")),
 		MaxIter: 50,
-	}, p.SilhouetteCap)
+	}, pkaSilhouetteCap)
 	if err != nil {
 		return nil, err
 	}

@@ -18,22 +18,22 @@ import (
 // total instruction count to the sample's.
 type Sieve struct {
 	Seed uint64
-	// LowCoV and HighCoV are the stratification thresholds on
-	// instruction-count CoV (low: one stable stratum; between: a few
-	// strata; above: per-quantile strata).
-	LowCoV, HighCoV float64
-	// UseKDE enables Sieve's optional KDE-based subclustering of the
-	// instruction-count distribution. The paper disabled it on CASIO
-	// because it oversampled; it is kept as an option for that ablation.
-	UseKDE bool
 	// TunedWorkloads selects random (rather than first-chronological)
 	// representatives, the paper's per-workload hand-tuning.
 	TunedWorkloads map[string]bool
 }
 
-// NewSieve returns Sieve with its published thresholds.
+// Sieve's stratification thresholds on instruction-count CoV: at or below
+// sieveLowCoV a kernel is one stable stratum, up to sieveHighCoV it splits
+// into a few quantile strata, and above that into per-count strata.
+const (
+	sieveLowCoV  = 0.02
+	sieveHighCoV = 0.25
+)
+
+// NewSieve returns Sieve with the given seed and no tuned workloads.
 func NewSieve(seed uint64) *Sieve {
-	return &Sieve{Seed: seed, LowCoV: 0.02, HighCoV: 0.25}
+	return &Sieve{Seed: seed}
 }
 
 // Name implements Method.
@@ -62,14 +62,10 @@ func (s *Sieve) Plan(w *trace.Workload, _ *trace.Profile) (*Plan, error) {
 
 		var strata [][]int
 		switch {
-		case cov <= s.LowCoV:
+		case cov <= sieveLowCoV:
 			strata = [][]int{idxs}
-		case cov <= s.HighCoV:
-			if s.UseKDE {
-				strata = stratifyByKDE(idxs, counts)
-			} else {
-				strata = stratifyByQuantiles(idxs, counts, 3)
-			}
+		case cov <= sieveHighCoV:
+			strata = stratifyByQuantiles(idxs, counts, 3)
 		default:
 			// Highly irregular kernels (bfs frontiers, gaussian's decay):
 			// one stratum per distinct instruction count, as the original
@@ -174,36 +170,23 @@ func roundSig(x float64, digits int) float64 {
 	return x * scale
 }
 
-// stratifyByKDE splits a group at the valleys of the instruction-count
-// density, producing one stratum per mode.
-func stratifyByKDE(idxs []int, counts []float64) [][]int {
-	modes := stats.CountModes(counts, 128, 0.05)
-	if modes < 2 {
-		return [][]int{idxs}
-	}
-	return stratifyByQuantiles(idxs, counts, modes)
-}
-
 // pickDominantCTA returns the first-chronological member whose CTA (block)
 // configuration is the most common in the stratum, or a random member for
-// tuned workloads.
+// tuned workloads. On a tie between configurations the earliest member
+// holding any of the tied ones wins.
 func pickDominantCTA(w *trace.Workload, stratum []int, random bool, gen *rng.Rand) int {
 	if random {
 		return stratum[gen.Intn(len(stratum))]
 	}
 	counts := make(map[trace.Dim3]int)
+	best := 0
 	for _, ix := range stratum {
-		counts[w.Invs[ix].Block]++
-	}
-	var dominant trace.Dim3
-	best := -1
-	for cfg, c := range counts {
-		if c > best {
-			dominant, best = cfg, c
-		}
+		c := counts[w.Invs[ix].Block] + 1
+		counts[w.Invs[ix].Block] = c
+		best = max(best, c)
 	}
 	for _, ix := range stratum {
-		if w.Invs[ix].Block == dominant {
+		if counts[w.Invs[ix].Block] == best {
 			return ix
 		}
 	}

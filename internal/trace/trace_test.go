@@ -164,6 +164,29 @@ func TestBBVSimilarityProperties(t *testing.T) {
 	}
 }
 
+// TestBBVSimilarityDegenerate pins the special-valued branches Photon's 95 %
+// test meets: a pair of zero-mass vectors is exactly 1 (identical), a zero
+// vector against a non-zero one is 0, and vectors of different lengths are 0
+// however alike their entries.
+func TestBBVSimilarityDegenerate(t *testing.T) {
+	zero := []float64{0, 0, 0}
+	if s := BBVSimilarity(zero, zero); s != 1 {
+		t.Fatalf("zero-mass pair has similarity %v, want exactly 1", s)
+	}
+	if s := BBVSimilarity(nil, nil); s != 1 {
+		t.Fatalf("empty pair has similarity %v, want exactly 1", s)
+	}
+	if s := BBVSimilarity(zero, []float64{0, 2, 0}); s != 0 {
+		t.Fatalf("zero vs non-zero has similarity %v, want 0", s)
+	}
+	if s := BBVSimilarity([]float64{1, 0}, []float64{0, 1}); s != 0 {
+		t.Fatalf("disjoint vectors have similarity %v, want 0", s)
+	}
+	if s := BBVSimilarity([]float64{1}, []float64{1, 0}); s != 0 {
+		t.Fatalf("mismatched lengths have similarity %v, want 0", s)
+	}
+}
+
 func TestJSONRoundTrip(t *testing.T) {
 	w := sampleWorkload()
 	var buf bytes.Buffer

@@ -15,8 +15,6 @@ import (
 // non-test file calls, and why each stays. TestEveryExportHasACaller fails
 // when an entry gains a caller or disappears, so the list cannot rot.
 var callerAllowlist = map[string]string{
-	"cluster.KMeans1D":          "reference the ROOT oracle compares against (core refRootSplit)",
-	"trace.BBVSimilarity":       "reference the Photon oracle compares against (sampling refPhotonPlan)",
 	"core.Plan.SimTimeEstimate": "estimator the core tests score plans with",
 	"gpu.Simulator.RunSpecs":    "helper the engine goldens are recorded through",
 	"kernelgen.DefaultLimits":   "limits the engine goldens are recorded under",
