@@ -6,7 +6,9 @@ package cliopts
 
 import (
 	"flag"
+	"fmt"
 	"log"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -103,7 +105,14 @@ func writeHeapProfile(path string) {
 // the segments this run computed are on the server before the process exits
 // and before the counters are read — then prints the cache report. It goes
 // to stderr so stdout stays byte-comparable across cached and uncached runs.
+//
+// A -cachemb below 0, or one whose byte count overflows int64, is refused
+// before any cache or client is built: the first would silently mean an
+// unbounded memory tier and the second wraps, possibly to the default.
 func (f *Flags) Options() (opts pipeline.Options, finish func(), err error) {
+	if f.CacheMB < 0 || int64(f.CacheMB) > math.MaxInt64>>20 {
+		return pipeline.Options{}, nil, fmt.Errorf("-cachemb must be between 0 and %d MiB, got %d", int64(math.MaxInt64>>20), f.CacheMB)
+	}
 	opts = pipeline.Options{Workers: f.Jobs}
 	var client *cachenet.Client
 	var cache *simcache.Cache

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"io"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -50,6 +51,28 @@ func TestOptionsFollowTheFlags(t *testing.T) {
 	finish()
 	if opts.Cache != nil || stderr.Len() != 0 {
 		t.Fatalf("-nocache run: cache %v, stderr %q", opts.Cache, stderr.String())
+	}
+}
+
+// TestOptionsRefusesBadCacheMB: a negative -cachemb, or one whose byte count
+// overflows int64, is an error naming the flag rather than an unbounded or
+// wrapped memory tier.
+func TestOptionsRefusesBadCacheMB(t *testing.T) {
+	for _, mb := range []int{-1, math.MaxInt64>>20 + 1, 1 << 44} {
+		f := Flags{CacheMB: mb}
+		opts, finish, err := f.Options()
+		if err == nil || !strings.Contains(err.Error(), "-cachemb") {
+			t.Errorf("-cachemb %d: err = %v, want one naming -cachemb", mb, err)
+		}
+		if opts.Cache != nil || finish != nil {
+			t.Errorf("-cachemb %d: built a cache (%t) or a finish func", mb, opts.Cache != nil)
+		}
+	}
+	f := Flags{CacheMB: math.MaxInt64 >> 20}
+	if _, finish, err := f.Options(); err != nil {
+		t.Fatalf("-cachemb %d (the largest that fits): %v", f.CacheMB, err)
+	} else {
+		finish()
 	}
 }
 

@@ -32,10 +32,10 @@ type Row struct {
 //
 // Workloads are independent (per-workload seeds, per-workload method
 // instances), so they fan out over cfg.Sim.Workers workers on the
-// work-stealing scheduler — workload costs are heavily skewed (one
+// shared-cursor scheduler — workload costs are heavily skewed (one
 // HuggingFace workload simulates orders of magnitude more invocations than
-// a small Rodinia one), and stealing drains the cheap workloads onto idle
-// workers instead of serializing them behind a straggler. Per-workload row
+// a small Rodinia one), and each free worker claims the next workload
+// instead of waiting behind a straggler. Per-workload row
 // groups are flattened in workload order, making the output identical for
 // every worker count.
 func SuiteComparison(cfg Config, suite string) ([]Row, error) {

@@ -14,10 +14,10 @@
 // per-workload fan-outs (SuiteComparison, WarmupAblation, Figure11, Table4
 // within each variant) use parallel.MapStealing, because workload costs are
 // heavily skewed — one HuggingFace workload outweighs many Rodinia ones —
-// and work stealing rebalances stragglers that static assignment would
-// serialize behind; Confidence fans out across uniform-cost runs the same
-// way. The simulator-bound runners additionally inherit the
-// pipeline's per-segment work-stealing kernel parallelism. Every work unit
+// and its shared cursor keeps every free worker claiming the next workload,
+// where static assignment would serialize stragglers; Confidence fans out
+// across uniform-cost runs the same way. The simulator-bound runners
+// additionally inherit the pipeline's per-segment kernel parallelism. Every work unit
 // derives its own seeds and constructs its own method/profiler instances,
 // and partial results are folded in fixed unit order, so runner output is
 // bit-identical for every Sim.Workers value — pinned by the determinism

@@ -60,7 +60,7 @@ func dseWorkloads(cfg Config) []*trace.Workload {
 // sampling information survives microarchitectural change.
 //
 // Within each variant the workloads fan out over cfg.Sim.Workers workers on
-// the work-stealing scheduler (each workload's full and sampled simulations
+// the shared-cursor scheduler (each workload's full and sampled simulations
 // are independent, and their costs are skewed enough that static assignment
 // would serialize the tail behind the biggest workload); partial sums and
 // Figure 12 bars are folded in workload order, so the result is identical

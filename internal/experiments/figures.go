@@ -174,7 +174,7 @@ func fig11MaxCalls(cfg Config) int { return 3 * cfg.DSEMaxCalls }
 // evaluation. A segment cache (Config.Cache) additionally carries those
 // segments across processes; correctness never depends on it.
 //
-// Workloads fan out over cfg.Sim.Workers workers on the work-stealing
+// Workloads fan out over cfg.Sim.Workers workers on the shared-cursor
 // scheduler (CASIO workload costs are skewed); per-workload outcomes are
 // folded in (ε, workload, rep) order, so the result is identical for every
 // worker count.

@@ -26,7 +26,7 @@ type WarmupPoint struct {
 // cost — quantifying why full warmup machinery is unnecessary.
 //
 // Workloads fan out over cfg.Sim.Workers workers per warmup setting on the
-// work-stealing scheduler (SampledSimWarm itself is inherently serial);
+// shared-cursor scheduler (SampledSimWarm itself is inherently serial);
 // per-workload partials are folded in workload order, so the result is
 // identical for every worker count.
 func WarmupAblation(cfg Config) ([]WarmupPoint, error) {

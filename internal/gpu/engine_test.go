@@ -51,19 +51,16 @@ func TestRunSegmentedEngineParDeterministic(t *testing.T) {
 	cfg := Baseline()
 	specAt := engineTestSpecs(40)
 	eng := Engine{Mode: EngineModePar, Workers: 1}
-	base, baseTotal, err := RunSegmentedEngine(cfg, 40, specAt, 8, 1, nil, eng)
+	base, err := RunSegmentedEngine(cfg, 40, specAt, 8, 1, nil, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, jseg := range []int{2, 4} {
 		for _, jk := range []int{2, 8} {
 			eng.Workers = jk
-			got, total, err := RunSegmentedEngine(cfg, 40, specAt, 8, jseg, nil, eng)
+			got, err := RunSegmentedEngine(cfg, 40, specAt, 8, jseg, nil, eng)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if total != baseTotal {
-				t.Fatalf("j=%d jkernel=%d: total %v != %v", jseg, jk, total, baseTotal)
 			}
 			for i := range got {
 				if got[i] != base[i] {
@@ -82,20 +79,17 @@ func TestRunSegmentedEngineExactIsRunSegmentedCached(t *testing.T) {
 	cfg := Baseline()
 	specAt := engineTestSpecs(24)
 	cache := newRecordingCache()
-	want, wantTotal, err := RunSegmentedEngine(cfg, 24, specAt, 8, 2, cache, Engine{})
+	want, err := RunSegmentedEngine(cfg, 24, specAt, 8, 2, cache, Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	warmed := len(cache.entries)
-	got, total, err := RunSegmentedEngine(cfg, 24, specAt, 8, 3, cache, Engine{})
+	got, err := RunSegmentedEngine(cfg, 24, specAt, 8, 3, cache, Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cache.entries) != warmed {
 		t.Fatalf("exact engine minted %d new cache keys; wanted pure hits", len(cache.entries)-warmed)
-	}
-	if total != wantTotal {
-		t.Fatalf("total %v != %v", total, wantTotal)
 	}
 	for i := range got {
 		if got[i] != want[i] {
@@ -113,12 +107,12 @@ func TestRunSegmentedEngineModesNeverShareEntries(t *testing.T) {
 	cfg := Baseline()
 	specAt := engineTestSpecs(24)
 	cache := newRecordingCache()
-	exact, _, err := RunSegmentedEngine(cfg, 24, specAt, 8, 2, cache, Engine{})
+	exact, err := RunSegmentedEngine(cfg, 24, specAt, 8, 2, cache, Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	afterExact := len(cache.entries)
-	par, _, err := RunSegmentedEngine(cfg, 24, specAt, 8, 2, cache, Engine{Mode: EngineModePar, Workers: 2})
+	par, err := RunSegmentedEngine(cfg, 24, specAt, 8, 2, cache, Engine{Mode: EngineModePar, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +120,7 @@ func TestRunSegmentedEngineModesNeverShareEntries(t *testing.T) {
 		t.Fatalf("par run added %d entries, want %d (disjoint key sets)", len(cache.entries)-afterExact, afterExact)
 	}
 	// A par replay must hit only the par entries and reproduce par results.
-	par2, _, err := RunSegmentedEngine(cfg, 24, specAt, 8, 4, cache, Engine{Mode: EngineModePar, Workers: 3})
+	par2, err := RunSegmentedEngine(cfg, 24, specAt, 8, 4, cache, Engine{Mode: EngineModePar, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +144,7 @@ func TestRunSegmentedEngineModesNeverShareEntries(t *testing.T) {
 // TestRunSegmentedEngineRejectsBadEngine pins the error path.
 func TestRunSegmentedEngineRejectsBadEngine(t *testing.T) {
 	cfg := Baseline()
-	if _, _, err := RunSegmentedEngine(cfg, 8, engineTestSpecs(8), 4, 1, nil, Engine{Mode: "fast"}); err == nil {
+	if _, err := RunSegmentedEngine(cfg, 8, engineTestSpecs(8), 4, 1, nil, Engine{Mode: "fast"}); err == nil {
 		t.Fatal("unknown engine mode accepted")
 	}
 }
@@ -194,7 +188,7 @@ func testWarmAllocs(t *testing.T, prefetch bool) {
 		}
 		specAt := func(i int) kernelgen.Spec { return specs[i] }
 		run := func() {
-			if _, _, err := RunSegmentedEngine(cfg, n, specAt, segLen, 1, sc, Engine{}); err != nil {
+			if _, err := RunSegmentedEngine(cfg, n, specAt, segLen, 1, sc, Engine{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -252,16 +246,15 @@ func TestIdleScratchBoundedLIFO(t *testing.T) {
 
 	// A run comes back from a call clean, and grows to the next call's width.
 	cache := newRecordingCache()
-	if _, _, err := RunSegmentedEngine(Baseline(), 6, engineTestSpecs(6), 2, 1, cache, Engine{}); err != nil {
+	if _, err := RunSegmentedEngine(Baseline(), 6, engineTestSpecs(6), 2, 1, cache, Engine{}); err != nil {
 		t.Fatal(err)
 	}
 	r := getRun(3)
 	if len(r.scratch) != 3 || r.scratch[0].keyBuf == nil {
 		t.Fatalf("want the call's run back, grown to 3 workers: %d workers, key buffer %v", len(r.scratch), r.scratch[0].keyBuf != nil)
 	}
-	c := &r.committer
 	if r.specAt != nil || r.cache != nil || len(r.keys) != 0 || r.sims[0] != nil ||
-		c.results != nil || c.err != nil || c.next != 0 || c.total != 0 || len(c.pending) != 0 {
+		r.results != nil || r.err != nil {
 		t.Fatalf("an idle run still holds its last call's state: %+v", r)
 	}
 }

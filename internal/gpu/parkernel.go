@@ -307,7 +307,8 @@ func (s *Simulator) runMerge(k *kernelConsts, dramFree float64) float64 {
 // epoch's parameters in the arena, dispatches the shard phase over the
 // intra-kernel workers, then runs the barrier merge itself (merge.go). The
 // pool's calling-goroutine-as-worker-0 design means the coordinator is
-// never idle during the shard phase, and its channel-barrier rounds replace
+// never idle during the shard phase; each round resets the pool's cursor and
+// the workers claim shards from it, and the channel-barrier rounds replace
 // the per-worker goroutine spawns a ForEachStealing-per-epoch design would
 // pay thousands of times per kernel. The shard closure is bound once per
 // arena and reads its per-epoch parameters (epoch end, DRAM-queue seed,

@@ -1,7 +1,9 @@
 package gpu_test
 
 import (
+	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"stemroot/internal/gpu"
@@ -13,8 +15,8 @@ import (
 
 // unclampProcs raises GOMAXPROCS so parallel.Workers does not collapse every
 // pool to one goroutine on a small CI machine — the scheduling interleavings
-// these tests exist to exercise (steals, out-of-order commits) need real
-// concurrent workers. Restored on cleanup.
+// these tests exist to exercise (segments finishing out of index order) need
+// real concurrent workers. Restored on cleanup.
 func unclampProcs(t *testing.T, n int) {
 	t.Helper()
 	prev := runtime.GOMAXPROCS(n)
@@ -24,8 +26,8 @@ func unclampProcs(t *testing.T, n int) {
 // skewedSpecAt builds a spec generator with adversarially skewed costs: one
 // early index in each block of 16 is a giant kernel (hundreds of times the
 // work of its neighbors), the rest are tiny. Under static striping the
-// worker owning the giants serializes the run; work stealing must drain the
-// cheap segments onto other workers. Cost skew lives entirely in the spec —
+// worker owning the giants serializes the run; the shared cursor must drain
+// the cheap segments onto other workers. Cost skew lives entirely in the spec —
 // a pure function of i — so results stay a pure function of the input.
 func skewedSpecAt(lim kernelgen.Limits) func(i int) kernelgen.Spec {
 	return func(i int) kernelgen.Spec {
@@ -50,13 +52,12 @@ func skewedSpecAt(lim kernelgen.Limits) func(i int) kernelgen.Spec {
 	}
 }
 
-// TestRunSegmentedStealingDeterministicSkewed pins the tentpole contract of
-// the work-stealing executor: under adversarially skewed segment costs —
-// the exact shape that forces steals and out-of-order segment completion —
-// per-invocation results AND the folded cycle total are bit-identical to
-// the serial path at every worker count. Run under -race this also proves
-// the warm per-worker simulators and the ordered-commit layer share nothing
-// unsynchronized.
+// TestRunSegmentedStealingDeterministicSkewed pins the contract of the
+// segment executor: under adversarially skewed segment costs — the shape
+// that forces out-of-order segment completion — per-invocation results are
+// bit-identical to the serial path at every worker count. Run under -race
+// this also proves the per-worker simulators and the per-segment result
+// windows share nothing unsynchronized.
 func TestRunSegmentedStealingDeterministicSkewed(t *testing.T) {
 	unclampProcs(t, 8)
 	cfg := gpu.Baseline()
@@ -64,17 +65,14 @@ func TestRunSegmentedStealingDeterministicSkewed(t *testing.T) {
 	specAt := skewedSpecAt(lim)
 	const n, segLen = 96, 4
 
-	want, wantTotal, err := gpu.RunSegmentedEngine(cfg, n, specAt, segLen, 1, nil, gpu.Engine{})
+	want, err := gpu.RunSegmentedEngine(cfg, n, specAt, segLen, 1, nil, gpu.Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 4, 8} {
-		got, total, err := gpu.RunSegmentedEngine(cfg, n, specAt, segLen, workers, nil, gpu.Engine{})
+		got, err := gpu.RunSegmentedEngine(cfg, n, specAt, segLen, workers, nil, gpu.Engine{})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if total != wantTotal {
-			t.Fatalf("workers=%d: total %v, serial %v", workers, total, wantTotal)
 		}
 		for i := range want {
 			if got[i] != want[i] {
@@ -105,11 +103,11 @@ func TestSegmentLenSelfConsistent(t *testing.T) {
 	lim := kernelgen.DSELimits()
 	specAt := func(i int) kernelgen.Spec { return kernelgen.FromInvocation(&w.Invs[i], lim) }
 	for _, segLen := range []int{1, 4, 16, 64} {
-		want, _, err := gpu.RunSegmentedEngine(cfg, w.Len(), specAt, segLen, 1, nil, gpu.Engine{})
+		want, err := gpu.RunSegmentedEngine(cfg, w.Len(), specAt, segLen, 1, nil, gpu.Engine{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := gpu.RunSegmentedEngine(cfg, w.Len(), specAt, segLen, 3, nil, gpu.Engine{})
+		got, err := gpu.RunSegmentedEngine(cfg, w.Len(), specAt, segLen, 3, nil, gpu.Engine{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,9 +189,9 @@ func TestRunKernelParDegenerateOracleUnclamped(t *testing.T) {
 }
 
 // TestRunSegmentedStealingCachedDeterministicSkewed is the cached-path
-// variant: the committer publishes shared cache-owned slices (copy, never
-// alias) in segment order, and a second pass against the primed cache — all
-// hits, arriving in steal-scrambled order — must still be bit-identical.
+// variant: each segment copies its shared cache-owned slice into its own
+// window (copy, never alias), and a second pass against the primed cache —
+// all hits, finishing in scrambled order — must still be bit-identical.
 func TestRunSegmentedStealingCachedDeterministicSkewed(t *testing.T) {
 	unclampProcs(t, 8)
 	cfg := gpu.Baseline()
@@ -201,7 +199,7 @@ func TestRunSegmentedStealingCachedDeterministicSkewed(t *testing.T) {
 	specAt := skewedSpecAt(lim)
 	const n, segLen = 96, 4
 
-	want, wantTotal, err := gpu.RunSegmentedEngine(cfg, n, specAt, segLen, 1, nil, gpu.Engine{})
+	want, err := gpu.RunSegmentedEngine(cfg, n, specAt, segLen, 1, nil, gpu.Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,17 +209,66 @@ func TestRunSegmentedStealingCachedDeterministicSkewed(t *testing.T) {
 	}
 	for pass := 0; pass < 2; pass++ {
 		for _, workers := range []int{2, 4, 8} {
-			got, total, err := gpu.RunSegmentedEngine(cfg, n, specAt, segLen, workers, cache, gpu.Engine{})
+			got, err := gpu.RunSegmentedEngine(cfg, n, specAt, segLen, workers, cache, gpu.Engine{})
 			if err != nil {
 				t.Fatal(err)
-			}
-			if total != wantTotal {
-				t.Fatalf("pass=%d workers=%d: total %v, serial %v", pass, workers, total, wantTotal)
 			}
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("pass=%d workers=%d: invocation %d differs from serial", pass, workers, i)
 				}
+			}
+		}
+	}
+}
+
+// failingCache computes every segment it is asked for and then fails the
+// segments in fail, recording which segments were looked up.
+type failingCache struct {
+	seg  map[gpu.SegmentKey]int // key → segment index
+	fail map[int]bool
+	ran  []atomic.Bool
+}
+
+func (c *failingCache) GetOrCompute(key gpu.SegmentKey, compute func() ([]gpu.KernelResult, error)) ([]gpu.KernelResult, error) {
+	sg := c.seg[key]
+	c.ran[sg].Store(true)
+	results, err := compute()
+	if err == nil && c.fail[sg] {
+		err = fmt.Errorf("segment %d failed", sg)
+	}
+	return results, err
+}
+
+// TestRunSegmentedEngineReportsLowestFailingSegment pins the error contract:
+// when several segments fail, the reported error is the lowest-indexed
+// one's at every worker count — even though the lower failing segment holds
+// a giant kernel and the higher one finishes first — and every other
+// segment still runs.
+func TestRunSegmentedEngineReportsLowestFailingSegment(t *testing.T) {
+	unclampProcs(t, 8)
+	cfg := gpu.Baseline()
+	specAt := skewedSpecAt(kernelgen.DSELimits())
+	const n, segLen = 48, 4 // giant kernels in segments 0, 4 and 8
+	const nseg = n / segLen
+	keys := make(map[gpu.SegmentKey]int, nseg)
+	for sg := 0; sg < nseg; sg++ {
+		specs := make([]kernelgen.Spec, segLen)
+		for i := range specs {
+			specs[i] = specAt(sg*segLen + i)
+		}
+		key, _ := gpu.KeyForSegmentEngineAppend(nil, cfg, specs, gpu.Engine{})
+		keys[key] = sg
+	}
+	for workers := 1; workers <= 4; workers++ {
+		c := &failingCache{seg: keys, fail: map[int]bool{8: true, 9: true}, ran: make([]atomic.Bool, nseg)}
+		got, err := gpu.RunSegmentedEngine(cfg, n, specAt, segLen, workers, c, gpu.Engine{})
+		if err == nil || err.Error() != "segment 8 failed" || got != nil {
+			t.Fatalf("workers=%d: results %v, err %v; want no results and segment 8's error", workers, got != nil, err)
+		}
+		for sg := range c.ran {
+			if !c.ran[sg].Load() {
+				t.Fatalf("workers=%d: segment %d never ran", workers, sg)
 			}
 		}
 	}

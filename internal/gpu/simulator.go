@@ -470,74 +470,6 @@ func (s *Simulator) RunSpecs(specs []*kernelgen.Spec) ([]KernelResult, float64) 
 // one unit of parallelism per 16 invocations.
 const DefaultSegmentLen = 16
 
-// segCommitter is the deterministic result-commit layer of RunSegmentedEngine:
-// workers complete segments in whatever order the work-stealing scheduler
-// produces, hand each finished segment to commit, and the committer publishes
-// them in ascending segment order — copying cache-owned result slices into
-// the caller's results and folding the running cycle total in ascending
-// invocation order, exactly the order the serial path uses. Float addition
-// is not associative, so folding in completion order would make the total
-// depend on scheduling; publication order makes it a pure function of the
-// input. Out-of-order arrivals are buffered in pending until their turn;
-// in-order arrivals (always, on the serial path) publish immediately and
-// never touch the map, keeping steady-state segments allocation-free
-// (TestRunSegmentedCachedSteadyStateAllocs pins this).
-type segCommitter struct {
-	mu      sync.Mutex
-	next    int
-	total   float64
-	results []KernelResult
-	segLen  int
-	// err is the error of the lowest-indexed failing segment (errSeg), the
-	// same worker-count-independent choice parallel.MapStealing makes.
-	err    error
-	errSeg int
-	// pending buffers segments that arrived ahead of order, keyed by segment
-	// index. A nil value is a valid entry (uncached path: the worker already
-	// wrote the segment's window of results), so presence is the marker.
-	// Every segment commits, so the map is empty again when a call returns.
-	pending map[int][]KernelResult
-}
-
-// commit hands segment sg to the committer. seg == nil means the segment's
-// results already sit in their [sg*segLen, ...) window of c.results (the
-// uncached path writes windows directly — they are disjoint per segment, so
-// no two workers ever touch the same elements); a non-nil seg is a shared
-// cache-owned slice copied into the window at publication time, never
-// mutated in place.
-func (c *segCommitter) commit(sg int, seg []KernelResult, err error) {
-	c.mu.Lock()
-	if err != nil && (c.err == nil || sg < c.errSeg) {
-		c.err, c.errSeg = err, sg
-	}
-	if sg != c.next {
-		if c.pending == nil {
-			c.pending = make(map[int][]KernelResult)
-		}
-		c.pending[sg] = seg
-		c.mu.Unlock()
-		return
-	}
-	for {
-		lo := sg * c.segLen
-		hi := min(lo+c.segLen, len(c.results))
-		if seg != nil {
-			copy(c.results[lo:hi], seg)
-		}
-		for i := lo; i < hi; i++ {
-			c.total += c.results[i].Cycles
-		}
-		c.next++
-		var ok bool
-		if seg, ok = c.pending[c.next]; !ok {
-			break
-		}
-		delete(c.pending, c.next)
-		sg = c.next
-	}
-	c.mu.Unlock()
-}
-
 // segScratch is one segment worker's reusable state: the materialized specs
 // of the segment in flight and the canonical key encoding
 // (KeyForSegmentEngineAppend). Both reach steady-state capacity after the
@@ -593,9 +525,10 @@ func (sc *segScratch) miss() ([]KernelResult, error) {
 	return out, nil
 }
 
-// segRun is the state of one RunSegmentedEngine call apart from its results:
-// the inputs, one simulator slot and one scratch per worker, and the
-// committer. Calls take it from idleScratch and hand it back, so a sweep's
+// segRun is the state of one RunSegmentedEngine call: the inputs, the
+// results every segment writes its own window of, the error of the
+// lowest-indexed failing segment, and one simulator slot and one scratch per
+// worker. Calls take it from idleScratch and hand it back, so a sweep's
 // hundreds of calls per configuration share a few of them.
 type segRun struct {
 	cfg       Config
@@ -604,28 +537,30 @@ type segRun struct {
 	specAt    func(i int) kernelgen.Spec
 	cache     SegmentCache
 	keys      []SegmentKey // from the prefetch pass; empty without one
+	results   []KernelResult
 	sims      []*Simulator
 	scratch   []*segScratch
-	committer segCommitter
 	run       func(worker, sg int) // segment, bound once: a method value per call would allocate
+
+	mu     sync.Mutex // guards err and errSeg
+	err    error
+	errSeg int
 }
 
-// segment executes segment sg on the given worker and commits it.
+// segment executes segment sg on the given worker and writes its results to
+// the segment's window of r.results. Windows are disjoint, so no two workers
+// ever touch the same elements and no lock is taken on success.
 func (r *segRun) segment(worker, sg int) {
 	sc := r.scratch[worker]
 	lo := sc.load(sg)
 	if r.cache == nil {
-		// Uncached: write the results directly into the segment's disjoint
-		// window of the shared results slice — no per-segment slice, no
-		// publication copy (commit only folds the total in order).
-		sc.simulate(r.committer.results[lo:])
-		r.committer.commit(sg, nil, nil)
+		sc.simulate(r.results[lo:])
 		return
 	}
 	// Cached: derive the content address and only simulate on miss — on the
 	// worker's own simulator (GetOrCompute runs compute on the calling
 	// goroutine, so it is never shared). Hits and computed results alike are
-	// shared cache-owned slices the committer copies at publication.
+	// shared cache-owned slices: copied into the window, never aliased.
 	var key SegmentKey
 	if len(r.keys) != 0 {
 		key = r.keys[sg]
@@ -633,7 +568,17 @@ func (r *segRun) segment(worker, sg int) {
 		key, sc.keyBuf = KeyForSegmentEngineAppend(sc.keyBuf, r.cfg, sc.specs, r.eng)
 	}
 	seg, err := r.cache.GetOrCompute(key, sc.compute)
-	r.committer.commit(sg, seg, err)
+	if err != nil {
+		// Keep the lowest-indexed failure, the same worker-count-independent
+		// choice parallel.MapStealing makes.
+		r.mu.Lock()
+		if r.err == nil || sg < r.errSeg {
+			r.err, r.errSeg = err, sg
+		}
+		r.mu.Unlock()
+		return
+	}
+	copy(r.results[lo:lo+len(sc.specs)], seg)
 }
 
 // RunSegmentedEngine simulates the n kernels specAt(0..n-1) as fixed-length
@@ -650,17 +595,19 @@ func (r *segRun) segment(worker, sg int) {
 // function of i (like kernelgen.FromInvocation): workers materialize only
 // their own segment's specs, so the full spec list is never built.
 //
-// Execution: segments are scheduled over parallel.ForEachStealing, so each
-// worker sweeps a contiguous ascending run of segments on its own warm
-// Simulator and idle workers steal half the richest victim's remaining
-// segments, which rebalances skewed segment costs instead of serializing
-// them behind one worker. Finished segments flow through a segCommitter that
-// publishes them in segment order. Segmentation and publication depend only
-// on n and segLen, so the returned results and total are bit-identical for
-// every workers value, including the serial workers == 1 path, AND for every
+// Execution: segments are scheduled over parallel.ForEachStealing, so a
+// free worker claims the lowest unclaimed segment and runs it on its own
+// cold-Reset Simulator; a costly segment delays only the worker running it.
+// Every segment starts cold and depends on nothing outside itself (the
+// paper's §6.2: inter-kernel L2 reuse is minor), so it needs no ordering: it
+// writes its own window of the results, and a failing segment's error is
+// kept only if no lower segment failed. Segmentation depends only on n and
+// segLen, so the returned results and error are bit-identical for every
+// workers value, including the serial workers == 1 path, AND for every
 // eng.Workers value — only eng.Mode affects output (pinned by
-// TestRunSegmentedStealingDeterministicSkewed and the pipeline determinism
-// tests).
+// TestRunSegmentedStealingDeterministicSkewed,
+// TestRunSegmentedEngineReportsLowestFailingSegment and the pipeline
+// determinism tests).
 //
 // A non-nil cache is consulted before each segment is simulated. A segment's
 // result is a pure function of (engine fingerprint, cfg, its spec sequence) —
@@ -676,12 +623,12 @@ func (r *segRun) segment(worker, sg int) {
 // For workloads with many segments,
 // segment workers alone saturate cores; eng.Workers pays off for single-
 // kernel latency and short workloads.
-func RunSegmentedEngine(cfg Config, n int, specAt func(i int) kernelgen.Spec, segLen, workers int, cache SegmentCache, eng Engine) ([]KernelResult, float64, error) {
+func RunSegmentedEngine(cfg Config, n int, specAt func(i int) kernelgen.Spec, segLen, workers int, cache SegmentCache, eng Engine) ([]KernelResult, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if err := eng.Validate(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if segLen <= 0 {
 		segLen = DefaultSegmentLen
@@ -692,7 +639,7 @@ func RunSegmentedEngine(cfg Config, n int, specAt func(i int) kernelgen.Spec, se
 	results := make([]KernelResult, n)
 	r := getRun(nworkers)
 	r.cfg, r.eng, r.n, r.segLen, r.specAt, r.cache = cfg, eng.normalized(), n, segLen, specAt, cache
-	r.committer.results, r.committer.segLen = results, segLen
+	r.results = results
 
 	// Batched key prefetch: when the cache has a batched backing tier
 	// (BatchPrefetcher, e.g. simcache with a cachenet remote), derive every
@@ -710,12 +657,12 @@ func RunSegmentedEngine(cfg Config, n int, specAt func(i int) kernelgen.Spec, se
 	}
 
 	parallel.ForEachStealing(nseg, nworkers, r.run)
-	total, err := r.committer.total, r.committer.err
+	err := r.err
 	putRun(r) // not deferred: a run abandoned by a panic is not reused
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return results, total, nil
+	return results, nil
 }
 
 // idleScratch holds idle segRuns between RunSegmentedEngine calls: a warm
@@ -761,8 +708,7 @@ func putRun(r *segRun) {
 	if cap(r.keys) > maxIdleKeys {
 		r.keys = nil
 	}
-	c := &r.committer
-	c.results, c.err, c.next, c.total = nil, nil, 0, 0
+	r.results, r.err = nil, nil
 	idleScratch.Lock()
 	idleScratch.runs = parallel.PushIdle(idleScratch.runs, r, maxIdleScratch)
 	idleScratch.Unlock()

@@ -3,6 +3,7 @@ package parallel
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -143,11 +144,11 @@ func TestMapStealingReportsLowestIndexedError(t *testing.T) {
 }
 
 // TestForEachStealingStarvation pins the rebalancing guarantee: when one
-// worker is stuck on a single expensive unit, the other workers must steal
-// and drain its entire remaining shard. The unit that claims index 0 blocks
-// until every OTHER unit has completed — if stealing failed to liberate the
-// stuck worker's shard, those units could never complete and the test would
-// time out instead of finishing.
+// worker is stuck on a single expensive unit, the other workers must drain
+// every other unit. The unit that claims index 0 blocks until every OTHER
+// unit has completed — if the stuck worker still held units it had not
+// started, those units could never complete and the test would time out
+// instead of finishing.
 func TestForEachStealingStarvation(t *testing.T) {
 	const n, workers = 64, 4
 	var done atomic.Int32
@@ -165,7 +166,7 @@ func TestForEachStealingStarvation(t *testing.T) {
 				select {
 				case <-rest:
 				case <-time.After(30 * time.Second):
-					t.Error("unit 0 starved: other workers never drained its shard")
+					t.Error("unit 0 starved: other workers never drained the rest")
 				}
 				return
 			}
@@ -179,27 +180,46 @@ func TestForEachStealingStarvation(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("ForEachStealing deadlocked under a pinned-slow worker")
 	}
-	// An actual steal must have happened: either index 0 itself was stolen
-	// off worker 0's initial shard, or — when worker 0 held it and blocked —
-	// the rest of shard [0, n/workers) can only have completed on thieves.
-	var holder int
+	// Unit 0 is the first claim of all, so the worker that took it claimed
+	// nothing before it, and nothing after it until every other unit was
+	// done: it ran unit 0 alone.
 	for w := range byWorker {
-		if byWorker[w][0] == 1 {
-			holder = w
+		if byWorker[w][0] != 1 {
+			continue
 		}
-	}
-	if holder != 0 {
-		return
-	}
-	stolen := false
-	for w := 1; w < workers; w++ {
-		for i := 1; i < n/workers; i++ {
+		for i := 1; i < n; i++ {
 			if byWorker[w][i] == 1 {
-				stolen = true
+				t.Fatalf("worker %d held unit 0 and also ran unit %d", w, i)
 			}
 		}
 	}
-	if !stolen {
-		t.Fatalf("no index of the stuck worker's initial shard [0,%d) was stolen", n/workers)
+}
+
+// firstUnitsTogether returns a unit body for n = 4 over 2 workers in which
+// units 0 and 1 each wait, up to 10 s, for the other to have started: it
+// completes only if the two lowest units are claimed first, by different
+// workers, as the shared cursor hands them out. A scheduler that gives each
+// worker a contiguous shard parks worker 1 on unit 2, so unit 1 never starts.
+func firstUnitsTogether(t *testing.T) func(worker, i int) {
+	var started sync.WaitGroup
+	started.Add(2)
+	return func(_, i int) {
+		if i < 2 {
+			started.Done()
+		}
+		ok := make(chan struct{})
+		go func() {
+			started.Wait()
+			close(ok)
+		}()
+		select {
+		case <-ok:
+		case <-time.After(10 * time.Second):
+			t.Errorf("unit %d: units 0 and 1 never ran together", i)
+		}
 	}
+}
+
+func TestForEachStealingFirstUnitsRunTogether(t *testing.T) {
+	ForEachStealing(4, 2, firstUnitsTogether(t))
 }

@@ -1,5 +1,7 @@
 package parallel
 
+import "sync/atomic"
+
 // Pool is a persistent, barrier-synchronized worker pool for
 // reduction-shaped fan-out: the same small index space dispatched over the
 // same goroutines many times in a row, with a full barrier between rounds.
@@ -8,16 +10,16 @@ package parallel
 // for the intra-kernel engine's epoch loop, where one fan-out per epoch
 // over ~16 units would mean a spawn and join per worker thousands of times
 // per kernel. A Pool spawns its workers once; each Run round costs two channel
-// operations per worker plus the per-shard claim locks.
+// operations per worker plus one atomic add per unit.
 //
-// Scheduling within a round is ForEachStealing's, by the same splitShards
-// and drain: one contiguous shard per participating worker, drained in
-// ascending index order, with upper-half stealing from the richest victim.
-// The determinism contract is also ForEachStealing's — fn's output must
-// depend only on the unit index, never on worker identity or scheduling
-// order — and so is the ownership contract: each worker index is owned by
-// exactly one goroutine for the duration of a round, so fn may keep
-// worker-indexed scratch in a slice without synchronization.
+// Scheduling within a round is ForEachStealing's, by the same drain: the
+// participating workers claim units in ascending index order from the pool's
+// cursor, which Run resets to zero at the start of every round. The
+// determinism contract is also ForEachStealing's — fn's output must depend
+// only on the unit index, never on worker identity or scheduling order — and
+// so is the ownership contract: each worker index is owned by exactly one
+// goroutine for the duration of a round, so fn may keep worker-indexed
+// scratch in a slice without synchronization.
 //
 // The calling goroutine participates as worker 0 in every round, so a Pool
 // of one worker runs everything inline with no channel traffic at all —
@@ -27,14 +29,14 @@ package parallel
 // re-entered from fn.
 type Pool struct {
 	workers int
-	shards  []stealShard
+	next    atomic.Int64 // the round's cursor: the lowest unclaimed unit
 	// Per-round state, published to workers by the start sends and read
 	// back by the coordinator after the done receives (channel
 	// happens-before makes both directions race-free).
-	fn     func(worker, i int)
-	active int
-	start  []chan struct{}
-	done   chan struct{}
+	fn    func(worker, i int)
+	n     int
+	start []chan struct{}
+	done  chan struct{}
 }
 
 // NewPool creates a pool of the given size. Workers 1..workers-1 are spawned
@@ -46,10 +48,7 @@ func NewPool(workers int, wrap func(worker int, loop func())) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
-	p := &Pool{
-		workers: workers,
-		shards:  make([]stealShard, workers),
-	}
+	p := &Pool{workers: workers}
 	if workers > 1 {
 		p.start = make([]chan struct{}, workers-1)
 		p.done = make(chan struct{}, workers-1)
@@ -85,13 +84,12 @@ func (p *Pool) Run(n int, fn func(worker, i int)) {
 		}
 		return
 	}
-	p.fn = fn
-	p.active = active
-	splitShards(p.shards[:active], n)
+	p.fn, p.n = fn, n
+	p.next.Store(0)
 	for w := 1; w < active; w++ {
 		p.start[w-1] <- struct{}{}
 	}
-	drain(p.shards[:active], 0, fn)
+	drain(&p.next, n, 0, fn)
 	for w := 1; w < active; w++ {
 		<-p.done
 	}
@@ -104,7 +102,7 @@ func (p *Pool) Run(n int, fn func(worker, i int)) {
 func (p *Pool) workerLoop(w int, start chan struct{}) func() {
 	return func() {
 		for range start {
-			drain(p.shards[:p.active], w, p.fn)
+			drain(&p.next, p.n, w, p.fn)
 			p.done <- struct{}{}
 		}
 	}

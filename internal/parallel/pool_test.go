@@ -89,3 +89,11 @@ func TestPoolWrap(t *testing.T) {
 		t.Fatalf("wrap invoked for %d workers, want 3", got)
 	}
 }
+
+// TestPoolRunFirstUnitsRunTogether is TestForEachStealingFirstUnitsRunTogether
+// for a Pool round: Run claims from the same cursor.
+func TestPoolRunFirstUnitsRunTogether(t *testing.T) {
+	p := NewPool(2, nil)
+	defer p.Close()
+	p.Run(4, firstUnitsTogether(t))
+}

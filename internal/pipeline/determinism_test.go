@@ -21,8 +21,8 @@ func workerCounts() []int {
 // parallel.Workers clamps pool sizes to available processors, so on a 1-core
 // CI machine every workerCounts() entry would silently collapse to the
 // serial path and the cross-worker comparison would test nothing. Raising
-// GOMAXPROCS restores real concurrent workers (and real steals under the
-// work-stealing executor) regardless of the machine. Restored on cleanup.
+// GOMAXPROCS restores real concurrent workers (and segments finishing out of
+// index order) regardless of the machine. Restored on cleanup.
 func unclampProcs(t *testing.T) {
 	t.Helper()
 	prev := runtime.GOMAXPROCS(8)

@@ -10,14 +10,12 @@
 // in parallel using deterministic fixed-length replay segments: the
 // invocation sequence is cut into segments of
 // gpu.DefaultSegmentLen, segments are executed by gpu.RunSegmentedEngine's
-// work-stealing worker pool — each worker owns one long-lived Simulator
-// that gpu.Simulator.Reset cold-resets between segments, bit-identical to
-// a fresh gpu.New and allocation-free in steady state; idle workers steal
-// half the richest victim's remaining segments, so skewed segment costs
-// rebalance instead of serializing — and each segment starts from cold
-// simulator state, with cycle counts published in segment order by the
-// ordered-commit layer. Because segmentation and publication order depend
-// only on the input — never on the worker count or goroutine scheduling —
+// worker pool — a free worker claims the lowest unclaimed segment and runs
+// it on its own long-lived Simulator, which gpu.Simulator.Reset cold-resets
+// between segments, bit-identical to a fresh gpu.New and allocation-free in
+// steady state — and each segment starts from cold simulator state and
+// writes its own window of the results. Because segmentation depends only
+// on the input — never on the worker count or goroutine scheduling —
 // results are bit-identical for every Options.Workers value, including the
 // serial workers == 1 path; the determinism regression tests pin this.
 // SampledSimWarm is inherently sequential (it reconstructs L2 state by
@@ -122,7 +120,7 @@ func simulate(w *trace.Workload, cfg gpu.Config, lim kernelgen.Limits, indices [
 		src.at = src.specAt
 	}
 	src.w, src.lim, src.indices = w, lim, indices
-	results, _, err := gpu.RunSegmentedEngine(cfg, n, src.at, gpu.DefaultSegmentLen, opt.Workers, opt.Cache, opt.engine())
+	results, err := gpu.RunSegmentedEngine(cfg, n, src.at, gpu.DefaultSegmentLen, opt.Workers, opt.Cache, opt.engine())
 	src.w, src.indices = nil, nil // an idle source refers to nothing
 	idleSources.Lock()
 	idleSources.list = parallel.PushIdle(idleSources.list, src, maxIdleSources)
