@@ -123,8 +123,8 @@ func BenchmarkPlanPhoton(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(plan.Groups) == 0 {
-			b.Fatal("no groups")
+		if len(plan.Clusters) == 0 {
+			b.Fatal("no clusters")
 		}
 	}
 }
@@ -139,8 +139,8 @@ func BenchmarkPlanPKA(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(plan.Groups) == 0 {
-			b.Fatal("no groups")
+		if len(plan.Clusters) == 0 {
+			b.Fatal("no clusters")
 		}
 	}
 }

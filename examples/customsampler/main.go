@@ -1,6 +1,9 @@
 // Custom sampler: plug a new sampling method into the framework by
 // implementing the sampling.Method interface, then benchmark it against
-// STEM+ROOT on the same workload.
+// STEM+ROOT on the same workload. A method returns its clusters as
+// core.PlanCluster records, the same record STEM+ROOT's plans are made of;
+// filling Samples and Weight is enough for the shared estimator
+// (core.Plan.Estimate) and sampling.Evaluate.
 //
 // The custom method here is "stratified-by-name": one random sample per
 // kernel name, weighted by the name's invocation count — a reasonable
@@ -14,6 +17,7 @@ import (
 	"fmt"
 	"log"
 
+	"stemroot/internal/core"
 	"stemroot/internal/hwmodel"
 	"stemroot/internal/rng"
 	"stemroot/internal/sampling"
@@ -34,13 +38,13 @@ func (n *nameStratified) Plan(w *trace.Workload, _ *trace.Profile) (*sampling.Pl
 	}
 	gen := rng.New(rng.Derive(n.seed, w.Seed))
 	plan := &sampling.Plan{Method: n.Name()}
-	// First-appearance order, not map order: gen is consumed per group, so
-	// iteration order must be deterministic for reproducible plans.
+	// First-appearance order, not map order: gen is consumed per cluster,
+	// so iteration order must be deterministic for reproducible plans.
 	groups := w.GroupByName()
 	for _, name := range w.KernelNames() {
 		idxs := groups[name]
 		rep := idxs[gen.Intn(len(idxs))]
-		plan.Groups = append(plan.Groups, sampling.Group{
+		plan.Clusters = append(plan.Clusters, core.PlanCluster{
 			Samples: []int{rep},
 			Weight:  float64(len(idxs)),
 		})

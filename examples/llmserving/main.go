@@ -54,13 +54,12 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("\nSTEM's clusters for gemm_qkv_f16 (prefill vs decode):")
-	for gi := range plan.Groups {
-		g := &plan.Groups[gi]
-		rep := g.Samples[0]
-		if gpt2.Invs[rep].Name != "gemm_qkv_f16" {
+	for ci := range plan.Clusters {
+		c := &plan.Clusters[ci]
+		if c.Kernel != "gemm_qkv_f16" {
 			continue
 		}
 		fmt.Printf("  weight=%8.1f  representative time=%9.1f us  samples=%d\n",
-			g.Weight, prof.TimeUS[rep], len(g.Samples))
+			c.Weight, prof.TimeUS[c.Samples[0]], len(c.Samples))
 	}
 }

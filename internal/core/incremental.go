@@ -403,7 +403,7 @@ func (ip *IncrementalPlanner) Plan() (*Plan, error) {
 			iv := &intervals[i]
 			m, cs := sizes[i], statsVec[i]
 			pc := &plan.Clusters[i]
-			*pc = PlanCluster{Name: iv.name, SampleSize: m, Stats: cs}
+			*pc = PlanCluster{Kernel: iv.name, Population: cs.N, Mean: cs.Mean, StdDev: cs.StdDev}
 			if cs.N <= 0 || m <= 0 {
 				continue
 			}
@@ -414,7 +414,6 @@ func (ip *IncrementalPlanner) Plan() (*Plan, error) {
 				// Exact coverage needs an index for every member; cap at
 				// the candidate pool (distinct draws).
 				m = min(cs.N, len(pool))
-				pc.SampleSize = m
 			}
 			pc.Weight = iv.scale * float64(cs.N) / float64(m)
 			if m > 0 {

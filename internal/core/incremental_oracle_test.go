@@ -73,12 +73,11 @@ func naivePlan(ip *IncrementalPlanner) (plan *Plan, estimate, sampledTime float6
 	for i, iv := range ivs {
 		m := sizes[i]
 		cs := statsVec[i]
-		pc := PlanCluster{Name: iv.name, SampleSize: m, Stats: cs}
+		pc := PlanCluster{Kernel: iv.name, Population: cs.N, Mean: cs.Mean, StdDev: cs.StdDev}
 		if cs.N > 0 && m > 0 {
 			var picks []int // indices into the pool
 			if m >= cs.N {
 				m = min(cs.N, len(iv.pool))
-				pc.SampleSize = m
 				for k := 0; k < m; k++ {
 					picks = append(picks, k)
 				}
@@ -119,11 +118,11 @@ func samePlan(got, want *Plan) error {
 	}
 	for i := range want.Clusters {
 		g, w := &got.Clusters[i], &want.Clusters[i]
-		if g.Name != w.Name || g.SampleSize != w.SampleSize || g.Stats.N != w.Stats.N || g.Indices != nil {
+		if g.Kernel != w.Kernel || len(g.Samples) != len(w.Samples) || g.Population != w.Population || g.Members != nil {
 			return fmt.Errorf("cluster %d: %q m=%d N=%d, want %q m=%d N=%d", i,
-				g.Name, g.SampleSize, g.Stats.N, w.Name, w.SampleSize, w.Stats.N)
+				g.Kernel, len(g.Samples), g.Population, w.Kernel, len(w.Samples), w.Population)
 		}
-		for _, f := range [][2]float64{{g.Weight, w.Weight}, {g.Stats.Mean, w.Stats.Mean}, {g.Stats.StdDev, w.Stats.StdDev}} {
+		for _, f := range [][2]float64{{g.Weight, w.Weight}, {g.Mean, w.Mean}, {g.StdDev, w.StdDev}} {
 			if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
 				return fmt.Errorf("cluster %d: weight/mean/stddev %v, want %v", i, f[0], f[1])
 			}

@@ -83,7 +83,7 @@ func TestIncrementalPlanMatchesExactStats(t *testing.T) {
 		t.Fatalf("%d intervals for %d clusters", len(exact), len(plan.Clusters))
 	}
 	for i, want := range exact {
-		if got := plan.Clusters[i].Stats; got != want {
+		if got := statsOf(&plan.Clusters[i]); got != want {
 			t.Fatalf("cluster %d statistics %+v, exact %+v", i, got, want)
 		}
 	}
@@ -153,11 +153,11 @@ func TestIncrementalPlanOverCapacityEquivalence(t *testing.T) {
 	nByName := map[string]int{}
 	exactByName := map[string]int{}
 	for i := range onePass.Clusters {
-		exactByName[onePass.Clusters[i].Name] += exact[i].N
+		exactByName[onePass.Clusters[i].Kernel] += exact[i].N
 	}
 	for i := range onePass.Clusters {
-		a, b := onePass.Clusters[i].Stats, exact[i]
-		name := onePass.Clusters[i].Name
+		a, b := statsOf(&onePass.Clusters[i]), exact[i]
+		name := onePass.Clusters[i].Kernel
 		// Per-cluster population is apportioned from reservoir membership,
 		// so it carries the reservoir's binomial sampling error; gate at
 		// 4σ of Binomial(rcap, p) with p = N_c / N_name.
@@ -213,7 +213,7 @@ func TestIncrementalPlanOverCapacityImpliedTotal(t *testing.T) {
 	implied := make(map[string]float64)
 	exact := make(map[string]float64)
 	for _, c := range plan.Clusters {
-		implied[c.Name] += float64(c.Stats.N) * c.Stats.Mean
+		implied[c.Kernel] += float64(c.Population) * c.Mean
 	}
 	for i, n := range names {
 		exact[n] += times[i]

@@ -3,20 +3,40 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"stemroot/internal/rng"
 )
 
-// PlanCluster is one cluster of a sampling plan: which invocations it
-// covers, which were sampled, and the weight each sample carries in the
-// weighted-sum extrapolation (N_i / m_i).
+// PlanCluster is one cluster of a sampling plan — the one cluster record
+// every planner returns and the public stemroot.Cluster: which invocations
+// it covers, which were sampled, and the weight each sample carries in the
+// weighted-sum extrapolation (N_i / m_i). A baseline planner fills only
+// Samples and Weight.
 type PlanCluster struct {
-	Name       string
-	Indices    []int
-	Samples    []int // invocation indices, sampled with replacement
-	SampleSize int
-	Weight     float64
-	Stats      ClusterStats
+	// Kernel is the kernel name the cluster belongs to.
+	Kernel string
+	// Members are the invocation indices the cluster represents; nil in a
+	// streaming plan (SampleStream, StreamPlanner), which does not keep
+	// them.
+	Members []int
+	// Population is the number of invocations the cluster stands for:
+	// len(Members) in a batch plan; in a streaming plan, the cluster's
+	// share of its kernel's exact count (the shares sum to that count,
+	// while Weight also carries the calibration to the kernel's exact
+	// total time). Plan JSON does not store it: ReadPlanJSON sets it to
+	// len(Members), so a streaming plan reads back with Population 0.
+	Population int
+	// Samples are the invocation indices to simulate, drawn with
+	// replacement (simulate distinct ones once and reuse the result) —
+	// except in a capped cluster, whose sizing reached its population:
+	// that lists every member once (in a streaming plan, every member its
+	// kernel's reservoir kept). len(Samples) is the cluster's m_i.
+	Samples []int
+	// Weight multiplies each sample's measured time in the estimate.
+	Weight float64
+	// Mean and StdDev summarize the cluster's profiled times.
+	Mean, StdDev float64
 }
 
 // Plan is a complete STEM+ROOT sampling plan — the "sampling information"
@@ -60,7 +80,7 @@ func BuildPlanOf(n int, nameOf func(i int) string, times []float64, p Params) (*
 // instead of being handed to callers that compare it against ε.
 func (plan *Plan) setBound(statsVec []ClusterStats, sizes []int) error {
 	for i := range plan.Clusters {
-		sizes[i] = plan.Clusters[i].SampleSize
+		sizes[i] = len(plan.Clusters[i].Samples)
 	}
 	plan.PredictedError = PredictedError(statsVec, sizes, plan.Params)
 	if math.IsNaN(plan.PredictedError) || math.IsInf(plan.PredictedError, 0) {
@@ -96,10 +116,11 @@ func planFromClusters(leaves []Cluster, p Params, a *splitArena) (*Plan, error) 
 		m := sizes[i]
 		pc := &plan.Clusters[i]
 		*pc = PlanCluster{
-			Name:       leaf.Name,
-			Indices:    leaf.Indices,
-			SampleSize: m,
-			Stats:      leaf.Stats,
+			Kernel:     leaf.Name,
+			Members:    leaf.Indices,
+			Population: leaf.Stats.N,
+			Mean:       leaf.Stats.Mean,
+			StdDev:     leaf.Stats.StdDev,
 		}
 		if m <= 0 {
 			continue
@@ -107,7 +128,6 @@ func planFromClusters(leaves []Cluster, p Params, a *splitArena) (*Plan, error) 
 		all := m >= len(leaf.Indices)
 		if all {
 			m = len(leaf.Indices)
-			pc.SampleSize = m
 		}
 		pc.Weight = float64(len(leaf.Indices)) / float64(m)
 		pc.Samples, samples = samples[:m:m], samples[m:]
@@ -133,9 +153,6 @@ func (p *Plan) Estimate(sampleTimes func(int) float64) float64 {
 	var total float64
 	for i := range p.Clusters {
 		c := &p.Clusters[i]
-		if c.SampleSize == 0 {
-			continue
-		}
 		var sum float64
 		for _, s := range c.Samples {
 			sum += sampleTimes(s)
@@ -145,11 +162,22 @@ func (p *Plan) Estimate(sampleTimes func(int) float64) float64 {
 	return total
 }
 
+// SampledIndices returns the distinct invocations the plan requires
+// simulating, in ascending order.
+func (p *Plan) SampledIndices() []int {
+	out := make([]int, 0, p.TotalSamples())
+	for i := range p.Clusters {
+		out = append(out, p.Clusters[i].Samples...)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
 // TotalSamples returns Σ m_i, the number of (with-replacement) samples.
 func (p *Plan) TotalSamples() int {
 	n := 0
 	for i := range p.Clusters {
-		n += p.Clusters[i].SampleSize
+		n += len(p.Clusters[i].Samples)
 	}
 	return n
 }
@@ -159,7 +187,7 @@ func (p *Plan) TotalSamples() int {
 func (p *Plan) SimTimeEstimate() float64 {
 	var tau float64
 	for i := range p.Clusters {
-		tau += float64(p.Clusters[i].SampleSize) * p.Clusters[i].Stats.Mean
+		tau += float64(len(p.Clusters[i].Samples)) * p.Clusters[i].Mean
 	}
 	return tau
 }

@@ -56,7 +56,12 @@ func TestBuildPlanSmallProfileAllocs(t *testing.T) {
 	}
 }
 
-// TestPlanSlicesDoNotAlias pins the capped windows: every cluster's Indices
+// statsOf is a plan cluster's profile statistics as the planner sized them.
+func statsOf(c *PlanCluster) ClusterStats {
+	return ClusterStats{N: c.Population, Mean: c.Mean, StdDev: c.StdDev}
+}
+
+// TestPlanSlicesDoNotAlias pins the capped windows: every cluster's Members
 // and Samples share one array each, and appending to one cluster's slice
 // must reallocate it instead of writing into its neighbour's.
 func TestPlanSlicesDoNotAlias(t *testing.T) {
@@ -75,24 +80,24 @@ func TestPlanSlicesDoNotAlias(t *testing.T) {
 	}
 	snapshot := func() (out [][]int) {
 		for _, c := range plan.Clusters {
-			out = append(out, append([]int(nil), c.Indices...), append([]int(nil), c.Samples...))
+			out = append(out, append([]int(nil), c.Members...), append([]int(nil), c.Samples...))
 		}
 		return out
 	}
 	want := snapshot()
 	for i := range plan.Clusters {
 		c := &plan.Clusters[i]
-		if cap(c.Indices) != len(c.Indices) || cap(c.Samples) != len(c.Samples) {
-			t.Fatalf("cluster %d: Indices len %d cap %d, Samples len %d cap %d; want capped windows",
-				i, len(c.Indices), cap(c.Indices), len(c.Samples), cap(c.Samples))
+		if cap(c.Members) != len(c.Members) || cap(c.Samples) != len(c.Samples) {
+			t.Fatalf("cluster %d: Members len %d cap %d, Samples len %d cap %d; want capped windows",
+				i, len(c.Members), cap(c.Members), len(c.Samples), cap(c.Samples))
 		}
-		_ = append(c.Indices, -1)
+		_ = append(c.Members, -1)
 		_ = append(c.Samples, -1)
 	}
 	for i, got := range snapshot() {
 		for j := range got {
 			if got[j] != want[i][j] {
-				t.Fatalf("an append wrote into cluster %d's %s", i/2, [2]string{"Indices", "Samples"}[i%2])
+				t.Fatalf("an append wrote into cluster %d's %s", i/2, [2]string{"Members", "Samples"}[i%2])
 			}
 		}
 	}

@@ -248,23 +248,23 @@ func TestBuildPlanSamplesWithinClusters(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range plan.Clusters {
-		member := make(map[int]bool, len(c.Indices))
-		for _, ix := range c.Indices {
+		member := make(map[int]bool, len(c.Members))
+		for _, ix := range c.Members {
 			member[ix] = true
 		}
-		if len(c.Samples) != c.SampleSize {
-			t.Fatalf("cluster has %d samples for size %d", len(c.Samples), c.SampleSize)
+		// Every ROOT leaf has a member, so it is sized to at least one
+		// sample: no plan cluster is empty.
+		if len(c.Samples) < 1 || c.Population != len(c.Members) {
+			t.Fatalf("cluster has %d samples and population %d for %d members", len(c.Samples), c.Population, len(c.Members))
 		}
 		for _, s := range c.Samples {
 			if !member[s] {
 				t.Fatalf("sample %d not a cluster member", s)
 			}
 		}
-		if c.SampleSize > 0 {
-			wantW := float64(len(c.Indices)) / float64(c.SampleSize)
-			if math.Abs(c.Weight-wantW) > 1e-9 {
-				t.Fatalf("weight %v != N/m %v", c.Weight, wantW)
-			}
+		wantW := float64(len(c.Members)) / float64(len(c.Samples))
+		if math.Abs(c.Weight-wantW) > 1e-9 {
+			t.Fatalf("weight %v != N/m %v", c.Weight, wantW)
 		}
 	}
 	if plan.PredictedError > plan.Params.Epsilon {

@@ -106,8 +106,8 @@ func TestBuildPlanStreamSeparatesPeaks(t *testing.T) {
 		t.Fatalf("streaming ROOT kept %d cluster(s) for bimodal kernel", len(plan.Clusters))
 	}
 	for _, c := range plan.Clusters {
-		if c.Stats.N > 100 && c.Stats.CoV() > 0.1 {
-			t.Fatalf("streaming leaf CoV %v — peaks not separated", c.Stats.CoV())
+		if cov := statsOf(&c).CoV(); c.Population > 100 && cov > 0.1 {
+			t.Fatalf("streaming leaf CoV %v — peaks not separated", cov)
 		}
 	}
 }

@@ -22,11 +22,10 @@ import (
 	"stemroot/internal/multigpu"
 )
 
-// GraphPlan is a sampling plan over a trace's compute nodes.
+// GraphPlan is a sampling plan over a trace's compute nodes: its clusters
+// partition the compute nodes, and their members and samples are node IDs.
 type GraphPlan struct {
-	Params core.Params
-	// Clusters partition the compute nodes.
-	Clusters []core.PlanCluster
+	core.Plan
 	// nodeCluster maps node ID -> cluster index.
 	nodeCluster map[int]int
 }
@@ -58,23 +57,17 @@ func BuildGraphPlan(g *chakra.Graph, profUS []float64, p Params) (*GraphPlan, er
 		return nil, err
 	}
 
-	plan := &GraphPlan{Params: p.Core, nodeCluster: make(map[int]int, len(computeIDs))}
-	for ci := range cp.Clusters {
-		c := cp.Clusters[ci]
-		// Translate flattened indices back to node IDs.
-		members := make([]int, len(c.Indices))
-		for k, fi := range c.Indices {
-			members[k] = computeIDs[fi]
+	// Translate flattened indices back to node IDs, in the plan's own
+	// arrays: the batch planner allocates them fresh per call.
+	plan := &GraphPlan{Plan: *cp, nodeCluster: make(map[int]int, len(computeIDs))}
+	for ci := range plan.Clusters {
+		c := &plan.Clusters[ci]
+		for k, fi := range c.Members {
+			c.Members[k] = computeIDs[fi]
+			plan.nodeCluster[c.Members[k]] = ci
 		}
-		samples := make([]int, len(c.Samples))
 		for k, fi := range c.Samples {
-			samples[k] = computeIDs[fi]
-		}
-		c.Indices = members
-		c.Samples = samples
-		plan.Clusters = append(plan.Clusters, c)
-		for _, id := range members {
-			plan.nodeCluster[id] = len(plan.Clusters) - 1
+			c.Samples[k] = computeIDs[fi]
 		}
 	}
 	return plan, nil
@@ -87,22 +80,6 @@ type Params struct {
 
 // DefaultParams mirrors the paper's flat-sampling defaults.
 func DefaultParams() Params { return Params{Core: core.DefaultParams()} }
-
-// SampledNodes returns the distinct compute node IDs requiring detailed
-// simulation.
-func (p *GraphPlan) SampledNodes() []int {
-	seen := make(map[int]bool)
-	var out []int
-	for i := range p.Clusters {
-		for _, s := range p.Clusters[i].Samples {
-			if !seen[s] {
-				seen[s] = true
-				out = append(out, s)
-			}
-		}
-	}
-	return out
-}
 
 // NodeTimes builds the per-node estimated time function: sampled clusters
 // contribute the mean of their measured samples; measure(id) supplies the
@@ -159,7 +136,7 @@ func (p *GraphPlan) Evaluate(g *chakra.Graph, cfg multigpu.Config, trueUS []floa
 		TruthUS:      truth.TotalUS,
 		EstimateUS:   est.TotalUS,
 		ComputeNodes: len(g.ComputeNodes()),
-		SampledNodes: len(p.SampledNodes()),
+		SampledNodes: len(p.SampledIndices()),
 	}
 	if out.TruthUS > 0 {
 		d := out.EstimateUS - out.TruthUS

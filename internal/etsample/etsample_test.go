@@ -36,7 +36,7 @@ func TestBuildGraphPlanCoversComputeNodes(t *testing.T) {
 	}
 	seen := make(map[int]bool)
 	for _, c := range plan.Clusters {
-		for _, id := range c.Indices {
+		for _, id := range c.Members {
 			if g.Nodes[id].Kind != chakra.Compute {
 				t.Fatal("cluster contains a comm node")
 			}

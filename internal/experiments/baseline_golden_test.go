@@ -24,14 +24,14 @@ var baselineMethods = map[string]bool{"pka": true, "sieve": true, "photon": true
 func hashPlan(h hash.Hash, p *sampling.Plan) {
 	var b [8]byte
 	h.Write([]byte(p.Method))
-	for _, g := range p.Groups {
-		binary.LittleEndian.PutUint64(b[:], uint64(len(g.Samples)))
+	for _, c := range p.Clusters {
+		binary.LittleEndian.PutUint64(b[:], uint64(len(c.Samples)))
 		h.Write(b[:])
-		for _, s := range g.Samples {
+		for _, s := range c.Samples {
 			binary.LittleEndian.PutUint64(b[:], uint64(s))
 			h.Write(b[:])
 		}
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(g.Weight))
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(c.Weight))
 		h.Write(b[:])
 	}
 }

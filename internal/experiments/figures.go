@@ -89,18 +89,18 @@ func Figure10(cfg Config) ([]Figure10Cluster, error) {
 // invocations each representative stands for, and summarizes their times,
 // sorted by descending spread.
 func clusterTimes(plan *sampling.Plan, w *trace.Workload, prof *trace.Profile) []Figure10Cluster {
-	// Re-derive membership: for PKA/Photon every group has one sample that
-	// represents Weight invocations of the same kernel name; gather times
-	// of all invocations sharing the representative's name, partitioned
-	// round-robin is not possible — instead measure the name-group spread
-	// scaled by the group's share. For the paper's purpose (showing the
-	// spread a single proxy hides) the name-level spread each group draws
-	// from is the relevant population.
+	// Re-derive membership: for PKA/Photon every cluster has one sample
+	// that represents Weight invocations of the same kernel name; gather
+	// times of all invocations sharing the representative's name,
+	// partitioned round-robin is not possible — instead measure the
+	// name-group spread scaled by the cluster's share. For the paper's
+	// purpose (showing the spread a single proxy hides) the name-level
+	// spread each cluster draws from is the relevant population.
 	byName := w.GroupByName()
 	var out []Figure10Cluster
-	for gi := range plan.Groups {
-		g := &plan.Groups[gi]
-		rep := g.Samples[0]
+	for ci := range plan.Clusters {
+		c := &plan.Clusters[ci]
+		rep := c.Samples[0]
 		idxs := byName[w.Invs[rep].Name]
 		var times []float64
 		for _, ix := range idxs {
@@ -108,16 +108,16 @@ func clusterTimes(plan *sampling.Plan, w *trace.Workload, prof *trace.Profile) [
 		}
 		mn, _ := stats.Min(times)
 		mx, _ := stats.Max(times)
-		c := Figure10Cluster{
-			Size:  int(g.Weight + 0.5),
+		fc := Figure10Cluster{
+			Size:  int(c.Weight + 0.5),
 			MinUS: mn,
 			MaxUS: mx,
 			CoV:   stats.CoV(times),
 		}
 		if mn > 0 {
-			c.Spread = mx / mn
+			fc.Spread = mx / mn
 		}
-		out = append(out, c)
+		out = append(out, fc)
 	}
 	// Sort by descending spread (insertion sort: small n).
 	for i := 1; i < len(out); i++ {

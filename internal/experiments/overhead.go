@@ -93,7 +93,7 @@ func photonReps(w *trace.Workload, cfg Config) int {
 	if w.Len() <= 50000 {
 		photon := &sampling.Photon{}
 		if plan, err := photon.Plan(w, nil); err == nil {
-			return len(plan.Groups)
+			return len(plan.Clusters)
 		}
 	}
 	// Representatives scale with distinct (name, context) pairs plus a

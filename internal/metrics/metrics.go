@@ -52,17 +52,17 @@ func Estimate(plan *sampling.Plan, w *trace.Workload, m *hwmodel.Model) (Vector,
 		return out, errors.New("metrics: nothing to estimate")
 	}
 	var weightTotal float64
-	for gi := range plan.Groups {
-		g := &plan.Groups[gi]
-		for _, s := range g.Samples {
+	for ci := range plan.Clusters {
+		c := &plan.Clusters[ci]
+		for _, s := range c.Samples {
 			if s < 0 || s >= w.Len() {
 				return out, errors.New("metrics: sample index out of range")
 			}
 			mm := m.Micro(&w.Invs[s])
 			for j, v := range mm {
-				out[j] += g.Weight * v
+				out[j] += c.Weight * v
 			}
-			weightTotal += g.Weight
+			weightTotal += c.Weight
 		}
 	}
 	if weightTotal > 0 {

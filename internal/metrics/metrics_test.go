@@ -3,6 +3,7 @@ package metrics
 import (
 	"testing"
 
+	"stemroot/internal/core"
 	"stemroot/internal/hwmodel"
 	"stemroot/internal/sampling"
 	"stemroot/internal/workloads"
@@ -52,7 +53,7 @@ func TestEstimateErrors(t *testing.T) {
 	if _, err := Estimate(nil, w, model); err == nil {
 		t.Fatal("expected error for nil plan")
 	}
-	bad := &sampling.Plan{Groups: []sampling.Group{{Samples: []int{1 << 30}, Weight: 1}}}
+	bad := &sampling.Plan{Plan: core.Plan{Clusters: []core.PlanCluster{{Samples: []int{1 << 30}, Weight: 1}}}}
 	if _, err := Estimate(bad, w, model); err == nil {
 		t.Fatal("expected error for out-of-range sample")
 	}

@@ -3,6 +3,7 @@ package sampling
 import (
 	"errors"
 
+	"stemroot/internal/core"
 	"stemroot/internal/trace"
 )
 
@@ -67,7 +68,7 @@ func (p *Photon) Plan(w *trace.Workload, _ *trace.Profile) (*Plan, error) {
 
 	plan := &Plan{Method: p.Name()}
 	for _, r := range order {
-		plan.Groups = append(plan.Groups, Group{
+		plan.Clusters = append(plan.Clusters, core.PlanCluster{
 			Samples: []int{r.idx},
 			Weight:  float64(r.count),
 		})

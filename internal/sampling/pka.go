@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"stemroot/internal/cluster"
+	"stemroot/internal/core"
 	"stemroot/internal/rng"
 	"stemroot/internal/trace"
 )
@@ -67,7 +68,7 @@ func (p *PKA) Plan(w *trace.Workload, _ *trace.Profile) (*Plan, error) {
 		if random {
 			rep = members[gen.Intn(len(members))]
 		}
-		plan.Groups = append(plan.Groups, Group{
+		plan.Clusters = append(plan.Clusters, core.PlanCluster{
 			Samples: []int{rep},
 			Weight:  float64(len(members)),
 		})

@@ -1,7 +1,7 @@
 // Package sampling implements the kernel-level sampling methods compared in
 // the paper (Table 1): uniform Random, PKA, Sieve, Photon, and STEM+ROOT,
-// all behind one Method interface, plus the weighted-sum estimator and the
-// speedup/error evaluation used across every experiment.
+// all behind one Method interface, plus the speedup/error evaluation used
+// across every experiment. The weighted-sum estimator is core.Plan's.
 //
 // Only STEM+ROOT reads measured execution times (that is its signature);
 // PKA, Sieve, and Photon consume instruction-level metrics, instruction
@@ -14,59 +14,17 @@
 package sampling
 
 import (
-	"slices"
-
+	"stemroot/internal/core"
 	"stemroot/internal/trace"
 )
 
-// Group is one cluster of a sampling plan: the invocation indices simulated
-// for it and the weight each sample's measured time carries in the
-// weighted-sum extrapolation.
-type Group struct {
-	// Samples are invocation indices to simulate (possibly with repeats for
-	// with-replacement draws; repeats are simulated once and counted twice).
-	Samples []int
-	// Weight is the number of invocations each sample stands for: every
-	// sample's time is multiplied by it and summed, so a group representing
-	// N invocations with m samples uses Weight = N/m.
-	Weight float64
-}
-
 // Plan is the sampling information a method produces for one workload — the
-// artifact embedded in the trace in the paper's Figure 5 pipeline.
+// artifact embedded in the trace in the paper's Figure 5 pipeline. Its
+// clusters are core's one cluster record; a baseline fills only their
+// Samples and Weight, and estimates through the embedded core.Plan.
 type Plan struct {
 	Method string
-	Groups []Group
-}
-
-// Estimate extrapolates total execution time using per-invocation times
-// from timeOf (which may come from a different device or a simulator).
-func (p *Plan) Estimate(timeOf func(int) float64) float64 {
-	var total float64
-	for gi := range p.Groups {
-		g := &p.Groups[gi]
-		var sum float64
-		for _, s := range g.Samples {
-			sum += timeOf(s)
-		}
-		total += g.Weight * sum
-	}
-	return total
-}
-
-// SampledIndices returns the distinct invocations the plan requires
-// simulating, in ascending order.
-func (p *Plan) SampledIndices() []int {
-	n := 0
-	for gi := range p.Groups {
-		n += len(p.Groups[gi].Samples)
-	}
-	out := make([]int, 0, n)
-	for gi := range p.Groups {
-		out = append(out, p.Groups[gi].Samples...)
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
+	core.Plan
 }
 
 // Method is a kernel-level sampling technique.

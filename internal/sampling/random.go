@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"stemroot/internal/core"
 	"stemroot/internal/rng"
 	"stemroot/internal/trace"
 )
@@ -36,14 +37,9 @@ func (r *Random) Plan(w *trace.Workload, _ *trace.Profile) (*Plan, error) {
 			samples = append(samples, i)
 		}
 	}
+	c := core.PlanCluster{Samples: samples, Weight: 1 / r.Frac}
 	if len(samples) == 0 {
-		return &Plan{Method: r.Name(), Groups: []Group{{
-			Samples: []int{0},
-			Weight:  float64(w.Len()),
-		}}}, nil
+		c = core.PlanCluster{Samples: []int{0}, Weight: float64(w.Len())}
 	}
-	return &Plan{Method: r.Name(), Groups: []Group{{
-		Samples: samples,
-		Weight:  1 / r.Frac,
-	}}}, nil
+	return &Plan{Method: r.Name(), Plan: core.Plan{Clusters: []core.PlanCluster{c}}}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"stemroot/internal/core"
 	"stemroot/internal/hwmodel"
 	"stemroot/internal/trace"
 	"stemroot/internal/workloads"
@@ -41,10 +42,10 @@ func rodiniaWorkload(t testing.TB, name string) (*trace.Workload, *trace.Profile
 func TestPlanEstimateAndIndices(t *testing.T) {
 	p := &Plan{
 		Method: "x",
-		Groups: []Group{
+		Plan: core.Plan{Clusters: []core.PlanCluster{
 			{Samples: []int{0, 1}, Weight: 2},
 			{Samples: []int{1, 3}, Weight: 1},
-		},
+		}},
 	}
 	times := []float64{10, 20, 30, 40}
 	est := p.Estimate(func(i int) float64 { return times[i] })
@@ -114,16 +115,16 @@ func TestPKAPlanClusterCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Groups) < 2 || len(plan.Groups) > 20 {
-		t.Fatalf("PKA produced %d clusters", len(plan.Groups))
+	if len(plan.Clusters) < 2 || len(plan.Clusters) > 20 {
+		t.Fatalf("PKA produced %d clusters", len(plan.Clusters))
 	}
 	// One sample per cluster, weights sum to the workload size.
 	var wsum float64
-	for _, g := range plan.Groups {
-		if len(g.Samples) != 1 {
+	for _, c := range plan.Clusters {
+		if len(c.Samples) != 1 {
 			t.Fatal("PKA should sample one kernel per cluster")
 		}
-		wsum += g.Weight
+		wsum += c.Weight
 	}
 	if math.Abs(wsum-float64(w.Len())) > 0.5 {
 		t.Fatalf("PKA weights sum to %v, want %d", wsum, w.Len())
@@ -169,7 +170,7 @@ func TestSievePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Groups) == 0 {
+	if len(plan.Clusters) == 0 {
 		t.Fatal("empty sieve plan")
 	}
 	out, err := Evaluate(plan, w, prof)
@@ -188,8 +189,8 @@ func TestSieveStratifiesIrregularKernels(t *testing.T) {
 	plan, _ := NewSieve(1).Plan(w, prof)
 	// gaussian has 2 kernel names but high instruction-count variation:
 	// Sieve must produce more strata than names.
-	if len(plan.Groups) <= 2 {
-		t.Fatalf("sieve produced %d strata for gaussian", len(plan.Groups))
+	if len(plan.Clusters) <= 2 {
+		t.Fatalf("sieve produced %d strata for gaussian", len(plan.Clusters))
 	}
 }
 
@@ -207,8 +208,8 @@ func TestSieveCTATieIsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(plan.Groups) != 1 || plan.Groups[0].Samples[0] != 0 {
-			t.Fatalf("run %d: plan %+v, want one stratum represented by invocation 0", run, plan.Groups)
+		if len(plan.Clusters) != 1 || plan.Clusters[0].Samples[0] != 0 {
+			t.Fatalf("run %d: plan %+v, want one stratum represented by invocation 0", run, plan.Clusters)
 		}
 	}
 }
@@ -222,15 +223,15 @@ func TestPhotonPlan(t *testing.T) {
 	// Photon should select far fewer representatives than invocations but
 	// more than one per kernel name (contexts shift BBVs).
 	names := len(w.KernelNames())
-	if len(plan.Groups) <= names {
-		t.Fatalf("photon found %d reps for %d names — contexts not separated", len(plan.Groups), names)
+	if len(plan.Clusters) <= names {
+		t.Fatalf("photon found %d reps for %d names — contexts not separated", len(plan.Clusters), names)
 	}
-	if len(plan.Groups) > w.Len()/10 {
-		t.Fatalf("photon selected too many reps: %d of %d", len(plan.Groups), w.Len())
+	if len(plan.Clusters) > w.Len()/10 {
+		t.Fatalf("photon selected too many reps: %d of %d", len(plan.Clusters), w.Len())
 	}
 	var wsum float64
-	for _, g := range plan.Groups {
-		wsum += g.Weight
+	for _, c := range plan.Clusters {
+		wsum += c.Weight
 	}
 	if math.Abs(wsum-float64(w.Len())) > 0.5 {
 		t.Fatalf("photon weights sum to %v, want %d", wsum, w.Len())
@@ -312,7 +313,7 @@ func TestEvaluateTimesErrors(t *testing.T) {
 	if _, err := EvaluateTimes(nil, "x", []float64{1}); err == nil {
 		t.Fatal("expected error for nil plan")
 	}
-	p := &Plan{Groups: []Group{{Samples: []int{5}, Weight: 1}}}
+	p := &Plan{Plan: core.Plan{Clusters: []core.PlanCluster{{Samples: []int{5}, Weight: 1}}}}
 	if _, err := EvaluateTimes(p, "x", []float64{1}); err == nil {
 		t.Fatal("expected error for out-of-range index")
 	}

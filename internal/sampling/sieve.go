@@ -3,6 +3,7 @@ package sampling
 import (
 	"errors"
 
+	"stemroot/internal/core"
 	"stemroot/internal/rng"
 	"stemroot/internal/stats"
 	"stemroot/internal/trace"
@@ -90,7 +91,7 @@ func (s *Sieve) Plan(w *trace.Workload, _ *trace.Profile) (*Plan, error) {
 			if repInstrs > 0 {
 				weight = total / repInstrs
 			}
-			plan.Groups = append(plan.Groups, Group{Samples: []int{rep}, Weight: weight})
+			plan.Clusters = append(plan.Clusters, core.PlanCluster{Samples: []int{rep}, Weight: weight})
 		}
 	}
 	return plan, nil

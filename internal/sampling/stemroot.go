@@ -51,23 +51,5 @@ func (s *STEMRoot) Plan(w *trace.Workload, prof *trace.Profile) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	groups := 0
-	for i := range cp.Clusters {
-		if cp.Clusters[i].SampleSize > 0 {
-			groups++
-		}
-	}
-	plan := &Plan{Method: s.Name(), Groups: make([]Group, 0, groups)}
-	for i := range cp.Clusters {
-		c := &cp.Clusters[i]
-		if c.SampleSize == 0 {
-			continue
-		}
-		plan.Groups = append(plan.Groups, Group{
-			Samples: c.Samples,
-			Weight:  c.Weight,
-		})
-	}
-	return plan, nil
+	return &Plan{Method: s.Name(), Plan: *cp}, nil
 }

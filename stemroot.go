@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"stemroot/internal/core"
 	"stemroot/internal/stats"
@@ -98,32 +99,9 @@ func (o Options) Params() core.Params {
 	return p
 }
 
-// Cluster is one leaf of the sampling plan.
-type Cluster struct {
-	// Kernel is the kernel name the cluster belongs to.
-	Kernel string
-	// Members are the invocation indices the cluster represents; nil in a
-	// streaming plan (SampleStream, StreamPlanner), which does not keep
-	// them.
-	Members []int
-	// Population is the number of invocations the cluster stands for:
-	// len(Members) in a batch plan; in a streaming plan, the cluster's
-	// share of its kernel's exact count (the shares sum to that count,
-	// while Weight also carries the calibration to the kernel's exact
-	// total time). Plan JSON does not store it: ReadPlanJSON sets it to
-	// len(Members), so a streaming plan reads back with Population 0.
-	Population int
-	// Samples are the invocation indices to simulate, drawn with
-	// replacement (simulate distinct ones once and reuse the result) —
-	// except in a capped cluster, whose sizing reached its population:
-	// that lists every member once (in a streaming plan, every member its
-	// kernel's reservoir kept).
-	Samples []int
-	// Weight multiplies each sample's measured time in the estimate.
-	Weight float64
-	// Mean and StdDev summarize the cluster's profiled times.
-	Mean, StdDev float64
-}
+// Cluster is one leaf of the sampling plan: core's one cluster record,
+// whose fields carry their own documentation.
+type Cluster = core.PlanCluster
 
 // Plan is a complete sampling plan.
 type Plan struct {
@@ -169,76 +147,53 @@ func Sample(names []string, timesUS []float64, opts Options) (*Plan, error) {
 }
 
 // fromCore maps a planner's plan to the public shape. Streaming plans
-// carry no member indices, so their Members are nil.
+// carry no member indices, so their Members are nil. The clusters are the
+// caller's own copy: they may be reordered (as -v does) while the stream
+// planner keeps serving its cached plan.
 func fromCore(cp *core.Plan) *Plan {
-	plan := &Plan{
-		Clusters:       make([]Cluster, len(cp.Clusters)),
+	return &Plan{
+		Clusters:       slices.Clone(cp.Clusters),
 		PredictedError: cp.PredictedError,
 		Epsilon:        cp.Params.Epsilon,
 		Confidence:     cp.Params.Confidence,
 	}
-	for i := range cp.Clusters {
-		c := &cp.Clusters[i]
-		plan.Clusters[i] = Cluster{
-			Kernel:     c.Name,
-			Members:    c.Indices,
-			Population: c.Stats.N,
-			Samples:    c.Samples,
-			Weight:     c.Weight,
-			Mean:       c.Stats.Mean,
-			StdDev:     c.Stats.StdDev,
-		}
-	}
-	return plan
 }
 
-// SampledIndices returns the distinct invocation indices to simulate.
-func (p *Plan) SampledIndices() []int {
-	seen := make(map[int]bool)
-	var out []int
-	for i := range p.Clusters {
-		for _, s := range p.Clusters[i].Samples {
-			if !seen[s] {
-				seen[s] = true
-				out = append(out, s)
-			}
-		}
-	}
-	return out
-}
+// asCore views the plan's clusters as a core.Plan, the home of the
+// estimator.
+func (p *Plan) asCore() *core.Plan { return &core.Plan{Clusters: p.Clusters} }
+
+// SampledIndices returns the distinct invocation indices to simulate, in
+// ascending order.
+func (p *Plan) SampledIndices() []int { return p.asCore().SampledIndices() }
 
 // TotalSamples returns the with-replacement sample count Σ m_i.
-func (p *Plan) TotalSamples() int {
-	n := 0
-	for i := range p.Clusters {
-		n += len(p.Clusters[i].Samples)
-	}
-	return n
-}
+func (p *Plan) TotalSamples() int { return p.asCore().TotalSamples() }
 
 // Estimate extrapolates the workload's total execution time from measured
 // sample times: timeOf(i) must return the measured time of invocation i
 // (only sampled indices are queried). The estimate's relative error is
 // within Epsilon of the true total at the configured confidence, provided
 // timeOf comes from the same machine distribution the plan was built from.
-func (p *Plan) Estimate(timeOf func(int) float64) float64 {
-	var total float64
-	for i := range p.Clusters {
-		c := &p.Clusters[i]
-		var sum float64
-		for _, s := range c.Samples {
-			sum += timeOf(s)
-		}
-		total += c.Weight * sum
-	}
-	return total
-}
+func (p *Plan) Estimate(timeOf func(int) float64) float64 { return p.asCore().Estimate(timeOf) }
 
 // SampleSize implements the paper's Eq. (3) for a single cluster: the
 // minimal number of samples keeping the CLT error of the mean-based total
 // estimate within epsilon at the given confidence, for a population of n
-// observations with the given mean and standard deviation.
+// observations with the given mean and standard deviation. A negative n, a
+// mean or stdDev that is not finite, and a negative stdDev are refused with
+// an error naming the argument: no sample size follows from them.
 func SampleSize(n int, mean, stdDev, epsilon, confidence float64) (int, error) {
+	switch {
+	case n < 0:
+		return 0, fmt.Errorf("stemroot: negative population n = %d", n)
+	case math.IsNaN(mean) || math.IsInf(mean, 0):
+		return 0, fmt.Errorf("stemroot: non-finite mean %v", mean)
+	case math.IsNaN(stdDev) || math.IsInf(stdDev, 0):
+		return 0, fmt.Errorf("stemroot: non-finite stdDev %v", stdDev)
+	case stdDev < 0:
+		return 0, fmt.Errorf("stemroot: negative stdDev %v", stdDev)
+	}
 	p := core.DefaultParams()
 	p.Epsilon = epsilon
 	p.Confidence = confidence

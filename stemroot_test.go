@@ -268,6 +268,88 @@ func TestSampleSizeAPI(t *testing.T) {
 	}
 }
 
+// TestSampleSizeRefusesBadStatistics: statistics no sample size follows
+// from are refused with an error naming the argument, never sized (a NaN
+// once came back as the most negative int with a nil error).
+func TestSampleSizeRefusesBadStatistics(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		n            int
+		mean, stdDev float64
+		arg          string
+	}{
+		{100, nan, 1, "mean"},
+		{100, inf, 1, "mean"},
+		{100, -inf, 1, "mean"},
+		{100, 10, nan, "stdDev"},
+		{100, 10, inf, "stdDev"},
+		{100, 10, -1, "stdDev"},
+		{-1, 10, 1, "n"},
+	} {
+		m, err := SampleSize(tc.n, tc.mean, tc.stdDev, 0.05, 0.95)
+		if err == nil || m != 0 {
+			t.Errorf("SampleSize(%d, %v, %v) = %d, %v; want 0 and an error", tc.n, tc.mean, tc.stdDev, m, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.arg) {
+			t.Errorf("SampleSize(%d, %v, %v): %q does not name %s", tc.n, tc.mean, tc.stdDev, err, tc.arg)
+		}
+	}
+	// The edges of the domain still size: an empty population needs no
+	// sample, and a constant one exactly one.
+	if m, err := SampleSize(0, 10, 1, 0.05, 0.95); err != nil || m != 0 {
+		t.Errorf("SampleSize(0, 10, 1) = %d, %v; want 0, nil", m, err)
+	}
+	if m, err := SampleSize(100, 10, 0, 0.05, 0.95); err != nil || m != 1 {
+		t.Errorf("SampleSize(100, 10, 0) = %d, %v; want 1, nil", m, err)
+	}
+}
+
+// TestSampledIndicesAscendingDistinct pins the one distinct-sample
+// contract: every plan, batch, streaming or read back from JSON with
+// repeated and out-of-order samples, lists each sampled invocation once,
+// in ascending order.
+func TestSampledIndicesAscendingDistinct(t *testing.T) {
+	names, times := syntheticProfile(20000, 12)
+	batch, err := Sample(names, times, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := SampleStream(sliceScanner{names, times}, Options{}, StreamOptions{ReservoirCap: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const js = `{"version": 1, "epsilon": 0.05, "confidence": 0.95, "predicted_error": 0.01,
+		"clusters": [
+			{"kernel": "a", "members": [9, 4, 7], "samples": [9, 4, 9], "weight": 1, "mean_us": 1, "stddev_us": 0},
+			{"kernel": "b", "members": [1, 2], "samples": [2, 1, 2], "weight": 1, "mean_us": 1, "stddev_us": 0}
+		]}`
+	read, err := ReadPlanJSON(strings.NewReader(js))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := read.SampledIndices(); !reflect.DeepEqual(got, []int{1, 2, 4, 9}) {
+		t.Errorf("read-back plan: SampledIndices = %v, want [1 2 4 9]", got)
+	}
+	for name, plan := range map[string]*Plan{"Sample": batch, "SampleStream": stream, "ReadPlanJSON": read} {
+		got := plan.SampledIndices()
+		for i := 1; i < len(got); i++ {
+			if got[i] <= got[i-1] {
+				t.Fatalf("%s: SampledIndices not strictly ascending at %d: %d after %d", name, i, got[i], got[i-1])
+			}
+		}
+		distinct := map[int]bool{}
+		for _, c := range plan.Clusters {
+			for _, s := range c.Samples {
+				distinct[s] = true
+			}
+		}
+		if len(got) != len(distinct) || len(got) == 0 {
+			t.Fatalf("%s: %d indices for %d distinct samples", name, len(got), len(distinct))
+		}
+	}
+}
+
 func TestZScoreAPI(t *testing.T) {
 	z, err := ZScore(0.95)
 	if err != nil {

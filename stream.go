@@ -145,10 +145,6 @@ func (sp *StreamPlanner) Snapshot() (Snapshot, error) {
 	if err != nil {
 		return Snapshot{}, err
 	}
-	samples := 0
-	for i := range cp.Clusters {
-		samples += cp.Clusters[i].SampleSize
-	}
 	// The plan's estimate extrapolates the total at plan time; scale it
 	// forward to the current invocation count so the snapshot gap tracks
 	// both sampling error and post-plan drift.
@@ -162,7 +158,7 @@ func (sp *StreamPlanner) Snapshot() (Snapshot, error) {
 		TotalTimeUS:    sp.ip.TotalTime(),
 		ExtrapolatedUS: extrap,
 		Clusters:       len(cp.Clusters),
-		TotalSamples:   samples,
+		TotalSamples:   cp.TotalSamples(),
 		DistinctTimeUS: sp.ip.LastSampledTime(),
 		PredictedError: cp.PredictedError,
 		Replans:        sp.ip.Replans(),

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"stemroot/internal/rng"
@@ -312,6 +313,36 @@ func TestStreamPlannerSnapshot(t *testing.T) {
 	}
 	if snap.DistinctTimeUS <= 0 || snap.DistinctTimeUS >= truth {
 		t.Fatalf("distinct sampled time %v out of range", snap.DistinctTimeUS)
+	}
+}
+
+// TestCurrentPlanClustersAreTheCallers: a caller may reorder a returned
+// plan's clusters in place, as -stream -v does to print them, without
+// changing the plan the planner keeps serving.
+func TestCurrentPlanClustersAreTheCallers(t *testing.T) {
+	names, times := syntheticProfile(5000, 14)
+	sp, err := NewStreamPlanner(Options{}, StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range names {
+		sp.Add(names[i], times[i])
+	}
+	first, err := sp.CurrentPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Clusters) < 2 {
+		t.Fatalf("%d clusters: nothing to reorder", len(first.Clusters))
+	}
+	want := slices.Clone(first.Clusters)
+	slices.Reverse(first.Clusters)
+	again, err := sp.CurrentPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again.Clusters, want) {
+		t.Fatal("reordering a returned plan's clusters reordered the planner's cached plan")
 	}
 }
 
