@@ -21,9 +21,8 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 
+	"stemroot/internal/cliopts"
 	"stemroot/internal/hwmodel"
 	"stemroot/internal/servetrace"
 	"stemroot/internal/workloads"
@@ -32,56 +31,35 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchgen: ")
+	if err := mainErr(); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// mainErr is main's body. It returns its error instead of exiting where the
+// error happens, so the deferred profile stop runs before main exits
+// non-zero.
+func mainErr() error {
 	suite := flag.String("suite", "casio", "suite to generate: rodinia, casio, huggingface, serving")
 	scale := flag.Float64("scale", 0.1, "suite scale factor (casio/huggingface)")
 	seed := flag.Uint64("seed", 1, "generation seed")
 	device := flag.String("device", "rtx2080", "profiling device: rtx2080, h100, h200")
 	out := flag.String("out", "traces", "output directory (serving: output CSV path, or - for stdout)")
 	invocations := flag.Int("invocations", 1_000_000, "serving suite: exact kernel invocations to emit")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this path")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this path on exit")
+	var prof cliopts.Profiles
+	prof.Register(flag.CommandLine, "exit")
 	flag.Parse()
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		defer pprof.StopCPUProfile()
+	stop, err := prof.StartProfiles()
+	if err != nil {
+		return err
 	}
-	if *memProfile != "" {
-		defer writeHeapProfile(*memProfile)
-	}
+	defer stop()
 
 	if *suite == "serving" {
-		if err := generateServing(*seed, *invocations, *out, os.Stdout, os.Stderr); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return generateServing(*seed, *invocations, *out, os.Stdout, os.Stderr)
 	}
-	if err := generate(*suite, *scale, *seed, *device, *out, os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// writeHeapProfile records an up-to-date heap profile, the evidence base
-// for allocation-focused perf work (go tool pprof <binary> <path>).
-func writeHeapProfile(path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Print(err)
-		return
-	}
-	defer f.Close()
-	runtime.GC() // materialize up-to-date allocation statistics
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		log.Print(err)
-	}
+	return generate(*suite, *scale, *seed, *device, *out, os.Stdout)
 }
 
 // generateServing streams a serving-trace profile CSV to out ("-" =

@@ -28,19 +28,20 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"syscall"
 	"time"
 
 	"stemroot/internal/cachenet"
+	"stemroot/internal/cliopts"
 )
 
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("cacheserver: ")
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	if err := run(os.Args[1:], os.Stderr, sig, nil); err != nil {
-		log.Fatalf("cacheserver: %v", err)
+		log.Fatal(err)
 	}
 }
 
@@ -53,26 +54,17 @@ func run(args []string, stderr io.Writer, shutdown <-chan os.Signal, ready func(
 	addr := fs.String("addr", ":9736", "TCP listen address")
 	maxMB := fs.Int64("maxmb", 1024, "approximate cache size bound in MiB (<=0: unbounded)")
 	statsEvery := fs.Duration("statsevery", 0, "print stats to stderr at this interval (0: only on shutdown)")
-	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile to this path")
-	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this path on shutdown")
+	var prof cliopts.Profiles
+	prof.Register(fs, "shutdown")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := prof.StartProfiles()
+	if err != nil {
+		return err
 	}
-	if *memProfile != "" {
-		defer writeHeapProfile(*memProfile, stderr)
-	}
+	defer stopProfiles()
 
 	maxBytes := *maxMB << 20
 	if *maxMB <= 0 {
@@ -119,19 +111,4 @@ func run(args []string, stderr io.Writer, shutdown <-chan os.Signal, ready func(
 	}
 	fmt.Fprintf(stderr, "cacheserver: %s\n", srv.Stats())
 	return nil
-}
-
-// writeHeapProfile records an up-to-date heap profile, the evidence base
-// for allocation-focused perf work (go tool pprof <binary> <path>).
-func writeHeapProfile(path string, stderr io.Writer) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(stderr, "cacheserver: %v\n", err)
-		return
-	}
-	defer f.Close()
-	runtime.GC() // materialize up-to-date allocation statistics
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		fmt.Fprintf(stderr, "cacheserver: %v\n", err)
-	}
 }

@@ -56,25 +56,16 @@ func mainErr() error {
 	sim.Register(flag.CommandLine, false)
 	flag.Parse()
 
+	cfg, err := config(*scale, *seed, *reps)
+	if err != nil {
+		return err
+	}
 	stop, err := sim.StartProfiles()
 	if err != nil {
 		return err
 	}
 	defer stop()
 
-	var cfg experiments.Config
-	switch *scale {
-	case "quick":
-		cfg = experiments.Quick()
-	case "paper":
-		cfg = experiments.PaperScale()
-	default:
-		return fmt.Errorf("unknown scale %q", *scale)
-	}
-	cfg.Seed = *seed
-	if *reps > 0 {
-		cfg.Reps = *reps
-	}
 	opts, finish, err := sim.Options()
 	if err != nil {
 		return err
@@ -82,6 +73,28 @@ func mainErr() error {
 	defer finish()
 	cfg.Sim = opts
 	return runExperiments(cfg, *run, os.Stdout)
+}
+
+// config resolves -scale, -seed and -reps. Only -reps 0 selects the scale's
+// repetitions; a negative count is refused.
+func config(scale string, seed uint64, reps int) (experiments.Config, error) {
+	var cfg experiments.Config
+	switch scale {
+	case "quick":
+		cfg = experiments.Quick()
+	case "paper":
+		cfg = experiments.PaperScale()
+	default:
+		return cfg, fmt.Errorf("unknown scale %q", scale)
+	}
+	if reps < 0 {
+		return cfg, fmt.Errorf("-reps must be 0 (the scale's default) or more, got %d", reps)
+	}
+	cfg.Seed = seed
+	if reps > 0 {
+		cfg.Reps = reps
+	}
+	return cfg, nil
 }
 
 // state is one invocation: its configuration and the two results that

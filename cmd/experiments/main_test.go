@@ -89,6 +89,28 @@ func TestRunExperimentsEpochSweepRetired(t *testing.T) {
 	}
 }
 
+// TestConfigRefusesNegativeReps: only -reps 0 means the scale's default; a
+// negative count is refused by name instead, and so is an unknown -scale.
+func TestConfigRefusesNegativeReps(t *testing.T) {
+	for _, reps := range []int{-1, -3} {
+		if _, err := config("quick", 1, reps); err == nil || !strings.Contains(err.Error(), "-reps") {
+			t.Fatalf("-reps %d: err = %v, want one naming -reps", reps, err)
+		}
+	}
+	if _, err := config("huge", 1, 0); err == nil || !strings.Contains(err.Error(), `"huge"`) {
+		t.Fatalf("-scale huge: err = %v, want one naming the scale", err)
+	}
+	for _, c := range []struct {
+		scale      string
+		reps, want int
+	}{{"quick", 0, experiments.Quick().Reps}, {"paper", 0, experiments.PaperScale().Reps}, {"quick", 3, 3}} {
+		cfg, err := config(c.scale, 7, c.reps)
+		if err != nil || cfg.Reps != c.want || cfg.Seed != 7 {
+			t.Fatalf("-scale %s -reps %d: reps %d seed %d (%v), want reps %d seed 7", c.scale, c.reps, cfg.Reps, cfg.Seed, err, c.want)
+		}
+	}
+}
+
 // TestRunExperimentsTrimsID pins that a stray space around an id changes
 // nothing, the heading included.
 func TestRunExperimentsTrimsID(t *testing.T) {

@@ -102,6 +102,12 @@ func run(cfg cliConfig, out io.Writer) error {
 	if cfg.simulate && cfg.simCalls < 1 {
 		return fmt.Errorf("-simcalls must be at least 1, got %d", cfg.simCalls)
 	}
+	switch {
+	case cfg.snapshot < 0:
+		return fmt.Errorf("-snapshot must be 0 (final plan only) or a positive interval, got %d", cfg.snapshot)
+	case cfg.snapshot > 0 && !cfg.stream:
+		return errors.New("-snapshot needs -stream")
+	}
 	opts := stemroot.Options{
 		Epsilon:      cfg.epsilon,
 		Confidence:   cfg.confidence,

@@ -463,6 +463,29 @@ func TestRunSimulateRefusesNonPositiveSimcalls(t *testing.T) {
 	}
 }
 
+// TestRunRefusesSnapshotOutsideItsDomain: a negative -snapshot, and any
+// -snapshot without -stream, are refused by name before the profile is read
+// or the -o plan is written. Only 0 means "final plan only".
+func TestRunRefusesSnapshotOutsideItsDomain(t *testing.T) {
+	profile := writeProfile(t, 300)
+	for _, c := range []struct {
+		snapshot int
+		stream   bool
+	}{{100, false}, {-5, true}, {-5, false}} {
+		cfg := baseCfg(profile)
+		cfg.snapshot, cfg.stream = c.snapshot, c.stream
+		cfg.planOut = filepath.Join(t.TempDir(), "plan.json")
+		var out strings.Builder
+		err := run(cfg, &out)
+		if err == nil || !strings.Contains(err.Error(), "-snapshot") {
+			t.Fatalf("-snapshot %d (stream %v): err = %v, want one naming -snapshot", c.snapshot, c.stream, err)
+		}
+		if _, err := os.Stat(cfg.planOut); !os.IsNotExist(err) || out.Len() > 0 {
+			t.Fatalf("-snapshot %d (stream %v) wrote %s (%v) or printed %q", c.snapshot, c.stream, cfg.planOut, err, out.String())
+		}
+	}
+}
+
 // TestRunSimulateFlat: -simulate -flat validates the flat plan it printed,
 // not a hierarchical one — the validation block's sample count is what a
 // flat STEM plan samples on the reconstructed workload.
@@ -495,7 +518,9 @@ func TestRunSimulateFlat(t *testing.T) {
 	w := workloads.FromProfile(filepath.Base(profile), names, times, cfg.seed, cfg.simCalls)
 	prof := hwmodel.New(hwmodel.RTX2080, w.Seed).Profile(w)
 	samples := func(flat bool) int {
-		plan, err := (&sampling.STEMRoot{Params: core.DefaultParams(), Flat: flat}).Plan(w, prof)
+		p := core.DefaultParams()
+		p.Flat = flat
+		plan, err := (&sampling.STEMRoot{Params: p}).Plan(w, prof)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,6 +14,7 @@ import (
 	"log"
 
 	"stemroot/internal/chakra"
+	"stemroot/internal/core"
 	"stemroot/internal/etsample"
 	"stemroot/internal/hwmodel"
 	"stemroot/internal/multigpu"
@@ -41,19 +42,18 @@ func main() {
 		}
 	}
 
-	mcfg := multigpu.DefaultConfig()
-	truth, err := multigpu.Simulate(g, mcfg, func(id int) float64 { return times[id] })
+	truth, err := multigpu.Simulate(g, func(id int) float64 { return times[id] })
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("full simulation:    makespan %.1f ms (comm busy %.1f ms)\n",
 		truth.TotalUS/1000, truth.CommBusyUS/1000)
 
-	plan, err := etsample.BuildGraphPlan(g, times, etsample.DefaultParams())
+	plan, err := etsample.BuildGraphPlan(g, times, core.DefaultParams())
 	if err != nil {
 		log.Fatal(err)
 	}
-	out, err := plan.Evaluate(g, mcfg, times)
+	out, err := plan.Evaluate(g, times)
 	if err != nil {
 		log.Fatal(err)
 	}

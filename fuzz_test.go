@@ -17,14 +17,14 @@ import (
 // error bound when evaluated against its own profile. Options outside the
 // domain must be refused by name — a zero field is the only "default".
 func FuzzSample(f *testing.F) {
-	f.Add(uint64(1), 500, 3, 0.0, 0.0, 0)
-	f.Add(uint64(7), 50, 1, 0.02, 0.99, 3)
-	f.Add(uint64(42), 2000, 5, 0.0, 0.0, 0)
-	f.Add(uint64(3), 300, 2, -0.05, math.NaN(), -2)          // degenerate: each was once "unset"
-	f.Add(uint64(3), 300, 2, 0.05, 0.9999999999999999, 2)    // in (0,1), and no z-score
-	f.Add(uint64(5), 400, 4, 5e-324, 0.9999999999999998, 16) // the domain's far corners
-	f.Fuzz(func(t *testing.T, seed uint64, n, kinds int, epsilon, confidence float64, splitK int) {
-		if n <= 0 || n > 5000 || kinds <= 0 || kinds > 16 || splitK > 16 {
+	f.Add(uint64(1), 500, 3, 0.0, 0.0)
+	f.Add(uint64(7), 50, 1, 0.02, 0.99)
+	f.Add(uint64(42), 2000, 5, 0.0, 0.0)
+	f.Add(uint64(3), 300, 2, -0.05, math.NaN())          // degenerate: each was once "unset"
+	f.Add(uint64(3), 300, 2, 0.05, 0.9999999999999999)   // in (0,1), and no z-score
+	f.Add(uint64(5), 400, 4, 5e-324, 0.9999999999999998) // the domain's far corners
+	f.Fuzz(func(t *testing.T, seed uint64, n, kinds int, epsilon, confidence float64) {
+		if n <= 0 || n > 5000 || kinds <= 0 || kinds > 16 {
 			t.Skip()
 		}
 		r := rng.New(seed)
@@ -41,13 +41,12 @@ func FuzzSample(f *testing.F) {
 			times[i] = base * math.Exp(0.1*r.NormFloat64())
 		}
 
-		plan, err := Sample(names, times, Options{Seed: seed, Epsilon: epsilon, Confidence: confidence, SplitK: splitK})
+		plan, err := Sample(names, times, Options{Seed: seed, Epsilon: epsilon, Confidence: confidence})
 		inDomain := (epsilon == 0 || epsilon > 0 && epsilon < 1) &&
-			(confidence == 0 || confidence > 0 && confidence < math.Nextafter(1, 0)) &&
-			(splitK == 0 || splitK >= 2)
+			(confidence == 0 || confidence > 0 && confidence < math.Nextafter(1, 0))
 		if !inDomain {
-			if !errors.Is(err, ErrEpsilon) && !errors.Is(err, ErrConfidence) && !errors.Is(err, ErrSplitK) {
-				t.Fatalf("ε=%v confidence=%v k=%d: err = %v, want a named option error", epsilon, confidence, splitK, err)
+			if !errors.Is(err, ErrEpsilon) && !errors.Is(err, ErrConfidence) {
+				t.Fatalf("ε=%v confidence=%v: err = %v, want a named option error", epsilon, confidence, err)
 			}
 			return
 		}

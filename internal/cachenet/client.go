@@ -18,13 +18,15 @@ var errServerDown = errors.New("cachenet: server unreachable")
 
 // Client defaults. Loopback round trips are tens of microseconds; the
 // timeouts only exist so a wedged or partitioned server degrades the run
-// instead of hanging it.
+// instead of hanging it. A client pools up to conns request connections,
+// and after a dial or I/O error fast-fails (reports misses, drops puts)
+// for retryCooldown before it tries the server again.
 const (
-	defaultDialTimeout   = 1 * time.Second
-	defaultOpTimeout     = 3 * time.Second
-	defaultConns         = 2
-	defaultPutWindow     = 256
-	defaultRetryCooldown = 1 * time.Second
+	defaultDialTimeout = 1 * time.Second
+	defaultOpTimeout   = 3 * time.Second
+	defaultPutWindow   = 256
+	conns              = 2
+	retryCooldown      = 1 * time.Second
 )
 
 // ClientOptions configure New. The zero value of every field selects a
@@ -37,15 +39,10 @@ type ClientOptions struct {
 	// OpTimeout bounds one request/response round trip (and one pipelined
 	// write on the put connection).
 	OpTimeout time.Duration
-	// Conns caps the pooled request connections.
-	Conns int
 	// PutWindow bounds the queued-but-unwritten puts. When the window is
 	// full further puts are dropped and counted — writes are best-effort
 	// replication, never backpressure on the simulation.
 	PutWindow int
-	// RetryCooldown is how long the client fast-fails (reports misses,
-	// drops puts) after a dial or I/O error before trying the server again.
-	RetryCooldown time.Duration
 }
 
 // Client is the remote tier: it implements simcache.Remote against one
@@ -102,18 +99,12 @@ func New(opts ClientOptions) *Client {
 	if opts.OpTimeout <= 0 {
 		opts.OpTimeout = defaultOpTimeout
 	}
-	if opts.Conns <= 0 {
-		opts.Conns = defaultConns
-	}
 	if opts.PutWindow <= 0 {
 		opts.PutWindow = defaultPutWindow
 	}
-	if opts.RetryCooldown <= 0 {
-		opts.RetryCooldown = defaultRetryCooldown
-	}
 	c := &Client{
 		opts:    opts,
-		pool:    make(chan *clientConn, opts.Conns),
+		pool:    make(chan *clientConn, conns),
 		putCh:   make(chan putReq, opts.PutWindow),
 		putDone: make(chan struct{}),
 	}
@@ -145,7 +136,7 @@ func (c *Client) Close() error {
 
 // markDown starts the retry cooldown after a dial or I/O failure.
 func (c *Client) markDown() {
-	c.downUntil.Store(time.Now().Add(c.opts.RetryCooldown).UnixNano())
+	c.downUntil.Store(time.Now().Add(retryCooldown).UnixNano())
 }
 
 // dial opens, handshakes, and tunes one connection, honoring the cooldown.

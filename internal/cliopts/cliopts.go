@@ -1,7 +1,8 @@
 // Package cliopts is the one flag-to-pipeline.Options binder shared by
 // cmd/stemroot and cmd/experiments: the worker, segment-cache and pprof
 // flags, the cache tiers they configure, and the exit-time ordering (drain
-// the remote write window, then report).
+// the remote write window, then report). Its pprof half, Profiles, is every
+// CLI's, cmd/benchgen's and cmd/cacheserver's included.
 package cliopts
 
 import (
@@ -28,8 +29,20 @@ type Flags struct {
 	CacheMB    int
 	NoCache    bool
 	CacheStats bool
+	Profiles
+}
+
+// Profiles holds the parsed -cpuprofile and -memprofile flags.
+type Profiles struct {
 	CPUProfile string
 	MemProfile string
+}
+
+// Register declares -cpuprofile and -memprofile on fs. at says when the
+// heap profile is written: "exit", or "shutdown" for a server.
+func (p *Profiles) Register(fs *flag.FlagSet, at string) {
+	fs.StringVar(&p.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this path")
+	fs.StringVar(&p.MemProfile, "memprofile", "", "write a pprof heap profile to this path on "+at)
 }
 
 // Register declares the shared flags on fs. simulateOnly selects the help
@@ -47,17 +60,16 @@ func (f *Flags) Register(fs *flag.FlagSet, simulateOnly bool) {
 	fs.IntVar(&f.CacheMB, "cachemb", 0, "in-memory segment cache bound in MiB (0 = default 256)")
 	fs.BoolVar(&f.NoCache, "nocache", false, "disable the segment-result cache "+noCache)
 	fs.BoolVar(&f.CacheStats, "cachestats", true, "print per-tier cache counters to stderr "+statsWhen)
-	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this path")
-	fs.StringVar(&f.MemProfile, "memprofile", "", "write a pprof heap profile to this path on exit")
+	f.Profiles.Register(fs, "exit")
 }
 
 // StartProfiles starts the -cpuprofile capture. The returned stop writes
 // the -memprofile heap profile and then ends the CPU profile; defer it so
 // both files are complete on every exit path, error returns included.
-func (f *Flags) StartProfiles() (stop func(), err error) {
+func (p *Profiles) StartProfiles() (stop func(), err error) {
 	var cpu *os.File
-	if f.CPUProfile != "" {
-		cpu, err = os.Create(f.CPUProfile)
+	if p.CPUProfile != "" {
+		cpu, err = os.Create(p.CPUProfile)
 		if err != nil {
 			return nil, err
 		}
@@ -67,8 +79,8 @@ func (f *Flags) StartProfiles() (stop func(), err error) {
 		}
 	}
 	return func() {
-		if f.MemProfile != "" {
-			writeHeapProfile(f.MemProfile)
+		if p.MemProfile != "" {
+			writeHeapProfile(p.MemProfile)
 		}
 		if cpu != nil {
 			pprof.StopCPUProfile()

@@ -106,7 +106,7 @@ func TestRegisterRetiresParFlags(t *testing.T) {
 // profile behind.
 func TestStartProfilesStopCompletesBothFiles(t *testing.T) {
 	dir := t.TempDir()
-	f := Flags{CPUProfile: filepath.Join(dir, "cpu.prof"), MemProfile: filepath.Join(dir, "mem.prof")}
+	f := Profiles{CPUProfile: filepath.Join(dir, "cpu.prof"), MemProfile: filepath.Join(dir, "mem.prof")}
 	stop, err := f.StartProfiles()
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestStartProfilesStopCompletesBothFiles(t *testing.T) {
 	}
 	stop()
 
-	if _, err := (&Flags{CPUProfile: filepath.Join(dir, "missing", "cpu.prof")}).StartProfiles(); err == nil {
+	if _, err := (&Profiles{CPUProfile: filepath.Join(dir, "missing", "cpu.prof")}).StartProfiles(); err == nil {
 		t.Fatal("unwritable -cpuprofile path accepted")
 	}
 }

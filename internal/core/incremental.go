@@ -26,18 +26,16 @@ type StreamOptions struct {
 	// length: O(#names × ReservoirCap) for the reservoirs, plus
 	// O(ReservoirCap) re-plan scratch, plus the plan.
 	ReservoirCap int
-
-	// ReplanEvery is the amortization factor: a cached plan is re-derived
-	// once the invocation count grows by this multiple since the last
-	// re-plan (default 2 — the doubling schedule). Values <= 1 re-plan on
-	// every snapshot.
-	ReplanEvery float64
-
-	// DriftTol re-plans early when any kernel's exact running mean moves
-	// by more than this fraction of its value at the last re-plan
-	// (default 0.25; negative disables the drift trigger).
-	DriftTol float64
 }
+
+// The re-plan schedule: a cached plan is re-derived once the invocation
+// count has grown by replanGrowth since the last re-plan (the doubling
+// schedule), or early, once any kernel's exact running mean has moved by
+// more than driftTol of its value at the last re-plan.
+const (
+	replanGrowth = 2
+	driftTol     = 0.25
+)
 
 // reservoirCap resolves the default.
 func (o StreamOptions) reservoirCap() int {
@@ -154,8 +152,8 @@ type incNameState struct {
 // stream in ONE pass and bounded memory: per kernel name it keeps a uniform
 // reservoir of (time, position) pairs plus exact Welford statistics, and
 // re-derives the ROOT plan with amortized re-clustering — on a doubling
-// schedule (StreamOptions.ReplanEvery), on per-kernel mean drift
-// (StreamOptions.DriftTol), or on demand.
+// schedule (replanGrowth), on per-kernel mean drift (driftTol), or on
+// demand.
 //
 // Cluster statistics are exact for every kernel whose full population fits
 // its reservoir; over-capacity kernels get reservoir-estimated statistics
@@ -214,12 +212,6 @@ type IncrementalPlanner struct {
 func NewIncrementalPlanner(p Params, opts StreamOptions) (*IncrementalPlanner, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
-	}
-	if opts.ReplanEvery == 0 {
-		opts.ReplanEvery = 2
-	}
-	if opts.DriftTol == 0 {
-		opts.DriftTol = 0.25
 	}
 	return &IncrementalPlanner{
 		p:       p,
@@ -301,8 +293,8 @@ func (ip *IncrementalPlanner) LastSampledTime() float64 { return ip.lastSampledT
 func (ip *IncrementalPlanner) PlanAt() int { return ip.planAt }
 
 // replanDue reports whether the cached plan is stale under the amortized
-// schedule: no plan yet, a new kernel name appeared, the stream grew by the
-// ReplanEvery factor, or some kernel's exact mean drifted past DriftTol.
+// schedule: no plan yet, a new kernel name appeared, the stream grew by
+// replanGrowth, or some kernel's exact mean drifted past driftTol.
 func (ip *IncrementalPlanner) replanDue() bool {
 	if ip.plan == nil || ip.planAt == 0 {
 		return true
@@ -310,15 +302,13 @@ func (ip *IncrementalPlanner) replanDue() bool {
 	if ip.planNames != len(ip.states) {
 		return true
 	}
-	if float64(ip.count) >= ip.opts.ReplanEvery*float64(ip.planAt) {
+	if ip.count >= replanGrowth*ip.planAt {
 		return true
 	}
-	if tol := ip.opts.DriftTol; tol > 0 {
-		for _, st := range ip.states {
-			ref := st.meanAtPlan
-			if math.Abs(st.exact.Mean()-ref) > tol*math.Abs(ref) {
-				return true
-			}
+	for _, st := range ip.states {
+		ref := st.meanAtPlan
+		if math.Abs(st.exact.Mean()-ref) > driftTol*math.Abs(ref) {
+			return true
 		}
 	}
 	return false

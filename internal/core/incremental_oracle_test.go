@@ -4,105 +4,10 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"testing"
 
 	"stemroot/internal/rng"
-	"stemroot/internal/stats"
 )
-
-// naivePlan is the oracle for IncrementalPlanner.Plan: the derivation as it
-// was first written, with nothing reused. Every interval's moments are
-// folded from the reservoir values intervalOf sends it, every interval gets
-// its own candidate pool (stream positions and their times, copied out of
-// the reservoir), distinct samples are tracked in a map keyed by stream
-// position, sizes come from the allocating OptimalSizes, and all
-// clustering scratch is fresh. It reads the planner's reservoirs and
-// exact statistics and changes nothing.
-func naivePlan(ip *IncrementalPlanner) (plan *Plan, estimate, sampledTime float64, err error) {
-	names := append([]string(nil), ip.order...)
-	sort.Strings(names)
-
-	type interval struct {
-		name string
-		pool []int
-		vals []float64
-	}
-	var ivs []interval
-	var statsVec []ClusterStats
-	var calScale []float64
-	for _, name := range names {
-		st := ip.states[name]
-		var cuts []float64
-		for _, lc := range new(cutScratch).leafCuts(name, st.res.vals, ip.p, new(splitArena)) {
-			cuts = append(cuts, lc.hi)
-		}
-		acc := make([]stats.Online, len(cuts))
-		pools := make([]interval, len(cuts))
-		for i, v := range st.res.vals {
-			j := sort.SearchFloat64s(cuts, v)
-			if j >= len(cuts) {
-				j = len(cuts) - 1
-			}
-			acc[j].Add(v)
-			pools[j].pool = append(pools[j].pool, st.res.pos[i])
-			pools[j].vals = append(pools[j].vals, v)
-		}
-		mine := make([]incInterval, len(cuts))
-		for j := range acc {
-			mine[j].cs = ClusterStats{N: acc[j].N(), Mean: acc[j].Mean(), StdDev: acc[j].StdDev()}
-		}
-		out := make([]ClusterStats, len(cuts))
-		s := ip.nameStats(out, st, mine)
-		for j := range pools {
-			pools[j].name = name
-			calScale = append(calScale, s)
-		}
-		ivs = append(ivs, pools...)
-		statsVec = append(statsVec, out...)
-	}
-
-	sizes := OptimalSizes(statsVec, ip.p)
-	if ip.p.SmallSampleT {
-		applyTCorrection(statsVec, sizes, ip.p)
-	}
-
-	plan = &Plan{Params: ip.p}
-	drawGen := rng.New(rng.Derive(ip.p.Seed, seedLabelDraw))
-	distinct := make(map[int]struct{})
-	for i, iv := range ivs {
-		m := sizes[i]
-		cs := statsVec[i]
-		pc := PlanCluster{Kernel: iv.name, Population: cs.N, Mean: cs.Mean, StdDev: cs.StdDev}
-		if cs.N > 0 && m > 0 {
-			var picks []int // indices into the pool
-			if m >= cs.N {
-				m = min(cs.N, len(iv.pool))
-				for k := 0; k < m; k++ {
-					picks = append(picks, k)
-				}
-			} else {
-				for k := 0; k < m; k++ {
-					picks = append(picks, drawGen.Intn(len(iv.pool)))
-				}
-			}
-			pc.Weight = calScale[i] * float64(cs.N) / float64(m)
-			for _, k := range picks {
-				pc.Samples = append(pc.Samples, iv.pool[k])
-				estimate += pc.Weight * iv.vals[k]
-				if _, ok := distinct[iv.pool[k]]; !ok {
-					distinct[iv.pool[k]] = struct{}{}
-					sampledTime += iv.vals[k]
-				}
-			}
-		}
-		plan.Clusters = append(plan.Clusters, pc)
-	}
-	if err := plan.setBound(statsVec, sizes); err != nil {
-		return nil, 0, 0, err
-	}
-	return plan, estimate, sampledTime, nil
-}
 
 // samePlan reports the first difference between two plans, comparing every
 // float by its bits.
@@ -200,7 +105,8 @@ func oracleStream(seed uint64, n, kernels int, once bool) ([]string, []float64) 
 // taken at every 1000th row so that reused scratch sees growing and
 // shrinking interval counts.
 func TestIncrementalPlanMatchesNaiveReference(t *testing.T) {
-	flat := defaultP().Flat()
+	flat := defaultP()
+	flat.Flat = true
 	tdist := defaultP()
 	tdist.SmallSampleT = true
 	tight := defaultP()

@@ -260,10 +260,10 @@ func TestIncrementalPlanDeterministic(t *testing.T) {
 }
 
 func TestIncrementalReplanSchedule(t *testing.T) {
-	// The doubling schedule re-plans O(log n) times when polled per
-	// invocation, not O(n).
+	// The doubling schedule, with the drift trigger armed, re-plans
+	// O(log n) times when polled per invocation, not O(n).
 	names, times := multiKernelTrace(32768, 19)
-	ip, err := NewIncrementalPlanner(defaultP(), StreamOptions{ReservoirCap: 512, DriftTol: -1})
+	ip, err := NewIncrementalPlanner(defaultP(), StreamOptions{ReservoirCap: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestIncrementalReplanSchedule(t *testing.T) {
 }
 
 func TestIncrementalDriftTrigger(t *testing.T) {
-	ip, err := NewIncrementalPlanner(defaultP(), StreamOptions{ReservoirCap: 512, ReplanEvery: 1e12, DriftTol: 0.25})
+	ip, err := NewIncrementalPlanner(defaultP(), StreamOptions{ReservoirCap: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,8 +324,10 @@ func TestIncrementalDriftTrigger(t *testing.T) {
 	if ip.Replans() != base {
 		t.Fatalf("re-planned without drift (replans %d -> %d)", base, ip.Replans())
 	}
-	// A regime shift moves the running mean by far more than 25%.
-	for i := 0; i < 4000; i++ {
+	// A regime shift moves the running mean by far more than driftTol,
+	// while the stream (3,600 rows) stays below its doubling point of
+	// replanGrowth × 2,000: only the drift trigger can re-plan here.
+	for i := 0; i < 1500; i++ {
 		ip.Add("k", 100*(1+0.01*r.NormFloat64()))
 	}
 	if _, err := ip.CurrentPlan(); err != nil {

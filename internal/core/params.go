@@ -39,10 +39,12 @@ type Params struct {
 	Confidence float64
 	// SplitK is the number of subclusters per ROOT split (>= 2).
 	SplitK int
-	// MinClusterSize stops ROOT from splitting clusters smaller than this.
-	MinClusterSize int
-	// MaxDepth bounds ROOT's recursion depth as a safety net.
-	MaxDepth int
+	// Flat disables ROOT's hierarchical splitting: one cluster per kernel
+	// name, jointly sized by STEM — the ablation comparing ROOT's
+	// fine-grained clustering against name-level clustering. Both planners
+	// (BuildPlan, IncrementalPlanner) honour it, because both split through
+	// rootSplit, its only reader.
+	Flat bool
 	// Seed drives k-means initialization and sample selection.
 	Seed uint64
 	// SmallSampleT enables the Student-t small-sample correction: clusters
@@ -60,29 +62,23 @@ type Params struct {
 // DefaultParams returns the paper's evaluation configuration.
 func DefaultParams() Params {
 	return Params{
-		Epsilon:        0.05,
-		Confidence:     0.95,
-		SplitK:         2,
-		MinClusterSize: 8,
-		MaxDepth:       24,
-		Seed:           1,
+		Epsilon:    0.05,
+		Confidence: 0.95,
+		SplitK:     2,
+		Seed:       1,
 	}
 }
 
-// Flat returns p with ROOT's hierarchical splitting disabled: one cluster
-// per kernel name, jointly sized by STEM — the ablation comparing ROOT's
-// fine-grained clustering against name-level clustering. Both planners
-// (BuildPlan, IncrementalPlanner) honour it, because both split through
-// rootSplit, the only reader of the two fields.
-func (p Params) Flat() Params {
-	p.MaxDepth = 1
-	p.MinClusterSize = 1 << 30 // never split
-	return p
-}
+// ROOT never splits a cluster smaller than minClusterSize, and stops
+// descending at maxDepth as a safety net.
+const (
+	minClusterSize = 8
+	maxDepth       = 24
+)
 
 // What Validate returns for the three parameters callers set, so that every
-// planner — and the public package, which re-exports them — refuses an
-// out-of-domain value by name.
+// planner — and the public package, which re-exports the first two —
+// refuses an out-of-domain value by name.
 var (
 	ErrEpsilon = errors.New("core: Epsilon must be in (0,1)")
 	// A confidence within an ulp of 1 has no z-score: 1−α/2 rounds to 1.
@@ -101,10 +97,6 @@ func (p Params) Validate() error {
 		return ErrConfidence
 	case p.SplitK < 2:
 		return ErrSplitK
-	case p.MinClusterSize < 2:
-		return errors.New("core: MinClusterSize must be >= 2")
-	case p.MaxDepth < 1:
-		return errors.New("core: MaxDepth must be >= 1")
 	}
 	return nil
 }

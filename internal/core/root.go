@@ -137,7 +137,7 @@ func rootSplit(name string, vals []float64, idxs []int, cs ClusterStats, p Param
 	n := len(idxs)
 	leaf := Cluster{Name: name, Indices: idxs[:n:n], Stats: cs} // capped: an append must not reach the next leaf
 
-	if depth >= p.MaxDepth || cs.N < p.MinClusterSize || cs.StdDev == 0 {
+	if p.Flat || depth >= maxDepth || cs.N < minClusterSize || cs.StdDev == 0 {
 		return append(out, leaf)
 	}
 	a.grow(n)

@@ -3,89 +3,8 @@ package core
 import (
 	"testing"
 
-	"stemroot/internal/cluster"
 	"stemroot/internal/rng"
 )
-
-// ---------------------------------------------------------------------------
-// Reference implementation: the original allocating rootSplit/BuildClusters,
-// kept verbatim as the oracle for the arena'd recursion. The in-place stable
-// partition must reproduce the per-group index lists Result.Groups() built,
-// and the pooled scratch must never leak state between nodes — identical
-// leaves are the proof.
-// ---------------------------------------------------------------------------
-
-func refRootSplit(name string, times []float64, idxs []int, p Params, depth int, out []Cluster) []Cluster {
-	vals := make([]float64, len(idxs))
-	for i, ix := range idxs {
-		vals[i] = times[ix]
-	}
-	cs := StatsOf(vals)
-	leaf := Cluster{Name: name, Indices: idxs, Stats: cs}
-
-	if depth >= p.MaxDepth || cs.N < p.MinClusterSize || cs.StdDev == 0 {
-		return append(out, leaf)
-	}
-
-	pts := make([][]float64, len(vals))
-	for i, v := range vals {
-		pts[i] = []float64{v}
-	}
-	res, err := cluster.KMeans(pts, p.SplitK, cluster.Options{
-		Seed: rng.Derive(p.Seed, rng.HashString(name), uint64(depth), uint64(len(idxs))),
-	})
-	if err != nil {
-		return append(out, leaf)
-	}
-	groups := res.Groups()
-	if len(groups) < 2 {
-		return append(out, leaf)
-	}
-
-	subStats := make([]ClusterStats, len(groups))
-	subIdxs := make([][]int, len(groups))
-	for g, members := range groups {
-		sub := make([]int, len(members))
-		subVals := make([]float64, len(members))
-		for j, m := range members {
-			sub[j] = idxs[m]
-			subVals[j] = vals[m]
-		}
-		subIdxs[g] = sub
-		subStats[g] = StatsOf(subVals)
-	}
-
-	tauOld := float64(SampleSize(cs, p)) * cs.Mean
-	newSizes := OptimalSizes(subStats, p)
-	tauNew := SimTime(subStats, newSizes)
-
-	if tauNew >= tauOld {
-		return append(out, leaf)
-	}
-	for g := range groups {
-		out = refRootSplit(name, times, subIdxs[g], p, depth+1, out)
-	}
-	return out
-}
-
-func refBuildClusters(names []string, times []float64, p Params) []Cluster {
-	byName := make(map[string][]int)
-	var order []string
-	for i, n := range names {
-		if _, ok := byName[n]; !ok {
-			order = append(order, n)
-		}
-		byName[n] = append(byName[n], i)
-	}
-	var out []Cluster
-	for _, name := range order {
-		out = append(out, refRootSplit(name, times, byName[name], p, 0, nil)...)
-	}
-	// The production path flattens in sorted name order; the reference emits
-	// in first-seen order, so compare leaf sets per name below instead of
-	// globally sorting here. (Callers sort before comparing.)
-	return out
-}
 
 // oracleProfile synthesizes a multi-kernel trace with mixed modality: some
 // kernels bimodal, some log-normal, some constant, some tiny.

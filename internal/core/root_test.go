@@ -78,7 +78,7 @@ func TestRootSplittingReducesSimTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := BuildPlan(names, times, p.Flat())
+	flat, err := BuildPlan(names, times, flatOf(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,13 +103,29 @@ func TestRootDoesNotOverSplitUnimodal(t *testing.T) {
 	}
 }
 
+// flatOf is p with ROOT's splitting disabled.
+func flatOf(p Params) Params {
+	p.Flat = true
+	return p
+}
+
 func TestRootRespectsMinClusterSize(t *testing.T) {
-	names, times := bimodalTimes(2000, 6)
-	p := defaultP()
-	p.MinClusterSize = 4
-	leaves := BuildClusters(names, times, p)
-	// No leaf smaller than MinClusterSize unless it was created by a split
-	// of a just-over-threshold parent; leaves of size >= 1 always.
+	// A kernel with fewer than minClusterSize invocations stays whole, however
+	// far apart its times are.
+	names := make([]string, minClusterSize-1)
+	times := make([]float64, len(names))
+	for i := range names {
+		names[i], times[i] = "small", float64(1+1000*(i%2))
+	}
+	if leaves := BuildClusters(names, times, defaultP()); len(leaves) != 1 {
+		t.Fatalf("a %d-invocation kernel split into %d leaves", len(names), len(leaves))
+	}
+	// A larger bimodal kernel splits, and never into an empty leaf.
+	names, times = bimodalTimes(2000, 6)
+	leaves := BuildClusters(names, times, defaultP())
+	if len(leaves) < 2 {
+		t.Fatalf("a bimodal kernel stayed as %d leaf", len(leaves))
+	}
 	for _, c := range leaves {
 		if len(c.Indices) == 0 {
 			t.Fatal("empty leaf")
@@ -324,7 +340,7 @@ func TestBuildPlanRejectsBadParams(t *testing.T) {
 	if _, err := BuildPlan(names, times, bad); err == nil {
 		t.Fatal("expected parameter error")
 	}
-	if _, err := BuildPlan(names, times, bad.Flat()); err == nil {
+	if _, err := BuildPlan(names, times, flatOf(bad)); err == nil {
 		t.Fatal("expected parameter error (flat)")
 	}
 }
@@ -361,7 +377,7 @@ func TestPlanRejectsOverflowingTimes(t *testing.T) {
 	}
 	plan, err := BuildPlan(names, times, p)
 	check("BuildPlan", plan, err)
-	plan, err = BuildPlan(names, times, p.Flat())
+	plan, err = BuildPlan(names, times, flatOf(p))
 	check("BuildPlan flat", plan, err)
 
 	ip := feedIncremental(t, names[:2], []float64{1, 1}, p, StreamOptions{})

@@ -18,11 +18,9 @@ func TestParamsValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []Params{
-		{Epsilon: 0, Confidence: 0.95, SplitK: 2, MinClusterSize: 8, MaxDepth: 4},
-		{Epsilon: 0.05, Confidence: 1.0, SplitK: 2, MinClusterSize: 8, MaxDepth: 4},
-		{Epsilon: 0.05, Confidence: 0.95, SplitK: 1, MinClusterSize: 8, MaxDepth: 4},
-		{Epsilon: 0.05, Confidence: 0.95, SplitK: 2, MinClusterSize: 1, MaxDepth: 4},
-		{Epsilon: 0.05, Confidence: 0.95, SplitK: 2, MinClusterSize: 8, MaxDepth: 0},
+		{Epsilon: 0, Confidence: 0.95, SplitK: 2},
+		{Epsilon: 0.05, Confidence: 1.0, SplitK: 2},
+		{Epsilon: 0.05, Confidence: 0.95, SplitK: 1},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

@@ -32,11 +32,11 @@ type GraphPlan struct {
 
 // BuildGraphPlan clusters and sizes the trace's compute nodes from their
 // profiled times (profUS[id] for every node ID; comm entries are ignored).
-func BuildGraphPlan(g *chakra.Graph, profUS []float64, p Params) (*GraphPlan, error) {
+func BuildGraphPlan(g *chakra.Graph, profUS []float64, p core.Params) (*GraphPlan, error) {
 	if len(profUS) != len(g.Nodes) {
 		return nil, errors.New("etsample: profile length mismatch")
 	}
-	if err := p.Core.Validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	computeIDs := g.ComputeNodes()
@@ -52,7 +52,7 @@ func BuildGraphPlan(g *chakra.Graph, profUS []float64, p Params) (*GraphPlan, er
 		names[j] = g.Nodes[id].Name
 		times[j] = profUS[id]
 	}
-	cp, err := core.BuildPlan(names, times, p.Core)
+	cp, err := core.BuildPlan(names, times, p)
 	if err != nil {
 		return nil, err
 	}
@@ -72,14 +72,6 @@ func BuildGraphPlan(g *chakra.Graph, profUS []float64, p Params) (*GraphPlan, er
 	}
 	return plan, nil
 }
-
-// Params wraps the STEM parameters for graph sampling.
-type Params struct {
-	Core core.Params
-}
-
-// DefaultParams mirrors the paper's flat-sampling defaults.
-func DefaultParams() Params { return Params{Core: core.DefaultParams()} }
 
 // NodeTimes builds the per-node estimated time function: sampled clusters
 // contribute the mean of their measured samples; measure(id) supplies the
@@ -119,8 +111,8 @@ type Outcome struct {
 // Evaluate replays the trace with estimated node times and scores the
 // makespan against ground truth (trueUS[id] per node). measure defaults to
 // looking up trueUS, modelling a detailed simulation of the sampled nodes.
-func (p *GraphPlan) Evaluate(g *chakra.Graph, cfg multigpu.Config, trueUS []float64) (*Outcome, error) {
-	truth, err := multigpu.Simulate(g, cfg, func(id int) float64 { return trueUS[id] })
+func (p *GraphPlan) Evaluate(g *chakra.Graph, trueUS []float64) (*Outcome, error) {
+	truth, err := multigpu.Simulate(g, func(id int) float64 { return trueUS[id] })
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +120,7 @@ func (p *GraphPlan) Evaluate(g *chakra.Graph, cfg multigpu.Config, trueUS []floa
 	if err != nil {
 		return nil, err
 	}
-	est, err := multigpu.Simulate(g, cfg, nodeTime)
+	est, err := multigpu.Simulate(g, nodeTime)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"stemroot/internal/chakra"
+	"stemroot/internal/core"
 	"stemroot/internal/hwmodel"
 	"stemroot/internal/multigpu"
 )
@@ -30,7 +31,7 @@ func trainingFixture(t testing.TB, ranks, steps, layers int) (*chakra.Graph, []f
 
 func TestBuildGraphPlanCoversComputeNodes(t *testing.T) {
 	g, times := trainingFixture(t, 4, 6, 8)
-	plan, err := BuildGraphPlan(g, times, DefaultParams())
+	plan, err := BuildGraphPlan(g, times, core.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +54,11 @@ func TestBuildGraphPlanCoversComputeNodes(t *testing.T) {
 
 func TestGraphPlanAccuracyAndSavings(t *testing.T) {
 	g, times := trainingFixture(t, 4, 6, 8)
-	plan, err := BuildGraphPlan(g, times, DefaultParams())
+	plan, err := BuildGraphPlan(g, times, core.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := plan.Evaluate(g, multigpu.DefaultConfig(), times)
+	out, err := plan.Evaluate(g, times)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,17 +77,16 @@ func TestGraphPlanBeatsNaiveSingleSample(t *testing.T) {
 	// A strawman that uses one global mean for every node must do worse
 	// than per-cluster means on a heterogeneous trace.
 	g, times := trainingFixture(t, 2, 4, 6)
-	plan, err := BuildGraphPlan(g, times, DefaultParams())
+	plan, err := BuildGraphPlan(g, times, core.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := multigpu.DefaultConfig()
-	out, err := plan.Evaluate(g, cfg, times)
+	out, err := plan.Evaluate(g, times)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	truth, err := multigpu.Simulate(g, cfg, func(id int) float64 { return times[id] })
+	truth, err := multigpu.Simulate(g, func(id int) float64 { return times[id] })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestGraphPlanBeatsNaiveSingleSample(t *testing.T) {
 		sum += times[id]
 	}
 	mean := sum / float64(len(comp))
-	naive, err := multigpu.Simulate(g, cfg, func(id int) float64 {
+	naive, err := multigpu.Simulate(g, func(id int) float64 {
 		if g.Nodes[id].Kind != chakra.Compute {
 			return 0
 		}
@@ -113,16 +113,16 @@ func TestGraphPlanBeatsNaiveSingleSample(t *testing.T) {
 
 func TestBuildGraphPlanErrors(t *testing.T) {
 	g, times := trainingFixture(t, 2, 1, 2)
-	if _, err := BuildGraphPlan(g, times[:1], DefaultParams()); err == nil {
+	if _, err := BuildGraphPlan(g, times[:1], core.DefaultParams()); err == nil {
 		t.Fatal("expected length mismatch error")
 	}
-	bad := DefaultParams()
-	bad.Core.Epsilon = 0
+	bad := core.DefaultParams()
+	bad.Epsilon = 0
 	if _, err := BuildGraphPlan(g, times, bad); err == nil {
 		t.Fatal("expected param validation error")
 	}
 	empty := &chakra.Graph{Ranks: 1}
-	if _, err := BuildGraphPlan(empty, nil, DefaultParams()); err == nil {
+	if _, err := BuildGraphPlan(empty, nil, core.DefaultParams()); err == nil {
 		t.Fatal("expected no-compute-nodes error")
 	}
 }

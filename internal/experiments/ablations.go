@@ -130,7 +130,9 @@ func RootAblation(cfg Config) (*RootAblationResult, error) {
 	for _, w := range ws {
 		prof := hwmodel.New(hwmodel.RTX2080, w.Seed).Profile(w)
 		for _, flat := range []bool{false, true} {
-			stem := &sampling.STEMRoot{Params: cfg.stemParams(cfg.Seed), Flat: flat}
+			p := cfg.stemParams(cfg.Seed)
+			p.Flat = flat
+			stem := &sampling.STEMRoot{Params: p}
 			plan, err := stem.Plan(w, prof)
 			if err != nil {
 				return nil, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"stemroot/internal/core"
 	"stemroot/internal/hwmodel"
 	"stemroot/internal/parallel"
 	"stemroot/internal/sampling"
@@ -38,9 +39,10 @@ func Confidence(cfg Config, runs int) (*ConfidenceResult, error) {
 	var w = workloads.CASIO(cfg.Seed, cfg.CASIOScale)[0] // bert_infer
 	prof := hwmodel.New(hwmodel.RTX2080, w.Seed).Profile(w)
 
+	p := core.DefaultParams()
 	res := &ConfidenceResult{
-		Epsilon:    cfg.Epsilon,
-		Confidence: cfg.Confidence,
+		Epsilon:    p.Epsilon,
+		Confidence: p.Confidence,
 		Runs:       runs,
 	}
 	errPcts, err := parallel.MapStealing(runs, parallel.Workers(cfg.Sim.Workers),
@@ -61,7 +63,7 @@ func Confidence(cfg Config, runs int) (*ConfidenceResult, error) {
 	}
 	within := 0
 	for _, errPct := range errPcts {
-		if errPct <= cfg.Epsilon*100 {
+		if errPct <= res.Epsilon*100 {
 			within++
 		}
 		if errPct > res.MaxErrPct {

@@ -43,8 +43,6 @@ type Config struct {
 	// CASIOScale and HFScale multiply the suite generators' iteration
 	// counts (1.0 = ~64k calls per CASIO workload).
 	CASIOScale, HFScale float64
-	// Epsilon and Confidence configure STEM (paper: 0.05 at 95%).
-	Epsilon, Confidence float64
 	// RandomFracRodinia and RandomFracML are the uniform-random baseline's
 	// selection probabilities (paper: 10% and 0.1%).
 	RandomFracRodinia, RandomFracML float64
@@ -75,8 +73,6 @@ func Quick() Config {
 		Reps:              2,
 		CASIOScale:        0.02,
 		HFScale:           0.01,
-		Epsilon:           0.05,
-		Confidence:        0.95,
 		RandomFracRodinia: 0.10,
 		RandomFracML:      0.01,
 		DSEMaxCalls:       40,
@@ -93,19 +89,15 @@ func PaperScale() Config {
 		Reps:              10,
 		CASIOScale:        1.0,
 		HFScale:           0.5,
-		Epsilon:           0.05,
-		Confidence:        0.95,
 		RandomFracRodinia: 0.10,
 		RandomFracML:      0.001,
 		DSEMaxCalls:       120,
 	}
 }
 
-// stemParams builds STEM's parameters from the configuration.
+// stemParams is STEM at the paper's ε and confidence, with the given seed.
 func (c Config) stemParams(seed uint64) core.Params {
 	p := core.DefaultParams()
-	p.Epsilon = c.Epsilon
-	p.Confidence = c.Confidence
 	p.Seed = seed
 	return p
 }

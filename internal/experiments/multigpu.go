@@ -40,20 +40,16 @@ func MultiGPU(cfg Config) ([]MultiGPUPoint, error) {
 				times[i] = model.Time(g.Nodes[i].Inv)
 			}
 		}
-		mcfg := multigpu.DefaultConfig()
-
-		p := etsample.DefaultParams()
-		p.Core = cfg.stemParams(cfg.Seed)
-		plan, err := etsample.BuildGraphPlan(g, times, p)
+		plan, err := etsample.BuildGraphPlan(g, times, cfg.stemParams(cfg.Seed))
 		if err != nil {
 			return nil, err
 		}
-		stemOut, err := plan.Evaluate(g, mcfg, times)
+		stemOut, err := plan.Evaluate(g, times)
 		if err != nil {
 			return nil, err
 		}
 
-		randErr, err := randomNodeSampling(g, mcfg, times, stemOut.SampledNodes, cfg.Seed)
+		randErr, err := randomNodeSampling(g, times, stemOut.SampledNodes, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -72,7 +68,7 @@ func MultiGPU(cfg Config) ([]MultiGPUPoint, error) {
 // randomNodeSampling estimates the makespan using budget uniformly chosen
 // compute nodes: unsampled nodes inherit the global mean of the sampled
 // times (kernel identity ignored — the naive baseline).
-func randomNodeSampling(g *chakra.Graph, mcfg multigpu.Config, times []float64, budget int, seed uint64) (float64, error) {
+func randomNodeSampling(g *chakra.Graph, times []float64, budget int, seed uint64) (float64, error) {
 	comp := g.ComputeNodes()
 	r := rng.New(rng.Derive(seed, 0x469))
 	perm := r.Perm(len(comp))
@@ -85,11 +81,11 @@ func randomNodeSampling(g *chakra.Graph, mcfg multigpu.Config, times []float64, 
 	}
 	mean := sum / float64(budget)
 
-	truth, err := multigpu.Simulate(g, mcfg, func(id int) float64 { return times[id] })
+	truth, err := multigpu.Simulate(g, func(id int) float64 { return times[id] })
 	if err != nil {
 		return 0, err
 	}
-	est, err := multigpu.Simulate(g, mcfg, func(id int) float64 {
+	est, err := multigpu.Simulate(g, func(id int) float64 {
 		if g.Nodes[id].Kind != chakra.Compute {
 			return 0
 		}

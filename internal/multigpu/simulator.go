@@ -15,25 +15,18 @@ import (
 	"stemroot/internal/chakra"
 )
 
-// Config describes the multi-GPU system.
-type Config struct {
-	// LinkBytesPerUS is the per-direction link bandwidth (bytes/µs).
-	LinkBytesPerUS float64
-	// LinkLatencyUS is the per-hop latency of a collective step.
-	LinkLatencyUS float64
-}
-
-// DefaultConfig models an NVLink-class interconnect (~200 GB/s effective
-// per direction).
-func DefaultConfig() Config {
-	return Config{LinkBytesPerUS: 200e3, LinkLatencyUS: 5}
-}
+// The interconnect is NVLink-class: ~200 GB/s effective per direction, and
+// 5 µs per hop of a collective step.
+const (
+	linkBytesPerUS = 200e3
+	linkLatencyUS  = 5
+)
 
 // CollectiveTimeUS returns the duration of a collective of the given kind
 // and payload over ranks devices, using the standard ring algorithm cost:
 // 2(R-1)/R · bytes/bw for all-reduce, (R-1)/R · bytes/bw for all-gather,
 // plus per-step latency.
-func (c Config) CollectiveTimeUS(kind chakra.NodeKind, bytes int64, ranks int) float64 {
+func CollectiveTimeUS(kind chakra.NodeKind, bytes int64, ranks int) float64 {
 	if ranks <= 1 {
 		return 0
 	}
@@ -44,7 +37,7 @@ func (c Config) CollectiveTimeUS(kind chakra.NodeKind, bytes int64, ranks int) f
 		steps = r - 1
 		volume = (r - 1) / r * float64(bytes)
 	}
-	return volume/c.LinkBytesPerUS + steps*c.LinkLatencyUS
+	return volume/linkBytesPerUS + steps*linkLatencyUS
 }
 
 // Result reports a multi-GPU simulation.
@@ -60,11 +53,11 @@ type Result struct {
 
 // Simulate executes the trace. nodeTimeUS supplies each compute node's
 // duration (from the hardware model, a cycle-level simulator, or a sampled
-// estimate); collective durations come from the config. Each rank runs its
+// estimate); collective durations come from CollectiveTimeUS. Each rank runs its
 // compute nodes serially on a compute stream; collectives serialize on a
 // global communication stream but overlap with compute — the structure
 // that makes backward/all-reduce overlap matter.
-func Simulate(g *chakra.Graph, cfg Config, nodeTimeUS func(int) float64) (*Result, error) {
+func Simulate(g *chakra.Graph, nodeTimeUS func(int) float64) (*Result, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -96,7 +89,7 @@ func Simulate(g *chakra.Graph, cfg Config, nodeTimeUS func(int) float64) (*Resul
 			res.NodeEndUS[i] = end
 		default:
 			start := math.Max(ready, commFree)
-			dur := cfg.CollectiveTimeUS(n.Kind, n.CommBytes, g.Ranks)
+			dur := CollectiveTimeUS(n.Kind, n.CommBytes, g.Ranks)
 			end := start + dur
 			commFree = end
 			res.CommBusyUS += dur

@@ -16,7 +16,7 @@ func TestSerialChain(t *testing.T) {
 		{ID: 1, Kind: chakra.Compute, Rank: 0, Inv: inv(), Deps: []int{0}},
 		{ID: 2, Kind: chakra.Compute, Rank: 0, Inv: inv(), Deps: []int{1}},
 	}}
-	res, err := Simulate(g, DefaultConfig(), func(int) float64 { return 10 })
+	res, err := Simulate(g, func(int) float64 { return 10 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestIndependentRanksOverlap(t *testing.T) {
 		{ID: 0, Kind: chakra.Compute, Rank: 0, Inv: inv()},
 		{ID: 1, Kind: chakra.Compute, Rank: 1, Inv: inv()},
 	}}
-	res, err := Simulate(g, DefaultConfig(), func(int) float64 { return 25 })
+	res, err := Simulate(g, func(int) float64 { return 25 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +46,7 @@ func TestAllReduceJoinsLaggard(t *testing.T) {
 		{ID: 1, Kind: chakra.Compute, Rank: 1, Inv: inv()},
 		{ID: 2, Kind: chakra.AllReduce, Rank: -1, CommBytes: 1 << 20, Deps: []int{0, 1}},
 	}}
-	cfg := DefaultConfig()
-	res, err := Simulate(g, cfg, func(id int) float64 {
+	res, err := Simulate(g, func(id int) float64 {
 		if id == 1 {
 			return 100
 		}
@@ -56,7 +55,7 @@ func TestAllReduceJoinsLaggard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 100 + cfg.CollectiveTimeUS(chakra.AllReduce, 1<<20, 2)
+	want := 100 + CollectiveTimeUS(chakra.AllReduce, 1<<20, 2)
 	if math.Abs(res.TotalUS-want) > 1e-9 {
 		t.Fatalf("total = %v, want %v", res.TotalUS, want)
 	}
@@ -65,9 +64,8 @@ func TestAllReduceJoinsLaggard(t *testing.T) {
 func TestComputeCommOverlap(t *testing.T) {
 	// After bwd0, an all-reduce overlaps with bwd1: total should be less
 	// than the serial sum.
-	cfg := DefaultConfig()
 	commBytes := int64(128 << 20)
-	commTime := cfg.CollectiveTimeUS(chakra.AllReduce, commBytes, 2)
+	commTime := CollectiveTimeUS(chakra.AllReduce, commBytes, 2)
 	g := &chakra.Graph{Ranks: 2, Nodes: []chakra.Node{
 		{ID: 0, Kind: chakra.Compute, Rank: 0, Inv: inv()},
 		{ID: 1, Kind: chakra.Compute, Rank: 1, Inv: inv()},
@@ -79,7 +77,7 @@ func TestComputeCommOverlap(t *testing.T) {
 		{ID: 5, Kind: chakra.Compute, Rank: 0, Inv: inv(), Deps: []int{2, 3}},
 	}}
 	computeDur := commTime * 0.9 // overlap window
-	res, err := Simulate(g, cfg, func(id int) float64 {
+	res, err := Simulate(g, func(id int) float64 {
 		if id == 5 {
 			return 1
 		}
@@ -100,16 +98,15 @@ func TestComputeCommOverlap(t *testing.T) {
 }
 
 func TestCollectiveTimeModel(t *testing.T) {
-	cfg := DefaultConfig()
-	ar4 := cfg.CollectiveTimeUS(chakra.AllReduce, 100<<20, 4)
-	ag4 := cfg.CollectiveTimeUS(chakra.AllGather, 100<<20, 4)
+	ar4 := CollectiveTimeUS(chakra.AllReduce, 100<<20, 4)
+	ag4 := CollectiveTimeUS(chakra.AllGather, 100<<20, 4)
 	if ar4 <= ag4 {
 		t.Fatalf("all-reduce (%v) should cost more than all-gather (%v)", ar4, ag4)
 	}
-	if cfg.CollectiveTimeUS(chakra.AllReduce, 100<<20, 1) != 0 {
+	if CollectiveTimeUS(chakra.AllReduce, 100<<20, 1) != 0 {
 		t.Fatal("single-rank collective should be free")
 	}
-	ar8 := cfg.CollectiveTimeUS(chakra.AllReduce, 100<<20, 8)
+	ar8 := CollectiveTimeUS(chakra.AllReduce, 100<<20, 8)
 	if ar8 <= ar4 {
 		t.Fatalf("more ranks should cost more: %v vs %v", ar8, ar4)
 	}
@@ -117,13 +114,13 @@ func TestCollectiveTimeModel(t *testing.T) {
 
 func TestSimulateErrors(t *testing.T) {
 	bad := &chakra.Graph{Ranks: 0}
-	if _, err := Simulate(bad, DefaultConfig(), func(int) float64 { return 1 }); err == nil {
+	if _, err := Simulate(bad, func(int) float64 { return 1 }); err == nil {
 		t.Fatal("expected validation error")
 	}
 	g := &chakra.Graph{Ranks: 1, Nodes: []chakra.Node{
 		{ID: 0, Kind: chakra.Compute, Rank: 0, Inv: inv()},
 	}}
-	if _, err := Simulate(g, DefaultConfig(), func(int) float64 { return -1 }); err == nil {
+	if _, err := Simulate(g, func(int) float64 { return -1 }); err == nil {
 		t.Fatal("expected negative-time error")
 	}
 }
@@ -135,7 +132,7 @@ func TestEndToEndTrainingTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Simulate(g, DefaultConfig(), func(id int) float64 {
+	res, err := Simulate(g, func(id int) float64 {
 		if g.Nodes[id].Kind != chakra.Compute {
 			return 0
 		}

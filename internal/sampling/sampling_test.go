@@ -289,7 +289,7 @@ func TestSTEMFlatAblation(t *testing.T) {
 	w, prof := testWorkload(t, "resnet50_infer")
 	full := NewSTEMRoot(1)
 	flat := NewSTEMRoot(1)
-	flat.Flat = true
+	flat.Params.Flat = true
 
 	fp, err := full.Plan(w, prof)
 	if err != nil {

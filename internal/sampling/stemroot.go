@@ -12,9 +12,6 @@ import (
 // profile followed by STEM's jointly optimized sample sizes.
 type STEMRoot struct {
 	Params core.Params
-	// Flat disables ROOT (one cluster per kernel name, STEM sizing only) —
-	// the ablation isolating ROOT's contribution.
-	Flat bool
 }
 
 // NewSTEMRoot returns the method with the paper's default parameters
@@ -25,9 +22,10 @@ func NewSTEMRoot(seed uint64) *STEMRoot {
 	return &STEMRoot{Params: p}
 }
 
-// Name implements Method.
+// Name implements Method. Params.Flat, which disables ROOT, names the
+// ablation isolating ROOT's contribution.
 func (s *STEMRoot) Name() string {
-	if s.Flat {
+	if s.Params.Flat {
 		return "stem_flat"
 	}
 	return "stem"
@@ -44,9 +42,6 @@ func (s *STEMRoot) Plan(w *trace.Workload, prof *trace.Profile) (*Plan, error) {
 	}
 	p := s.Params
 	p.Seed = s.Params.Seed ^ w.Seed
-	if s.Flat {
-		p = p.Flat()
-	}
 	cp, err := core.BuildPlanOf(w.Len(), func(i int) string { return w.Invs[i].Name }, prof.TimeUS, p)
 	if err != nil {
 		return nil, err

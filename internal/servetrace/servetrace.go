@@ -19,43 +19,23 @@ import (
 	"stemroot/internal/trace"
 )
 
-// Config shapes a serving trace. The zero value of every field selects a
-// sensible default; only Invocations is required.
+// Config shapes a serving trace; only Invocations is required.
 type Config struct {
 	// Seed fixes the whole trace: same Config -> bit-identical stream.
 	Seed uint64
 	// Invocations is the exact number of kernel invocations emitted.
 	Invocations int
-	// Layers is the transformer depth driving the per-phase kernel mix
-	// (default 4; each layer contributes distinct kernel names).
-	Layers int
-	// Tenants is the number of traffic sources with distinct load weights
-	// and prompt-length regimes (default 3).
-	Tenants int
-	// MaxBatch caps the simulated continuous-batching size (default 32).
-	MaxBatch int
 }
 
-func (c Config) layers() int {
-	if c.Layers <= 0 {
-		return 4
-	}
-	return c.Layers
-}
-
-func (c Config) tenants() int {
-	if c.Tenants <= 0 {
-		return 3
-	}
-	return c.Tenants
-}
-
-func (c Config) maxBatch() int {
-	if c.MaxBatch <= 0 {
-		return 32
-	}
-	return c.MaxBatch
-}
+// The served model and its traffic: the transformer depth driving the
+// per-phase kernel mix (each layer contributes distinct kernel names), the
+// traffic sources with distinct load weights and prompt-length regimes,
+// and the cap on the simulated continuous-batching size.
+const (
+	layers   = 4
+	tenants  = 3
+	maxBatch = 32
+)
 
 // Stream is a deterministic, re-scannable serving-trace source.
 type Stream struct {
@@ -77,10 +57,9 @@ func (s *Stream) kernelNames() [][]byte {
 	if s.names != nil {
 		return s.names
 	}
-	L := s.Cfg.layers()
-	names := make([][]byte, 0, 2*kernelsPerLayer*L+2)
+	names := make([][]byte, 0, 2*kernelsPerLayer*layers+2)
 	for _, phase := range []string{"prefill", "decode"} {
-		for l := 0; l < L; l++ {
+		for l := 0; l < layers; l++ {
 			for _, k := range []string{"qkv", "attn", "mlp"} {
 				names = append(names, []byte(k+"_"+phase+"_l"+strconv.Itoa(l)))
 			}
@@ -115,10 +94,9 @@ func (s *Stream) newGen() *genState {
 		burstMul: 1,
 	}
 	// Tenant load weights: deterministic, skewed (tenant 0 heaviest).
-	T := s.Cfg.tenants()
-	g.tenantW = make([]float64, T)
+	g.tenantW = make([]float64, tenants)
 	var cum float64
-	for i := 0; i < T; i++ {
+	for i := 0; i < tenants; i++ {
 		cum += 1 / float64(i+1)
 		g.tenantW[i] = cum
 	}
@@ -158,14 +136,12 @@ type request struct {
 func (s *Stream) nextRequest(g *genState) request {
 	ld := g.load()
 	// Continuous batching: the smoothed batch size tracks load.
-	g.batch += 0.3 * (ld*float64(s.Cfg.maxBatch())/3 - g.batch)
+	g.batch += 0.3 * (ld*maxBatch/3 - g.batch)
 	b := int(g.batch + 0.5)
 	if b < 1 {
 		b = 1
 	}
-	if mb := s.Cfg.maxBatch(); b > mb {
-		b = mb
-	}
+	b = min(b, maxBatch)
 
 	// Tenant by cumulative weight; tenants differ in prompt regimes.
 	u := g.r.Float64()
@@ -223,9 +199,8 @@ func (s *Stream) scan(yield func(kernel int, timeUS float64) bool) error {
 		return errInvocations
 	}
 	g := s.newGen()
-	L := s.Cfg.layers()
-	decode0 := L * kernelsPerLayer // first decode kernel
-	kvAppendK, samplerK := 2*L*kernelsPerLayer, 2*L*kernelsPerLayer+1
+	decode0 := layers * kernelsPerLayer // first decode kernel
+	kvAppendK, samplerK := 2*layers*kernelsPerLayer, 2*layers*kernelsPerLayer+1
 	remaining := s.Cfg.Invocations
 	emit := func(kernel int, d float64) bool {
 		remaining--
@@ -250,7 +225,7 @@ func (s *Stream) scan(yield func(kernel int, timeUS float64) bool) error {
 		sampler := 0.6 + 0.03*b
 
 		// Prefill: one pass over the layers.
-		for l := 0; l < L; l++ {
+		for l := 0; l < layers; l++ {
 			for k := 0; k < kernelsPerLayer; k++ {
 				if !emit(l*kernelsPerLayer+k, prefill[k]*noise()) {
 					return nil
@@ -261,7 +236,7 @@ func (s *Stream) scan(yield func(kernel int, timeUS float64) bool) error {
 		for tok := 0; tok < req.decode; tok++ {
 			kvLen := req.prompt + tok
 			decode[1] = float64(attn+0.0015*float64(kvLen)*b) * req.durMul
-			for l := 0; l < L; l++ {
+			for l := 0; l < layers; l++ {
 				for k := 0; k < kernelsPerLayer; k++ {
 					if !emit(decode0+l*kernelsPerLayer+k, decode[k]*noise()) {
 						return nil

@@ -49,9 +49,7 @@ func TestOptionsOutsideTheDomain(t *testing.T) {
 		{"last confidence below 1", Options{Confidence: lastBelowOne}, ErrConfidence},
 		{"the same, small-sample t", Options{Confidence: lastBelowOne, SmallSampleT: true}, ErrConfidence},
 		{"the same, flat", Options{Confidence: lastBelowOne, Flat: true}, ErrConfidence},
-		{"negative SplitK", Options{SplitK: -2}, ErrSplitK},
-		{"SplitK 1", Options{SplitK: 1}, ErrSplitK},
-		{"epsilon is reported first", Options{Epsilon: -1, Confidence: 2, SplitK: -1}, ErrEpsilon},
+		{"epsilon is reported first", Options{Epsilon: -1, Confidence: 2}, ErrEpsilon},
 	} {
 		for i, err := range planAt(c.opts) {
 			if !errors.Is(err, c.want) {
@@ -71,7 +69,6 @@ func TestOptionsAtTheEdgeOfTheDomain(t *testing.T) {
 		{Confidence: math.SmallestNonzeroFloat64},     // z = 0
 		{Epsilon: math.SmallestNonzeroFloat64},        // everything is sampled
 		{Epsilon: lastBelowOne},
-		{SplitK: 2}, {SplitK: 7},
 	} {
 		for i, err := range planAt(opts) {
 			if err != nil {

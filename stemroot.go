@@ -44,9 +44,6 @@ type Options struct {
 	// value is ErrConfidence, and so is 1 − 2⁻⁵³, the last float64 below 1:
 	// its z-score is not a float64.
 	Confidence float64
-	// SplitK is ROOT's subclusters per split, at least 2; 0 means 2. Any
-	// other value is ErrSplitK.
-	SplitK int
 	// Seed drives clustering initialization and sample selection; 0 means 1.
 	Seed uint64
 	// Flat disables ROOT's hierarchical splitting (STEM-only sizing over
@@ -68,7 +65,6 @@ type Options struct {
 var (
 	ErrEpsilon    = core.ErrEpsilon
 	ErrConfidence = core.ErrConfidence
-	ErrSplitK     = core.ErrSplitK
 )
 
 // Params resolves the options to the planner's parameters: defaults filled
@@ -85,17 +81,12 @@ func (o Options) Params() core.Params {
 	if o.Confidence != 0 {
 		p.Confidence = o.Confidence
 	}
-	if o.SplitK != 0 {
-		p.SplitK = o.SplitK
-	}
 	if o.Seed != 0 {
 		p.Seed = o.Seed
 	}
+	p.Flat = o.Flat
 	p.SmallSampleT = o.SmallSampleT
 	p.Workers = o.Parallelism
-	if o.Flat {
-		p = p.Flat()
-	}
 	return p
 }
 

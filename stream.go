@@ -21,16 +21,6 @@ type StreamOptions struct {
 	// O(#names × ReservoirCap) for the reservoirs, O(ReservoirCap) of
 	// re-plan scratch, and the plan.
 	ReservoirCap int
-
-	// ReplanEvery is StreamPlanner's amortization factor: a cached plan is
-	// re-derived once the invocation count grows by this multiple since
-	// the last re-plan (0 means 2, the doubling schedule).
-	ReplanEvery float64
-
-	// DriftTol re-plans early when any kernel's exact running mean moves
-	// by more than this fraction since the last re-plan (0 means 0.25;
-	// negative disables the drift trigger).
-	DriftTol float64
 }
 
 // SampleStream is Sample for out-of-core profiles: one scan feeds a
@@ -57,9 +47,9 @@ func SampleStream(src Scanner, opts Options, sopts StreamOptions) (*Plan, error)
 // single pass and bounded memory — the service-mode counterpart of
 // SampleStream. Feed invocations with Add (or AddBytes on the zero-alloc
 // hot path), then read rolling results with Snapshot or CurrentPlan; plans
-// are re-derived on an amortized schedule (see StreamOptions), so per-
-// invocation cost stays O(1). A StreamPlanner must be confined to one
-// goroutine.
+// are re-derived when the stream has doubled since the last re-plan, or
+// when some kernel's mean has moved by more than 25 %, so per-invocation
+// cost stays O(1). A StreamPlanner must be confined to one goroutine.
 type StreamPlanner struct {
 	ip *core.IncrementalPlanner
 }
