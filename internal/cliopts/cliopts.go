@@ -6,6 +6,7 @@
 package cliopts
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -13,6 +14,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 
 	"stemroot/internal/cachenet"
 	"stemroot/internal/pipeline"
@@ -48,13 +50,21 @@ func (p *Profiles) Register(fs *flag.FlagSet, at string) {
 // Register declares the shared flags on fs. simulateOnly selects the help
 // wording of a CLI that reaches the simulator only under its -simulate flag
 // (cmd/stemroot) over one whose every run simulates (cmd/experiments);
-// names and defaults are the same for both.
+// names and defaults are the same for both. A negative -j fails fs.Parse,
+// before any work: only 0 means one worker per CPU.
 func (f *Flags) Register(fs *flag.FlagSet, simulateOnly bool) {
 	scope, identical, noCache, statsWhen := "", "results are", "entirely", "on exit"
 	if simulateOnly {
 		scope, identical, noCache, statsWhen = "-simulate ", "output is", "in -simulate mode", "after -simulate"
 	}
-	fs.IntVar(&f.Jobs, "j", 0, "worker count (0 = one per CPU, 1 = serial; "+identical+" identical)")
+	fs.Func("j", "worker `count` (0 = one per CPU, 1 = serial; "+identical+" identical)", func(s string) error {
+		n, err := strconv.Atoi(s)
+		if err != nil || n < 0 {
+			return errors.New("want 0 (one per CPU) or a positive worker count")
+		}
+		f.Jobs = n
+		return nil
+	})
 	fs.StringVar(&f.CacheDir, "cachedir", "", "persist "+scope+"segment results on disk in this directory (reused across runs)")
 	fs.StringVar(&f.CacheAddr, "cacheaddr", "", "share "+scope+"segment results through the cacheserver at this address (host:port)")
 	fs.IntVar(&f.CacheMB, "cachemb", 0, "in-memory segment cache bound in MiB (0 = default 256)")

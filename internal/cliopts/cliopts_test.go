@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -126,5 +127,30 @@ func TestStartProfilesStopCompletesBothFiles(t *testing.T) {
 
 	if _, err := (&Profiles{CPUProfile: filepath.Join(dir, "missing", "cpu.prof")}).StartProfiles(); err == nil {
 		t.Fatal("unwritable -cpuprofile path accepted")
+	}
+}
+
+// TestRegisterRefusesNegativeJobs: a negative -j fails the parse, naming the
+// flag, on both CLIs' flag sets — it never silently means one worker per
+// CPU. 0 and positive counts parse to themselves.
+func TestRegisterRefusesNegativeJobs(t *testing.T) {
+	for _, simulateOnly := range []bool{false, true} {
+		for _, args := range [][]string{{"-j", "-3"}, {"-j=-1"}, {"-j", "two"}} {
+			var f Flags
+			fs := flag.NewFlagSet("t", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			f.Register(fs, simulateOnly)
+			if err := fs.Parse(args); err == nil || !strings.Contains(err.Error(), "-j") {
+				t.Errorf("simulateOnly=%v, %q: err = %v, want one naming -j", simulateOnly, args, err)
+			}
+		}
+		for _, want := range []int{0, 1, 7} {
+			var f Flags
+			fs := flag.NewFlagSet("t", flag.ContinueOnError)
+			f.Register(fs, simulateOnly)
+			if err := fs.Parse([]string{"-j", strconv.Itoa(want)}); err != nil || f.Jobs != want {
+				t.Errorf("simulateOnly=%v, -j %d: Jobs = %d, err = %v", simulateOnly, want, f.Jobs, err)
+			}
+		}
 	}
 }

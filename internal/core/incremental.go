@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -22,11 +23,16 @@ const (
 // StreamOptions tunes the IncrementalPlanner.
 type StreamOptions struct {
 	// ReservoirCap bounds the per-kernel-name time sample used for
-	// clustering (default 8192). Peak memory is independent of trace
-	// length: O(#names × ReservoirCap) for the reservoirs, plus
-	// O(ReservoirCap) re-plan scratch, plus the plan.
+	// clustering; 0 means 8192, and a negative cap is ErrReservoirCap.
+	// Peak memory is independent of trace length: O(#names × ReservoirCap)
+	// for the reservoirs, plus O(ReservoirCap) re-plan scratch, plus the
+	// plan.
 	ReservoirCap int
 }
+
+// ErrReservoirCap is what NewIncrementalPlanner returns for a negative
+// StreamOptions.ReservoirCap: only 0 selects the default.
+var ErrReservoirCap = errors.New("core: ReservoirCap must be >= 0 (0 means 8192)")
 
 // The re-plan schedule: a cached plan is re-derived once the invocation
 // count has grown by replanGrowth since the last re-plan (the doubling
@@ -39,7 +45,7 @@ const (
 
 // reservoirCap resolves the default.
 func (o StreamOptions) reservoirCap() int {
-	if o.ReservoirCap <= 0 {
+	if o.ReservoirCap == 0 {
 		return 8192
 	}
 	return o.ReservoirCap
@@ -75,27 +81,27 @@ type leafCut struct {
 // leaves are disjoint value ranges and intervalOf over their largest values
 // sends every reservoir value to its own leaf. A leaf's statistics are the
 // ones rootSplit folded over its members in reservoir order, which for an
-// in-reservoir kernel is stream order. vals is never mutated — the
-// recursion partitions a scratch copy.
-func (sc *cutScratch) leafCuts(name string, vals []float64, p Params, a *splitArena) []leafCut {
-	sc.valBuf = append(sc.valBuf[:0], vals...)
-	if cap(sc.idxBuf) < len(vals) {
-		sc.idxBuf = make([]int, len(vals))
+// in-reservoir kernel is stream order. The reservoir is never mutated: its
+// times are copied once, in slot order, into valBuf, which the recursion
+// partitions in place. The emitted leaves tile that partitioned copy in
+// order, so a leaf's largest value is read from its own sub-range of it.
+func (sc *cutScratch) leafCuts(name string, res *pairReservoir, p Params, a *splitArena) []leafCut {
+	sc.valBuf = res.appendTimes(sc.valBuf[:0])
+	n := len(sc.valBuf)
+	if cap(sc.idxBuf) < n {
+		sc.idxBuf = make([]int, n)
 	}
-	idxs := sc.idxBuf[:len(vals)]
+	idxs := sc.idxBuf[:n]
 	for i := range idxs {
 		idxs[i] = i
 	}
 	sc.leaves = rootSplit(name, sc.valBuf, idxs, StatsOf(sc.valBuf), p, 0, sc.leaves[:0], a)
 	sc.cuts = sc.cuts[:0]
+	at := 0
 	for _, leaf := range sc.leaves {
-		hi := math.Inf(-1)
-		for _, ix := range leaf.Indices {
-			if vals[ix] > hi {
-				hi = vals[ix]
-			}
-		}
-		sc.cuts = append(sc.cuts, leafCut{hi, leaf.Stats})
+		end := at + len(leaf.Indices)
+		sc.cuts = append(sc.cuts, leafCut{slices.Max(sc.valBuf[at:end]), leaf.Stats})
+		at = end
 	}
 	slices.SortFunc(sc.cuts, func(a, b leafCut) int { return cmp.Compare(a.hi, b.hi) })
 	return sc.cuts
@@ -112,33 +118,86 @@ func intervalOf(cuts []float64, v float64) int {
 }
 
 // pairReservoir keeps a uniform sample of (value, stream position) pairs
-// (Vitter's algorithm R): one Intn per observation once full. Storage grows
-// geometrically to the cap, so a name invoked fewer than cap times holds
-// only what it saw.
+// (Vitter's algorithm R): one Intn per observation once full. Its slots live
+// in blocks of 64, 64, 128, 256, … slots, each twice the one before from the
+// third on and the last cut at the cap; slot j is in block
+// bits.Len(j/blockSlots). A block is allocated when its first slot is
+// filled and is never copied, so a name seen n < cap times holds at most
+// max(64, 2n) slots, and exactly cap once full.
 type pairReservoir struct {
-	cap  int
-	seen int
+	cap    int
+	seen   int
+	blocks []pairBlock
+	r      *rng.Rand
+}
+
+// pairBlock is one allocation of reservoir slots: times and their stream
+// positions, filled by append up to the capacity it was made with.
+type pairBlock struct {
 	vals []float64
 	pos  []int
-	r    *rng.Rand
+}
+
+// blockSlots is the size of the first two blocks.
+const blockSlots = 64
+
+// blockOf returns the block holding slot j and j's offset in it.
+func blockOf(j int) (b, off int) {
+	b = bits.Len(uint(j / blockSlots))
+	if b > 0 {
+		j -= blockSlots << (b - 1) // where block b starts
+	}
+	return b, j
 }
 
 func (rv *pairReservoir) add(v float64, position int) {
 	rv.seen++
-	if len(rv.vals) < rv.cap {
-		if len(rv.vals) == cap(rv.vals) {
-			grow := min(max(2*cap(rv.vals), 64), rv.cap)
-			rv.vals = append(make([]float64, 0, grow), rv.vals...)
-			rv.pos = append(make([]int, 0, grow), rv.pos...)
+	if rv.seen <= rv.cap {
+		k := len(rv.blocks) - 1
+		if k < 0 || len(rv.blocks[k].vals) == cap(rv.blocks[k].vals) {
+			rv.grow()
+			k++
 		}
-		rv.vals = append(rv.vals, v)
-		rv.pos = append(rv.pos, position)
+		tail := &rv.blocks[k]
+		tail.vals = append(tail.vals, v)
+		tail.pos = append(tail.pos, position)
 		return
 	}
 	if j := rv.r.Intn(rv.seen); j < rv.cap {
-		rv.vals[j] = v
-		rv.pos[j] = position
+		b, off := blockOf(j)
+		rv.blocks[b].vals[off] = v
+		rv.blocks[b].pos[off] = position
 	}
+}
+
+// grow opens the next block, as large as the blocks before it together
+// (64 for the first) and cut at the cap. The first call also sizes the block
+// list for every block up to the cap, so that list is allocated once too.
+func (rv *pairReservoir) grow() {
+	if rv.blocks == nil {
+		last, _ := blockOf(rv.cap - 1)
+		rv.blocks = make([]pairBlock, 0, last+1)
+	}
+	filled := rv.seen - 1 // add has counted the pair it is about to store
+	n := min(max(filled, blockSlots), rv.cap-filled)
+	rv.blocks = append(rv.blocks, pairBlock{make([]float64, 0, n), make([]int, 0, n)})
+}
+
+// filled returns the number of filled slots.
+func (rv *pairReservoir) filled() int { return min(rv.seen, rv.cap) }
+
+// at returns the time and stream position in slot j.
+func (rv *pairReservoir) at(j int) (float64, int) {
+	b, off := blockOf(j)
+	return rv.blocks[b].vals[off], rv.blocks[b].pos[off]
+}
+
+// appendTimes appends the reservoir's times to dst in slot order.
+func (rv *pairReservoir) appendTimes(dst []float64) []float64 {
+	for _, b := range rv.blocks {
+		dst = append(dst, b.vals...)
+	}
+	return dst
 }
 
 // incNameState is the per-kernel-name state of the incremental planner.
@@ -212,6 +271,9 @@ type IncrementalPlanner struct {
 func NewIncrementalPlanner(p Params, opts StreamOptions) (*IncrementalPlanner, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
+	}
+	if opts.ReservoirCap < 0 {
+		return nil, ErrReservoirCap
 	}
 	return &IncrementalPlanner{
 		p:       p,
@@ -346,7 +408,7 @@ func (ip *IncrementalPlanner) Plan() (*Plan, error) {
 	ip.cuts, ip.intervals = ip.cuts[:0], ip.intervals[:0]
 	for _, name := range ip.sorted {
 		st := ip.states[name]
-		for _, lc := range ip.sc.leafCuts(name, st.res.vals, ip.p, &ip.arena) {
+		for _, lc := range ip.sc.leafCuts(name, &st.res, ip.p, &ip.arena) {
 			ip.cuts = append(ip.cuts, lc.hi)
 			ip.intervals = append(ip.intervals, incInterval{name: name, st: st, cs: lc.cs})
 		}
@@ -386,8 +448,8 @@ func (ip *IncrementalPlanner) Plan() (*Plan, error) {
 	for lo := 0; lo < n; {
 		hi := nameRun(intervals, lo)
 		res := &intervals[lo].st.res
-		ip.groupSlots(res.vals, ip.cuts[lo:hi], intervals[lo:hi])
-		ip.drawn = sized(ip.drawn, (len(res.vals)+63)/64)
+		ip.groupSlots(res, ip.cuts[lo:hi], intervals[lo:hi])
+		ip.drawn = sized(ip.drawn, (res.filled()+63)/64)
 		clear(ip.drawn)
 		for i := lo; i < hi; i++ {
 			iv := &intervals[i]
@@ -415,8 +477,8 @@ func (ip *IncrementalPlanner) Plan() (*Plan, error) {
 					k = drawGen.Intn(len(pool))
 				}
 				slot := pool[k]
-				pc.Samples[j] = res.pos[slot]
-				t := res.vals[slot]
+				t, pos := res.at(int(slot))
+				pc.Samples[j] = pos
 				estimate += pc.Weight * t
 				if word, bit := &ip.drawn[slot>>6], uint64(1)<<(slot&63); *word&bit == 0 {
 					*word |= bit
@@ -468,19 +530,24 @@ func nameRun(intervals []incInterval, lo int) int {
 
 // groupSlots is a stable counting sort of one kernel's reservoir slots by
 // interval into ip.perm, leaving each interval's end offset in ip.ends. The
-// group sizes are already known: they are the leaves' populations.
-func (ip *IncrementalPlanner) groupSlots(vals, cuts []float64, ivs []incInterval) {
+// group sizes are already known: they are the leaves' populations. The
+// reservoir's blocks are walked in slot order.
+func (ip *IncrementalPlanner) groupSlots(res *pairReservoir, cuts []float64, ivs []incInterval) {
 	ip.ends = sized(ip.ends, len(ivs))
 	at := 0
 	for j := range ivs {
 		ip.ends[j] = at // the group's start, advanced to its end below
 		at += ivs[j].cs.N
 	}
-	ip.perm = sized(ip.perm, len(vals))
-	for slot, v := range vals {
-		j := intervalOf(cuts, v)
-		ip.perm[ip.ends[j]] = int32(slot)
-		ip.ends[j]++
+	ip.perm = sized(ip.perm, res.filled())
+	slot := int32(0)
+	for _, b := range res.blocks {
+		for _, v := range b.vals {
+			j := intervalOf(cuts, v)
+			ip.perm[ip.ends[j]] = slot
+			ip.ends[j]++
+			slot++
+		}
 	}
 }
 
@@ -493,7 +560,7 @@ func (ip *IncrementalPlanner) groupSlots(vals, cuts []float64, ivs []incInterval
 // (they sum exactly to N), and means/deviations are scaled so the plan's
 // implied total Σ N_c·μ_c equals the kernel's exact total time.
 func (ip *IncrementalPlanner) nameStats(out []ClusterStats, st *incNameState, intervals []incInterval) float64 {
-	r := len(st.res.vals)
+	r := st.res.filled()
 	if st.res.seen <= r {
 		for i := range intervals {
 			out[i] = intervals[i].cs

@@ -104,7 +104,9 @@ func TestReplanIntervalsAreLeaves(t *testing.T) {
 		}
 		for lo := 0; lo < len(ip.intervals); {
 			hi := nameRun(ip.intervals, lo)
-			name, vals := ip.intervals[lo].name, ip.intervals[lo].st.res.vals
+			name, res := ip.intervals[lo].name, &ip.intervals[lo].st.res
+			vals := res.appendTimes(nil)
+			timeAt := func(slot int) float64 { v, _ := res.at(slot); return v }
 			idxs := make([]int, len(vals))
 			for i := range idxs {
 				idxs[i] = i
@@ -115,9 +117,9 @@ func TestReplanIntervalsAreLeaves(t *testing.T) {
 			}
 			taken := make([]bool, hi-lo)
 			for li, leaf := range leaves {
-				j := intervalOf(ip.cuts[lo:hi], vals[leaf.Indices[0]])
+				j := intervalOf(ip.cuts[lo:hi], timeAt(leaf.Indices[0]))
 				for _, slot := range leaf.Indices {
-					if k := intervalOf(ip.cuts[lo:hi], vals[slot]); k != j {
+					if k := intervalOf(ip.cuts[lo:hi], timeAt(slot)); k != j {
 						t.Fatalf("cap %d, %s: leaf %d's slots fall in intervals %d and %d", tc.cap, name, li, j, k)
 					}
 				}

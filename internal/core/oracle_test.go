@@ -119,7 +119,7 @@ func refCuts(name string, vals []float64, p Params) []float64 {
 // then scaled so that Σ N_c·μ_c is the kernel's exact total.
 func refNameStats(st *incNameState, reservoir []ClusterStats) ([]ClusterStats, float64) {
 	out := append([]ClusterStats(nil), reservoir...)
-	r := len(st.res.vals)
+	r := st.res.filled()
 	if st.res.seen <= r {
 		return out, 1
 	}
@@ -190,16 +190,17 @@ func naivePlan(ip *IncrementalPlanner) (plan *Plan, estimate, sampledTime float6
 	var calScale []float64
 	for _, name := range names {
 		st := ip.states[name]
-		cuts := refCuts(name, st.res.vals, ip.p)
+		cuts := refCuts(name, st.res.appendTimes(nil), ip.p)
 		acc := make([]stats.Online, len(cuts))
 		pools := make([]interval, len(cuts))
-		for i, v := range st.res.vals {
+		for i := range st.res.filled() {
+			v, pos := st.res.at(i)
 			j := sort.SearchFloat64s(cuts, v)
 			if j >= len(cuts) {
 				j = len(cuts) - 1
 			}
 			acc[j].Add(v)
-			pools[j].pool = append(pools[j].pool, st.res.pos[i])
+			pools[j].pool = append(pools[j].pool, pos)
 			pools[j].vals = append(pools[j].vals, v)
 		}
 		reservoir := make([]ClusterStats, len(cuts))

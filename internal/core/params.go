@@ -52,10 +52,10 @@ type Params struct {
 	// resized with t quantiles. An extension beyond the paper.
 	SmallSampleT bool
 	// Workers bounds ROOT's per-kernel-name clustering fan-out: 0 allows one
-	// worker per CPU, 1 forces the serial path. BuildClusters uses one worker
-	// per rootGrainRows (1024) profile rows up to this bound, so a small
-	// profile is clustered on the calling goroutine at any value. Output is
-	// identical for every value.
+	// worker per CPU, 1 forces the serial path, and a negative count is
+	// ErrParallelism. BuildClusters uses one worker per rootGrainRows (1024)
+	// profile rows up to this bound, so a small profile is clustered on the
+	// calling goroutine at any value. Output is identical for every value.
 	Workers int
 }
 
@@ -76,14 +76,17 @@ const (
 	maxDepth       = 24
 )
 
-// What Validate returns for the three parameters callers set, so that every
-// planner — and the public package, which re-exports the first two —
+// What Validate returns for the four parameters callers set, so that every
+// planner — and the public package, which re-exports all but ErrSplitK —
 // refuses an out-of-domain value by name.
 var (
 	ErrEpsilon = errors.New("core: Epsilon must be in (0,1)")
 	// A confidence within an ulp of 1 has no z-score: 1−α/2 rounds to 1.
 	ErrConfidence = errors.New("core: Confidence must be in (0,1), with 1-(1-Confidence)/2 below 1 in float64")
 	ErrSplitK     = errors.New("core: SplitK must be >= 2")
+	// Workers is the public Options.Parallelism; only 0 selects one
+	// worker per CPU.
+	ErrParallelism = errors.New("core: Parallelism must be >= 0 (0 means one worker per CPU)")
 )
 
 // Validate reports parameter errors. The comparisons are written so that a
@@ -97,6 +100,8 @@ func (p Params) Validate() error {
 		return ErrConfidence
 	case p.SplitK < 2:
 		return ErrSplitK
+	case p.Workers < 0:
+		return ErrParallelism
 	}
 	return nil
 }

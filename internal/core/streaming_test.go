@@ -7,6 +7,7 @@ package core
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"stemroot/internal/rng"
 )
@@ -25,22 +26,78 @@ func TestReservoirUniformity(t *testing.T) {
 		sum += v
 		rv.add(v, i)
 	}
-	for j, pos := range rv.pos {
-		if stream[pos] != rv.vals[j] {
-			t.Fatalf("slot %d holds %v but position %d had %v", j, rv.vals[j], pos, stream[pos])
-		}
-	}
-	streamMean := sum / n
 	var rsum float64
-	for _, v := range rv.vals {
+	for j := range rv.filled() {
+		v, pos := rv.at(j)
+		if stream[pos] != v {
+			t.Fatalf("slot %d holds %v but position %d had %v", j, v, pos, stream[pos])
+		}
 		rsum += v
 	}
-	resMean := rsum / float64(len(rv.vals))
+	streamMean := sum / n
+	resMean := rsum / float64(rv.filled())
 	if math.Abs(resMean-streamMean) > 3 {
 		t.Fatalf("reservoir mean %v vs stream mean %v", resMean, streamMean)
 	}
-	if rv.seen != n || len(rv.vals) != 500 {
-		t.Fatalf("reservoir state: seen=%d len=%d", rv.seen, len(rv.vals))
+	if rv.seen != n || rv.filled() != 500 {
+		t.Fatalf("reservoir state: seen=%d filled=%d", rv.seen, rv.filled())
+	}
+}
+
+// TestReservoirStorageIsNeverCopied pins the block layout's bound: filling
+// a cap-8192 reservoir and replacing slots for 50,000 adds allocates the
+// 8192 pairs once, plus the block list — where growing one flat pair of
+// arrays by doubling allocated 16,320 pairs to keep 8192. A name seen n
+// times below the cap holds at most max(64, 2n) slots, and every slot
+// holds what was added to it.
+func TestReservoirStorageIsNeverCopied(t *testing.T) {
+	for _, n := range []int{1, 64, 65, 100, 129, 1000, 4097} {
+		rv := pairReservoir{cap: 8192, r: rng.New(1)}
+		for i := range n {
+			rv.add(float64(i), i)
+		}
+		slots := 0
+		for _, b := range rv.blocks {
+			slots += cap(b.vals)
+		}
+		if slots > max(64, 2*n) || rv.filled() != n {
+			t.Fatalf("%d adds: %d filled slots in %d, want %d in at most %d", n, rv.filled(), slots, n, max(64, 2*n))
+		}
+		for j := range n {
+			if v, pos := rv.at(j); v != float64(j) || pos != j {
+				t.Fatalf("%d adds: slot %d holds (%v, %d)", n, j, v, pos)
+			}
+		}
+	}
+
+	if raceEnabled {
+		t.Skip("race runtime distorts allocation accounting")
+	}
+	// What the runtime allocates on its own meanwhile only adds to a
+	// reading, so the least of a few fresh fills is the reservoir's own.
+	const rcap, adds = 8192, 50_000
+	var rv pairReservoir
+	got := uint64(math.MaxUint64)
+	for range 5 {
+		rv = pairReservoir{cap: rcap, r: rng.New(2)}
+		got = min(got, allocatedBy(func() {
+			for i := range adds {
+				rv.add(float64(i), i)
+			}
+		}))
+	}
+	pairs := rcap * int(unsafe.Sizeof(float64(0))+unsafe.Sizeof(int(0)))
+	headers := cap(rv.blocks) * int(unsafe.Sizeof(pairBlock{}))
+	if got > uint64(pairs+headers) {
+		t.Fatalf("%d adds to a cap-%d reservoir allocated %d B, want at most %d B of pairs plus %d B of block headers",
+			adds, rcap, got, pairs, headers)
+	}
+	slots := 0
+	for _, b := range rv.blocks {
+		slots += len(b.vals)
+	}
+	if slots != rcap || rv.filled() != rcap {
+		t.Fatalf("full reservoir holds %d slots (filled %d), want %d", slots, rv.filled(), rcap)
 	}
 }
 

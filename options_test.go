@@ -8,13 +8,14 @@ import (
 
 // planAt runs the three planning entry points with opts over one small
 // profile and returns their errors: Sample, SampleStream, and a
-// StreamPlanner fed the profile and asked for its Plan.
-func planAt(opts Options) [3]error {
+// StreamPlanner fed the profile and asked for its Plan. The two streaming
+// ones get sopts.
+func planAt(opts Options, sopts StreamOptions) [3]error {
 	names, times := syntheticProfile(600, 4)
 	var errs [3]error
 	_, errs[0] = Sample(names, times, opts)
-	_, errs[1] = SampleStream(sliceScanner{names, times}, opts, StreamOptions{})
-	sp, err := NewStreamPlanner(opts, StreamOptions{})
+	_, errs[1] = SampleStream(sliceScanner{names, times}, opts, sopts)
+	sp, err := NewStreamPlanner(opts, sopts)
 	if err == nil {
 		for i := range names {
 			sp.Add(names[i], times[i])
@@ -50,8 +51,11 @@ func TestOptionsOutsideTheDomain(t *testing.T) {
 		{"the same, small-sample t", Options{Confidence: lastBelowOne, SmallSampleT: true}, ErrConfidence},
 		{"the same, flat", Options{Confidence: lastBelowOne, Flat: true}, ErrConfidence},
 		{"epsilon is reported first", Options{Epsilon: -1, Confidence: 2}, ErrEpsilon},
+		{"negative parallelism", Options{Parallelism: -1}, ErrParallelism},
+		{"parallelism -3, flat", Options{Parallelism: -3, Flat: true}, ErrParallelism},
+		{"parallelism MinInt", Options{Parallelism: math.MinInt}, ErrParallelism},
 	} {
-		for i, err := range planAt(c.opts) {
+		for i, err := range planAt(c.opts, StreamOptions{}) {
 			if !errors.Is(err, c.want) {
 				t.Errorf("%s: %s returned %v, want %v", c.name, entryPoints[i], err, c.want)
 			}
@@ -69,11 +73,17 @@ func TestOptionsAtTheEdgeOfTheDomain(t *testing.T) {
 		{Confidence: math.SmallestNonzeroFloat64},     // z = 0
 		{Epsilon: math.SmallestNonzeroFloat64},        // everything is sampled
 		{Epsilon: lastBelowOne},
+		{Parallelism: 1},
 	} {
-		for i, err := range planAt(opts) {
+		for i, err := range planAt(opts, StreamOptions{}) {
 			if err != nil {
 				t.Errorf("%+v: %s returned %v", opts, entryPoints[i], err)
 			}
+		}
+	}
+	for i, err := range planAt(Options{}, StreamOptions{ReservoirCap: 1}) {
+		if err != nil {
+			t.Errorf("ReservoirCap 1: %s returned %v", entryPoints[i], err)
 		}
 	}
 	if _, err := SampleSize(10, 1, 1, 0.05, lastBelowOne); !errors.Is(err, ErrConfidence) {
@@ -81,5 +91,22 @@ func TestOptionsAtTheEdgeOfTheDomain(t *testing.T) {
 	}
 	if _, err := SampleSize(10, 1, 1, math.NaN(), 0.95); !errors.Is(err, ErrEpsilon) {
 		t.Errorf("SampleSize at NaN epsilon: %v", err)
+	}
+}
+
+// TestStreamOptionsOutsideTheDomain: a negative ReservoirCap is refused by
+// name at both streaming entry points — never a silent 8192-slot reservoir.
+// Sample keeps every row and has no reservoir to refuse.
+func TestStreamOptionsOutsideTheDomain(t *testing.T) {
+	for _, rcap := range []int{-1, -8192, math.MinInt} {
+		errs := planAt(Options{}, StreamOptions{ReservoirCap: rcap})
+		if errs[0] != nil {
+			t.Errorf("ReservoirCap %d: Sample returned %v", rcap, errs[0])
+		}
+		for i, err := range errs[1:] {
+			if !errors.Is(err, ErrReservoirCap) {
+				t.Errorf("ReservoirCap %d: %s returned %v, want %v", rcap, entryPoints[i+1], err, ErrReservoirCap)
+			}
+		}
 	}
 }

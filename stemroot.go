@@ -54,8 +54,9 @@ type Options struct {
 	// small-sample extension of the paper's error model.
 	SmallSampleT bool
 	// Parallelism is the worker count for ROOT's per-kernel clustering
-	// fan-out: 0 selects one worker per CPU, 1 forces the serial path. The
-	// plan is bit-identical for every value.
+	// fan-out: 0 selects one worker per CPU, 1 forces the serial path, and
+	// a negative count is ErrParallelism. The plan is bit-identical for
+	// every value.
 	Parallelism int
 }
 
@@ -63,8 +64,10 @@ type Options struct {
 // errors.Is) for an option outside its domain. Only the zero value selects
 // a default.
 var (
-	ErrEpsilon    = core.ErrEpsilon
-	ErrConfidence = core.ErrConfidence
+	ErrEpsilon      = core.ErrEpsilon
+	ErrConfidence   = core.ErrConfidence
+	ErrParallelism  = core.ErrParallelism
+	ErrReservoirCap = core.ErrReservoirCap // StreamOptions.ReservoirCap < 0
 )
 
 // Params resolves the options to the planner's parameters: defaults filled

@@ -145,10 +145,13 @@ func TestSampleStreamScansOnce(t *testing.T) {
 	}
 }
 
-// TestSampleStreamPinnedPlans pins SampleStream's plan JSON on
-// in-reservoir traces to hashes recorded when it was a two-pass planner:
-// the one-pass planner reproduces that plan bit for bit whenever every
-// kernel fits its reservoir.
+// TestSampleStreamPinnedPlans pins SampleStream's plan JSON. On
+// in-reservoir traces (the default cap) the hashes were recorded when it
+// was a two-pass planner: the one-pass planner reproduces that plan bit for
+// bit whenever every kernel fits its reservoir. The rows at caps 64 and 512
+// overflow every kernel's reservoir, so they pin slot replacement and the
+// over-capacity statistics; their hashes were recorded when each reservoir
+// was one flat pair of arrays.
 func TestSampleStreamPinnedPlans(t *testing.T) {
 	synth := func() ([]string, []float64) { return syntheticProfile(20000, 12) }
 	small := func() ([]string, []float64) { return syntheticProfile(3000, 13) }
@@ -156,21 +159,30 @@ func TestSampleStreamPinnedPlans(t *testing.T) {
 	for _, c := range []struct {
 		profile func() ([]string, []float64)
 		opts    Options
+		sopts   StreamOptions
 		sha256  string
 	}{
-		{small, Options{}, "1e5a31d44ce35bc03a8b127bc66bebd8bf13d56773e04172e67cf9666d0fe58a"},
-		{small, Options{Epsilon: 0.01, Seed: 7}, "3e3ae2ef8829ff385cd20d22c78bf65bbb985a4717255cfac2d6b35c21aa007d"},
-		{small, Options{Flat: true}, "38c0350af20632d69514ce2a699c82c3ec21e47448f0ec6c156be4051afebd43"},
-		{synth, Options{}, "036c858bd262946df66dc4102c00cce8c7ab9a91359327fd484ccd67dffecfe3"},
-		{synth, Options{Epsilon: 0.01, Seed: 7}, "173c8347f8dc1c3b1530e69d6b4197f88421279c1afe9f9d354a71a69779d7f7"},
-		{synth, Options{Flat: true}, "04b991a7f54f4881488f1f0797cee95d121546e857346c862c2aed754f73170a"},
-		{lognormal, Options{}, "2dd39194484b6258e7b73aeba5a4833ed28cc6cb31e302bee7030adf91acd4a7"},
-		{lognormal, Options{Epsilon: 0.01, Seed: 7}, "b3dee8d8c601c560befbf4ba560e2cbae6a06197a9f6f0d3d053275b90b43bd5"},
-		{lognormal, Options{Flat: true}, "cc5406434f096312dd8bc25a107bfa1d23142e27ac647835ba5f27ccd3616eb5"},
-		{lognormal, Options{SmallSampleT: true}, "2dd39194484b6258e7b73aeba5a4833ed28cc6cb31e302bee7030adf91acd4a7"},
+		{small, Options{}, StreamOptions{}, "1e5a31d44ce35bc03a8b127bc66bebd8bf13d56773e04172e67cf9666d0fe58a"},
+		{small, Options{Epsilon: 0.01, Seed: 7}, StreamOptions{}, "3e3ae2ef8829ff385cd20d22c78bf65bbb985a4717255cfac2d6b35c21aa007d"},
+		{small, Options{Flat: true}, StreamOptions{}, "38c0350af20632d69514ce2a699c82c3ec21e47448f0ec6c156be4051afebd43"},
+		{synth, Options{}, StreamOptions{}, "036c858bd262946df66dc4102c00cce8c7ab9a91359327fd484ccd67dffecfe3"},
+		{synth, Options{Epsilon: 0.01, Seed: 7}, StreamOptions{}, "173c8347f8dc1c3b1530e69d6b4197f88421279c1afe9f9d354a71a69779d7f7"},
+		{synth, Options{Flat: true}, StreamOptions{}, "04b991a7f54f4881488f1f0797cee95d121546e857346c862c2aed754f73170a"},
+		{lognormal, Options{}, StreamOptions{}, "2dd39194484b6258e7b73aeba5a4833ed28cc6cb31e302bee7030adf91acd4a7"},
+		{lognormal, Options{Epsilon: 0.01, Seed: 7}, StreamOptions{}, "b3dee8d8c601c560befbf4ba560e2cbae6a06197a9f6f0d3d053275b90b43bd5"},
+		{lognormal, Options{Flat: true}, StreamOptions{}, "cc5406434f096312dd8bc25a107bfa1d23142e27ac647835ba5f27ccd3616eb5"},
+		{lognormal, Options{SmallSampleT: true}, StreamOptions{}, "2dd39194484b6258e7b73aeba5a4833ed28cc6cb31e302bee7030adf91acd4a7"},
+		{synth, Options{}, StreamOptions{ReservoirCap: 64}, "fc6ca2e37d5a89c7fed20113fb18c08509140730479f797837ad3f2d92850a6b"},
+		{synth, Options{Epsilon: 0.01, Seed: 7}, StreamOptions{ReservoirCap: 64}, "12b81eb544467f4b7b482b3d5781b6b70d5dc3ae2ce74ae1f91b61d688f649cb"},
+		{synth, Options{}, StreamOptions{ReservoirCap: 512}, "83df6a02a20e3d1011f14c03e22f30b218ebcf4375182b5a02429a2edd2f19d7"},
+		{synth, Options{Epsilon: 0.01, Seed: 7}, StreamOptions{ReservoirCap: 512}, "8603329c6c989414fdd06863970991d2378aa0016d0db9d2c3def00e45c1c56a"},
+		{lognormal, Options{}, StreamOptions{ReservoirCap: 64}, "7bd63dccdb66f8aeffa1338bbaf9d0e137c87b1ae66e7835e21f780c6fb1fdf5"},
+		{lognormal, Options{Epsilon: 0.01, Seed: 7}, StreamOptions{ReservoirCap: 64}, "9daf99383875bd5bfbefab6c7cf06881a38f5e18a920e9661b34ab445f38b4dd"},
+		{lognormal, Options{}, StreamOptions{ReservoirCap: 512}, "b7173b0ff83605034776fb7172645d873ee243ab1f8bca1ef3113f35711d06e3"},
+		{lognormal, Options{Epsilon: 0.01, Seed: 7}, StreamOptions{ReservoirCap: 512}, "a8c9dbc462d8b37eb332196480cd6fc02b5fa557cd7e36c94176152627bc0a9e"},
 	} {
 		names, times := c.profile()
-		plan, err := SampleStream(sliceScanner{names, times}, c.opts, StreamOptions{})
+		plan, err := SampleStream(sliceScanner{names, times}, c.opts, c.sopts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +191,7 @@ func TestSampleStreamPinnedPlans(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != c.sha256 {
-			t.Errorf("%d rows, %+v: plan JSON sha256 %s, pinned %s", len(names), c.opts, got, c.sha256)
+			t.Errorf("%d rows, %+v, %+v: plan JSON sha256 %s, pinned %s", len(names), c.opts, c.sopts, got, c.sha256)
 		}
 	}
 }
