@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sort"
 
+	"stemroot/internal/cluster"
 	"stemroot/internal/rng"
 	"stemroot/internal/stats"
 )
@@ -401,6 +402,7 @@ func (ip *IncrementalPlanner) Plan() (*Plan, error) {
 	}
 	ip.sorted = append(ip.sorted[:0], ip.order...)
 	sort.Strings(ip.sorted)
+	ip.reserveScratch()
 
 	// Phase 1, per name: the intervals are ROOT's leaves, with their
 	// statistics. Which slot fell where is not kept — phase 3 re-derives it
@@ -502,6 +504,32 @@ func (ip *IncrementalPlanner) Plan() (*Plan, error) {
 		st.meanAtPlan = st.exact.Mean()
 	}
 	return plan, nil
+}
+
+// reserveScratch sizes the scratch a re-plan uses for one kernel at a time
+// before the first kernel is clustered: for the largest reservoir, rounded
+// up to a power of two and capped at the reservoir capacity, so it grows at
+// most log₂(capacity) times in a planner's life. Re-made at exactly each
+// larger reservoir — as the sorted names and the re-plans reached one — it
+// cost about twice what one capacity-sized set holds. The capacity of perm
+// is the size reserved.
+func (ip *IncrementalPlanner) reserveScratch() {
+	most := 0
+	for _, st := range ip.states {
+		most = max(most, st.res.filled())
+	}
+	if most <= cap(ip.perm) {
+		return
+	}
+	n := min(1<<bits.Len(uint(most-1)), ip.opts.reservoirCap())
+	ip.perm = make([]int32, 0, n)
+	ip.drawn = make([]uint64, 0, (n+63)/64)
+	ip.sc.valBuf = make([]float64, 0, n)
+	ip.sc.idxBuf = make([]int, n)
+	ip.arena.grow(n)
+	// cluster.Scratch1D sizes its buffers to its input, so one single-pass
+	// run over n values (any values: only the sizes are kept) grows them.
+	ip.arena.km.KMeans(ip.arena.valTmp[:n], ip.p.SplitK, cluster.Options{MaxIter: 1})
 }
 
 // incInterval is one derived cluster interval during Plan: the owning

@@ -272,3 +272,47 @@ func TestIncrementalPlanScratchBounded(t *testing.T) {
 		t.Fatalf("re-plan scratch grows with the kernel count: %d B beyond the plan at 8 kernels, %d B at 64 (allowed %d)", few, many, allowed)
 	}
 }
+
+// TestIncrementalPlanScratchGrowsOnce pins when a re-plan sizes its
+// per-kernel scratch: once, for the largest reservoir, before the first
+// kernel is clustered. Two planners hold the same 16 reservoirs, 2,500 to
+// 4,000 observations each; in one the sorted names come smallest first, so
+// each outgrows the one before, in the other largest first. Their first
+// plans are the same size and must allocate the same beyond it, to within
+// 4 KiB for the draws' and the runtime's own bookkeeping. Scratch
+// re-made at exactly each larger reservoir cost the ascending planner about
+// seven more sets of it.
+func TestIncrementalPlanScratchGrowsOnce(t *testing.T) {
+	const kernels = 16
+	excess := func(size func(k int) int) int64 {
+		ip, err := NewIncrementalPlanner(defaultP(), StreamOptions{ReservoirCap: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range kernels {
+			n := size(k)
+			r := rng.New(uint64(n)) // a reservoir's values depend on its size alone
+			for range n {
+				v := r.LogNormal(1, 0.4)
+				if r.Intn(3) == 0 {
+					v *= 9 // a second mode, so ROOT splits
+				}
+				ip.Add(fmt.Sprintf("k%02d", k), v)
+			}
+		}
+		var plan *Plan
+		first := allocatedBy(func() { plan, err = ip.Plan() })
+		if err != nil {
+			t.Fatal(err)
+		}
+		var clone *Plan
+		planBytes := allocatedBy(func() { clone = clonePlan(plan) })
+		runtime.KeepAlive(clone)
+		return int64(first) - int64(planBytes)
+	}
+	descending := excess(func(k int) int { return 2500 + 100*(kernels-1-k) })
+	ascending := excess(func(k int) int { return 2500 + 100*k })
+	if ascending > descending+4<<10 {
+		t.Fatalf("a first re-plan allocates %d B beyond its plan when the largest reservoir comes last, %d B when it comes first", ascending, descending)
+	}
+}

@@ -51,14 +51,14 @@ func TestRunSegmentedEngineParDeterministic(t *testing.T) {
 	cfg := Baseline()
 	specAt := engineTestSpecs(40)
 	eng := Engine{Mode: EngineModePar, Workers: 1}
-	base, err := RunSegmentedEngine(cfg, 40, specAt, 8, 1, nil, eng)
+	base, err := RunSegmentedEngine(nil, cfg, 40, specAt, 8, 1, nil, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, jseg := range []int{2, 4} {
 		for _, jk := range []int{2, 8} {
 			eng.Workers = jk
-			got, err := RunSegmentedEngine(cfg, 40, specAt, 8, jseg, nil, eng)
+			got, err := RunSegmentedEngine(nil, cfg, 40, specAt, 8, jseg, nil, eng)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,12 +79,12 @@ func TestRunSegmentedEngineExactIsRunSegmentedCached(t *testing.T) {
 	cfg := Baseline()
 	specAt := engineTestSpecs(24)
 	cache := newRecordingCache()
-	want, err := RunSegmentedEngine(cfg, 24, specAt, 8, 2, cache, Engine{})
+	want, err := RunSegmentedEngine(nil, cfg, 24, specAt, 8, 2, cache, Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	warmed := len(cache.entries)
-	got, err := RunSegmentedEngine(cfg, 24, specAt, 8, 3, cache, Engine{})
+	got, err := RunSegmentedEngine(nil, cfg, 24, specAt, 8, 3, cache, Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,12 +107,12 @@ func TestRunSegmentedEngineModesNeverShareEntries(t *testing.T) {
 	cfg := Baseline()
 	specAt := engineTestSpecs(24)
 	cache := newRecordingCache()
-	exact, err := RunSegmentedEngine(cfg, 24, specAt, 8, 2, cache, Engine{})
+	exact, err := RunSegmentedEngine(nil, cfg, 24, specAt, 8, 2, cache, Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	afterExact := len(cache.entries)
-	par, err := RunSegmentedEngine(cfg, 24, specAt, 8, 2, cache, Engine{Mode: EngineModePar, Workers: 2})
+	par, err := RunSegmentedEngine(nil, cfg, 24, specAt, 8, 2, cache, Engine{Mode: EngineModePar, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestRunSegmentedEngineModesNeverShareEntries(t *testing.T) {
 		t.Fatalf("par run added %d entries, want %d (disjoint key sets)", len(cache.entries)-afterExact, afterExact)
 	}
 	// A par replay must hit only the par entries and reproduce par results.
-	par2, err := RunSegmentedEngine(cfg, 24, specAt, 8, 4, cache, Engine{Mode: EngineModePar, Workers: 3})
+	par2, err := RunSegmentedEngine(nil, cfg, 24, specAt, 8, 4, cache, Engine{Mode: EngineModePar, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,15 +144,16 @@ func TestRunSegmentedEngineModesNeverShareEntries(t *testing.T) {
 // TestRunSegmentedEngineRejectsBadEngine pins the error path.
 func TestRunSegmentedEngineRejectsBadEngine(t *testing.T) {
 	cfg := Baseline()
-	if _, err := RunSegmentedEngine(cfg, 8, engineTestSpecs(8), 4, 1, nil, Engine{Mode: "fast"}); err == nil {
+	if _, err := RunSegmentedEngine(nil, cfg, 8, engineTestSpecs(8), 4, 1, nil, Engine{Mode: "fast"}); err == nil {
 		t.Fatal("unknown engine mode accepted")
 	}
 }
 
 // TestRunSegmentedEngineWarmAllocs pins the warm path of the executor: a
-// call whose every segment hits allocates the results slice it returns and
-// nothing else — nothing per segment, nothing per worker scratch, no bound
-// callback for the scheduler — whether it covers one segment or sixty-four.
+// call whose every segment hits, into a window that already holds its
+// results, allocates nothing — nothing per segment, nothing per worker
+// scratch, no bound callback for the scheduler — whether it covers one
+// segment or sixty-four; with no window it allocates the results alone.
 // Before the idle scratch list each call re-grew a spec slice and a
 // key-encoding buffer from nil and made one closure per segment.
 func TestRunSegmentedEngineWarmAllocs(t *testing.T) {
@@ -187,15 +188,25 @@ func testWarmAllocs(t *testing.T, prefetch bool) {
 			specs[i] = engineTestSpecs(n)(i)
 		}
 		specAt := func(i int) kernelgen.Spec { return specs[i] }
+		var window []KernelResult
 		run := func() {
-			if _, err := RunSegmentedEngine(cfg, n, specAt, segLen, 1, sc, Engine{}); err != nil {
+			var err error
+			if window, err = RunSegmentedEngine(window, cfg, n, specAt, segLen, 1, sc, Engine{}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		run() // fill the cache, grow the scratch
+		run() // fill the cache, grow the scratch and the window
 		misses := len(cache.entries)
-		if allocs := testing.AllocsPerRun(10, run); allocs > 1 {
-			t.Errorf("%d all-hit segments: %.0f allocations per call, want the results slice alone", nseg, allocs)
+		if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+			t.Errorf("%d all-hit segments into a warm window: %.0f allocations per call, want none", nseg, allocs)
+		}
+		fresh := func() {
+			if _, err := RunSegmentedEngine(nil, cfg, n, specAt, segLen, 1, sc, Engine{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, fresh); allocs > 1 {
+			t.Errorf("%d all-hit segments into no window: %.0f allocations per call, want the results slice alone", nseg, allocs)
 		}
 		if len(cache.entries) != misses {
 			t.Fatalf("%d segments: the measured calls were not all hits", nseg)
@@ -246,7 +257,7 @@ func TestIdleScratchBoundedLIFO(t *testing.T) {
 
 	// A run comes back from a call clean, and grows to the next call's width.
 	cache := newRecordingCache()
-	if _, err := RunSegmentedEngine(Baseline(), 6, engineTestSpecs(6), 2, 1, cache, Engine{}); err != nil {
+	if _, err := RunSegmentedEngine(nil, Baseline(), 6, engineTestSpecs(6), 2, 1, cache, Engine{}); err != nil {
 		t.Fatal(err)
 	}
 	r := getRun(3)

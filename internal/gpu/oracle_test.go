@@ -416,7 +416,7 @@ func TestRunSegmentedCachedSteadyStateAllocs(t *testing.T) {
 	const segLen = 2
 	run := func(nseg int) float64 {
 		return testing.AllocsPerRun(3, func() {
-			if _, err := RunSegmentedEngine(cfg, nseg*segLen, specAt, segLen, 1, nil, Engine{}); err != nil {
+			if _, err := RunSegmentedEngine(nil, cfg, nseg*segLen, specAt, segLen, 1, nil, Engine{}); err != nil {
 				t.Fatal(err)
 			}
 		})

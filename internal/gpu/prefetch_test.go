@@ -57,13 +57,13 @@ func TestPrefetchAnnouncesAllSegmentKeys(t *testing.T) {
 	specAt := skewedSpecAt(lim)
 	const n, segLen = 64, 4
 
-	want, err := gpu.RunSegmentedEngine(cfg, n, specAt, segLen, 1, nil, gpu.Engine{})
+	want, err := gpu.RunSegmentedEngine(nil, cfg, n, specAt, segLen, 1, nil, gpu.Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	p := &recordingPrefetcher{want: true, store: make(map[gpu.SegmentKey][]gpu.KernelResult)}
-	got, err := gpu.RunSegmentedEngine(cfg, n, specAt, segLen, 3, p, gpu.Engine{})
+	got, err := gpu.RunSegmentedEngine(nil, cfg, n, specAt, segLen, 3, p, gpu.Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestPrefetchSkippedWhenUnwanted(t *testing.T) {
 	cfg := gpu.Baseline()
 	specAt := skewedSpecAt(kernelgen.DefaultLimits())
 	p := &recordingPrefetcher{want: false, store: make(map[gpu.SegmentKey][]gpu.KernelResult)}
-	if _, err := gpu.RunSegmentedEngine(cfg, 16, specAt, 4, 1, p, gpu.Engine{}); err != nil {
+	if _, err := gpu.RunSegmentedEngine(nil, cfg, 16, specAt, 4, 1, p, gpu.Engine{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(p.announced) != 0 {

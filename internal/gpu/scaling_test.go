@@ -65,12 +65,12 @@ func TestRunSegmentedStealingDeterministicSkewed(t *testing.T) {
 	specAt := skewedSpecAt(lim)
 	const n, segLen = 96, 4
 
-	want, err := gpu.RunSegmentedEngine(cfg, n, specAt, segLen, 1, nil, gpu.Engine{})
+	want, err := gpu.RunSegmentedEngine(nil, cfg, n, specAt, segLen, 1, nil, gpu.Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 4, 8} {
-		got, err := gpu.RunSegmentedEngine(cfg, n, specAt, segLen, workers, nil, gpu.Engine{})
+		got, err := gpu.RunSegmentedEngine(nil, cfg, n, specAt, segLen, workers, nil, gpu.Engine{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,11 +103,11 @@ func TestSegmentLenSelfConsistent(t *testing.T) {
 	lim := kernelgen.DSELimits()
 	specAt := func(i int) kernelgen.Spec { return kernelgen.FromInvocation(&w.Invs[i], lim) }
 	for _, segLen := range []int{1, 4, 16, 64} {
-		want, err := gpu.RunSegmentedEngine(cfg, w.Len(), specAt, segLen, 1, nil, gpu.Engine{})
+		want, err := gpu.RunSegmentedEngine(nil, cfg, w.Len(), specAt, segLen, 1, nil, gpu.Engine{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := gpu.RunSegmentedEngine(cfg, w.Len(), specAt, segLen, 3, nil, gpu.Engine{})
+		got, err := gpu.RunSegmentedEngine(nil, cfg, w.Len(), specAt, segLen, 3, nil, gpu.Engine{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +199,7 @@ func TestRunSegmentedStealingCachedDeterministicSkewed(t *testing.T) {
 	specAt := skewedSpecAt(lim)
 	const n, segLen = 96, 4
 
-	want, err := gpu.RunSegmentedEngine(cfg, n, specAt, segLen, 1, nil, gpu.Engine{})
+	want, err := gpu.RunSegmentedEngine(nil, cfg, n, specAt, segLen, 1, nil, gpu.Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestRunSegmentedStealingCachedDeterministicSkewed(t *testing.T) {
 	}
 	for pass := 0; pass < 2; pass++ {
 		for _, workers := range []int{2, 4, 8} {
-			got, err := gpu.RunSegmentedEngine(cfg, n, specAt, segLen, workers, cache, gpu.Engine{})
+			got, err := gpu.RunSegmentedEngine(nil, cfg, n, specAt, segLen, workers, cache, gpu.Engine{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -262,7 +262,7 @@ func TestRunSegmentedEngineReportsLowestFailingSegment(t *testing.T) {
 	}
 	for workers := 1; workers <= 4; workers++ {
 		c := &failingCache{seg: keys, fail: map[int]bool{8: true, 9: true}, ran: make([]atomic.Bool, nseg)}
-		got, err := gpu.RunSegmentedEngine(cfg, n, specAt, segLen, workers, c, gpu.Engine{})
+		got, err := gpu.RunSegmentedEngine(nil, cfg, n, specAt, segLen, workers, c, gpu.Engine{})
 		if err == nil || err.Error() != "segment 8 failed" || got != nil {
 			t.Fatalf("workers=%d: results %v, err %v; want no results and segment 8's error", workers, got != nil, err)
 		}

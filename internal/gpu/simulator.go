@@ -578,7 +578,16 @@ func (r *segRun) segment(worker, sg int) {
 		r.mu.Unlock()
 		return
 	}
-	copy(r.results[lo:lo+len(sc.specs)], seg)
+	window := r.results[lo : lo+len(sc.specs)]
+	if len(seg) != len(window) {
+		// A well-formed entry of the wrong length (a buggy writer or server;
+		// the checksum does not stop it) would leave part of the window as
+		// the caller's last call left it: degrade to a simulation, as every
+		// other failed verification does.
+		sc.simulate(window)
+		return
+	}
+	copy(window, seg)
 }
 
 // RunSegmentedEngine simulates the n kernels specAt(0..n-1) as fixed-length
@@ -615,15 +624,22 @@ func (r *segRun) segment(worker, sg int) {
 // fresh simulation. Exact-mode keys carry EngineFingerprint, par-mode keys
 // ParEngineFingerprint plus DefaultEpoch, so the modes never share entries.
 // Cached result slices are shared between callers; they are copied into the
-// returned slice, never mutated in place. An all-hit call allocates its
-// results and nothing that grows with n (TestRunSegmentedEngineWarmAllocs).
+// returned slice, never mutated in place, and a cached segment whose length
+// is not its segment's is simulated instead (TestRunSegmentedEngineWrongLengthHit).
+//
+// The results are written into dst[:n], which is grown only when its
+// capacity is short, and returned: a caller that hands back the previous
+// call's slice owns one window across calls, the way
+// KeyForSegmentEngineAppend reuses its caller's buffer. dst == nil allocates
+// the results. An all-hit call into a window of at least n results allocates
+// nothing (TestRunSegmentedEngineWarmAllocs). On error the results are nil.
 //
 // In par mode the two worker counts compose: `workers` segment workers each
 // run kernels that internally fan out over eng.Workers SM-shard workers.
 // For workloads with many segments,
 // segment workers alone saturate cores; eng.Workers pays off for single-
 // kernel latency and short workloads.
-func RunSegmentedEngine(cfg Config, n int, specAt func(i int) kernelgen.Spec, segLen, workers int, cache SegmentCache, eng Engine) ([]KernelResult, error) {
+func RunSegmentedEngine(dst []KernelResult, cfg Config, n int, specAt func(i int) kernelgen.Spec, segLen, workers int, cache SegmentCache, eng Engine) ([]KernelResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -636,7 +652,10 @@ func RunSegmentedEngine(cfg Config, n int, specAt func(i int) kernelgen.Spec, se
 	nseg := (n + segLen - 1) / segLen
 	nworkers := parallel.Workers(workers)
 
-	results := make([]KernelResult, n)
+	if cap(dst) < n {
+		dst = make([]KernelResult, n)
+	}
+	results := dst[:n]
 	r := getRun(nworkers)
 	r.cfg, r.eng, r.n, r.segLen, r.specAt, r.cache = cfg, eng.normalized(), n, segLen, specAt, cache
 	r.results = results

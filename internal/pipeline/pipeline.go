@@ -90,6 +90,9 @@ type specSource struct {
 	lim     kernelgen.Limits
 	indices []int
 	at      func(i int) kernelgen.Spec // specAt, bound once: a closure per pass would be a heap object
+	// window is the runner's results, reused from pass to pass: simulate
+	// only reads their cycles, so it never lets the window escape.
+	window []gpu.KernelResult
 }
 
 func (s *specSource) specAt(i int) kernelgen.Spec {
@@ -106,7 +109,10 @@ var idleSources struct {
 	list []*specSource
 }
 
-const maxIdleSources = 16
+// maxIdleWindow bounds, in results (32 B each), the window an idle source
+// keeps: a full simulation of a long workload does not pin its results on
+// the idle list (128 KiB at most per source).
+const maxIdleSources, maxIdleWindow = 16, 4096
 
 // simulate runs one pass over n positions (see specSource) and returns the
 // cycles of each.
@@ -120,19 +126,23 @@ func simulate(w *trace.Workload, cfg gpu.Config, lim kernelgen.Limits, indices [
 		src.at = src.specAt
 	}
 	src.w, src.lim, src.indices = w, lim, indices
-	results, err := gpu.RunSegmentedEngine(cfg, n, src.at, gpu.DefaultSegmentLen, opt.Workers, opt.Cache, opt.engine())
+	results, err := gpu.RunSegmentedEngine(src.window, cfg, n, src.at, gpu.DefaultSegmentLen, opt.Workers, opt.Cache, opt.engine())
+	var cycles []float64
+	if err == nil {
+		cycles = make([]float64, len(results))
+		for i, r := range results {
+			cycles[i] = r.Cycles
+		}
+		src.window = results
+	}
 	src.w, src.indices = nil, nil // an idle source refers to nothing
+	if cap(src.window) > maxIdleWindow {
+		src.window = nil
+	}
 	idleSources.Lock()
 	idleSources.list = parallel.PushIdle(idleSources.list, src, maxIdleSources)
 	idleSources.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	cycles := make([]float64, len(results))
-	for i, r := range results {
-		cycles[i] = r.Cycles
-	}
-	return cycles, nil
+	return cycles, err
 }
 
 // FullSimOpt simulates every invocation of the workload, returning
