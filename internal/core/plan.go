@@ -55,22 +55,28 @@ type Plan struct {
 // joint KKT pass sizes every leaf cluster, and samples are drawn with
 // replacement (satisfying the CLT's i.i.d. requirement, §3.5).
 func BuildPlan(names []string, times []float64, p Params) (*Plan, error) {
-	return BuildPlanOf(len(names), func(i int) string { return names[i] }, times, p)
-}
-
-// BuildPlanOf is BuildPlan over n rows (nameOf(i), times[i]), for callers
-// whose names sit inside other records: nameOf is called once per row, on the
-// calling goroutine. A call allocates the plan it returns — the Plan, its
-// clusters, one index array and one sample array — and, once an idle arena
-// has grown to the profile's shape, nothing else.
-func BuildPlanOf(n int, nameOf func(i int) string, times []float64, p Params) (*Plan, error) {
-	if err := p.Validate(); err != nil {
+	plan := new(Plan)
+	if err := BuildPlanInto(plan, len(names), func(i int) string { return names[i] }, times, p); err != nil {
 		return nil, err
 	}
+	return plan, nil
+}
+
+// BuildPlanInto is BuildPlan over n rows (nameOf(i), times[i]), written into
+// the caller's plan: for callers whose names sit inside other records and
+// that keep the plan inside a record of their own. nameOf is called once per
+// row, on the calling goroutine. A call allocates the plan's clusters, one
+// index array and one sample array — and, once an idle arena has grown to
+// the profile's shape, nothing else — and overwrites every field of *plan.
+// On an error *plan holds no usable plan.
+func BuildPlanInto(plan *Plan, n int, nameOf func(i int) string, times []float64, p Params) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
 	a := takeArena()
-	plan, err := planFromClusters(a.cluster(n, nameOf, times, p, rootWorkers(n, p.Workers)), p, a)
+	err := planFromClusters(plan, a.cluster(n, nameOf, times, p, rootWorkers(n, p.Workers)), p, a)
 	putArena(a) // not deferred: an arena abandoned by a panic is not reused
-	return plan, err
+	return err
 }
 
 // setBound computes the plan's predicted error from its final sample sizes,
@@ -89,9 +95,9 @@ func (plan *Plan) setBound(statsVec []ClusterStats, sizes []int) error {
 	return nil
 }
 
-// planFromClusters sizes the leaves jointly and draws their samples; the
-// statistics and size vectors are a's scratch.
-func planFromClusters(leaves []Cluster, p Params, a *splitArena) (*Plan, error) {
+// planFromClusters sizes the leaves jointly and draws their samples into
+// plan; the statistics and size vectors are a's scratch.
+func planFromClusters(plan *Plan, leaves []Cluster, p Params, a *splitArena) error {
 	a.stats, a.sizes = sized(a.stats, len(leaves)), sized(a.sizes, len(leaves))
 	statsVec := a.stats
 	for i := range leaves {
@@ -111,7 +117,7 @@ func planFromClusters(leaves []Cluster, p Params, a *splitArena) (*Plan, error) 
 	samples := make([]int, drawn)
 
 	r := rng.New(rng.Derive(p.Seed, 0x5a3f1e))
-	plan := &Plan{Params: p, Clusters: make([]PlanCluster, len(leaves))}
+	*plan = Plan{Params: p, Clusters: make([]PlanCluster, len(leaves))}
 	for i, leaf := range leaves {
 		m := sizes[i]
 		pc := &plan.Clusters[i]
@@ -139,10 +145,7 @@ func planFromClusters(leaves []Cluster, p Params, a *splitArena) (*Plan, error) 
 			}
 		}
 	}
-	if err := plan.setBound(statsVec, sizes); err != nil {
-		return nil, err
-	}
-	return plan, nil
+	return plan.setBound(statsVec, sizes)
 }
 
 // Estimate extrapolates the total execution time from measured sample times:

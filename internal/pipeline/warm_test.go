@@ -114,10 +114,11 @@ func BenchmarkWarmCell(b *testing.B) {
 // TestWarmCellAllocs pins what one warm cell allocates end to end, where the
 // bytes of a warm sweep were: against a fresh cache over a primed directory
 // (both lookups disk hits), FullSimOpt + RunOpt allocate what they return,
-// what the plan and the profile are made of and what the cache keeps — 18
-// objects and 2,032 B for eight invocations, where there were 58 and 5.1 KB.
-// The runner's results are not among them: they fill the idle source's
-// window, which a warm cell has already grown.
+// what the plan and the profile are made of and the cache's pack index — 14
+// objects and 1,104 B for eight invocations (an 8-byte object of slack on
+// the bound), where there were 58 and 5.1 KB. The runner's results are not
+// among them: they fill the idle source's window, which a warm cell has
+// already grown; nor is a copy of the STEM plan, which core builds in place.
 func TestWarmCellAllocs(t *testing.T) {
 	dev := profilingDevice(t)
 	cell := warmCell{gpu.Baseline(), dseWorkload(t, "backprop", 8)}
@@ -142,9 +143,40 @@ func TestWarmCellAllocs(t *testing.T) {
 		}
 	}
 	objects, bytes = objects/runs, bytes/runs
-	maxObjects, maxBytes := uint64(18), uint64(2032)
+	maxObjects, maxBytes := uint64(14), uint64(1112)
 	if objects > maxObjects || bytes > maxBytes {
 		t.Errorf("a warm cell allocates %d objects and %d bytes, want at most %d and %d", objects, bytes, maxObjects, maxBytes)
+	}
+}
+
+// TestWarmSweepStats pins the -cachestats line of a warm sweep over a primed
+// directory: every lookup a pack hit (its first use a disk hit, the rest
+// memory hits), and the pack's records counted as entries and bytes — at the
+// default bound; at one below any record's size, where every record is read
+// back from its offset and the ring keeps one entry per shard; and at one
+// between, where the rows resident at load make room for the read-backs.
+// Each line was recorded before the pack index.
+func TestWarmSweepStats(t *testing.T) {
+	cells, dev := warmCells(t), profilingDevice(t)
+	dir := primedDir(t, cells, dev)
+	for _, tc := range []struct {
+		maxBytes int64
+		want     string
+	}{
+		{0, "hits=120 (mem=34 disk=86 remote=0 shared=0) misses=0 entries=86 bytes=29824 evictions=0 disk_errors=0 disk_write_errors=0"},
+		{1, "hits=120 (mem=34 disk=86 remote=0 shared=0) misses=0 entries=16 bytes=5632 evictions=70 disk_errors=0 disk_write_errors=0"},
+		{16000, "hits=120 (mem=34 disk=86 remote=0 shared=0) misses=0 entries=38 bytes=12928 evictions=50 disk_errors=0 disk_write_errors=0"},
+	} {
+		cache, err := simcache.New(simcache.Options{Dir: dir, MaxBytes: tc.maxBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cells {
+			c.run(t, dev, cache)
+		}
+		if got := cache.Stats().String(); got != tc.want {
+			t.Errorf("MaxBytes %d: stats after a warm sweep\n got %s\nwant %s", tc.maxBytes, got, tc.want)
+		}
 	}
 }
 

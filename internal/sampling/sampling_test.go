@@ -259,6 +259,29 @@ func TestSTEMPlanMeetsErrorBound(t *testing.T) {
 	}
 }
 
+// TestSTEMPlanAllocs pins what a STEM plan of an eight-row profile (a DSE
+// cell's) allocates: the plan it returns, its clusters, one index array and
+// one sample array. core builds straight into the returned plan; a copy of a
+// plan core allocated would be a fifth object, dead on return.
+func TestSTEMPlanAllocs(t *testing.T) {
+	w := &trace.Workload{Name: "small", Seed: 3, Invs: make([]trace.Invocation, 8)}
+	prof := &trace.Profile{TimeUS: make([]float64, len(w.Invs))}
+	for i := range w.Invs {
+		w.Invs[i] = trace.Invocation{Seq: i, Name: []string{"gemm", "relu"}[i%2]}
+		prof.TimeUS[i] = 10*float64(1+i%2) + float64(i)/8
+	}
+	stem := NewSTEMRoot(1)
+	run := func() {
+		if _, err := stem.Plan(w, prof); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // grow an idle arena to this shape
+	if allocs := testing.AllocsPerRun(20, run); allocs > 4 {
+		t.Fatalf("a STEM plan of %d rows allocates %.0f objects, want the plan's own four", len(w.Invs), allocs)
+	}
+}
+
 func TestSTEMBeatsBaselinesOnHeartwall(t *testing.T) {
 	w, prof := rodiniaWorkload(t, "heartwall")
 	stem := NewSTEMRoot(1)

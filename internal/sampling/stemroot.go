@@ -42,9 +42,9 @@ func (s *STEMRoot) Plan(w *trace.Workload, prof *trace.Profile) (*Plan, error) {
 	}
 	p := s.Params
 	p.Seed = s.Params.Seed ^ w.Seed
-	cp, err := core.BuildPlanOf(w.Len(), func(i int) string { return w.Invs[i].Name }, prof.TimeUS, p)
-	if err != nil {
+	plan := &Plan{Method: s.Name()}
+	if err := core.BuildPlanInto(&plan.Plan, w.Len(), func(i int) string { return w.Invs[i].Name }, prof.TimeUS, p); err != nil {
 		return nil, err
 	}
-	return &Plan{Method: s.Name(), Plan: *cp}, nil
+	return plan, nil
 }

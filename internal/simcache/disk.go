@@ -8,7 +8,10 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"stemroot/internal/gpu"
 )
@@ -127,9 +130,16 @@ func DecodeEntry(key gpu.SegmentKey, buf []byte) (results []gpu.KernelResult, ok
 // decodeResults deserializes the n results of an entry verifyEntry accepted.
 func decodeResults(buf []byte, n int) []gpu.KernelResult {
 	results := make([]gpu.KernelResult, n)
+	decodeInto(results, buf)
+	return results
+}
+
+// decodeInto deserializes the first len(dst) results of an entry
+// verifyEntry accepted into dst.
+func decodeInto(dst []gpu.KernelResult, buf []byte) {
 	off := diskHeaderSize
-	for i := range results {
-		results[i] = gpu.KernelResult{
+	for i := range dst {
+		dst[i] = gpu.KernelResult{
 			Cycles:       math.Float64frombits(binary.LittleEndian.Uint64(buf[off+0:])),
 			Instructions: int64(binary.LittleEndian.Uint64(buf[off+8:])),
 			L1HitRate:    math.Float64frombits(binary.LittleEndian.Uint64(buf[off+16:])),
@@ -137,30 +147,94 @@ func decodeResults(buf []byte, n int) []gpu.KernelResult {
 		}
 		off += resultWireSize
 	}
-	return results
 }
 
-// scanBuf is the pack scanner's buffer, shared by every Cache: a warm run
+// packIndex is the pack as a Cache's first lookup found it, built once by
+// loadPack: one row per key, sorted by key for a binary search, and the
+// results of the rows that fit under Options.MaxBytes decoded back to back
+// into one block. Rows and block never change after the load, so a pack hit
+// reads them without a lock; only the bitsets change, atomically. A row past
+// the bound is index-only — its results stay in the pack and are read back
+// from its offset at each use the memory tier does not serve — and a
+// resident row becomes index-only when the byte bound lets go of it
+// (Cache.releaseRow).
+type packIndex struct {
+	rows    []packRow
+	results []gpu.KernelResult
+	// used has one bit per row, set at the row's first use: that one is
+	// the disk hit, every later one a memory hit. gone has one bit per
+	// row, set when the byte bound lets go of a resident one.
+	used, gone []atomic.Uint64
+}
+
+// packRow is one key's first verified record in the pack.
+type packRow struct {
+	key gpu.SegmentKey
+	end int64 // pack offset just past the record
+	off int   // of its results in packIndex.results; -1 if index-only
+	n   int   // result count
+}
+
+// find returns the row of key, or -1.
+func (x *packIndex) find(key gpu.SegmentKey) int {
+	i, ok := slices.BinarySearchFunc(x.rows, key, func(r packRow, k gpu.SegmentKey) int { return bytes.Compare(r.key[:], k[:]) })
+	if !ok {
+		return -1
+	}
+	return i
+}
+
+// resident reports whether row i's results are in memory.
+func (x *packIndex) resident(i int) bool { return x.rows[i].off >= 0 && !hasBit(x.gone, i) }
+
+// resultsOf returns row i's resident results, capped so that an append
+// cannot reach the next row's.
+func (x *packIndex) resultsOf(i int) []gpu.KernelResult {
+	r := &x.rows[i]
+	return x.results[r.off : r.off+r.n : r.off+r.n]
+}
+
+// firstUse reports whether this is row i's first use, marking it used.
+func (x *packIndex) firstUse(i int) bool { return !setBit(x.used, i) }
+
+func hasBit(b []atomic.Uint64, i int) bool { return b[i/64].Load()&(1<<(i%64)) != 0 }
+
+// setBit sets bit i of b and reports whether it was already set.
+func setBit(b []atomic.Uint64, i int) bool {
+	w, bit := &b[i/64], uint64(1)<<(i%64)
+	for {
+		old := w.Load()
+		if old&bit != 0 || w.CompareAndSwap(old, old|bit) {
+			return old&bit != 0
+		}
+	}
+}
+
+// scanBuf is the pack scanner's buffer and the index's scratch — its rows
+// in pack order and their decoded results — shared by every Cache: a warm run
 // opens a fresh cache per sweep over one directory, and each should pay for
-// its read, not for a buffer. Not a sync.Pool, which empties at every other
-// GC and, under the race detector, at random: what a warm cell allocates is
-// pinned (TestWarmCellAllocs). One grown past packScanKeep by a huge record
-// is not kept.
+// its index, not for the scratch it is built in. Not a sync.Pool, which
+// empties at every other GC and, under the race detector, at random: what a
+// warm cell allocates is pinned (TestWarmCellAllocs). Any of the three grown
+// past packScanKeep by a huge pack is not kept.
 var scanBuf struct {
 	sync.Mutex
-	b []byte
+	b    []byte
+	rows []packRow
+	res  []gpu.KernelResult
 }
 
 const packScanBuf, packScanKeep = 64 << 10, 1 << 20
 
 // loadPack reads the directory's pack, once per Cache, through the raw read
-// path, and files every record that verifies exactly as DecodeEntry would
-// with the memory tier (shard.adopt); it allocates only the entries kept.
-// Anything else — a torn tail, a damaged or foreign record — is one damaged
-// run, counted once in DiskErrors; the scan resynchronises at the next
-// record that verifies, which can only start with the magic. The buffer
-// doubles only when full of bytes still to judge, so it stays within twice
-// the input (or the largest legal entry) whatever a header claims.
+// path, and builds c.index from every record that verifies exactly as
+// DecodeEntry would (buildIndex). Anything else — a torn tail, a damaged or
+// foreign record — is one damaged run, counted once in DiskErrors; the scan
+// resynchronises at the next record that verifies, which can only start with
+// the magic. The scan decodes a record while its shard's share of the byte
+// bound has room, so a pack far past the bound is not decoded whole. The
+// buffer doubles only when full of bytes still to judge, so it stays within
+// twice the input (or the largest legal entry) whatever a header claims.
 func (c *Cache) loadPack() {
 	fd, err := openFile(c.packPath)
 	if err != nil {
@@ -169,11 +243,12 @@ func (c *Cache) loadPack() {
 	defer closeFile(fd)
 	scanBuf.Lock()
 	defer scanBuf.Unlock()
-	buf := scanBuf.b
+	buf, rows, res := scanBuf.b, scanBuf.rows[:0], scanBuf.res[:0]
 	if buf == nil {
 		buf = make([]byte, packScanBuf)
 	}
-	var base int64 // pack offset of buf[0]
+	var decoded [shardCount]int64 // payload bytes decoded per shard
+	var base int64                // pack offset of buf[0]
 	lo, hi, eof, resync := 0, 0, false, false
 	for lo < hi || !eof {
 		size := diskHeaderSize // what it takes to judge the bytes at lo
@@ -195,8 +270,15 @@ func (c *Cache) loadPack() {
 		}
 		if rec := buf[lo:min(lo+size, hi)]; len(rec) == size && size > diskHeaderSize {
 			key := gpu.SegmentKey(rec[8:40])
-			if _, ok := verifyEntry(key, rec); ok {
-				c.shardFor(key).adopt(key, rec, base+int64(lo+size), c.maxShard)
+			if n, ok := verifyEntry(key, rec); ok {
+				row := packRow{key: key, end: base + int64(lo+size), off: -1, n: n}
+				if sh := key[0] & (shardCount - 1); c.maxShard < 0 || decoded[sh]+entryBytes(n) <= c.maxShard {
+					decoded[sh] += entryBytes(n)
+					row.off = len(res)
+					res = slices.Grow(res, n)[:row.off+n]
+					decodeInto(res[row.off:], rec)
+				}
+				rows = append(rows, row)
 				lo, resync = lo+size, false
 				continue
 			}
@@ -211,20 +293,108 @@ func (c *Cache) loadPack() {
 			lo = max(lo+1, hi-len(diskMagic)+1) // a magic may straddle the next read
 		}
 	}
+	c.buildIndex(fd, rows, res, buf)
 	if len(buf) <= packScanKeep {
 		scanBuf.b = buf
 	}
+	if cap(rows)*int(unsafe.Sizeof(packRow{})) <= packScanKeep {
+		scanBuf.rows = rows
+	}
+	if cap(res)*resultWireSize <= packScanKeep {
+		scanBuf.res = res
+	}
+}
+
+// buildIndex makes c.index of the scanned rows, whose results the scan
+// decoded into res where it had room. Of two records of a key the first
+// wins; a later one, from two processes that computed it at once, is
+// identical by construction. Then, in pack order, a row is resident while
+// its shard's share of the byte bound has room, as the memory tier would
+// have filled; its results are copied out of res into one exactly sized
+// block, or read back through fd and buf when the scan, having counted a
+// duplicate, did not decode them. The index is its rows, its block and its
+// bitsets — three objects whatever the record count. rows is reordered.
+func (c *Cache) buildIndex(fd readHandle, rows []packRow, res []gpu.KernelResult, buf []byte) {
+	if len(rows) == 0 {
+		return
+	}
+	byKey := func(a, b packRow) int { return bytes.Compare(a.key[:], b.key[:]) }
+	slices.SortFunc(rows, func(a, b packRow) int { return cmp.Or(byKey(a, b), cmp.Compare(a.end, b.end)) })
+	rows = slices.CompactFunc(rows, func(a, b packRow) bool { return a.key == b.key })
+	slices.SortFunc(rows, func(a, b packRow) int { return cmp.Compare(a.end, b.end) })
+	const unread = -2 // resident, not decoded by the scan
+	var pinned [shardCount]int64
+	var pinnedN [shardCount]int
+	total := 0
+	for i := range rows {
+		r := &rows[i]
+		sh := r.key[0] & (shardCount - 1)
+		if c.maxShard >= 0 && pinned[sh]+entryBytes(r.n) > c.maxShard {
+			r.off = -1
+			continue
+		}
+		pinned[sh] += entryBytes(r.n)
+		pinnedN[sh]++
+		total += r.n
+		if r.off < 0 {
+			r.off = unread
+		}
+	}
+	x := &c.index
+	w := (len(rows) + 63) / 64
+	bits := make([]atomic.Uint64, 2*w)
+	*x = packIndex{results: make([]gpu.KernelResult, total), used: bits[:w:w], gone: bits[w:]}
+	off := 0
+	for i := range rows {
+		r := &rows[i]
+		switch {
+		case r.off >= 0:
+			copy(x.results[off:], res[r.off:r.off+r.n])
+		case r.off == unread:
+			rec := readRecord(fd, r.end, r.n, buf)
+			if m, ok := verifyEntry(r.key, rec); !ok || m != r.n {
+				c.diskErrors.Add(1) // changed under us: read back, or computed, at its use
+				sh := r.key[0] & (shardCount - 1)
+				pinned[sh], pinnedN[sh], r.off = pinned[sh]-entryBytes(r.n), pinnedN[sh]-1, -1
+				continue
+			}
+			decodeInto(x.results[off:off+r.n], rec)
+		default:
+			continue
+		}
+		r.off, off = off, off+r.n
+	}
+	slices.SortFunc(rows, byKey)
+	x.rows = slices.Clone(rows)
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		sh.pinned, sh.pinnedN = pinned[i], pinnedN[i]
+		sh.mu.Unlock()
+	}
+}
+
+// readRecord reads the record of n results that ends at pack offset end into
+// buf, reallocated if it is shorter, and returns what it read; the caller
+// verifies it.
+func readRecord(fd readHandle, end int64, n int, buf []byte) []byte {
+	size := recordSize(n)
+	if size > cap(buf) {
+		buf = make([]byte, size)
+	}
+	got, _ := preadFile(fd, buf[:size], end-int64(size))
+	return buf[:max(got, 0)]
 }
 
 // diskReadBuf is the size of readDisk's stack buffer: an entry of up to 125
 // results — eight times DefaultSegmentLen — is read without touching the heap.
 const diskReadBuf = 4096
 
-// readDisk serves a record the memory tier let go of — left out at load by
-// Options.MaxBytes, or evicted since — with one positioned read at its
-// recorded offset. It leaves the spill index either way: a record that no
-// longer verifies is counted, and the compute that follows appends a good
-// one.
+// readDisk serves a record the memory tier does not hold — evicted from the
+// ring since this cache read or wrote it, or an index-only row of the pack —
+// with one positioned read at its recorded offset. It leaves the spill index
+// either way: a record that no longer verifies is counted, and the compute
+// that follows appends a good one.
 func (c *Cache) readDisk(key gpu.SegmentKey) (results []gpu.KernelResult, end int64, ok bool) {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
@@ -232,7 +402,11 @@ func (c *Cache) readDisk(key gpu.SegmentKey) (results []gpu.KernelResult, end in
 	delete(sh.spilled, key)
 	sh.mu.Unlock()
 	if !ok {
-		return nil, 0, false
+		i := c.index.find(key)
+		if i < 0 {
+			return nil, 0, false
+		}
+		loc = packLoc{c.index.rows[i].end, c.index.rows[i].n}
 	}
 	fd, err := openFile(c.packPath)
 	if err != nil {
@@ -240,14 +414,7 @@ func (c *Cache) readDisk(key gpu.SegmentKey) (results []gpu.KernelResult, end in
 	}
 	defer closeFile(fd)
 	var stack [diskReadBuf]byte
-	buf := stack[:]
-	if size := recordSize(loc.n); size > len(buf) {
-		buf = make([]byte, size)
-	} else {
-		buf = buf[:size]
-	}
-	n, _ := preadFile(fd, buf, loc.end-int64(len(buf)))
-	if results, ok = DecodeEntry(key, buf[:max(n, 0)]); !ok {
+	if results, ok = DecodeEntry(key, readRecord(fd, loc.end, loc.n, stack[:])); !ok {
 		c.diskErrors.Add(1)
 	}
 	return results, loc.end, ok

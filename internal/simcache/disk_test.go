@@ -3,14 +3,18 @@ package simcache
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"stemroot/internal/gpu"
 )
@@ -294,10 +298,11 @@ func TestDiskReadOversizedFile(t *testing.T) {
 	}
 }
 
-// TestDiskSpill: the memory tier holds no more of the pack than MaxBytes
-// allows, and a record it let go of — left out at load, or evicted since,
-// whether it was loaded or written by this cache — is read back from the
-// pack, never recomputed.
+// TestDiskSpill: the memory tier holds no more than MaxBytes — the pack
+// rows resident at load and the ring together — and a record it let go of —
+// an index-only row past the bound, or an entry evicted since, whether it
+// was read back or written by this cache — is read back from the pack, never
+// recomputed.
 func TestDiskSpill(t *testing.T) {
 	dir := t.TempDir()
 	const bound = 16 * 600 // a shard holds two 4-result entries (256 bytes each)
@@ -320,8 +325,14 @@ func TestDiskSpill(t *testing.T) {
 
 	r := mustNew(t, Options{Dir: dir, MaxBytes: bound})
 	r.packOnce.Do(r.loadPack)
-	if s := r.Stats(); s.Entries != 2 || s.Bytes > 600 || len(r.shards[0].spilled) != 3 {
-		t.Fatalf("load kept %s and spilled %d", s, len(r.shards[0].spilled))
+	indexOnly := 0
+	for _, row := range r.index.rows {
+		if row.off < 0 {
+			indexOnly++
+		}
+	}
+	if s := r.Stats(); s.Entries != 2 || s.Bytes > 600 || indexOnly != 3 {
+		t.Fatalf("load kept %s and left %d rows index-only", s, indexOnly)
 	}
 	for round := 0; round < 2; round++ {
 		for i, key := range keys[:5] {
@@ -372,6 +383,268 @@ func TestDiskHitAllocs(t *testing.T) {
 	}
 	if allocs > want {
 		t.Fatalf("a disk hit allocates %.0f objects, want the entry and its results", allocs)
+	}
+}
+
+// TestPackLoadAllocs: a pack load allocates the index — its rows, its
+// results block and its first-use bits — and nothing per record, once the
+// shared scan buffer and scratch have grown: the same three objects for 10
+// records as for 2,000, at the default bound and at one that leaves all but
+// 32 of the 2,000 index-only.
+func TestPackLoadAllocs(t *testing.T) {
+	for _, maxBytes := range []int64{0, 16 * 600} {
+		var objects []uint64
+		for _, records := range []int{10, 2000} {
+			dir := t.TempDir()
+			var pack []byte
+			for i := 0; i < records; i++ {
+				pack = append(pack, EncodeEntry(testKey(byte(i), byte(i>>8)), testResults(4, float64(i)))...)
+			}
+			writePack(t, dir, pack)
+			got := uint64(math.MaxUint64)
+			for run := 0; run < 4; run++ { // the first grows the shared scratch
+				c := mustNew(t, Options{Dir: dir, MaxBytes: maxBytes})
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				c.packOnce.Do(c.loadPack)
+				runtime.ReadMemStats(&after)
+				if run > 0 { // the fewest: another goroutine's allocation is not the load's
+					got = min(got, after.Mallocs-before.Mallocs)
+				}
+				if s := c.Stats(); s.DiskErrors != 0 || (maxBytes == 0 && s.Entries != records) {
+					t.Fatalf("%d records: %s", records, s)
+				}
+			}
+			objects = append(objects, got)
+		}
+		if objects[0] != objects[1] || objects[1] > 3 {
+			t.Fatalf("MaxBytes %d: loading 10 and 2,000 records allocates %v objects, want the index's three for both", maxBytes, objects)
+		}
+	}
+}
+
+// TestPackDuplicateKey: a pack holding two records of one key serves the
+// first, whether the index keeps it resident or reads it back from its
+// offset, and counts one entry. The second record takes no room: at a bound
+// that fits exactly the distinct records, all of them are resident.
+func TestPackDuplicateKey(t *testing.T) {
+	dir := t.TempDir()
+	key, first, second := testKey(3, 1), testResults(4, 1), testResults(4, 2)
+	other, otherResults := testKey(3, 2), testResults(4, 3) // same shard
+	writePack(t, dir, slices.Concat(EncodeEntry(key, first), EncodeEntry(key, second), EncodeEntry(other, otherResults)))
+	for _, maxBytes := range []int64{0, 1, 16 * 2 * entryBytes(4)} {
+		c := mustNew(t, Options{Dir: dir, MaxBytes: maxBytes})
+		c.packOnce.Do(c.loadPack)
+		if s := c.Stats(); maxBytes != 1 && (s.Entries != 2 || s.Bytes != 2*entryBytes(4)) {
+			t.Fatalf("MaxBytes %d: the load kept %s, want both distinct records resident", maxBytes, s)
+		}
+		if !lookup(t, c, key, first) || !lookup(t, c, other, otherResults) {
+			t.Fatalf("MaxBytes %d: computed a key the pack holds", maxBytes)
+		}
+		if s := c.Stats(); s.DiskHits != 2 || s.DiskErrors != 0 {
+			t.Fatalf("MaxBytes %d: stats: %s", maxBytes, s)
+		}
+	}
+}
+
+// TestPackRowsLeaveByUse: resident pack rows make room for what the cache
+// computes or reads back, the never used first, and what leaves is read
+// back, never recomputed. A pack whose oldest records are never asked for
+// (an old engine's, say) therefore does not hold the bound: a live record
+// past it is read back once and then served from memory.
+func TestPackRowsLeaveByUse(t *testing.T) {
+	const bound = 16 * 600 // a shard holds two 4-result entries
+	res := func(i int) []gpu.KernelResult { return testResults(4, float64(i)) }
+	keys := make([]gpu.SegmentKey, 5)
+	var pack []byte
+	for i := range keys {
+		keys[i] = testKey(0, byte(i)) // all in shard 0
+		if i < 4 {
+			pack = append(pack, EncodeEntry(keys[i], res(i))...)
+		}
+	}
+
+	dir := t.TempDir()
+	writePack(t, dir, pack[:2*recordSize(4)])
+	c := mustNew(t, Options{Dir: dir, MaxBytes: bound})
+	lookup(t, c, keys[1], res(1))
+	lookup(t, c, keys[4], res(4)) // computed: the never used keys[0] leaves
+	if x := &c.index; x.resident(x.find(keys[0])) || !x.resident(x.find(keys[1])) {
+		t.Fatal("the byte bound let go of a used row before a never used one")
+	}
+	if s := c.Stats(); s.Entries != 2 || s.Bytes > 600 || s.Evictions != 1 {
+		t.Fatalf("after the miss: %s", s)
+	}
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 2; i++ {
+			if !lookup(t, c, keys[i], res(i)) {
+				t.Fatalf("round %d: recomputed pack record %d", round, i)
+			}
+		}
+	}
+	if s := c.Stats(); s.Misses != 1 || s.Bytes > 600 || s.DiskErrors != 0 {
+		t.Fatalf("after the read-backs: %s", s)
+	}
+
+	// keys[0] and keys[1] never asked for: resident at load, and let go of
+	// for keys[2] and keys[3], which are read back once.
+	dir = t.TempDir()
+	writePack(t, dir, pack)
+	c = mustNew(t, Options{Dir: dir, MaxBytes: bound})
+	for round := 0; round < 2; round++ {
+		for i := 2; i < 4; i++ {
+			if !lookup(t, c, keys[i], res(i)) {
+				t.Fatalf("round %d: recomputed pack record %d", round, i)
+			}
+		}
+	}
+	if s := c.Stats(); s.DiskHits != 2 || s.MemHits != 2 || s.Evictions != 2 || s.Entries != 2 {
+		t.Fatalf("live records past the bound: %s", s)
+	}
+}
+
+// TestPackRowsMakeRoomForAFailedWrite: an entry whose write failed has no
+// record to be read back from, so the memory tier keeps it whatever the pack
+// rows resident beside it — past the bound if it must — and its second
+// lookup is a memory hit, not a second simulation.
+func TestPackRowsMakeRoomForAFailedWrite(t *testing.T) {
+	dir := t.TempDir()
+	pinned, big := testKey(0, 1), testKey(0, 2) // both in shard 0
+	writePack(t, dir, EncodeEntry(pinned, testResults(4, 1)))
+	c := mustNew(t, Options{Dir: dir, MaxBytes: 16 * 300}) // one 4-result entry per shard
+	c.packOnce.Do(c.loadPack)
+	ro, err := os.Open(filepath.Join(dir, packName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	c.pack = ro // every append fails
+	for use := 0; use < 2; use++ {
+		lookup(t, c, big, testResults(8, 2))
+	}
+	if s := c.Stats(); s.Misses != 1 || s.MemHits != 1 || s.DiskWriteErrors != 1 || s.Entries != 1 {
+		t.Fatalf("stats: %s", s)
+	}
+	if !lookup(t, c, pinned, testResults(4, 1)) {
+		t.Fatal("recomputed the pack row let go of")
+	}
+}
+
+// TestPackFirstUseConcurrent: goroutines racing on the records of a loaded
+// pack (run under -race) count exactly one disk hit per record, its first
+// use, and memory hits for the rest.
+func TestPackFirstUseConcurrent(t *testing.T) {
+	dir := t.TempDir()
+	keys := appendKeys()
+	var pack []byte
+	for j, key := range keys {
+		pack = append(pack, EncodeEntry(key, testResults(1+j%7, float64(j)))...)
+	}
+	writePack(t, dir, pack)
+	c := mustNew(t, Options{Dir: dir})
+	const workers = 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j, key := range keys {
+				got, err := c.GetOrCompute(key, func() ([]gpu.KernelResult, error) { return nil, errors.New("computed") })
+				if err != nil || !sameResults(got, testResults(1+j%7, float64(j))) {
+					t.Errorf("key %d: %v", j, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if s := c.Stats(); s.DiskHits != uint64(len(keys)) || s.MemHits != (workers-1)*uint64(len(keys)) || s.Misses != 0 {
+		t.Fatalf("stats: %s", s)
+	}
+}
+
+// TestPackReleaseConcurrent: readers serving resident pack rows without a
+// lock race writers whose fresh entries make the byte bound release those
+// rows (run under -race). Every lookup returns its key's results, no pack
+// record is recomputed, and the memory tier ends within the bound.
+func TestPackReleaseConcurrent(t *testing.T) {
+	dir := t.TempDir()
+	res := func(id int) []gpu.KernelResult { return testResults(4, float64(id)) }
+	var pack []byte
+	for id := 0; id < 8; id++ {
+		pack = append(pack, EncodeEntry(testKey(0, byte(id)), res(id))...) // all in shard 0
+	}
+	writePack(t, dir, pack)
+	c := mustNew(t, Options{Dir: dir, MaxBytes: 16 * 8 * entryBytes(4)}) // all eight resident
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 100; round++ {
+				id := (w*5 + round) % 8
+				if w%2 == 1 {
+					id = 8 + 2*round + w/2 // a fresh key: its entry releases a row
+				}
+				got, err := c.GetOrCompute(testKey(0, byte(id)), func() ([]gpu.KernelResult, error) {
+					if id < 8 {
+						return nil, errors.New("recomputed a pack record")
+					}
+					return res(id), nil
+				})
+				if err != nil || !sameResults(got, res(id)) {
+					t.Errorf("key %d: %v", id, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if s := c.Stats(); s.Misses != 200 || s.DiskErrors != 0 || s.Bytes > 8*entryBytes(4) {
+		t.Fatalf("stats: %s", s)
+	}
+}
+
+// TestPackHitTakesNoLock: with every shard lock held elsewhere, a record the
+// index holds is still served — first use and second — while one it does not
+// hold waits for its shard.
+func TestPackHitTakesNoLock(t *testing.T) {
+	dir := t.TempDir()
+	key, want := testKey(5, 5), testResults(3, 1)
+	writePack(t, dir, EncodeEntry(key, want))
+	c := mustNew(t, Options{Dir: dir})
+	c.packOnce.Do(c.loadPack)
+	for i := range c.shards {
+		c.shards[i].mu.Lock()
+	}
+	served := make(chan bool)
+	go func() {
+		for use := 0; use < 2; use++ {
+			got, err := c.GetOrCompute(key, func() ([]gpu.KernelResult, error) { return nil, nil })
+			served <- err == nil && sameResults(got, want)
+		}
+		c.GetOrCompute(testKey(5, 6), func() ([]gpu.KernelResult, error) { return want, nil })
+		close(served)
+	}()
+	for use := 0; use < 2; use++ {
+		select {
+		case ok := <-served:
+			if !ok {
+				t.Fatalf("use %d: wrong results", use)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("use %d: a pack hit waited for a shard lock", use)
+		}
+	}
+	select {
+	case <-served:
+		t.Fatal("a key the pack does not hold was served past its locked shard")
+	case <-time.After(10 * time.Millisecond):
+	}
+	for i := range c.shards {
+		c.shards[i].mu.Unlock()
+	}
+	<-served
+	if s := c.Stats(); s.DiskHits != 1 || s.MemHits != 1 || s.Misses != 1 {
+		t.Fatalf("stats: %s", s)
 	}
 }
 

@@ -10,6 +10,9 @@ import (
 // package tries to make every file pollable), and allocates the File it
 // returns. These are openat, pread and close, and allocate nothing.
 
+// readHandle is what openFile returns: a file descriptor.
+type readHandle = int
+
 // atFDCWD is AT_FDCWD (-100), which package syscall keeps to itself: paths
 // resolve against the working directory, as open(2) resolves them.
 const atFDCWD = ^uintptr(99)

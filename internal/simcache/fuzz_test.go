@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"stemroot/internal/gpu"
 )
@@ -103,10 +104,12 @@ func referenceScan(pack []byte) (kept map[gpu.SegmentKey][]gpu.KernelResult, dam
 }
 
 // FuzzLoadPack hands a cache arbitrary pack bytes. Whatever they are, the
-// load does not panic, serves exactly the records referenceScan takes, and
-// counts the same damaged runs; and it allocates in proportion to the input
-// (the entries it keeps, the shard tables, at most a scan buffer), whatever
-// a header claims.
+// load does not panic, counts the damaged runs referenceScan counts, and
+// serves every record it takes through the public lookup — a disk hit at its
+// first use and a memory hit at the second, never a computation; it
+// allocates in proportion to the input (the index, at most a scan buffer and
+// its scratch), whatever a header claims; and it keeps no scratch past
+// packScanKeep.
 func FuzzLoadPack(f *testing.F) {
 	a := EncodeEntry(testKey(1, 1), testResults(3, 1))
 	b := EncodeEntry(testKey(2, 2), testResults(1, 2))
@@ -139,14 +142,28 @@ func FuzzLoadPack(f *testing.F) {
 		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(8*len(pack)+2*packScanBuf+16<<10); grew > bound {
 			t.Fatalf("loading %d bytes allocated %d, bound %d", len(pack), grew, bound)
 		}
+		scanBuf.Lock()
+		kept := [3]int{len(scanBuf.b), cap(scanBuf.rows) * int(unsafe.Sizeof(packRow{})), cap(scanBuf.res) * resultWireSize}
+		scanBuf.Unlock()
+		if max(kept[0], kept[1], kept[2]) > packScanKeep {
+			t.Fatalf("the load keeps %v bytes of scan buffer, rows and results scratch; the cap is %d", kept, packScanKeep)
+		}
 		want, damaged := referenceScan(pack)
 		if s := c.Stats(); s.DiskErrors != damaged || s.Entries != len(want) {
 			t.Fatalf("load kept %d entries and counted %d damaged runs; the reference keeps %d and counts %d", s.Entries, s.DiskErrors, len(want), damaged)
 		}
-		for key, results := range want {
-			e := c.shardFor(key).items[key]
-			if e == nil || !e.unread || !sameResults(e.results, results) {
-				t.Fatalf("record %x: loaded %+v, want %v", key[:3], e, results)
+		fail := func() ([]gpu.KernelResult, error) {
+			t.Fatal("computed a record the pack holds")
+			return nil, nil
+		}
+		for use := uint64(1); use <= 2; use++ {
+			for key, results := range want {
+				if got, err := c.GetOrCompute(key, fail); err != nil || !sameResults(got, results) {
+					t.Fatalf("record %x, use %d: served %v (%v), want %v", key[:3], use, got, err, results)
+				}
+			}
+			if s := c.Stats(); s.DiskHits != uint64(len(want)) || s.MemHits != (use-1)*uint64(len(want)) || s.Misses != 0 {
+				t.Fatalf("after use %d of %d records: %s", use, len(want), s)
 			}
 		}
 	})

@@ -12,8 +12,9 @@
 // (ε-sweep points, repetitions, DSE variants sharing ground truth). An
 // optional on-disk store (Options.Dir) persists entries across processes
 // in one append-only pack of versioned, checksummed records, read once per
-// Cache; a record is discarded — never trusted — on any mismatch, so a
-// corrupt or torn record degrades to a simulation, not an error. An
+// Cache into an immutable index that serves pack hits without a lock; a
+// record is discarded — never trusted — on any mismatch, so a corrupt or
+// torn record degrades to a simulation, not an error. An
 // optional remote tier (Options.Remote, implemented by
 // internal/cachenet's client) shares one ground-truth pool across machines
 // and concurrent runs: lookups miss through memory and disk to the remote
@@ -34,6 +35,7 @@ package simcache
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -126,9 +128,11 @@ type Stats struct {
 	MemHits, DiskHits, RemoteHits, Shared uint64
 	// Misses counts calls that ran the compute function.
 	Misses uint64
-	// Evictions counts entries dropped by the LRU byte bound.
+	// Evictions counts entries the byte bound let go of: pack index rows
+	// and LRU entries alike.
 	Evictions uint64
-	// Bytes and Entries describe the current in-memory tier.
+	// Bytes and Entries describe the current in-memory tier: the pack
+	// index's resident rows and the LRU.
 	Bytes   int64
 	Entries int
 	// DiskErrors counts damaged runs of the pack — torn, bit-rotted or
@@ -156,13 +160,15 @@ type Cache struct {
 	remote   Remote
 
 	// packPath is the NUL-terminated path of dir's pack; packOnce loads it
-	// at the first lookup; pack is the append handle, opened at the first
-	// write and guarded, with the offsets it reports, by packMu. A Cache has
-	// no Close: the handle lives as long as the Cache, and the os.File's
-	// finalizer closes it. Every record is synced before writeDisk returns,
-	// so closing adds nothing a reader needs.
+	// at the first lookup into index, read-only from then on; pack is the
+	// append handle, opened at the first write and guarded, with the
+	// offsets it reports, by packMu. A Cache has no Close: the handle lives
+	// as long as the Cache, and the os.File's finalizer closes it. Every
+	// record is synced before writeDisk returns, so closing adds nothing a
+	// reader needs.
 	packPath []byte
 	packOnce sync.Once
+	index    packIndex
 	packMu   sync.Mutex
 	pack     *os.File
 
@@ -181,11 +187,12 @@ type Cache struct {
 	prefetchMissed sync.Map // gpu.SegmentKey -> struct{}
 }
 
-// entry is one cached segment result, linked into its shard's LRU ring —
-// and, before that, the singleflight record of its load: the leader puts it
-// in the table with loading set, followers wait on done and read results and
-// err, and it then joins the ring or, on an error, leaves the table. So a
-// disk hit allocates the entry and its decoded results and nothing else.
+// entry is one segment result this process computed, fetched or read back
+// from the pack, linked into its shard's LRU ring — and, before that, the
+// singleflight record of its load: the leader puts it in the table with
+// loading set, followers wait on done and read results and err, and it then
+// joins the ring or, on an error, leaves the table. So a read-back allocates
+// the entry and its decoded results and nothing else.
 type entry struct {
 	key        gpu.SegmentKey
 	results    []gpu.KernelResult
@@ -194,7 +201,6 @@ type entry struct {
 	done       sync.WaitGroup
 	end        int64 // pack offset just past the entry's record; 0 if none
 	loading    bool  // guarded by the shard lock
-	unread     bool  // loaded from the pack, not yet counted as a disk hit
 }
 
 // packLoc is where a record the memory tier does not hold sits in the
@@ -212,10 +218,17 @@ type shard struct {
 	// head is most recently used; tail least. Sentinel-free doubly linked
 	// list: head/tail are nil when empty.
 	head, tail *entry
-	bytes      int64
-	// spilled indexes the pack records left out of the ring by the byte
-	// bound, at load or by eviction; readDisk takes them back. nil until
-	// the first one.
+	bytes      int64 // the ring's
+	// pinned and pinnedN are the bytes and the count of the pack index's
+	// rows in this shard's key space that are still resident; they count
+	// toward the byte bound and Stats. order is nil until the shard's first
+	// releaseRow.
+	pinned  int64
+	pinnedN int
+	order   *rowOrder
+	// spilled indexes the records this cache wrote or read back and the
+	// ring let go of since; readDisk takes them back. nil until the first
+	// one.
 	spilled map[gpu.SegmentKey]packLoc
 }
 
@@ -250,9 +263,8 @@ func New(opts Options) (*Cache, error) {
 // struct, slice header) added to the payload when accounting bytes.
 const entryOverhead = 128
 
-func payloadBytes(results []gpu.KernelResult) int64 {
-	return int64(len(results))*resultWireSize + entryOverhead
-}
+// entryBytes is what an entry of n results counts toward the byte bound.
+func entryBytes(n int) int64 { return int64(n)*resultWireSize + entryOverhead }
 
 func (c *Cache) shardFor(key gpu.SegmentKey) *shard {
 	return &c.shards[int(key[0])&(shardCount-1)]
@@ -262,6 +274,15 @@ func (c *Cache) shardFor(key gpu.SegmentKey) *shard {
 func (c *Cache) GetOrCompute(key gpu.SegmentKey, compute func() ([]gpu.KernelResult, error)) ([]gpu.KernelResult, error) {
 	if c.dir != "" {
 		c.packOnce.Do(c.loadPack)
+		if i := c.index.find(key); i >= 0 && c.index.resident(i) {
+			c.hits.Add(1)
+			if c.index.firstUse(i) {
+				c.diskHits.Add(1) // its first use: the pack served it
+			} else {
+				c.memHits.Add(1)
+			}
+			return c.index.resultsOf(i), nil
+		}
 	}
 	sh := c.shardFor(key)
 
@@ -269,15 +290,9 @@ func (c *Cache) GetOrCompute(key gpu.SegmentKey, compute func() ([]gpu.KernelRes
 	if e := sh.items[key]; e != nil {
 		if !e.loading {
 			sh.moveToFront(e)
-			unread := e.unread
-			e.unread = false
 			sh.mu.Unlock()
 			c.hits.Add(1)
-			if unread {
-				c.diskHits.Add(1) // its first use: the pack served it
-			} else {
-				c.memHits.Add(1)
-			}
+			c.memHits.Add(1)
 			return e.results, nil
 		}
 		// Another goroutine is loading this key; share its result.
@@ -301,7 +316,7 @@ func (c *Cache) GetOrCompute(key gpu.SegmentKey, compute func() ([]gpu.KernelRes
 	sh.mu.Lock()
 	e.results, e.err, e.loading = results, err, false
 	if err == nil {
-		sh.link(e, c.maxShard, &c.evictions)
+		c.link(sh, e)
 	} else {
 		delete(sh.items, key)
 	}
@@ -334,7 +349,7 @@ const (
 )
 
 // load resolves a miss of e's key tier by tier: the pack records the memory
-// tier let go of (if enabled), then the remote server (if attached), then
+// tier does not hold (if enabled), then the remote server (if attached), then
 // compute, and records in e.end where the entry sits in the pack. A fresh
 // computation is written back to every outer tier best-effort, carrying its
 // measured simulation time so the server's cost-aware eviction can weight
@@ -407,7 +422,7 @@ func (c *Cache) Prefetch(keys []gpu.SegmentKey) {
 		_, spilled := sh.spilled[key]
 		resident = resident || spilled
 		sh.mu.Unlock()
-		if !resident {
+		if !resident && c.index.find(key) < 0 {
 			need = append(need, key)
 		}
 	}
@@ -431,70 +446,95 @@ func (c *Cache) Prefetch(keys []gpu.SegmentKey) {
 		}
 		sh := c.shardFor(need[i])
 		sh.mu.Lock()
-		sh.insert(need[i], results, end, c.maxShard, &c.evictions)
+		c.insert(sh, need[i], results, end)
 		sh.mu.Unlock()
 	}
 }
 
 // insert adds a fetched entry unless the key is present or being loaded
 // (identical content by construction). Caller holds sh.mu.
-func (sh *shard) insert(key gpu.SegmentKey, results []gpu.KernelResult, end, maxBytes int64, evictions *atomic.Uint64) {
+func (c *Cache) insert(sh *shard, key gpu.SegmentKey, results []gpu.KernelResult, end int64) {
 	if sh.items[key] != nil {
 		return
 	}
 	e := &entry{key: key, results: results, end: end}
 	sh.items[key] = e
-	sh.link(e, maxBytes, evictions)
-}
-
-// adopt files a verified pack record read at load: into the ring as an
-// unread entry while it fits under the byte bound, else into the spill
-// index, undecoded. The first record of a key wins; a later one (two
-// processes that computed it at once) is identical by construction.
-func (sh *shard) adopt(key gpu.SegmentKey, rec []byte, end, maxBytes int64) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, spilled := sh.spilled[key]; spilled || sh.items[key] != nil {
-		return
-	}
-	n := (len(rec) - recordSize(0)) / resultWireSize
-	if maxBytes >= 0 && sh.bytes+int64(n)*resultWireSize+entryOverhead > maxBytes {
-		sh.spill(key, packLoc{end, n})
-		return
-	}
-	e := &entry{key: key, results: decodeResults(rec, n), end: end, unread: true}
-	sh.items[key] = e
-	sh.bytes += payloadBytes(e.results)
-	sh.pushFront(e)
-}
-
-// spill indexes a pack record the ring does not hold. Caller holds sh.mu.
-func (sh *shard) spill(key gpu.SegmentKey, loc packLoc) {
-	if sh.spilled == nil {
-		sh.spilled = make(map[gpu.SegmentKey]packLoc)
-	}
-	sh.spilled[key] = loc
+	c.link(sh, e)
 }
 
 // link puts a loaded entry of sh.items at the head of the ring and enforces
-// the byte bound; a victim with a pack record is spilled, to be read back
-// rather than recomputed. Caller holds sh.mu.
-func (sh *shard) link(e *entry, maxBytes int64, evictions *atomic.Uint64) {
-	sh.bytes += payloadBytes(e.results)
+// the byte bound: the shard's resident pack rows go first (releaseRow), then
+// ring entries from the tail; the newest entry stays, even past the bound. A
+// ring entry let go of with a pack record is spilled, to be read back rather
+// than recomputed. Caller holds sh.mu.
+func (c *Cache) link(sh *shard, e *entry) {
+	sh.bytes += entryBytes(len(e.results))
 	sh.pushFront(e)
-	if maxBytes < 0 {
+	if c.maxShard < 0 {
 		return
 	}
-	for sh.bytes > maxBytes && sh.tail != nil && sh.tail != e {
+	for sh.pinned+sh.bytes > c.maxShard {
+		if sh.pinnedN > 0 {
+			c.releaseRow(sh, int(e.key[0])&(shardCount-1))
+			continue
+		}
 		victim := sh.tail
+		if victim == e {
+			return
+		}
 		sh.unlink(victim)
 		delete(sh.items, victim.key)
-		sh.bytes -= payloadBytes(victim.results)
-		evictions.Add(1)
+		sh.bytes -= entryBytes(len(victim.results))
+		c.evictions.Add(1)
 		if victim.end > 0 {
-			sh.spill(victim.key, packLoc{victim.end, len(victim.results)})
+			if sh.spilled == nil {
+				sh.spilled = make(map[gpu.SegmentKey]packLoc)
+			}
+			sh.spilled[victim.key] = packLoc{victim.end, len(victim.results)}
 		}
 	}
+}
+
+// rowOrder is a shard's resident pack rows at load, by pack position, and
+// releaseRow's two cursors into them.
+type rowOrder struct {
+	rows       []int32
+	cold, warm int
+}
+
+// releaseRow lets go of one of shard s's resident pack rows, which leaves it
+// index-only: the oldest never used, if one is left, else the oldest. That is
+// the order in which they would leave the tail of a ring they had joined at
+// load, except that a used row goes before every ring entry, where the ring
+// would order it by its last use; such a row is read back once and then
+// kept in the ring by use. Caller holds sh.mu and has sh.pinnedN > 0.
+func (c *Cache) releaseRow(sh *shard, s int) {
+	x, o := &c.index, sh.order
+	if o == nil {
+		o = &rowOrder{rows: make([]int32, 0, sh.pinnedN)}
+		for i := range x.rows {
+			if x.rows[i].off >= 0 && int(x.rows[i].key[0])&(shardCount-1) == s {
+				o.rows = append(o.rows, int32(i))
+			}
+		}
+		slices.SortFunc(o.rows, func(a, b int32) int { return cmp.Compare(x.rows[a].end, x.rows[b].end) })
+		sh.order = o
+	}
+	i := -1
+	for ; i < 0 && o.cold < len(o.rows); o.cold++ {
+		if j := int(o.rows[o.cold]); !hasBit(x.used, j) {
+			i = j
+		}
+	}
+	for ; i < 0 && o.warm < len(o.rows); o.warm++ {
+		if j := int(o.rows[o.warm]); !hasBit(x.gone, j) {
+			i = j
+		}
+	}
+	setBit(x.gone, i)
+	sh.pinned -= entryBytes(x.rows[i].n)
+	sh.pinnedN--
+	c.evictions.Add(1)
 }
 
 func (sh *shard) pushFront(e *entry) {
@@ -568,8 +608,8 @@ func (c *Cache) Stats() Stats {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		s.Bytes += sh.bytes
-		s.Entries += len(sh.items)
+		s.Bytes += sh.pinned + sh.bytes
+		s.Entries += sh.pinnedN + len(sh.items)
 		sh.mu.Unlock()
 	}
 	if c.remote != nil {
