@@ -47,7 +47,7 @@ func mainErr() error {
 	out := flag.String("out", "traces", "output directory (serving: output CSV path, or - for stdout)")
 	invocations := flag.Int("invocations", 1_000_000, "serving suite: exact kernel invocations to emit")
 	var prof cliopts.Profiles
-	prof.Register(flag.CommandLine, "exit")
+	prof.Register(flag.CommandLine)
 	flag.Parse()
 
 	stop, err := prof.StartProfiles()

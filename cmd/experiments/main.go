@@ -8,13 +8,11 @@
 //
 // Simulator-bound experiments share a content-addressed segment-result
 // cache (internal/simcache): identical ground-truth segments are simulated
-// once per process, with -cachedir once per machine, and with -cacheaddr —
-// pointing at a running cmd/cacheserver — once per fleet: every run sharing
-// the server fetches overlapping segments in one batched round trip instead
-// of re-simulating them. Output is bit-identical with and without any cache
-// tier (a dead or corrupt server degrades to local behavior); -nocache
-// disables caching entirely, and the per-tier hit/miss/byte counters land on
-// stderr unless -cachestats=false. Every run simulates on the exact engine.
+// once per process, and with -cachedir once per directory, which concurrent
+// runs may share. Output is bit-identical with and without any cache tier (a
+// damaged pack record degrades to a simulation); -nocache disables caching
+// entirely, and the per-tier hit/miss/byte counters land on stderr unless
+// -cachestats=false. Every run simulates on the exact engine.
 //
 // Experiment ids: table2, fig1, table3, fig7, fig8, fig9, fig10, fig11,
 // table4 (alias: dse), fig12, fig13, fig14, table5, flush, kkt, rootk,

@@ -8,13 +8,11 @@
 //	stemroot -profile traces/bert_infer.rtx2080.csv -epsilon 0.05
 //	stemroot -profile huge.csv -stream -o plan.json
 //	stemroot -profile trace.csv -simulate -cachedir ~/.cache/stemroot
-//	stemroot -profile trace.csv -simulate -cacheaddr cachehost:9736
 //
 // With -simulate, the plan is additionally validated on the cycle-level
 // simulator against a workload reconstructed from the profile; -cachedir
 // persists segment results so repeat validations skip the full simulation,
-// and -cacheaddr shares them through a cmd/cacheserver across machines and
-// concurrent runs.
+// and processes that name one directory share them.
 package main
 
 import (

@@ -407,8 +407,8 @@ func (c *Client) Stats() simcache.RemoteStats {
 }
 
 // ServerStats queries the server's own counters (the Stats opcode). The
-// single error return in the package: callers are diagnostics (tests,
-// cmd/cacheserver clients), not the simulation path.
+// single error return in the package: callers are diagnostics (tests), not
+// the simulation path.
 func (c *Client) ServerStats() (ServerStats, error) {
 	var st ServerStats
 	cc := c.acquire()

@@ -1,12 +1,11 @@
-// Package cachenet promotes the content-addressed segment-result cache
-// (internal/simcache) to fleet-scale shared infrastructure: a sharded
-// in-memory cache server (cmd/cacheserver) speaking a length-prefixed
-// binary protocol over plain TCP, and a client tier that slots in as
-// simcache.Options.Remote — a third cache level behind the local in-memory
-// LRU and the disk dir. Concurrent experiment runs, DSE sweeps, and CI jobs
-// pointed at one server share a single ground-truth pool, so a parameter
-// sweep that re-simulates overlapping segments pays for each segment once
-// across the whole fleet.
+// Package cachenet is a network tier for the content-addressed
+// segment-result cache (internal/simcache): a sharded in-memory cache server
+// speaking a length-prefixed binary protocol over plain TCP, and a client
+// tier that slots in as simcache.Options.Remote — a third cache level behind
+// the local in-memory LRU and the disk pack. No command serves or attaches
+// it: on one host the disk pack is as fast, and processes share a pack
+// through a shared directory. The package stays for the benchmark harness,
+// which measures it over a loopback server.
 //
 // # Wire protocol
 //

@@ -38,7 +38,7 @@ type ServerOptions struct {
 }
 
 // ServerStats is a point-in-time snapshot of the server's counters, served
-// over the Stats opcode (JSON) and printed by cmd/cacheserver.
+// over the Stats opcode (JSON).
 type ServerStats struct {
 	Gets       uint64 `json:"gets"`
 	Hits       uint64 `json:"hits"`

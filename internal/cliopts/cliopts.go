@@ -1,8 +1,7 @@
 // Package cliopts is the one flag-to-pipeline.Options binder shared by
 // cmd/stemroot and cmd/experiments: the worker, segment-cache and pprof
-// flags, the cache tiers they configure, and the exit-time ordering (drain
-// the remote write window, then report). Its pprof half, Profiles, is every
-// CLI's, cmd/benchgen's and cmd/cacheserver's included.
+// flags, the cache they configure, and its exit-time report. Its pprof half,
+// Profiles, is every CLI's, cmd/benchgen's included.
 package cliopts
 
 import (
@@ -16,7 +15,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 
-	"stemroot/internal/cachenet"
 	"stemroot/internal/pipeline"
 	"stemroot/internal/simcache"
 )
@@ -27,7 +25,6 @@ import (
 type Flags struct {
 	Jobs       int
 	CacheDir   string
-	CacheAddr  string
 	CacheMB    int
 	NoCache    bool
 	CacheStats bool
@@ -40,11 +37,10 @@ type Profiles struct {
 	MemProfile string
 }
 
-// Register declares -cpuprofile and -memprofile on fs. at says when the
-// heap profile is written: "exit", or "shutdown" for a server.
-func (p *Profiles) Register(fs *flag.FlagSet, at string) {
+// Register declares -cpuprofile and -memprofile on fs.
+func (p *Profiles) Register(fs *flag.FlagSet) {
 	fs.StringVar(&p.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this path")
-	fs.StringVar(&p.MemProfile, "memprofile", "", "write a pprof heap profile to this path on "+at)
+	fs.StringVar(&p.MemProfile, "memprofile", "", "write a pprof heap profile to this path on exit")
 }
 
 // Register declares the shared flags on fs. simulateOnly selects the help
@@ -66,11 +62,10 @@ func (f *Flags) Register(fs *flag.FlagSet, simulateOnly bool) {
 		return nil
 	})
 	fs.StringVar(&f.CacheDir, "cachedir", "", "persist "+scope+"segment results on disk in this directory (reused across runs)")
-	fs.StringVar(&f.CacheAddr, "cacheaddr", "", "share "+scope+"segment results through the cacheserver at this address (host:port)")
 	fs.IntVar(&f.CacheMB, "cachemb", 0, "in-memory segment cache bound in MiB (0 = default 256)")
 	fs.BoolVar(&f.NoCache, "nocache", false, "disable the segment-result cache "+noCache)
 	fs.BoolVar(&f.CacheStats, "cachestats", true, "print per-tier cache counters to stderr "+statsWhen)
-	f.Profiles.Register(fs, "exit")
+	f.Profiles.Register(fs)
 }
 
 // StartProfiles starts the -cpuprofile capture. The returned stop writes
@@ -117,50 +112,32 @@ func writeHeapProfile(path string) {
 }
 
 // Options builds the pipeline options the flags describe: the worker count
-// and the segment cache with its disk and remote tiers unless -nocache. The cache is on by
-// default because results are bit-identical with and without it (pinned by
-// the determinism tests): there is no accuracy trade-off, only avoided
+// and the segment cache with its disk tier unless -nocache. The cache is on
+// by default because results are bit-identical with and without it (pinned
+// by the determinism tests): there is no accuracy trade-off, only avoided
 // re-simulation.
 //
 // finish must run once, after the last simulation and on error paths too.
-// It closes the cachenet client — draining the pipelined write window, so
-// the segments this run computed are on the server before the process exits
-// and before the counters are read — then prints the cache report. It goes
-// to stderr so stdout stays byte-comparable across cached and uncached runs.
+// It prints the cache report, to stderr so stdout stays byte-comparable
+// across cached and uncached runs.
 //
 // A -cachemb below 0, or one whose byte count overflows int64, is refused
-// before any cache or client is built: the first would silently mean an
-// unbounded memory tier and the second wraps, possibly to the default.
+// before any cache is built: the first would silently mean an unbounded
+// memory tier and the second wraps, possibly to the default.
 func (f *Flags) Options() (opts pipeline.Options, finish func(), err error) {
 	if f.CacheMB < 0 || int64(f.CacheMB) > math.MaxInt64>>20 {
 		return pipeline.Options{}, nil, fmt.Errorf("-cachemb must be between 0 and %d MiB, got %d", int64(math.MaxInt64>>20), f.CacheMB)
 	}
 	opts = pipeline.Options{Workers: f.Jobs}
-	var client *cachenet.Client
 	var cache *simcache.Cache
 	if !f.NoCache {
-		var remote simcache.Remote
-		if f.CacheAddr != "" {
-			client = cachenet.New(cachenet.ClientOptions{Addr: f.CacheAddr})
-			remote = client
-		}
-		cache, err = simcache.New(simcache.Options{
-			MaxBytes: int64(f.CacheMB) << 20,
-			Dir:      f.CacheDir,
-			Remote:   remote,
-		})
+		cache, err = simcache.New(simcache.Options{MaxBytes: int64(f.CacheMB) << 20, Dir: f.CacheDir})
 		if err != nil {
-			if client != nil {
-				client.Close()
-			}
 			return pipeline.Options{}, nil, err
 		}
 		opts.Cache = cache
 	}
 	return opts, func() {
-		if client != nil {
-			client.Close()
-		}
 		if cache != nil && f.CacheStats {
 			log.Printf("segment cache: %s", cache.Stats())
 		}

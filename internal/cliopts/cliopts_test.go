@@ -77,9 +77,9 @@ func TestOptionsRefusesBadCacheMB(t *testing.T) {
 	}
 }
 
-// TestRegisterRetiresParFlags pins the shared flag set at eight flags: the
-// par engine's -engine, -jkernel, -epoch and -barrierstats are gone, and
-// both CLIs' flag sets refuse them.
+// TestRegisterRetiresParFlags pins the shared flag set at seven flags: the
+// par engine's -engine, -jkernel, -epoch and -barrierstats are gone, and so
+// is the cache server's -cacheaddr; both CLIs' flag sets refuse them.
 func TestRegisterRetiresParFlags(t *testing.T) {
 	for _, simulateOnly := range []bool{false, true} {
 		var f Flags
@@ -88,10 +88,10 @@ func TestRegisterRetiresParFlags(t *testing.T) {
 		f.Register(fs, simulateOnly)
 		n := 0
 		fs.VisitAll(func(*flag.Flag) { n++ })
-		if n != 8 {
-			t.Errorf("simulateOnly=%v: %d flags registered, want 8", simulateOnly, n)
+		if n != 7 {
+			t.Errorf("simulateOnly=%v: %d flags registered, want 7", simulateOnly, n)
 		}
-		for _, name := range []string{"engine", "jkernel", "epoch", "barrierstats"} {
+		for _, name := range []string{"engine", "jkernel", "epoch", "barrierstats", "cacheaddr"} {
 			if fs.Lookup(name) != nil {
 				t.Errorf("simulateOnly=%v: -%s is still registered", simulateOnly, name)
 			}

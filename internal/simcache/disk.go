@@ -151,20 +151,18 @@ func decodeInto(dst []gpu.KernelResult, buf []byte) {
 
 // packIndex is the pack as a Cache's first lookup found it, built once by
 // loadPack: one row per key, sorted by key for a binary search, and the
-// results of the rows that fit under Options.MaxBytes decoded back to back
-// into one block. Rows and block never change after the load, so a pack hit
-// reads them without a lock; only the bitsets change, atomically. A row past
-// the bound is index-only — its results stay in the pack and are read back
-// from its offset at each use the memory tier does not serve — and a
-// resident row becomes index-only when the byte bound lets go of it
-// (Cache.releaseRow).
+// results of the resident rows decoded back to back into one block. A
+// shard's rows are resident all or none (buildIndex), and neither rows nor
+// block change after the load, so a pack hit reads them without a lock; only
+// the first-use bits change, atomically. A row that is not resident is
+// index-only: its results stay in the pack and are read back from its
+// offset at each use the memory tier does not serve.
 type packIndex struct {
 	rows    []packRow
 	results []gpu.KernelResult
 	// used has one bit per row, set at the row's first use: that one is
-	// the disk hit, every later one a memory hit. gone has one bit per
-	// row, set when the byte bound lets go of a resident one.
-	used, gone []atomic.Uint64
+	// the disk hit, every later one a memory hit.
+	used []atomic.Uint64
 }
 
 // packRow is one key's first verified record in the pack.
@@ -185,7 +183,7 @@ func (x *packIndex) find(key gpu.SegmentKey) int {
 }
 
 // resident reports whether row i's results are in memory.
-func (x *packIndex) resident(i int) bool { return x.rows[i].off >= 0 && !hasBit(x.gone, i) }
+func (x *packIndex) resident(i int) bool { return x.rows[i].off >= 0 }
 
 // resultsOf returns row i's resident results, capped so that an append
 // cannot reach the next row's.
@@ -196,8 +194,6 @@ func (x *packIndex) resultsOf(i int) []gpu.KernelResult {
 
 // firstUse reports whether this is row i's first use, marking it used.
 func (x *packIndex) firstUse(i int) bool { return !setBit(x.used, i) }
-
-func hasBit(b []atomic.Uint64, i int) bool { return b[i/64].Load()&(1<<(i%64)) != 0 }
 
 // setBit sets bit i of b and reports whether it was already set.
 func setBit(b []atomic.Uint64, i int) bool {
@@ -308,63 +304,60 @@ func (c *Cache) loadPack() {
 // buildIndex makes c.index of the scanned rows, whose results the scan
 // decoded into res where it had room. Of two records of a key the first
 // wins; a later one, from two processes that computed it at once, is
-// identical by construction. Then, in pack order, a row is resident while
-// its shard's share of the byte bound has room, as the memory tier would
-// have filled; its results are copied out of res into one exactly sized
-// block, or read back through fd and buf when the scan, having counted a
-// duplicate, did not decode them. The index is its rows, its block and its
-// bitsets — three objects whatever the record count. rows is reordered.
+// identical by construction and takes no room. A shard's rows are then
+// resident all or none: all when its distinct records fit in its share of
+// the byte bound, none otherwise, so resident rows never leave and the ring
+// has what they leave of the share. A resident row's results are copied out
+// of res into one exactly sized block, or read back through fd and buf when
+// the scan, having counted a duplicate, did not decode them. The index is
+// its rows, its block and its first-use bits — three objects whatever the
+// record count. rows is reordered.
 func (c *Cache) buildIndex(fd readHandle, rows []packRow, res []gpu.KernelResult, buf []byte) {
 	if len(rows) == 0 {
 		return
 	}
-	byKey := func(a, b packRow) int { return bytes.Compare(a.key[:], b.key[:]) }
-	slices.SortFunc(rows, func(a, b packRow) int { return cmp.Or(byKey(a, b), cmp.Compare(a.end, b.end)) })
+	slices.SortFunc(rows, func(a, b packRow) int { return cmp.Or(bytes.Compare(a.key[:], b.key[:]), cmp.Compare(a.end, b.end)) })
 	rows = slices.CompactFunc(rows, func(a, b packRow) bool { return a.key == b.key })
-	slices.SortFunc(rows, func(a, b packRow) int { return cmp.Compare(a.end, b.end) })
-	const unread = -2 // resident, not decoded by the scan
 	var pinned [shardCount]int64
-	var pinnedN [shardCount]int
-	total := 0
+	var pinnedN, results [shardCount]int
 	for i := range rows {
-		r := &rows[i]
-		sh := r.key[0] & (shardCount - 1)
-		if c.maxShard >= 0 && pinned[sh]+entryBytes(r.n) > c.maxShard {
-			r.off = -1
-			continue
-		}
-		pinned[sh] += entryBytes(r.n)
+		sh := rows[i].key[0] & (shardCount - 1)
+		pinned[sh] += entryBytes(rows[i].n)
 		pinnedN[sh]++
-		total += r.n
-		if r.off < 0 {
-			r.off = unread
+		results[sh] += rows[i].n
+	}
+	var fits [shardCount]bool
+	total := 0
+	for sh := range fits {
+		if fits[sh] = c.maxShard < 0 || pinned[sh] <= c.maxShard; fits[sh] {
+			total += results[sh]
+		} else {
+			pinned[sh], pinnedN[sh] = 0, 0
 		}
 	}
 	x := &c.index
-	w := (len(rows) + 63) / 64
-	bits := make([]atomic.Uint64, 2*w)
-	*x = packIndex{results: make([]gpu.KernelResult, total), used: bits[:w:w], gone: bits[w:]}
+	*x = packIndex{results: make([]gpu.KernelResult, total), used: make([]atomic.Uint64, (len(rows)+63)/64)}
 	off := 0
 	for i := range rows {
 		r := &rows[i]
+		sh := r.key[0] & (shardCount - 1)
 		switch {
+		case !fits[sh]:
+			r.off = -1
+			continue
 		case r.off >= 0:
 			copy(x.results[off:], res[r.off:r.off+r.n])
-		case r.off == unread:
+		default:
 			rec := readRecord(fd, r.end, r.n, buf)
 			if m, ok := verifyEntry(r.key, rec); !ok || m != r.n {
 				c.diskErrors.Add(1) // changed under us: read back, or computed, at its use
-				sh := r.key[0] & (shardCount - 1)
-				pinned[sh], pinnedN[sh], r.off = pinned[sh]-entryBytes(r.n), pinnedN[sh]-1, -1
+				pinned[sh], pinnedN[sh] = pinned[sh]-entryBytes(r.n), pinnedN[sh]-1
 				continue
 			}
 			decodeInto(x.results[off:off+r.n], rec)
-		default:
-			continue
 		}
 		r.off, off = off, off+r.n
 	}
-	slices.SortFunc(rows, byKey)
 	x.rows = slices.Clone(rows)
 	for i := range c.shards {
 		sh := &c.shards[i]

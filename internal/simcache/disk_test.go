@@ -45,7 +45,27 @@ func lookup(t *testing.T, c *Cache, key gpu.SegmentKey, want []gpu.KernelResult)
 	if err != nil || !sameResults(got, want) {
 		t.Fatalf("lookup %x: wrong results (%v)", key[:3], err)
 	}
+	withinBound(t, c)
 	return served
+}
+
+// withinBound fails t unless every shard of c holds at most its share of
+// the byte bound — resident pack rows and ring together — plus its newest
+// entry, the one the ring keeps even past the bound.
+func withinBound(t *testing.T, c *Cache) {
+	t.Helper()
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		held, newest := sh.pinned+sh.bytes, int64(0)
+		if sh.head != nil {
+			newest = entryBytes(len(sh.head.results))
+		}
+		sh.mu.Unlock()
+		if c.maxShard >= 0 && held > c.maxShard+newest {
+			t.Fatalf("shard %d holds %d bytes, bound %d plus its newest entry's %d", i, held, c.maxShard, newest)
+		}
+	}
 }
 
 // TestDiskRoundTrip: what one cache computes, a second cache over the same
@@ -298,11 +318,10 @@ func TestDiskReadOversizedFile(t *testing.T) {
 	}
 }
 
-// TestDiskSpill: the memory tier holds no more than MaxBytes — the pack
-// rows resident at load and the ring together — and a record it let go of —
-// an index-only row past the bound, or an entry evicted since, whether it
-// was read back or written by this cache — is read back from the pack, never
-// recomputed.
+// TestDiskSpill: the memory tier holds no more than MaxBytes — a shard whose
+// pack does not fit keeps none of it resident — and a record it does not hold
+// — an index-only row, or an entry evicted since, whether it was read back or
+// written by this cache — is read back from the pack, never recomputed.
 func TestDiskSpill(t *testing.T) {
 	dir := t.TempDir()
 	const bound = 16 * 600 // a shard holds two 4-result entries (256 bytes each)
@@ -331,7 +350,7 @@ func TestDiskSpill(t *testing.T) {
 			indexOnly++
 		}
 	}
-	if s := r.Stats(); s.Entries != 2 || s.Bytes > 600 || indexOnly != 3 {
+	if s := r.Stats(); s.Entries != 0 || s.Bytes != 0 || indexOnly != 5 {
 		t.Fatalf("load kept %s and left %d rows index-only", s, indexOnly)
 	}
 	for round := 0; round < 2; round++ {
@@ -389,10 +408,15 @@ func TestDiskHitAllocs(t *testing.T) {
 // TestPackLoadAllocs: a pack load allocates the index — its rows, its
 // results block and its first-use bits — and nothing per record, once the
 // shared scan buffer and scratch have grown: the same three objects for 10
-// records as for 2,000, at the default bound and at one that leaves all but
-// 32 of the 2,000 index-only.
+// records as for 2,000 at the default bound. At one that fits the 10 but
+// leaves every shard of the 2,000 index-only, that pack's index has no
+// results block: two objects.
 func TestPackLoadAllocs(t *testing.T) {
-	for _, maxBytes := range []int64{0, 16 * 600} {
+	for _, tc := range []struct {
+		maxBytes int64
+		want     [2]uint64
+	}{{0, [2]uint64{3, 3}}, {16 * 600, [2]uint64{3, 2}}} {
+		maxBytes := tc.maxBytes
 		var objects []uint64
 		for _, records := range []int{10, 2000} {
 			dir := t.TempDir()
@@ -417,8 +441,8 @@ func TestPackLoadAllocs(t *testing.T) {
 			}
 			objects = append(objects, got)
 		}
-		if objects[0] != objects[1] || objects[1] > 3 {
-			t.Fatalf("MaxBytes %d: loading 10 and 2,000 records allocates %v objects, want the index's three for both", maxBytes, objects)
+		if [2]uint64(objects) != tc.want {
+			t.Fatalf("MaxBytes %d: loading 10 and 2,000 records allocates %v objects, want %v", maxBytes, objects, tc.want)
 		}
 	}
 }
@@ -426,7 +450,11 @@ func TestPackLoadAllocs(t *testing.T) {
 // TestPackDuplicateKey: a pack holding two records of one key serves the
 // first, whether the index keeps it resident or reads it back from its
 // offset, and counts one entry. The second record takes no room: at a bound
-// that fits exactly the distinct records, all of them are resident.
+// that fits exactly the distinct records, all of them are resident — also in
+// a pack that holds every key twice, as two cold processes started together
+// leave it, whether the duplicates interleave or follow their first record
+// (then the scan's budget runs out on them, and the load reads back what it
+// did not decode).
 func TestPackDuplicateKey(t *testing.T) {
 	dir := t.TempDir()
 	key, first, second := testKey(3, 1), testResults(4, 1), testResults(4, 2)
@@ -445,60 +473,70 @@ func TestPackDuplicateKey(t *testing.T) {
 			t.Fatalf("MaxBytes %d: stats: %s", maxBytes, s)
 		}
 	}
+
+	res := func(i int) []gpu.KernelResult { return testResults(4, float64(i)) }
+	recs := make([][]byte, 3)
+	for i := range recs {
+		recs[i] = EncodeEntry(testKey(7, byte(i)), res(i)) // all in shard 7
+	}
+	for name, pack := range map[string][]byte{
+		"interleaved": slices.Concat(recs[0], recs[1], recs[2], recs[0], recs[1], recs[2]),
+		"adjacent":    slices.Concat(recs[0], recs[0], recs[1], recs[1], recs[2], recs[2]),
+	} {
+		dir := t.TempDir()
+		writePack(t, dir, pack)
+		c := mustNew(t, Options{Dir: dir, MaxBytes: 16 * 3 * entryBytes(4)})
+		c.packOnce.Do(c.loadPack)
+		if s := c.Stats(); s.Entries != 3 || s.Bytes != 3*entryBytes(4) || s.DiskErrors != 0 {
+			t.Fatalf("%s: the load kept %s, want the three distinct records resident", name, s)
+		}
+		for use := 0; use < 2; use++ {
+			for i := range recs {
+				if !lookup(t, c, testKey(7, byte(i)), res(i)) {
+					t.Fatalf("%s: computed record %d", name, i)
+				}
+			}
+		}
+		if s := c.Stats(); s.DiskHits != 3 || s.MemHits != 3 || s.Evictions != 0 {
+			t.Fatalf("%s: stats: %s", name, s)
+		}
+	}
 }
 
-// TestPackRowsLeaveByUse: resident pack rows make room for what the cache
-// computes or reads back, the never used first, and what leaves is read
-// back, never recomputed. A pack whose oldest records are never asked for
-// (an old engine's, say) therefore does not hold the bound: a live record
-// past it is read back once and then served from memory.
+// TestPackRowsLeaveByUse: a shard whose pack does not fit in its share of
+// the byte bound holds none of it resident. Its live records are read back
+// once each and then served from memory, aged by use in the ring; records
+// nobody asks for — an old engine's, say — are never read.
 func TestPackRowsLeaveByUse(t *testing.T) {
 	const bound = 16 * 600 // a shard holds two 4-result entries
 	res := func(i int) []gpu.KernelResult { return testResults(4, float64(i)) }
-	keys := make([]gpu.SegmentKey, 5)
+	keys := make([]gpu.SegmentKey, 4)
 	var pack []byte
 	for i := range keys {
 		keys[i] = testKey(0, byte(i)) // all in shard 0
-		if i < 4 {
-			pack = append(pack, EncodeEntry(keys[i], res(i))...)
-		}
+		pack = append(pack, EncodeEntry(keys[i], res(i))...)
 	}
-
 	dir := t.TempDir()
-	writePack(t, dir, pack[:2*recordSize(4)])
-	c := mustNew(t, Options{Dir: dir, MaxBytes: bound})
-	lookup(t, c, keys[1], res(1))
-	lookup(t, c, keys[4], res(4)) // computed: the never used keys[0] leaves
-	if x := &c.index; x.resident(x.find(keys[0])) || !x.resident(x.find(keys[1])) {
-		t.Fatal("the byte bound let go of a used row before a never used one")
-	}
-	if s := c.Stats(); s.Entries != 2 || s.Bytes > 600 || s.Evictions != 1 {
-		t.Fatalf("after the miss: %s", s)
-	}
-	for round := 0; round < 2; round++ {
-		for i := 0; i < 2; i++ {
-			if !lookup(t, c, keys[i], res(i)) {
-				t.Fatalf("round %d: recomputed pack record %d", round, i)
-			}
-		}
-	}
-	if s := c.Stats(); s.Misses != 1 || s.Bytes > 600 || s.DiskErrors != 0 {
-		t.Fatalf("after the read-backs: %s", s)
-	}
-
-	// keys[0] and keys[1] never asked for: resident at load, and let go of
-	// for keys[2] and keys[3], which are read back once.
-	dir = t.TempDir()
 	writePack(t, dir, pack)
-	c = mustNew(t, Options{Dir: dir, MaxBytes: bound})
-	for round := 0; round < 2; round++ {
+	c := mustNew(t, Options{Dir: dir, MaxBytes: bound})
+	c.packOnce.Do(c.loadPack)
+	if s := c.Stats(); s.Entries != 0 || s.Bytes != 0 || len(c.index.results) != 0 {
+		t.Fatalf("a pack past the bound left %d results resident: %s", len(c.index.results), s)
+	}
+	// Damage the records of keys[0] and keys[1] in place: reading either
+	// back would count a disk error.
+	for i := 0; i < 2; i++ {
+		pack[i*recordSize(4)+diskHeaderSize] ^= 1
+	}
+	writePack(t, dir, pack)
+	for round := 0; round < 3; round++ {
 		for i := 2; i < 4; i++ {
 			if !lookup(t, c, keys[i], res(i)) {
 				t.Fatalf("round %d: recomputed pack record %d", round, i)
 			}
 		}
 	}
-	if s := c.Stats(); s.DiskHits != 2 || s.MemHits != 2 || s.Evictions != 2 || s.Entries != 2 {
+	if s := c.Stats(); s.DiskHits != 2 || s.MemHits != 4 || s.Evictions != 0 || s.Entries != 2 || s.DiskErrors != 0 {
 		t.Fatalf("live records past the bound: %s", s)
 	}
 }
@@ -506,7 +544,7 @@ func TestPackRowsLeaveByUse(t *testing.T) {
 // TestPackRowsMakeRoomForAFailedWrite: an entry whose write failed has no
 // record to be read back from, so the memory tier keeps it whatever the pack
 // rows resident beside it — past the bound if it must — and its second
-// lookup is a memory hit, not a second simulation.
+// lookup is a memory hit, not a second simulation. The resident row stays.
 func TestPackRowsMakeRoomForAFailedWrite(t *testing.T) {
 	dir := t.TempDir()
 	pinned, big := testKey(0, 1), testKey(0, 2) // both in shard 0
@@ -522,11 +560,11 @@ func TestPackRowsMakeRoomForAFailedWrite(t *testing.T) {
 	for use := 0; use < 2; use++ {
 		lookup(t, c, big, testResults(8, 2))
 	}
-	if s := c.Stats(); s.Misses != 1 || s.MemHits != 1 || s.DiskWriteErrors != 1 || s.Entries != 1 {
+	if s := c.Stats(); s.Misses != 1 || s.MemHits != 1 || s.DiskWriteErrors != 1 || s.Entries != 2 {
 		t.Fatalf("stats: %s", s)
 	}
-	if !lookup(t, c, pinned, testResults(4, 1)) {
-		t.Fatal("recomputed the pack row let go of")
+	if !lookup(t, c, pinned, testResults(4, 1)) || c.Stats().DiskHits != 1 {
+		t.Fatalf("the resident pack row was not served from memory: %s", c.Stats())
 	}
 }
 
@@ -563,9 +601,10 @@ func TestPackFirstUseConcurrent(t *testing.T) {
 }
 
 // TestPackReleaseConcurrent: readers serving resident pack rows without a
-// lock race writers whose fresh entries make the byte bound release those
-// rows (run under -race). Every lookup returns its key's results, no pack
-// record is recomputed, and the memory tier ends within the bound.
+// lock race writers whose fresh entries overflow the ring (run under -race).
+// Every lookup returns its key's results, no pack record is recomputed or
+// read back, every resident row is still resident at the end, and the memory
+// tier ends within the bound plus the newest entry.
 func TestPackReleaseConcurrent(t *testing.T) {
 	dir := t.TempDir()
 	res := func(id int) []gpu.KernelResult { return testResults(4, float64(id)) }
@@ -574,7 +613,8 @@ func TestPackReleaseConcurrent(t *testing.T) {
 		pack = append(pack, EncodeEntry(testKey(0, byte(id)), res(id))...) // all in shard 0
 	}
 	writePack(t, dir, pack)
-	c := mustNew(t, Options{Dir: dir, MaxBytes: 16 * 8 * entryBytes(4)}) // all eight resident
+	share := 10 * entryBytes(4) // all eight resident, and two ring entries
+	c := mustNew(t, Options{Dir: dir, MaxBytes: 16 * share})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -583,7 +623,7 @@ func TestPackReleaseConcurrent(t *testing.T) {
 			for round := 0; round < 100; round++ {
 				id := (w*5 + round) % 8
 				if w%2 == 1 {
-					id = 8 + 2*round + w/2 // a fresh key: its entry releases a row
+					id = 8 + 2*round + w/2 // a fresh key: its entry overflows the ring
 				}
 				got, err := c.GetOrCompute(testKey(0, byte(id)), func() ([]gpu.KernelResult, error) {
 					if id < 8 {
@@ -598,8 +638,35 @@ func TestPackReleaseConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if s := c.Stats(); s.Misses != 200 || s.DiskErrors != 0 || s.Bytes > 8*entryBytes(4) {
+	if s := c.Stats(); s.Misses != 200 || s.DiskHits != 8 || s.Evictions != 198 || s.DiskErrors != 0 {
 		t.Fatalf("stats: %s", s)
+	}
+	withinBound(t, c)
+	for id := 0; id < 8; id++ {
+		if i := c.index.find(testKey(0, byte(id))); i < 0 || !c.index.resident(i) {
+			t.Fatalf("pack row %d is no longer resident", id)
+		}
+	}
+}
+
+// TestPackRowInUseIsNotReread: a resident pack row stays in memory when the
+// ring fills. The pack holds A and B and the shard's share fits three
+// entries: after A and B are used and C and D computed, a use of A is a
+// memory hit, not a second read of its record.
+func TestPackRowInUseIsNotReread(t *testing.T) {
+	dir := t.TempDir()
+	res := func(id int) []gpu.KernelResult { return testResults(4, float64(id)) }
+	keys := make([]gpu.SegmentKey, 4) // A, B, C, D, all in shard 0
+	for i := range keys {
+		keys[i] = testKey(0, byte(i))
+	}
+	writePack(t, dir, slices.Concat(EncodeEntry(keys[0], res(0)), EncodeEntry(keys[1], res(1))))
+	c := mustNew(t, Options{Dir: dir, MaxBytes: 16 * 3 * entryBytes(4)})
+	for _, i := range []int{0, 1, 2, 3, 0} {
+		lookup(t, c, keys[i], res(i))
+	}
+	if s := c.Stats(); s.DiskHits != 2 || s.MemHits != 1 || s.Misses != 2 {
+		t.Fatalf("stats: %s, want disk=2 mem=1 misses=2", s)
 	}
 }
 

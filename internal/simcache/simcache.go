@@ -7,22 +7,25 @@
 // and the determinism contract from the parallel/arena work is what makes
 // the substitution safe.
 //
-// The cache has up to three tiers, consulted nearest first. A sharded
-// in-memory LRU bounded by bytes serves repeated segments within a process
-// (ε-sweep points, repetitions, DSE variants sharing ground truth). An
+// The product's cache has two tiers on one host. A sharded in-memory tier
+// bounded by bytes serves repeated segments within a process (ε-sweep
+// points, repetitions, DSE variants sharing ground truth). An
 // optional on-disk store (Options.Dir) persists entries across processes
 // in one append-only pack of versioned, checksummed records, read once per
 // Cache into an immutable index that serves pack hits without a lock; a
 // record is discarded — never trusted — on any mismatch, so a corrupt or
-// torn record degrades to a simulation, not an error. An
-// optional remote tier (Options.Remote, implemented by
-// internal/cachenet's client) shares one ground-truth pool across machines
-// and concurrent runs: lookups miss through memory and disk to the remote
-// server, fresh computations are written back to every tier, and the same
-// discard-never-trust verification applies to every byte that crosses the
-// wire. The memory tier doubles as the remote client's local hot tier —
-// once an entry has been fetched (or batch-prefetched, see Prefetch) a
-// repeat hit never touches the network.
+// torn record degrades to a simulation, not an error. Under the byte bound,
+// a shard's pack rows are resident all or none, decided at load: all when
+// its distinct records fit in its share, and then they never leave; an LRU
+// ring has what they leave of the share. Processes share results through a
+// shared directory, whose filesystem must make an O_APPEND write atomic
+// across every writer (a local filesystem does; NFS does not).
+//
+// Options.Remote attaches a third tier behind the disk: lookups miss through
+// memory and disk to it, fresh computations are written back to it, and
+// the same discard-never-trust verification applies to every byte that
+// crosses the wire. No CLI attaches one; it stays for the benchmark's
+// loopback measurement of internal/cachenet.
 //
 // # Concurrency
 //
@@ -35,7 +38,6 @@ package simcache
 
 import (
 	"bytes"
-	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -59,11 +61,11 @@ const DefaultMaxBytes = 256 << 20
 // worker counts the pipeline uses.
 const shardCount = 16
 
-// Remote is the third cache tier: a shared result pool behind the local
-// memory and disk tiers, typically a cachenet client talking to a
-// cmd/cacheserver instance shared by a fleet of experiment runs. Every
-// method is best-effort and must never block a simulation on a sick server:
-// a timeout, connection failure, or verification mismatch is a miss (or a
+// Remote is the optional third cache tier: a shared result pool behind the
+// local memory and disk tiers — an internal/cachenet client in the
+// benchmark harness, the only caller that attaches one. Every method is
+// best-effort and must never block a simulation on a sick server: a
+// timeout, connection failure, or verification mismatch is a miss (or a
 // dropped write), and the caller degrades to simulating locally —
 // identical results, only slower. Implementations must be safe for
 // concurrent use and must verify entries (embedded key + checksum) before
@@ -128,8 +130,8 @@ type Stats struct {
 	MemHits, DiskHits, RemoteHits, Shared uint64
 	// Misses counts calls that ran the compute function.
 	Misses uint64
-	// Evictions counts entries the byte bound let go of: pack index rows
-	// and LRU entries alike.
+	// Evictions counts entries the byte bound let go of from the LRU ring;
+	// a resident pack row never leaves.
 	Evictions uint64
 	// Bytes and Entries describe the current in-memory tier: the pack
 	// index's resident rows and the LRU.
@@ -220,12 +222,10 @@ type shard struct {
 	head, tail *entry
 	bytes      int64 // the ring's
 	// pinned and pinnedN are the bytes and the count of the pack index's
-	// rows in this shard's key space that are still resident; they count
-	// toward the byte bound and Stats. order is nil until the shard's first
-	// releaseRow.
+	// resident rows in this shard's key space, fixed at load; they count
+	// toward the byte bound and Stats.
 	pinned  int64
 	pinnedN int
-	order   *rowOrder
 	// spilled indexes the records this cache wrote or read back and the
 	// ring let go of since; readDisk takes them back. nil until the first
 	// one.
@@ -462,26 +462,16 @@ func (c *Cache) insert(sh *shard, key gpu.SegmentKey, results []gpu.KernelResult
 	c.link(sh, e)
 }
 
-// link puts a loaded entry of sh.items at the head of the ring and enforces
-// the byte bound: the shard's resident pack rows go first (releaseRow), then
-// ring entries from the tail; the newest entry stays, even past the bound. A
-// ring entry let go of with a pack record is spilled, to be read back rather
-// than recomputed. Caller holds sh.mu.
+// link puts a loaded entry of sh.items at the head of the ring and holds
+// the ring to what the shard's resident pack rows leave of its byte bound:
+// entries leave from the tail, and the newest stays, even past the bound. An
+// entry let go of with a pack record is spilled, to be read back rather than
+// recomputed. Caller holds sh.mu.
 func (c *Cache) link(sh *shard, e *entry) {
 	sh.bytes += entryBytes(len(e.results))
 	sh.pushFront(e)
-	if c.maxShard < 0 {
-		return
-	}
-	for sh.pinned+sh.bytes > c.maxShard {
-		if sh.pinnedN > 0 {
-			c.releaseRow(sh, int(e.key[0])&(shardCount-1))
-			continue
-		}
+	for c.maxShard >= 0 && sh.pinned+sh.bytes > c.maxShard && sh.tail != e {
 		victim := sh.tail
-		if victim == e {
-			return
-		}
 		sh.unlink(victim)
 		delete(sh.items, victim.key)
 		sh.bytes -= entryBytes(len(victim.results))
@@ -493,48 +483,6 @@ func (c *Cache) link(sh *shard, e *entry) {
 			sh.spilled[victim.key] = packLoc{victim.end, len(victim.results)}
 		}
 	}
-}
-
-// rowOrder is a shard's resident pack rows at load, by pack position, and
-// releaseRow's two cursors into them.
-type rowOrder struct {
-	rows       []int32
-	cold, warm int
-}
-
-// releaseRow lets go of one of shard s's resident pack rows, which leaves it
-// index-only: the oldest never used, if one is left, else the oldest. That is
-// the order in which they would leave the tail of a ring they had joined at
-// load, except that a used row goes before every ring entry, where the ring
-// would order it by its last use; such a row is read back once and then
-// kept in the ring by use. Caller holds sh.mu and has sh.pinnedN > 0.
-func (c *Cache) releaseRow(sh *shard, s int) {
-	x, o := &c.index, sh.order
-	if o == nil {
-		o = &rowOrder{rows: make([]int32, 0, sh.pinnedN)}
-		for i := range x.rows {
-			if x.rows[i].off >= 0 && int(x.rows[i].key[0])&(shardCount-1) == s {
-				o.rows = append(o.rows, int32(i))
-			}
-		}
-		slices.SortFunc(o.rows, func(a, b int32) int { return cmp.Compare(x.rows[a].end, x.rows[b].end) })
-		sh.order = o
-	}
-	i := -1
-	for ; i < 0 && o.cold < len(o.rows); o.cold++ {
-		if j := int(o.rows[o.cold]); !hasBit(x.used, j) {
-			i = j
-		}
-	}
-	for ; i < 0 && o.warm < len(o.rows); o.warm++ {
-		if j := int(o.rows[o.warm]); !hasBit(x.gone, j) {
-			i = j
-		}
-	}
-	setBit(x.gone, i)
-	sh.pinned -= entryBytes(x.rows[i].n)
-	sh.pinnedN--
-	c.evictions.Add(1)
 }
 
 func (sh *shard) pushFront(e *entry) {
