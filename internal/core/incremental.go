@@ -546,6 +546,15 @@ type incInterval struct {
 // when its capacity is short.
 func sized[T any](buf []T, n int) []T { return slices.Grow(buf[:0], n)[:n] }
 
+// fit is sized for an array a caller keeps: a short buf is replaced by one
+// of exactly n elements, a single object even when the race detector is on.
+func fit[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		buf = make([]T, n)
+	}
+	return buf[:n]
+}
+
 // nameRun returns the end of the run of intervals, starting at lo, that
 // belong to one kernel.
 func nameRun(intervals []incInterval, lo int) int {

@@ -48,6 +48,9 @@ type Plan struct {
 	// sizes; it is <= Params.Epsilon by construction (up to the
 	// conservative with-replacement variance of fully-sampled clusters).
 	PredictedError float64
+	// members and samples are the arrays a batch plan's Members and Samples
+	// are windows of, which BuildPlanInto reuses when it plans into p again.
+	members, samples []int
 }
 
 // BuildPlan runs the full STEM+ROOT methodology over a profiled workload:
@@ -65,15 +68,17 @@ func BuildPlan(names []string, times []float64, p Params) (*Plan, error) {
 // BuildPlanInto is BuildPlan over n rows (nameOf(i), times[i]), written into
 // the caller's plan: for callers whose names sit inside other records and
 // that keep the plan inside a record of their own. nameOf is called once per
-// row, on the calling goroutine. A call allocates the plan's clusters, one
-// index array and one sample array — and, once an idle arena has grown to
-// the profile's shape, nothing else — and overwrites every field of *plan.
-// On an error *plan holds no usable plan.
+// row, on the calling goroutine. It reuses the clusters, member and sample
+// arrays an earlier call left in *plan where they are large enough, so once
+// an idle arena has grown to the profile's shape, planning again into one
+// plan allocates nothing, and into a zero Plan only those three arrays.
+// Every field of *plan is overwritten. On an error it holds no usable plan.
 func BuildPlanInto(plan *Plan, n int, nameOf func(i int) string, times []float64, p Params) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
 	a := takeArena()
+	a.backing = plan.members
 	err := planFromClusters(plan, a.cluster(n, nameOf, times, p, rootWorkers(n, p.Workers)), p, a)
 	putArena(a) // not deferred: an arena abandoned by a panic is not reused
 	return err
@@ -114,10 +119,10 @@ func planFromClusters(plan *Plan, leaves []Cluster, p Params, a *splitArena) err
 	for i, m := range sizes {
 		drawn += min(m, len(leaves[i].Indices))
 	}
-	samples := make([]int, drawn)
+	samples := fit(plan.samples, drawn)
 
-	r := rng.New(rng.Derive(p.Seed, 0x5a3f1e))
-	*plan = Plan{Params: p, Clusters: make([]PlanCluster, len(leaves))}
+	r := rng.Seeded(rng.Derive(p.Seed, 0x5a3f1e))
+	*plan = Plan{Params: p, Clusters: fit(plan.Clusters, len(leaves)), members: a.backing, samples: samples}
 	for i, leaf := range leaves {
 		m := sizes[i]
 		pc := &plan.Clusters[i]
@@ -168,12 +173,18 @@ func (p *Plan) Estimate(sampleTimes func(int) float64) float64 {
 // SampledIndices returns the distinct invocations the plan requires
 // simulating, in ascending order.
 func (p *Plan) SampledIndices() []int {
-	out := make([]int, 0, p.TotalSamples())
+	return p.AppendSampledIndices(make([]int, 0, p.TotalSamples()))
+}
+
+// AppendSampledIndices appends SampledIndices to dst and returns the
+// extended slice, for a caller that reuses the list's array.
+func (p *Plan) AppendSampledIndices(dst []int) []int {
+	n := len(dst)
 	for i := range p.Clusters {
-		out = append(out, p.Clusters[i].Samples...)
+		dst = append(dst, p.Clusters[i].Samples...)
 	}
-	slices.Sort(out)
-	return slices.Compact(out)
+	slices.Sort(dst[n:])
+	return dst[:n+len(slices.Compact(dst[n:]))]
 }
 
 // TotalSamples returns Σ m_i, the number of (with-replacement) samples.

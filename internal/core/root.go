@@ -289,7 +289,8 @@ func buildClusters(names []string, times []float64, p Params, workers int) []Clu
 
 // cluster is ROOT over the n rows (nameOf(i), times[i]) with a leading the
 // call. The returned leaves are a's scratch, valid until putArena; their
-// index lists are windows of one freshly allocated array the caller may keep.
+// index lists are windows of a.backing — the caller's array when it holds n
+// rows, else a new one — which the caller may keep.
 func (a *splitArena) cluster(n int, nameOf func(i int) string, times []float64, p Params, workers int) []Cluster {
 	// One hash per row: each row gets the first-appearance id of its name,
 	// and cursor counts the rows of each id.
@@ -323,7 +324,7 @@ func (a *splitArena) cluster(n int, nameOf func(i int) string, times []float64, 
 	}
 
 	// Chronological index and value lists, one contiguous range per name.
-	a.backing, a.vals = make([]int, n), sized(a.vals, n)
+	a.backing, a.vals = fit(a.backing, n), sized(a.vals, n)
 	for i, id := range a.ids {
 		c := cursor[id]
 		a.backing[c] = i

@@ -104,11 +104,16 @@ func (m *Model) Time(inv *trace.Invocation) float64 {
 // Profile measures every invocation of the workload, returning the profile
 // a lightweight kernel profiler (Nsight Systems) would produce.
 func (m *Model) Profile(w *trace.Workload) *trace.Profile {
-	times := make([]float64, len(w.Invs))
+	return &trace.Profile{Device: m.Device.Name, TimeUS: m.AppendTimes(make([]float64, 0, len(w.Invs)), w)}
+}
+
+// AppendTimes appends the profile's times, one per invocation of w, to dst
+// and returns the extended slice: Profile for a caller that reuses the array.
+func (m *Model) AppendTimes(dst []float64, w *trace.Workload) []float64 {
 	for i := range w.Invs {
-		times[i] = m.Time(&w.Invs[i])
+		dst = append(dst, m.Time(&w.Invs[i]))
 	}
-	return &trace.Profile{Device: m.Device.Name, TimeUS: times}
+	return dst
 }
 
 // MicroNames lists the 13 microarchitectural metrics of the Figure 14

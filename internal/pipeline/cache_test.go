@@ -64,7 +64,7 @@ func TestSampledSimCachedBitIdentical(t *testing.T) {
 		indices = append(indices, i)
 	}
 
-	want, err := SampledSimOpt(w, cfg, lim, indices, Options{Workers: 1})
+	want, err := SampledSimOpt(nil, w, cfg, lim, indices, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestSampledSimCachedBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range workerCounts() {
-		got, err := SampledSimOpt(w, cfg, lim, indices, Options{Workers: workers, Cache: cache})
+		got, err := SampledSimOpt(nil, w, cfg, lim, indices, Options{Workers: workers, Cache: cache})
 		if err != nil {
 			t.Fatal(err)
 		}

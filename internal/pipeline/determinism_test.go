@@ -2,12 +2,14 @@ package pipeline
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 
 	"stemroot/internal/gpu"
 	"stemroot/internal/hwmodel"
 	"stemroot/internal/kernelgen"
 	"stemroot/internal/sampling"
+	"stemroot/internal/simcache"
 )
 
 // workerCounts are the pool sizes every determinism test compares: the
@@ -72,12 +74,12 @@ func TestSampledSimDeterministicAcrossWorkers(t *testing.T) {
 	}
 	indices = append(indices, 1, 5)
 
-	want, err := SampledSimOpt(w, cfg, lim, indices, Options{Workers: 1})
+	want, err := SampledSimOpt(nil, w, cfg, lim, indices, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range workerCounts() {
-		got, err := SampledSimOpt(w, cfg, lim, indices, Options{Workers: workers})
+		got, err := SampledSimOpt(nil, w, cfg, lim, indices, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,6 +164,77 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 		}
 		if *got != *want {
 			t.Fatalf("workers=%d: result %+v differs from serial %+v", workers, *got, *want)
+		}
+	}
+}
+
+// TestRunOptConcurrentMatchesSerial pins that RunOpt's recycled scratch is
+// private to each call: four goroutines run twelve distinct DSE cells twice
+// over, sharing one cache and the idle list, and every Result is bit-identical
+// to the cell's serial one and to one computed from an empty idle list, where
+// every scratch is new. Cells alternate STEM, which plans into the scratch,
+// and PKA, which returns its own plan.
+func TestRunOptConcurrentMatchesSerial(t *testing.T) {
+	unclampProcs(t)
+	isolateIdleSources(t)
+	cache, err := simcache.New(simcache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cells []warmCell
+	for i, c := range warmCells(t) {
+		if i%5 == 0 {
+			cells = append(cells, c)
+		}
+	}
+	lim, opt := kernelgen.DSELimits(), Options{Workers: 1, Cache: cache}
+	full := make([][]float64, len(cells))
+	for i, c := range cells {
+		if full[i], err = FullSimOpt(c.w, c.cfg, lim, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func(i int) Result {
+		var m sampling.Method = sampling.NewSTEMRoot(1)
+		if i%2 == 1 {
+			m = sampling.NewPKA(1)
+		}
+		res, err := RunOpt(cells[i].w, hwmodel.RTX2080, m, cells[i].cfg, lim, full[i], opt)
+		if err != nil {
+			t.Error(err)
+			return Result{}
+		}
+		return *res
+	}
+
+	serial := make([]Result, len(cells))
+	for i := range cells {
+		serial[i] = run(i)
+	}
+	for i := range cells {
+		idleSources.Lock()
+		idleSources.list = nil
+		idleSources.Unlock()
+		if got := run(i); got != serial[i] {
+			t.Fatalf("cell %d from an empty idle list: %+v, serial %+v", i, got, serial[i])
+		}
+	}
+
+	got := make([]Result, 2*len(cells))
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := g; k < len(got); k += 4 {
+				got[k] = run(k % len(cells))
+			}
+		}()
+	}
+	wg.Wait()
+	for k, r := range got {
+		if i := k % len(cells); r != serial[i] {
+			t.Fatalf("cell %d, concurrent call %d: %+v, serial %+v", i, k/len(cells), r, serial[i])
 		}
 	}
 }

@@ -93,6 +93,18 @@ type specSource struct {
 	// window is the runner's results, reused from pass to pass: simulate
 	// only reads their cycles, so it never lets the window escape.
 	window []gpu.KernelResult
+	// run is RunOpt's scratch, reused from call to call.
+	run runScratch
+}
+
+// runScratch is what RunOpt builds and drops within one call: the profile,
+// the STEM plan, its sampled indices and their cycles, each rebuilt over its
+// previous array. Nothing here is reachable from the Result RunOpt returns.
+type runScratch struct {
+	prof    trace.Profile
+	plan    sampling.Plan
+	sampled []int
+	cycles  []float64
 }
 
 func (s *specSource) specAt(i int) kernelgen.Spec {
@@ -109,14 +121,13 @@ var idleSources struct {
 	list []*specSource
 }
 
-// maxIdleWindow bounds, in results (32 B each), the window an idle source
-// keeps: a full simulation of a long workload does not pin its results on
-// the idle list (128 KiB at most per source).
+// maxIdleWindow bounds the window an idle source keeps, in results (32 B
+// each, 128 KiB at most), and its run scratch, in profile rows: a long
+// workload's results and plan are not pinned on the idle list.
 const maxIdleSources, maxIdleWindow = 16, 4096
 
-// simulate runs one pass over n positions (see specSource) and returns the
-// cycles of each.
-func simulate(w *trace.Workload, cfg gpu.Config, lim kernelgen.Limits, indices []int, n int, opt Options) ([]float64, error) {
+// takeSource returns the most recently returned idle source, or a new one.
+func takeSource() *specSource {
 	var src *specSource
 	idleSources.Lock()
 	idleSources.list, src = parallel.PopIdle(idleSources.list)
@@ -125,23 +136,41 @@ func simulate(w *trace.Workload, cfg gpu.Config, lim kernelgen.Limits, indices [
 		src = new(specSource)
 		src.at = src.specAt
 	}
-	src.w, src.lim, src.indices = w, lim, indices
-	results, err := gpu.RunSegmentedEngine(src.window, cfg, n, src.at, gpu.DefaultSegmentLen, opt.Workers, opt.Cache, opt.engine())
-	var cycles []float64
-	if err == nil {
-		cycles = make([]float64, len(results))
-		for i, r := range results {
-			cycles[i] = r.Cycles
-		}
-		src.window = results
-	}
-	src.w, src.indices = nil, nil // an idle source refers to nothing
+	return src
+}
+
+// putSource sends src to the idle list, less a window or a run scratch that
+// grew past maxIdleWindow.
+func putSource(src *specSource) {
 	if cap(src.window) > maxIdleWindow {
 		src.window = nil
+	}
+	if cap(src.run.prof.TimeUS) > maxIdleWindow { // the largest: one per row
+		src.run = runScratch{}
 	}
 	idleSources.Lock()
 	idleSources.list = parallel.PushIdle(idleSources.list, src, maxIdleSources)
 	idleSources.Unlock()
+}
+
+// simulate runs one pass over n positions (see specSource) and returns the
+// cycles of each in dst, grown only when short.
+func simulate(dst []float64, w *trace.Workload, cfg gpu.Config, lim kernelgen.Limits, indices []int, n int, opt Options) ([]float64, error) {
+	src := takeSource()
+	src.w, src.lim, src.indices = w, lim, indices
+	results, err := gpu.RunSegmentedEngine(src.window, cfg, n, src.at, gpu.DefaultSegmentLen, opt.Workers, opt.Cache, opt.engine())
+	var cycles []float64
+	if err == nil {
+		if cycles = dst[:0]; cap(cycles) < len(results) {
+			cycles = make([]float64, 0, len(results))
+		}
+		for _, r := range results {
+			cycles = append(cycles, r.Cycles)
+		}
+		src.window = results
+	}
+	src.w, src.indices = nil, nil // an idle source refers to nothing
+	putSource(src)
 	return cycles, err
 }
 
@@ -150,21 +179,21 @@ func simulate(w *trace.Workload, cfg gpu.Config, lim kernelgen.Limits, indices [
 // is compared against — and the cost it avoids. Results are bit-identical
 // for every opt.Workers value; Options{} runs parallel across all CPUs.
 func FullSimOpt(w *trace.Workload, cfg gpu.Config, lim kernelgen.Limits, opt Options) ([]float64, error) {
-	return simulate(w, cfg, lim, nil, w.Len(), opt)
+	return simulate(nil, w, cfg, lim, nil, w.Len(), opt)
 }
 
 // SampledSimOpt simulates only the given invocation indices (in the order
 // given, as a sampled trace replay would), returning the cycles of
-// indices[i] at position i. L2 state persists across the sampled kernels
-// within each replay segment. Results are bit-identical for every
-// opt.Workers value.
-func SampledSimOpt(w *trace.Workload, cfg gpu.Config, lim kernelgen.Limits, indices []int, opt Options) ([]float64, error) {
+// indices[i] at position i in dst's array (a new one when dst is short, or
+// nil). L2 state persists across the sampled kernels within each replay
+// segment. Results are bit-identical for every opt.Workers value.
+func SampledSimOpt(dst []float64, w *trace.Workload, cfg gpu.Config, lim kernelgen.Limits, indices []int, opt Options) ([]float64, error) {
 	for _, ix := range indices {
 		if ix < 0 || ix >= w.Len() {
 			return nil, errors.New("pipeline: sample index out of range")
 		}
 	}
-	return simulate(w, cfg, lim, indices, len(indices), opt)
+	return simulate(dst, w, cfg, lim, indices, len(indices), opt)
 }
 
 // Result is one end-to-end sampled-simulation evaluation on the simulator.
@@ -178,32 +207,48 @@ type Result struct {
 // RunOpt profiles the workload on the profiling device, builds the method's
 // plan, runs the sampled simulation under opt, and scores it against the
 // supplied ground-truth per-invocation cycles (computed once by FullSimOpt
-// so several methods can share it).
+// so several methods can share it). It allocates only the Result (and a
+// baseline's plan): everything else is an idle source's run scratch.
 func RunOpt(w *trace.Workload, profDev hwmodel.Device, method sampling.Method,
 	cfg gpu.Config, lim kernelgen.Limits, fullCycles []float64, opt Options) (*Result, error) {
 
 	if len(fullCycles) != w.Len() {
 		return nil, errors.New("pipeline: ground-truth cycles length mismatch")
 	}
-	prof := hwmodel.New(profDev, w.Seed).Profile(w)
-	plan, err := method.Plan(w, prof)
+	src := takeSource()
+	res, err := runOpt(&src.run, w, profDev, method, cfg, lim, fullCycles, opt)
+	clear(src.run.plan.Clusters) // an idle source refers to nothing
+	putSource(src)
+	return res, err
+}
+
+// runOpt is RunOpt over the scratch sc.
+func runOpt(sc *runScratch, w *trace.Workload, profDev hwmodel.Device, method sampling.Method,
+	cfg gpu.Config, lim kernelgen.Limits, fullCycles []float64, opt Options) (*Result, error) {
+
+	sc.prof = trace.Profile{Device: profDev.Name, TimeUS: hwmodel.New(profDev, w.Seed).AppendTimes(sc.prof.TimeUS[:0], w)}
+	plan, err := &sc.plan, error(nil)
+	if stem, ok := method.(*sampling.STEMRoot); ok {
+		err = stem.PlanInto(plan, w, &sc.prof)
+	} else {
+		plan, err = method.Plan(w, &sc.prof)
+	}
 	if err != nil {
 		return nil, err
 	}
 
-	indices := plan.SampledIndices()
-	sampled, err := SampledSimOpt(w, cfg, lim, indices, opt)
-	if err != nil {
+	sc.sampled = plan.AppendSampledIndices(sc.sampled[:0])
+	if sc.cycles, err = SampledSimOpt(sc.cycles, w, cfg, lim, sc.sampled, opt); err != nil {
 		return nil, err
 	}
 
-	// indices is ascending and distinct: a sample's cycles are found by search.
-	est := plan.Estimate(func(s int) float64 { return sampled[sort.SearchInts(indices, s)] })
+	// sc.sampled is ascending and distinct: a sample's cycles are found by search.
+	est := plan.Estimate(func(s int) float64 { return sc.cycles[sort.SearchInts(sc.sampled, s)] })
 	var truth, cost float64
 	for _, c := range fullCycles {
 		truth += c
 	}
-	for _, c := range sampled {
+	for _, c := range sc.cycles {
 		cost += c
 	}
 
@@ -215,7 +260,7 @@ func RunOpt(w *trace.Workload, profDev hwmodel.Device, method sampling.Method,
 	res.Outcome = sampling.Outcome{
 		Method:   plan.Method,
 		Workload: w.Name,
-		Samples:  len(indices),
+		Samples:  len(sc.sampled),
 		Estimate: est,
 		Truth:    truth,
 	}

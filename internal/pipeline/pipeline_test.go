@@ -87,14 +87,14 @@ func TestFullSimReusesSimulators(t *testing.T) {
 
 func TestSampledSimSubset(t *testing.T) {
 	w := dseWorkload(t, "lud", 30)
-	got, err := SampledSimOpt(w, gpu.Baseline(), kernelgen.DSELimits(), []int{0, 5, 10}, Options{})
+	got, err := SampledSimOpt(nil, w, gpu.Baseline(), kernelgen.DSELimits(), []int{0, 5, 10}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 {
 		t.Fatalf("sampled %d kernels", len(got))
 	}
-	if _, err := SampledSimOpt(w, gpu.Baseline(), kernelgen.DSELimits(), []int{999999}, Options{}); err == nil {
+	if _, err := SampledSimOpt(nil, w, gpu.Baseline(), kernelgen.DSELimits(), []int{999999}, Options{}); err == nil {
 		t.Fatal("expected error for out-of-range index")
 	}
 }

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -113,12 +114,13 @@ func BenchmarkWarmCell(b *testing.B) {
 
 // TestWarmCellAllocs pins what one warm cell allocates end to end, where the
 // bytes of a warm sweep were: against a fresh cache over a primed directory
-// (both lookups disk hits), FullSimOpt + RunOpt allocate what they return,
-// what the plan and the profile are made of and the cache's pack index — 14
-// objects and 1,104 B for eight invocations (an 8-byte object of slack on
-// the bound), where there were 58 and 5.1 KB. The runner's results are not
-// among them: they fill the idle source's window, which a warm cell has
-// already grown; nor is a copy of the STEM plan, which core builds in place.
+// (both lookups disk hits), FullSimOpt + RunOpt allocate what they return —
+// the ground truth's cycles and the Result — besides the STEM method the
+// cell constructs and the cache's pack index: 6 objects and 672 B for eight
+// invocations, where there were 58 and 5.1 KB. The runner's results fill
+// the idle source's window, and the profile, the STEM plan, its sample list
+// and the sampled cycles are rebuilt in its run scratch, which a warm cell
+// has already grown.
 func TestWarmCellAllocs(t *testing.T) {
 	dev := profilingDevice(t)
 	cell := warmCell{gpu.Baseline(), dseWorkload(t, "backprop", 8)}
@@ -143,7 +145,7 @@ func TestWarmCellAllocs(t *testing.T) {
 		}
 	}
 	objects, bytes = objects/runs, bytes/runs
-	maxObjects, maxBytes := uint64(14), uint64(1112)
+	maxObjects, maxBytes := uint64(6), uint64(672)
 	if objects > maxObjects || bytes > maxBytes {
 		t.Errorf("a warm cell allocates %d objects and %d bytes, want at most %d and %d", objects, bytes, maxObjects, maxBytes)
 	}
@@ -182,21 +184,27 @@ func TestWarmSweepStats(t *testing.T) {
 	}
 }
 
+// isolateIdleSources empties the idle list for the test and gives the
+// sources it held back when the test ends.
+func isolateIdleSources(t *testing.T) {
+	idleSources.Lock()
+	saved := idleSources.list
+	idleSources.list = nil
+	idleSources.Unlock()
+	t.Cleanup(func() {
+		idleSources.Lock()
+		idleSources.list = saved
+		idleSources.Unlock()
+	})
+}
+
 // TestIdleSourceWindowBounded pins what an idle source keeps of its pass:
 // the runner's results window while it is at most maxIdleWindow results, so
 // the next pass fills it instead of allocating, and nothing after a full
 // simulation longer than that — a long workload's results are not pinned on
 // the idle list.
 func TestIdleSourceWindowBounded(t *testing.T) {
-	idleSources.Lock()
-	saved := idleSources.list
-	idleSources.list = nil
-	idleSources.Unlock()
-	defer func() {
-		idleSources.Lock()
-		idleSources.list = saved
-		idleSources.Unlock()
-	}()
+	isolateIdleSources(t)
 	lastWindow := func() []gpu.KernelResult {
 		idleSources.Lock()
 		defer idleSources.Unlock()
@@ -229,5 +237,43 @@ func TestIdleSourceWindowBounded(t *testing.T) {
 	}
 	if w := lastWindow(); w != nil {
 		t.Fatalf("after a %d-invocation pass the idle window keeps %d results, bound is %d", long.Len(), cap(w), maxIdleWindow)
+	}
+}
+
+// TestIdleRunScratchBounded is TestIdleSourceWindowBounded for RunOpt's
+// scratch: after an eight-invocation cell the idle source keeps its profile,
+// plan, index list and cycles, so the next call rebuilds them in place, and
+// after a workload longer than maxIdleWindow it keeps none of them. The
+// long workload is one invocation repeated, so its plan samples a handful
+// and its ground truth need not be simulated.
+func TestIdleRunScratchBounded(t *testing.T) {
+	isolateIdleSources(t)
+	small := dseWorkload(t, "backprop", 8)
+	long := &trace.Workload{Name: "long", Seed: small.Seed, Invs: make([]trace.Invocation, 5000)}
+	for i := range long.Invs {
+		long.Invs[i] = small.Invs[0]
+	}
+	lim, opt := kernelgen.DSELimits(), Options{Workers: 1}
+	run := func(w *trace.Workload) *runScratch {
+		if _, err := RunOpt(w, hwmodel.RTX2080, sampling.NewSTEMRoot(1), gpu.Baseline(), lim, make([]float64, w.Len()), opt); err != nil {
+			t.Fatal(err)
+		}
+		idleSources.Lock()
+		defer idleSources.Unlock()
+		for _, src := range idleSources.list {
+			r := &src.run
+			if n := max(cap(r.prof.TimeUS), cap(r.plan.Clusters), cap(r.sampled), cap(r.cycles)); n > maxIdleWindow {
+				t.Fatalf("after a %d-invocation call an idle source keeps %d rows of run scratch, bound is %d", w.Len(), n, maxIdleWindow)
+			}
+		}
+		// The call's own source went back last, after its sampled pass's.
+		return &idleSources.list[len(idleSources.list)-1].run
+	}
+	if r := run(small); len(r.prof.TimeUS) != small.Len() || len(r.plan.Clusters) == 0 || len(r.sampled) != len(r.cycles) {
+		t.Fatalf("after an %d-invocation call the idle scratch holds %d times, %d clusters, %d indices and %d cycles, want them kept",
+			small.Len(), len(r.prof.TimeUS), len(r.plan.Clusters), len(r.sampled), len(r.cycles))
+	}
+	if r := run(long); !reflect.ValueOf(*r).IsZero() {
+		t.Fatalf("after a %d-invocation call the idle source keeps run scratch (%d times), want none", long.Len(), cap(r.prof.TimeUS))
 	}
 }

@@ -38,7 +38,7 @@ func TestSampledSimWarmZeroMatchesSampledSim(t *testing.T) {
 	if wc != 0 {
 		t.Fatalf("warmup=0 charged %v cycles", wc)
 	}
-	plain, err := SampledSimOpt(w, gpu.Baseline(), lim, idx, Options{})
+	plain, err := SampledSimOpt(nil, w, gpu.Baseline(), lim, idx, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,8 @@ package sampling
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"stemroot/internal/core"
@@ -55,6 +57,9 @@ func TestPlanEstimateAndIndices(t *testing.T) {
 	idxs := p.SampledIndices()
 	if len(idxs) != 3 || idxs[0] != 0 || idxs[1] != 1 || idxs[2] != 3 {
 		t.Fatalf("indices = %v", idxs)
+	}
+	if got := p.AppendSampledIndices([]int{9}); !slices.Equal(got, []int{9, 0, 1, 3}) {
+		t.Fatalf("appended indices = %v, want [9 0 1 3]", got)
 	}
 }
 
@@ -259,10 +264,27 @@ func TestSTEMPlanMeetsErrorBound(t *testing.T) {
 	}
 }
 
+// smallWorkload is an n-row profile over the given kernel names, in turn,
+// whose times have one mode per name and a slow tail on every fifth row, so
+// ROOT splits and a cluster is drawn from rather than copied whole.
+func smallWorkload(seed uint64, n int, names ...string) (*trace.Workload, *trace.Profile) {
+	w := &trace.Workload{Name: "small", Seed: seed, Invs: make([]trace.Invocation, n)}
+	prof := &trace.Profile{TimeUS: make([]float64, n)}
+	for i := range w.Invs {
+		w.Invs[i] = trace.Invocation{Seq: i, Name: names[i%len(names)]}
+		prof.TimeUS[i] = 10*float64(1+i%len(names)) + float64(i%7)/8
+		if i%5 == 0 {
+			prof.TimeUS[i] *= 4
+		}
+	}
+	return w, prof
+}
+
 // TestSTEMPlanAllocs pins what a STEM plan of an eight-row profile (a DSE
 // cell's) allocates: the plan it returns, its clusters, one index array and
 // one sample array. core builds straight into the returned plan; a copy of a
-// plan core allocated would be a fifth object, dead on return.
+// plan core allocated would be a fifth object, dead on return. Planned into
+// a plan that already holds those arrays, it allocates nothing.
 func TestSTEMPlanAllocs(t *testing.T) {
 	w := &trace.Workload{Name: "small", Seed: 3, Invs: make([]trace.Invocation, 8)}
 	prof := &trace.Profile{TimeUS: make([]float64, len(w.Invs))}
@@ -279,6 +301,87 @@ func TestSTEMPlanAllocs(t *testing.T) {
 	run() // grow an idle arena to this shape
 	if allocs := testing.AllocsPerRun(20, run); allocs > 4 {
 		t.Fatalf("a STEM plan of %d rows allocates %.0f objects, want the plan's own four", len(w.Invs), allocs)
+	}
+	var dst Plan
+	into := func() {
+		if err := stem.PlanInto(&dst, w, prof); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, into); allocs != 0 {
+		t.Fatalf("a STEM plan of %d rows into a plan that holds its arrays allocates %.0f objects, want 0", len(w.Invs), allocs)
+	}
+}
+
+// exported is the part of a plan its callers see: everything but the arrays
+// core keeps for reuse.
+func exported(p *Plan) Plan {
+	return Plan{Method: p.Method, Plan: core.Plan{Params: p.Params, Clusters: p.Clusters, PredictedError: p.PredictedError}}
+}
+
+// deepCopy is a plan that shares no array with p.
+func deepCopy(p *Plan) Plan {
+	c := exported(p)
+	c.Clusters = slices.Clone(p.Clusters)
+	for i := range c.Clusters {
+		c.Clusters[i].Members = slices.Clone(c.Clusters[i].Members)
+		c.Clusters[i].Samples = slices.Clone(c.Clusters[i].Samples)
+	}
+	return c
+}
+
+// TestPlanIntoReusesItsArrays pins PlanInto against Plan: planning two
+// profiles of different shapes, in turn, into one plan gives each time what
+// a fresh plan of that profile holds, and once the plan has held both
+// shapes a call allocates nothing. A plan Plan returned shares no array with
+// any later plan, so no later call writes to it.
+func TestPlanIntoReusesItsArrays(t *testing.T) {
+	stem := NewSTEMRoot(1)
+	small, smallProf := smallWorkload(3, 40, "gemm", "relu")
+	large, largeProf := smallWorkload(5, 300, "gemm", "relu", "softmax")
+	fresh := func(w *trace.Workload, prof *trace.Profile) *Plan {
+		p, err := stem.Plan(w, prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	wantSmall := fresh(small, smallProf)
+	kept := deepCopy(wantSmall)
+	fresh(smallWorkload(3, 40, "relu", "softmax", "gemm")) // the same rows, laid out otherwise
+	wantLarge := fresh(large, largeProf)
+	if len(wantLarge.Clusters) <= len(wantSmall.Clusters) || wantLarge.TotalSamples() >= len(large.Invs) {
+		t.Fatalf("profiles too plain to test reuse: %d and %d clusters, %d samples of %d rows",
+			len(wantSmall.Clusters), len(wantLarge.Clusters), wantLarge.TotalSamples(), len(large.Invs))
+	}
+
+	var dst Plan
+	for i, tc := range []struct {
+		w    *trace.Workload
+		prof *trace.Profile
+		want *Plan
+	}{{small, smallProf, wantSmall}, {large, largeProf, wantLarge}, {small, smallProf, wantSmall}, {large, largeProf, wantLarge}} {
+		if err := stem.PlanInto(&dst, tc.w, tc.prof); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := exported(&dst), exported(tc.want); !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d: the plan built into a reused plan differs from a fresh one\n got %+v\nwant %+v", i, got, want)
+		}
+	}
+	alternate := func() {
+		if err := stem.PlanInto(&dst, small, smallProf); err != nil {
+			t.Fatal(err)
+		}
+		if err := stem.PlanInto(&dst, large, largeProf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, alternate); allocs != 0 {
+		t.Fatalf("planning into a plan that has held both shapes allocates %.0f objects, want 0", allocs)
+	}
+	fresh(smallWorkload(3, 40, "relu", "softmax", "gemm"))
+	if got := exported(wantSmall); !reflect.DeepEqual(got, kept) {
+		t.Fatalf("a plan Plan returned was written by a later call\n got %+v\nwant %+v", got, kept)
 	}
 }
 

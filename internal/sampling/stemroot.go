@@ -34,17 +34,26 @@ func (s *STEMRoot) Name() string {
 // Plan implements Method. This is the only method that reads the
 // execution-time profile — its kernel signature per Table 1.
 func (s *STEMRoot) Plan(w *trace.Workload, prof *trace.Profile) (*Plan, error) {
-	if prof == nil {
-		return nil, errors.New("sampling: STEM requires an execution-time profile")
-	}
-	if err := prof.Validate(w); err != nil {
-		return nil, err
-	}
-	p := s.Params
-	p.Seed = s.Params.Seed ^ w.Seed
-	plan := &Plan{Method: s.Name()}
-	if err := core.BuildPlanInto(&plan.Plan, w.Len(), func(i int) string { return w.Invs[i].Name }, prof.TimeUS, p); err != nil {
+	plan := new(Plan)
+	if err := s.PlanInto(plan, w, prof); err != nil {
 		return nil, err
 	}
 	return plan, nil
+}
+
+// PlanInto is Plan written into dst, reusing the clusters, member and sample
+// arrays a plan built earlier into dst holds (core.BuildPlanInto): for a
+// caller that plans again and again and keeps none of the plans. On an
+// error dst holds no usable plan.
+func (s *STEMRoot) PlanInto(dst *Plan, w *trace.Workload, prof *trace.Profile) error {
+	if prof == nil {
+		return errors.New("sampling: STEM requires an execution-time profile")
+	}
+	if err := prof.Validate(w); err != nil {
+		return err
+	}
+	p := s.Params
+	p.Seed = s.Params.Seed ^ w.Seed
+	dst.Method = s.Name()
+	return core.BuildPlanInto(&dst.Plan, w.Len(), func(i int) string { return w.Invs[i].Name }, prof.TimeUS, p)
 }
