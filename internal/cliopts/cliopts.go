@@ -62,7 +62,7 @@ func (f *Flags) Register(fs *flag.FlagSet, simulateOnly bool) {
 		return nil
 	})
 	fs.StringVar(&f.CacheDir, "cachedir", "", "persist "+scope+"segment results on disk in this directory (reused across runs)")
-	fs.IntVar(&f.CacheMB, "cachemb", 0, "in-memory segment cache bound in MiB (0 = default 256)")
+	fs.IntVar(&f.CacheMB, "cachemb", 0, "bound in MiB on the segment results this process computes or reads back (0 = default 256); the -cachedir pack is mapped and not counted")
 	fs.BoolVar(&f.NoCache, "nocache", false, "disable the segment-result cache "+noCache)
 	fs.BoolVar(&f.CacheStats, "cachestats", true, "print per-tier cache counters to stderr "+statsWhen)
 	f.Profiles.Register(fs)

@@ -71,6 +71,19 @@ type BatchPrefetcher interface {
 	Prefetch(keys []SegmentKey)
 }
 
+// SegmentDecoder is an optional SegmentCache extension for caches that hold
+// results encoded (internal/simcache's mapped pack). RunSegmentedEngine
+// asks it first for every segment: DecodeInto writes key's results straight
+// into the segment's window of the runner's results, so a hit neither
+// allocates a slice nor is copied twice. It returns false on a miss, when
+// the stored entry does not hold len(dst) results, or when it fails
+// verification — dst's contents are then unspecified — and the runner asks
+// GetOrCompute. It must be safe for concurrent use.
+type SegmentDecoder interface {
+	SegmentCache
+	DecodeInto(key SegmentKey, dst []KernelResult) bool
+}
+
 // keyHasher appends the canonical binary encoding of the key inputs to a
 // byte buffer that is hashed in one SHA-256 pass at the end. Every field is
 // written in fixed order with fixed width, strings as a length prefix plus

@@ -536,7 +536,8 @@ type segRun struct {
 	n, segLen int
 	specAt    func(i int) kernelgen.Spec
 	cache     SegmentCache
-	keys      []SegmentKey // from the prefetch pass; empty without one
+	dec       SegmentDecoder // cache, when it decodes into a window; else nil
+	keys      []SegmentKey   // from the prefetch pass; empty without one
 	results   []KernelResult
 	sims      []*Simulator
 	scratch   []*segScratch
@@ -559,13 +560,18 @@ func (r *segRun) segment(worker, sg int) {
 	}
 	// Cached: derive the content address and only simulate on miss — on the
 	// worker's own simulator (GetOrCompute runs compute on the calling
-	// goroutine, so it is never shared). Hits and computed results alike are
-	// shared cache-owned slices: copied into the window, never aliased.
+	// goroutine, so it is never shared). A decoder writes a hit straight
+	// into the window; otherwise hits and computed results alike are shared
+	// cache-owned slices: copied into the window, never aliased.
 	var key SegmentKey
 	if len(r.keys) != 0 {
 		key = r.keys[sg]
 	} else {
 		key, sc.keyBuf = KeyForSegmentEngineAppend(sc.keyBuf, r.cfg, sc.specs, r.eng)
+	}
+	window := r.results[lo : lo+len(sc.specs)]
+	if r.dec != nil && r.dec.DecodeInto(key, window) {
+		return
 	}
 	seg, err := r.cache.GetOrCompute(key, sc.compute)
 	if err != nil {
@@ -578,7 +584,6 @@ func (r *segRun) segment(worker, sg int) {
 		r.mu.Unlock()
 		return
 	}
-	window := r.results[lo : lo+len(sc.specs)]
 	if len(seg) != len(window) {
 		// A well-formed entry of the wrong length (a buggy writer or server;
 		// the checksum does not stop it) would leave part of the window as
@@ -626,6 +631,8 @@ func (r *segRun) segment(worker, sg int) {
 // Cached result slices are shared between callers; they are copied into the
 // returned slice, never mutated in place, and a cached segment whose length
 // is not its segment's is simulated instead (TestRunSegmentedEngineWrongLengthHit).
+// A cache that is a SegmentDecoder — found once per call — is asked first to
+// decode each segment's hit straight into its window.
 //
 // The results are written into dst[:n], which is grown only when its
 // capacity is short, and returned: a caller that hands back the previous
@@ -658,6 +665,7 @@ func RunSegmentedEngine(dst []KernelResult, cfg Config, n int, specAt func(i int
 	results := dst[:n]
 	r := getRun(nworkers)
 	r.cfg, r.eng, r.n, r.segLen, r.specAt, r.cache = cfg, eng.normalized(), n, segLen, specAt, cache
+	r.dec, _ = cache.(SegmentDecoder)
 	r.results = results
 
 	// Batched key prefetch: when the cache has a batched backing tier
@@ -723,7 +731,7 @@ func getRun(nworkers int) *segRun {
 func putRun(r *segRun) {
 	putSimulators(r.sims)
 	clear(r.sims)
-	r.specAt, r.cache, r.keys = nil, nil, r.keys[:0]
+	r.specAt, r.cache, r.dec, r.keys = nil, nil, nil, r.keys[:0]
 	if cap(r.keys) > maxIdleKeys {
 		r.keys = nil
 	}

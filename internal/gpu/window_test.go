@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 )
 
@@ -117,6 +118,72 @@ func TestRunSegmentedEngineWrongLengthHit(t *testing.T) {
 					t.Fatalf("entries of length %+d, %d workers: result %d = %+v, uncached %+v",
 						delta, workers, i, got[i], want[i])
 				}
+			}
+		}
+	}
+}
+
+// decodingCache is a recordingCache that is also a SegmentDecoder: it
+// decodes a stored entry of the window's length into the window unless told
+// to refuse, and counts decodes and GetOrCompute calls.
+type decodingCache struct {
+	*recordingCache
+	refuse           bool
+	decodes, lookups atomic.Int64
+}
+
+func (c *decodingCache) DecodeInto(key SegmentKey, dst []KernelResult) bool {
+	c.mu.Lock()
+	seg, ok := c.entries[key]
+	c.mu.Unlock()
+	if !ok || c.refuse || len(seg) != len(dst) {
+		return false
+	}
+	copy(dst, seg)
+	c.decodes.Add(1)
+	return true
+}
+
+func (c *decodingCache) GetOrCompute(key SegmentKey, compute func() ([]KernelResult, error)) ([]KernelResult, error) {
+	c.lookups.Add(1)
+	return c.recordingCache.GetOrCompute(key, compute)
+}
+
+// TestRunSegmentedEngineDecodesIntoTheWindow: a SegmentDecoder is asked
+// first for every segment. Cold, it declines and GetOrCompute computes; warm,
+// every segment is decoded into the window and GetOrCompute is not called;
+// told to refuse, GetOrCompute serves every segment again. The results
+// match an uncached run bit for bit each time, at 1 and 2 workers.
+func TestRunSegmentedEngineDecodesIntoTheWindow(t *testing.T) {
+	cfg := Baseline()
+	const n, segLen, nseg = 20, 8, 3 // a short last segment too
+	specAt := engineTestSpecs(n)
+	want, err := RunSegmentedEngine(nil, cfg, n, specAt, segLen, 1, nil, Engine{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		c := &decodingCache{recordingCache: newRecordingCache()}
+		for i, step := range []struct {
+			refuse           bool
+			decodes, lookups int64
+		}{{false, 0, nseg}, {false, nseg, nseg}, {true, nseg, 2 * nseg}} {
+			c.refuse = step.refuse
+			window := make([]KernelResult, n)
+			for i := range window {
+				window[i] = KernelResult{Cycles: -1}
+			}
+			got, err := RunSegmentedEngine(window, cfg, n, specAt, segLen, workers, c, Engine{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("%d workers, call %d: result %d = %+v, uncached %+v", workers, i, j, got[j], want[j])
+				}
+			}
+			if d, l := c.decodes.Load(), c.lookups.Load(); d != step.decodes || l != step.lookups {
+				t.Fatalf("%d workers, call %d: %d decodes and %d lookups, want %d and %d", workers, i, d, l, step.decodes, step.lookups)
 			}
 		}
 	}

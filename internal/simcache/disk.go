@@ -8,10 +8,11 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"stemroot/internal/gpu"
 )
@@ -29,11 +30,9 @@ import (
 //	48+32n  32    SHA-256 over bytes [0, 48+32n)
 //
 // The key embeds the engine fingerprint (gpu.KeyForSegmentEngineAppend), so
-// entries from a different engine version are never asked for; the embedded
-// key and trailing checksum reject torn or bit-rotted records and, on the
-// network path, corrupted or mismatched frames. Every verification failure is
-// a silent miss — the segment is simulated instead — never an error: the disk
-// and remote tiers are accelerators, not sources of truth.
+// another engine version's entries are never asked for; the embedded key and
+// the checksum reject torn, bit-rotted or misdirected records. A failed check
+// is a silent miss, simulated instead, never an error.
 
 const (
 	diskMagic         = "SRSC"
@@ -48,16 +47,12 @@ const (
 // applies the same bound.
 const MaxEntryBytes = 64 << 20
 
-func ensureDir(dir string) error { return os.MkdirAll(dir, 0o755) }
-
 // The disk tier is one append-only pack per cache directory: entries in the
-// wire format above, back to back, each self-delimiting by its count and
-// self-checking by its checksum. A write appends one record with a single
-// O_APPEND write, which POSIX makes land whole and contiguous beside any
-// other process's, and syncs it; no lock, no per-writer file. A Cache reads
-// the pack once, at its first lookup (loadPack), and keeps what verifies.
-// Directories from the one-file-per-entry layout hold no pack: they read as
-// empty and the first run refills them.
+// wire format above, back to back. A write appends one record with a single
+// O_APPEND write, which POSIX makes land whole beside any other process's,
+// and syncs it; no lock, no per-writer file. A Cache scans the pack once, at
+// its first lookup (loadPack), and indexes what verifies. A directory in the
+// one-file-per-entry layout holds no pack and reads as empty.
 const packName = "segments.pack"
 
 // recordSize is the length of an entry holding n results.
@@ -107,9 +102,7 @@ func verifyEntry(key gpu.SegmentKey, buf []byte) (n int, ok bool) {
 }
 
 // VerifyEntry reports whether buf is a well-formed, checksummed entry for
-// key, without decoding the payload. The cache server applies this on Put so
-// a client bug cannot poison the shared pool; readers still re-verify with
-// DecodeEntry before trusting anything.
+// key, without decoding it: the cache server's check on Put.
 func VerifyEntry(key gpu.SegmentKey, buf []byte) bool {
 	_, ok := verifyEntry(key, buf)
 	return ok
@@ -124,14 +117,9 @@ func DecodeEntry(key gpu.SegmentKey, buf []byte) (results []gpu.KernelResult, ok
 	if !ok {
 		return nil, false
 	}
-	return decodeResults(buf, n), true
-}
-
-// decodeResults deserializes the n results of an entry verifyEntry accepted.
-func decodeResults(buf []byte, n int) []gpu.KernelResult {
-	results := make([]gpu.KernelResult, n)
+	results = make([]gpu.KernelResult, n)
 	decodeInto(results, buf)
-	return results
+	return results, true
 }
 
 // decodeInto deserializes the first len(dst) results of an entry
@@ -149,28 +137,22 @@ func decodeInto(dst []gpu.KernelResult, buf []byte) {
 	}
 }
 
-// packIndex is the pack as a Cache's first lookup found it, built once by
-// loadPack: one row per key, sorted by key for a binary search, and the
-// results of the resident rows decoded back to back into one block. A
-// shard's rows are resident all or none (buildIndex), and neither rows nor
-// block change after the load, so a pack hit reads them without a lock; only
-// the first-use bits change, atomically. A row that is not resident is
-// index-only: its results stay in the pack and are read back from its
-// offset at each use the memory tier does not serve.
+// packIndex is the pack as a Cache's first lookup found it (loadPack): one
+// row per key, sorted by key, over the bytes scanned — a mapping shared
+// process-wide, or a heap copy. Only its bits change, atomically, so a pack
+// hit takes no lock. A row's used bit is set at its first use, the disk hit;
+// its bad bit when its record fails a check, after which it is not served.
 type packIndex struct {
-	rows    []packRow
-	results []gpu.KernelResult
-	// used has one bit per row, set at the row's first use: that one is
-	// the disk hit, every later one a memory hit.
-	used []atomic.Uint64
+	rows      []packRow
+	data      []byte
+	used, bad []atomic.Uint64
+	ref       *mapRef // the hold on data's mapping; nil for a copy
 }
 
-// packRow is one key's first verified record in the pack.
+// packRow is where one key's first verified record sits in the pack.
 type packRow struct {
 	key gpu.SegmentKey
-	end int64 // pack offset just past the record
-	off int   // of its results in packIndex.results; -1 if index-only
-	n   int   // result count
+	packLoc
 }
 
 // find returns the row of key, or -1.
@@ -181,19 +163,6 @@ func (x *packIndex) find(key gpu.SegmentKey) int {
 	}
 	return i
 }
-
-// resident reports whether row i's results are in memory.
-func (x *packIndex) resident(i int) bool { return x.rows[i].off >= 0 }
-
-// resultsOf returns row i's resident results, capped so that an append
-// cannot reach the next row's.
-func (x *packIndex) resultsOf(i int) []gpu.KernelResult {
-	r := &x.rows[i]
-	return x.results[r.off : r.off+r.n : r.off+r.n]
-}
-
-// firstUse reports whether this is row i's first use, marking it used.
-func (x *packIndex) firstUse(i int) bool { return !setBit(x.used, i) }
 
 // setBit sets bit i of b and reports whether it was already set.
 func setBit(b []atomic.Uint64, i int) bool {
@@ -206,188 +175,210 @@ func setBit(b []atomic.Uint64, i int) bool {
 	}
 }
 
-// scanBuf is the pack scanner's buffer and the index's scratch — its rows
-// in pack order and their decoded results — shared by every Cache: a warm run
-// opens a fresh cache per sweep over one directory, and each should pay for
-// its index, not for the scratch it is built in. Not a sync.Pool, which
-// empties at every other GC and, under the race detector, at random: what a
-// warm cell allocates is pinned (TestWarmCellAllocs). Any of the three grown
-// past packScanKeep by a huge pack is not kept.
-var scanBuf struct {
-	sync.Mutex
-	b    []byte
-	rows []packRow
-	res  []gpu.KernelResult
+// packMap is a read-only mapping of a pack file's first len(data) bytes,
+// unmapped when the last of the refs Caches reading it lets go.
+type packMap struct {
+	id   fileID
+	data []byte
+	refs int // guarded by packMaps
 }
 
-const packScanBuf, packScanKeep = 64 << 10, 1 << 20
+// packMaps holds each pack file's current mapping, by device and inode: one
+// per file, not per Cache, as a page counts toward the resident set once per
+// mapping that touched it and a warm sweep leaves hundreds of Caches to the
+// collector. A pack that grew gets a longer mapping, made current; Caches
+// holding a shorter one keep it.
+var packMaps = struct {
+	sync.Mutex
+	cur map[fileID]*packMap
+}{cur: make(map[fileID]*packMap)}
 
-// loadPack reads the directory's pack, once per Cache, through the raw read
-// path, and builds c.index from every record that verifies exactly as
-// DecodeEntry would (buildIndex). Anything else — a torn tail, a damaged or
-// foreign record — is one damaged run, counted once in DiskErrors; the scan
-// resynchronises at the next record that verifies, which can only start with
-// the magic. The scan decodes a record while its shard's share of the byte
-// bound has room, so a pack far past the bound is not decoded whole. The
-// buffer doubles only when full of bytes still to judge, so it stays within
-// twice the input (or the largest legal entry) whatever a header claims.
+// mapRef is one Cache's hold on a packMap; its finalizer lets go (a
+// finalizer, as runtime.AddCleanup needs a newer go than go.mod's).
+type mapRef struct{ m *packMap }
+
+// mapPack returns a hold on fd's current mapping, or on a new current one
+// when that does not cover size bytes; nil when fd cannot be mapped.
+func mapPack(fd readHandle, id fileID, size int64) *mapRef {
+	packMaps.Lock()
+	defer packMaps.Unlock()
+	m := packMaps.cur[id]
+	if m == nil || int64(len(m.data)) < size {
+		data, err := mapFile(fd, size)
+		if err != nil {
+			return nil
+		}
+		m = &packMap{id: id, data: data}
+		packMaps.cur[id] = m
+	}
+	m.refs++
+	r := &mapRef{m}
+	runtime.SetFinalizer(r, func(r *mapRef) {
+		packMaps.Lock()
+		defer packMaps.Unlock()
+		if r.m.refs--; r.m.refs == 0 {
+			if packMaps.cur[r.m.id] == r.m {
+				delete(packMaps.cur, r.m.id)
+			}
+			unmapFile(r.m.data)
+		}
+	})
+	return r
+}
+
+// onFault, deferred as onFault(&faulted, debug.SetPanicOnFault(true)),
+// restores the setting and turns a memory fault — a mapped page past the end
+// of a file truncated since — into *faulted. Any other panic goes on.
+func onFault(faulted *bool, old bool) {
+	debug.SetPanicOnFault(old)
+	if r := recover(); r != nil {
+		if _, fault := r.(interface{ Addr() uintptr }); !fault {
+			panic(r)
+		}
+		*faulted = true
+	}
+}
+
+// loadPack builds c.index over the pack as it is now: mapped, or read into
+// the heap where it cannot be. Of two records of a key the first wins; the
+// second, from two processes that computed it at once, is identical by
+// construction. The index is its rows, its bits and its hold on the mapping,
+// whatever the record count.
 func (c *Cache) loadPack() {
 	fd, err := openFile(c.packPath)
 	if err != nil {
 		return // no pack yet
 	}
 	defer closeFile(fd)
-	scanBuf.Lock()
-	defer scanBuf.Unlock()
-	buf, rows, res := scanBuf.b, scanBuf.rows[:0], scanBuf.res[:0]
-	if buf == nil {
-		buf = make([]byte, packScanBuf)
+	id, size, err := statFile(fd)
+	if err != nil || size <= 0 || size > math.MaxInt {
+		return
 	}
-	var decoded [shardCount]int64 // payload bytes decoded per shard
-	var base int64                // pack offset of buf[0]
-	lo, hi, eof, resync := 0, 0, false, false
-	for lo < hi || !eof {
-		size := diskHeaderSize // what it takes to judge the bytes at lo
-		if hi-lo >= size {
-			if n := binary.LittleEndian.Uint64(buf[lo+40:]); n <= MaxEntryBytes/resultWireSize {
-				size = recordSize(int(n))
-			}
-		}
-		if !eof && hi-lo < size {
-			if lo > 0 {
-				hi, base, lo = copy(buf, buf[lo:hi]), base+int64(lo), 0
-			}
-			if hi == len(buf) {
-				buf = append(buf, make([]byte, len(buf))...)
-			}
-			n, _ := preadFile(fd, buf[hi:], base+int64(hi))
-			hi, eof = hi+max(n, 0), n <= 0
-			continue
-		}
-		if rec := buf[lo:min(lo+size, hi)]; len(rec) == size && size > diskHeaderSize {
-			key := gpu.SegmentKey(rec[8:40])
-			if n, ok := verifyEntry(key, rec); ok {
-				row := packRow{key: key, end: base + int64(lo+size), off: -1, n: n}
-				if sh := key[0] & (shardCount - 1); c.maxShard < 0 || decoded[sh]+entryBytes(n) <= c.maxShard {
-					decoded[sh] += entryBytes(n)
-					row.off = len(res)
-					res = slices.Grow(res, n)[:row.off+n]
-					decodeInto(res[row.off:], rec)
+	x := &c.index
+	if x.ref = mapPack(fd, id, size); x.ref != nil {
+		x.data = x.ref.m.data[:size]
+	} else {
+		x.data = make([]byte, size)
+		n, _ := preadFile(fd, x.data, 0)
+		x.data = x.data[:max(n, 0)]
+	}
+	if c.scan() {
+		c.diskErrors.Add(1) // the file was cut short under the scan
+	}
+	slices.SortFunc(x.rows, func(a, b packRow) int { return cmp.Or(bytes.Compare(a.key[:], b.key[:]), cmp.Compare(a.end, b.end)) })
+	x.rows = slices.CompactFunc(x.rows, func(a, b packRow) bool { return a.key == b.key })
+	bits := make([]atomic.Uint64, 2*((len(x.rows)+63)/64))
+	x.used, x.bad = bits[:len(bits)/2], bits[len(bits)/2:]
+	c.indexed.Store(int64(len(x.rows)))
+}
+
+// scan fills c.index.rows, in pack order, with every record that verifies as
+// DecodeEntry would. Anything else — a torn tail, a damaged or foreign
+// record — is one damaged run, counted once in DiskErrors; the scan resumes
+// at the next record that verifies, which starts with the magic. It reports
+// a fault, which ends it. Counting magics sizes the rows: exactly for a clean
+// pack, and never past one per smallest record.
+func (c *Cache) scan() (faulted bool) {
+	defer onFault(&faulted, debug.SetPanicOnFault(true))
+	x := &c.index
+	data := x.data
+	x.rows = make([]packRow, 0, min(bytes.Count(data, []byte(diskMagic)), len(data)/recordSize(0)))
+	resync := false
+	for lo := 0; lo < len(data); {
+		if rest := data[lo:]; len(rest) >= diskHeaderSize {
+			if n := binary.LittleEndian.Uint64(rest[40:]); n <= MaxEntryBytes/resultWireSize && recordSize(int(n)) <= len(rest) {
+				size := recordSize(int(n))
+				key := gpu.SegmentKey(rest[8:40])
+				if _, ok := verifyEntry(key, rest[:size]); ok {
+					x.rows = append(x.rows, packRow{key, packLoc{int64(lo + size), int(n)}})
+					lo, resync = lo+size, false
+					continue
 				}
-				rows = append(rows, row)
-				lo, resync = lo+size, false
-				continue
 			}
 		}
 		if !resync {
 			c.diskErrors.Add(1)
 			resync = true
 		}
-		if i := bytes.Index(buf[lo+1:hi], []byte(diskMagic)); i >= 0 {
+		if i := bytes.Index(data[lo+1:], []byte(diskMagic)); i >= 0 {
 			lo += 1 + i
 		} else {
-			lo = max(lo+1, hi-len(diskMagic)+1) // a magic may straddle the next read
+			lo = len(data)
 		}
 	}
-	c.buildIndex(fd, rows, res, buf)
-	if len(buf) <= packScanKeep {
-		scanBuf.b = buf
-	}
-	if cap(rows)*int(unsafe.Sizeof(packRow{})) <= packScanKeep {
-		scanBuf.rows = rows
-	}
-	if cap(res)*resultWireSize <= packScanKeep {
-		scanBuf.res = res
-	}
+	return false
 }
 
-// buildIndex makes c.index of the scanned rows, whose results the scan
-// decoded into res where it had room. Of two records of a key the first
-// wins; a later one, from two processes that computed it at once, is
-// identical by construction and takes no room. A shard's rows are then
-// resident all or none: all when its distinct records fit in its share of
-// the byte bound, none otherwise, so resident rows never leave and the ring
-// has what they leave of the share. A resident row's results are copied out
-// of res into one exactly sized block, or read back through fd and buf when
-// the scan, having counted a duplicate, did not decode them. The index is
-// its rows, its block and its first-use bits — three objects whatever the
-// record count. rows is reordered.
-func (c *Cache) buildIndex(fd readHandle, rows []packRow, res []gpu.KernelResult, buf []byte) {
-	if len(rows) == 0 {
-		return
+// fromPack decodes key's record into dst, or a new slice when dst is nil,
+// and counts a disk hit at the row's first use and a memory hit after. The
+// record is copied out and verified at every use, since a mapped page may be
+// read back from a file changed since the load. A fault or a failed check
+// counts one DiskErrors and marks the row bad: its key goes to the ring and
+// then to a computation, which appends a good record. A key the index lacks,
+// or a dst of another length, is a miss.
+func (c *Cache) fromPack(key gpu.SegmentKey, dst []gpu.KernelResult) ([]gpu.KernelResult, bool) {
+	if c.dir == "" {
+		return nil, false
 	}
-	slices.SortFunc(rows, func(a, b packRow) int { return cmp.Or(bytes.Compare(a.key[:], b.key[:]), cmp.Compare(a.end, b.end)) })
-	rows = slices.CompactFunc(rows, func(a, b packRow) bool { return a.key == b.key })
-	var pinned [shardCount]int64
-	var pinnedN, results [shardCount]int
-	for i := range rows {
-		sh := rows[i].key[0] & (shardCount - 1)
-		pinned[sh] += entryBytes(rows[i].n)
-		pinnedN[sh]++
-		results[sh] += rows[i].n
-	}
-	var fits [shardCount]bool
-	total := 0
-	for sh := range fits {
-		if fits[sh] = c.maxShard < 0 || pinned[sh] <= c.maxShard; fits[sh] {
-			total += results[sh]
-		} else {
-			pinned[sh], pinnedN[sh] = 0, 0
-		}
-	}
+	c.packOnce.Do(c.loadPack)
 	x := &c.index
-	*x = packIndex{results: make([]gpu.KernelResult, total), used: make([]atomic.Uint64, (len(rows)+63)/64)}
-	off := 0
-	for i := range rows {
-		r := &rows[i]
-		sh := r.key[0] & (shardCount - 1)
-		switch {
-		case !fits[sh]:
-			r.off = -1
-			continue
-		case r.off >= 0:
-			copy(x.results[off:], res[r.off:r.off+r.n])
-		default:
-			rec := readRecord(fd, r.end, r.n, buf)
-			if m, ok := verifyEntry(r.key, rec); !ok || m != r.n {
-				c.diskErrors.Add(1) // changed under us: read back, or computed, at its use
-				pinned[sh], pinnedN[sh] = pinned[sh]-entryBytes(r.n), pinnedN[sh]-1
-				continue
-			}
-			decodeInto(x.results[off:off+r.n], rec)
+	i := x.find(key)
+	if i < 0 || x.bad[i/64].Load()&(1<<(i%64)) != 0 || (dst != nil && len(dst) != x.rows[i].n) {
+		return nil, false
+	}
+	r := &x.rows[i]
+	var stack [hitBuf]byte
+	rec := recordBuf(stack[:], r.n)
+	faulted := copyRecord(rec, x.data[r.end-int64(len(rec)):r.end])
+	runtime.KeepAlive(x.ref) // the mapping outlives the copy
+	if _, ok := verifyEntry(r.key, rec); faulted || !ok {
+		if !setBit(x.bad, i) {
+			c.diskErrors.Add(1)
 		}
-		r.off, off = off, off+r.n
+		return nil, false
 	}
-	x.rows = slices.Clone(rows)
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.pinned, sh.pinnedN = pinned[i], pinnedN[i]
-		sh.mu.Unlock()
+	if dst == nil {
+		dst = make([]gpu.KernelResult, r.n)
 	}
+	decodeInto(dst, rec)
+	c.hits.Add(1)
+	if !setBit(x.used, i) {
+		c.diskHits.Add(1) // its first use: the pack served it
+	} else {
+		c.memHits.Add(1)
+	}
+	return dst, true
 }
 
-// readRecord reads the record of n results that ends at pack offset end into
-// buf, reallocated if it is shorter, and returns what it read; the caller
-// verifies it.
-func readRecord(fd readHandle, end int64, n int, buf []byte) []byte {
-	size := recordSize(n)
-	if size > cap(buf) {
-		buf = make([]byte, size)
-	}
-	got, _ := preadFile(fd, buf[:size], end-int64(size))
-	return buf[:max(got, 0)]
+// copyRecord copies a record out of the pack's bytes and reports a fault.
+func copyRecord(dst, src []byte) (faulted bool) {
+	defer onFault(&faulted, debug.SetPanicOnFault(true))
+	copy(dst, src)
+	return false
 }
 
-// diskReadBuf is the size of readDisk's stack buffer: an entry of up to 125
-// results — eight times DefaultSegmentLen — is read without touching the heap.
-const diskReadBuf = 4096
+// DecodeInto implements gpu.SegmentDecoder with the pack index (fromPack).
+func (c *Cache) DecodeInto(key gpu.SegmentKey, dst []gpu.KernelResult) bool {
+	if dst == nil {
+		return false // fromPack would decode into a slice of its own
+	}
+	_, ok := c.fromPack(key, dst)
+	return ok
+}
 
-// readDisk serves a record the memory tier does not hold — evicted from the
-// ring since this cache read or wrote it, or an index-only row of the pack —
-// with one positioned read at its recorded offset. It leaves the spill index
-// either way: a record that no longer verifies is counted, and the compute
-// that follows appends a good one.
+// diskReadBuf is the stack buffer a record is read back into: one of up to
+// 125 results, eight times DefaultSegmentLen, stays off the heap. A hit
+// copies its record into hitBuf, one segment of DefaultSegmentLen, the
+// length the pipeline runs: zeroing 4 KiB at every hit cost more than
+// verifying the record.
+const (
+	diskReadBuf = 4096
+	hitBuf      = diskHeaderSize + gpu.DefaultSegmentLen*resultWireSize + sha256.Size
+)
+
+// readDisk reads back a record the ring let go of, with one positioned read
+// at its offset, and drops it from the spill index: a record that no longer
+// verifies is counted, and the compute that follows appends a good one.
 func (c *Cache) readDisk(key gpu.SegmentKey) (results []gpu.KernelResult, end int64, ok bool) {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
@@ -395,11 +386,7 @@ func (c *Cache) readDisk(key gpu.SegmentKey) (results []gpu.KernelResult, end in
 	delete(sh.spilled, key)
 	sh.mu.Unlock()
 	if !ok {
-		i := c.index.find(key)
-		if i < 0 {
-			return nil, 0, false
-		}
-		loc = packLoc{c.index.rows[i].end, c.index.rows[i].n}
+		return nil, 0, false
 	}
 	fd, err := openFile(c.packPath)
 	if err != nil {
@@ -407,20 +394,29 @@ func (c *Cache) readDisk(key gpu.SegmentKey) (results []gpu.KernelResult, end in
 	}
 	defer closeFile(fd)
 	var stack [diskReadBuf]byte
-	if results, ok = DecodeEntry(key, readRecord(fd, loc.end, loc.n, stack[:])); !ok {
+	rec := recordBuf(stack[:], loc.n)
+	got, _ := preadFile(fd, rec, loc.end-int64(len(rec)))
+	if results, ok = DecodeEntry(key, rec[:max(got, 0)]); !ok {
 		c.diskErrors.Add(1)
 	}
 	return results, loc.end, ok
 }
 
-// writeDisk appends key's record to the pack and returns the offset just
-// past it, or 0 when it could not be stored. The pack is opened on the
-// first write and kept; the offset is read back under the lock that orders
-// this Cache's own appends. The Sync makes the record durable before the
-// call returns; a crash before it can only leave a torn tail, which readers
-// skip. The tier is best-effort: a failure is only counted, in
+// recordBuf returns buf cut to a record of n results, or a new slice if short.
+func recordBuf(buf []byte, n int) []byte {
+	if size := recordSize(n); size <= len(buf) {
+		return buf[:size]
+	}
+	return make([]byte, recordSize(n))
+}
+
+// writeDisk appends key's record to the pack, opened at the first write and
+// kept, and returns the offset just past it, read back under the lock that
+// orders this Cache's appends; 0 when it could not be stored. The Sync makes
+// the record durable before the call returns (a crash can only leave a torn
+// tail, which readers skip). A failure is only counted, in
 // Stats.DiskWriteErrors, so a full or read-only directory shows in
-// -cachestats instead of turning the tier off unseen.
+// -cachestats.
 func (c *Cache) writeDisk(key gpu.SegmentKey, results []gpu.KernelResult) int64 {
 	rec := EncodeEntry(key, results)
 	c.packMu.Lock()

@@ -19,6 +19,11 @@ import (
 	"stemroot/internal/gpu"
 )
 
+// packScanBuf and packScanKeep, 64 KiB and 1 MiB, are page multiples, where
+// a mapping's pages end; the damaged-record cases and FuzzLoadPack's seeds
+// put records and damage across them.
+const packScanBuf, packScanKeep = 64 << 10, 1 << 20
+
 // writePack makes raw the pack of dir.
 func writePack(t *testing.T, dir string, raw []byte) {
 	t.Helper()
@@ -49,15 +54,15 @@ func lookup(t *testing.T, c *Cache, key gpu.SegmentKey, want []gpu.KernelResult)
 	return served
 }
 
-// withinBound fails t unless every shard of c holds at most its share of
-// the byte bound — resident pack rows and ring together — plus its newest
-// entry, the one the ring keeps even past the bound.
+// withinBound fails t unless every shard's ring holds at most its share of
+// the byte bound plus its newest entry, the one the ring keeps even past the
+// bound.
 func withinBound(t *testing.T, c *Cache) {
 	t.Helper()
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		held, newest := sh.pinned+sh.bytes, int64(0)
+		held, newest := sh.bytes, int64(0)
 		if sh.head != nil {
 			newest = entryBytes(len(sh.head.results))
 		}
@@ -216,25 +221,29 @@ func TestDiskReadIgnoresFanOut(t *testing.T) {
 	}
 }
 
-// TestDiskReadLargeEntry: an entry one result past the stack read buffer,
-// one several buffers long and one past the pack scanner's first buffer
-// round-trip — through the load and, with a byte bound that keeps nothing
-// in memory, through the positioned read that brings back a spilled record.
-// (Entry lengths are 16 mod 32, buffer lengths 0 mod 32: none ends on a
-// boundary.)
+// TestDiskReadLargeEntry: entries one result past a hit's stack buffer and
+// past the read-back one, one several buffers long and one several pages
+// long round-trip — through the mapped pack, and, with a byte bound that
+// keeps nothing in memory, through the positioned read that brings back a
+// record the ring let go of.
 func TestDiskReadLargeEntry(t *testing.T) {
-	for i, n := range []int{(diskReadBuf-diskHeaderSize-32)/resultWireSize + 1, 5 * diskReadBuf / resultWireSize, 3 * packScanBuf / resultWireSize} {
+	for i, n := range []int{gpu.DefaultSegmentLen + 1, (diskReadBuf-diskHeaderSize-32)/resultWireSize + 1, 5 * diskReadBuf / resultWireSize, 3 * packScanBuf / resultWireSize} {
 		dir := t.TempDir()
-		key := testKey(6, byte(i))
+		key, other := testKey(6, byte(i)), testKey(6, byte(i)+100) // one shard
 		want := testResults(n, 0.5)
-		lookup(t, mustNew(t, Options{Dir: dir}), key, want)
-		for _, maxBytes := range []int64{0, 1} {
-			b := mustNew(t, Options{Dir: dir, MaxBytes: maxBytes})
-			if !lookup(t, b, key, want) {
-				t.Fatalf("%d results, MaxBytes %d: computed despite a valid disk entry", n, maxBytes)
-			}
-			if s := b.Stats(); s.DiskHits != 1 || s.DiskErrors != 0 {
-				t.Fatalf("%d results, MaxBytes %d: stats: %s", n, maxBytes, s)
+		w := mustNew(t, Options{Dir: dir, MaxBytes: 1})
+		lookup(t, w, key, want)
+		lookup(t, w, other, testResults(1, 0)) // the ring lets key go
+		if !lookup(t, w, key, want) {
+			t.Fatalf("%d results: recomputed a record the ring let go of", n)
+		}
+		b := mustNew(t, Options{Dir: dir})
+		if !lookup(t, b, key, want) {
+			t.Fatalf("%d results: computed despite a valid disk entry", n)
+		}
+		for name, c := range map[string]*Cache{"writer": w, "reader": b} {
+			if s := c.Stats(); s.DiskHits != 1 || s.DiskErrors != 0 {
+				t.Fatalf("%d results, %s: stats: %s", n, name, s)
 			}
 		}
 	}
@@ -318,10 +327,10 @@ func TestDiskReadOversizedFile(t *testing.T) {
 	}
 }
 
-// TestDiskSpill: the memory tier holds no more than MaxBytes — a shard whose
-// pack does not fit keeps none of it resident — and a record it does not hold
-// — an index-only row, or an entry evicted since, whether it was read back or
-// written by this cache — is read back from the pack, never recomputed.
+// TestDiskSpill: the ring holds no more than MaxBytes, and a record it let go
+// of — whether this cache wrote it or read it back — is read back from the
+// pack, never recomputed. The pack's own records are served from the
+// mapping, outside the bound.
 func TestDiskSpill(t *testing.T) {
 	dir := t.TempDir()
 	const bound = 16 * 600 // a shard holds two 4-result entries (256 bytes each)
@@ -344,14 +353,8 @@ func TestDiskSpill(t *testing.T) {
 
 	r := mustNew(t, Options{Dir: dir, MaxBytes: bound})
 	r.packOnce.Do(r.loadPack)
-	indexOnly := 0
-	for _, row := range r.index.rows {
-		if row.off < 0 {
-			indexOnly++
-		}
-	}
-	if s := r.Stats(); s.Entries != 0 || s.Bytes != 0 || indexOnly != 5 {
-		t.Fatalf("load kept %s and left %d rows index-only", s, indexOnly)
+	if s := r.Stats(); s.Entries != 5 || s.Bytes != 0 {
+		t.Fatalf("load kept %s, want five rows and no bytes", s)
 	}
 	for round := 0; round < 2; round++ {
 		for i, key := range keys[:5] {
@@ -360,23 +363,24 @@ func TestDiskSpill(t *testing.T) {
 			}
 		}
 	}
-	lookup(t, r, keys[5], testResults(4, 5)) // a miss appends, then is evicted
-	for i := 0; i < 4; i++ {
-		lookup(t, r, keys[i], testResults(4, float64(i)))
+	more := []gpu.SegmentKey{keys[5], testKey(0, 6), testKey(0, 7)}
+	for i, key := range more { // three misses append; the first is evicted
+		lookup(t, r, key, testResults(4, float64(5+i)))
 	}
 	if !lookup(t, r, keys[5], testResults(4, 5)) {
 		t.Fatal("recomputed an evicted entry this cache wrote")
 	}
-	if s := r.Stats(); s.Misses != 1 || s.DiskErrors != 0 || s.Bytes > 600 {
+	if s := r.Stats(); s.Misses != 3 || s.DiskHits != 6 || s.Evictions != 2 || s.DiskErrors != 0 || s.Bytes > 600 {
 		t.Fatalf("reader stats: %s", s)
 	}
 }
 
-// TestDiskHitAllocs pins a disk hit end to end: GetOrCompute allocates the
+// TestDiskHitAllocs pins a read-back end to end: GetOrCompute allocates the
 // entry the memory tier keeps and the decoded results, and nothing on the
 // way — no path string, no call record or channel for the singleflight, no
-// buffer sized to the record. With a byte bound that keeps nothing in
-// memory, every lookup is the positioned read of a spilled record.
+// buffer sized to the record. The pack is empty when the cache first looks,
+// and with a byte bound that keeps one entry, every lookup reads back the
+// record the ring let go of at the one before.
 func TestDiskHitAllocs(t *testing.T) {
 	c, err := New(Options{Dir: t.TempDir(), MaxBytes: 1})
 	if err != nil {
@@ -384,7 +388,7 @@ func TestDiskHitAllocs(t *testing.T) {
 	}
 	keys := [2]gpu.SegmentKey{testKey(9, 9), testKey(9, 10)}
 	for i, key := range keys {
-		c.writeDisk(key, testResults(16, float64(i)))
+		lookup(t, c, key, testResults(16, float64(i)))
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(20, func() {
@@ -393,7 +397,7 @@ func TestDiskHitAllocs(t *testing.T) {
 		}
 		i++
 	})
-	if s := c.Stats(); s.DiskHits != uint64(i) || s.Misses != 0 {
+	if s := c.Stats(); s.DiskHits != uint64(i) || s.Misses != 2 {
 		t.Fatalf("not every lookup was a disk hit: %s", s)
 	}
 	want := 2.0
@@ -405,18 +409,12 @@ func TestDiskHitAllocs(t *testing.T) {
 	}
 }
 
-// TestPackLoadAllocs: a pack load allocates the index — its rows, its
-// results block and its first-use bits — and nothing per record, once the
-// shared scan buffer and scratch have grown: the same three objects for 10
-// records as for 2,000 at the default bound. At one that fits the 10 but
-// leaves every shard of the 2,000 index-only, that pack's index has no
-// results block: two objects.
+// TestPackLoadAllocs: a pack load allocates the index — its rows, its bits
+// and its hold on the shared mapping — and nothing per record: the same
+// three objects for 10 records as for 2,000, at any byte bound, which no
+// longer covers the pack.
 func TestPackLoadAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		maxBytes int64
-		want     [2]uint64
-	}{{0, [2]uint64{3, 3}}, {16 * 600, [2]uint64{3, 2}}} {
-		maxBytes := tc.maxBytes
+	for _, maxBytes := range []int64{0, 16 * 600} {
 		var objects []uint64
 		for _, records := range []int{10, 2000} {
 			dir := t.TempDir()
@@ -426,8 +424,12 @@ func TestPackLoadAllocs(t *testing.T) {
 			}
 			writePack(t, dir, pack)
 			got := uint64(math.MaxUint64)
-			for run := 0; run < 4; run++ { // the first grows the shared scratch
+			// Each cache holds the mapping the next one shares; the first
+			// maps the pack.
+			var held []*Cache
+			for run := 0; run < 4; run++ {
 				c := mustNew(t, Options{Dir: dir, MaxBytes: maxBytes})
+				held = append(held, c)
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
 				c.packOnce.Do(c.loadPack)
@@ -435,26 +437,24 @@ func TestPackLoadAllocs(t *testing.T) {
 				if run > 0 { // the fewest: another goroutine's allocation is not the load's
 					got = min(got, after.Mallocs-before.Mallocs)
 				}
-				if s := c.Stats(); s.DiskErrors != 0 || (maxBytes == 0 && s.Entries != records) {
+				if s := c.Stats(); s.DiskErrors != 0 || s.Entries != records || s.Bytes != 0 {
 					t.Fatalf("%d records: %s", records, s)
 				}
 			}
+			runtime.KeepAlive(held)
 			objects = append(objects, got)
 		}
-		if [2]uint64(objects) != tc.want {
-			t.Fatalf("MaxBytes %d: loading 10 and 2,000 records allocates %v objects, want %v", maxBytes, objects, tc.want)
+		if want := [2]uint64{3, 3}; [2]uint64(objects) != want {
+			t.Fatalf("MaxBytes %d: loading 10 and 2,000 records allocates %v objects, want %v", maxBytes, objects, want)
 		}
 	}
 }
 
 // TestPackDuplicateKey: a pack holding two records of one key serves the
-// first, whether the index keeps it resident or reads it back from its
-// offset, and counts one entry. The second record takes no room: at a bound
-// that fits exactly the distinct records, all of them are resident — also in
-// a pack that holds every key twice, as two cold processes started together
-// leave it, whether the duplicates interleave or follow their first record
-// (then the scan's budget runs out on them, and the load reads back what it
-// did not decode).
+// first and counts one entry, at every byte bound — also a pack that holds
+// every key twice, as two cold processes started together leave it, whether
+// the duplicates interleave or follow their first record. No pack record
+// takes room in the ring.
 func TestPackDuplicateKey(t *testing.T) {
 	dir := t.TempDir()
 	key, first, second := testKey(3, 1), testResults(4, 1), testResults(4, 2)
@@ -463,8 +463,8 @@ func TestPackDuplicateKey(t *testing.T) {
 	for _, maxBytes := range []int64{0, 1, 16 * 2 * entryBytes(4)} {
 		c := mustNew(t, Options{Dir: dir, MaxBytes: maxBytes})
 		c.packOnce.Do(c.loadPack)
-		if s := c.Stats(); maxBytes != 1 && (s.Entries != 2 || s.Bytes != 2*entryBytes(4)) {
-			t.Fatalf("MaxBytes %d: the load kept %s, want both distinct records resident", maxBytes, s)
+		if s := c.Stats(); s.Entries != 2 || s.Bytes != 0 {
+			t.Fatalf("MaxBytes %d: the load kept %s, want both distinct records and no bytes", maxBytes, s)
 		}
 		if !lookup(t, c, key, first) || !lookup(t, c, other, otherResults) {
 			t.Fatalf("MaxBytes %d: computed a key the pack holds", maxBytes)
@@ -485,10 +485,10 @@ func TestPackDuplicateKey(t *testing.T) {
 	} {
 		dir := t.TempDir()
 		writePack(t, dir, pack)
-		c := mustNew(t, Options{Dir: dir, MaxBytes: 16 * 3 * entryBytes(4)})
+		c := mustNew(t, Options{Dir: dir, MaxBytes: 1})
 		c.packOnce.Do(c.loadPack)
-		if s := c.Stats(); s.Entries != 3 || s.Bytes != 3*entryBytes(4) || s.DiskErrors != 0 {
-			t.Fatalf("%s: the load kept %s, want the three distinct records resident", name, s)
+		if s := c.Stats(); s.Entries != 3 || s.Bytes != 0 || s.DiskErrors != 0 {
+			t.Fatalf("%s: the load kept %s, want the three distinct records", name, s)
 		}
 		for use := 0; use < 2; use++ {
 			for i := range recs {
@@ -497,59 +497,21 @@ func TestPackDuplicateKey(t *testing.T) {
 				}
 			}
 		}
-		if s := c.Stats(); s.DiskHits != 3 || s.MemHits != 3 || s.Evictions != 0 {
+		if s := c.Stats(); s.DiskHits != 3 || s.MemHits != 3 || s.Evictions != 0 || s.Entries != 3 {
 			t.Fatalf("%s: stats: %s", name, s)
 		}
 	}
 }
 
-// TestPackRowsLeaveByUse: a shard whose pack does not fit in its share of
-// the byte bound holds none of it resident. Its live records are read back
-// once each and then served from memory, aged by use in the ring; records
-// nobody asks for — an old engine's, say — are never read.
-func TestPackRowsLeaveByUse(t *testing.T) {
-	const bound = 16 * 600 // a shard holds two 4-result entries
-	res := func(i int) []gpu.KernelResult { return testResults(4, float64(i)) }
-	keys := make([]gpu.SegmentKey, 4)
-	var pack []byte
-	for i := range keys {
-		keys[i] = testKey(0, byte(i)) // all in shard 0
-		pack = append(pack, EncodeEntry(keys[i], res(i))...)
-	}
-	dir := t.TempDir()
-	writePack(t, dir, pack)
-	c := mustNew(t, Options{Dir: dir, MaxBytes: bound})
-	c.packOnce.Do(c.loadPack)
-	if s := c.Stats(); s.Entries != 0 || s.Bytes != 0 || len(c.index.results) != 0 {
-		t.Fatalf("a pack past the bound left %d results resident: %s", len(c.index.results), s)
-	}
-	// Damage the records of keys[0] and keys[1] in place: reading either
-	// back would count a disk error.
-	for i := 0; i < 2; i++ {
-		pack[i*recordSize(4)+diskHeaderSize] ^= 1
-	}
-	writePack(t, dir, pack)
-	for round := 0; round < 3; round++ {
-		for i := 2; i < 4; i++ {
-			if !lookup(t, c, keys[i], res(i)) {
-				t.Fatalf("round %d: recomputed pack record %d", round, i)
-			}
-		}
-	}
-	if s := c.Stats(); s.DiskHits != 2 || s.MemHits != 4 || s.Evictions != 0 || s.Entries != 2 || s.DiskErrors != 0 {
-		t.Fatalf("live records past the bound: %s", s)
-	}
-}
-
 // TestPackRowsMakeRoomForAFailedWrite: an entry whose write failed has no
-// record to be read back from, so the memory tier keeps it whatever the pack
-// rows resident beside it — past the bound if it must — and its second
-// lookup is a memory hit, not a second simulation. The resident row stays.
+// record to be read back from, so the ring keeps it past the bound, and its
+// second lookup is a memory hit, not a second simulation. The pack row
+// beside it takes no room and is still served.
 func TestPackRowsMakeRoomForAFailedWrite(t *testing.T) {
 	dir := t.TempDir()
 	pinned, big := testKey(0, 1), testKey(0, 2) // both in shard 0
 	writePack(t, dir, EncodeEntry(pinned, testResults(4, 1)))
-	c := mustNew(t, Options{Dir: dir, MaxBytes: 16 * 300}) // one 4-result entry per shard
+	c := mustNew(t, Options{Dir: dir, MaxBytes: 1})
 	c.packOnce.Do(c.loadPack)
 	ro, err := os.Open(filepath.Join(dir, packName))
 	if err != nil {
@@ -560,11 +522,11 @@ func TestPackRowsMakeRoomForAFailedWrite(t *testing.T) {
 	for use := 0; use < 2; use++ {
 		lookup(t, c, big, testResults(8, 2))
 	}
-	if s := c.Stats(); s.Misses != 1 || s.MemHits != 1 || s.DiskWriteErrors != 1 || s.Entries != 2 {
+	if s := c.Stats(); s.Misses != 1 || s.MemHits != 1 || s.DiskWriteErrors != 1 || s.Entries != 2 || s.Bytes != entryBytes(8) {
 		t.Fatalf("stats: %s", s)
 	}
 	if !lookup(t, c, pinned, testResults(4, 1)) || c.Stats().DiskHits != 1 {
-		t.Fatalf("the resident pack row was not served from memory: %s", c.Stats())
+		t.Fatalf("the pack row was not served: %s", c.Stats())
 	}
 }
 
@@ -600,11 +562,11 @@ func TestPackFirstUseConcurrent(t *testing.T) {
 	}
 }
 
-// TestPackReleaseConcurrent: readers serving resident pack rows without a
-// lock race writers whose fresh entries overflow the ring (run under -race).
-// Every lookup returns its key's results, no pack record is recomputed or
-// read back, every resident row is still resident at the end, and the memory
-// tier ends within the bound plus the newest entry.
+// TestPackReleaseConcurrent: readers decoding pack rows without a lock race
+// writers whose fresh entries overflow the ring (run under -race). Every
+// lookup returns its key's results, no pack record is recomputed or read
+// back, no row is marked bad, and the ring ends within the bound plus the
+// newest entry.
 func TestPackReleaseConcurrent(t *testing.T) {
 	dir := t.TempDir()
 	res := func(id int) []gpu.KernelResult { return testResults(4, float64(id)) }
@@ -613,8 +575,7 @@ func TestPackReleaseConcurrent(t *testing.T) {
 		pack = append(pack, EncodeEntry(testKey(0, byte(id)), res(id))...) // all in shard 0
 	}
 	writePack(t, dir, pack)
-	share := 10 * entryBytes(4) // all eight resident, and two ring entries
-	c := mustNew(t, Options{Dir: dir, MaxBytes: 16 * share})
+	c := mustNew(t, Options{Dir: dir, MaxBytes: 16 * 2 * entryBytes(4)}) // two ring entries
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -643,16 +604,16 @@ func TestPackReleaseConcurrent(t *testing.T) {
 	}
 	withinBound(t, c)
 	for id := 0; id < 8; id++ {
-		if i := c.index.find(testKey(0, byte(id))); i < 0 || !c.index.resident(i) {
-			t.Fatalf("pack row %d is no longer resident", id)
+		if _, ok := c.fromPack(testKey(0, byte(id)), nil); !ok {
+			t.Fatalf("pack row %d is no longer served", id)
 		}
 	}
 }
 
-// TestPackRowInUseIsNotReread: a resident pack row stays in memory when the
-// ring fills. The pack holds A and B and the shard's share fits three
-// entries: after A and B are used and C and D computed, a use of A is a
-// memory hit, not a second read of its record.
+// TestPackRowInUseIsNotReread: a pack row is served from the mapping however
+// full the ring is. The pack holds A and B and the shard's share fits one
+// entry: after A and B are used and C and D computed, a use of A is a memory
+// hit, not a read-back.
 func TestPackRowInUseIsNotReread(t *testing.T) {
 	dir := t.TempDir()
 	res := func(id int) []gpu.KernelResult { return testResults(4, float64(id)) }
@@ -661,12 +622,12 @@ func TestPackRowInUseIsNotReread(t *testing.T) {
 		keys[i] = testKey(0, byte(i))
 	}
 	writePack(t, dir, slices.Concat(EncodeEntry(keys[0], res(0)), EncodeEntry(keys[1], res(1))))
-	c := mustNew(t, Options{Dir: dir, MaxBytes: 16 * 3 * entryBytes(4)})
+	c := mustNew(t, Options{Dir: dir, MaxBytes: 16 * entryBytes(4)})
 	for _, i := range []int{0, 1, 2, 3, 0} {
 		lookup(t, c, keys[i], res(i))
 	}
-	if s := c.Stats(); s.DiskHits != 2 || s.MemHits != 1 || s.Misses != 2 {
-		t.Fatalf("stats: %s, want disk=2 mem=1 misses=2", s)
+	if s := c.Stats(); s.DiskHits != 2 || s.MemHits != 1 || s.Misses != 2 || s.Evictions != 1 {
+		t.Fatalf("stats: %s, want disk=2 mem=1 misses=2 evictions=1", s)
 	}
 }
 
@@ -796,4 +757,52 @@ func TestDiskAppendAcrossProcesses(t *testing.T) {
 		}
 	}
 	checkPackWhole(t, dir, keys)
+}
+
+// TestDecodeIntoConcurrent: goroutines decoding pack records straight into
+// their own slices (run under -race) get, bit for bit, what GetOrCompute
+// serves; each record's first use is its one disk hit. A slice of the wrong
+// length and a key the pack lacks are left to GetOrCompute, uncounted.
+func TestDecodeIntoConcurrent(t *testing.T) {
+	dir := t.TempDir()
+	keys := appendKeys()
+	var pack []byte
+	for j, key := range keys {
+		pack = append(pack, EncodeEntry(key, testResults(1+j%7, float64(j)))...)
+	}
+	writePack(t, dir, pack)
+	ref := mustNew(t, Options{Dir: dir})
+	want := make([][]gpu.KernelResult, len(keys))
+	for j, key := range keys {
+		var err error
+		if want[j], err = ref.GetOrCompute(key, nil); err != nil || len(want[j]) != 1+j%7 {
+			t.Fatalf("key %d: %v, %d results", j, err, len(want[j]))
+		}
+	}
+	c := mustNew(t, Options{Dir: dir})
+	const workers = 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j, key := range keys {
+				dst := make([]gpu.KernelResult, len(want[j]))
+				if !c.DecodeInto(key, dst) || !sameResults(dst, want[j]) {
+					t.Errorf("key %d: decoded %v, want %v", j, dst, want[j])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	s := c.Stats()
+	if s.DiskHits != uint64(len(keys)) || s.MemHits != (workers-1)*uint64(len(keys)) || s.Misses != 0 || s.DiskErrors != 0 {
+		t.Fatalf("stats: %s", s)
+	}
+	if c.DecodeInto(keys[0], make([]gpu.KernelResult, len(want[0])+1)) || c.DecodeInto(testKey(200, 1), make([]gpu.KernelResult, 1)) {
+		t.Fatal("decoded into a slice of the wrong length, or a key the pack lacks")
+	}
+	if after := c.Stats(); after != s {
+		t.Fatalf("a refused decode was counted: %s, was %s", after, s)
+	}
 }

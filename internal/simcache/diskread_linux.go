@@ -8,7 +8,7 @@ import (
 // The disk tier's read side talks to the kernel directly: os.Open on a
 // regular file is an openat, four fcntls and a refused epoll_ctl (the os
 // package tries to make every file pollable), and allocates the File it
-// returns. These are openat, pread and close, and allocate nothing.
+// returns. These are openat, pread, fstat, mmap and close.
 
 // readHandle is what openFile returns: a file descriptor.
 type readHandle = int
@@ -43,3 +43,21 @@ func preadFile(fd int, p []byte, off int64) (n int, err error) {
 }
 
 func closeFile(fd int) { syscall.Close(fd) }
+
+// fileID names a file by device and inode; a mapped file keeps its inode,
+// even unlinked, so no other file takes the number while it is mapped.
+type fileID struct{ dev, ino uint64 }
+
+// statFile returns the identity and size of the open file fd.
+func statFile(fd int) (fileID, int64, error) {
+	var st syscall.Stat_t
+	err := syscall.Fstat(fd, &st)
+	return fileID{uint64(st.Dev), st.Ino}, st.Size, err
+}
+
+// mapFile maps the first size bytes of fd read-only and shared.
+func mapFile(fd int, size int64) ([]byte, error) {
+	return syscall.Mmap(fd, 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
+}
+
+func unmapFile(b []byte) { syscall.Munmap(b) }

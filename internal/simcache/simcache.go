@@ -7,25 +7,21 @@
 // and the determinism contract from the parallel/arena work is what makes
 // the substitution safe.
 //
-// The product's cache has two tiers on one host. A sharded in-memory tier
-// bounded by bytes serves repeated segments within a process (ε-sweep
-// points, repetitions, DSE variants sharing ground truth). An
-// optional on-disk store (Options.Dir) persists entries across processes
-// in one append-only pack of versioned, checksummed records, read once per
-// Cache into an immutable index that serves pack hits without a lock; a
-// record is discarded — never trusted — on any mismatch, so a corrupt or
-// torn record degrades to a simulation, not an error. Under the byte bound,
-// a shard's pack rows are resident all or none, decided at load: all when
-// its distinct records fit in its share, and then they never leave; an LRU
-// ring has what they leave of the share. Processes share results through a
-// shared directory, whose filesystem must make an O_APPEND write atomic
-// across every writer (a local filesystem does; NFS does not).
+// The product's cache has two tiers on one host. An in-memory LRU ring,
+// sharded and bounded by bytes, holds what this process computed or read
+// back. An optional on-disk tier (Options.Dir) persists entries across
+// processes in one append-only pack of checksummed records, which a Cache
+// indexes at its first lookup over a read-only mapping that every Cache of
+// the process shares, outside the byte bound. A pack hit takes no lock and
+// decodes its record straight into the caller's slice, verified at every
+// use: a corrupt, torn or since-truncated record is discarded, never
+// trusted, and degrades to a simulation. Processes share results through a
+// directory whose filesystem makes an O_APPEND write atomic across writers
+// (a local filesystem does; NFS does not).
 //
-// Options.Remote attaches a third tier behind the disk: lookups miss through
-// memory and disk to it, fresh computations are written back to it, and
-// the same discard-never-trust verification applies to every byte that
-// crosses the wire. No CLI attaches one; it stays for the benchmark's
-// loopback measurement of internal/cachenet.
+// Options.Remote attaches a third tier behind the disk, under the same
+// verification; only the benchmark's loopback measurement of
+// internal/cachenet attaches one.
 //
 // # Concurrency
 //
@@ -49,11 +45,9 @@ import (
 	"stemroot/internal/gpu"
 )
 
-// DefaultMaxBytes bounds the in-memory tier when Options.MaxBytes is zero.
-// Segment entries are small (32 bytes per kernel result plus bookkeeping),
-// so 256 MiB holds on the order of 10^5..10^6 segments — far beyond any
-// current experiment run — while staying irrelevant next to the simulator's
-// own working set.
+// DefaultMaxBytes bounds the in-memory tier when Options.MaxBytes is zero:
+// at 32 bytes per kernel result plus bookkeeping, 10^5..10^6 segments, far
+// beyond any experiment run.
 const DefaultMaxBytes = 256 << 20
 
 // shardCount is fixed: a power of two so the key's leading byte selects a
@@ -105,12 +99,13 @@ type RemoteStats struct {
 
 // Options configure New.
 type Options struct {
-	// MaxBytes bounds the in-memory tier (approximate, counting payload plus
-	// fixed per-entry overhead). 0 selects DefaultMaxBytes; negative
-	// disables the in-memory bound (unbounded).
+	// MaxBytes bounds the in-memory tier, what this process computed or
+	// read back (approximate, counting payload plus fixed per-entry
+	// overhead); the mapped pack is not counted. 0 selects DefaultMaxBytes;
+	// negative disables the in-memory bound (unbounded).
 	MaxBytes int64
 	// Dir enables the on-disk tier in this directory (created if missing):
-	// one pack file, read at the first lookup. Empty disables it.
+	// one pack file, mapped at the first lookup. Empty disables it.
 	Dir string
 	// Remote attaches a shared remote tier behind memory and disk (see
 	// Remote; internal/cachenet's Client is the canonical implementation).
@@ -120,26 +115,25 @@ type Options struct {
 
 // Stats is a point-in-time snapshot of the cache counters across all tiers.
 type Stats struct {
-	// Hits counts GetOrCompute calls served without simulating: memory,
-	// disk, and remote hits, and singleflight followers that shared a
-	// leader's result.
+	// Hits counts lookups served without simulating: memory, disk and
+	// remote hits, and singleflight followers that shared a leader's result.
 	Hits uint64
-	// MemHits / DiskHits / RemoteHits / Shared break Hits down by source.
-	// RemoteHits also counts entries a Prefetch batch pulled into the
-	// memory tier (they surface as MemHits at access time).
+	// MemHits / DiskHits / RemoteHits / Shared break Hits down by source; a
+	// pack record's first use is its disk hit. RemoteHits also counts what
+	// a Prefetch batch pulled into the ring (then used as MemHits).
 	MemHits, DiskHits, RemoteHits, Shared uint64
 	// Misses counts calls that ran the compute function.
 	Misses uint64
-	// Evictions counts entries the byte bound let go of from the LRU ring;
-	// a resident pack row never leaves.
+	// Evictions counts entries the byte bound let go of from the LRU ring.
 	Evictions uint64
-	// Bytes and Entries describe the current in-memory tier: the pack
-	// index's resident rows and the LRU.
+	// Bytes is what the LRU ring holds, the only part of the cache the byte
+	// bound covers. Entries counts the pack index's rows and the ring's
+	// entries.
 	Bytes   int64
 	Entries int
 	// DiskErrors counts damaged runs of the pack — torn, bit-rotted or
 	// foreign bytes, each skipped to the next record that verifies — and
-	// records that failed to verify when read back from their offset.
+	// records that failed to verify, or could not be read, at a use.
 	DiskErrors uint64
 	// DiskWriteErrors counts entries the disk tier failed to store (a full
 	// or read-only directory, a file size limit).
@@ -153,8 +147,8 @@ type Stats struct {
 	Remote    RemoteStats
 }
 
-// Cache implements gpu.SegmentCache (and gpu.BatchPrefetcher when a remote
-// tier is attached). See the package documentation.
+// Cache implements gpu.SegmentCache and gpu.SegmentDecoder (and
+// gpu.BatchPrefetcher when a remote tier is attached). See the package documentation.
 type Cache struct {
 	shards   [shardCount]shard
 	maxShard int64 // per-shard byte bound; <0 = unbounded
@@ -162,15 +156,14 @@ type Cache struct {
 	remote   Remote
 
 	// packPath is the NUL-terminated path of dir's pack; packOnce loads it
-	// at the first lookup into index, read-only from then on; pack is the
-	// append handle, opened at the first write and guarded, with the
-	// offsets it reports, by packMu. A Cache has no Close: the handle lives
-	// as long as the Cache, and the os.File's finalizer closes it. Every
-	// record is synced before writeDisk returns, so closing adds nothing a
-	// reader needs.
+	// at the first lookup into index, read-only from then on, and indexed,
+	// its row count for Stats. pack is the append handle, opened at the
+	// first write and guarded, with the offsets it reports, by packMu; the
+	// os.File's finalizer closes it, as every record is synced already.
 	packPath []byte
 	packOnce sync.Once
 	index    packIndex
+	indexed  atomic.Int64
 	packMu   sync.Mutex
 	pack     *os.File
 
@@ -180,21 +173,16 @@ type Cache struct {
 	remoteHits                      atomic.Uint64
 	prefetches, prefetchKeys        atomic.Uint64
 
-	// prefetchMissed remembers keys the last Prefetch batches could not
-	// resolve remotely, so the per-segment miss path skips a pointless
-	// second round trip for them (gpu.RunSegmentedEngine prefetches exactly
-	// the keys it is about to request). Entries are consumed — removed — by
-	// the first load that sees them, so the set stays bounded by the
-	// in-flight workloads' segment counts.
+	// prefetchMissed holds keys the last Prefetch batches could not resolve,
+	// so that their miss makes no second round trip; the first load that
+	// sees one removes it, which bounds the set by the segments in flight.
 	prefetchMissed sync.Map // gpu.SegmentKey -> struct{}
 }
 
-// entry is one segment result this process computed, fetched or read back
-// from the pack, linked into its shard's LRU ring — and, before that, the
-// singleflight record of its load: the leader puts it in the table with
-// loading set, followers wait on done and read results and err, and it then
-// joins the ring or, on an error, leaves the table. So a read-back allocates
-// the entry and its decoded results and nothing else.
+// entry is one result this process computed, fetched or read back, in its
+// shard's ring — and before that the singleflight record of its load: the
+// leader puts it in the table with loading set, followers wait on done and
+// read results and err, and it then joins the ring or leaves the table.
 type entry struct {
 	key        gpu.SegmentKey
 	results    []gpu.KernelResult
@@ -205,8 +193,8 @@ type entry struct {
 	loading    bool  // guarded by the shard lock
 }
 
-// packLoc is where a record the memory tier does not hold sits in the
-// pack: it ends at end and carries n results.
+// packLoc is where a record sits in the pack: it ends at end and carries n
+// results.
 type packLoc struct {
 	end int64
 	n   int
@@ -216,16 +204,11 @@ type packLoc struct {
 // still loading included in items but not in the ring.
 type shard struct {
 	mu    sync.Mutex
-	items map[gpu.SegmentKey]*entry
+	items map[gpu.SegmentKey]*entry // made at the first insert (put)
 	// head is most recently used; tail least. Sentinel-free doubly linked
 	// list: head/tail are nil when empty.
 	head, tail *entry
 	bytes      int64 // the ring's
-	// pinned and pinnedN are the bytes and the count of the pack index's
-	// resident rows in this shard's key space, fixed at load; they count
-	// toward the byte bound and Stats.
-	pinned  int64
-	pinnedN int
 	// spilled indexes the records this cache wrote or read back and the
 	// ring let go of since; readDisk takes them back. nil until the first
 	// one.
@@ -247,11 +230,8 @@ func New(opts Options) (*Cache, error) {
 			c.maxShard = 1
 		}
 	}
-	for i := range c.shards {
-		c.shards[i].items = make(map[gpu.SegmentKey]*entry)
-	}
 	if c.dir != "" {
-		if err := ensureDir(c.dir); err != nil {
+		if err := os.MkdirAll(c.dir, 0o755); err != nil {
 			return nil, err
 		}
 		c.packPath = append([]byte(filepath.Join(c.dir, packName)), 0)
@@ -270,19 +250,11 @@ func (c *Cache) shardFor(key gpu.SegmentKey) *shard {
 	return &c.shards[int(key[0])&(shardCount-1)]
 }
 
-// GetOrCompute implements gpu.SegmentCache.
+// GetOrCompute implements gpu.SegmentCache; a pack hit is decoded into a
+// slice of its own.
 func (c *Cache) GetOrCompute(key gpu.SegmentKey, compute func() ([]gpu.KernelResult, error)) ([]gpu.KernelResult, error) {
-	if c.dir != "" {
-		c.packOnce.Do(c.loadPack)
-		if i := c.index.find(key); i >= 0 && c.index.resident(i) {
-			c.hits.Add(1)
-			if c.index.firstUse(i) {
-				c.diskHits.Add(1) // its first use: the pack served it
-			} else {
-				c.memHits.Add(1)
-			}
-			return c.index.resultsOf(i), nil
-		}
+	if results, ok := c.fromPack(key, nil); ok {
+		return results, nil
 	}
 	sh := c.shardFor(key)
 
@@ -306,12 +278,12 @@ func (c *Cache) GetOrCompute(key gpu.SegmentKey, compute func() ([]gpu.KernelRes
 	}
 	e := &entry{key: key, loading: true}
 	e.done.Add(1)
-	sh.items[key] = e
+	sh.put(e)
 	sh.mu.Unlock()
 
 	// Leader path: disk tier, then remote, then compute. A failed load
 	// leaves the table, so it can be retried later.
-	results, src, err := c.load(e, compute)
+	results, err := c.load(e, compute)
 
 	sh.mu.Lock()
 	e.results, e.err, e.loading = results, err, false
@@ -322,46 +294,23 @@ func (c *Cache) GetOrCompute(key gpu.SegmentKey, compute func() ([]gpu.KernelRes
 	}
 	sh.mu.Unlock()
 	e.done.Done()
-
-	if err != nil {
-		return nil, err
-	}
-	switch src {
-	case srcDisk:
-		c.hits.Add(1)
-		c.diskHits.Add(1)
-	case srcRemote:
-		c.hits.Add(1)
-		c.remoteHits.Add(1)
-	default:
-		c.misses.Add(1)
-	}
-	return results, nil
+	return results, err
 }
 
-// loadSource says which tier resolved a leader's load.
-type loadSource int
-
-const (
-	srcCompute loadSource = iota
-	srcDisk
-	srcRemote
-)
-
-// load resolves a miss of e's key tier by tier: the pack records the memory
-// tier does not hold (if enabled), then the remote server (if attached), then
-// compute, and records in e.end where the entry sits in the pack. A fresh
-// computation is written back to every outer tier best-effort, carrying its
-// measured simulation time so the server's cost-aware eviction can weight
-// the entry by what it saves. Remote hits are also replicated to disk: a
-// later run on this machine then survives a dead server with warm local
-// state.
-func (c *Cache) load(e *entry, compute func() ([]gpu.KernelResult, error)) (results []gpu.KernelResult, src loadSource, err error) {
+// load resolves a miss of e's key tier by tier — a record the ring let go
+// of, the remote server, compute — counts which one served it, and records
+// in e.end where the entry sits in the pack. A computation is written back to every outer tier
+// best-effort, with its simulation time for the server's cost-aware
+// eviction; a remote hit is replicated to disk, so a later run here survives
+// a dead server.
+func (c *Cache) load(e *entry, compute func() ([]gpu.KernelResult, error)) (results []gpu.KernelResult, err error) {
 	key := e.key
 	if c.dir != "" {
 		var ok bool
 		if results, e.end, ok = c.readDisk(key); ok {
-			return results, srcDisk, nil
+			c.hits.Add(1)
+			c.diskHits.Add(1)
+			return results, nil
 		}
 	}
 	if c.remote != nil {
@@ -373,15 +322,18 @@ func (c *Cache) load(e *entry, compute func() ([]gpu.KernelResult, error)) (resu
 				if c.dir != "" {
 					e.end = c.writeDisk(key, results)
 				}
-				return results, srcRemote, nil
+				c.hits.Add(1)
+				c.remoteHits.Add(1)
+				return results, nil
 			}
 		}
 	}
 	start := time.Now()
 	results, err = compute()
 	if err != nil {
-		return nil, srcCompute, err
+		return nil, err
 	}
+	c.misses.Add(1)
 	costNs := time.Since(start).Nanoseconds()
 	if c.dir != "" {
 		e.end = c.writeDisk(key, results) // best-effort; failures only cost reuse
@@ -389,7 +341,7 @@ func (c *Cache) load(e *entry, compute func() ([]gpu.KernelResult, error)) (resu
 	if c.remote != nil {
 		c.remote.Put(key, results, costNs)
 	}
-	return results, srcCompute, nil
+	return results, nil
 }
 
 // WantPrefetch implements gpu.BatchPrefetcher: up-front key derivation pays
@@ -397,14 +349,11 @@ func (c *Cache) load(e *entry, compute func() ([]gpu.KernelResult, error)) (resu
 // trip.
 func (c *Cache) WantPrefetch() bool { return c.remote != nil }
 
-// Prefetch implements gpu.BatchPrefetcher: it resolves the announced keys
-// against the remote tier in one BatchGet, seeding the in-memory tier with
-// every hit so the per-segment lookups that follow stay local. Keys already
-// resident in memory are filtered out first and the rest go out once each, in
-// key order (keys itself is only read, and not kept); keys the batch could not
-// resolve are remembered so the per-segment miss path skips a second round
-// trip for them. Purely a performance hint: results of subsequent
-// GetOrCompute calls are unchanged.
+// Prefetch implements gpu.BatchPrefetcher: the announced keys that no local
+// tier holds go to the remote tier once each, in key order, in one BatchGet
+// (keys is only read); every hit seeds the ring, and every miss is
+// remembered, so the per-segment lookups that follow make no round trip.
+// Purely a performance hint: what GetOrCompute returns is unchanged.
 func (c *Cache) Prefetch(keys []gpu.SegmentKey) {
 	if c.remote == nil {
 		return
@@ -446,31 +395,32 @@ func (c *Cache) Prefetch(keys []gpu.SegmentKey) {
 		}
 		sh := c.shardFor(need[i])
 		sh.mu.Lock()
-		c.insert(sh, need[i], results, end)
+		if sh.items[need[i]] == nil { // else present or loading: the same results
+			e := &entry{key: need[i], results: results, end: end}
+			sh.put(e)
+			c.link(sh, e)
+		}
 		sh.mu.Unlock()
 	}
 }
 
-// insert adds a fetched entry unless the key is present or being loaded
-// (identical content by construction). Caller holds sh.mu.
-func (c *Cache) insert(sh *shard, key gpu.SegmentKey, results []gpu.KernelResult, end int64) {
-	if sh.items[key] != nil {
-		return
+// put adds e to the table, made at the shard's first insert (a sweep the
+// pack serves never makes one). Caller holds sh.mu.
+func (sh *shard) put(e *entry) {
+	if sh.items == nil {
+		sh.items = make(map[gpu.SegmentKey]*entry)
 	}
-	e := &entry{key: key, results: results, end: end}
-	sh.items[key] = e
-	c.link(sh, e)
+	sh.items[e.key] = e
 }
 
-// link puts a loaded entry of sh.items at the head of the ring and holds
-// the ring to what the shard's resident pack rows leave of its byte bound:
-// entries leave from the tail, and the newest stays, even past the bound. An
-// entry let go of with a pack record is spilled, to be read back rather than
-// recomputed. Caller holds sh.mu.
+// link puts a loaded entry at the head of the ring and holds the ring to the
+// shard's share of the byte bound: entries leave from the tail, the newest
+// stays even past it, and one with a pack record is spilled, to be read back
+// rather than recomputed. Caller holds sh.mu.
 func (c *Cache) link(sh *shard, e *entry) {
 	sh.bytes += entryBytes(len(e.results))
 	sh.pushFront(e)
-	for c.maxShard >= 0 && sh.pinned+sh.bytes > c.maxShard && sh.tail != e {
+	for c.maxShard >= 0 && sh.bytes > c.maxShard && sh.tail != e {
 		victim := sh.tail
 		sh.unlink(victim)
 		delete(sh.items, victim.key)
@@ -519,11 +469,9 @@ func (sh *shard) moveToFront(e *entry) {
 	sh.pushFront(e)
 }
 
-// String renders the snapshot as a stable single-line key=value list, the
-// format the CLIs print under -cachestats and CI smoke checks parse. The
-// remote block is appended only when a remote tier is attached, and a new
-// counter goes after the ones before it, so a field parsed by position or
-// by name stays where it was.
+// String renders the snapshot as the stable single-line key=value list that
+// the CLIs print under -cachestats and CI parses: the remote block only when
+// a remote tier is attached, and a new counter after the ones before it.
 func (s Stats) String() string {
 	base := fmt.Sprintf(
 		"hits=%d (mem=%d disk=%d remote=%d shared=%d) misses=%d entries=%d bytes=%d evictions=%d disk_errors=%d disk_write_errors=%d",
@@ -552,12 +500,13 @@ func (c *Cache) Stats() Stats {
 		Prefetches:      c.prefetches.Load(),
 		PrefetchKeys:    c.prefetchKeys.Load(),
 		DiskWriteErrors: c.diskWriteErrors.Load(),
+		Entries:         int(c.indexed.Load()),
 	}
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		s.Bytes += sh.pinned + sh.bytes
-		s.Entries += sh.pinnedN + len(sh.items)
+		s.Bytes += sh.bytes
+		s.Entries += len(sh.items)
 		sh.mu.Unlock()
 	}
 	if c.remote != nil {
