@@ -74,7 +74,7 @@ func generateServing(seed uint64, invocations int, out string, stdout, errReport
 	if out == "-" {
 		err = s.WriteCSV(stdout)
 	} else {
-		err = writeFile(out, s.WriteCSV)
+		err = cliopts.WriteFile(out, s.WriteCSV)
 	}
 	if err != nil {
 		return err
@@ -82,26 +82,6 @@ func generateServing(seed uint64, invocations int, out string, stdout, errReport
 	fmt.Fprintf(errReport, "serving trace: %d invocations, %d distinct kernels -> %s\n",
 		invocations, s.NumKernels(), out)
 	return nil
-}
-
-// writeFile creates path, fills it through write and closes it. A file that
-// could not be written whole — Close's error included — is removed, unless
-// path names something other than a regular file (a device, a pipe).
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = write(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		if st, serr := os.Lstat(path); serr == nil && st.Mode().IsRegular() {
-			os.Remove(path)
-		}
-	}
-	return err
 }
 
 // generate produces the suite's trace and profile files under outDir and
@@ -121,12 +101,12 @@ func generate(suite string, scale float64, seed uint64, device, outDir string, r
 
 	for _, w := range ws {
 		tracePath := filepath.Join(outDir, w.Name+".trace.json")
-		if err := writeFile(tracePath, w.WriteJSON); err != nil {
+		if err := cliopts.WriteFile(tracePath, w.WriteJSON); err != nil {
 			return err
 		}
 		prof := hwmodel.New(dev, w.Seed).Profile(w)
 		profPath := filepath.Join(outDir, w.Name+"."+dev.Name+".csv")
-		if err := writeFile(profPath, func(out io.Writer) error { return prof.WriteCSV(w, out) }); err != nil {
+		if err := cliopts.WriteFile(profPath, func(out io.Writer) error { return prof.WriteCSV(w, out) }); err != nil {
 			return err
 		}
 		fmt.Fprintf(report, "%-20s %8d kernel calls  total %12.1f us  -> %s, %s\n",

@@ -124,48 +124,6 @@ func TestGenerateServingRefusesBeforeTouchingOutput(t *testing.T) {
 	}
 }
 
-// TestWriteFileRemovesWhatItCouldNotFinish: a failed write and a failed
-// Close both surface and both take the partial file with them.
-func TestWriteFileRemovesWhatItCouldNotFinish(t *testing.T) {
-	dir := t.TempDir()
-	errBoom := errors.New("boom")
-
-	path := filepath.Join(dir, "partial.csv")
-	err := writeFile(path, func(w io.Writer) error {
-		if _, err := io.WriteString(w, "seq,name,time_us\n0,k,"); err != nil {
-			return err
-		}
-		return errBoom
-	})
-	if err != errBoom {
-		t.Fatalf("write error: got %v", err)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("partial file left behind (%v)", err)
-	}
-
-	// The write succeeds but Close cannot: the file was closed under it.
-	err = writeFile(path, func(w io.Writer) error {
-		if _, err := io.WriteString(w, "whole"); err != nil {
-			return err
-		}
-		return w.(*os.File).Close()
-	})
-	if !errors.Is(err, os.ErrClosed) {
-		t.Fatalf("Close error dropped: got %v", err)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("file with a failed Close left behind (%v)", err)
-	}
-
-	if err := writeFile(path, func(w io.Writer) error { _, err := io.WriteString(w, "whole"); return err }); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := os.ReadFile(path); string(got) != "whole" {
-		t.Fatalf("file holds %q", got)
-	}
-}
-
 func TestGenerateErrors(t *testing.T) {
 	dir := t.TempDir()
 	var buf strings.Builder

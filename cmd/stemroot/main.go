@@ -322,15 +322,7 @@ func writePlan(cfg cliConfig, plan *stemroot.Plan, out io.Writer) error {
 	if cfg.planOut == "" {
 		return nil
 	}
-	f, err := os.Create(cfg.planOut)
-	if err != nil {
-		return err
-	}
-	if err := plan.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := cliopts.WriteFile(cfg.planOut, plan.WriteJSON); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "plan written to %s\n", cfg.planOut)

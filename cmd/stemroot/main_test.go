@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -354,6 +355,20 @@ func TestRunWritesPlanJSON(t *testing.T) {
 	}
 	if len(plan.Clusters) == 0 {
 		t.Fatal("empty plan written")
+	}
+}
+
+// TestWritePlanLeavesNoPartialFile: a plan -o cannot write whole (here one
+// WriteJSON refuses) leaves no file behind.
+func TestWritePlanLeavesNoPartialFile(t *testing.T) {
+	cfg := cliConfig{planOut: filepath.Join(t.TempDir(), "plan.json")}
+	plan := &stemroot.Plan{PredictedError: math.NaN()}
+	var out strings.Builder
+	if err := writePlan(cfg, plan, &out); err == nil {
+		t.Fatal("a plan with a NaN error was written")
+	}
+	if _, err := os.Stat(cfg.planOut); !os.IsNotExist(err) || out.Len() > 0 {
+		t.Fatalf("failed -o left %s (%v) or printed %q", cfg.planOut, err, out.String())
 	}
 }
 

@@ -130,12 +130,14 @@ func FuzzSampleParallel(f *testing.F) {
 
 // FuzzPlanJSON pins the plan codec: for arbitrary kernel strings, index
 // lists and finite floats WriteJSON emits exactly the bytes of the
-// reflective encoding/json encoder it replaced and the plan reads back
-// equal; and arbitrary bytes never panic ReadPlanJSON.
+// reflective encoding/json Encoder without SetIndent (referencePlanJSON)
+// and the plan reads back equal; and arbitrary bytes never panic
+// ReadPlanJSON.
 func FuzzPlanJSON(f *testing.F) {
 	f.Add("gemm", "relu", []byte{0, 1, 2, 200, 3}, 0.05, 1e-9, 1e22, []byte(`{"version":1,"clusters":null}`))
 	f.Add("<a>&\u2028", "\xff\"\\", []byte{}, -0.0, 5e-324, 1e21, []byte(`{"version":1,"clusters":[{"kernel":"k","members":[-1]}]}`))
 	f.Add("", "", []byte{255, 255, 255, 255, 255, 255, 255, 255, 9}, 1e-7, 123456.789, 1e20, []byte("{"))
+	f.Add("k", "k", []byte{7}, 0.01, 0.99, 0.5, []byte("{\"version\":1,\"clusters\":null}\n{\"version\":1} x"))
 	f.Fuzz(func(t *testing.T, k1, k2 string, idx []byte, a, b, c float64, doc []byte) {
 		if _, err := ReadPlanJSON(bytes.NewReader(doc)); err != nil {
 			_ = err // any error is fine; a panic is not

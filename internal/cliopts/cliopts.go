@@ -1,13 +1,15 @@
 // Package cliopts is the one flag-to-pipeline.Options binder shared by
 // cmd/stemroot and cmd/experiments: the worker, segment-cache and pprof
 // flags, the cache they configure, and its exit-time report. Its pprof half,
-// Profiles, is every CLI's, cmd/benchgen's included.
+// Profiles, and WriteFile, which leaves no partial output file, are every
+// CLI's, cmd/benchgen's included.
 package cliopts
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
@@ -94,6 +96,26 @@ func (p *Profiles) StartProfiles() (stop func(), err error) {
 			}
 		}
 	}, nil
+}
+
+// WriteFile creates path, fills it through write and closes it. A file that
+// could not be written whole — Close's error included — is removed, unless
+// path names something other than a regular file (a device, a pipe).
+func WriteFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		if st, serr := os.Lstat(path); serr == nil && st.Mode().IsRegular() {
+			os.Remove(path)
+		}
+	}
+	return err
 }
 
 // writeHeapProfile records an up-to-date heap profile, the evidence base

@@ -2,6 +2,7 @@ package cliopts
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"io"
 	"log"
@@ -152,5 +153,47 @@ func TestRegisterRefusesNegativeJobs(t *testing.T) {
 				t.Errorf("simulateOnly=%v, -j %d: Jobs = %d, err = %v", simulateOnly, want, f.Jobs, err)
 			}
 		}
+	}
+}
+
+// TestWriteFileRemovesWhatItCouldNotFinish: a failed write and a failed
+// Close both surface and both take the partial file with them.
+func TestWriteFileRemovesWhatItCouldNotFinish(t *testing.T) {
+	dir := t.TempDir()
+	errBoom := errors.New("boom")
+
+	path := filepath.Join(dir, "partial.csv")
+	err := WriteFile(path, func(w io.Writer) error {
+		if _, err := io.WriteString(w, "seq,name,time_us\n0,k,"); err != nil {
+			return err
+		}
+		return errBoom
+	})
+	if err != errBoom {
+		t.Fatalf("write error: got %v", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("partial file left behind (%v)", err)
+	}
+
+	// The write succeeds but Close cannot: the file was closed under it.
+	err = WriteFile(path, func(w io.Writer) error {
+		if _, err := io.WriteString(w, "whole"); err != nil {
+			return err
+		}
+		return w.(*os.File).Close()
+	})
+	if !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Close error dropped: got %v", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("file with a failed Close left behind (%v)", err)
+	}
+
+	if err := WriteFile(path, func(w io.Writer) error { _, err := io.WriteString(w, "whole"); return err }); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "whole" {
+		t.Fatalf("file holds %q", got)
 	}
 }

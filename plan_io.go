@@ -39,11 +39,10 @@ const planChunk = 64 << 10
 // another process or language) can replay exactly the sampled kernels and
 // reproduce the weighted-sum estimate.
 //
-// The bytes are exactly what encoding/json's Encoder with
-// SetIndent("", "  ") emits for planJSON (FuzzPlanJSON pins it), appended
-// directly instead of through reflection and a second indenting pass.
-// Like the Encoder, it writes nothing when a float is not finite and
-// returns a *json.UnsupportedValueError.
+// The bytes are exactly what encoding/json's Encoder without SetIndent
+// emits for planJSON, final newline included (FuzzPlanJSON pins it), but
+// appended without reflection. Like the Encoder, it writes nothing when a
+// float is not finite and returns a *json.UnsupportedValueError.
 func (p *Plan) WriteJSON(w io.Writer) error {
 	for _, f := range [...]float64{p.Epsilon, p.Confidence, p.PredictedError} {
 		if err := finiteJSON(f); err != nil {
@@ -60,12 +59,11 @@ func (p *Plan) WriteJSON(w io.Writer) error {
 	}
 
 	e := planEncoder{w: w, buf: make([]byte, 0, planChunk+256)}
-	e.buf = append(e.buf, "{\n  \"version\": "...)
-	e.buf = strconv.AppendInt(e.buf, planSchemaVersion, 10)
-	e.float(",\n  \"epsilon\": ", p.Epsilon)
-	e.float(",\n  \"confidence\": ", p.Confidence)
-	e.float(",\n  \"predicted_error\": ", p.PredictedError)
-	e.buf = append(e.buf, ",\n  \"clusters\": "...)
+	e.buf = strconv.AppendInt(append(e.buf, "{\"version\":"...), planSchemaVersion, 10)
+	e.float(",\"epsilon\":", p.Epsilon)
+	e.float(",\"confidence\":", p.Confidence)
+	e.float(",\"predicted_error\":", p.PredictedError)
+	e.buf = append(e.buf, ",\"clusters\":"...)
 	if len(p.Clusters) == 0 {
 		e.buf = append(e.buf, "null"...)
 	} else {
@@ -73,7 +71,7 @@ func (p *Plan) WriteJSON(w io.Writer) error {
 		// computed once per run of clusters.
 		var kernel string
 		var quoted []byte
-		open := "[\n    {\n      \"kernel\": "
+		open := "[{\"kernel\":"
 		for i := range p.Clusters {
 			c := &p.Clusters[i]
 			if i == 0 || c.Kernel != kernel {
@@ -84,21 +82,21 @@ func (p *Plan) WriteJSON(w io.Writer) error {
 				kernel = c.Kernel
 			}
 			e.buf = append(e.buf, open...)
-			open = ",\n    {\n      \"kernel\": "
+			open = ",{\"kernel\":"
 			e.buf = append(e.buf, quoted...)
-			e.ints(",\n      \"members\": ", c.Members)
-			e.ints(",\n      \"samples\": ", c.Samples)
-			e.float(",\n      \"weight\": ", c.Weight)
-			e.float(",\n      \"mean_us\": ", c.Mean)
-			e.float(",\n      \"stddev_us\": ", c.StdDev)
-			e.buf = append(e.buf, "\n    }"...)
+			e.ints(",\"members\":", c.Members)
+			e.ints(",\"samples\":", c.Samples)
+			e.float(",\"weight\":", c.Weight)
+			e.float(",\"mean_us\":", c.Mean)
+			e.float(",\"stddev_us\":", c.StdDev)
+			e.buf = append(e.buf, '}')
 			if e.err != nil {
 				return e.err
 			}
 		}
-		e.buf = append(e.buf, "\n  ]"...)
+		e.buf = append(e.buf, ']')
 	}
-	e.buf = append(e.buf, "\n}\n"...)
+	e.buf = append(e.buf, "}\n"...)
 	e.flush()
 	return e.err
 }
@@ -147,35 +145,37 @@ func (e *planEncoder) float(key string, f float64) {
 	}
 }
 
-// ints appends key and the index list, one element per line; a nil list is
-// null and an empty one [], as encoding/json has them.
+// ints appends key and the index list; a nil list is null and an empty one
+// [], as encoding/json has them.
 func (e *planEncoder) ints(key string, xs []int) {
 	e.buf = append(e.buf, key...)
-	switch {
-	case xs == nil:
+	if xs == nil {
 		e.buf = append(e.buf, "null"...)
 		return
-	case len(xs) == 0:
-		e.buf = append(e.buf, "[]"...)
-		return
 	}
-	sep := "[\n        "
-	for _, x := range xs {
+	e.buf = append(e.buf, '[')
+	for i, x := range xs {
 		if len(e.buf) >= planChunk {
 			e.flush()
 		}
-		e.buf = append(e.buf, sep...)
+		if i > 0 {
+			e.buf = append(e.buf, ',')
+		}
 		e.buf = strconv.AppendInt(e.buf, int64(x), 10)
-		sep = ",\n        "
 	}
-	e.buf = append(e.buf, "\n      ]"...)
+	e.buf = append(e.buf, ']')
 }
 
-// ReadPlanJSON deserializes a plan written by WriteJSON.
+// ReadPlanJSON deserializes a version-1 plan in any JSON layout, compact or
+// indented. Whitespace may follow it; anything else (a second plan) is refused.
 func ReadPlanJSON(r io.Reader) (*Plan, error) {
 	var in planJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&in); err != nil {
 		return nil, fmt.Errorf("stemroot: decode plan: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("stemroot: decode plan: data after the document")
 	}
 	if in.Version != planSchemaVersion {
 		return nil, fmt.Errorf("stemroot: unsupported plan schema version %d", in.Version)

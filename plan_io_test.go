@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -50,6 +51,66 @@ func TestReadPlanJSONErrors(t *testing.T) {
 	}
 }
 
+// TestIndentedPlanFilesStayReadable: a plan file written while WriteJSON
+// indented reads back as the same plan as its compact bytes do.
+func TestIndentedPlanFilesStayReadable(t *testing.T) {
+	names, times := syntheticProfile(6000, 5)
+	plan, err := Sample(names, times, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	indented, err := indentedPlanJSON(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compact bytes.Buffer
+	if err := plan.WriteJSON(&compact); err != nil {
+		t.Fatal(err)
+	}
+	if 2*compact.Len() > len(indented) {
+		t.Fatalf("compact plan is %d bytes, indented %d: not half", compact.Len(), len(indented))
+	}
+	old, err := ReadPlanJSON(bytes.NewReader(indented))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := ReadPlanJSON(&compact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(old, cur) {
+		t.Fatal("the indented and the compact encoding read back as different plans")
+	}
+}
+
+// TestReadPlanJSONRefusesTrailingBytes: whitespace after the document, the
+// writer's final newline included, is accepted; anything else is refused,
+// a second plan too.
+func TestReadPlanJSONRefusesTrailingBytes(t *testing.T) {
+	names, times := syntheticProfile(3000, 5)
+	plan, err := Sample(names, times, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := plan.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	js := buf.String()
+	for _, tail := range []string{"", " \t\r\n\n"} {
+		if _, err := ReadPlanJSON(strings.NewReader(js + tail)); err != nil {
+			t.Errorf("trailing %q refused: %v", tail, err)
+		}
+	}
+	for _, tail := range []string{"garbage", "}", "]", "0", "null", js} {
+		for _, doc := range []string{js + tail, strings.TrimSuffix(js, "\n") + tail} {
+			if _, err := ReadPlanJSON(strings.NewReader(doc)); err == nil {
+				t.Errorf("plan followed by %.20q accepted", tail)
+			}
+		}
+	}
+}
+
 func TestReadPlanJSONRejectsBadIndices(t *testing.T) {
 	for _, c := range []struct{ doc, want string }{
 		{`{"version":1,"clusters":[{"kernel":"k","members":[0,-1],"samples":[0],"weight":1}]}`, `cluster 0 ("k") has negative member`},
@@ -69,9 +130,16 @@ func TestReadPlanJSONRejectsBadIndices(t *testing.T) {
 	}
 }
 
-// referencePlanJSON is the encoder WriteJSON replaced: reflective
-// encoding/json with a two-space indent. WriteJSON must emit its bytes.
-func referencePlanJSON(p *Plan) ([]byte, error) {
+// referencePlanJSON is the encoder WriteJSON stands in for: reflective
+// encoding/json without SetIndent. WriteJSON must emit its bytes.
+func referencePlanJSON(p *Plan) ([]byte, error) { return encodePlanJSON(p, "") }
+
+// indentedPlanJSON is what WriteJSON wrote while its contract was the
+// Encoder with a two-space indent: every plan file from before it went
+// compact holds these bytes.
+func indentedPlanJSON(p *Plan) ([]byte, error) { return encodePlanJSON(p, "  ") }
+
+func encodePlanJSON(p *Plan, indent string) ([]byte, error) {
 	out := planJSON{
 		Version:        planSchemaVersion,
 		Epsilon:        p.Epsilon,
@@ -86,7 +154,7 @@ func referencePlanJSON(p *Plan) ([]byte, error) {
 	}
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
+	enc.SetIndent("", indent)
 	err := enc.Encode(out)
 	return buf.Bytes(), err
 }

@@ -151,7 +151,9 @@ func TestSampleStreamScansOnce(t *testing.T) {
 // bit whenever every kernel fits its reservoir. The rows at caps 64 and 512
 // overflow every kernel's reservoir, so they pin slot replacement and the
 // over-capacity statistics; their hashes were recorded when each reservoir
-// was one flat pair of arrays.
+// was one flat pair of arrays. Each plan is hashed through the indented
+// encoding/json Encoder, the bytes WriteJSON wrote when the hashes were
+// recorded, so its compact output leaves them standing.
 func TestSampleStreamPinnedPlans(t *testing.T) {
 	synth := func() ([]string, []float64) { return syntheticProfile(20000, 12) }
 	small := func() ([]string, []float64) { return syntheticProfile(3000, 13) }
@@ -186,11 +188,12 @@ func TestSampleStreamPinnedPlans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := sha256.New()
-		if err := plan.WriteJSON(h); err != nil {
+		js, err := indentedPlanJSON(plan)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != c.sha256 {
+		sum := sha256.Sum256(js)
+		if got := hex.EncodeToString(sum[:]); got != c.sha256 {
 			t.Errorf("%d rows, %+v, %+v: plan JSON sha256 %s, pinned %s", len(names), c.opts, c.sopts, got, c.sha256)
 		}
 	}
