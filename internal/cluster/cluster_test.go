@@ -41,51 +41,53 @@ func TestKMeansSeparatesBlobs(t *testing.T) {
 	}
 }
 
-// TestKMeansStopsAfterOneLloydStep pins a known defect: both k-means paths
-// start the previous inertia at +Inf, so the stop test after the first step
-// reads +Inf <= Tol·+Inf and every run is k-means++ seeding, one Lloyd step
-// and the final assignment — whatever MaxIter and Tol say. Fixing it moves
-// every ROOT split and PKA plan, so the fix must change this test on purpose.
+// TestKMeansStopsAfterOneLloydStep pins a known defect: KMeans starts the
+// previous inertia at +Inf, so the stop test after the first step reads
+// +Inf <= Tol·+Inf and every run is k-means++ seeding, one Lloyd step and
+// the final assignment — whatever MaxIter and Tol say. Fixing it moves every
+// PKA plan, so the fix must change this test on purpose.
 func TestKMeansStopsAfterOneLloydStep(t *testing.T) {
 	r := rng.New(27)
-	var s Scratch1D
 	for call := 0; call < 2000; call++ {
 		n, k := 2+r.Intn(300), 2+r.Intn(4)
-		vals := make([]float64, n)
 		pts := make([][]float64, n)
-		for i := range vals {
-			vals[i] = math.Exp(r.NormFloat64()) * float64(1+r.Intn(3))
-			pts[i] = []float64{vals[i], r.NormFloat64()}
+		for i := range pts {
+			pts[i] = []float64{math.Exp(r.NormFloat64()) * float64(1+r.Intn(3)), r.NormFloat64()}
 		}
 		opts := Options{Seed: r.Uint64(), MaxIter: 1 + r.Intn(200), Tol: []float64{0, 1e-12, 0.5}[call%3]}
-		res1, err := s.KMeans(vals, k, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
 		res, err := KMeans(pts, k, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res1.Iterations != 1 || res.Iterations != 1 {
-			t.Fatalf("call %d (n=%d k=%d %+v): %d and %d Lloyd steps, the defect pinned here takes 1",
-				call, n, k, opts, res1.Iterations, res.Iterations)
+		if res.Iterations != 1 {
+			t.Fatalf("call %d (n=%d k=%d %+v): %d Lloyd steps, the defect pinned here takes 1",
+				call, n, k, opts, res.Iterations)
 		}
 	}
 }
 
-func TestKMeans1DBimodal(t *testing.T) {
-	r := rng.New(2)
-	var vals []float64
-	for i := 0; i < 200; i++ {
-		vals = append(vals, 5+r.NormFloat64()*0.2, 50+r.NormFloat64()*0.2)
+// TestPickWeightedRoundingFallback is the regression test for the k-means++
+// rounding edge case: when the weighted scan completes without the running
+// remainder dropping below zero, the draw must land on the last point with
+// nonzero distance — never on an index-0 point whose distance is zero (an
+// already-chosen centroid).
+func TestPickWeightedRoundingFallback(t *testing.T) {
+	dist := []float64{0, 0, 1 << 60, 0}
+	// x == sum(dist): the scan ends with x exactly 0, never negative — the
+	// float-rounding shape that used to leave idx at its zero value.
+	if got := pickWeighted(dist, 1<<60); got != 2 {
+		t.Fatalf("unconsumed scan picked index %d, want last nonzero-distance point 2", got)
 	}
-	var s Scratch1D
-	res, err := s.KMeans(vals, 2, Options{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
+	// Normal draws are unaffected.
+	if got := pickWeighted([]float64{3, 1}, 3.5); got != 1 {
+		t.Fatalf("pickWeighted(3.5 of [3 1]) = %d, want 1", got)
 	}
-	if res.K != 2 || res.Counts[0] != 200 || res.Counts[1] != 200 {
-		t.Fatalf("split %v into %d clusters, want 200 / 200", res.Counts, res.K)
+	if got := pickWeighted([]float64{3, 1}, 2.5); got != 0 {
+		t.Fatalf("pickWeighted(2.5 of [3 1]) = %d, want 0", got)
+	}
+	// All-zero weights (callers gate on total > 0, but stay safe).
+	if got := pickWeighted([]float64{0, 0}, 0); got != 0 {
+		t.Fatalf("pickWeighted on zero weights = %d, want 0", got)
 	}
 }
 
@@ -245,20 +247,5 @@ func TestSweepKSubsampled(t *testing.T) {
 	}
 	if res.K != 2 {
 		t.Fatalf("subsampled sweep chose k=%d", res.K)
-	}
-}
-
-func BenchmarkKMeans1D(b *testing.B) {
-	r := rng.New(1)
-	vals := make([]float64, 10000)
-	for i := range vals {
-		vals[i] = r.NormFloat64()
-	}
-	var s Scratch1D
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.KMeans(vals, 2, Options{Seed: uint64(i)}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -1,20 +1,13 @@
-// Package cluster implements the clustering substrate: k-means with
-// k-means++ seeding (in one and many dimensions) and silhouette scoring.
-//
-// ROOT (paper §3.4) recursively applies 1-D k-means (k=2) to kernel
-// execution times; the PKA baseline applies N-D k-means over 12
-// instruction-level metrics with a k sweep.
-//
-// KMeans is the textbook slice-of-points Lloyd loop. Scratch1D, the scalar
-// path ROOT's recursive execution-time splits use, keeps values in one flat
-// []float64 and reuses caller-owned scratch so a split allocates nothing in
-// steady state. It folds floats and consumes the RNG in exactly KMeans's
-// order, so its clusterings are bit-identical to KMeans over boxed points —
-// pinned by the oracle tests in kmeans_oracle_test.go.
+// Package cluster implements the clustering substrate of the PKA baseline:
+// k-means with k-means++ seeding and silhouette scoring, which PKA applies
+// over 12 instruction-level metrics with a k sweep. KMeans is the textbook
+// slice-of-points Lloyd loop. (ROOT's 1-D splits need no k-means: in one
+// dimension the least-squares split is an exact cut of the sorted values,
+// which package core computes itself.)
 //
 // All entry points are pure functions of their inputs and an explicit seed
 // (no package-level state), so they are safe to call from many goroutines —
-// ROOT's parallel clustering fan-out relies on this.
+// the experiments' per-workload fan-outs rely on this.
 package cluster
 
 import (
@@ -35,11 +28,11 @@ type Result struct {
 
 // Options configures KMeans.
 //
-// Known defect, kept because every ROOT split and PKA plan depends on it:
-// both k-means paths start the previous inertia at +Inf, so the stop test
-// after the first Lloyd step reads +Inf <= Tol·+Inf and a run is k-means++
-// seeding, one Lloyd step and the final assignment. MaxIter and Tol never
-// act (TestKMeansStopsAfterOneLloydStep).
+// Known defect, kept because every PKA plan depends on it: KMeans starts
+// the previous inertia at +Inf, so the stop test after the first Lloyd step
+// reads +Inf <= Tol·+Inf and a run is k-means++ seeding, one Lloyd step and
+// the final assignment. MaxIter and Tol never act
+// (TestKMeansStopsAfterOneLloydStep).
 type Options struct {
 	MaxIter int     // maximum Lloyd iterations (default 100)
 	Tol     float64 // relative inertia improvement to keep iterating (default 1e-6)

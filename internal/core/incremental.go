@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -9,7 +8,6 @@ import (
 	"slices"
 	"sort"
 
-	"stemroot/internal/cluster"
 	"stemroot/internal/rng"
 	"stemroot/internal/stats"
 )
@@ -67,27 +65,17 @@ type cutScratch struct {
 	valBuf []float64
 	idxBuf []int
 	leaves []Cluster
-	cuts   []leafCut
 }
 
-// leafCut is one ROOT leaf of a kernel's reservoir: its largest value, which
-// is the upper bound of its interval, and its statistics.
-type leafCut struct {
-	hi float64
-	cs ClusterStats
-}
-
-// leafCuts clusters one kernel's reservoir values with ROOT and returns the
-// leaves in ascending order of value. 1-D k-means assigns by value, so the
-// leaves are disjoint value ranges and intervalOf over their largest values
-// sends every reservoir value to its own leaf. A leaf's statistics are the
-// ones rootSplit folded over its members in reservoir order, which for an
-// in-reservoir kernel is stream order. The reservoir is never mutated: its
-// times are copied once, in slot order, into valBuf, which the recursion
-// partitions in place. The emitted leaves tile that partitioned copy in
-// order, so a leaf's largest value is read from its own sub-range of it.
-func (sc *cutScratch) leafCuts(name string, res *pairReservoir, p Params, a *splitArena) []leafCut {
-	sc.valBuf = res.appendTimes(sc.valBuf[:0])
+// leafCuts appends ROOT's leaves of one kernel's reservoir to the re-plan's
+// intervals. The leaves are ascending ranges of the sorted times, so each
+// is bounded above by the last time of its range (the last leaf by +Inf),
+// and intervalOf sends every reservoir value to its own leaf. A leaf's
+// statistics are folded in slot order — stream order for an in-reservoir
+// kernel — over a copy of the times, as the recursion partitions in place.
+func (ip *IncrementalPlanner) leafCuts(name string, st *incNameState) {
+	sc := &ip.sc
+	sc.valBuf = st.res.appendTimes(sc.valBuf[:0])
 	n := len(sc.valBuf)
 	if cap(sc.idxBuf) < n {
 		sc.idxBuf = make([]int, n)
@@ -96,16 +84,17 @@ func (sc *cutScratch) leafCuts(name string, res *pairReservoir, p Params, a *spl
 	for i := range idxs {
 		idxs[i] = i
 	}
-	sc.leaves = rootSplit(name, sc.valBuf, idxs, StatsOf(sc.valBuf), p, 0, sc.leaves[:0], a)
-	sc.cuts = sc.cuts[:0]
+	sc.leaves = ip.arena.splitGroup(name, sc.valBuf, idxs, ip.p, sc.leaves[:0])
 	at := 0
-	for _, leaf := range sc.leaves {
-		end := at + len(leaf.Indices)
-		sc.cuts = append(sc.cuts, leafCut{slices.Max(sc.valBuf[at:end]), leaf.Stats})
-		at = end
+	for i, leaf := range sc.leaves {
+		at += len(leaf.Indices)
+		hi := math.Inf(1)
+		if i < len(sc.leaves)-1 {
+			hi = ip.arena.sorted[at-1] // more than one leaf: the group was sorted
+		}
+		ip.cuts = append(ip.cuts, hi)
+		ip.intervals = append(ip.intervals, incInterval{name: name, st: st, cs: leaf.Stats})
 	}
-	slices.SortFunc(sc.cuts, func(a, b leafCut) int { return cmp.Compare(a.hi, b.hi) })
-	return sc.cuts
 }
 
 // intervalOf returns which of the half-open intervals with the ascending
@@ -409,11 +398,7 @@ func (ip *IncrementalPlanner) Plan() (*Plan, error) {
 	// for one name at a time.
 	ip.cuts, ip.intervals = ip.cuts[:0], ip.intervals[:0]
 	for _, name := range ip.sorted {
-		st := ip.states[name]
-		for _, lc := range ip.sc.leafCuts(name, &st.res, ip.p, &ip.arena) {
-			ip.cuts = append(ip.cuts, lc.hi)
-			ip.intervals = append(ip.intervals, incInterval{name: name, st: st, cs: lc.cs})
-		}
+		ip.leafCuts(name, ip.states[name])
 	}
 	intervals := ip.intervals
 	n := len(intervals)
@@ -527,9 +512,6 @@ func (ip *IncrementalPlanner) reserveScratch() {
 	ip.sc.valBuf = make([]float64, 0, n)
 	ip.sc.idxBuf = make([]int, n)
 	ip.arena.grow(n)
-	// cluster.Scratch1D sizes its buffers to its input, so one single-pass
-	// run over n values (any values: only the sizes are kept) grows them.
-	ip.arena.km.KMeans(ip.arena.valTmp[:n], ip.p.SplitK, cluster.Options{MaxIter: 1})
 }
 
 // incInterval is one derived cluster interval during Plan: the owning

@@ -111,7 +111,7 @@ func TestReplanIntervalsAreLeaves(t *testing.T) {
 			for i := range idxs {
 				idxs[i] = i
 			}
-			leaves := rootSplit(name, slices.Clone(vals), idxs, StatsOf(vals), ip.p, 0, nil, new(splitArena))
+			leaves := new(splitArena).splitGroup(name, slices.Clone(vals), idxs, ip.p, nil)
 			if len(leaves) != hi-lo {
 				t.Fatalf("cap %d, %s: %d intervals for %d leaves", tc.cap, name, hi-lo, len(leaves))
 			}

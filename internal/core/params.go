@@ -8,8 +8,9 @@
 //     across many clusters (Problem 1, Eq. 6).
 //
 //   - ROOT (fine-grained hierarchical clustering): kernels grouped by name
-//     are recursively split with k-means on execution time; a split is kept
-//     only if STEM's estimated simulation time decreases (Eq. 7 vs Eq. 8).
+//     are recursively split at the exact 1-D k-means cut of their sorted
+//     execution times; a split is kept only if STEM's estimated simulation
+//     time decreases (Eq. 7 vs Eq. 8).
 //     Theorem 3.1 guarantees the union of per-set error-bounded clusters
 //     remains error-bounded.
 //
@@ -18,9 +19,8 @@
 // All functions are pure and safe for concurrent use. BuildClusters fans
 // out across kernel-name groups over up to Params.Workers workers, one per
 // rootGrainRows profile rows (a profile under the grain never leaves the
-// calling goroutine); every split derives its RNG from the kernel name,
-// depth, and group size, so the clustering is bit-identical for every worker
-// count.
+// calling goroutine); a split reads its own group's times and nothing else,
+// so the clustering is bit-identical for every worker count.
 package core
 
 import (
@@ -45,7 +45,8 @@ type Params struct {
 	// (BuildPlan, IncrementalPlanner) honour it, because both split through
 	// rootSplit, its only reader.
 	Flat bool
-	// Seed drives k-means initialization and sample selection.
+	// Seed drives sample selection only: ROOT's clustering is a function of
+	// the times.
 	Seed uint64
 	// SmallSampleT enables the Student-t small-sample correction: clusters
 	// whose z-based size falls below the CLT rule-of-thumb (m < 30) are

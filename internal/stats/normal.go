@@ -90,3 +90,19 @@ func MustZScore(confidence float64) float64 {
 	}
 	return z
 }
+
+// Wilson returns the Wilson score interval for k successes in n trials at
+// normal quantile z (1.96 for 95 %): the proportions p whose score test
+// |k/n − p| ≤ z·sqrt(p(1−p)/n) accepts. Unlike the Wald interval it stays
+// inside [0, 1] and is not empty at k = 0 or k = n. With no trials it is
+// all of [0, 1].
+func Wilson(k, n int, z float64) (lo, hi float64) {
+	if n <= 0 {
+		return 0, 1
+	}
+	p, nf := float64(k)/float64(n), float64(n)
+	d := 1 + z*z/nf
+	center := (p + z*z/(2*nf)) / d
+	half := z * math.Sqrt(p*(1-p)/nf+z*z/(4*nf*nf)) / d
+	return max(0, center-half), min(1, center+half)
+}

@@ -100,3 +100,27 @@ func TestMustZScorePanics(t *testing.T) {
 	}()
 	MustZScore(1.5)
 }
+
+// TestWilsonKnownValues checks the Wilson score interval against the 95 %
+// intervals Newcombe (Statistics in Medicine, 1998, Table I) tabulates to
+// four places, and at its edges.
+func TestWilsonKnownValues(t *testing.T) {
+	for _, c := range []struct {
+		k, n   int
+		lo, hi float64
+	}{
+		{81, 263, 0.2553, 0.3662},
+		{15, 148, 0.0624, 0.1605},
+		{0, 20, 0, 0.1611},
+		{1, 29, 0.0061, 0.1718},
+		{29, 29, 0.8830, 1},
+	} {
+		lo, hi := Wilson(c.k, c.n, 1.959963984540054)
+		if math.Abs(lo-c.lo) > 5e-5 || math.Abs(hi-c.hi) > 5e-5 {
+			t.Errorf("Wilson(%d, %d) = [%.5f, %.5f], want [%.4f, %.4f]", c.k, c.n, lo, hi, c.lo, c.hi)
+		}
+	}
+	if lo, hi := Wilson(0, 0, 1.96); lo != 0 || hi != 1 {
+		t.Errorf("Wilson with no trials = [%v, %v], want [0, 1]", lo, hi)
+	}
+}

@@ -44,7 +44,8 @@ type Options struct {
 	// value is ErrConfidence, and so is 1 − 2⁻⁵³, the last float64 below 1:
 	// its z-score is not a float64.
 	Confidence float64
-	// Seed drives clustering initialization and sample selection; 0 means 1.
+	// Seed drives sample selection only (ROOT's clustering depends on the
+	// times alone); 0 means 1.
 	Seed uint64
 	// Flat disables ROOT's hierarchical splitting (STEM-only sizing over
 	// per-name clusters). Mainly useful for ablation studies.
