@@ -172,9 +172,7 @@ var table = []experiment{
 	{"root", "", of(experiments.RootAblation, (*experiments.RootAblationResult).Render)},
 	{"warmup", "", of(experiments.WarmupAblation, experiments.RenderWarmup)},
 	{"multigpu", "", of(experiments.MultiGPU, experiments.RenderMultiGPU)},
-	{"confidence", "", of(func(cfg experiments.Config) (*experiments.ConfidenceResult, error) {
-		return experiments.Confidence(cfg, 100)
-	}, (*experiments.ConfidenceResult).Render)},
+	{"confidence", "", of(experiments.Confidence, (*experiments.ConfidenceResult).Render)},
 }
 
 // lookup returns the table row that id names, nil for none.

@@ -588,15 +588,13 @@ func (ip *IncrementalPlanner) nameStats(out []ClusterStats, st *incNameState, in
 	}
 
 	// Apportion the exact population over intervals ∝ reservoir counts.
+	// Over capacity exactN > r and every interval holds a reservoir slot,
+	// so each quota is at least 1, and the quotas sum to at most exactN.
 	exactN := st.exact.N()
 	assigned := 0
 	for i := range intervals {
-		q := exactN * intervals[i].cs.N / r
-		if q < 1 {
-			q = 1 // every interval has >= 1 reservoir member
-		}
-		out[i].N = q
-		assigned += q
+		out[i].N = exactN * intervals[i].cs.N / r
+		assigned += out[i].N
 	}
 	// Largest-remainder distribution of the leftovers, ties to the lower
 	// index for determinism.
@@ -611,23 +609,6 @@ func (ip *IncrementalPlanner) nameStats(out []ClusterStats, st *incNameState, in
 		out[best].N++
 		assigned++
 	}
-	for assigned > exactN {
-		best, bestRem := -1, math.Inf(1)
-		for i := range intervals {
-			if out[i].N <= 1 {
-				continue
-			}
-			rem := float64(exactN*intervals[i].cs.N)/float64(r) - float64(out[i].N)
-			if rem < bestRem {
-				best, bestRem = i, rem
-			}
-		}
-		if best < 0 {
-			break
-		}
-		out[best].N--
-		assigned--
-	}
 
 	// Calibrate: scale the reservoir means so Σ N_c·μ_c reproduces the
 	// exact per-name total. Deviations scale with the values.
@@ -637,7 +618,7 @@ func (ip *IncrementalPlanner) nameStats(out []ClusterStats, st *incNameState, in
 		out[i].StdDev = intervals[i].cs.StdDev
 		implied += float64(out[i].N) * out[i].Mean
 	}
-	exactSum := st.exact.Summary().Sum
+	exactSum := st.exact.Sum()
 	if implied <= 0 || exactSum <= 0 {
 		return 1
 	}

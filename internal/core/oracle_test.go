@@ -169,7 +169,7 @@ func refNameStats(st *incNameState, reservoir []ClusterStats) ([]ClusterStats, f
 	for _, c := range out {
 		implied += float64(c.N) * c.Mean
 	}
-	exactSum := st.exact.Summary().Sum
+	exactSum := st.exact.Sum()
 	if implied <= 0 || exactSum <= 0 {
 		return out, 1
 	}

@@ -151,6 +151,9 @@ func (c ClusterStats) Total() float64 { return float64(c.N) * c.Mean }
 
 // StatsOf computes ClusterStats from a slice of execution times.
 func StatsOf(times []float64) ClusterStats {
-	s := stats.Summarize(times)
-	return ClusterStats{N: s.N, Mean: s.Mean, StdDev: s.StdDev}
+	var o stats.Online
+	for _, t := range times {
+		o.Add(t)
+	}
+	return ClusterStats{N: o.N(), Mean: o.Mean(), StdDev: o.StdDev()}
 }

@@ -73,9 +73,16 @@ func BuildPlan(names []string, times []float64, p Params) (*Plan, error) {
 // an idle arena has grown to the profile's shape, planning again into one
 // plan allocates nothing, and into a zero Plan only those three arrays.
 // Every field of *plan is overwritten. On an error it holds no usable plan.
+// A time that is negative, NaN or +Inf is refused, with its invocation
+// named, as the IncrementalPlanner refuses it.
 func BuildPlanInto(plan *Plan, n int, nameOf func(i int) string, times []float64, p Params) error {
 	if err := p.Validate(); err != nil {
 		return err
+	}
+	for i, t := range times[:n] {
+		if !validTime(t) {
+			return invalidTimeError(t, i)
+		}
 	}
 	a := takeArena()
 	a.backing = plan.members

@@ -400,6 +400,34 @@ func TestPlanRejectsOverflowingTimes(t *testing.T) {
 	}
 }
 
+// TestBuildPlanRefusesInvalidTimes: the batch planner refuses the times the
+// IncrementalPlanner refuses — a negative time, a NaN, ±Inf — with the
+// invocation named, ROOT and flat alike, and plans zero and -0.
+func TestBuildPlanRefusesInvalidTimes(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		bad  float64 // planted at invocation 2
+		ok   bool
+	}{
+		{"negative", -1e-300, false},
+		{"NaN", math.NaN(), false},
+		{"+Inf", math.Inf(1), false},
+		{"-Inf", math.Inf(-1), false},
+		{"-0", math.Copysign(0, -1), true},
+		{"0", 0, true},
+	} {
+		for _, p := range []Params{defaultP(), flatOf(defaultP())} {
+			_, err := BuildPlan([]string{"a", "b", "a", "b"}, []float64{1, 2, c.bad, 4}, p)
+			switch {
+			case c.ok && err != nil:
+				t.Errorf("%s, flat %v: refused: %v", c.name, p.Flat, err)
+			case !c.ok && (err == nil || !strings.Contains(err.Error(), "invocation 2")):
+				t.Errorf("%s, flat %v: err = %v; want a refusal naming invocation 2", c.name, p.Flat, err)
+			}
+		}
+	}
+}
+
 // TestRootCutsOverflowingTimes: with minClusterSize rows or more, ROOT cuts
 // {1, 1e300} into its two constant leaves — Welford's σ of the whole group
 // is +Inf, each side's is 0 — so both planners return a plan with a true

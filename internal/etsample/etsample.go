@@ -20,6 +20,7 @@ import (
 	"stemroot/internal/chakra"
 	"stemroot/internal/core"
 	"stemroot/internal/multigpu"
+	"stemroot/internal/sampling"
 )
 
 // GraphPlan is a sampling plan over a trace's compute nodes: its clusters
@@ -130,13 +131,7 @@ func (p *GraphPlan) Evaluate(g *chakra.Graph, trueUS []float64) (*Outcome, error
 		ComputeNodes: len(g.ComputeNodes()),
 		SampledNodes: len(p.SampledIndices()),
 	}
-	if out.TruthUS > 0 {
-		d := out.EstimateUS - out.TruthUS
-		if d < 0 {
-			d = -d
-		}
-		out.ErrorPct = d / out.TruthUS * 100
-	}
+	out.ErrorPct, _ = sampling.Score(out.EstimateUS, out.TruthUS, 0)
 	if out.SampledNodes > 0 {
 		out.Speedup = float64(out.ComputeNodes) / float64(out.SampledNodes)
 	}

@@ -39,11 +39,7 @@ type Row struct {
 // groups are flattened in workload order, making the output identical for
 // every worker count.
 func SuiteComparison(cfg Config, suite string) ([]Row, error) {
-	scale := cfg.CASIOScale
-	if suite == workloads.SuiteHuggingFace {
-		scale = cfg.HFScale
-	}
-	ws, err := workloads.Suite(suite, cfg.Seed, scale)
+	ws, err := suiteWorkloads(cfg, suite)
 	if err != nil {
 		return nil, err
 	}
@@ -58,6 +54,18 @@ func SuiteComparison(cfg Config, suite string) ([]Row, error) {
 		rows = append(rows, group...)
 	}
 	return rows, nil
+}
+
+// table3Suites are Table 3's suites, in its order.
+var table3Suites = []string{workloads.SuiteRodinia, workloads.SuiteCASIO, workloads.SuiteHuggingFace}
+
+// suiteWorkloads generates one of Table 3's suites at cfg's scale.
+func suiteWorkloads(cfg Config, suite string) ([]*trace.Workload, error) {
+	scale := cfg.CASIOScale
+	if suite == workloads.SuiteHuggingFace {
+		scale = cfg.HFScale
+	}
+	return workloads.Suite(suite, cfg.Seed, scale)
 }
 
 // workloadRows evaluates every (method, rep) pair on one workload — the
@@ -163,7 +171,7 @@ func Table3(cfg Config) (*Table3Result, error) {
 		Rows:        make(map[string][]MethodSummary),
 		PerWorkload: make(map[string][]Row),
 	}
-	for _, suite := range []string{workloads.SuiteRodinia, workloads.SuiteCASIO, workloads.SuiteHuggingFace} {
+	for _, suite := range table3Suites {
 		rows, err := SuiteComparison(cfg, suite)
 		if err != nil {
 			return nil, err

@@ -3,9 +3,10 @@
 // signature-blindness analysis (Figure 10), the error-bound sweep
 // (Figure 11), simulator-based design-space exploration (Table 4,
 // Figure 12), cross-GPU portability (Figure 13), microarchitectural metric
-// validation (Figure 14), profiling overheads (Table 5), and the §3.3/§6.2
-// ablations. Each runner returns a structured result with a Render method
-// that prints the same rows/series the paper reports.
+// validation (Figure 14), profiling overheads (Table 5), the §3.3/§6.2
+// ablations, and the empirical coverage of STEM's bound. Each runner returns
+// a structured result with a Render method that prints the same rows/series
+// the paper reports.
 //
 // # Concurrency
 //
@@ -15,8 +16,9 @@
 // within each variant) use parallel.MapStealing, because workload costs are
 // heavily skewed — one HuggingFace workload outweighs many Rodinia ones —
 // and its shared cursor keeps every free worker claiming the next workload,
-// where static assignment would serialize stragglers; Confidence fans out
-// across uniform-cost runs the same way. The simulator-bound runners
+// where static assignment would serialize stragglers; Confidence's coverage
+// grid fans out across each suite's workloads the same way, every workload
+// scoring its seeds in order. The simulator-bound runners
 // additionally inherit the pipeline's per-segment kernel parallelism. Every work unit
 // derives its own seeds and constructs its own method/profiler instances,
 // and partial results are folded in fixed unit order, so runner output is

@@ -6,7 +6,6 @@ import (
 
 	"stemroot/internal/hwmodel"
 	"stemroot/internal/sampling"
-	"stemroot/internal/trace"
 	"stemroot/internal/workloads"
 )
 
@@ -50,7 +49,7 @@ func Figure13(cfg Config) (*Figure13Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			out, err := evaluateOnTarget(plan, w, h200)
+			out, err := sampling.Evaluate(plan, w, h200)
 			if err != nil {
 				return nil, err
 			}
@@ -66,16 +65,6 @@ func Figure13(cfg Config) (*Figure13Result, error) {
 	}
 	res.MeanPct /= float64(len(res.Points))
 	return res, nil
-}
-
-// evaluateOnTarget scores a plan against a profile from different hardware:
-// sampled kernels are "re-run" on the target (their target-device times
-// feed the estimate), and the truth is the target's full total.
-func evaluateOnTarget(plan *sampling.Plan, w *trace.Workload, target *trace.Profile) (sampling.Outcome, error) {
-	if err := target.Validate(w); err != nil {
-		return sampling.Outcome{}, err
-	}
-	return sampling.EvaluateTimes(plan, w.Name, target.TimeUS)
 }
 
 // Render prints Figure 13's per-workload errors.

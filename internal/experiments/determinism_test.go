@@ -31,24 +31,24 @@ func TestSuiteComparisonDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestConfidenceDeterministicAcrossParallelism covers the independent-runs
-// fan-out: per-run errors must fold identically in run order no matter how
-// many workers execute the runs.
+// TestConfidenceDeterministicAcrossParallelism covers the coverage grid's
+// fan-out: cells fold in workload order, then seed order, however many
+// workers score the workloads. The suites are scaled down, since the grid's
+// seed counts are fixed.
 func TestConfidenceDeterministicAcrossParallelism(t *testing.T) {
 	cfg := Quick()
+	cfg.CASIOScale, cfg.HFScale, cfg.DSEMaxCalls = 0.005, 0.0005, 4
 	cfg.Sim.Workers = 1
-	want, err := Confidence(cfg, 8)
+	want, err := Confidence(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{3, runtime.NumCPU()} {
-		cfg.Sim.Workers = workers
-		got, err := Confidence(cfg, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if *got != *want {
-			t.Fatalf("Parallelism=%d: %+v differs from serial %+v", workers, *got, *want)
-		}
+	cfg.Sim.Workers = runtime.NumCPU() + 1
+	got, err := Confidence(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Parallelism=%d: %+v differs from serial %+v", cfg.Sim.Workers, *got, *want)
 	}
 }

@@ -432,23 +432,3 @@ func TestWarmupAblationExperiment(t *testing.T) {
 		t.Fatal("render incomplete")
 	}
 }
-
-func TestConfidenceValidation(t *testing.T) {
-	cfg := Quick()
-	res, err := Confidence(cfg, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Empirical coverage must meet the nominal confidence level (with a
-	// small allowance for binomial noise at 60 runs).
-	if res.WithinPct < res.Confidence*100-5 {
-		t.Fatalf("only %.1f%% of runs within the %.0f%% bound at %.0f%% confidence",
-			res.WithinPct, res.Epsilon*100, res.Confidence*100)
-	}
-	if res.MeanErrPct > res.Epsilon*100 {
-		t.Fatalf("mean error %.3f%% exceeds the bound", res.MeanErrPct)
-	}
-	if out := res.Render(); !strings.Contains(out, "within bound") {
-		t.Fatal("render incomplete")
-	}
-}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"stemroot/internal/gpu"
@@ -106,8 +107,7 @@ func clusterTimes(plan *sampling.Plan, w *trace.Workload, prof *trace.Profile) [
 		for _, ix := range idxs {
 			times = append(times, prof.TimeUS[ix])
 		}
-		mn, _ := stats.Min(times)
-		mx, _ := stats.Max(times)
+		mn, mx := slices.Min(times), slices.Max(times)
 		fc := Figure10Cluster{
 			Size:  int(c.Weight + 0.5),
 			MinUS: mn,

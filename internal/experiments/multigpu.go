@@ -9,6 +9,7 @@ import (
 	"stemroot/internal/hwmodel"
 	"stemroot/internal/multigpu"
 	"stemroot/internal/rng"
+	"stemroot/internal/sampling"
 )
 
 // MultiGPUPoint is one rank-count measurement of the §6.2 extension:
@@ -49,7 +50,7 @@ func MultiGPU(cfg Config) ([]MultiGPUPoint, error) {
 			return nil, err
 		}
 
-		randErr, err := randomNodeSampling(g, times, stemOut.SampledNodes, cfg.Seed)
+		randErr, err := randomNodeSampling(g, times, stemOut.TruthUS, stemOut.SampledNodes, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -65,10 +66,11 @@ func MultiGPU(cfg Config) ([]MultiGPUPoint, error) {
 	return out, nil
 }
 
-// randomNodeSampling estimates the makespan using budget uniformly chosen
-// compute nodes: unsampled nodes inherit the global mean of the sampled
-// times (kernel identity ignored — the naive baseline).
-func randomNodeSampling(g *chakra.Graph, times []float64, budget int, seed uint64) (float64, error) {
+// randomNodeSampling estimates the makespan, truthUS when replayed with
+// times, using budget uniformly chosen compute nodes: unsampled nodes
+// inherit the global mean of the sampled times (kernel identity ignored —
+// the naive baseline).
+func randomNodeSampling(g *chakra.Graph, times []float64, truthUS float64, budget int, seed uint64) (float64, error) {
 	comp := g.ComputeNodes()
 	r := rng.New(rng.Derive(seed, 0x469))
 	perm := r.Perm(len(comp))
@@ -81,10 +83,6 @@ func randomNodeSampling(g *chakra.Graph, times []float64, budget int, seed uint6
 	}
 	mean := sum / float64(budget)
 
-	truth, err := multigpu.Simulate(g, func(id int) float64 { return times[id] })
-	if err != nil {
-		return 0, err
-	}
 	est, err := multigpu.Simulate(g, func(id int) float64 {
 		if g.Nodes[id].Kind != chakra.Compute {
 			return 0
@@ -94,11 +92,8 @@ func randomNodeSampling(g *chakra.Graph, times []float64, budget int, seed uint6
 	if err != nil {
 		return 0, err
 	}
-	d := est.TotalUS - truth.TotalUS
-	if d < 0 {
-		d = -d
-	}
-	return d / truth.TotalUS * 100, nil
+	errPct, _ := sampling.Score(est.TotalUS, truthUS, 0)
+	return errPct, nil
 }
 
 // RenderMultiGPU prints the extension results.

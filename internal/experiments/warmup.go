@@ -67,14 +67,8 @@ func WarmupAblation(cfg Config) ([]WarmupPoint, error) {
 				for _, c := range full {
 					truth += c
 				}
-				if truth > 0 {
-					d := est - truth
-					if d < 0 {
-						d = -d
-					}
-					part.errPct = d / truth * 100
-					part.counted = true
-				}
+				part.errPct, _ = sampling.Score(est, truth, 0)
+				part.counted = truth > 0
 				part.warmCycles = wc
 				// Sum in plan order, not map-iteration order, so the share
 				// is bit-stable across runs and worker counts.

@@ -2,6 +2,7 @@ package hwmodel
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"stemroot/internal/rng"
@@ -149,8 +150,7 @@ func TestContextsSeparateThroughLatent(t *testing.T) {
 		inv.Latent.ComputeWork *= 4
 		large = append(large, m.Time(&inv))
 	}
-	maxSmall, _ := stats.Max(small)
-	minLarge, _ := stats.Min(large)
+	maxSmall, minLarge := slices.Max(small), slices.Min(large)
 	if maxSmall >= minLarge {
 		t.Fatalf("context peaks overlap: max(small)=%v min(large)=%v", maxSmall, minLarge)
 	}

@@ -75,19 +75,12 @@ func Estimate(plan *sampling.Plan, w *trace.Workload, m *hwmodel.Model) (Vector,
 	return out, nil
 }
 
-// RelErrorsPct returns |est-full|/full per metric in percent (0 when the
-// full value is 0).
+// RelErrorsPct returns |est-full|/full per metric in percent (sampling.Score:
+// 0 when the full value is not positive).
 func RelErrorsPct(full, est Vector) Vector {
 	var out Vector
 	for j := range full {
-		if full[j] == 0 {
-			continue
-		}
-		d := est[j] - full[j]
-		if d < 0 {
-			d = -d
-		}
-		out[j] = d / full[j] * 100
+		out[j], _ = sampling.Score(est[j], full[j], 0)
 	}
 	return out
 }

@@ -257,22 +257,7 @@ func runOpt(sc *runScratch, w *trace.Workload, profDev hwmodel.Device, method sa
 		SampledCycles:  cost,
 		EstimateCycles: est,
 	}
-	res.Outcome = sampling.Outcome{
-		Method:   plan.Method,
-		Workload: w.Name,
-		Samples:  len(sc.sampled),
-		Estimate: est,
-		Truth:    truth,
-	}
-	if cost > 0 {
-		res.Outcome.Speedup = truth / cost
-	}
-	if truth > 0 {
-		d := est - truth
-		if d < 0 {
-			d = -d
-		}
-		res.Outcome.ErrorPct = d / truth * 100
-	}
+	res.Outcome = sampling.Outcome{Method: plan.Method, Samples: len(sc.sampled)}
+	res.Outcome.ErrorPct, res.Outcome.Speedup = sampling.Score(est, truth, cost)
 	return res, nil
 }

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -117,16 +118,18 @@ func BenchmarkWarmCell(b *testing.B) {
 // (both lookups disk hits), FullSimOpt + RunOpt allocate what they return —
 // the ground truth's cycles and the Result — besides the STEM method the
 // cell constructs and the cache's pack index (its rows, its bits and its
-// hold on the mapped pack): 6 objects and 344 B for eight invocations, where
+// hold on the mapped pack): 6 objects and 312 B for eight invocations, where
 // there were 58 and 5.1 KB. A hit decodes straight into the idle source's
 // window, and the profile, the STEM plan, its sample list and the sampled
 // cycles are rebuilt in its run scratch, which a warm cell has already
-// grown.
+// grown. The figures are the fewest of ten cells: a cell that finds the
+// shared pack mapping released since the last one maps it again, a 48-byte
+// object more.
 func TestWarmCellAllocs(t *testing.T) {
 	dev := profilingDevice(t)
 	cell := warmCell{gpu.Baseline(), dseWorkload(t, "backprop", 8)}
 	dir := primedDir(t, []warmCell{cell}, dev)
-	var objects, bytes uint64
+	objects, bytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
 	const runs = 10
 	for i := 0; i <= runs; i++ {
 		cache, err := simcache.New(simcache.Options{Dir: dir})
@@ -141,12 +144,11 @@ func TestWarmCellAllocs(t *testing.T) {
 			t.Fatalf("the cell was not served from the primed directory: %s", s)
 		}
 		if i > 0 { // the first run grows the idle scratch
-			objects += after.Mallocs - before.Mallocs
-			bytes += after.TotalAlloc - before.TotalAlloc
+			objects = min(objects, after.Mallocs-before.Mallocs)
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 		}
 	}
-	objects, bytes = objects/runs, bytes/runs
-	maxObjects, maxBytes := uint64(6), uint64(344)
+	maxObjects, maxBytes := uint64(6), uint64(312)
 	if objects > maxObjects || bytes > maxBytes {
 		t.Errorf("a warm cell allocates %d objects and %d bytes, want at most %d and %d", objects, bytes, maxObjects, maxBytes)
 	}

@@ -4,13 +4,13 @@ import (
 	"errors"
 	"math"
 
+	"stemroot/internal/stats"
 	"stemroot/internal/trace"
 )
 
 // Outcome reports one sampled-simulation evaluation.
 type Outcome struct {
-	Method   string
-	Workload string
+	Method string
 	// Samples is the number of distinct simulated invocations.
 	Samples int
 	// Speedup is full-workload time over sampled-workload time (paper §5:
@@ -19,14 +19,12 @@ type Outcome struct {
 	Speedup float64
 	// ErrorPct is the sampling error of Eq. (1), in percent.
 	ErrorPct float64
-	// Estimate and Truth are the estimated and ground-truth totals.
-	Estimate, Truth float64
 }
 
 // EvaluateTimes scores a plan against per-invocation ground-truth times
 // (from a profile on any device, or cycle counts from a simulator): the
 // estimate uses only sampled kernels' times; the truth is the full sum.
-func EvaluateTimes(plan *Plan, workload string, times []float64) (Outcome, error) {
+func EvaluateTimes(plan *Plan, times []float64) (Outcome, error) {
 	if plan == nil || len(times) == 0 {
 		return Outcome{}, errors.New("sampling: nothing to evaluate")
 	}
@@ -43,22 +41,24 @@ func EvaluateTimes(plan *Plan, workload string, times []float64) (Outcome, error
 	for _, t := range times {
 		truth += t
 	}
-	est := plan.Estimate(func(i int) float64 { return times[i] })
-
-	out := Outcome{
-		Method:   plan.Method,
-		Workload: workload,
-		Samples:  len(idxs),
-		Estimate: est,
-		Truth:    truth,
-	}
-	if sampledCost > 0 {
-		out.Speedup = truth / sampledCost
-	}
-	if truth > 0 {
-		out.ErrorPct = math.Abs(est-truth) / truth * 100
-	}
+	out := Outcome{Method: plan.Method, Samples: len(idxs)}
+	out.ErrorPct, out.Speedup = Score(plan.Estimate(func(i int) float64 { return times[i] }), truth, sampledCost)
 	return out, nil
+}
+
+// Score is the paper's two figures of merit for an estimate est of the
+// total truth whose samples cost cost to simulate (in truth's unit): the
+// sampling error of Eq. (1), |est − truth| / truth in percent, and the
+// speedup truth / cost. Each is 0 when its denominator is not positive.
+// Every sampling error the repository reports is computed here.
+func Score(est, truth, cost float64) (errPct, speedup float64) {
+	if truth > 0 {
+		errPct = math.Abs(est-truth) / truth * 100
+	}
+	if cost > 0 {
+		speedup = truth / cost
+	}
+	return errPct, speedup
 }
 
 // Evaluate scores a plan against the profile of the same workload — the
@@ -68,7 +68,7 @@ func Evaluate(plan *Plan, w *trace.Workload, prof *trace.Profile) (Outcome, erro
 	if err := prof.Validate(w); err != nil {
 		return Outcome{}, err
 	}
-	return EvaluateTimes(plan, w.Name, prof.TimeUS)
+	return EvaluateTimes(plan, prof.TimeUS)
 }
 
 // MeanErrorPct averages the errors of a set of outcomes (the paper uses the
@@ -101,3 +101,42 @@ func HarmonicMeanSpeedup(outs []Outcome) float64 {
 	}
 	return float64(n) / inv
 }
+
+// Coverage is one cell of the empirical check of STEM's bound by repeated
+// subsampling: of Plans independent plans, Covered estimated the truth
+// within ε; they drew Samples distinct invocations and their errors sum to
+// ErrSumPct. The zero value is an empty cell.
+type Coverage struct {
+	Covered, Plans, Samples int
+	ErrSumPct               float64
+}
+
+// Add counts one plan's outcome against the bound epsilon (a fraction).
+func (c *Coverage) Add(o Outcome, epsilon float64) {
+	c.Plans++
+	c.Samples += o.Samples
+	c.ErrSumPct += o.ErrorPct
+	if o.ErrorPct <= epsilon*100 {
+		c.Covered++
+	}
+}
+
+// Merge adds the counts of another cell.
+func (c *Coverage) Merge(o Coverage) {
+	c.Covered += o.Covered
+	c.Plans += o.Plans
+	c.Samples += o.Samples
+	c.ErrSumPct += o.ErrSumPct
+}
+
+// Rate is the covered share of the plans.
+func (c Coverage) Rate() float64 { return float64(c.Covered) / float64(c.Plans) }
+
+// Wilson is the Wilson score interval of the rate at normal quantile z.
+func (c Coverage) Wilson(z float64) (lo, hi float64) { return stats.Wilson(c.Covered, c.Plans, z) }
+
+// MeanErrorPct is the plans' mean error, in percent.
+func (c Coverage) MeanErrorPct() float64 { return c.ErrSumPct / float64(c.Plans) }
+
+// SamplesPerPlan is the mean number of distinct invocations a plan drew.
+func (c Coverage) SamplesPerPlan() float64 { return float64(c.Samples) / float64(c.Plans) }

@@ -436,11 +436,11 @@ func TestSTEMFlatAblation(t *testing.T) {
 }
 
 func TestEvaluateTimesErrors(t *testing.T) {
-	if _, err := EvaluateTimes(nil, "x", []float64{1}); err == nil {
+	if _, err := EvaluateTimes(nil, []float64{1}); err == nil {
 		t.Fatal("expected error for nil plan")
 	}
 	p := &Plan{Plan: core.Plan{Clusters: []core.PlanCluster{{Samples: []int{5}, Weight: 1}}}}
-	if _, err := EvaluateTimes(p, "x", []float64{1}); err == nil {
+	if _, err := EvaluateTimes(p, []float64{1}); err == nil {
 		t.Fatal("expected error for out-of-range index")
 	}
 }

@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"errors"
+	"slices"
 
 	"stemroot/internal/core"
 	"stemroot/internal/rng"
@@ -100,8 +101,7 @@ func (s *Sieve) Plan(w *trace.Workload, _ *trace.Profile) (*Plan, error) {
 // stratifyByQuantiles splits a kernel group into k strata by instruction
 // count.
 func stratifyByQuantiles(idxs []int, counts []float64, k int) [][]int {
-	lo, _ := stats.Min(counts)
-	hi, _ := stats.Max(counts)
+	lo, hi := slices.Min(counts), slices.Max(counts)
 	if hi == lo || k < 2 {
 		return [][]int{idxs}
 	}

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -27,8 +28,7 @@ func NewHistogram(xs []float64, bins int) *Histogram {
 		h.Width = 1
 		return h
 	}
-	lo, _ := Min(xs)
-	hi, _ := Max(xs)
+	lo, hi := slices.Min(xs), slices.Max(xs)
 	h.Lo, h.Hi = lo, hi
 	if hi == lo {
 		h.Width = 1
@@ -130,8 +130,7 @@ func CountModes(xs []float64, gridSize int, minFrac float64) int {
 	if len(xs) == 0 {
 		return 0
 	}
-	lo, _ := Min(xs)
-	hi, _ := Max(xs)
+	lo, hi := slices.Min(xs), slices.Max(xs)
 	if hi == lo {
 		return 1
 	}

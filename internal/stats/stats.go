@@ -13,13 +13,7 @@
 // accumulator, must be confined to a single goroutine.
 package stats
 
-import (
-	"errors"
-	"math"
-)
-
-// ErrEmpty is returned by functions that require at least one observation.
-var ErrEmpty = errors.New("stats: empty data")
+import "math"
 
 // Sum returns the sum of xs.
 func Sum(xs []float64) float64 {
@@ -73,34 +67,6 @@ func CoV(xs []float64) float64 {
 	return StdDev(xs) / mu
 }
 
-// Min returns the smallest element of xs, or an error for empty input.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the largest element of xs, or an error for empty input.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
 func quantileSorted(sorted []float64, q float64) float64 {
 	n := len(sorted)
 	if n == 1 {
@@ -116,27 +82,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Summary bundles the descriptive statistics STEM consumes for a cluster of
-// kernel execution times.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	CoV    float64
-	Min    float64
-	Max    float64
-	Sum    float64
-}
-
-// Summarize computes a Summary in a single pass over xs.
-func Summarize(xs []float64) Summary {
-	var o Online
-	for _, x := range xs {
-		o.Add(x)
-	}
-	return o.Summary()
-}
-
 // Online accumulates streaming moments with Welford's algorithm, allowing
 // million-invocation workloads to be summarized without materializing their
 // execution-time vectors. The zero value is ready to use.
@@ -144,24 +89,12 @@ type Online struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 	sum  float64
 }
 
 // Add incorporates one observation.
 func (o *Online) Add(x float64) {
 	o.n++
-	if o.n == 1 {
-		o.min, o.max = x, x
-	} else {
-		if x < o.min {
-			o.min = x
-		}
-		if x > o.max {
-			o.max = x
-		}
-	}
 	o.sum += x
 	delta := x - o.mean
 	o.mean += delta / float64(o.n)
@@ -170,6 +103,9 @@ func (o *Online) Add(x float64) {
 
 // N returns the number of observations added.
 func (o *Online) N() int { return o.n }
+
+// Sum returns the sum of the observations, in the order they were added.
+func (o *Online) Sum() float64 { return o.sum }
 
 // Mean returns the running mean.
 func (o *Online) Mean() float64 { return o.mean }
@@ -184,12 +120,3 @@ func (o *Online) Variance() float64 {
 
 // StdDev returns the sample standard deviation.
 func (o *Online) StdDev() float64 { return math.Sqrt(o.Variance()) }
-
-// Summary converts the accumulated moments to a Summary.
-func (o *Online) Summary() Summary {
-	s := Summary{N: o.n, Mean: o.mean, StdDev: o.StdDev(), Min: o.min, Max: o.max, Sum: o.sum}
-	if s.Mean != 0 {
-		s.CoV = s.StdDev / s.Mean
-	}
-	return s
-}

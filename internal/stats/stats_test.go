@@ -41,12 +41,6 @@ func TestEmptyInputs(t *testing.T) {
 	if Mean(nil) != 0 || Variance(nil) != 0 || StdDev(nil) != 0 || CoV(nil) != 0 {
 		t.Fatal("empty-input moments should be zero")
 	}
-	if _, err := Min(nil); err != ErrEmpty {
-		t.Fatal("Min(nil) should return ErrEmpty")
-	}
-	if _, err := Max(nil); err != ErrEmpty {
-		t.Fatal("Max(nil) should return ErrEmpty")
-	}
 }
 
 func TestCoV(t *testing.T) {
@@ -69,24 +63,11 @@ func TestOnlineMatchesBatch(t *testing.T) {
 			xs[i] = r.NormFloat64() * 100
 			o.Add(xs[i])
 		}
-		s := o.Summary()
-		mn, _ := Min(xs)
-		mx, _ := Max(xs)
-		return almostEqual(s.Mean, Mean(xs), 1e-8) &&
-			almostEqual(s.StdDev, StdDev(xs), 1e-8) &&
-			s.Min == mn && s.Max == mx && s.N == n
+		return almostEqual(o.Mean(), Mean(xs), 1e-8) &&
+			almostEqual(o.StdDev(), StdDev(xs), 1e-8) &&
+			almostEqual(o.Sum(), Sum(xs), 1e-8) && o.N() == n
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Sum != 15 {
-		t.Fatalf("bad summary: %+v", s)
-	}
-	if !almostEqual(s.StdDev, math.Sqrt(2.5), 1e-12) {
-		t.Fatalf("summary stddev = %v", s.StdDev)
 	}
 }

@@ -19,7 +19,6 @@ var callerAllowlist = map[string]string{
 	"gpu.Simulator.RunSpecs":    "helper the engine goldens are recorded through",
 	"kernelgen.DefaultLimits":   "limits the engine goldens are recorded under",
 	"kernelgen.Spec.NewStream":  "allocating twin of InitStream the engine oracle's reference loop draws from",
-	"stats.Wilson":              "interval the coverage tests score STEM's bound with",
 }
 
 // stdlibMethods are satisfied-by-name standard-library interfaces (fmt,

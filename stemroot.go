@@ -124,16 +124,6 @@ func Sample(names []string, timesUS []float64, opts Options) (*Plan, error) {
 	if len(names) != len(timesUS) {
 		return nil, fmt.Errorf("stemroot: %d names for %d times", len(names), len(timesUS))
 	}
-	for i, t := range timesUS {
-		if t < 0 {
-			return nil, fmt.Errorf("stemroot: negative time at invocation %d", i)
-		}
-		// A NaN makes the predicted error NaN, a +Inf makes it 0: neither
-		// is a bound.
-		if math.IsNaN(t) || math.IsInf(t, 0) {
-			return nil, fmt.Errorf("stemroot: non-finite time %v at invocation %d", t, i)
-		}
-	}
 	cp, err := core.BuildPlan(names, timesUS, opts.Params())
 	if err != nil {
 		return nil, err

@@ -10,7 +10,7 @@ import (
 	"testing"
 
 	"stemroot/internal/rng"
-	"stemroot/internal/stats"
+	"stemroot/internal/sampling"
 )
 
 type sliceScanner struct {
@@ -228,7 +228,7 @@ func TestSampleStreamCoverageOverCapacity(t *testing.T) {
 	}
 	for _, rcap := range []int{256, 512} {
 		for _, eps := range []float64{0.01, 0.05} {
-			covered := 0
+			var cell sampling.Coverage
 			for seed := 1; seed <= seeds; seed++ {
 				plan, err := SampleStream(sliceScanner{names, times},
 					Options{Epsilon: eps, Confidence: confidence, Seed: uint64(seed)},
@@ -236,15 +236,14 @@ func TestSampleStreamCoverageOverCapacity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				est := plan.Estimate(func(i int) float64 { return times[i] })
-				if math.Abs(est-truth) <= eps*truth {
-					covered++
-				}
+				var out sampling.Outcome
+				out.ErrorPct, _ = sampling.Score(plan.Estimate(func(i int) float64 { return times[i] }), truth, 0)
+				cell.Add(out, eps)
 			}
-			_, hi := stats.Wilson(covered, seeds, 1.959963984540054)
-			t.Logf("cap %d, ε %.2f: %d/%d covered, Wilson upper %.3f", rcap, eps, covered, seeds, hi)
+			_, hi := cell.Wilson(1.959963984540054)
+			t.Logf("cap %d, ε %.2f: %d/%d covered, Wilson upper %.3f", rcap, eps, cell.Covered, cell.Plans, hi)
 			if hi < confidence {
-				t.Errorf("cap %d, ε %.2f: coverage %d/%d, Wilson upper %.3f < %.2f", rcap, eps, covered, seeds, hi, confidence)
+				t.Errorf("cap %d, ε %.2f: coverage %d/%d, Wilson upper %.3f < %.2f", rcap, eps, cell.Covered, cell.Plans, hi, confidence)
 			}
 		}
 	}
