@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"sort"
 
 	"stemroot/internal/rng"
@@ -13,10 +12,12 @@ import (
 )
 
 // Seed-derivation labels: per-name reservoir RNGs are split, in first-seen
-// order, from the first; sample draws come from the second.
+// order, from the first; a streaming plan's draws come from the second, and
+// a batch plan's from the third.
 const (
 	seedLabelReservoir = 0x57e4
 	seedLabelDraw      = 0xd4aa
+	seedLabelBatchDraw = 0x5a3f1e
 )
 
 // StreamOptions tunes the IncrementalPlanner.
@@ -24,8 +25,8 @@ type StreamOptions struct {
 	// ReservoirCap bounds the per-kernel-name time sample used for
 	// clustering; 0 means 8192, and a negative cap is ErrReservoirCap.
 	// Peak memory is independent of trace length: O(#names × ReservoirCap)
-	// for the reservoirs, plus O(ReservoirCap) re-plan scratch, plus the
-	// plan.
+	// for the reservoirs, plus O(ReservoirCap) re-plan scratch per worker,
+	// plus the plan.
 	ReservoirCap int
 }
 
@@ -59,52 +60,38 @@ func invalidTimeError(t float64, invocation int) error {
 	return fmt.Errorf("core: time %v at invocation %d is not a finite non-negative number", t, invocation)
 }
 
-// cutScratch holds the reusable buffers of leafCuts so amortized
-// re-clustering allocates nothing once warm.
-type cutScratch struct {
-	valBuf []float64
-	idxBuf []int
-	leaves []Cluster
-}
-
-// leafCuts appends ROOT's leaves of one kernel's reservoir to the re-plan's
-// intervals. The leaves are ascending ranges of the sorted times, so each
-// is bounded above by the last time of its range (the last leaf by +Inf),
-// and intervalOf sends every reservoir value to its own leaf. A leaf's
-// statistics are folded in slot order — stream order for an in-reservoir
-// kernel — over a copy of the times, as the recursion partitions in place.
-func (ip *IncrementalPlanner) leafCuts(name string, st *incNameState) {
-	sc := &ip.sc
-	sc.valBuf = st.res.appendTimes(sc.valBuf[:0])
-	n := len(sc.valBuf)
-	if cap(sc.idxBuf) < n {
-		sc.idxBuf = make([]int, n)
-	}
-	idxs := sc.idxBuf[:n]
+// splitReservoir is ROOT over a copy of one kernel's reservoir times, in
+// slot order — stream order for an in-reservoir kernel — into the kernel's
+// own leaf list, which grows with its leaf count alone, whichever worker
+// claims it. The copy is reused for the worker's next name, so a leaf keeps
+// its statistics and its upper bound, not its slots; phase 3 regroups them
+// (groupSlots).
+func (a *splitArena) splitReservoir(name string, st *incNameState, p Params) {
+	vals := st.res.appendTimes(a.resVal[:0])
+	idxs := a.resIdx[:len(vals)]
 	for i := range idxs {
 		idxs[i] = i
 	}
-	sc.leaves = ip.arena.splitGroup(name, sc.valBuf, idxs, ip.p, sc.leaves[:0])
-	at := 0
-	for i, leaf := range sc.leaves {
-		at += len(leaf.Indices)
-		hi := math.Inf(1)
-		if i < len(sc.leaves)-1 {
-			hi = ip.arena.sorted[at-1] // more than one leaf: the group was sorted
-		}
-		ip.cuts = append(ip.cuts, hi)
-		ip.intervals = append(ip.intervals, incInterval{name: name, st: st, cs: leaf.Stats})
+	st.leaves = a.splitGroup(name, vals, idxs, p, st.leaves[:0])
+	for i := range st.leaves {
+		st.leaves[i].Indices = nil
 	}
 }
 
-// intervalOf returns which of the half-open intervals with the ascending
-// upper bounds cuts holds v.
-func intervalOf(cuts []float64, v float64) int {
-	j := sort.SearchFloat64s(cuts, v)
-	if j >= len(cuts) {
-		j = len(cuts) - 1
+// reserve sizes a's copy of a reservoir, and its partition buffers, for n
+// slots.
+func (a *splitArena) reserve(n int) {
+	if cap(a.resIdx) < n {
+		a.resVal = make([]float64, 0, n)
+		a.resIdx = make([]int, n)
+		a.grow(n)
 	}
-	return j
+}
+
+// leafOf returns which of one name's leaves holds the time v: the first
+// whose upper bound reaches it, the last if none does.
+func leafOf(leaves []Cluster, v float64) int {
+	return sort.Search(len(leaves)-1, func(j int) bool { return v <= leaves[j].upper })
 }
 
 // pairReservoir keeps a uniform sample of (value, stream position) pairs
@@ -195,6 +182,7 @@ type incNameState struct {
 	res        pairReservoir
 	exact      stats.Online // exact Welford moments over every invocation
 	meanAtPlan float64      // running mean at the last re-plan (drift trigger)
+	leaves     []Cluster    // its ROOT leaves at the last re-plan
 }
 
 // IncrementalPlanner maintains a STEM+ROOT sampling plan over a profile
@@ -211,10 +199,13 @@ type incNameState struct {
 // within ε/4 of the exact statistics' (pinned by test) without a second
 // scan.
 //
-// Peak memory is independent of trace length: O(#names × ReservoirCap) for
-// the reservoirs, O(ReservoirCap + #clusters) of re-plan scratch that the
-// planner owns and reuses, and the derived plan itself (#clusters entries
-// plus their drawn samples). A re-plan allocates the plan it returns and
+// A re-plan is the batch planner's derivation (derive) over the
+// reservoirs: ROOT per name, fanned out over Params.Workers as a batch plan
+// is, one joint sizing pass and one draw loop. Peak memory is independent of
+// trace length: O(#names × ReservoirCap) for the reservoirs, O(ReservoirCap)
+// of re-plan scratch per worker plus O(#clusters), all owned by the planner
+// and reused, and the derived plan itself (#clusters entries plus one array
+// of their drawn samples). A re-plan allocates the plan it returns and
 // nothing that grows with the reservoirs (TestIncrementalPlanScratchBounded),
 // and the steady-state Add path performs zero heap allocations
 // (AllocsPerRun-pinned).
@@ -241,20 +232,7 @@ type IncrementalPlanner struct {
 	lastEstimate    float64 // plan-based extrapolation of the total time
 	lastSampledTime float64 // Σ time over the plan's distinct samples
 
-	// Plan-derivation scratch, reused across re-plans. One entry per
-	// interval (or per name), all names' intervals in sorted-name order:
-	sorted    []string
-	cuts      []float64 // cuts[i] is the upper bound of intervals[i]
-	intervals []incInterval
-	statsVec  []ClusterStats
-	sizes     []int
-	kkt       kktScratch
-	// and, for the one kernel being worked on, at most ReservoirCap entries:
-	arena splitArena
-	sc    cutScratch
-	perm  []int32  // reservoir slots grouped by interval, slot order kept
-	ends  []int    // ends[j] is where interval j's group ends in perm
-	drawn []uint64 // bitset over reservoir slots: already counted as sampled
+	arena *splitArena // the derivation's scratch, reused across re-plans
 }
 
 // NewIncrementalPlanner validates p and returns an empty planner.
@@ -270,6 +248,7 @@ func NewIncrementalPlanner(p Params, opts StreamOptions) (*IncrementalPlanner, e
 		opts:    opts,
 		seedGen: rng.New(rng.Derive(p.Seed, seedLabelReservoir)),
 		states:  make(map[string]*incNameState),
+		arena:   newArena(),
 	}, nil
 }
 
@@ -377,11 +356,13 @@ func (ip *IncrementalPlanner) CurrentPlan() (*Plan, error) {
 }
 
 // Plan re-derives the sampling plan from the current reservoirs and exact
-// statistics, caches it, and resets the re-plan schedule. Deterministic:
-// the same ingest sequence at the same seed yields a bit-identical plan,
-// regardless of how many times Plan or CurrentPlan ran before. The plan is
-// newly allocated and shares no memory with the planner's scratch, so a
-// plan obtained earlier is never changed by a later re-plan.
+// statistics, caches it, and resets the re-plan schedule. It is the
+// streaming front end of derive: the names in sorted order, each with its
+// reservoir. Deterministic: the same ingest sequence at the same seed yields
+// a bit-identical plan at any worker count, regardless of how many times
+// Plan or CurrentPlan ran before. The plan is newly allocated and shares no
+// memory with the planner's scratch, so a plan obtained earlier is never
+// changed by a later re-plan.
 func (ip *IncrementalPlanner) Plan() (*Plan, error) {
 	if ip.bad != nil {
 		return nil, ip.bad
@@ -389,93 +370,20 @@ func (ip *IncrementalPlanner) Plan() (*Plan, error) {
 	if ip.count == 0 {
 		return nil, errors.New("core: empty profile stream")
 	}
-	ip.sorted = append(ip.sorted[:0], ip.order...)
-	sort.Strings(ip.sorted)
-	ip.reserveScratch()
-
-	// Phase 1, per name: the intervals are ROOT's leaves, with their
-	// statistics. Which slot fell where is not kept — phase 3 re-derives it
-	// for one name at a time.
-	ip.cuts, ip.intervals = ip.cuts[:0], ip.intervals[:0]
-	for _, name := range ip.sorted {
-		ip.leafCuts(name, ip.states[name])
+	a := ip.arena
+	a.order = append(a.order[:0], ip.order...)
+	sort.Strings(a.order)
+	a.states = sized(a.states, len(a.order))
+	slots, most := 0, 0
+	for i, name := range a.order {
+		a.states[i] = ip.states[name]
+		slots += a.states[i].res.filled()
+		most = max(most, a.states[i].res.filled())
 	}
-	intervals := ip.intervals
-	n := len(intervals)
-
-	// Phase 2: per-cluster statistics — exact when the reservoir holds the
-	// kernel's entire population; otherwise reservoir estimates apportioned
-	// to the exact count and calibrated to the exact total time, with the
-	// per-name calibration factor carried into the sample weights so the
-	// extrapolation (Weight × Σ sampled times) stays unbiased too — and the
-	// joint sizing over all of them.
-	ip.statsVec = sized(ip.statsVec, n)
-	statsVec := ip.statsVec
-	for lo := 0; lo < n; {
-		hi := nameRun(intervals, lo)
-		s := ip.nameStats(statsVec[lo:hi], intervals[lo].st, intervals[lo:hi])
-		for i := lo; i < hi; i++ {
-			intervals[i].scale = s
-		}
-		lo = hi
-	}
-	ip.sizes = sized(ip.sizes, n)
-	sizes := optimalSizesInto(ip.sizes, statsVec, ip.p, &ip.kkt)
-	if ip.p.SmallSampleT {
-		applyTCorrection(statsVec, sizes, ip.p)
-	}
-
-	// Phase 3, per name again: group the reservoir slots by interval and
-	// draw. perm[ends[j]-n_j : ends[j]] are interval j's n_j candidate slots
-	// in reservoir order; a slot's stream position and time are read from
-	// the reservoir itself.
-	plan := &Plan{Params: ip.p, Clusters: make([]PlanCluster, n)}
-	drawGen := rng.New(rng.Derive(ip.p.Seed, seedLabelDraw))
-	var estimate, sampledTime float64
-	for lo := 0; lo < n; {
-		hi := nameRun(intervals, lo)
-		res := &intervals[lo].st.res
-		ip.groupSlots(res, ip.cuts[lo:hi], intervals[lo:hi])
-		ip.drawn = sized(ip.drawn, (res.filled()+63)/64)
-		clear(ip.drawn)
-		for i := lo; i < hi; i++ {
-			iv := &intervals[i]
-			m, cs := sizes[i], statsVec[i]
-			pc := &plan.Clusters[i]
-			*pc = PlanCluster{Kernel: iv.name, Population: cs.N, Mean: cs.Mean, StdDev: cs.StdDev}
-			if cs.N <= 0 || m <= 0 {
-				continue
-			}
-			end := ip.ends[i-lo]
-			pool := ip.perm[end-iv.cs.N : end]
-			all := m >= cs.N
-			if all {
-				// Exact coverage needs an index for every member; cap at
-				// the candidate pool (distinct draws).
-				m = min(cs.N, len(pool))
-			}
-			pc.Weight = iv.scale * float64(cs.N) / float64(m)
-			if m > 0 {
-				pc.Samples = make([]int, m)
-			}
-			for j := range pc.Samples {
-				k := j
-				if !all {
-					k = drawGen.Intn(len(pool))
-				}
-				slot := pool[k]
-				t, pos := res.at(int(slot))
-				pc.Samples[j] = pos
-				estimate += pc.Weight * t
-				if word, bit := &ip.drawn[slot>>6], uint64(1)<<(slot&63); *word&bit == 0 {
-					*word |= bit
-					sampledTime += t
-				}
-			}
-		}
-		lo = hi
-	}
-	if err := plan.setBound(statsVec, sizes); err != nil {
+	ip.reserve(most, rootWorkers(slots, ip.p.Workers))
+	plan := new(Plan)
+	estimate, sampledTime, err := a.derive(plan, ip.p, seedLabelDraw)
+	if err != nil {
 		return nil, err
 	}
 	ip.lastEstimate = estimate
@@ -491,117 +399,80 @@ func (ip *IncrementalPlanner) Plan() (*Plan, error) {
 	return plan, nil
 }
 
-// reserveScratch sizes the scratch a re-plan uses for one kernel at a time
-// before the first kernel is clustered: for the largest reservoir, rounded
-// up to a power of two and capped at the reservoir capacity, so it grows at
-// most log₂(capacity) times in a planner's life. Re-made at exactly each
-// larger reservoir — as the sorted names and the re-plans reached one — it
-// cost about twice what one capacity-sized set holds. The capacity of perm
-// is the size reserved.
-func (ip *IncrementalPlanner) reserveScratch() {
-	most := 0
-	for _, st := range ip.states {
-		most = max(most, st.res.filled())
+// reserve recruits the re-plan's team and sizes the scratch it uses for one
+// kernel at a time, before the first kernel is clustered: for the largest
+// reservoir, of most slots, rounded up to a power of two and capped at the
+// reservoir capacity, so it grows at most log₂(capacity) times in a
+// planner's life. Re-made at exactly each larger reservoir — as the sorted
+// names and the re-plans reached one — it cost about twice what one
+// capacity-sized set holds. Every worker is sized before the fan-out,
+// whichever names it will claim. The capacity of the leader's perm is the
+// size reserved.
+func (ip *IncrementalPlanner) reserve(most, workers int) {
+	a := ip.arena
+	if most > cap(a.perm) {
+		n := min(1<<bits.Len(uint(most-1)), ip.opts.reservoirCap())
+		a.perm, a.permVal = make([]int, 0, n), make([]float64, 0, n)
+		a.drawn = make([]uint64, 0, (n+63)/64)
 	}
-	if most <= cap(ip.perm) {
-		return
+	for _, wa := range a.recruit(min(workers, len(a.states)), newArena) {
+		wa.reserve(cap(a.perm))
 	}
-	n := min(1<<bits.Len(uint(most-1)), ip.opts.reservoirCap())
-	ip.perm = make([]int32, 0, n)
-	ip.drawn = make([]uint64, 0, (n+63)/64)
-	ip.sc.valBuf = make([]float64, 0, n)
-	ip.sc.idxBuf = make([]int, n)
-	ip.arena.grow(n)
 }
 
-// incInterval is one derived cluster interval during Plan: the owning
-// kernel's state, the statistics of the reservoir members in the interval
-// (its ROOT leaf's), and the kernel's calibration scale.
-type incInterval struct {
-	name  string
-	st    *incNameState
-	cs    ClusterStats
-	scale float64
-}
-
-// sized returns buf at length n with unspecified contents, reallocating only
-// when its capacity is short.
-func sized[T any](buf []T, n int) []T { return slices.Grow(buf[:0], n)[:n] }
-
-// fit is sized for an array a caller keeps: a short buf is replaced by one
-// of exactly n elements, a single object even when the race detector is on.
-func fit[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		buf = make([]T, n)
-	}
-	return buf[:n]
-}
-
-// nameRun returns the end of the run of intervals, starting at lo, that
-// belong to one kernel.
-func nameRun(intervals []incInterval, lo int) int {
-	hi := lo + 1
-	for hi < len(intervals) && intervals[hi].st == intervals[lo].st {
-		hi++
-	}
-	return hi
-}
-
-// groupSlots is a stable counting sort of one kernel's reservoir slots by
-// interval into ip.perm, leaving each interval's end offset in ip.ends. The
-// group sizes are already known: they are the leaves' populations. The
-// reservoir's blocks are walked in slot order.
-func (ip *IncrementalPlanner) groupSlots(res *pairReservoir, cuts []float64, ivs []incInterval) {
-	ip.ends = sized(ip.ends, len(ivs))
+// groupSlots is a stable counting sort of one kernel's reservoir by leaf
+// into a.perm (stream positions) and a.permVal (their times), the
+// reservoir's blocks walked in slot order. The group sizes are already
+// known: they are the leaves' populations.
+func (a *splitArena) groupSlots(res *pairReservoir, leaves []Cluster) {
+	a.cursor = sized(a.cursor, len(leaves))
 	at := 0
-	for j := range ivs {
-		ip.ends[j] = at // the group's start, advanced to its end below
-		at += ivs[j].cs.N
+	for j := range leaves {
+		a.cursor[j] = at
+		at += leaves[j].Stats.N
 	}
-	ip.perm = sized(ip.perm, res.filled())
-	slot := int32(0)
+	a.perm, a.permVal = sized(a.perm, at), sized(a.permVal, at)
 	for _, b := range res.blocks {
-		for _, v := range b.vals {
-			j := intervalOf(cuts, v)
-			ip.perm[ip.ends[j]] = slot
-			ip.ends[j]++
-			slot++
+		for s, v := range b.vals {
+			j := leafOf(leaves, v)
+			a.perm[a.cursor[j]], a.permVal[a.cursor[j]] = b.pos[s], v
+			a.cursor[j]++
 		}
 	}
 }
 
-// nameStats fills out with the cluster statistics of one kernel's
-// intervals and returns the name's calibration scale. When the reservoir
-// retained every observation the leaves' statistics ARE the exact ones
-// (folded in stream order) and the scale is exactly 1.
-// Otherwise the reservoir is a uniform sample: interval populations are
+// nameStats fills out with the cluster statistics of one kernel's leaves
+// and returns the name's calibration scale. A batch name (st nil) and a
+// reservoir that retained every observation have leaves whose statistics
+// ARE the exact ones (folded in stream order), and the scale is exactly 1.
+// Otherwise the reservoir is a uniform sample: leaf populations are
 // apportioned from the exact count by largest remainder
 // (they sum exactly to N), and means/deviations are scaled so the plan's
 // implied total Σ N_c·μ_c equals the kernel's exact total time.
-func (ip *IncrementalPlanner) nameStats(out []ClusterStats, st *incNameState, intervals []incInterval) float64 {
-	r := st.res.filled()
-	if st.res.seen <= r {
-		for i := range intervals {
-			out[i] = intervals[i].cs
+func nameStats(out []ClusterStats, st *incNameState, leaves []Cluster) float64 {
+	if st == nil || st.res.seen <= st.res.filled() {
+		for i := range leaves {
+			out[i] = leaves[i].Stats
 		}
 		return 1
 	}
+	r := st.res.filled()
 
-	// Apportion the exact population over intervals ∝ reservoir counts.
-	// Over capacity exactN > r and every interval holds a reservoir slot,
+	// Apportion the exact population over leaves ∝ reservoir counts.
+	// Over capacity exactN > r and every leaf holds a reservoir slot,
 	// so each quota is at least 1, and the quotas sum to at most exactN.
 	exactN := st.exact.N()
 	assigned := 0
-	for i := range intervals {
-		out[i].N = exactN * intervals[i].cs.N / r
+	for i := range leaves {
+		out[i].N = exactN * leaves[i].Stats.N / r
 		assigned += out[i].N
 	}
 	// Largest-remainder distribution of the leftovers, ties to the lower
 	// index for determinism.
 	for assigned < exactN {
 		best, bestRem := 0, -1.0
-		for i := range intervals {
-			rem := float64(exactN*intervals[i].cs.N)/float64(r) - float64(out[i].N)
+		for i := range leaves {
+			rem := float64(exactN*leaves[i].Stats.N)/float64(r) - float64(out[i].N)
 			if rem > bestRem {
 				best, bestRem = i, rem
 			}
@@ -613,9 +484,9 @@ func (ip *IncrementalPlanner) nameStats(out []ClusterStats, st *incNameState, in
 	// Calibrate: scale the reservoir means so Σ N_c·μ_c reproduces the
 	// exact per-name total. Deviations scale with the values.
 	var implied float64
-	for i := range intervals {
-		out[i].Mean = intervals[i].cs.Mean
-		out[i].StdDev = intervals[i].cs.StdDev
+	for i := range leaves {
+		out[i].Mean = leaves[i].Stats.Mean
+		out[i].StdDev = leaves[i].Stats.StdDev
 		implied += float64(out[i].N) * out[i].Mean
 	}
 	exactSum := st.exact.Sum()

@@ -230,6 +230,9 @@ func allocatedBy(f func()) uint64 {
 // this cap the per-interval pools and the distinct map of the first
 // derivation came to 0.6 MiB at 8 kernels and 5.4 MiB at 64.
 func TestIncrementalPlanScratchBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime's own allocations break the pin")
+	}
 	const rcap = 1024
 	excess := func(kernels int) (over int64, clusters int) {
 		ip, err := NewIncrementalPlanner(defaultP(), StreamOptions{ReservoirCap: rcap})
@@ -319,5 +322,54 @@ func TestIncrementalPlanScratchGrowsOnce(t *testing.T) {
 	ascending := excess(func(k int) int { return 2500 + 100*k })
 	if ascending > descending+4<<10 {
 		t.Fatalf("a first re-plan allocates %d B beyond its plan when the largest reservoir comes last, %d B when it comes first", ascending, descending)
+	}
+}
+
+// TestIncrementalPlanDeterministicAcrossWorkers: a re-plan fans ROOT out
+// over up to Params.Workers workers, as a batch plan does, and since each
+// name's split reads its own reservoir and nothing else, every plan and
+// re-plan — and the two rolling figures each leaves — is bit-identical at
+// any worker count.
+func TestIncrementalPlanDeterministicAcrossWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8)) // or Workers is clamped to the box
+	names, times := oracleStream(77, 40000, 12, true)
+	run := func(workers int) (plans []*Plan, figures []float64, team int) {
+		p := defaultP()
+		p.Workers = workers
+		ip, err := NewIncrementalPlanner(p, StreamOptions{ReservoirCap: 2048})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, nm := range names {
+			ip.Add(nm, times[i])
+			if (i+1)%5000 == 0 || i == 100 {
+				plan, err := ip.CurrentPlan()
+				if err != nil {
+					t.Fatal(err)
+				}
+				plans = append(plans, plan)
+				figures = append(figures, ip.LastEstimate(), ip.LastSampledTime())
+			}
+		}
+		return plans, figures, len(ip.arena.team)
+	}
+	want, wantFigures, _ := run(1)
+	for _, workers := range []int{2, 8} {
+		got, figures, team := run(workers)
+		if team != workers {
+			t.Fatalf("Workers=%d: the last re-plan ran on %d workers", workers, team)
+		}
+		for i := range want {
+			plan := *got[i]
+			plan.Params.Workers = 1
+			if err := samePlan(&plan, want[i]); err != nil {
+				t.Fatalf("Workers=%d, plan %d: %v", workers, i, err)
+			}
+		}
+		for i := range wantFigures {
+			if math.Float64bits(figures[i]) != math.Float64bits(wantFigures[i]) {
+				t.Fatalf("Workers=%d: rolling figure %d is %v, one worker %v", workers, i, figures[i], wantFigures[i])
+			}
+		}
 	}
 }

@@ -47,19 +47,27 @@ func feedIncremental(t *testing.T, names []string, times []float64, p Params, op
 	return ip
 }
 
-// exactIntervalStats is the second pass the one-pass planner does without:
-// it assigns every row to the interval ip's last Plan derived for its
-// kernel and folds each interval's exact Welford moments in stream order.
-func exactIntervalStats(ip *IncrementalPlanner, names []string, times []float64) []ClusterStats {
-	first := map[string]int{}
-	for i := len(ip.intervals) - 1; i >= 0; i-- {
-		first[ip.intervals[i].name] = i
+// eachName calls f with every kernel's name, state and leaves in ip's last
+// re-plan, in sorted-name order, with the leaves' offset among the plan's
+// clusters.
+func eachName(ip *IncrementalPlanner, f func(name string, st *incNameState, at int, leaves []Cluster)) {
+	a := ip.arena
+	for i, sp := range a.spans {
+		f(a.order[i], a.states[i], sp.lo, a.flat[sp.lo:sp.hi])
 	}
-	acc := make([]stats.Online, len(ip.intervals))
+}
+
+// exactIntervalStats is the second pass the one-pass planner does without:
+// it assigns every row to the leaf ip's last Plan derived for its kernel
+// and folds each leaf's exact Welford moments in stream order.
+func exactIntervalStats(ip *IncrementalPlanner, names []string, times []float64) []ClusterStats {
+	type span struct{ at, n int }
+	spans := map[string]span{}
+	eachName(ip, func(name string, _ *incNameState, at int, leaves []Cluster) { spans[name] = span{at, len(leaves)} })
+	acc := make([]stats.Online, len(ip.arena.flat))
 	for i, name := range names {
-		lo := first[name]
-		hi := nameRun(ip.intervals, lo)
-		acc[lo+intervalOf(ip.cuts[lo:hi], times[i])].Add(times[i])
+		sp := spans[name]
+		acc[sp.at+leafOf(ip.arena.flat[sp.at:sp.at+sp.n], times[i])].Add(times[i])
 	}
 	out := make([]ClusterStats, len(acc))
 	for i := range acc {
@@ -89,10 +97,11 @@ func TestIncrementalPlanMatchesExactStats(t *testing.T) {
 	}
 }
 
-// TestReplanIntervalsAreLeaves: a re-plan's intervals are ROOT's leaves of
-// each reservoir, one for one. Every reservoir slot falls in the interval
-// of its own leaf, and the interval carries that leaf's statistics — within
-// reservoir capacity and above it, where the reservoir is a sample.
+// TestReplanIntervalsAreLeaves: a re-plan's clusters are ROOT's leaves of
+// each reservoir, one for one, with their statistics, and the leaves' upper
+// bounds send every reservoir slot back to its own leaf (leafOf, which
+// groupSlots regroups by) — within reservoir capacity and above it, where
+// the reservoir is a sample.
 func TestReplanIntervalsAreLeaves(t *testing.T) {
 	for _, tc := range []struct {
 		cap, n, kernels int
@@ -102,37 +111,27 @@ func TestReplanIntervalsAreLeaves(t *testing.T) {
 		if _, err := ip.Plan(); err != nil {
 			t.Fatal(err)
 		}
-		for lo := 0; lo < len(ip.intervals); {
-			hi := nameRun(ip.intervals, lo)
-			name, res := ip.intervals[lo].name, &ip.intervals[lo].st.res
-			vals := res.appendTimes(nil)
-			timeAt := func(slot int) float64 { v, _ := res.at(slot); return v }
+		eachName(ip, func(name string, st *incNameState, _ int, got []Cluster) {
+			vals := st.res.appendTimes(nil)
 			idxs := make([]int, len(vals))
 			for i := range idxs {
 				idxs[i] = i
 			}
 			leaves := new(splitArena).splitGroup(name, slices.Clone(vals), idxs, ip.p, nil)
-			if len(leaves) != hi-lo {
-				t.Fatalf("cap %d, %s: %d intervals for %d leaves", tc.cap, name, hi-lo, len(leaves))
+			if len(leaves) != len(got) {
+				t.Fatalf("cap %d, %s: %d leaves in the plan, ROOT gives %d", tc.cap, name, len(got), len(leaves))
 			}
-			taken := make([]bool, hi-lo)
 			for li, leaf := range leaves {
-				j := intervalOf(ip.cuts[lo:hi], timeAt(leaf.Indices[0]))
+				if got[li].Stats != leaf.Stats {
+					t.Fatalf("cap %d, %s: leaf %d has %+v, ROOT's %+v", tc.cap, name, li, got[li].Stats, leaf.Stats)
+				}
 				for _, slot := range leaf.Indices {
-					if k := intervalOf(ip.cuts[lo:hi], timeAt(slot)); k != j {
-						t.Fatalf("cap %d, %s: leaf %d's slots fall in intervals %d and %d", tc.cap, name, li, j, k)
+					if k := leafOf(got, vals[slot]); k != li {
+						t.Fatalf("cap %d, %s: slot %d of leaf %d falls in leaf %d", tc.cap, name, slot, li, k)
 					}
 				}
-				if taken[j] {
-					t.Fatalf("cap %d, %s: two leaves fall in interval %d", tc.cap, name, j)
-				}
-				taken[j] = true
-				if got := ip.intervals[lo+j].cs; got != leaf.Stats {
-					t.Fatalf("cap %d, %s: interval %d has %+v, its leaf %+v", tc.cap, name, j, got, leaf.Stats)
-				}
 			}
-			lo = hi
-		}
+		})
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // The naive references the planners are checked against. Each one is
 // written from the rule it implements, allocates freely, and calls nothing
 // of the planner it checks: the batch recursion (rootSplit and its arena),
-// the streaming planner's cuts (leafCuts) and its apportionment
+// the streaming planner's leaves (splitReservoir) and its apportionment
 // (nameStats) all have to reproduce these bit for bit.
 
 // refRootSplit is ROOT at its plainest, for SplitK = 2: a leaf reports

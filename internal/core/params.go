@@ -16,11 +16,11 @@
 //
 // # Concurrency
 //
-// All functions are pure and safe for concurrent use. BuildClusters fans
+// All functions are pure and safe for concurrent use. Every plan fans ROOT
 // out across kernel-name groups over up to Params.Workers workers, one per
-// rootGrainRows profile rows (a profile under the grain never leaves the
-// calling goroutine); a split reads its own group's times and nothing else,
-// so the clustering is bit-identical for every worker count.
+// rootGrainRows rows or reservoir slots (fewer never leave the calling
+// goroutine); a split reads its own group's times and nothing else, so the
+// plan is bit-identical for every worker count.
 package core
 
 import (
@@ -43,7 +43,7 @@ type Params struct {
 	// name, jointly sized by STEM — the ablation comparing ROOT's
 	// fine-grained clustering against name-level clustering. Both planners
 	// (BuildPlan, IncrementalPlanner) honour it, because both split through
-	// rootSplit, its only reader.
+	// splitGroup, its only reader.
 	Flat bool
 	// Seed drives sample selection only: ROOT's clustering is a function of
 	// the times.
@@ -52,11 +52,12 @@ type Params struct {
 	// whose z-based size falls below the CLT rule-of-thumb (m < 30) are
 	// resized with t quantiles. An extension beyond the paper.
 	SmallSampleT bool
-	// Workers bounds ROOT's per-kernel-name clustering fan-out: 0 allows one
-	// worker per CPU, 1 forces the serial path, and a negative count is
-	// ErrParallelism. BuildClusters uses one worker per rootGrainRows (1024)
-	// profile rows up to this bound, so a small profile is clustered on the
-	// calling goroutine at any value. Output is identical for every value.
+	// Workers bounds ROOT's per-kernel-name fan-out in every plan, batch or
+	// streaming: 0 allows one worker per CPU, 1 forces the serial path, and
+	// a negative count is ErrParallelism. A plan uses one worker per
+	// rootGrainRows (1024) rows or reservoir slots up to this bound, so a
+	// small profile is clustered on the calling goroutine at any value.
+	// Output is identical for every value.
 	Workers int
 }
 

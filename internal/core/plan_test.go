@@ -23,6 +23,9 @@ func smallProfile(rows, names int) ([]string, []float64) {
 // one sample array — and nothing that dies with the call. Before the arena
 // held the call's scratch this was 29 objects and 1.9 KB for eight rows.
 func TestBuildPlanSmallProfileAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime's own allocations break the pin")
+	}
 	p := defaultP()
 	for _, rows := range []int{8, 16} {
 		for names := 1; names <= 4; names++ {

@@ -3,8 +3,6 @@ package core
 import (
 	"math"
 	"slices"
-	"sort"
-	"sync"
 
 	"stemroot/internal/parallel"
 	"stemroot/internal/stats"
@@ -19,98 +17,10 @@ type Cluster struct {
 	Indices []int
 	// Stats summarizes the cluster members' execution times.
 	Stats ClusterStats
-}
-
-// splitArena is the scratch memory of one ROOT clustering worker, and of the
-// planning call that leads a team of them. The recursion reads the group's
-// sorted times and uses the tmp buffers only for the stable partition at the
-// current node, so one arena serves an entire kernel-name group: a parent is
-// done with every buffer before it recurses (only the group bounds and
-// sub-statistics survive into the recursion, and those live on the stack).
-// Arenas are pure scratch — reusing them across calls cannot affect results.
-type splitArena struct {
-	valTmp []float64 // stable-partition scratch; the radix sort's second buffer
-	idxTmp []int     // stable-partition scratch
-	sorted []float64 // the group being split, its times ascending
-	cursor []int     // per-subcluster scatter cursors; per-name ones before the fan-out
-	sizes  []int
-	kkt    kktScratch
-	leaves []Cluster // the leaves of every name this worker split, back to back
-
-	// The leader of a call (cluster, planFromClusters) also holds whatever
-	// dies with the call, so that a plan allocates only what it returns.
-	idOf    map[string]int32 // name -> first-appearance id
-	ids     []int32          // row -> id
-	order   []string         // distinct names, sorted
-	start   []int            // sorted name -> first position in backing and vals
-	vals    []float64        // times, one contiguous range per name
-	backing []int            // row indices, likewise: the one array the leaves keep
-	spans   []leafSpan       // sorted name -> its leaves
-	team    []*splitArena    // worker -> arena; team[0] is the leader
-	flat    []Cluster        // the leaves in name order
-	stats   []ClusterStats
-	p       Params
-	split   func(w, i int) // splitName, bound once: a closure per call would allocate
-}
-
-// leafSpan locates one name's leaves: team[worker].leaves[lo:hi].
-type leafSpan struct{ worker, lo, hi int }
-
-// idleArenas holds arenas between planning calls. Like gpu's idle lists, and
-// for the reason given there, it is a bounded LIFO and not a pool the runtime
-// empties: which arenas are re-grown — and so what a run allocates — depends
-// only on the sequence of calls, never on the collector's schedule.
-var idleArenas struct {
-	sync.Mutex
-	arenas []*splitArena // most recently returned last
-}
-
-// maxIdleArenas bounds what idleArenas retains; the oldest is dropped first.
-const maxIdleArenas = 16
-
-// arenaKeep bounds, in elements per buffer, what an idle arena retains of a
-// call's own scratch: a 30 000-row profile's row and leaf lists are dropped on
-// return, not pinned on the idle list (the partition buffers stay, as before).
-const arenaKeep = rootGrainRows
-
-// takeArena returns the most recently returned idle arena, or a new one.
-func takeArena() *splitArena {
-	var a *splitArena
-	idleArenas.Lock()
-	idleArenas.arenas, a = parallel.PopIdle(idleArenas.arenas)
-	idleArenas.Unlock()
-	if a == nil {
-		a = new(splitArena)
-		a.split = a.splitName
-	}
-	return a
-}
-
-// putArena sends a to the idle list: cleared of what refers to the caller's
-// names or the returned index array, less the buffers that outgrew arenaKeep.
-func putArena(a *splitArena) {
-	clear(a.idOf)
-	if len(a.order) > arenaKeep {
-		a.idOf = nil
-	}
-	clear(a.leaves)
-	clear(a.flat)
-	clear(a.order)
-	clear(a.team)
-	a.leaves, a.flat, a.order, a.team = kept(a.leaves), kept(a.flat), kept(a.order), kept(a.team)
-	a.ids, a.vals, a.start, a.cursor = kept(a.ids), kept(a.vals), kept(a.start), kept(a.cursor)
-	a.spans, a.stats, a.sizes, a.backing = kept(a.spans), kept(a.stats), kept(a.sizes), nil
-	idleArenas.Lock()
-	idleArenas.arenas = parallel.PushIdle(idleArenas.arenas, a, maxIdleArenas)
-	idleArenas.Unlock()
-}
-
-// kept returns buf emptied for the next call, or nil past arenaKeep.
-func kept[T any](buf []T) []T {
-	if cap(buf) > arenaKeep {
-		return nil
-	}
-	return buf[:0]
+	// upper bounds the members' times from above: the largest of them for
+	// a leaf of a sorted group, +Inf for a group that stayed whole. A
+	// streaming re-plan finds a reservoir slot's leaf by it (leafOf).
+	upper float64
 }
 
 // grow sizes the partition buffers and the sorted copy for a group of n.
@@ -128,7 +38,7 @@ func (a *splitArena) grow(n int) {
 func (a *splitArena) splitGroup(name string, vals []float64, idxs []int, p Params, out []Cluster) []Cluster {
 	cs := StatsOf(vals)
 	if p.Flat || cs.N < minClusterSize || cs.StdDev == 0 {
-		return appendLeaf(out, name, idxs, cs)
+		return appendLeaf(out, name, idxs, cs, math.Inf(1))
 	}
 	a.grow(cs.N)
 	sorted := a.sorted[:cs.N]
@@ -136,10 +46,11 @@ func (a *splitArena) splitGroup(name string, vals []float64, idxs []int, p Param
 	return rootSplit(name, sorted, vals, idxs, cs, p, 0, out, a)
 }
 
-// appendLeaf appends the leaf of the members idxs with statistics cs.
-func appendLeaf(out []Cluster, name string, idxs []int, cs ClusterStats) []Cluster {
+// appendLeaf appends the leaf of the members idxs with statistics cs and
+// times at most upper.
+func appendLeaf(out []Cluster, name string, idxs []int, cs ClusterStats, upper float64) []Cluster {
 	n := len(idxs)
-	return append(out, Cluster{Name: name, Indices: idxs[:n:n], Stats: cs}) // capped: an append must not reach the next leaf
+	return append(out, Cluster{Name: name, Indices: idxs[:n:n], Stats: cs, upper: upper}) // capped: an append must not reach the next leaf
 }
 
 // rootSplit recursively partitions one node: vals[i] is the time of
@@ -160,7 +71,7 @@ func rootSplit(name string, sorted, vals []float64, idxs []int, cs ClusterStats,
 	// group is sized at least one, so τ_new ≥ μ_1 + μ_2 exceeds τ_old = μ,
 	// their weighted mean, by at least 1/N of it.
 	if depth >= maxDepth || cs.N < minClusterSize || cs.StdDev == 0 || sorted[0] >= 0 && SampleSize(cs, p) == 1 {
-		return appendLeaf(out, name, idxs, cs)
+		return appendLeaf(out, name, idxs, cs, sorted[cs.N-1])
 	}
 	// Group bounds and statistics outlive the arena's next use, in the
 	// children, so they live on the stack for the usual SplitK.
@@ -168,7 +79,7 @@ func rootSplit(name string, sorted, vals []float64, idxs []int, cs ClusterStats,
 	bounds := append(appendCuts(append(boundBuf[:0], 0), sorted, p.SplitK), cs.N)
 	k := len(bounds) - 1
 	if k < 2 {
-		return appendLeaf(out, name, idxs, cs) // no two distinct times to cut between (NaN times)
+		return appendLeaf(out, name, idxs, cs, sorted[cs.N-1]) // no two distinct times to cut between (NaN times)
 	}
 
 	// A stable partition by the groups' upper bounds puts group g's members
@@ -202,7 +113,7 @@ func rootSplit(name string, sorted, vals []float64, idxs []int, cs ClusterStats,
 	tauOld := float64(SampleSize(cs, p)) * cs.Mean
 	a.sizes = sized(a.sizes, k)
 	if SimTime(subStats, optimalSizesInto(a.sizes, subStats, p, &a.kkt)) >= tauOld {
-		return appendLeaf(out, name, idxs, cs)
+		return appendLeaf(out, name, idxs, cs, sorted[cs.N-1])
 	}
 	copy(idxs, idxTmp)
 	copy(vals, valTmp)
@@ -377,15 +288,16 @@ func sortTimes(dst, vals, tmp []float64) {
 // names[i] and times[i] describe invocation i. The returned leaves cover
 // every invocation exactly once, ordered deterministically.
 //
-// Kernel-name groups are independent (a split reads its own group's times
-// and nothing else), so they fan out over up to p.Workers workers, one per
-// rootGrainRows rows: a profile below the grain is clustered on the calling
-// goroutine whatever p.Workers says. Per-name leaf lists are flattened in
-// sorted name order, making the output identical for every worker count.
-// Every group's index list is a disjoint range of one shared backing array,
-// partitioned in place by the recursion and capped leaf by leaf — the
-// planner's per-invocation allocation is one int, regardless of clustering
-// depth; everything else is arena scratch.
+// It is phase 1 of the plan derivation (derive). Kernel-name groups are
+// independent (a split reads its own group's times and nothing else), so
+// they fan out over up to p.Workers workers, one per rootGrainRows rows: a
+// profile below the grain is clustered on the calling goroutine whatever
+// p.Workers says. Per-name leaf lists are flattened in sorted name order,
+// making the output identical for every worker count. Every group's index
+// list is a disjoint range of one shared backing array, partitioned in place
+// by the recursion and capped leaf by leaf — the per-invocation allocation
+// is one int, regardless of clustering depth; everything else is arena
+// scratch.
 func BuildClusters(names []string, times []float64, p Params) []Cluster {
 	return buildClusters(names, times, p, rootWorkers(len(names), p.Workers))
 }
@@ -402,90 +314,18 @@ func rootWorkers(n, asked int) int {
 // clustering per row), so below about a thousand rows two workers are slower
 // than one: BenchmarkBuildClustersFanOut on the 2-vCPU reference box has
 // workers=2 losing at 768 rows (110 vs 92 µs) and winning at 1024 (190 vs
-// 215 µs); DESIGN §5.4 has the table. A DSE sweep plans thousands of
+// 215 µs); DESIGN §5.4 has the numbers. A DSE sweep plans thousands of
 // 8–16-row profiles, where the fan-out was half the planner's time.
 const rootGrainRows = 1024
 
-// buildClusters is BuildClusters at an explicit worker count.
+// buildClusters is BuildClusters at an explicit worker count: phase 1 of
+// the plan derivation, its leaves copied out of the arena.
 func buildClusters(names []string, times []float64, p Params, workers int) []Cluster {
 	a := takeArena()
-	out := slices.Clone(a.cluster(len(names), func(i int) string { return names[i] }, times, p, workers))
+	a.group(len(names), func(i int) string { return names[i] }, times, workers)
+	out := slices.Clone(a.cluster(p))
 	putArena(a)
 	return out
-}
-
-// cluster is ROOT over the n rows (nameOf(i), times[i]) with a leading the
-// call. The returned leaves are a's scratch, valid until putArena; their
-// index lists are windows of a.backing — the caller's array when it holds n
-// rows, else a new one — which the caller may keep.
-func (a *splitArena) cluster(n int, nameOf func(i int) string, times []float64, p Params, workers int) []Cluster {
-	// One hash per row: each row gets the first-appearance id of its name,
-	// and cursor counts the rows of each id.
-	if a.idOf == nil {
-		a.idOf = make(map[string]int32)
-	}
-	a.ids = sized(a.ids, n)
-	order, cursor := a.order[:0], a.cursor[:0]
-	for i := range a.ids {
-		nm := nameOf(i)
-		id, ok := a.idOf[nm]
-		if !ok {
-			id = int32(len(order))
-			a.idOf[nm] = id
-			order = append(order, nm)
-			cursor = append(cursor, 0)
-		}
-		a.ids[i] = id
-		cursor[id]++
-	}
-
-	// Groups are laid out in sorted name order, deterministic independent
-	// of input order; each id's count becomes its group's first position.
-	sort.Strings(order)
-	start := sized(a.start, len(order)+1)
-	start[0] = 0
-	for g, nm := range order {
-		id := a.idOf[nm]
-		start[g+1] = start[g] + cursor[id]
-		cursor[id] = start[g]
-	}
-
-	// Chronological index and value lists, one contiguous range per name.
-	a.backing, a.vals = fit(a.backing, n), sized(a.vals, n)
-	for i, id := range a.ids {
-		c := cursor[id]
-		a.backing[c] = i
-		a.vals[c] = times[i]
-		cursor[id] = c + 1
-	}
-
-	// One arena per worker index, which ForEachStealing gives to one
-	// goroutine for the whole call; the leader is worker 0's.
-	a.team = append(a.team[:0], a)
-	for w := 1; w < min(workers, len(order)); w++ {
-		a.team = append(a.team, takeArena())
-	}
-	a.order, a.start, a.cursor, a.p, a.spans = order, start, cursor, p, sized(a.spans, len(order))
-	parallel.ForEachStealing(len(order), workers, a.split)
-	flat := a.flat[:0]
-	for _, sp := range a.spans {
-		flat = append(flat, a.team[sp.worker].leaves[sp.lo:sp.hi]...)
-	}
-	a.flat = flat
-	for _, wa := range a.team[1:] {
-		putArena(wa)
-	}
-	return flat
-}
-
-// splitName is unit i of cluster's fan-out, on worker w: ROOT over the i-th
-// name in sorted order, its leaves appended to the worker's own list.
-func (a *splitArena) splitName(w, i int) {
-	lo, hi := a.start[i], a.start[i+1]
-	vals, wa := a.vals[lo:hi], a.team[w]
-	from := len(wa.leaves)
-	wa.leaves = wa.splitGroup(a.order[i], vals, a.backing[lo:hi], a.p, wa.leaves)
-	a.spans[i] = leafSpan{w, from, len(wa.leaves)}
 }
 
 // ClusterStatsOf extracts the per-cluster statistics vector, the input to

@@ -376,7 +376,8 @@ func TestPlanIntoReusesItsArrays(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if allocs := testing.AllocsPerRun(10, alternate); allocs != 0 {
+	// The race runtime's own allocations break this pin.
+	if allocs := testing.AllocsPerRun(10, alternate); allocs != 0 && !raceEnabled {
 		t.Fatalf("planning into a plan that has held both shapes allocates %.0f objects, want 0", allocs)
 	}
 	fresh(smallWorkload(3, 40, "relu", "softmax", "gemm"))

@@ -49,6 +49,11 @@ func (p *Plan) WriteJSON(w io.Writer) error {
 			return err
 		}
 	}
+	// size bounds the encoded length, so a plan smaller than a chunk is
+	// written from a buffer of its own size: a float takes at most 25
+	// bytes, an index 20 and a comma, a name byte six escaped, and the keys
+	// and brackets under 100 a cluster.
+	size := 200
 	for i := range p.Clusters {
 		c := &p.Clusters[i]
 		for _, f := range [...]float64{c.Weight, c.Mean, c.StdDev} {
@@ -56,9 +61,10 @@ func (p *Plan) WriteJSON(w io.Writer) error {
 				return err
 			}
 		}
+		size += 200 + 6*len(c.Kernel) + 21*(len(c.Members)+len(c.Samples))
 	}
 
-	e := planEncoder{w: w, buf: make([]byte, 0, planChunk+256)}
+	e := planEncoder{w: w, buf: make([]byte, 0, min(planChunk+256, size))}
 	e.buf = strconv.AppendInt(append(e.buf, "{\"version\":"...), planSchemaVersion, 10)
 	e.float(",\"epsilon\":", p.Epsilon)
 	e.float(",\"confidence\":", p.Confidence)

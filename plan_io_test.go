@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -253,6 +254,25 @@ func TestWriteJSONAllocs(t *testing.T) {
 	small, large := allocs(3000), allocs(60000)
 	if large > small+4 || large > 32 {
 		t.Fatalf("WriteJSON allocations grow with members: %v at 3000 invocations, %v at 60000", small, large)
+	}
+
+	// A plan smaller than one chunk is not written from a whole chunk.
+	names, times := syntheticProfile(300, 5)
+	plan, err := Sample(names, times, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	const calls = 10
+	runtime.ReadMemStats(&before)
+	for range calls {
+		if err := plan.WriteJSON(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= planChunk {
+		t.Fatalf("writing a %d-member plan allocates %d bytes a call, a chunk is %d", len(names), per, planChunk)
 	}
 }
 

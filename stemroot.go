@@ -55,9 +55,10 @@ type Options struct {
 	// small-sample extension of the paper's error model.
 	SmallSampleT bool
 	// Parallelism is the worker count for ROOT's per-kernel clustering
-	// fan-out: 0 selects one worker per CPU, 1 forces the serial path, and
-	// a negative count is ErrParallelism. The plan is bit-identical for
-	// every value.
+	// fan-out, in Sample and in every re-plan of SampleStream and
+	// StreamPlanner: 0 selects one worker per CPU, 1 forces the serial
+	// path, and a negative count is ErrParallelism. The plan is
+	// bit-identical for every value.
 	Parallelism int
 }
 

@@ -19,7 +19,8 @@ type StreamOptions struct {
 	// ReservoirCap bounds the per-kernel time sample used for clustering;
 	// 0 means 8192, and a negative cap is ErrReservoirCap. Peak memory is
 	// independent of trace length: O(#names × ReservoirCap) for the
-	// reservoirs, O(ReservoirCap) of re-plan scratch, and the plan.
+	// reservoirs, O(ReservoirCap) of re-plan scratch per worker
+	// (Options.Parallelism), and the plan.
 	ReservoirCap int
 }
 

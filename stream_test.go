@@ -290,6 +290,45 @@ func TestStreamPlannerMatchesSampleStream(t *testing.T) {
 	}
 }
 
+// TestSampleStreamMatchesSample pins the equivalence the one plan
+// derivation rests on: when every kernel fits its reservoir, the streaming
+// planner holds exactly the batch planner's rows, so SampleStream and Sample
+// derive the same clusters — kernel, population, mean, deviation, weight
+// and sample count, bit for bit — and the same PredictedError. Only the
+// drawn invocations differ: each front end seeds its own draws.
+func TestSampleStreamMatchesSample(t *testing.T) {
+	for _, profile := range []func() ([]string, []float64){
+		func() ([]string, []float64) { return syntheticProfile(20000, 12) },
+		func() ([]string, []float64) { return lognormalProfile(20000, 21) },
+	} {
+		names, times := profile()
+		for _, opts := range []Options{{}, {Flat: true}, {SmallSampleT: true}, {Epsilon: 0.01, Seed: 7, SmallSampleT: true}, {Epsilon: 0.01, Flat: true}} {
+			batch, err := Sample(names, times, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream, err := SampleStream(sliceScanner{names, times}, opts, StreamOptions{ReservoirCap: len(names)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(stream.PredictedError) != math.Float64bits(batch.PredictedError) || len(stream.Clusters) != len(batch.Clusters) {
+				t.Fatalf("%+v: streaming plan has %d clusters, predicted error %v; batch %d, %v",
+					opts, len(stream.Clusters), stream.PredictedError, len(batch.Clusters), batch.PredictedError)
+			}
+			for i := range batch.Clusters {
+				s, b := &stream.Clusters[i], &batch.Clusters[i]
+				if s.Kernel != b.Kernel || s.Population != b.Population || len(s.Samples) != len(b.Samples) ||
+					math.Float64bits(s.Mean) != math.Float64bits(b.Mean) || math.Float64bits(s.StdDev) != math.Float64bits(b.StdDev) ||
+					math.Float64bits(s.Weight) != math.Float64bits(b.Weight) {
+					t.Fatalf("%+v: cluster %d is %q N=%d m=%d mean %v sd %v weight %v when streamed, %q N=%d m=%d mean %v sd %v weight %v in batch",
+						opts, i, s.Kernel, s.Population, len(s.Samples), s.Mean, s.StdDev, s.Weight,
+						b.Kernel, b.Population, len(b.Samples), b.Mean, b.StdDev, b.Weight)
+				}
+			}
+		}
+	}
+}
+
 func TestStreamPlannerSnapshot(t *testing.T) {
 	names, times := syntheticProfile(20000, 14)
 	sp, err := NewStreamPlanner(Options{}, StreamOptions{ReservoirCap: 1024})
