@@ -13,6 +13,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"weak"
 
 	"stemroot/internal/gpu"
 )
@@ -50,9 +51,10 @@ const MaxEntryBytes = 64 << 20
 // The disk tier is one append-only pack per cache directory: entries in the
 // wire format above, back to back. A write appends one record with a single
 // O_APPEND write, which POSIX makes land whole beside any other process's,
-// and syncs it; no lock, no per-writer file. A Cache scans the pack once, at
-// its first lookup (loadPack), and indexes what verifies. A directory in the
-// one-file-per-entry layout holds no pack and reads as empty.
+// and syncs it; no lock, no per-writer file. A Cache finds the pack at its
+// first lookup (loadPack), indexed by one scan per version of the file for
+// every Cache of the process. A directory in the one-file-per-entry layout
+// holds no pack and reads as empty.
 const packName = "segments.pack"
 
 // recordSize is the length of an entry holding n results.
@@ -137,16 +139,15 @@ func decodeInto(dst []gpu.KernelResult, buf []byte) {
 	}
 }
 
-// packIndex is the pack as a Cache's first lookup found it (loadPack): one
-// row per key, sorted by key, over the bytes scanned — a mapping shared
-// process-wide, or a heap copy. Only its bits change, atomically, so a pack
-// hit takes no lock. A row's used bit is set at its first use, the disk hit;
-// its bad bit when its record fails a check, after which it is not served.
-type packIndex struct {
-	rows      []packRow
-	data      []byte
-	used, bad []atomic.Uint64
-	ref       *mapRef // the hold on data's mapping; nil for a copy
+// packMap is a pack's bytes as a load found them — a read-only mapping of
+// the file, shared by every Cache of the process, or one Cache's heap copy —
+// and the index one scan of them builds, once: one row per key, sorted by
+// key, and the damaged runs the scan counted. Only its builder writes it.
+type packMap struct {
+	data    []byte
+	rows    []packRow
+	damaged uint64
+	once    sync.Once
 }
 
 // packRow is where one key's first verified record sits in the pack.
@@ -155,9 +156,12 @@ type packRow struct {
 	packLoc
 }
 
-// find returns the row of key, or -1.
-func (x *packIndex) find(key gpu.SegmentKey) int {
-	i, ok := slices.BinarySearchFunc(x.rows, key, func(r packRow, k gpu.SegmentKey) int { return bytes.Compare(r.key[:], k[:]) })
+// find returns the row of key, or -1; a nil packMap, no pack, has none.
+func (m *packMap) find(key gpu.SegmentKey) int {
+	if m == nil {
+		return -1
+	}
+	i, ok := slices.BinarySearchFunc(m.rows, key, func(r packRow, k gpu.SegmentKey) int { return bytes.Compare(r.key[:], k[:]) })
 	if !ok {
 		return -1
 	}
@@ -175,55 +179,43 @@ func setBit(b []atomic.Uint64, i int) bool {
 	}
 }
 
-// packMap is a read-only mapping of a pack file's first len(data) bytes,
-// unmapped when the last of the refs Caches reading it lets go.
-type packMap struct {
-	id   fileID
-	data []byte
-	refs int // guarded by packMaps
-}
-
-// packMaps holds each pack file's current mapping, by device and inode: one
-// per file, not per Cache, as a page counts toward the resident set once per
-// mapping that touched it and a warm sweep leaves hundreds of Caches to the
-// collector. A pack that grew gets a longer mapping, made current; Caches
-// holding a shorter one keep it.
+// packMaps holds, weakly, one mapping per version of each pack file
+// (fileID), not per Cache: a page counts toward the resident set once per
+// mapping that touched it, and a warm sweep leaves hundreds of Caches to the
+// collector. A grown or rewritten pack gets a mapping of its own; Caches
+// over an earlier one keep theirs. A mapping's cleanup unmaps it.
 var packMaps = struct {
 	sync.Mutex
-	cur map[fileID]*packMap
-}{cur: make(map[fileID]*packMap)}
+	m map[fileID]weak.Pointer[packMap]
+}{m: make(map[fileID]weak.Pointer[packMap])}
 
-// mapRef is one Cache's hold on a packMap; its finalizer lets go (a
-// finalizer, as runtime.AddCleanup needs a newer go than go.mod's).
-type mapRef struct{ m *packMap }
+// mapPackFile is mapFile; a test makes it fail, to take the heap-copy path
+// of the platforms that map nothing.
+var mapPackFile = mapFile
 
-// mapPack returns a hold on fd's current mapping, or on a new current one
-// when that does not cover size bytes; nil when fd cannot be mapped.
-func mapPack(fd readHandle, id fileID, size int64) *mapRef {
+// mapPack returns the mapping of the file version id, made now if no Cache
+// holds one; nil when fd cannot be mapped.
+func mapPack(fd readHandle, id fileID, size int64) *packMap {
 	packMaps.Lock()
 	defer packMaps.Unlock()
-	m := packMaps.cur[id]
-	if m == nil || int64(len(m.data)) < size {
-		data, err := mapFile(fd, size)
-		if err != nil {
-			return nil
-		}
-		m = &packMap{id: id, data: data}
-		packMaps.cur[id] = m
+	if m := packMaps.m[id].Value(); m != nil {
+		return m
 	}
-	m.refs++
-	r := &mapRef{m}
-	runtime.SetFinalizer(r, func(r *mapRef) {
+	data, err := mapPackFile(fd, size)
+	if err != nil {
+		return nil
+	}
+	m := &packMap{data: data}
+	packMaps.m[id] = weak.Make(m)
+	runtime.AddCleanup(m, func(id fileID) {
 		packMaps.Lock()
-		defer packMaps.Unlock()
-		if r.m.refs--; r.m.refs == 0 {
-			if packMaps.cur[r.m.id] == r.m {
-				delete(packMaps.cur, r.m.id)
-			}
-			unmapFile(r.m.data)
+		if packMaps.m[id].Value() == nil { // else a later mapping of id
+			delete(packMaps.m, id)
 		}
-	})
-	return r
+		packMaps.Unlock()
+		unmapFile(data)
+	}, id)
+	return m
 }
 
 // onFault, deferred as onFault(&faulted, debug.SetPanicOnFault(true)),
@@ -239,11 +231,10 @@ func onFault(faulted *bool, old bool) {
 	}
 }
 
-// loadPack builds c.index over the pack as it is now: mapped, or read into
-// the heap where it cannot be. Of two records of a key the first wins; the
-// second, from two processes that computed it at once, is identical by
-// construction. The index is its rows, its bits and its hold on the mapping,
-// whatever the record count.
+// loadPack points c.index at the pack as it is now: the shared mapping of
+// this version of the file, indexed by the first Cache to need it, or a heap
+// copy where it cannot be mapped. The Cache adds the scan's damaged runs to
+// its own DiskErrors and allocates only its bits, whatever the record count.
 func (c *Cache) loadPack() {
 	fd, err := openFile(c.packPath)
 	if err != nil {
@@ -254,35 +245,40 @@ func (c *Cache) loadPack() {
 	if err != nil || size <= 0 || size > math.MaxInt {
 		return
 	}
-	x := &c.index
-	if x.ref = mapPack(fd, id, size); x.ref != nil {
-		x.data = x.ref.m.data[:size]
-	} else {
-		x.data = make([]byte, size)
-		n, _ := preadFile(fd, x.data, 0)
-		x.data = x.data[:max(n, 0)]
+	m := mapPack(fd, id, size)
+	if m == nil {
+		data := make([]byte, size)
+		n, _ := preadFile(fd, data, 0)
+		m = &packMap{data: data[:max(n, 0)]}
 	}
-	if c.scan() {
-		c.diskErrors.Add(1) // the file was cut short under the scan
-	}
-	slices.SortFunc(x.rows, func(a, b packRow) int { return cmp.Or(bytes.Compare(a.key[:], b.key[:]), cmp.Compare(a.end, b.end)) })
-	x.rows = slices.CompactFunc(x.rows, func(a, b packRow) bool { return a.key == b.key })
-	bits := make([]atomic.Uint64, 2*((len(x.rows)+63)/64))
-	x.used, x.bad = bits[:len(bits)/2], bits[len(bits)/2:]
-	c.indexed.Store(int64(len(x.rows)))
+	m.once.Do(m.build)
+	c.index = m
+	c.diskErrors.Add(m.damaged)
+	bits := make([]atomic.Uint64, 2*((len(m.rows)+63)/64))
+	c.used, c.bad = bits[:len(bits)/2], bits[len(bits)/2:]
+	c.indexed.Store(int64(len(m.rows)))
 }
 
-// scan fills c.index.rows, in pack order, with every record that verifies as
+// build indexes m.data. Of two records of a key the first wins; the second,
+// from two processes that computed it at once, is the same by construction.
+func (m *packMap) build() {
+	if m.scan() {
+		m.damaged++ // the file was cut short under the scan
+	}
+	slices.SortFunc(m.rows, func(a, b packRow) int { return cmp.Or(bytes.Compare(a.key[:], b.key[:]), cmp.Compare(a.end, b.end)) })
+	m.rows = slices.CompactFunc(m.rows, func(a, b packRow) bool { return a.key == b.key })
+}
+
+// scan fills m.rows, in pack order, with every record that verifies as
 // DecodeEntry would. Anything else — a torn tail, a damaged or foreign
-// record — is one damaged run, counted once in DiskErrors; the scan resumes
+// record — is one damaged run, counted once in m.damaged; the scan resumes
 // at the next record that verifies, which starts with the magic. It reports
 // a fault, which ends it. Counting magics sizes the rows: exactly for a clean
 // pack, and never past one per smallest record.
-func (c *Cache) scan() (faulted bool) {
+func (m *packMap) scan() (faulted bool) {
 	defer onFault(&faulted, debug.SetPanicOnFault(true))
-	x := &c.index
-	data := x.data
-	x.rows = make([]packRow, 0, min(bytes.Count(data, []byte(diskMagic)), len(data)/recordSize(0)))
+	data := m.data
+	m.rows = make([]packRow, 0, min(bytes.Count(data, []byte(diskMagic)), len(data)/recordSize(0)))
 	resync := false
 	for lo := 0; lo < len(data); {
 		if rest := data[lo:]; len(rest) >= diskHeaderSize {
@@ -290,14 +286,14 @@ func (c *Cache) scan() (faulted bool) {
 				size := recordSize(int(n))
 				key := gpu.SegmentKey(rest[8:40])
 				if _, ok := verifyEntry(key, rest[:size]); ok {
-					x.rows = append(x.rows, packRow{key, packLoc{int64(lo + size), int(n)}})
+					m.rows = append(m.rows, packRow{key, packLoc{int64(lo + size), int(n)}})
 					lo, resync = lo+size, false
 					continue
 				}
 			}
 		}
 		if !resync {
-			c.diskErrors.Add(1)
+			m.damaged++
 			resync = true
 		}
 		if i := bytes.Index(data[lo+1:], []byte(diskMagic)); i >= 0 {
@@ -321,18 +317,18 @@ func (c *Cache) fromPack(key gpu.SegmentKey, dst []gpu.KernelResult) ([]gpu.Kern
 		return nil, false
 	}
 	c.packOnce.Do(c.loadPack)
-	x := &c.index
+	x := c.index
 	i := x.find(key)
-	if i < 0 || x.bad[i/64].Load()&(1<<(i%64)) != 0 || (dst != nil && len(dst) != x.rows[i].n) {
+	if i < 0 || c.bad[i/64].Load()&(1<<(i%64)) != 0 || (dst != nil && len(dst) != x.rows[i].n) {
 		return nil, false
 	}
 	r := &x.rows[i]
 	var stack [hitBuf]byte
 	rec := recordBuf(stack[:], r.n)
 	faulted := copyRecord(rec, x.data[r.end-int64(len(rec)):r.end])
-	runtime.KeepAlive(x.ref) // the mapping outlives the copy
+	runtime.KeepAlive(x) // the mapping outlives the copy
 	if _, ok := verifyEntry(r.key, rec); faulted || !ok {
-		if !setBit(x.bad, i) {
+		if !setBit(c.bad, i) {
 			c.diskErrors.Add(1)
 		}
 		return nil, false
@@ -342,7 +338,7 @@ func (c *Cache) fromPack(key gpu.SegmentKey, dst []gpu.KernelResult) ([]gpu.Kern
 	}
 	decodeInto(dst, rec)
 	c.hits.Add(1)
-	if !setBit(x.used, i) {
+	if !setBit(c.used, i) {
 		c.diskHits.Add(1) // its first use: the pack served it
 	} else {
 		c.memHits.Add(1)

@@ -7,7 +7,9 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -80,7 +82,7 @@ func TestPackTruncatedWhileMapped(t *testing.T) {
 	writePack(t, dir, pack)
 	c := mustNew(t, Options{Dir: dir})
 	c.packOnce.Do(c.loadPack)
-	if c.index.ref == nil {
+	if !mapped(c) {
 		t.Fatal("the pack was not mapped")
 	}
 	if err := os.Truncate(filepath.Join(dir, packName), 0); err != nil {
@@ -144,10 +146,11 @@ func TestPackRecordChangedAfterLoad(t *testing.T) {
 	}
 }
 
-// TestPackMappingShared: caches over one directory share one mapping of its
-// pack. A cache that loads after the pack grew maps the longer prefix and
-// makes it current, while the caches before it keep theirs; each mapping
-// leaves the process once every cache holding it is collected.
+// TestPackMappingShared: caches over one version of a pack share one
+// mapping of it and one index. A grown pack, and one rewritten in place at
+// the same size, is another version: the next cache maps and indexes it
+// afresh, and the caches before it keep theirs. Once every cache is
+// collected the process maps nothing of the file and registers nothing.
 func TestPackMappingShared(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, packName)
@@ -155,59 +158,129 @@ func TestPackMappingShared(t *testing.T) {
 	load := func() *Cache {
 		c := mustNew(t, Options{Dir: dir})
 		c.packOnce.Do(c.loadPack)
-		if c.index.ref == nil {
+		if !mapped(c) {
 			t.Fatal("the pack was not mapped")
 		}
 		return c
 	}
 	a, b := load(), load()
-	short := a.index.ref.m
-	if b.index.ref.m != short {
-		t.Fatal("two caches over one pack map it twice")
+	short := a.index
+	if b.index != short || len(short.rows) != 1 {
+		t.Fatal("two caches over one pack map or index it twice")
 	}
+	if &a.used[0] == &b.used[0] {
+		t.Fatal("two caches share their bits")
+	}
+
 	lookup(t, a, testKey(1, 2), testResults(4, 2)) // the pack grows by a record
 	c := load()
-	long := c.index.ref.m
-	if long == short || len(long.data) != 2*recordSize(4) || len(short.data) != recordSize(4) || b.index.ref.m != short {
-		t.Fatalf("after the pack grew: mappings of %d and %d bytes", len(short.data), len(long.data))
+	grown := c.index
+	if grown == short || len(grown.data) != 2*recordSize(4) || len(grown.rows) != 2 || len(short.data) != recordSize(4) || b.index != short {
+		t.Fatalf("after the pack grew: mappings of %d and %d bytes", len(short.data), len(grown.data))
 	}
 	if !lookup(t, c, testKey(1, 2), testResults(4, 2)) {
-		t.Fatal("the longer mapping does not serve the appended record")
+		t.Fatal("the grown pack's mapping does not serve the appended record")
 	}
+
+	// The same size, other records. The modification time is set, as a
+	// filesystem's clock may not tick between two writes.
+	writePack(t, dir, slices.Concat(EncodeEntry(testKey(1, 3), testResults(4, 3)), EncodeEntry(testKey(1, 4), testResults(4, 4))))
+	if err := os.Chtimes(path, time.Time{}, time.Unix(1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	d := load()
+	rewritten := d.index
+	if rewritten == grown || rewritten == short || c.index != grown || a.index != short {
+		t.Fatal("a rewritten pack shares an earlier mapping, or an earlier cache lost its own")
+	}
+	if !lookup(t, d, testKey(1, 3), testResults(4, 3)) || lookup(t, d, testKey(1, 1), testResults(4, 1)) {
+		t.Fatal("the rewritten pack's mapping does not serve its own records")
+	}
+	if n := mappings(t, path); n != 3 {
+		t.Fatalf("the process maps the pack %d times, want 3", n)
+	}
+
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, _, err := statFile(int(f.Fd()))
+	file, _, err := statFile(int(f.Fd()))
 	f.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	packMaps.Lock()
-	cur, refs := packMaps.cur[id], [2]int{short.refs, long.refs}
-	packMaps.Unlock()
-	if cur != long || refs != [2]int{2, 1} {
-		t.Fatalf("the current mapping is the longer one: %v; holds %v, want [2 1]", cur == long, refs)
-	}
-	if n := mappings(t, path); n != 2 {
-		t.Fatalf("the process maps the pack %d times, want 2", n)
-	}
-
-	a, b, c = nil, nil, nil
+	a, b, c, d = nil, nil, nil, nil
+	short, grown, rewritten = nil, nil, nil
 	for deadline := time.Now().Add(10 * time.Second); ; {
 		runtime.GC()
+		registered := 0
 		packMaps.Lock()
-		_, current := packMaps.cur[id]
-		refs = [2]int{short.refs, long.refs}
+		for id := range packMaps.m {
+			if id.dev == file.dev && id.ino == file.ino {
+				registered++
+			}
+		}
 		packMaps.Unlock()
-		if !current && refs == [2]int{} && mappings(t, path) == 0 {
+		if registered == 0 && mappings(t, path) == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("every cache collected: current %v, holds %v, %d mappings left", current, refs, mappings(t, path))
+			t.Fatalf("every cache collected: %d mappings registered, %d of the file left", registered, mappings(t, path))
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// TestPackIndexBuiltOnce: caches loading one pack at once (run under
+// -race) share one index, built by one scan: each counts the pack's one
+// damaged run once, and serves its records.
+func TestPackIndexBuiltOnce(t *testing.T) {
+	dir := t.TempDir()
+	keys := appendKeys()
+	pack := []byte("damage before the records")
+	for j, key := range keys {
+		pack = append(pack, EncodeEntry(key, testResults(1+j%7, float64(j)))...)
+	}
+	writePack(t, dir, pack)
+	caches := make([]*Cache, 8)
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	for i := range caches {
+		caches[i] = mustNew(t, Options{Dir: dir})
+		wg.Add(1)
+		go func(c *Cache) {
+			defer wg.Done()
+			start.Wait()
+			c.packOnce.Do(c.loadPack)
+		}(caches[i])
+	}
+	start.Done()
+	wg.Wait()
+	for i, c := range caches {
+		if !mapped(c) || c.index != caches[0].index {
+			t.Fatalf("cache %d: its own index, or none", i)
+		}
+		if s := c.Stats(); s.DiskErrors != 1 || s.Entries != len(keys) {
+			t.Fatalf("cache %d: %s", i, s)
+		}
+	}
+	for j, key := range keys {
+		if !lookup(t, caches[j%len(caches)], key, testResults(1+j%7, float64(j))) {
+			t.Fatalf("key %d was not served", j)
+		}
+	}
+}
+
+// mapped reports whether c's pack index lies over a registered mapping.
+func mapped(c *Cache) bool {
+	packMaps.Lock()
+	defer packMaps.Unlock()
+	for _, w := range packMaps.m {
+		if m := w.Value(); m != nil && m == c.index {
+			return true
+		}
+	}
+	return false
 }
 
 // mappings counts the process's mappings of the file at path.

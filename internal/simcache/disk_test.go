@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"stemroot/internal/gpu"
+	"stemroot/internal/kernelgen"
 )
 
 // packScanBuf and packScanKeep, 64 KiB and 1 MiB, are page multiples, where
@@ -409,10 +410,10 @@ func TestDiskHitAllocs(t *testing.T) {
 	}
 }
 
-// TestPackLoadAllocs: a pack load allocates the index — its rows, its bits
-// and its hold on the shared mapping — and nothing per record: the same
-// three objects for 10 records as for 2,000, at any byte bound, which no
-// longer covers the pack.
+// TestPackLoadAllocs: a cache over a pack another cache indexed allocates
+// its bits and nothing else — not the rows, not a hold on the mapping: one
+// object for 10 records as for 2,000, at any byte bound, which does not
+// cover the pack.
 func TestPackLoadAllocs(t *testing.T) {
 	for _, maxBytes := range []int64{0, 16 * 600} {
 		var objects []uint64
@@ -425,7 +426,7 @@ func TestPackLoadAllocs(t *testing.T) {
 			writePack(t, dir, pack)
 			got := uint64(math.MaxUint64)
 			// Each cache holds the mapping the next one shares; the first
-			// maps the pack.
+			// maps and indexes the pack.
 			var held []*Cache
 			for run := 0; run < 4; run++ {
 				c := mustNew(t, Options{Dir: dir, MaxBytes: maxBytes})
@@ -444,8 +445,57 @@ func TestPackLoadAllocs(t *testing.T) {
 			runtime.KeepAlive(held)
 			objects = append(objects, got)
 		}
-		if want := [2]uint64{3, 3}; [2]uint64(objects) != want {
+		if want := [2]uint64{1, 1}; [2]uint64(objects) != want {
 			t.Fatalf("MaxBytes %d: loading 10 and 2,000 records allocates %v objects, want %v", maxBytes, objects, want)
+		}
+	}
+}
+
+// TestPackOtherEngine: a valid record keyed for the par engine serves the
+// par-mode key, and the exact-mode key of the same specs misses it — a
+// counted miss, through DecodeInto and GetOrCompute, and no damage.
+func TestPackOtherEngine(t *testing.T) {
+	specs := []kernelgen.Spec{{Name: "k", Blocks: 2, WarpsPerBlock: 4, InstrsPerWarp: 64}}
+	par, _ := gpu.KeyForSegmentEngineAppend(nil, gpu.Baseline(), specs, gpu.Engine{Mode: gpu.EngineModePar})
+	exact, _ := gpu.KeyForSegmentEngineAppend(nil, gpu.Baseline(), specs, gpu.Engine{Mode: gpu.EngineModeExact})
+	if par == exact {
+		t.Fatal("one key for both engines")
+	}
+	dir := t.TempDir()
+	writePack(t, dir, EncodeEntry(par, testResults(1, 1)))
+	c := mustNew(t, Options{Dir: dir})
+	if !c.DecodeInto(par, make([]gpu.KernelResult, 1)) {
+		t.Fatal("the par-mode record does not serve its own key")
+	}
+	if c.DecodeInto(exact, make([]gpu.KernelResult, 1)) {
+		t.Fatal("the par-mode record served the exact-mode key")
+	}
+	if lookup(t, c, exact, testResults(1, 2)) {
+		t.Fatal("the exact-mode key was served")
+	}
+	if s := c.Stats(); s.Misses != 1 || s.DiskHits != 1 || s.DiskErrors != 0 {
+		t.Fatalf("stats: %s", s)
+	}
+}
+
+// TestPackHeapCopy reruns the pack checks with mapping unavailable: the
+// heap copy, the only path of the platforms that map nothing
+// (diskread_other.go).
+func TestPackHeapCopy(t *testing.T) {
+	refused := 0
+	defer func(f func(readHandle, int64) ([]byte, error)) { mapPackFile = f }(mapPackFile)
+	mapPackFile = func(readHandle, int64) ([]byte, error) { refused++; return nil, errors.ErrUnsupported }
+	for _, check := range []struct {
+		name string
+		run  func(*testing.T)
+	}{
+		{"round-trip", TestDiskRoundTrip}, {"corruption", TestDiskCorruption}, {"resync", TestDiskReadResyncs},
+		{"duplicate-key", TestPackDuplicateKey}, {"torn-tail", TestDiskReadBadLength},
+	} {
+		before := refused
+		t.Run(check.name, check.run)
+		if refused == before {
+			t.Fatalf("%s: no load took the heap copy", check.name)
 		}
 	}
 }

@@ -44,15 +44,15 @@ func preadFile(fd int, p []byte, off int64) (n int, err error) {
 
 func closeFile(fd int) { syscall.Close(fd) }
 
-// fileID names a file by device and inode; a mapped file keeps its inode,
-// even unlinked, so no other file takes the number while it is mapped.
-type fileID struct{ dev, ino uint64 }
+// fileID names a version of a file: its device and inode (a mapped file
+// keeps its inode, even unlinked), size and modification time.
+type fileID struct{ dev, ino, size, mtime int64 }
 
 // statFile returns the identity and size of the open file fd.
 func statFile(fd int) (fileID, int64, error) {
 	var st syscall.Stat_t
 	err := syscall.Fstat(fd, &st)
-	return fileID{uint64(st.Dev), st.Ino}, st.Size, err
+	return fileID{int64(st.Dev), int64(st.Ino), st.Size, st.Mtim.Nano()}, st.Size, err
 }
 
 // mapFile maps the first size bytes of fd read-only and shared.

@@ -10,9 +10,9 @@
 // The product's cache has two tiers on one host. An in-memory LRU ring,
 // sharded and bounded by bytes, holds what this process computed or read
 // back. An optional on-disk tier (Options.Dir) persists entries across
-// processes in one append-only pack of checksummed records, which a Cache
-// indexes at its first lookup over a read-only mapping that every Cache of
-// the process shares, outside the byte bound. A pack hit takes no lock and
+// processes in one append-only pack of checksummed records: one read-only
+// mapping and one scan's index per version of the file, shared by every
+// Cache of the process, outside the byte bound. A pack hit takes no lock and
 // decodes its record straight into the caller's slice, verified at every
 // use: a corrupt, torn or since-truncated record is discarded, never
 // trusted, and degrades to a simulation. Processes share results through a
@@ -156,16 +156,20 @@ type Cache struct {
 	remote   Remote
 
 	// packPath is the NUL-terminated path of dir's pack; packOnce loads it
-	// at the first lookup into index, read-only from then on, and indexed,
-	// its row count for Stats. pack is the append handle, opened at the
-	// first write and guarded, with the offsets it reports, by packMu; the
-	// os.File's finalizer closes it, as every record is synced already.
-	packPath []byte
-	packOnce sync.Once
-	index    packIndex
-	indexed  atomic.Int64
-	packMu   sync.Mutex
-	pack     *os.File
+	// at the first lookup into index, shared and read-only, and indexed, its
+	// row count for Stats. Only this Cache's bits change, atomically, so a
+	// pack hit takes no lock: a row's used bit at its first use, the disk
+	// hit, and its bad bit when its record fails a check, after which it is
+	// not served. pack is the append handle, opened at the first write and
+	// guarded, with the offsets it reports, by packMu; the os.File's
+	// finalizer closes it, as every record is synced already.
+	packPath  []byte
+	packOnce  sync.Once
+	index     *packMap
+	used, bad []atomic.Uint64
+	indexed   atomic.Int64
+	packMu    sync.Mutex
+	pack      *os.File
 
 	hits, memHits, diskHits, shared atomic.Uint64
 	misses, evictions, diskErrors   atomic.Uint64
