@@ -5,7 +5,8 @@
 //
 // For each microarchitecture variant the example runs a full simulation
 // (ground truth) and a STEM-sampled simulation of a reduced Rodinia
-// workload, and reports the per-variant cycle counts and sampling error.
+// workload, and reports the per-variant cycle counts and sampling error,
+// and the paired speedup (cycles over baseline's): true, estimated, and its error.
 //
 // Run with: go run ./examples/dse
 package main
@@ -41,8 +42,9 @@ func main() {
 	fmt.Printf("workload: %s (%d invocations)\n\n", w.Name, w.Len())
 
 	stem := sampling.NewSTEMRoot(7)
-	fmt.Printf("%-12s %14s %14s %10s %10s\n",
-		"variant", "full cycles", "estimated", "error(%)", "speedup(x)")
+	fmt.Printf("%-12s %14s %14s %10s %10s %10s %10s %10s\n",
+		"variant", "full cycles", "estimated", "error(%)", "speedup(x)", "pair(x)", "est pair", "pair(%)")
+	var base pipeline.Result // gpu.DSEVariants starts with baseline
 	for _, variant := range gpu.DSEVariants {
 		cfg, err := gpu.Variant(variant)
 		if err != nil {
@@ -56,9 +58,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-12s %14.0f %14.0f %10.2f %10.1f\n",
-			variant, res.FullCycles, res.EstimateCycles,
-			res.Outcome.ErrorPct, res.Outcome.Speedup)
+		if variant == "baseline" {
+			base = res
+		}
+		pair, estPair := res.FullCycles/base.FullCycles, res.EstimateCycles/base.EstimateCycles
+		pairErr, _ := sampling.Score(estPair, pair, 0)
+		fmt.Printf("%-12s %14.0f %14.0f %10.2f %10.1f %10.4f %10.4f %10.2f\n", variant, res.FullCycles,
+			res.EstimateCycles, res.Outcome.ErrorPct, res.Outcome.Speedup, pair, estPair, pairErr)
 	}
 	fmt.Println("\nThe same sampling information (built once from the RTX 2080")
 	fmt.Println("profile) estimates cycles accurately on every variant — the")

@@ -162,8 +162,8 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if *got != *want {
-			t.Fatalf("workers=%d: result %+v differs from serial %+v", workers, *got, *want)
+		if got != want {
+			t.Fatalf("workers=%d: result %+v differs from serial %+v", workers, got, want)
 		}
 	}
 }
@@ -204,7 +204,7 @@ func TestRunOptConcurrentMatchesSerial(t *testing.T) {
 			t.Error(err)
 			return Result{}
 		}
-		return *res
+		return res
 	}
 
 	serial := make([]Result, len(cells))

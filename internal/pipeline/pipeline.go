@@ -207,13 +207,13 @@ type Result struct {
 // RunOpt profiles the workload on the profiling device, builds the method's
 // plan, runs the sampled simulation under opt, and scores it against the
 // supplied ground-truth per-invocation cycles (computed once by FullSimOpt
-// so several methods can share it). It allocates only the Result (and a
-// baseline's plan): everything else is an idle source's run scratch.
+// so several methods can share it). The Result is a value and the rest an idle
+// source's run scratch: a STEM call allocates nothing (a baseline its plan).
 func RunOpt(w *trace.Workload, profDev hwmodel.Device, method sampling.Method,
-	cfg gpu.Config, lim kernelgen.Limits, fullCycles []float64, opt Options) (*Result, error) {
+	cfg gpu.Config, lim kernelgen.Limits, fullCycles []float64, opt Options) (Result, error) {
 
 	if len(fullCycles) != w.Len() {
-		return nil, errors.New("pipeline: ground-truth cycles length mismatch")
+		return Result{}, errors.New("pipeline: ground-truth cycles length mismatch")
 	}
 	src := takeSource()
 	res, err := runOpt(&src.run, w, profDev, method, cfg, lim, fullCycles, opt)
@@ -224,7 +224,7 @@ func RunOpt(w *trace.Workload, profDev hwmodel.Device, method sampling.Method,
 
 // runOpt is RunOpt over the scratch sc.
 func runOpt(sc *runScratch, w *trace.Workload, profDev hwmodel.Device, method sampling.Method,
-	cfg gpu.Config, lim kernelgen.Limits, fullCycles []float64, opt Options) (*Result, error) {
+	cfg gpu.Config, lim kernelgen.Limits, fullCycles []float64, opt Options) (Result, error) {
 
 	sc.prof = trace.Profile{Device: profDev.Name, TimeUS: hwmodel.New(profDev, w.Seed).AppendTimes(sc.prof.TimeUS[:0], w)}
 	plan, err := &sc.plan, error(nil)
@@ -234,12 +234,12 @@ func runOpt(sc *runScratch, w *trace.Workload, profDev hwmodel.Device, method sa
 		plan, err = method.Plan(w, &sc.prof)
 	}
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 
 	sc.sampled = plan.AppendSampledIndices(sc.sampled[:0])
 	if sc.cycles, err = SampledSimOpt(sc.cycles, w, cfg, lim, sc.sampled, opt); err != nil {
-		return nil, err
+		return Result{}, err
 	}
 
 	// sc.sampled is ascending and distinct: a sample's cycles are found by search.
@@ -252,12 +252,7 @@ func runOpt(sc *runScratch, w *trace.Workload, profDev hwmodel.Device, method sa
 		cost += c
 	}
 
-	res := &Result{
-		FullCycles:     truth,
-		SampledCycles:  cost,
-		EstimateCycles: est,
-	}
-	res.Outcome = sampling.Outcome{Method: plan.Method, Samples: len(sc.sampled)}
-	res.Outcome.ErrorPct, res.Outcome.Speedup = sampling.Score(est, truth, cost)
-	return res, nil
+	out := sampling.Outcome{Method: plan.Method, Samples: len(sc.sampled)}
+	out.ErrorPct, out.Speedup = sampling.Score(est, truth, cost)
+	return Result{Outcome: out, FullCycles: truth, SampledCycles: cost, EstimateCycles: est}, nil
 }

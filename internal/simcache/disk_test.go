@@ -60,8 +60,8 @@ func lookup(t *testing.T, c *Cache, key gpu.SegmentKey, want []gpu.KernelResult)
 // bound.
 func withinBound(t *testing.T, c *Cache) {
 	t.Helper()
-	for i := range c.shards {
-		sh := &c.shards[i]
+	for i := range shardCount {
+		sh := c.shardFor(gpu.SegmentKey{byte(i)})
 		sh.mu.Lock()
 		held, newest := sh.bytes, int64(0)
 		if sh.head != nil {
@@ -101,6 +101,50 @@ func TestDiskRoundTrip(t *testing.T) {
 		}
 		if s := b.Stats(); s.DiskHits != 1 || s.Misses != 0 || s.DiskErrors != 0 {
 			t.Fatalf("Dir %q: stats: %s", dir, s)
+		}
+	}
+}
+
+// TestNewAllocs: New over an existing directory allocates the Cache and its
+// pack path and nothing else (2 objects and 344 B, where there were 5 and
+// 1,424 B): it makes no memory tier, which waits for the first insert, and
+// stats nothing through os.Stat, whose FileInfo is a heap object. The
+// figures are the fewest of ten calls.
+func TestNewAllocs(t *testing.T) {
+	t.Chdir(t.TempDir()) // a relative Dir: the path's length is the test's own
+	if err := os.Mkdir("cache", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	objects, bytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for run := 0; run < 10; run++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c, err := New(Options{Dir: "cache"})
+		runtime.ReadMemStats(&after)
+		if err != nil || c.tier.Load() != nil {
+			t.Fatalf("New made a memory tier or failed: %v", err)
+		}
+		objects = min(objects, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	if raceEnabled {
+		t.Skip("the race runtime's own allocations break the pin")
+	}
+	if maxObjects, maxBytes := uint64(2), uint64(344); objects > maxObjects || bytes > maxBytes {
+		t.Errorf("New over an existing directory allocates %d objects and %d bytes, want at most %d and %d", objects, bytes, maxObjects, maxBytes)
+	}
+}
+
+// TestNewRefusesAFile: a Dir that names a regular file, or a path through
+// one, is an error, as it was when os.MkdirAll checked every directory.
+func TestNewRefusesAFile(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{file, file + "/", filepath.Join(file, "sub")} {
+		if _, err := New(Options{Dir: dir}); err == nil {
+			t.Errorf("Dir %q: a cache over a regular file", dir)
 		}
 	}
 }
@@ -690,8 +734,8 @@ func TestPackHitTakesNoLock(t *testing.T) {
 	writePack(t, dir, EncodeEntry(key, want))
 	c := mustNew(t, Options{Dir: dir})
 	c.packOnce.Do(c.loadPack)
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
+	for i := range shardCount {
+		c.shardFor(gpu.SegmentKey{byte(i)}).mu.Lock()
 	}
 	served := make(chan bool)
 	go func() {
@@ -717,8 +761,8 @@ func TestPackHitTakesNoLock(t *testing.T) {
 		t.Fatal("a key the pack does not hold was served past its locked shard")
 	case <-time.After(10 * time.Millisecond):
 	}
-	for i := range c.shards {
-		c.shards[i].mu.Unlock()
+	for i := range shardCount {
+		c.shardFor(gpu.SegmentKey{byte(i)}).mu.Unlock()
 	}
 	<-served
 	if s := c.Stats(); s.DiskHits != 1 || s.MemHits != 1 || s.Misses != 1 {

@@ -150,8 +150,8 @@ type Stats struct {
 // Cache implements gpu.SegmentCache and gpu.SegmentDecoder (and
 // gpu.BatchPrefetcher when a remote tier is attached). See the package documentation.
 type Cache struct {
-	shards   [shardCount]shard
-	maxShard int64 // per-shard byte bound; <0 = unbounded
+	tier     atomic.Pointer[[shardCount]shard] // the memory tier, made at the first insert (shardFor)
+	maxShard int64                             // per-shard byte bound; <0 = unbounded
 	dir      string
 	remote   Remote
 
@@ -220,7 +220,8 @@ type shard struct {
 }
 
 // New builds a cache. The returned error is non-nil only when the disk tier
-// is requested but its directory cannot be created.
+// is requested but its directory cannot be created; os.MkdirAll runs only
+// when the directory does not open.
 func New(opts Options) (*Cache, error) {
 	c := &Cache{dir: opts.Dir, remote: opts.Remote}
 	switch {
@@ -235,10 +236,15 @@ func New(opts Options) (*Cache, error) {
 		}
 	}
 	if c.dir != "" {
-		if err := os.MkdirAll(c.dir, 0o755); err != nil {
+		// One allocation: "dir/", which opens only as a directory, then the pack path.
+		dir := filepath.Clean(c.dir)
+		path := append(append(make([]byte, 0, len(dir)+len(packName)+2), dir...), filepath.Separator, 0)
+		if fd, err := openFile(path); err == nil {
+			closeFile(fd)
+		} else if err := os.MkdirAll(c.dir, 0o755); err != nil {
 			return nil, err
 		}
-		c.packPath = append([]byte(filepath.Join(c.dir, packName)), 0)
+		c.packPath = append(append(path[:len(path)-1], packName...), 0)
 	}
 	return c, nil
 }
@@ -250,8 +256,12 @@ const entryOverhead = 128
 // entryBytes is what an entry of n results counts toward the byte bound.
 func entryBytes(n int) int64 { return int64(n)*resultWireSize + entryOverhead }
 
+// shardFor returns key's shard; the first call makes the memory tier.
 func (c *Cache) shardFor(key gpu.SegmentKey) *shard {
-	return &c.shards[int(key[0])&(shardCount-1)]
+	if c.tier.Load() == nil {
+		c.tier.CompareAndSwap(nil, new([shardCount]shard))
+	}
+	return &c.tier.Load()[int(key[0])&(shardCount-1)]
 }
 
 // GetOrCompute implements gpu.SegmentCache; a pack hit is decoded into a
@@ -506,8 +516,8 @@ func (c *Cache) Stats() Stats {
 		DiskWriteErrors: c.diskWriteErrors.Load(),
 		Entries:         int(c.indexed.Load()),
 	}
-	for i := range c.shards {
-		sh := &c.shards[i]
+	for i, t := 0, c.tier.Load(); t != nil && i < shardCount; i++ { // no tier: nothing was inserted
+		sh := &t[i]
 		sh.mu.Lock()
 		s.Bytes += sh.bytes
 		s.Entries += len(sh.items)

@@ -231,6 +231,53 @@ func TestSingleflightFailedLoad(t *testing.T) {
 	}
 }
 
+// TestFirstInsertsConcurrent: goroutines that make a fresh cache's first
+// inserts at once share the one memory tier the first of them makes (run
+// under -race). Four goroutines look up each of eight keys, two keys to a
+// shard: every key is computed once, and Stats counts eight entries and
+// their bytes. A tier made twice loses the entries of one of them: a few
+// hundred rounds show it on two CPUs.
+func TestFirstInsertsConcurrent(t *testing.T) {
+	const keys, callers = 8, 4
+	for round := 0; round < 1000; round++ {
+		c, err := New(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var computes [keys]atomic.Int64
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < keys*callers; i++ {
+			k := i % keys
+			key, want := testKey(byte(k/2), byte(k)), testResults(1+k, float64(k))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				got, err := c.GetOrCompute(key, func() ([]gpu.KernelResult, error) {
+					computes[k].Add(1)
+					return want, nil
+				})
+				if err != nil || !sameResults(got, want) {
+					t.Errorf("key %d: wrong results (%v)", k, err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		var bytes int64
+		for k := range computes {
+			if n := computes[k].Load(); n != 1 {
+				t.Fatalf("round %d: key %d computed %d times, want 1", round, k, n)
+			}
+			bytes += entryBytes(1 + k)
+		}
+		if s := c.Stats(); s.Entries != keys || s.Bytes != bytes || s.Misses != keys || s.Hits != keys*(callers-1) {
+			t.Fatalf("round %d: stats %s, want %d entries of %d bytes", round, s, keys, bytes)
+		}
+	}
+}
+
 func TestUnboundedMemory(t *testing.T) {
 	c, err := New(Options{MaxBytes: -1})
 	if err != nil {
