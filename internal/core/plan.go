@@ -75,7 +75,9 @@ func BuildPlan(names []string, times []float64, p Params) (*Plan, error) {
 // row, on the calling goroutine. It reuses the clusters, member and sample
 // arrays an earlier call left in *plan where they are large enough, so once
 // an idle arena has grown to the profile's shape, planning again into one
-// plan allocates nothing, and into a zero Plan only those three arrays.
+// plan allocates nothing up to arenaKeep rows and, past it, only the row ->
+// name-id array the idle arena does not keep (4 B a row); into a zero Plan
+// it allocates those three arrays too.
 // Every field of *plan is overwritten. On an error it holds no usable plan.
 // A time that is negative, NaN or +Inf is refused, with its invocation
 // named, as the IncrementalPlanner refuses it.
@@ -114,8 +116,8 @@ type splitArena struct {
 	sizes  []int     // a split's candidate sizes; the leader's plan sizes
 	kkt    kktScratch
 	leaves []Cluster // batch: the leaves of every name this worker split, back to back
-	resVal []float64 // a streaming worker's copy of the reservoir it splits
-	resIdx []int     // and its slot numbers
+	resVal []float64 // a copy of the times it splits: one name's rows, or one reservoir
+	resIdx []int     // streaming: the reservoir's slot numbers
 
 	// The leader's, for the call: the names in sorted order and, from one
 	// of the two front ends, their rows or their reservoirs.
@@ -124,9 +126,9 @@ type splitArena struct {
 	states  []*incNameState // streaming: order[i]'s reservoir and exact moments
 	idOf    map[string]int32
 	ids     []int32   // batch: row -> first-appearance id of its name
-	start   []int     // batch: sorted name -> first position in backing and vals
-	vals    []float64 // batch: times, one contiguous range per name
-	backing []int     // batch: row indices, likewise: the one array the leaves keep
+	start   []int     // batch: sorted name -> first position in backing
+	backing []int     // batch: row indices, one contiguous range per name: the one array the leaves keep
+	times   []float64 // batch: the caller's times, by row
 	team    []*splitArena
 	spans   []leafSpan     // sorted name -> its leaves in flat (batch: first in its worker's)
 	split   func(w, i int) // splitName, bound once: a closure per call would allocate
@@ -134,7 +136,7 @@ type splitArena struct {
 	stats   []ClusterStats // per leaf, as sized
 	scale   []float64      // per name: the calibration its weights carry
 	perm    []int          // streaming: one reservoir's positions, grouped by leaf
-	permVal []float64      // and their times
+	permVal []float64      // one name's candidates' times, grouped by leaf
 	drawn   []uint64       // bitset over one name's candidates: already counted as sampled
 }
 
@@ -193,8 +195,8 @@ func putArena(a *splitArena) {
 	clear(a.order)
 	clear(a.team)
 	a.leaves, a.flat, a.order, a.team = kept(a.leaves), kept(a.flat), kept(a.order), kept(a.team)
-	a.ids, a.vals, a.start, a.cursor = kept(a.ids), kept(a.vals), kept(a.start), kept(a.cursor)
-	a.spans, a.stats, a.sizes, a.backing = kept(a.spans), kept(a.stats), kept(a.sizes), nil
+	a.ids, a.start, a.cursor = kept(a.ids), kept(a.start), kept(a.cursor)
+	a.spans, a.stats, a.sizes, a.backing, a.times = kept(a.spans), kept(a.stats), kept(a.sizes), nil, nil
 	a.scale, a.drawn = kept(a.scale), kept(a.drawn)
 	idleArenas.Lock()
 	idleArenas.arenas = parallel.PushIdle(idleArenas.arenas, a, maxIdleArenas)
@@ -239,8 +241,9 @@ func (a *splitArena) recruit(workers int, more func() *splitArena) []*splitArena
 // out by name, for a's derivation, with a team for `workers`. One hash per
 // row gives each row the first-appearance id of its name; names are laid out
 // in sorted order, deterministic whatever the input order, and each name's
-// rows keep their chronological order. a.backing is the caller's array when
-// it holds n rows, else a new one, which the caller may keep.
+// row indices keep their chronological order. a.backing is the caller's
+// array when it holds n rows, else a new one, which the caller may keep. The
+// times are not copied: a worker gathers one name's at a time.
 func (a *splitArena) group(n int, nameOf func(i int) string, times []float64, workers int) {
 	if a.idOf == nil {
 		a.idOf = make(map[string]int32)
@@ -268,12 +271,10 @@ func (a *splitArena) group(n int, nameOf func(i int) string, times []float64, wo
 		start[g+1] = start[g] + cursor[id]
 		cursor[id] = start[g]
 	}
-	a.backing, a.vals = fit(a.backing, n), sized(a.vals, n)
+	a.backing, a.times = fit(a.backing, n), times
 	for i, id := range a.ids {
-		c := cursor[id]
-		a.backing[c] = i
-		a.vals[c] = times[i]
-		cursor[id] = c + 1
+		a.backing[cursor[id]] = i
+		cursor[id]++
 	}
 	a.order, a.start, a.cursor = order, start, cursor
 	a.recruit(min(workers, len(order)), takeArena)
@@ -301,8 +302,9 @@ func (a *splitArena) cluster(p Params) []Cluster {
 }
 
 // splitName is unit i of cluster's fan-out, on worker w: ROOT over the i-th
-// name in sorted order — its rows' range, its leaves appended to the
-// worker's own list, or a copy of its reservoir.
+// name in sorted order — a copy of its rows' times, split with their range
+// of backing and its leaves appended to the worker's own list, or a copy of
+// its reservoir.
 func (a *splitArena) splitName(w, i int) {
 	wa := a.team[w]
 	if a.states != nil {
@@ -310,8 +312,9 @@ func (a *splitArena) splitName(w, i int) {
 		return
 	}
 	from := len(wa.leaves)
-	lo, hi := a.start[i], a.start[i+1]
-	wa.leaves = wa.splitGroup(a.order[i], a.vals[lo:hi], a.backing[lo:hi], a.p, wa.leaves)
+	rows := a.backing[a.start[i]:a.start[i+1]]
+	wa.resVal = gather(wa.resVal, a.times, rows)
+	wa.leaves = wa.splitGroup(a.order[i], wa.resVal, rows, a.p, wa.leaves)
 	a.spans[i] = leafSpan{w, from, len(wa.leaves)}
 }
 
@@ -404,11 +407,22 @@ func draws(m, population, candidates int) int {
 // (position, time) pairs regrouped by the leaves' bounds (groupSlots).
 func (a *splitArena) candidates(i int, leaves []Cluster) ([]int, []float64) {
 	if a.states == nil {
-		lo, hi := a.start[i], a.start[i+1]
-		return a.backing[lo:hi], a.vals[lo:hi]
+		rows := a.backing[a.start[i]:a.start[i+1]]
+		a.permVal = gather(a.permVal, a.times, rows)
+		return rows, a.permVal
 	}
 	a.groupSlots(&a.states[i].res, leaves)
 	return a.perm, a.permVal
+}
+
+// gather returns times[rows[j]] for every j, in dst's array when it is long
+// enough.
+func gather(dst, times []float64, rows []int) []float64 {
+	dst = sized(dst, len(rows))
+	for j, r := range rows {
+		dst[j] = times[r]
+	}
+	return dst
 }
 
 // setBound computes the plan's predicted error from its final sample sizes,

@@ -126,19 +126,53 @@ func TestArenaKeepsWhatASmallCallNeeds(t *testing.T) {
 	a := takeArena()
 	defer putArena(a)
 	for name, c := range map[string]int{
-		"ids": cap(a.ids), "vals": cap(a.vals), "leaves": cap(a.leaves), "flat": cap(a.flat),
+		"ids": cap(a.ids), "leaves": cap(a.leaves), "flat": cap(a.flat),
 		"stats": cap(a.stats), "sizes": cap(a.sizes), "order": cap(a.order), "spans": cap(a.spans),
 	} {
 		if c > arenaKeep {
 			t.Errorf("idle arena retains %d elements of %s, bound %d", c, name, arenaKeep)
 		}
 	}
-	if a.backing != nil || len(a.idOf) != 0 || len(a.team) != 0 {
-		t.Errorf("idle arena still refers to its last call: backing %d, names %d, team %d", len(a.backing), len(a.idOf), len(a.team))
+	if a.backing != nil || a.times != nil || len(a.idOf) != 0 || len(a.team) != 0 {
+		t.Errorf("idle arena still refers to its last call: backing %d, times %d, names %d, team %d", len(a.backing), len(a.times), len(a.idOf), len(a.team))
 	}
 	for _, l := range a.leaves[:cap(a.leaves)] {
 		if l.Name != "" || l.Indices != nil {
 			t.Fatal("idle arena's leaf list still points into its last call")
 		}
+	}
+}
+
+// TestPlanIntoAboveTheGrainAllocs pins what planning again into one plan
+// costs past arenaKeep rows: the row -> name id array, which the idle arena
+// drops past its bound, at 4 B a row, and nothing else. The times are not
+// copied: each name's are gathered into buffers the idle arena keeps, as
+// its partition buffers are.
+func TestPlanIntoAboveTheGrainAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime's own allocations break the pin")
+	}
+	const rows = 30000
+	names, times := oracleProfile(rows, 5)
+	nameOf := func(i int) string { return names[i] }
+	p := defaultP()
+	p.Workers = 1
+	var plan Plan
+	run := func() {
+		if err := BuildPlanInto(&plan, rows, nameOf, times, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // grow the plan and an idle arena to this shape
+	if allocs := testing.AllocsPerRun(5, run); allocs != 1 {
+		t.Errorf("%.0f allocations per plan into a reused plan of %d rows, want 1 (the id array)", allocs, rows)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	// Slack: a large object is rounded up to whole 8 KiB spans.
+	if got, want := after.TotalAlloc-before.TotalAlloc, uint64(4*rows+8<<10); got > want {
+		t.Errorf("%d bytes per plan into a reused plan of %d rows, want at most %d", got, rows, want)
 	}
 }

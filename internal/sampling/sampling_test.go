@@ -330,15 +330,17 @@ func deepCopy(p *Plan) Plan {
 	return c
 }
 
-// TestPlanIntoReusesItsArrays pins PlanInto against Plan: planning two
-// profiles of different shapes, in turn, into one plan gives each time what
-// a fresh plan of that profile holds, and once the plan has held both
-// shapes a call allocates nothing. A plan Plan returned shares no array with
-// any later plan, so no later call writes to it.
+// TestPlanIntoReusesItsArrays pins PlanInto against Plan: planning three
+// profiles of different shapes, one of them past the rows an idle planning
+// arena keeps scratch for (1,024), in turn, into one plan gives each time
+// what a fresh plan of that profile holds, and once the plan has held the two
+// smaller shapes, planning them allocates nothing. A plan Plan returned
+// shares no array with any later plan, so no later call writes to it.
 func TestPlanIntoReusesItsArrays(t *testing.T) {
 	stem := NewSTEMRoot(1)
 	small, smallProf := smallWorkload(3, 40, "gemm", "relu")
 	large, largeProf := smallWorkload(5, 300, "gemm", "relu", "softmax")
+	huge, hugeProf := smallWorkload(7, 3000, "gemm", "relu", "softmax", "ln")
 	fresh := func(w *trace.Workload, prof *trace.Profile) *Plan {
 		p, err := stem.Plan(w, prof)
 		if err != nil {
@@ -350,9 +352,12 @@ func TestPlanIntoReusesItsArrays(t *testing.T) {
 	kept := deepCopy(wantSmall)
 	fresh(smallWorkload(3, 40, "relu", "softmax", "gemm")) // the same rows, laid out otherwise
 	wantLarge := fresh(large, largeProf)
-	if len(wantLarge.Clusters) <= len(wantSmall.Clusters) || wantLarge.TotalSamples() >= len(large.Invs) {
-		t.Fatalf("profiles too plain to test reuse: %d and %d clusters, %d samples of %d rows",
-			len(wantSmall.Clusters), len(wantLarge.Clusters), wantLarge.TotalSamples(), len(large.Invs))
+	wantHuge := fresh(huge, hugeProf)
+	if len(wantLarge.Clusters) <= len(wantSmall.Clusters) || wantLarge.TotalSamples() >= len(large.Invs) ||
+		len(wantHuge.Clusters) <= len(wantLarge.Clusters) || wantHuge.TotalSamples() >= len(huge.Invs) {
+		t.Fatalf("profiles too plain to test reuse: %d, %d and %d clusters, %d samples of %d rows, %d of %d",
+			len(wantSmall.Clusters), len(wantLarge.Clusters), len(wantHuge.Clusters),
+			wantLarge.TotalSamples(), len(large.Invs), wantHuge.TotalSamples(), len(huge.Invs))
 	}
 
 	var dst Plan
@@ -360,7 +365,10 @@ func TestPlanIntoReusesItsArrays(t *testing.T) {
 		w    *trace.Workload
 		prof *trace.Profile
 		want *Plan
-	}{{small, smallProf, wantSmall}, {large, largeProf, wantLarge}, {small, smallProf, wantSmall}, {large, largeProf, wantLarge}} {
+	}{
+		{small, smallProf, wantSmall}, {large, largeProf, wantLarge}, {huge, hugeProf, wantHuge},
+		{small, smallProf, wantSmall}, {huge, hugeProf, wantHuge}, {large, largeProf, wantLarge},
+	} {
 		if err := stem.PlanInto(&dst, tc.w, tc.prof); err != nil {
 			t.Fatal(err)
 		}

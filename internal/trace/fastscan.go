@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 	"unsafe"
@@ -110,7 +111,8 @@ type FastCSVReader struct {
 }
 
 // NewFastCSVReader wraps r. A reader that reports its length (bytes.Reader,
-// bytes.Buffer, strings.Reader) gets a window no larger than its content.
+// bytes.Buffer, strings.Reader, a regular file) gets a window no larger than
+// its content.
 func NewFastCSVReader(r io.Reader) *FastCSVReader {
 	size := maxWindow
 	if n, ok := readerLen(r); ok && n < size {
@@ -119,13 +121,25 @@ func NewFastCSVReader(r io.Reader) *FastCSVReader {
 	return &FastCSVReader{br: bufio.NewReaderSize(r, size)}
 }
 
-// readerLen reports the unread byte count of an in-memory reader.
+// readerLen reports the unread byte count of an in-memory reader or of a
+// regular file: its size less the current offset. A pipe, a terminal or any
+// other reader reports none.
 func readerLen(r io.Reader) (int, bool) {
-	l, ok := r.(interface{ Len() int })
-	if !ok {
-		return 0, false
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return r.Len(), true
+	case *os.File:
+		fi, err := r.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return 0, false
+		}
+		off, err := r.Seek(0, io.SeekCurrent)
+		if err != nil || off > fi.Size() {
+			return 0, false
+		}
+		return int(fi.Size() - off), true
 	}
-	return l.Len(), true
+	return 0, false
 }
 
 // readLine returns the next line including its terminator, valid until the

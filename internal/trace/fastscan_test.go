@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -130,7 +131,10 @@ func TestScanInternsNames(t *testing.T) {
 }
 
 // TestReadProfileCSVAllocs pins the batch decoder's allocation count: for
-// a fixed name set it does not depend on the row count.
+// a fixed name set it does not depend on the row count, whether the profile
+// is in memory or in a regular file, which is pre-sized from its size as an
+// in-memory reader is from its length (to within 1.1× of its bytes). A pipe,
+// whose length is unknown, decodes the same rows.
 func TestReadProfileCSVAllocs(t *testing.T) {
 	profile := func(rows int) string {
 		var b strings.Builder
@@ -140,16 +144,67 @@ func TestReadProfileCSVAllocs(t *testing.T) {
 		}
 		return b.String()
 	}
-	allocs := func(body string) float64 {
-		return testing.AllocsPerRun(5, func() {
-			if _, _, err := ReadProfileCSV(strings.NewReader(body)); err != nil {
+	fromMemory := func(body string) func() io.Reader {
+		return func() io.Reader { return strings.NewReader(body) }
+	}
+	fromFile := func(body string) func() io.Reader {
+		path := writeTempCSV(t, body)
+		return func() io.Reader {
+			f, err := os.Open(path)
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
+			t.Cleanup(func() { f.Close() })
+			return f
+		}
 	}
-	small, large := allocs(profile(2000)), allocs(profile(100000))
-	if large > small+2 || large > 64 {
-		t.Fatalf("ReadProfileCSV allocations grow with rows: %v at 2000 rows, %v at 100000", small, large)
+	read := func(open func() io.Reader) {
+		if _, _, err := ReadProfileCSV(open()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := func(open func() io.Reader) float64 {
+		return testing.AllocsPerRun(5, func() { read(open) })
+	}
+	bytesOf := func(open func() io.Reader) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		read(open)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := profile(2000), profile(100000)
+	for _, src := range []struct {
+		name string
+		open func(string) func() io.Reader
+	}{{"memory", fromMemory}, {"file", fromFile}} {
+		if s, l := allocs(src.open(small)), allocs(src.open(large)); l > s+2 || l > 64 {
+			t.Errorf("ReadProfileCSV from %s: allocations grow with rows: %v at 2000 rows, %v at 100000", src.name, s, l)
+		}
+	}
+	if mem, file := bytesOf(fromMemory(large)), bytesOf(fromFile(large)); file*10 > mem*11 {
+		t.Errorf("ReadProfileCSV from a file allocates %d bytes, from memory %d: want within 1.1×", file, mem)
+	}
+
+	wantNames, wantTimes, err := ReadProfileCSV(strings.NewReader(small))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	go func() {
+		io.WriteString(pw, small)
+		pw.Close()
+	}()
+	names, times, err := ReadProfileCSV(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(names, wantNames) || !reflect.DeepEqual(times, wantTimes) {
+		t.Fatalf("ReadProfileCSV from a pipe decoded %d rows unlike the %d in memory", len(names), len(wantNames))
 	}
 }
 

@@ -41,10 +41,10 @@ func ReadProfileCSV(in io.Reader) (names []string, times []float64, err error) {
 	total, _ := readerLen(in)
 	fr := NewFastCSVReader(in)
 	if total > 0 {
-		// Pre-size from the line density of the first window, so an
-		// in-memory profile is decoded without regrowing the slices. No
-		// row is shorter than ",,0\n", which bounds what blank lines can
-		// make the estimate claim.
+		// Pre-size from the line density of the first window, so a profile
+		// in memory or in a regular file is decoded without regrowing the
+		// slices. No row is shorter than ",,0\n", which bounds what blank
+		// lines can make the estimate claim.
 		window, _ := fr.br.Peek(min(total, fr.br.Size())) // a short window only lowers the estimate
 		if len(window) > 0 {
 			lines := int64(bytes.Count(window, []byte{'\n'}) + 1)
